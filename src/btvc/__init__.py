@@ -34,14 +34,7 @@ from .inference import (
     load_fit,
     save_fit,
 )
-from .kernels import (
-    KernelMatrix,
-    KnotGrid,
-    build_grid,
-    gaussian_kernel,
-    kernel_matrix,
-    level_kernel,
-)
+from .kernels import KernelMatrix, KnotGrid, build_grid, kernel_matrix
 from .model import (
     Decomposition,
     HyperParams,
@@ -70,8 +63,7 @@ from .timeframe import CsvSchema, LogFrame, TimeSeriesFrame, ingest_csv, to_log_
 __all__ = [
     "__version__",
     "BtvcError", "ValidationError", "DivergenceError",
-    "KnotGrid", "KernelMatrix", "build_grid", "level_kernel", "gaussian_kernel",
-    "kernel_matrix",
+    "KnotGrid", "KernelMatrix", "build_grid", "kernel_matrix",
     "FourierSpec", "SeasonalDesign", "fourier_design",
     "CsvSchema", "TimeSeriesFrame", "LogFrame", "ingest_csv", "to_log_frame",
     "HyperParams", "ParameterSet", "ModelDesign", "ModelInputs", "Decomposition",

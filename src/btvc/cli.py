@@ -235,7 +235,7 @@ def cmd_decompose(args) -> int:
     fit = load_fit(args.fit)
     cfg = config_from_dict(fit.config) if fit.config else RunConfig()
     frame = load_frame(args.data, cfg)
-    design = training_design(fit.structure, frame, cfg)
+    design = training_design(fit.structure, frame)
     decomp = decompose(fit.params, design)
     out = _outdir(args.out if args.out is not None else cfg.out)
     path = os.path.join(out, "decomposition.csv")

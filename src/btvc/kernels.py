@@ -119,73 +119,51 @@ def build_grid(T: int, *, count: int | None = None, distance: int | None = None,
     return KnotGrid(knot_times=times, T=T)
 
 
-def level_kernel(t: float, grid: KnotGrid) -> np.ndarray:
-    """Piecewise-linear weights at time t: 1 - |t - t_j| / (t_{i+1} - t_i)
-    on the two knots bracketing t, zero elsewhere.
-
-    Outside [t_1, t_J] all mass goes to the nearest boundary knot (constant
-    extrapolation), which also covers forecast times t > T.
-    """
-    if t < 1:
-        raise ValidationError(f"time {t} out of range, must be >= 1")
-    times = grid.knot_times
-    w = np.zeros(grid.n_knots)
-    if t <= times[0]:
-        w[0] = 1.0
-    elif t >= times[-1]:
-        w[-1] = 1.0
-    else:
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        span = float(times[i + 1] - times[i])
-        w[i] = 1.0 - (t - times[i]) / span
-        w[i + 1] = 1.0 - (times[i + 1] - t) / span
-    return w
-
-
-def gaussian_kernel(t: float, grid: KnotGrid, rho: float) -> np.ndarray:
-    """Normalized Gaussian weights exp(-(t - t_j)^2 / (2 rho^2)) / row sum.
-
-    Computed in log space so far-away rows (forecast extension) cannot
-    underflow to an all-zero row before normalization.
-    """
-    if t < 1:
-        raise ValidationError(f"time {t} out of range, must be >= 1")
-    if rho <= 0:
-        raise ValidationError(f"kernel scale rho must be > 0, got {rho}")
-    log_w = -((t - grid.knot_times.astype(float)) ** 2) / (2.0 * rho * rho)
-    w = np.exp(log_w - log_w.max())
-    return w / w.sum()
-
-
 def kernel_matrix(grid: KnotGrid, kind: str, *, rho: float | None = None,
-                  n_times: int | None = None, times=None) -> KernelMatrix:
-    """Stack single-time kernel rows for t = 1..n_times (default the grid's T).
+                  times=None) -> KernelMatrix:
+    """Kernel weight rows for the (1-based) ``times``, default 1..grid.T.
 
     ``kind`` is "level" or "gaussian"; the Gaussian kind requires ``rho``.
-    Passing n_times > T produces the extended matrix used for forecasting;
-    ``times`` instead selects an explicit list of (1-based) times, e.g. only
-    the forecast rows T+1..T+h. All rows are renormalized so
-    row-stochasticity holds exactly at the boundary rule as well.
+    Times beyond T give the forecast rows, e.g. ``times=range(T + 1, T + h + 1)``.
+
+    "level" is piecewise linear: 1 - |t - t_j| / (t_{i+1} - t_i) on the two
+    knots bracketing t, zero elsewhere; outside [t_1, t_J] all mass goes to
+    the nearest boundary knot (constant extrapolation, which also covers
+    forecast times). "gaussian" is exp(-(t - t_j)^2 / (2 rho^2)) normalized
+    per row, computed in log space so far-away rows cannot underflow to an
+    all-zero row. All rows are renormalized so row-stochasticity holds
+    exactly at the boundary rule as well.
     """
-    if times is not None:
-        if n_times is not None:
-            raise ValidationError("pass either n_times or times, not both")
-        ts = [float(t) for t in times]
-        if not ts:
-            raise ValidationError("times must be nonempty")
+    if times is None:
+        ts = np.arange(1, grid.T + 1, dtype=float)
     else:
-        n = grid.T if n_times is None else int(n_times)
-        if n < 1:
-            raise ValidationError(f"n_times must be >= 1, got {n}")
-        ts = list(range(1, n + 1))
+        ts = np.fromiter(times, dtype=float)
+        if not ts.size:
+            raise ValidationError("times must be nonempty")
+        if ts.min() < 1:
+            raise ValidationError(f"time {ts.min()} out of range, must be >= 1")
+    knots = grid.knot_times
     if kind == "level":
-        rows = [level_kernel(t, grid) for t in ts]
+        w = np.zeros((ts.size, grid.n_knots))
+        first = ts <= knots[0]
+        last = ~first & (ts >= knots[-1])
+        w[first, 0] = 1.0
+        w[last, -1] = 1.0
+        rows = np.flatnonzero(~(first | last))
+        t = ts[rows]
+        i = np.searchsorted(knots, t, side="right") - 1
+        span = (knots[i + 1] - knots[i]).astype(float)
+        w[rows, i] = 1.0 - (t - knots[i]) / span
+        w[rows, i + 1] = 1.0 - (knots[i + 1] - t) / span
     elif kind == "gaussian":
         if rho is None:
             raise ValidationError("gaussian kernel requires rho")
-        rows = [gaussian_kernel(t, grid, rho) for t in ts]
+        if rho <= 0:
+            raise ValidationError(f"kernel scale rho must be > 0, got {rho}")
+        log_w = -((ts[:, None] - knots.astype(float)) ** 2) / (2.0 * rho * rho)
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        w = w / w.sum(axis=1, keepdims=True)
     else:
         raise ValidationError(f"unknown kernel kind {kind!r}")
-    w = np.vstack(rows)
     w = w / w.sum(axis=1, keepdims=True)
     return KernelMatrix(weights=w, grid=grid)

@@ -73,33 +73,10 @@ def build_structure(frame: TimeSeriesFrame, cfg: RunConfig):
     T = frame.n_times
     target, X = model_scale_arrays(frame, cfg)
     specs = fourier_specs(cfg)
-    seasonal = fourier_design(T, specs)
     grid_lev = _component_grid(T, cfg.knot_count_lev, cfg.knot_distance_lev, cfg.knot_anchor)
     grid_seas = _component_grid(T, cfg.knot_count_seas, cfg.knot_distance_seas, cfg.knot_anchor)
     grid_reg = _component_grid(T, cfg.knot_count_reg, cfg.knot_distance_reg, cfg.knot_anchor)
     rho = cfg.rho if cfg.rho > 0 else _auto_rho(grid_reg, T)
-    design = ModelDesign(
-        regressors=X,
-        seasonal=seasonal.matrix,
-        k_lev=kernel_matrix(grid_lev, "level", n_times=T),
-        k_seas=kernel_matrix(grid_seas, "level", n_times=T),
-        k_reg=kernel_matrix(grid_reg, "gaussian", rho=rho, n_times=T),
-        regressor_names=frame.regressor_names,
-    )
-    inputs = ModelInputs(design=design, target=target)
-    init_scale = cfg.init_scale_lev
-    if init_scale <= 0:
-        init_scale = 10.0 * max(float(np.std(target)), 1e-3)
-    hp = HyperParams(
-        sigma_lev=cfg.sigma_lev,
-        sigma_seas=cfg.sigma_seas,
-        mu_pool=cfg.mu_pool,
-        sigma_pool=cfg.sigma_pool,
-        sigma_reg=cfg.sigma_reg,
-        init_scale_lev=init_scale,
-        noise_df=cfg.noise_df if cfg.noise_df > 0 else None,
-        laplace_smoothing=cfg.laplace_smoothing,
-    )
     structure = {
         "T": T,
         "last_date": str(frame.timestamps[-1]),
@@ -114,6 +91,20 @@ def build_structure(frame: TimeSeriesFrame, cfg: RunConfig):
         "floor_epsilon": cfg.floor_epsilon,
         "regressor_names": list(frame.regressor_names),
     }
+    inputs = ModelInputs(design=_design(structure, X, 1, T), target=target)
+    init_scale = cfg.init_scale_lev
+    if init_scale <= 0:
+        init_scale = 10.0 * max(float(np.std(target)), 1e-3)
+    hp = HyperParams(
+        sigma_lev=cfg.sigma_lev,
+        sigma_seas=cfg.sigma_seas,
+        mu_pool=cfg.mu_pool,
+        sigma_pool=cfg.sigma_pool,
+        sigma_reg=cfg.sigma_reg,
+        init_scale_lev=init_scale,
+        noise_df=cfg.noise_df if cfg.noise_df > 0 else None,
+        laplace_smoothing=cfg.laplace_smoothing,
+    )
     return inputs, hp, structure
 
 
@@ -167,12 +158,34 @@ def run_fit(frame: TimeSeriesFrame, cfg: RunConfig) -> tuple[FitResult, ModelInp
 
 # -- designs from a saved fit -------------------------------------------------
 
-def _structure_specs(structure: dict) -> tuple[FourierSpec, ...]:
-    return tuple(FourierSpec(period=s, order=int(k)) for s, k in structure["fourier"])
+def _design(structure: dict, x: np.ndarray, first: int, n: int) -> ModelDesign:
+    """Design of a saved structure for rows first..first+n-1 (rows past T are
+    forecast rows), given the model-scale regressors of those rows."""
+    T = int(structure["T"])
+    specs = tuple(FourierSpec(period=s, order=int(k)) for s, k in structure["fourier"])
+    grid_lev, grid_seas, grid_reg = (
+        KnotGrid(np.asarray(structure[key]), T) for key in ("knots_lev", "knots_seas", "knots_reg")
+    )
+    times = range(first, first + n)
+    return ModelDesign(
+        regressors=x,
+        seasonal=fourier_design(first + n - 1, specs).matrix[first - 1:],
+        k_lev=kernel_matrix(grid_lev, "level", times=times),
+        k_seas=kernel_matrix(grid_seas, "level", times=times),
+        k_reg=kernel_matrix(grid_reg, "gaussian", rho=structure["rho"], times=times),
+        regressor_names=tuple(structure["regressor_names"]),
+    )
 
 
-def training_design(structure: dict, frame: TimeSeriesFrame,
-                    cfg: RunConfig) -> ModelDesign:
+def _model_scale_regressors(structure: dict, x: np.ndarray) -> np.ndarray:
+    """Raw regressors mapped to the scale a saved fit was trained on."""
+    if structure["link"] != "log":
+        return np.array(x, dtype=float)
+    eps = structure["floor_epsilon"] if structure["zero_policy"] == "floor" else None
+    return transform_regressors(x, structure["zero_policy"], eps)
+
+
+def training_design(structure: dict, frame: TimeSeriesFrame) -> ModelDesign:
     """Rebuild the rows-1..T design of a saved fit from the original data."""
     T = int(structure["T"])
     if frame.n_times != T:
@@ -181,28 +194,7 @@ def training_design(structure: dict, frame: TimeSeriesFrame,
         )
     if list(frame.regressor_names) != list(structure["regressor_names"]):
         raise ValidationError("data regressor columns do not match the fit")
-    _, X = model_scale_arrays(frame, _cfg_with_structure_scale(cfg, structure))
-    seasonal = fourier_design(T, _structure_specs(structure))
-    grid_lev = KnotGrid(np.asarray(structure["knots_lev"]), T)
-    grid_seas = KnotGrid(np.asarray(structure["knots_seas"]), T)
-    grid_reg = KnotGrid(np.asarray(structure["knots_reg"]), T)
-    return ModelDesign(
-        regressors=X,
-        seasonal=seasonal.matrix,
-        k_lev=kernel_matrix(grid_lev, "level", n_times=T),
-        k_seas=kernel_matrix(grid_seas, "level", n_times=T),
-        k_reg=kernel_matrix(grid_reg, "gaussian", rho=structure["rho"], n_times=T),
-        regressor_names=frame.regressor_names,
-    )
-
-
-def _cfg_with_structure_scale(cfg: RunConfig, structure: dict) -> RunConfig:
-    return dataclasses.replace(
-        cfg,
-        link=structure["link"],
-        zero_policy=structure["zero_policy"],
-        floor_epsilon=structure["floor_epsilon"],
-    )
+    return _design(structure, _model_scale_regressors(structure, frame.regressors), 1, T)
 
 
 def forecast_design(structure: dict, future_regressors: np.ndarray,
@@ -217,22 +209,7 @@ def forecast_design(structure: dict, future_regressors: np.ndarray,
         raise ValidationError(
             f"future regressors shape {x.shape} does not match ({horizon}, {P})"
         )
-    if structure["link"] == "log":
-        eps = structure["floor_epsilon"] if structure["zero_policy"] == "floor" else None
-        x = transform_regressors(x, structure["zero_policy"], eps)
-    times = list(range(T + 1, T + horizon + 1))
-    seasonal = fourier_design(T + horizon, _structure_specs(structure)).matrix[T:]
-    grid_lev = KnotGrid(np.asarray(structure["knots_lev"]), T)
-    grid_seas = KnotGrid(np.asarray(structure["knots_seas"]), T)
-    grid_reg = KnotGrid(np.asarray(structure["knots_reg"]), T)
-    return ModelDesign(
-        regressors=x,
-        seasonal=seasonal,
-        k_lev=kernel_matrix(grid_lev, "level", times=times),
-        k_seas=kernel_matrix(grid_seas, "level", times=times),
-        k_reg=kernel_matrix(grid_reg, "gaussian", rho=structure["rho"], times=times),
-        regressor_names=tuple(structure["regressor_names"]),
-    )
+    return _design(structure, _model_scale_regressors(structure, x), T + 1, horizon)
 
 
 def predict_from_fit(fit: FitResult, future_regressors: np.ndarray,

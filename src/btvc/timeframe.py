@@ -144,26 +144,23 @@ def to_log_frame(frame: TimeSeriesFrame, zero_policy: str = "shift1",
         raise ValidationError(
             f"negative regressor {frame.regressor_names[j]!r} at row {int(i) + 1}"
         )
-    if zero_policy == "shift1":
-        lx = np.log1p(x)
-    else:
-        if epsilon is None or epsilon <= 0:
-            raise ValidationError("floor policy needs epsilon > 0")
-        lx = np.log(np.maximum(x, epsilon))
-    return LogFrame(log_response=np.log(y), log_regressors=lx)
+    return LogFrame(log_response=np.log(y),
+                    log_regressors=transform_regressors(x, zero_policy, epsilon))
 
 
 def transform_regressors(x: np.ndarray, zero_policy: str,
                          epsilon: float | None = None) -> np.ndarray:
-    """Apply the regressor half of to_log_frame to a raw matrix.
-
-    Used for future regressors at prediction time, which have no response.
+    """The regressor half of to_log_frame, for a raw matrix without a response
+    (future regressors, or a saved fit's training rows).
     """
     x = np.asarray(x, dtype=float)
     if zero_policy not in ZERO_POLICIES:
         raise ValidationError(f"unknown zero_policy {zero_policy!r}")
     if x.size and x.min() < 0:
-        raise ValidationError("negative regressor value in prediction input")
+        i, j = np.argwhere(x < 0)[0]
+        raise ValidationError(
+            f"negative regressor value in column {int(j) + 1} at row {int(i) + 1}"
+        )
     if zero_policy == "shift1":
         return np.log1p(x)
     if epsilon is None or epsilon <= 0:

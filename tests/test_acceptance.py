@@ -232,9 +232,9 @@ def test_kernel_row_invariants():
         n_knots = int(rng.integers(1, 13))
         times = np.sort(rng.choice(np.arange(1, T + 1), size=n_knots, replace=False))
         grid = KnotGrid(knot_times=times, T=T)
-        level = kernel_matrix(grid, "level", n_times=T + 28)
+        level = kernel_matrix(grid, "level", times=range(1, T + 28 + 1))
         gauss = kernel_matrix(grid, "gaussian", rho=float(rng.uniform(2.0, 40.0)),
-                              n_times=T + 28)
+                              times=range(1, T + 28 + 1))
         for km in (level, gauss):
             max_dev = max(max_dev, float(np.max(np.abs(km.weights.sum(axis=1) - 1.0))))
         max_nonzeros = max(max_nonzeros, int((level.weights != 0).sum(axis=1).max()))

@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from btvc.errors import ValidationError
-from btvc.kernels import KnotGrid, build_grid, gaussian_kernel, kernel_matrix, level_kernel
+from btvc.kernels import KnotGrid, build_grid, kernel_matrix
 
 ROW_SUM_TOL = 1e-12
+
+
+def row(grid, kind, t, rho=None):
+    return kernel_matrix(grid, kind, rho=rho, times=[t]).weights[0]
 
 
 def test_build_grid_distance_anchor_end():
@@ -50,22 +54,22 @@ def test_grid_rejects_out_of_range_times():
 def test_level_kernel_interpolates_between_adjacent_knots():
     grid = KnotGrid(knot_times=[2, 6, 10], T=10)
     # t=4 lies midway between knots at 2 and 6
-    w = level_kernel(4.0, grid)
+    w = row(grid, "level", 4.0)
     assert np.allclose(w, [0.5, 0.5, 0.0])
     # t=5 is 3/4 of the way from 2 to 6
-    w = level_kernel(5.0, grid)
+    w = row(grid, "level", 5.0)
     assert np.allclose(w, [0.25, 0.75, 0.0])
     # exactly on a knot
-    w = level_kernel(6.0, grid)
+    w = row(grid, "level", 6.0)
     assert np.allclose(w, [0.0, 1.0, 0.0])
 
 
 def test_level_kernel_boundary_rule():
     grid = KnotGrid(knot_times=[3, 7], T=10)
-    assert np.allclose(level_kernel(1.0, grid), [1.0, 0.0])
-    assert np.allclose(level_kernel(3.0, grid), [1.0, 0.0])
-    assert np.allclose(level_kernel(9.0, grid), [0.0, 1.0])
-    assert np.allclose(level_kernel(25.0, grid), [0.0, 1.0])
+    assert np.allclose(row(grid, "level", 1.0), [1.0, 0.0])
+    assert np.allclose(row(grid, "level", 3.0), [1.0, 0.0])
+    assert np.allclose(row(grid, "level", 9.0), [0.0, 1.0])
+    assert np.allclose(row(grid, "level", 25.0), [0.0, 1.0])
 
 
 def test_gaussian_kernel_matches_direct_formula():
@@ -74,13 +78,13 @@ def test_gaussian_kernel_matches_direct_formula():
     for t in (1.0, 4.5, 10.0, 17.0):
         raw = np.exp(-((t - grid.knot_times) ** 2) / (2 * rho**2))
         expected = raw / raw.sum()
-        assert np.allclose(gaussian_kernel(t, grid, rho), expected, atol=1e-14)
+        assert np.allclose(row(grid, "gaussian", t, rho), expected, atol=1e-14)
 
 
 def test_gaussian_kernel_far_row_stays_normalized():
     # log-space path must survive distances that underflow exp()
     grid = KnotGrid(knot_times=[1, 3], T=500)
-    w = gaussian_kernel(500.0, grid, rho=1.0)
+    w = row(grid, "gaussian", 500.0, rho=1.0)
     assert abs(w.sum() - 1.0) <= ROW_SUM_TOL
     assert w[1] > w[0]
 
@@ -88,17 +92,17 @@ def test_gaussian_kernel_far_row_stays_normalized():
 @settings(deadline=None)
 @given(
     T=st.integers(10, 200),
-    n_knots=st.integers(1, 12),
     extra=st.integers(0, 28),
     data=st.data(),
 )
-def test_kernel_rows_sum_to_one_including_forecast_rows(T, n_knots, extra, data):
+def test_kernel_rows_sum_to_one_including_forecast_rows(T, extra, data):
+    n_knots = data.draw(st.integers(1, min(12, T)))
     times = data.draw(
         st.lists(st.integers(1, T), min_size=n_knots, max_size=n_knots, unique=True)
     )
     grid = KnotGrid(knot_times=sorted(times), T=T)
     for kind, rho in (("level", None), ("gaussian", 7.0)):
-        km = kernel_matrix(grid, kind, rho=rho, n_times=T + extra)
+        km = kernel_matrix(grid, kind, rho=rho, times=range(1, T + extra + 1))
         assert km.weights.shape == (T + extra, grid.n_knots)
         assert np.all(km.weights >= 0)
         assert np.max(np.abs(km.weights.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
@@ -112,27 +116,78 @@ def test_level_rows_have_at_most_two_nonzeros(T, data):
         st.lists(st.integers(1, T), min_size=n_knots, max_size=n_knots, unique=True)
     )
     grid = KnotGrid(knot_times=sorted(times), T=T)
-    km = kernel_matrix(grid, "level", n_times=T + 14)
+    km = kernel_matrix(grid, "level", times=range(1, T + 14 + 1))
     assert np.max(np.count_nonzero(km.weights, axis=1)) <= 2
+
+
+def reference_rows(grid, kind, ts, rho=None):
+    """The kernel formulas evaluated one time at a time."""
+    knots = grid.knot_times
+    rows = []
+    for t in ts:
+        if kind == "gaussian":
+            log_w = -((t - knots.astype(float)) ** 2) / (2.0 * rho * rho)
+            w = np.exp(log_w - log_w.max())
+            w = w / w.sum()
+        else:
+            w = np.zeros(grid.n_knots)
+            if t <= knots[0]:
+                w[0] = 1.0
+            elif t >= knots[-1]:
+                w[-1] = 1.0
+            else:
+                i = int(np.searchsorted(knots, t, side="right")) - 1
+                span = float(knots[i + 1] - knots[i])
+                w[i] = 1.0 - (t - knots[i]) / span
+                w[i + 1] = 1.0 - (knots[i + 1] - t) / span
+        rows.append(w)
+    w = np.vstack(rows)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+@settings(deadline=None)
+@given(
+    T=st.integers(1, 400),
+    extra=st.integers(0, 60),
+    rho=st.floats(0.3, 100.0),
+    data=st.data(),
+)
+def test_kernel_matrix_equals_row_by_row_reference(T, extra, rho, data):
+    n_knots = data.draw(st.integers(1, min(40, T)))
+    times = data.draw(
+        st.lists(st.integers(1, T), min_size=n_knots, max_size=n_knots, unique=True)
+    )
+    grid = KnotGrid(knot_times=sorted(times), T=T)
+    fractional = data.draw(st.lists(st.floats(1.0, T + extra + 1.0), min_size=1, max_size=5))
+    for ts in (range(1, T + extra + 1), fractional):
+        for kind in ("level", "gaussian"):
+            got = kernel_matrix(grid, kind, rho=rho, times=ts).weights
+            assert np.array_equal(got, reference_rows(grid, kind, ts, rho))
 
 
 def test_kernel_matrix_times_matches_extended_slice():
     grid = build_grid(60, distance=20)
-    full = kernel_matrix(grid, "gaussian", rho=10.0, n_times=88)
+    full = kernel_matrix(grid, "gaussian", rho=10.0, times=range(1, 89))
     tail = kernel_matrix(grid, "gaussian", rho=10.0, times=range(61, 89))
     assert np.array_equal(full.weights[60:], tail.weights)
-    full_lev = kernel_matrix(grid, "level", n_times=88)
+    full_lev = kernel_matrix(grid, "level", times=range(1, 89))
     tail_lev = kernel_matrix(grid, "level", times=range(61, 89))
     assert np.array_equal(full_lev.weights[60:], tail_lev.weights)
-
-
-def test_kernel_matrix_rejects_times_and_n_times():
-    grid = build_grid(10, distance=5)
-    with pytest.raises(ValidationError):
-        kernel_matrix(grid, "level", n_times=10, times=[1, 2])
 
 
 def test_gaussian_requires_rho():
     grid = build_grid(10, distance=5)
     with pytest.raises(ValidationError):
         kernel_matrix(grid, "gaussian")
+
+
+def test_kernel_matrix_rejects_bad_rho_and_times():
+    grid = build_grid(10, distance=5)
+    for rho in (0.0, -1.0):
+        with pytest.raises(ValidationError, match="rho must be > 0"):
+            kernel_matrix(grid, "gaussian", rho=rho)
+    for kind in ("level", "gaussian"):
+        with pytest.raises(ValidationError, match="out of range"):
+            kernel_matrix(grid, kind, rho=1.0, times=[0.5, 3])
+        with pytest.raises(ValidationError, match="nonempty"):
+            kernel_matrix(grid, kind, rho=1.0, times=[])

@@ -299,7 +299,7 @@ def test_better_fit_does_not_lower_posterior():
 def test_predict_all_zero_knots_is_one():
     T, h = 10, 4
     grid = KnotGrid(knot_times=[1], T=T)
-    k = kernel_matrix(grid, "level", n_times=T + h)
+    k = kernel_matrix(grid, "level", times=range(1, T + h + 1))
     design = ModelDesign(
         regressors=np.zeros((T + h, 0)), seasonal=np.zeros((T + h, 0)),
         k_lev=k, k_seas=k, k_reg=k,
@@ -314,7 +314,7 @@ def test_predict_all_zero_knots_is_one():
 def test_predict_constant_trend_exponentiates():
     T, h = 8, 3
     grid = KnotGrid(knot_times=[1], T=T)
-    k = kernel_matrix(grid, "level", n_times=T + h)
+    k = kernel_matrix(grid, "level", times=range(1, T + h + 1))
     design = ModelDesign(
         regressors=np.zeros((T + h, 0)), seasonal=np.zeros((T + h, 0)),
         k_lev=k, k_seas=k, k_reg=k,

@@ -128,21 +128,22 @@ class TestSavedFitDesigns:
         frame = small_frame()
         cfg = small_cfg()
         inputs, _, structure = build_structure(frame, cfg)
-        rebuilt = training_design(structure, frame, cfg)
+        rebuilt = training_design(structure, frame)
         np.testing.assert_array_equal(rebuilt.regressors, inputs.design.regressors)
         np.testing.assert_array_equal(rebuilt.seasonal, inputs.design.seasonal)
         np.testing.assert_array_equal(rebuilt.k_reg.weights, inputs.design.k_reg.weights)
         np.testing.assert_array_equal(rebuilt.k_lev.weights, inputs.design.k_lev.weights)
+        np.testing.assert_array_equal(rebuilt.k_seas.weights, inputs.design.k_seas.weights)
 
     def test_training_design_rejects_mismatched_data(self):
         frame = small_frame()
         cfg = small_cfg()
         _, _, structure = build_structure(frame, cfg)
         with pytest.raises(ValidationError, match="59 rows but the fit was trained on 60"):
-            training_design(structure, small_frame(T=59), cfg)
+            training_design(structure, small_frame(T=59))
         renamed = dataclasses.replace(frame, regressor_names=("a", "b"))
         with pytest.raises(ValidationError, match="regressor columns do not match"):
-            training_design(structure, renamed, cfg)
+            training_design(structure, renamed)
 
     def test_forecast_design_continues_the_training_rows(self):
         frame = small_frame()
@@ -157,7 +158,7 @@ class TestSavedFitDesigns:
             fc.seasonal, fourier_design(T + h, specs).matrix[T:]
         )
         grid = KnotGrid(np.asarray(structure["knots_reg"]), T)
-        full = kernel_matrix(grid, "gaussian", rho=structure["rho"], n_times=T + h)
+        full = kernel_matrix(grid, "gaussian", rho=structure["rho"], times=range(1, T + h + 1))
         np.testing.assert_array_equal(fc.k_reg.weights, full.weights[T:])
         # log link: future regressors get the same zero policy as training
         np.testing.assert_allclose(fc.regressors, np.log1p(future))
@@ -186,11 +187,13 @@ class TestFitAndForecast:
         full = ModelDesign(
             regressors=np.vstack([x_train, transform_regressors(future, "shift1", None)]),
             seasonal=fourier_design(T + h, specs).matrix,
-            k_lev=kernel_matrix(KnotGrid(structure["knots_lev"], T), "level", n_times=T + h),
-            k_seas=kernel_matrix(KnotGrid(structure["knots_seas"], T), "level", n_times=T + h),
+            k_lev=kernel_matrix(KnotGrid(structure["knots_lev"], T), "level",
+                                times=range(1, T + h + 1)),
+            k_seas=kernel_matrix(KnotGrid(structure["knots_seas"], T), "level",
+                                 times=range(1, T + h + 1)),
             k_reg=kernel_matrix(
                 KnotGrid(structure["knots_reg"], T), "gaussian",
-                rho=structure["rho"], n_times=T + h,
+                rho=structure["rho"], times=range(1, T + h + 1),
             ),
             regressor_names=frame.regressor_names,
         )
