@@ -28,11 +28,16 @@ import numpy as np
 
 from .errors import DivergenceError, ValidationError
 from .model import (
+    LOG_2PI,
     HyperParams,
     ModelInputs,
     ParameterSet,
+    _abs_and_dsign,
+    _folded_normal_terms,
+    _laplace_chain,
     _log_likelihood_and_grads,
     _log_prior_and_grad,
+    check_dims,
     coefficients,
     log_posterior_and_grad,
 )
@@ -352,6 +357,8 @@ class SviConfig:
             raise ValidationError("iterations and samples_per_step must be >= 1")
         if self.learning_rate <= 0 or self.final_learning_rate <= 0:
             raise ValidationError("learning rates must be > 0")
+        if self.trace_every < 1:
+            raise ValidationError("trace_every must be >= 1")
 
 
 @dataclass
@@ -396,13 +403,196 @@ class PosteriorDraws:
 
 
 def _objective(inputs, hp, packing, calibration, include_jacobian):
+    """Compile the fit objective of one structure: theta -> (value, gradient).
+
+    The value is log_posterior_and_grad at packing.unpack(theta), its
+    gradient chained to theta as packing.chain_grad does, plus the softplus
+    log-Jacobian when include_jacobian; that composition stays the readable
+    reference this one is tested against. Everything that depends only on
+    the structure is done here once, so a call builds no ParameterSet or
+    ParamGradient and runs no dimension checks.
+
+    theta's leading [b_lev, b_seas] block holds every Laplace chain: each
+    knot's location is its predecessor in the same chain (0 for the first),
+    so one diff over the block covers the trend and all seasonal columns.
+    The following [b_reg, mu_reg] block is where the softplus acts and where
+    the folded-normal terms live: b_reg around mu_reg, then mu_reg around
+    mu_pool. Writing z = (x - loc) / sigma and a = 2 x loc / sigma^2, each
+    term is the Gaussian -z^2/2 plus the mirror image's log(1 + e^-a); the
+    Gaussian test prior on b_reg is the same term without the mirror.
+    """
+    design = inputs.design
+    check_dims(packing.unpack(np.zeros(packing.dim)), design)
+    y = inputs.target
+    n = y.size
+    k_lev, k_seas, k_reg = design.k_lev.weights, design.k_seas.weights, design.k_reg.weights
+    # Gaussian weights far from their knot underflow to subnormal numbers,
+    # which slow every product through them several-fold. Each changes a
+    # product by under 1e-300 times the other factor, far below its rounding.
+    subnormal = (k_reg != 0) & (np.abs(k_reg) < np.finfo(float).tiny)
+    if subnormal.any():
+        k_reg = np.where(subnormal, 0.0, k_reg)
+    seasonal, regressors = design.seasonal, design.regressors
+    n_seas_knots, n_cols = packing.n_seas_knots, packing.n_seas_cols
+    n_reg_knots, n_channels = packing.n_reg_knots, packing.n_channels
+    lev_free = packing.fixed_b_lev is None
+    mu_free = packing.fixed_mu_reg is None
+    sigma_free = packing.fixed_sigma_obs is None
+    softplus_reg = packing.reg_transform == "softplus"
+    check_support = not softplus_reg and not hp.gaussian_reg_prior
+    dim = packing.dim
+    n_lev = packing.n_lev if lev_free else 0
+    n_chain = n_lev + n_seas_knots * n_cols
+    n_b = n_reg_knots * n_channels
+    n_mu = n_channels if mu_free else 0
+    reg_end = n_chain + n_b + n_mu
+    delta = hp.laplace_smoothing
+
+    const = 0.0
+    chain_scale = np.concatenate(
+        [np.full(n_lev, hp.sigma_lev), np.full(n_chain - n_lev, hp.sigma_seas)]
+    )
+    if lev_free:
+        chain_scale[0] = hp.init_scale_lev
+    else:
+        const += _laplace_chain(packing.fixed_b_lev, hp.init_scale_lev, hp.sigma_lev, delta)[0]
+        trend_fixed = k_lev @ packing.fixed_b_lev
+    const -= float(np.log(2.0 * chain_scale).sum())
+    chain_inv = 1.0 / chain_scale
+    lev_steps = np.arange(1, n_lev)
+    seas_steps = np.arange(n_lev + n_cols, n_chain)
+    steps = np.concatenate([lev_steps, seas_steps])
+    prev = np.concatenate([lev_steps - 1, seas_steps - n_cols])
+
+    reg_scale = np.concatenate(
+        [np.full(n_b, hp.sigma_reg), np.full(n_mu, hp.sigma_pool)]
+    )
+    reg_inv = 1.0 / reg_scale
+    const -= float(np.sum(np.log(reg_scale) + 0.5 * LOG_2PI))
+    mirror = n_b if hp.gaussian_reg_prior else 0  # entries from here on are folded
+    mirror_inv2 = 2.0 * reg_inv[mirror:]
+    channel_of = np.tile(np.arange(n_channels), n_reg_knots)
+    if mu_free:
+        mu_of = n_b + channel_of
+        pool_loc = np.full(n_channels, hp.mu_pool)
+    else:
+        fixed_mu = packing.fixed_mu_reg
+        if check_support and n_channels and fixed_mu.min() < 0:
+            raise ValidationError("mu_reg outside folded-normal support")
+        loc_fixed = fixed_mu[channel_of]
+        if n_channels:
+            const += float(_folded_normal_terms(
+                fixed_mu, np.full(n_channels, hp.mu_pool), hp.sigma_pool)[0].sum())
+
+    windows = tuple(
+        (slice(t.start0, t.end0 + 1), t.channel_index, t.mean, t.sd, t.weight)
+        for t in calibration
+    )
+    for rows, _, _, sd, weight in windows:
+        const -= weight * (rows.stop - rows.start) * (math.log(sd) + 0.5 * LOG_2PI)
+
+    nu = hp.noise_df
+    if nu is None:
+        const -= 0.5 * n * LOG_2PI
+    else:
+        t_const = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
+                   - 0.5 * math.log(nu * math.pi))
+        const += n * t_const
+
     def f(theta):
-        params = packing.unpack(theta)
-        value, pgrad = log_posterior_and_grad(params, inputs, hp, calibration)
-        grad = packing.chain_grad(theta, pgrad)
-        if include_jacobian:
-            value += packing.log_jacobian(theta)
-            grad += packing.log_jacobian_grad(theta)
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (dim,):
+            raise ValidationError(f"theta length {theta.shape} != packing dim {dim}")
+        grad = np.empty(dim)
+
+        # Laplace chains
+        z = theta[:n_chain]
+        diff = z.copy()
+        diff[steps] -= z[prev]
+        absd, sgn = _abs_and_dsign(diff, delta)
+        value = const - float(absd @ chain_inv)
+        g_diff = sgn * chain_inv
+        g_chain = -g_diff
+        g_chain[prev] += g_diff[steps]
+        grad[:n_chain] = g_chain
+
+        # softplus (or identity) block and its folded-normal terms
+        raw = theta[n_chain:reg_end]
+        if softplus_reg:
+            e = np.exp(-np.abs(raw))
+            log1p_e = np.log1p(e)
+            x = np.maximum(raw, 0.0) + log1p_e
+            inv_1pe = 1.0 / (1.0 + e)
+            e_inv = e * inv_1pe
+            positive = raw >= 0
+            dx_draw = np.where(positive, inv_1pe, e_inv)
+        else:
+            x = raw
+            if check_support:
+                if n_b and x[:n_b].min() < 0:
+                    raise ValidationError("b_reg outside folded-normal support")
+                if n_mu and x[n_b:].min() < 0:
+                    raise ValidationError("mu_reg outside folded-normal support")
+        loc = np.concatenate((x[mu_of], pool_loc)) if mu_free else loc_fixed
+        u = loc * reg_inv
+        v = x * reg_inv
+        zm = v - u
+        a = 2.0 * u[mirror:] * v[mirror:]
+        e_a = np.exp(-np.abs(a))
+        value += float(np.sum(np.maximum(-a, 0.0) + np.log1p(e_a)) - 0.5 * (zm @ zm))
+        w_mirror = mirror_inv2 * np.where(a >= 0, e_a, 1.0) / (1.0 + e_a)
+        g_z = zm * reg_inv
+        g_x = -g_z
+        g_x[mirror:] -= w_mirror * u[mirror:]
+        if mu_free:
+            g_loc = g_z
+            g_loc[mirror:] -= w_mirror * v[mirror:]
+            g_x[n_b:] += g_loc[:n_b].reshape(n_reg_knots, n_channels).sum(axis=0)
+
+        # likelihood through the three kernel products
+        fitted = k_lev @ z[:n_lev] if lev_free else trend_fixed
+        b_seas = z[n_lev:].reshape(n_seas_knots, n_cols)
+        coef = k_reg @ x[:n_b].reshape(n_reg_knots, n_channels)
+        fitted = (fitted + np.einsum("tq,tq->t", seasonal, k_seas @ b_seas)
+                  + np.einsum("tp,tp->t", regressors, coef))
+        resid = y - fitted
+        sigma = float(np.exp(theta[-1])) if sigma_free else packing.fixed_sigma_obs
+        if sigma <= 0:
+            raise ValidationError("sigma_obs must be > 0")
+        if nu is None:
+            inv_var = 1.0 / (sigma * sigma)
+            ss = float(resid @ resid)
+            value += -n * math.log(sigma) - 0.5 * ss * inv_var
+            dfit = resid * inv_var
+            dlnsig = ss * inv_var - n
+        else:
+            nu_var = nu * sigma * sigma
+            sq = resid * resid
+            denom = nu_var + sq
+            value += -n * math.log(sigma) - 0.5 * (nu + 1.0) * float(np.log1p(sq / nu_var).sum())
+            dfit = (nu + 1.0) * resid / denom
+            dlnsig = (nu + 1.0) * float((sq / denom).sum()) - n
+
+        if lev_free:
+            grad[:n_lev] += k_lev.T @ dfit
+        grad[n_lev:n_chain] += (k_seas.T @ (dfit[:, None] * seasonal)).ravel()
+        g_coef = dfit[:, None] * regressors
+        for rows, channel, mean, sd, weight in windows:
+            c = coef[rows, channel]
+            zc = (c - mean) / sd
+            value -= 0.5 * weight * float(zc @ zc)
+            g_coef[rows, channel] += weight * (mean - c) / (sd * sd)
+        g_x[:n_b] += (k_reg.T @ g_coef).ravel()
+
+        if softplus_reg:
+            g_x *= dx_draw
+            if include_jacobian:
+                # ln sigmoid(raw) = -softplus(-raw); its derivative is sigmoid(-raw)
+                value -= float(np.sum(np.maximum(-raw, 0.0) + log1p_e))
+                g_x += np.where(positive, e_inv, inv_1pe)
+        grad[n_chain:reg_end] = g_x
+        if sigma_free:
+            grad[-1] = dlnsig
         return value, grad
 
     return f
@@ -594,7 +784,7 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
         log_sd = log_sd + step[dim:]
         lr *= decay
     return FitResult(
-        params=init.params,
+        params=packing.unpack(mean),
         theta=init.theta,
         packing=packing,
         hyper=hp,
@@ -754,8 +944,9 @@ def load_fit(path: str) -> FitResult:
     hp = HyperParams(**hp_doc)
     theta = np.asarray(doc["theta_map"], dtype=float)
     var = doc.get("variational")
+    point = theta if var is None else np.asarray(var["mean"], dtype=float)
     return FitResult(
-        params=packing.unpack(theta),
+        params=packing.unpack(point),
         theta=theta,
         packing=packing,
         hyper=hp,

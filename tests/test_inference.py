@@ -1,11 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import btvc.inference as inference
+from btvc.calibration import PriorWindow, apply_prior_windows
 from btvc.errors import DivergenceError, ValidationError
-from btvc.kernels import KnotGrid, kernel_matrix
-from btvc.model import HyperParams, ModelDesign, ModelInputs, log_posterior
+from btvc.kernels import KnotGrid, build_grid, kernel_matrix
+from btvc.model import (
+    HyperParams,
+    ModelDesign,
+    ModelInputs,
+    decompose,
+    log_posterior,
+    log_posterior_and_grad,
+)
 from btvc.inference import (
     MapConfig,
     ParameterPacking,
@@ -311,6 +321,153 @@ def test_gradient_check_flags_kink_points():
     report = check_gradient(inputs, hp, packing, theta0, n_points=5, seed=2)
     assert report.kink_perturbed > 0
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# compiled objective
+# ---------------------------------------------------------------------------
+
+def reference_objective(inputs, hp, packing, calibration, include_jacobian):
+    """The composition the compiled objective must equal."""
+    def f(theta):
+        value, pgrad = log_posterior_and_grad(packing.unpack(theta), inputs, hp, calibration)
+        grad = packing.chain_grad(theta, pgrad)
+        if include_jacobian:
+            value += packing.log_jacobian(theta)
+            grad = grad + packing.log_jacobian_grad(theta)
+        return value, grad
+
+    return f
+
+
+def subnormal_kernel_problem():
+    # a narrow Gaussian kernel over a long series: far rows underflow to
+    # subnormal weights, which the compiled objective drops
+    inputs, _ = small_problem(seed=71, T=240, P=2)
+    grid = build_grid(240, count=12)
+    d = inputs.design
+    design = ModelDesign(regressors=d.regressors, seasonal=d.seasonal, k_lev=d.k_lev,
+                         k_seas=d.k_seas, k_reg=kernel_matrix(grid, "gaussian", rho=2.5))
+    w = design.k_reg.weights
+    assert np.any((w != 0) & (np.abs(w) < np.finfo(float).tiny))
+    return ModelInputs(design=design, target=inputs.target)
+
+
+def window_terms(inputs, n):
+    names = inputs.design.regressor_names
+    windows = [PriorWindow(channel=names[0], start=5, end=14, mean=0.3, sd=0.1),
+               PriorWindow(channel=names[1], start=20, end=32, mean=0.6, sd=0.05)]
+    return apply_prior_windows(windows[:n], names, inputs.design.n_times)
+
+
+def compiled_variant(name):
+    """(inputs, hp, packing, calibration, nonnegative_reg) for one variant."""
+    inputs, hp = small_problem(seed=70)
+    packing = default_packing(inputs)
+    terms = ()
+    if name == "one_window":
+        terms = window_terms(inputs, 1)
+    elif name == "two_windows":
+        terms = window_terms(inputs, 2)
+    elif name == "student_t":
+        hp = HyperParams(noise_df=4.0)
+    elif name == "smoothed_laplace":
+        hp = HyperParams(laplace_smoothing=1e-3)
+    elif name == "no_seasonal":
+        _, inputs = toy(T=40, P=2, seed=70, fourier=())
+        packing = default_packing(inputs)
+        assert packing.n_seas_cols == 0
+    elif name == "subnormal_kernel":
+        inputs = subnormal_kernel_problem()
+        packing = default_packing(inputs)
+    elif name == "identity_gaussian":
+        hp = HyperParams(gaussian_reg_prior=True)
+        packing = dataclasses.replace(packing, reg_transform="identity")
+    elif name == "identity_folded":
+        packing = dataclasses.replace(packing, reg_transform="identity")
+    elif name == "fixed_blocks":
+        packing = dataclasses.replace(
+            packing, fixed_b_lev=np.linspace(1.5, 2.5, packing.n_lev),
+            fixed_mu_reg=np.array([0.3, 0.2]), fixed_sigma_obs=0.6)
+        terms = window_terms(inputs, 1)
+    elif name == "conjugate":
+        inputs, hp, packing, _, _, _ = conjugate_problem(72)
+    return inputs, hp, packing, terms, name == "identity_folded"
+
+
+COMPILED_VARIANTS = ("default", "one_window", "two_windows", "student_t", "smoothed_laplace",
+                     "no_seasonal", "subnormal_kernel", "identity_gaussian", "identity_folded",
+                     "fixed_blocks", "conjugate")
+
+
+@pytest.mark.parametrize("include_jacobian", [False, True])
+@pytest.mark.parametrize("variant", COMPILED_VARIANTS)
+def test_compiled_objective_matches_reference(variant, include_jacobian):
+    inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
+    compiled = inference._objective(inputs, hp, packing, terms, include_jacobian)
+    reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
+    theta0 = initial_theta(inputs, hp, packing)
+    reg = packing.slices()["b_reg"]
+    rng = np.random.default_rng(len(variant))
+    for _ in range(30):
+        theta = theta0 + rng.normal(0, 1.0, packing.dim)
+        if nonnegative_reg:
+            theta[reg.start:packing.dim - 1] = np.abs(theta[reg.start:packing.dim - 1])
+        value, grad = compiled(theta)
+        ref_value, ref_grad = reference(theta)
+        assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+        assert np.all(np.abs(grad - ref_grad) <= 1e-12 * np.maximum(1.0, np.abs(ref_grad)))
+
+
+def test_compiled_objective_error_paths():
+    inputs, hp = small_problem(seed=73)
+    packing = default_packing(inputs)
+    theta = initial_theta(inputs, hp, packing)
+    f = inference._objective(inputs, hp, packing, (), include_jacobian=False)
+    with pytest.raises(ValidationError, match="packing dim"):
+        f(theta[:-1])
+    with np.errstate(over="ignore"):
+        value, _ = f(np.concatenate([theta[:-1], [1000.0]]))
+    assert not np.isfinite(value)
+    with pytest.raises(ValidationError, match="sigma_obs must be > 0"):
+        f(np.concatenate([theta[:-1], [-1000.0]]))
+
+    identity = dataclasses.replace(packing, reg_transform="identity")
+    sl = identity.slices()
+    g = inference._objective(inputs, hp, identity, (), include_jacobian=False)
+    positive = np.abs(theta)
+    for block, message in (("b_reg", "b_reg outside"), ("mu_reg", "mu_reg outside")):
+        bad = positive.copy()
+        bad[sl[block].start] = -0.1
+        with pytest.raises(ValidationError, match=message):
+            g(bad)
+        with pytest.raises(ValidationError, match=message):
+            reference_objective(inputs, hp, identity, (), False)(bad)
+    negative_mu = dataclasses.replace(identity, fixed_mu_reg=np.array([0.2, -0.1]))
+    with pytest.raises(ValidationError, match="mu_reg outside"):
+        inference._objective(inputs, hp, negative_mu, (), include_jacobian=False)
+
+
+@pytest.mark.parametrize("config", [MapConfig, SviConfig])
+def test_trace_every_must_be_positive(config):
+    with pytest.raises(ValidationError, match="trace_every must be >= 1"):
+        config(trace_every=0)
+
+
+def test_svi_point_outputs_use_the_variational_mean(tmp_path):
+    inputs, hp = small_problem(seed=74)
+    fit = fit_svi(inputs, hp, SviConfig(iterations=200, seed=0),
+                  map_config=MapConfig(iterations=300, restarts=1))
+    mean_point = fit.packing.unpack(fit.variational_mean)
+    got = decompose(fit.params, inputs.design)
+    assert np.array_equal(got.fitted, decompose(mean_point, inputs.design).fitted)
+    assert not np.array_equal(got.fitted,
+                              decompose(fit.packing.unpack(fit.theta), inputs.design).fitted)
+    path = tmp_path / "fit.json"
+    save_fit(fit, str(path))
+    back = load_fit(str(path))
+    assert np.array_equal(back.theta, fit.theta)
+    assert np.array_equal(decompose(back.params, inputs.design).fitted, got.fitted)
 
 
 # ---------------------------------------------------------------------------
