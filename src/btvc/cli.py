@@ -86,7 +86,8 @@ def build_parser() -> _Parser:
     p.add_argument("--future", default=None, help="future regressors CSV")
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--quantiles", default="", help="levels for interval columns")
-    p.add_argument("--draws", type=int, default=300)
+    p.add_argument("--draws", type=int, default=None,
+                   help="posterior draws for --quantiles (default: the fit's draws key)")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=None)
 
@@ -220,8 +221,9 @@ def cmd_predict(args) -> int:
             )
         levels = quantile_levels(merge_config(cfg, {"quantiles": args.quantiles}))
         seed = args.seed if args.seed is not None else cfg.seed
+        draws = args.draws if args.draws is not None else cfg.draws
         quantiles = forecast_quantiles(fit, future, horizon, levels,
-                                       n_draws=args.draws, seed=seed)
+                                       n_draws=draws, seed=seed)
     path = os.path.join(out, "forecast.csv")
     write_forecast_csv(path, fit.structure, point, quantiles)
     manifest = run_manifest(cfg, "predict", args.fit)

@@ -38,8 +38,9 @@ from .model import (
     _log_likelihood_and_grads,
     _log_prior_and_grad,
     check_dims,
-    coefficients,
+    check_support,
     log_posterior_and_grad,
+    stacked_coefficients,
 )
 
 __all__ = [
@@ -155,33 +156,49 @@ class ParameterPacking:
     # -- conversions --------------------------------------------------------
     def unpack(self, theta: np.ndarray) -> ParameterSet:
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValidationError(f"theta length {theta.shape} != packing dim {self.dim}")
-        sl = self.slices()
-        b_lev = theta[sl["b_lev"]] if "b_lev" in sl else self.fixed_b_lev
-        b_seas = theta[sl["b_seas"]].reshape(self.n_seas_knots, self.n_seas_cols)
-        b_reg = self._reg_forward(
-            theta[sl["b_reg"]].reshape(self.n_reg_knots, self.n_channels)
-        )
-        if "mu_reg" in sl:
-            mu_reg = self._reg_forward(theta[sl["mu_reg"]])
-        else:
-            mu_reg = self.fixed_mu_reg
-        if "ln_sigma_obs" in sl:
-            sigma_obs = float(np.exp(theta[sl["ln_sigma_obs"]][0]))
-        else:
-            sigma_obs = self.fixed_sigma_obs
+        b_lev, b_seas, b_reg, mu_reg, sigma_obs = self.unpack_stacked(theta[None])
         params = ParameterSet(
-            b_lev=np.array(b_lev, dtype=float),
-            b_seas=b_seas,
-            b_reg=b_reg,
-            mu_reg=np.array(mu_reg, dtype=float),
-            sigma_obs=sigma_obs,
+            b_lev=np.array(b_lev[0], dtype=float),
+            b_seas=b_seas[0],
+            b_reg=b_reg[0],
+            mu_reg=np.array(mu_reg[0], dtype=float),
+            sigma_obs=float(sigma_obs[0]),
             allow_negative_reg=self.reg_transform == "identity",
         )
         # stash the source vector so pack() can return it bit-exactly
         object.__setattr__(params, "_theta_cache", theta.copy())
         return params
+
+    def unpack_stacked(self, thetas: np.ndarray):
+        """Blocks of S theta rows at once: b_lev (S, J_lev), b_seas
+        (S, J_seas, Q), b_reg (S, J_reg, P), mu_reg (S, P) and sigma_obs (S,),
+        fixed blocks broadcast. Every row must pass ParameterSet's support
+        checks, which raise the same errors here.
+        """
+        thetas = np.asarray(thetas, dtype=float)
+        if thetas.ndim != 2 or thetas.shape[1] != self.dim:
+            raise ValidationError(f"theta length {thetas.shape[1:]} != packing dim {self.dim}")
+        S = thetas.shape[0]
+        sl = self.slices()
+        if "b_lev" in sl:
+            b_lev = thetas[:, sl["b_lev"]]
+        else:
+            b_lev = np.broadcast_to(self.fixed_b_lev, (S, self.n_lev))
+        b_seas = thetas[:, sl["b_seas"]].reshape(S, self.n_seas_knots, self.n_seas_cols)
+        b_reg = self._reg_forward(
+            thetas[:, sl["b_reg"]].reshape(S, self.n_reg_knots, self.n_channels)
+        )
+        if "mu_reg" in sl:
+            mu_reg = self._reg_forward(thetas[:, sl["mu_reg"]])
+        else:
+            mu_reg = np.broadcast_to(self.fixed_mu_reg, (S, self.n_channels))
+        if "ln_sigma_obs" in sl:
+            sigma_obs = np.exp(thetas[:, sl["ln_sigma_obs"]][:, 0])
+        else:
+            sigma_obs = np.full(S, float(self.fixed_sigma_obs))
+        check_support(b_reg, mu_reg, sigma_obs,
+                      allow_negative_reg=self.reg_transform == "identity")
+        return b_lev, b_seas, b_reg, mu_reg, sigma_obs
 
     def _matches(self, theta: np.ndarray, params: ParameterSet) -> bool:
         sl = self.slices()
@@ -397,9 +414,8 @@ class PosteriorDraws:
         return self.packing.unpack(self.theta_draws[i])
 
     def coefficient_quantiles(self, levels) -> dict[float, np.ndarray]:
-        return {
-            float(q): np.quantile(self.coefficient_draws, q, axis=0) for q in levels
-        }
+        bands = np.quantile(self.coefficient_draws, levels, axis=0)
+        return {float(q): band for q, band in zip(levels, bands)}
 
 
 def _objective(inputs, hp, packing, calibration, include_jacobian):
@@ -426,12 +442,6 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     y = inputs.target
     n = y.size
     k_lev, k_seas, k_reg = design.k_lev.weights, design.k_seas.weights, design.k_reg.weights
-    # Gaussian weights far from their knot underflow to subnormal numbers,
-    # which slow every product through them several-fold. Each changes a
-    # product by under 1e-300 times the other factor, far below its rounding.
-    subnormal = (k_reg != 0) & (np.abs(k_reg) < np.finfo(float).tiny)
-    if subnormal.any():
-        k_reg = np.where(subnormal, 0.0, k_reg)
     seasonal, regressors = design.seasonal, design.regressors
     n_seas_knots, n_cols = packing.n_seas_knots, packing.n_seas_cols
     n_reg_knots, n_channels = packing.n_reg_knots, packing.n_channels
@@ -801,7 +811,8 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
 
 
 def draw_posterior(fit: FitResult, k_reg, n_draws: int, seed: int = 0) -> PosteriorDraws:
-    """Sample theta from the variational Gaussian and derive coefficients."""
+    """Sample theta from the variational Gaussian and derive coefficients,
+    all draws in one batched pass (coefficient_draws has shape (S, n, P))."""
     if not fit.has_variational:
         raise ValidationError("posterior draws need an SVI fit, this one is MAP-only")
     if n_draws < 1:
@@ -810,9 +821,8 @@ def draw_posterior(fit: FitResult, k_reg, n_draws: int, seed: int = 0) -> Poster
     dim = fit.packing.dim
     sd = np.exp(fit.variational_log_sd)
     theta_draws = fit.variational_mean + sd * rng.standard_normal((n_draws, dim))
-    coef_draws = np.stack(
-        [coefficients(fit.packing.unpack(theta_draws[i]), k_reg) for i in range(n_draws)]
-    )
+    _, _, b_reg, _, _ = fit.packing.unpack_stacked(theta_draws)
+    coef_draws = stacked_coefficients(b_reg, k_reg)
     return PosteriorDraws(
         theta_draws=theta_draws, coefficient_draws=coef_draws, packing=fit.packing
     )

@@ -132,7 +132,8 @@ def kernel_matrix(grid: KnotGrid, kind: str, *, rho: float | None = None,
     forecast times). "gaussian" is exp(-(t - t_j)^2 / (2 rho^2)) normalized
     per row, computed in log space so far-away rows cannot underflow to an
     all-zero row. All rows are renormalized so row-stochasticity holds
-    exactly at the boundary rule as well.
+    exactly at the boundary rule as well; Gaussian weights below the
+    smallest normal float are then set to 0.
     """
     if times is None:
         ts = np.arange(1, grid.T + 1, dtype=float)
@@ -166,4 +167,9 @@ def kernel_matrix(grid: KnotGrid, kind: str, *, rho: float | None = None,
     else:
         raise ValidationError(f"unknown kernel kind {kind!r}")
     w = w / w.sum(axis=1, keepdims=True)
+    if kind == "gaussian":
+        # Gaussian weights far from their knot underflow to subnormal numbers,
+        # which slow every product through them several-fold. Each changes a
+        # product by under 1e-300 times the other factor, far below its rounding.
+        w[w < np.finfo(float).tiny] = 0.0
     return KernelMatrix(weights=w, grid=grid)

@@ -64,6 +64,18 @@ class HyperParams:
             raise ValidationError("laplace_smoothing must be >= 0")
 
 
+def check_support(b_reg, mu_reg, sigma_obs, allow_negative_reg: bool) -> None:
+    """sigma_obs > 0, and b_reg, mu_reg >= 0 unless negatives are allowed;
+    for one parameter set or a stack of draws."""
+    if np.any(np.asarray(sigma_obs) <= 0):
+        raise ValidationError("sigma_obs must be > 0")
+    if not allow_negative_reg:
+        if b_reg.size and b_reg.min() < 0:
+            raise ValidationError("b_reg entries must be >= 0")
+        if mu_reg.size and mu_reg.min() < 0:
+            raise ValidationError("mu_reg entries must be >= 0")
+
+
 @dataclass(frozen=True)
 class ParameterSet:
     """All latent parameters of one model instance.
@@ -99,13 +111,7 @@ class ParameterSet:
             raise ValidationError(
                 f"mu_reg length {mu_reg.shape} does not match {b_reg.shape[1]} channels"
             )
-        if self.sigma_obs <= 0:
-            raise ValidationError("sigma_obs must be > 0")
-        if not allow_negative_reg:
-            if b_reg.size and b_reg.min() < 0:
-                raise ValidationError("b_reg entries must be >= 0")
-            if mu_reg.size and mu_reg.min() < 0:
-                raise ValidationError("mu_reg entries must be >= 0")
+        check_support(b_reg, mu_reg, self.sigma_obs, allow_negative_reg)
 
     @property
     def n_channels(self) -> int:
@@ -213,23 +219,62 @@ class ParamGradient:
 
 
 def check_dims(params: ParameterSet, design: ModelDesign) -> None:
-    if design.k_lev.grid.n_knots != params.b_lev.size:
+    _check_knot_shapes(params.b_lev, params.b_seas, params.b_reg, design)
+
+
+def _check_knot_shapes(b_lev, b_seas, b_reg, design: ModelDesign) -> None:
+    # trailing axes only, so a leading draw axis passes through
+    if design.k_lev.grid.n_knots != b_lev.shape[-1]:
         raise ValidationError("b_lev length does not match trend grid")
-    if design.k_seas.grid.n_knots != params.b_seas.shape[0]:
+    if design.k_seas.grid.n_knots != b_seas.shape[-2]:
         raise ValidationError("b_seas rows do not match seasonal grid")
-    if params.b_seas.shape[1] != design.seasonal.shape[1]:
+    if b_seas.shape[-1] != design.seasonal.shape[1]:
         raise ValidationError("b_seas columns do not match seasonal design")
-    if design.k_reg.grid.n_knots != params.b_reg.shape[0]:
-        raise ValidationError("b_reg rows do not match regression grid")
-    if params.b_reg.shape[1] != design.n_channels:
+    _check_reg_rows(b_reg, design.k_reg)
+    if b_reg.shape[-1] != design.n_channels:
         raise ValidationError("b_reg columns do not match regressors")
+
+
+def _check_reg_rows(b_reg, k_reg: KernelMatrix) -> None:
+    if k_reg.grid.n_knots != b_reg.shape[-2]:
+        raise ValidationError("b_reg rows do not match regression grid")
 
 
 def coefficients(params: ParameterSet, k_reg: KernelMatrix) -> np.ndarray:
     """Time-varying regression coefficients B = K @ b_reg, shape (n, P)."""
-    if k_reg.grid.n_knots != params.b_reg.shape[0]:
-        raise ValidationError("b_reg rows do not match regression grid")
+    _check_reg_rows(params.b_reg, k_reg)
     return k_reg.weights @ params.b_reg
+
+
+def _stacked_product(k: KernelMatrix, b: np.ndarray) -> np.ndarray:
+    """K @ b[s] for every draw s as one GEMM that reads K once: b (S, J, C)
+    moves to (J, S*C), and the result is laid out (n, S, C)."""
+    S, J, C = b.shape
+    n = k.weights.shape[0]
+    return (k.weights @ b.transpose(1, 0, 2).reshape(J, S * C)).reshape(n, S, C)
+
+
+def stacked_coefficients(b_reg: np.ndarray, k_reg: KernelMatrix) -> np.ndarray:
+    """coefficients for a stack of draws: b_reg (S, J, P) -> (S, n, P)."""
+    _check_reg_rows(b_reg, k_reg)
+    return _stacked_product(k_reg, b_reg).transpose(1, 0, 2)
+
+
+def stacked_fitted(b_lev: np.ndarray, b_seas: np.ndarray, b_reg: np.ndarray,
+                   design: ModelDesign) -> np.ndarray:
+    """decompose(...).fitted for a stack of S draws, shape (S, n).
+
+    b_lev is (S, J_lev), b_seas (S, J_seas, Q) and b_reg (S, J_reg, P), as
+    ParameterPacking.unpack_stacked returns them; each kernel is read once
+    for all draws.
+    """
+    _check_knot_shapes(b_lev, b_seas, b_reg, design)
+    trend = b_lev @ design.k_lev.weights.T
+    seasonality = np.einsum("tq,tsq->st", design.seasonal,
+                            _stacked_product(design.k_seas, b_seas))
+    regression = np.einsum("tp,tsp->st", design.regressors,
+                           _stacked_product(design.k_reg, b_reg))
+    return trend + seasonality + regression
 
 
 def decompose(params: ParameterSet, design: ModelDesign) -> Decomposition:

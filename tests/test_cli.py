@@ -7,6 +7,14 @@ import pytest
 
 from btvc.cli import main
 from btvc.errors import DivergenceError
+from btvc.inference import load_fit
+from btvc.pipeline import (
+    forecast_quantiles,
+    predict_from_fit,
+    read_future_csv,
+    write_forecast_csv,
+)
+from btvc.runconfig import config_from_dict
 
 from tests.test_timeframe import write_csv
 
@@ -146,6 +154,41 @@ def test_svi_fit_gives_quantile_forecasts(tmp_path, capsys):
     assert lines[0] == "date,forecast,q_0.1,q_0.9"
     lo, hi = (float(lines[1].split(",")[k]) for k in (2, 3))
     assert lo <= hi
+
+
+def test_predict_quantiles_equal_the_library_and_draws_follow_the_fit_config(tmp_path, capsys):
+    sim_dir = tmp_path / "sim"
+    simulate_small(capsys, str(sim_dir))
+    data = sim_dir / "data.csv"
+    fit_dir = tmp_path / "fit"
+    code, _, err = run(
+        capsys, "fit", "--data", str(data), "--out", str(fit_dir), *FAST,
+        "--set", "mode=svi", "--set", "svi_iterations=60", "--set", "draws=40",
+    )
+    assert code == 0, err
+    future = tmp_path / "future.csv"
+    write_csv(future, future_rows(data, 3))
+
+    def predict(out, *extra):
+        code, _, err = run(
+            capsys, "predict", "--fit", str(fit_dir / "fit.json"), "--future", str(future),
+            "--horizon", "3", "--quantiles", "0.1,0.5,0.9", "--out", str(tmp_path / out),
+            *extra,
+        )
+        assert code == 0, err
+        return (tmp_path / out / "forecast.csv").read_text()
+
+    default = predict("fc")
+    assert default == predict("fc40", "--draws", "40")
+    assert default != predict("fc300", "--draws", "300")
+
+    fit = load_fit(str(fit_dir / "fit.json"))
+    x = read_future_csv(str(future), fit.structure, 3)
+    bands = forecast_quantiles(fit, x, 3, (0.1, 0.5, 0.9), n_draws=40,
+                               seed=config_from_dict(fit.config).seed)
+    write_forecast_csv(str(tmp_path / "library.csv"), fit.structure,
+                       predict_from_fit(fit, x, 3), bands)
+    assert default == (tmp_path / "library.csv").read_text()
 
 
 def test_backtest_command(tmp_path, capsys):

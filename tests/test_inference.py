@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 import btvc.inference as inference
 from btvc.calibration import PriorWindow, apply_prior_windows
 from btvc.errors import DivergenceError, ValidationError
-from btvc.kernels import KnotGrid, build_grid, kernel_matrix
+from btvc.fourier import FourierSpec
+from btvc.kernels import KernelMatrix, KnotGrid, build_grid, kernel_matrix
 from btvc.model import (
     HyperParams,
     ModelDesign,
     ModelInputs,
+    coefficients,
     decompose,
     log_posterior,
     log_posterior_and_grad,
@@ -294,6 +296,91 @@ def test_draw_quantiles_ordered_and_nonnegative():
             assert beta[:, p].max() <= ps.b_reg[:, p].max() + 1e-12
 
 
+def with_moments(fit, packing_kind):
+    """fit with variational moments around its point under one packing: the
+    fit's own, an identity transform (so draws of b_reg go negative), or one
+    that fixes b_lev, mu_reg and sigma_obs at the point."""
+    packing = fit.packing
+    if packing_kind == "identity":
+        packing = dataclasses.replace(packing, reg_transform="identity")
+    elif packing_kind == "fixed":
+        packing = dataclasses.replace(
+            packing, fixed_b_lev=fit.params.b_lev, fixed_mu_reg=fit.params.mu_reg,
+            fixed_sigma_obs=fit.params.sigma_obs)
+    return dataclasses.replace(fit, packing=packing, variational_mean=packing.pack(fit.params),
+                               variational_log_sd=np.full(packing.dim, -1.5))
+
+
+def moments_fit(packing_kind, seed=44, P=2, fourier=(FourierSpec(7.0, 1),)):
+    _, inputs = toy(T=40, P=P, seed=seed, fourier=fourier)
+    fit = fit_map(inputs, HyperParams(), MapConfig(iterations=200, restarts=1))
+    return with_moments(fit, packing_kind), inputs
+
+
+@pytest.mark.parametrize("P, fourier", [(2, (FourierSpec(7.0, 1),)), (2, ()), (0, ())],
+                         ids=["seasonal", "no-seasonal", "no-regressors"])
+@pytest.mark.parametrize("packing_kind", ["default", "identity", "fixed"])
+def test_draw_posterior_matches_per_draw_reference(packing_kind, P, fourier):
+    fit, inputs = moments_fit(packing_kind, P=P, fourier=fourier)
+    k_reg = inputs.design.k_reg
+    draws = draw_posterior(fit, k_reg, 150, seed=3)
+    rng = np.random.default_rng(np.random.SeedSequence(3))
+    sd = np.exp(fit.variational_log_sd)
+    for i in range(150):
+        theta = fit.variational_mean + sd * rng.standard_normal(fit.packing.dim)
+        assert np.array_equal(draws.theta_draws[i], theta)
+        ref = coefficients(fit.packing.unpack(theta), k_reg)
+        got = draws.coefficient_draws[i]
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    assert draws.coefficient_draws.shape == (150, 40, P)
+    if packing_kind == "identity" and P:
+        assert draws.coefficient_draws.min() < 0
+    levels = (0.05, 0.5, 0.95)
+    bands = draws.coefficient_quantiles(levels)
+    assert list(bands) == list(levels)
+    for level in levels:
+        assert np.array_equal(bands[level],
+                              np.quantile(draws.coefficient_draws, level, axis=0))
+
+
+def test_unpack_stacked_checks_every_draw():
+    for packing_kind in ("default", "identity", "fixed"):
+        fit, _ = moments_fit(packing_kind, seed=45)
+        packing = fit.packing
+        thetas = np.random.default_rng(1).normal(0, 1, (4, packing.dim))
+        stacked = packing.unpack_stacked(thetas)
+        for i in range(4):
+            params = packing.unpack(thetas[i])
+            row = [block[i] for block in stacked]
+            assert np.array_equal(row[0], params.b_lev)
+            assert np.array_equal(row[1], params.b_seas)
+            assert np.array_equal(row[2], params.b_reg)
+            assert np.array_equal(row[3], params.mu_reg)
+            assert row[4] == params.sigma_obs
+
+    packing = moments_fit("default", seed=45)[0].packing
+    thetas = np.random.default_rng(2).normal(0, 1, (4, packing.dim))
+    underflow = thetas.copy()
+    underflow[2, -1] = -800.0  # ln sigma_obs
+    negative_mu = dataclasses.replace(packing, fixed_mu_reg=np.array([0.2, -0.1]))
+    cases = ((packing, thetas[:, :-1], "packing dim"),
+             (packing, underflow, "sigma_obs must be > 0"),
+             (negative_mu, thetas[:, :-2], "mu_reg entries must be >= 0"))
+    for case_packing, bad, message in cases:
+        with pytest.raises(ValidationError, match=message):
+            case_packing.unpack_stacked(bad)
+        with pytest.raises(ValidationError, match=message):
+            for row in bad:
+                case_packing.unpack(row)
+
+
+def test_draws_reject_an_underflowing_sigma():
+    fit, inputs = moments_fit("default", seed=46)
+    fit.variational_mean[-1] = -800.0
+    with pytest.raises(ValidationError, match="sigma_obs must be > 0"):
+        draw_posterior(fit, inputs.design.k_reg, 10)
+
+
 # ---------------------------------------------------------------------------
 # gradient check harness
 # ---------------------------------------------------------------------------
@@ -341,15 +428,18 @@ def reference_objective(inputs, hp, packing, calibration, include_jacobian):
 
 
 def subnormal_kernel_problem():
-    # a narrow Gaussian kernel over a long series: far rows underflow to
-    # subnormal weights, which the compiled objective drops
+    # kernel_matrix sets Gaussian weights below the smallest normal float to
+    # 0; a hand-built K_reg puts subnormal weights back on every zero entry,
+    # so the compiled objective is checked on products through them
     inputs, _ = small_problem(seed=71, T=240, P=2)
     grid = build_grid(240, count=12)
     d = inputs.design
+    w = kernel_matrix(grid, "gaussian", rho=2.5).weights.copy()
+    zero = w == 0
+    w[zero] = np.finfo(float).tiny * np.geomspace(0.5, 2.0**-40, np.count_nonzero(zero))
     design = ModelDesign(regressors=d.regressors, seasonal=d.seasonal, k_lev=d.k_lev,
-                         k_seas=d.k_seas, k_reg=kernel_matrix(grid, "gaussian", rho=2.5))
-    w = design.k_reg.weights
-    assert np.any((w != 0) & (np.abs(w) < np.finfo(float).tiny))
+                         k_seas=d.k_seas, k_reg=KernelMatrix(weights=w, grid=grid))
+    assert np.count_nonzero((w != 0) & (w < np.finfo(float).tiny)) > w.size // 3
     return ModelInputs(design=design, target=inputs.target)
 
 

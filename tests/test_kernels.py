@@ -142,7 +142,10 @@ def reference_rows(grid, kind, ts, rho=None):
                 w[i + 1] = 1.0 - (knots[i + 1] - t) / span
         rows.append(w)
     w = np.vstack(rows)
-    return w / w.sum(axis=1, keepdims=True)
+    w = w / w.sum(axis=1, keepdims=True)
+    if kind == "gaussian":
+        w[w < np.finfo(float).tiny] = 0.0
+    return w
 
 
 @settings(deadline=None)
@@ -163,6 +166,17 @@ def test_kernel_matrix_equals_row_by_row_reference(T, extra, rho, data):
         for kind in ("level", "gaussian"):
             got = kernel_matrix(grid, kind, rho=rho, times=ts).weights
             assert np.array_equal(got, reference_rows(grid, kind, ts, rho))
+
+
+def test_gaussian_weights_have_no_subnormals():
+    # a narrow kernel over a long series: the raw weights of far knots fall
+    # into the subnormal range, exp(-745) .. exp(-708)
+    grid = build_grid(3000, distance=30)
+    rho = 15.0
+    w = kernel_matrix(grid, "gaussian", rho=rho, times=range(1, 3029)).weights
+    log_w = -((np.arange(1, 3029)[:, None] - grid.knot_times) ** 2) / (2.0 * rho * rho)
+    assert np.any((log_w > -740) & (log_w < -710))
+    assert not np.any((w != 0) & (w < np.finfo(float).tiny))
 
 
 def test_kernel_matrix_times_matches_extended_slice():

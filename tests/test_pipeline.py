@@ -34,6 +34,7 @@ from btvc.pipeline import (
 from btvc.runconfig import RunConfig
 from btvc.timeframe import transform_regressors
 
+from tests.test_inference import with_moments
 from tests.test_timeframe import make_frame, write_csv
 
 FAST = dict(map_iterations=60, map_restarts=1)
@@ -48,8 +49,21 @@ def small_cfg(**kw):
 def small_frame(T=60, P=2, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(1.0, 4.0, size=(T, P))
-    y = np.exp(1.5 + 0.2 * x[:, 0] + rng.normal(0, 0.05, T))
+    y = np.exp(1.5 + 0.2 * x[:, :1].sum(axis=1) + rng.normal(0, 0.05, T))
     return make_frame(T=T, P=P, x=x, y=y)
+
+
+def per_draw_quantiles(fit, future, horizon, levels, n_draws, seed):
+    """The per-draw loop that forecast_quantiles batches, kept as its reference."""
+    design = forecast_design(fit.structure, future, horizon)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sd = np.exp(fit.variational_log_sd)
+    sims = np.empty((n_draws, horizon))
+    for s in range(n_draws):
+        theta = fit.variational_mean + sd * rng.standard_normal(fit.packing.dim)
+        sims[s] = predict(fit.packing.unpack(theta), design, horizon,
+                          link=fit.structure["link"])
+    return {float(q): np.quantile(sims, q, axis=0) for q in levels}
 
 
 class TestBuildStructure:
@@ -218,6 +232,34 @@ class TestFitAndForecast:
         assert set(q) == {0.1, 0.5, 0.9}
         assert q[0.5].shape == (3,)
         assert np.all(q[0.1] <= q[0.5]) and np.all(q[0.5] <= q[0.9])
+
+    @pytest.mark.parametrize("P, fourier", [(2, "7:1"), (2, ""), (0, "7:1")],
+                             ids=["seasonal", "no-seasonal", "no-regressors"])
+    @pytest.mark.parametrize("packing_kind", ["default", "identity", "fixed"])
+    @pytest.mark.parametrize("link", ["log", "identity"])
+    def test_forecast_quantiles_match_per_draw_reference(self, link, packing_kind, P, fourier):
+        fit, _ = run_fit(small_frame(P=P), small_cfg(link=link, fourier=fourier))
+        q = with_moments(fit, packing_kind)
+        future = np.full((5, P), 2.5)
+        levels = (0.05, 0.5, 0.95)
+        got = forecast_quantiles(q, future, 5, levels, n_draws=200, seed=8)
+        ref = per_draw_quantiles(q, future, 5, levels, n_draws=200, seed=8)
+        assert list(got) == list(ref)
+        for level in levels:
+            assert np.all(np.abs(got[level] - ref[level])
+                          <= 1e-12 * np.maximum(1.0, np.abs(ref[level])))
+        assert np.all(got[0.05] < got[0.95])
+
+    def test_forecast_quantiles_reject_an_underflowing_sigma_draw(self):
+        fit, _ = run_fit(small_frame(), small_cfg())
+        q = with_moments(fit, "default")
+        q.variational_mean[-1] = -800.0  # ln sigma_obs: exp underflows to 0
+        with pytest.raises(ValidationError, match="sigma_obs must be > 0"):
+            forecast_quantiles(q, np.full((3, 2), 2.0), 3, [0.5], n_draws=10)
+        with pytest.raises(ValidationError, match="sigma_obs must be > 0"):
+            q.packing.unpack(q.variational_mean)
+        with pytest.raises(ValidationError, match="n_draws must be >= 1"):
+            forecast_quantiles(q, np.full((3, 2), 2.0), 3, [0.5], n_draws=0)
 
     def test_run_backtest_equals_manual_assembly(self):
         frame = small_frame(T=70)
