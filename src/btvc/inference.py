@@ -15,7 +15,7 @@ variables correction. The SVI objective adds the softplus log-Jacobian so
 the variational Gaussian approximates the posterior over theta.
 
 The optimizer is plain adaptive moment ascent (momentum plus per-coordinate
-scaling) with an exponentially decaying step size and random restarts.
+scaling) with an exponentially decaying step size.
 """
 
 from __future__ import annotations
@@ -326,22 +326,23 @@ def default_packing(inputs: ModelInputs) -> ParameterPacking:
 
 @dataclass(frozen=True)
 class MapConfig:
-    """Optimizer settings for MAP.
+    """Optimizer settings for MAP: one Adam run from initial_theta.
 
     The step size decays exponentially from learning_rate to
-    final_learning_rate over the iteration budget. rel_tol=0 disables the
-    plateau stop (useful when parameter-space precision matters more than
-    objective precision).
+    final_learning_rate over the iteration budget. The run stops early when
+    the best value has risen by at most rel_tol (relative) over the last
+    tol_window iterations; rel_tol=0 disables that plateau stop (useful when
+    parameter-space precision matters more than objective precision).
+    restarts must be 1 (it is kept for callers that pass restarts=1); seed
+    is recorded with the fit.
     """
 
     learning_rate: float = 0.05
     final_learning_rate: float = 1e-6
     iterations: int = 10000
-    restarts: int = 3
-    restart_scale: float = 0.3
+    restarts: int = 1
     rel_tol: float = 1e-8
     tol_window: int = 50
-    grad_tol: float = 0.0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -351,8 +352,14 @@ class MapConfig:
     def __post_init__(self):
         if self.learning_rate <= 0 or self.final_learning_rate <= 0:
             raise ValidationError("learning rates must be > 0")
-        if self.iterations < 1 or self.restarts < 1:
-            raise ValidationError("iterations and restarts must be >= 1")
+        if self.iterations < 1:
+            raise ValidationError("iterations must be >= 1")
+        if self.restarts != 1:
+            raise ValidationError("restarts must be 1: MAP runs the optimizer once")
+        if self.rel_tol < 0:
+            raise ValidationError("rel_tol must be >= 0")
+        if self.tol_window < 1:
+            raise ValidationError("tol_window must be >= 1")
         if self.trace_every < 1:
             raise ValidationError("trace_every must be >= 1")
 
@@ -637,68 +644,17 @@ def initial_theta(inputs: ModelInputs, hp: HyperParams,
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
-class _BestTracker:
-    """Global best-so-far across restarts; the recorded trace is monotone."""
-
-    def __init__(self):
-        self.value = -np.inf
-        self.theta = None
-        self.grad_norm = np.inf
-
-    def offer(self, value, theta, grad):
-        if value > self.value:
-            self.value = value
-            self.theta = theta.copy()
-            self.grad_norm = float(np.linalg.norm(grad))
-
-
-def _adam_run(f, theta0, cfg: MapConfig, best: _BestTracker, trace: list[float]):
-    """One restart of moment-based ascent. Returns the stop reason."""
-    theta = theta0.copy()
-    dim = theta.size
-    m = np.zeros(dim)
-    v = np.zeros(dim)
-    n_iter = max(cfg.iterations, 1)
-    decay = (cfg.final_learning_rate / cfg.learning_rate) ** (1.0 / max(n_iter - 1, 1))
-    lr = cfg.learning_rate
-    window: list[float] = []
-    for t in range(cfg.iterations):
-        value, grad = f(theta)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
-            raise DivergenceError(
-                f"objective became non-finite at iteration {t}",
-                trace=trace, iteration=t,
-            )
-        best.offer(value, theta, grad)
-        if t % cfg.trace_every == 0:
-            trace.append(best.value)
-        gnorm = float(np.linalg.norm(grad))
-        if cfg.grad_tol > 0 and gnorm <= cfg.grad_tol:
-            return "grad_tol", t + 1
-        window.append(best.value)
-        if cfg.rel_tol > 0 and len(window) > cfg.tol_window:
-            old = window[-cfg.tol_window - 1]
-            if abs(best.value - old) <= cfg.rel_tol * max(1.0, abs(best.value)):
-                return "rel_change", t + 1
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * grad
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * grad * grad
-        mhat = m / (1.0 - cfg.beta1 ** (t + 1))
-        vhat = v / (1.0 - cfg.beta2 ** (t + 1))
-        theta = theta + lr * mhat / (np.sqrt(vhat) + cfg.eps)
-        lr *= decay
-    return "max_iter", cfg.iterations
-
-
 def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = None,
             packing: ParameterPacking | None = None, calibration=(),
             run_config: dict | None = None) -> FitResult:
-    """Maximize the log posterior over theta. Deterministic given the seed."""
+    """Maximize the log posterior over theta with one Adam run from
+    initial_theta, returning the best point seen. Deterministic."""
     config = config or MapConfig()
     packing = packing or default_packing(inputs)
-    theta0 = initial_theta(inputs, hp, packing)
+    theta = initial_theta(inputs, hp, packing)
     f = _objective(inputs, hp, packing, calibration, include_jacobian=False)
 
-    params0 = packing.unpack(theta0)
+    params0 = packing.unpack(theta)
     prior0, _ = _log_prior_and_grad(params0, hp)
     lik0, _, _ = _log_likelihood_and_grads(params0, inputs, hp)
     if not np.isfinite(prior0):
@@ -706,31 +662,55 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
     if not np.isfinite(lik0):
         raise ValidationError("log likelihood non-finite at the initial point")
 
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    best = _BestTracker()
+    m = np.zeros(packing.dim)
+    v = np.zeros(packing.dim)
+    decay = (config.final_learning_rate / config.learning_rate) ** (
+        1.0 / max(config.iterations - 1, 1))
+    lr = config.learning_rate
+    best_value, best_theta, best_grad = -np.inf, theta, None
     trace: list[float] = []
-    stop_reason = "max_iter"
-    total_iters = 0
-    for restart in range(config.restarts):
-        if restart == 0:
-            start = theta0
-        else:
-            start = theta0 + config.restart_scale * rng.standard_normal(packing.dim)
-        reason, used = _adam_run(f, start, config, best, trace)
-        stop_reason = reason
-        total_iters += used
-    theta_star = best.theta
+    window: list[float] = []
+    stop_reason, n_iterations = "max_iter", config.iterations
+    for t in range(config.iterations):
+        value, grad = f(theta)
+        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+            raise DivergenceError(
+                f"objective became non-finite at iteration {t}",
+                trace=trace, iteration=t,
+            )
+        # theta and grad are fresh arrays each iteration, so keeping
+        # references needs no copy.
+        if value > best_value:
+            best_value, best_theta, best_grad = value, theta, grad
+        if t % config.trace_every == 0:
+            trace.append(best_value)
+        window.append(best_value)
+        if config.rel_tol > 0 and len(window) > config.tol_window:
+            old = window[-config.tol_window - 1]
+            if abs(best_value - old) <= config.rel_tol * max(1.0, abs(best_value)):
+                stop_reason, n_iterations = "rel_change", t + 1
+                break
+        m = config.beta1 * m + (1.0 - config.beta1) * grad
+        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
+        mhat = m / (1.0 - config.beta1 ** (t + 1))
+        vhat = v / (1.0 - config.beta2 ** (t + 1))
+        theta = theta + lr * mhat / (np.sqrt(vhat) + config.eps)
+        lr *= decay
+    # The trace ends at the returned point even when the last iteration
+    # fell between two recorded ones.
+    if (n_iterations - 1) % config.trace_every != 0:
+        trace.append(best_value)
     return FitResult(
-        params=packing.unpack(theta_star),
-        theta=theta_star,
+        params=packing.unpack(best_theta),
+        theta=best_theta,
         packing=packing,
         hyper=hp,
         trace=trace,
         seed=config.seed,
         mode="map",
         stop_reason=stop_reason,
-        n_iterations=total_iters,
-        grad_norm=best.grad_norm,
+        n_iterations=n_iterations,
+        grad_norm=float(np.linalg.norm(best_grad)),
         config=dict(run_config or {}),
     )
 

@@ -120,8 +120,6 @@ def map_config_from(cfg: RunConfig) -> MapConfig:
         learning_rate=cfg.map_learning_rate,
         final_learning_rate=cfg.map_final_learning_rate,
         iterations=cfg.map_iterations,
-        restarts=cfg.map_restarts,
-        restart_scale=cfg.map_restart_scale,
         rel_tol=cfg.map_rel_tol,
         tol_window=cfg.map_tol_window,
         seed=cfg.seed,

@@ -56,8 +56,6 @@ class RunConfig:
     map_learning_rate: float = 0.05
     map_final_learning_rate: float = 1e-6
     map_iterations: int = 10000
-    map_restarts: int = 3
-    map_restart_scale: float = 0.3
     map_rel_tol: float = 1e-8
     map_tol_window: int = 50
     svi_iterations: int = 5000
@@ -90,6 +88,11 @@ class RunConfig:
     sim_log_spend_mean: float = 0.0
     sim_log_spend_sd: float = 0.5
 
+
+# Keys that older fit documents and config files carry but that no longer
+# change a result: fit documents and config files drop them on load, while
+# --set rejects them like any unknown key.
+_RETIRED_KEYS = ("map_restarts", "map_restart_scale")
 
 _CHOICES = {
     "link": ("log", "identity"),
@@ -154,7 +157,8 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key in out:
             raise ValidationError(f"duplicate config key {key!r} at line {lineno}")
-        out[key] = raw.strip()
+        if key not in _RETIRED_KEYS:
+            out[key] = raw.strip()
     return out
 
 
@@ -183,6 +187,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
+    doc = {key: value for key, value in doc.items() if key not in _RETIRED_KEYS}
     types = _field_types()
     unknown = sorted(set(doc) - set(types))
     if unknown:

@@ -208,7 +208,7 @@ def test_conjugate_ridge_oracle():
             reg_transform="identity", fixed_b_lev=np.zeros(1), fixed_mu_reg=mu,
             fixed_sigma_obs=sigma,
         )
-        config = MapConfig(iterations=3000, restarts=1, rel_tol=0.0,
+        config = MapConfig(iterations=3000, rel_tol=0.0,
                            learning_rate=0.05, final_learning_rate=1e-8, seed=inst)
         fit = fit_map(inputs, hp, config, packing=packing)
         ridge = np.linalg.solve(

@@ -107,7 +107,7 @@ def test_tight_window_pins_the_coefficient():
     terms = apply_prior_windows(
         [PriorWindow("x1", 1, 40, target_mean, 0.001)],
         inputs.design.regressor_names, 40)
-    fit = fit_map(inputs, hp, MapConfig(iterations=4000, restarts=1, seed=0),
+    fit = fit_map(inputs, hp, MapConfig(iterations=4000, seed=0),
                   calibration=terms)
     beta = fit.params.b_reg[0, 0]
     assert abs(beta - target_mean) < 2 * 0.001

@@ -18,7 +18,7 @@ from btvc.runconfig import config_from_dict
 
 from tests.test_timeframe import write_csv
 
-FAST = ["--set", "map_iterations=50", "--set", "map_restarts=1", "--set", "fourier=7:1"]
+FAST = ["--set", "map_iterations=50", "--set", "fourier=7:1"]
 
 
 def run(capsys, *argv):
@@ -67,7 +67,7 @@ def test_full_chain(tmp_path, capsys):
         assert (fit_dir / name).exists()
     manifest = json.loads((fit_dir / "manifest.json").read_text())
     assert manifest["command"] == "fit"
-    assert manifest["stop_reason"] in ("max_iter", "rel_change", "grad_tol")
+    assert manifest["stop_reason"] in ("max_iter", "rel_change")
     assert "coefficients_above_one" in manifest
 
     fc_dir = tmp_path / "fc"
@@ -191,6 +191,43 @@ def test_predict_quantiles_equal_the_library_and_draws_follow_the_fit_config(tmp
     assert default == (tmp_path / "library.csv").read_text()
 
 
+def test_fit_documents_with_retired_keys_predict_and_decompose_the_same(tmp_path, capsys):
+    # fit documents written before the MAP restarts were removed carry
+    # map_restarts and map_restart_scale in their config
+    sim_dir = tmp_path / "sim"
+    simulate_small(capsys, str(sim_dir))
+    data = sim_dir / "data.csv"
+    fit_dir = tmp_path / "fit"
+    code, _, err = run(
+        capsys, "fit", "--data", str(data), "--out", str(fit_dir), *FAST,
+        "--set", "mode=svi", "--set", "svi_iterations=60", "--set", "draws=40",
+    )
+    assert code == 0, err
+    doc = json.loads((fit_dir / "fit.json").read_text())
+    assert "map_restarts" not in doc["config"]
+    doc["config"].update(map_restarts=3, map_restart_scale=0.3)
+    old_fit = tmp_path / "old_fit.json"
+    old_fit.write_text(json.dumps(doc))
+    future = tmp_path / "future.csv"
+    write_csv(future, future_rows(data, 3))
+
+    outputs = []
+    for fit_path in (fit_dir / "fit.json", old_fit):
+        out = tmp_path / fit_path.stem
+        code, _, err = run(
+            capsys, "predict", "--fit", str(fit_path), "--future", str(future),
+            "--horizon", "3", "--quantiles", "0.1,0.9", "--out", str(out),
+        )
+        assert code == 0, err
+        code, _, err = run(
+            capsys, "decompose", "--fit", str(fit_path), "--data", str(data), "--out", str(out),
+        )
+        assert code == 0, err
+        outputs.append(((out / "forecast.csv").read_bytes(),
+                        (out / "decomposition.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_backtest_command(tmp_path, capsys):
     sim_dir = tmp_path / "sim"
     simulate_small(capsys, str(sim_dir))
@@ -247,6 +284,23 @@ class TestErrorPaths:
         code, _, err = run(capsys, "simulate", "--set", "sim_lenght=80")
         assert code == 1
         assert "unknown config key 'sim_lenght'" in err
+
+    def test_retired_key_is_unknown_to_set(self, capsys):
+        code, out, err = run(capsys, "simulate", "--set", "map_restarts=3")
+        assert code == 1
+        assert err.strip() == "error: unknown config key 'map_restarts'"
+        assert out == ""
+
+    def test_map_tol_window_must_be_positive(self, capsys, tmp_path):
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        code, out, err = run(
+            capsys, "fit", "--data", str(sim_dir / "data.csv"), "--out", str(tmp_path / "o"),
+            *FAST, "--set", "map_tol_window=0",
+        )
+        assert code == 1
+        assert err.strip() == "error: tol_window must be >= 1"
+        assert out == ""
 
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -139,13 +139,13 @@ def test_map_location_fit_recovers_flat_response():
     c = 2.37
     inputs = ModelInputs(design=design, target=np.full(T, c))
     hp = HyperParams(init_scale_lev=1e4)
-    fit = fit_map(inputs, hp, MapConfig(iterations=4000, restarts=1, seed=0))
+    fit = fit_map(inputs, hp, MapConfig(iterations=4000, seed=0))
     assert fit.params.b_lev[0] == pytest.approx(c, abs=1e-4)
 
 
 def test_map_matches_ridge_closed_form():
     inputs, hp, packing, _, post_mean, _ = conjugate_problem(3)
-    cfg = MapConfig(iterations=4000, restarts=1, rel_tol=0.0,
+    cfg = MapConfig(iterations=4000, rel_tol=0.0,
                     final_learning_rate=1e-9, seed=0)
     fit = fit_map(inputs, hp, cfg, packing=packing)
     # posterior mean equals the mode in the Gaussian case
@@ -166,7 +166,7 @@ def test_map_best_so_far_trace_is_monotone():
     fit = fit_map(inputs, hp, MapConfig(iterations=500, seed=1))
     assert np.all(np.diff(fit.trace) >= 0)
     assert fit.trace[-1] >= fit.trace[0]
-    assert fit.stop_reason in ("max_iter", "rel_change", "grad_tol")
+    assert fit.stop_reason in ("max_iter", "rel_change")
 
 
 def test_map_improves_posterior_over_init():
@@ -203,7 +203,7 @@ def test_divergence_aborts_with_trace(monkeypatch):
 
     monkeypatch.setattr(inference, "_objective", exploding)
     with pytest.raises(DivergenceError) as exc:
-        fit_map(inputs, hp, MapConfig(iterations=50, restarts=1))
+        fit_map(inputs, hp, MapConfig(iterations=50))
     assert exc.value.iteration >= 0
     assert len(exc.value.trace) > 0
 
@@ -214,7 +214,7 @@ def test_divergence_aborts_with_trace(monkeypatch):
 
 def test_svi_recovers_conjugate_posterior():
     inputs, hp, packing, _, post_mean, post_sd = conjugate_problem(0)
-    mc = MapConfig(iterations=2000, restarts=1, rel_tol=0.0,
+    mc = MapConfig(iterations=2000, rel_tol=0.0,
                    final_learning_rate=1e-7)
     fit = fit_svi(inputs, hp, SviConfig(iterations=3000, seed=0),
                   packing=packing, map_config=mc)
@@ -227,7 +227,7 @@ def test_svi_recovers_conjugate_posterior():
 def test_svi_deterministic_and_ascending():
     inputs, hp = small_problem(seed=31)
     sc = SviConfig(iterations=600, seed=3)
-    mc = MapConfig(iterations=500, restarts=1)
+    mc = MapConfig(iterations=500)
     a = fit_svi(inputs, hp, sc, map_config=mc)
     b = fit_svi(inputs, hp, sc, map_config=mc)
     assert a.trace == b.trace
@@ -244,7 +244,7 @@ def test_conjugate_interval_coverage():
     # should cover it in about 95% of replications
     covered = 0
     n_reps = 200
-    mc = MapConfig(iterations=250, restarts=1, rel_tol=0.0,
+    mc = MapConfig(iterations=250, rel_tol=0.0,
                    final_learning_rate=1e-4)
     for rep in range(n_reps):
         inputs, hp, packing, true_b, _, _ = conjugate_problem(10_000 + rep)
@@ -270,7 +270,7 @@ def test_draws_require_variational_fit():
 def test_zero_sd_draws_reproduce_the_mean():
     inputs, hp = small_problem(seed=42)
     fit = fit_svi(inputs, hp, SviConfig(iterations=200, seed=0),
-                  map_config=MapConfig(iterations=300, restarts=1))
+                  map_config=MapConfig(iterations=300))
     fit.variational_log_sd = np.full_like(fit.variational_log_sd, -745.0)
     draws = draw_posterior(fit, inputs.design.k_reg, 1, seed=9)
     assert np.allclose(draws.theta_draws[0], fit.variational_mean)
@@ -281,7 +281,7 @@ def test_zero_sd_draws_reproduce_the_mean():
 def test_draw_quantiles_ordered_and_nonnegative():
     inputs, hp = small_problem(seed=43)
     fit = fit_svi(inputs, hp, SviConfig(iterations=400, seed=0),
-                  map_config=MapConfig(iterations=500, restarts=1))
+                  map_config=MapConfig(iterations=500))
     draws = draw_posterior(fit, inputs.design.k_reg, 200, seed=7)
     assert np.all(draws.coefficient_draws >= 0)
     q = draws.coefficient_quantiles([0.025, 0.5, 0.975])
@@ -313,7 +313,7 @@ def with_moments(fit, packing_kind):
 
 def moments_fit(packing_kind, seed=44, P=2, fourier=(FourierSpec(7.0, 1),)):
     _, inputs = toy(T=40, P=P, seed=seed, fourier=fourier)
-    fit = fit_map(inputs, HyperParams(), MapConfig(iterations=200, restarts=1))
+    fit = fit_map(inputs, HyperParams(), MapConfig(iterations=200))
     return with_moments(fit, packing_kind), inputs
 
 
@@ -544,10 +544,37 @@ def test_trace_every_must_be_positive(config):
         config(trace_every=0)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol_window": 0}, "tol_window must be >= 1"),
+    ({"tol_window": -3}, "tol_window must be >= 1"),
+    ({"rel_tol": -1e-8}, "rel_tol must be >= 0"),
+    ({"restarts": 2}, "restarts must be 1"),
+    ({"restarts": 0}, "restarts must be 1"),
+])
+def test_map_config_rejects_bad_plateau_and_restart_settings(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        MapConfig(**kwargs)
+
+
+@pytest.mark.parametrize("trace_every", [1, 7])
+@pytest.mark.parametrize("iterations, rel_tol", [(100, 0.0), (45, 0.0), (10000, 1e-8)])
+def test_map_trace_ends_at_the_returned_point(trace_every, iterations, rel_tol):
+    # budgets that are not multiples of 7, and a plateau stop at an
+    # iteration the trace does not otherwise record
+    inputs, hp = small_problem(seed=27)
+    fit = fit_map(inputs, hp, MapConfig(iterations=iterations, rel_tol=rel_tol,
+                                        trace_every=trace_every))
+    if rel_tol == 0.0:
+        assert fit.stop_reason == "max_iter" and fit.n_iterations == iterations
+    expected = log_posterior(fit.params, inputs, hp)
+    assert abs(fit.trace[-1] - expected) <= 1e-12 * abs(expected)
+    assert np.all(np.diff(fit.trace) >= 0)
+
+
 def test_svi_point_outputs_use_the_variational_mean(tmp_path):
     inputs, hp = small_problem(seed=74)
     fit = fit_svi(inputs, hp, SviConfig(iterations=200, seed=0),
-                  map_config=MapConfig(iterations=300, restarts=1))
+                  map_config=MapConfig(iterations=300))
     mean_point = fit.packing.unpack(fit.variational_mean)
     got = decompose(fit.params, inputs.design)
     assert np.array_equal(got.fitted, decompose(mean_point, inputs.design).fitted)
@@ -567,7 +594,7 @@ def test_svi_point_outputs_use_the_variational_mean(tmp_path):
 def test_save_load_round_trip(tmp_path):
     inputs, hp = small_problem(seed=61)
     fit = fit_svi(inputs, hp, SviConfig(iterations=150, seed=0),
-                  map_config=MapConfig(iterations=200, restarts=1))
+                  map_config=MapConfig(iterations=200))
     fit.structure = {"T": 40, "note": "round-trip"}
     p = tmp_path / "fit.json"
     save_fit(fit, str(p))

@@ -37,7 +37,7 @@ from btvc.timeframe import transform_regressors
 from tests.test_inference import with_moments
 from tests.test_timeframe import make_frame, write_csv
 
-FAST = dict(map_iterations=60, map_restarts=1)
+FAST = dict(map_iterations=60)
 
 
 def small_cfg(**kw):
@@ -121,7 +121,6 @@ class TestConfigBridges:
         mc = map_config_from(cfg)
         assert mc.learning_rate == 0.01
         assert mc.iterations == 60
-        assert mc.restarts == 1
         assert mc.seed == 9
 
     def test_svi_config_fields(self):

@@ -132,6 +132,17 @@ def test_dict_round_trip_and_unknown_keys():
         config_from_dict(doc)
 
 
+def test_retired_keys_are_dropped_from_files_and_documents(tmp_path):
+    path = tmp_path / "old.cfg"
+    path.write_text("map_restarts = 3\nmap_restart_scale = 0.3\nseed = 5\n")
+    assert load_config(str(path)) == dataclasses.replace(RunConfig(), seed=5)
+    doc = config_to_dict(RunConfig())
+    doc.update(map_restarts=3, map_restart_scale=0.3)
+    assert config_from_dict(doc) == RunConfig()
+    with pytest.raises(ValidationError, match="unknown config key 'map_restarts'"):
+        merge_config(RunConfig(), {"map_restarts": "3"})
+
+
 def test_fourier_specs_view():
     cfg = dataclasses.replace(RunConfig(), fourier="7:3, 365.25:2")
     assert fourier_specs(cfg) == (
