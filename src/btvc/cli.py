@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import sys
 
 import numpy as np
@@ -50,6 +51,9 @@ from .simulation import (
     write_truth_csv,
 )
 from .timeframe import emit_csv
+
+# SVI steps whose ELBO estimates `btvc fit` averages for its summary line
+_ELBO_SUMMARY_STEPS = 250
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,8 +196,14 @@ def cmd_fit(args) -> int:
     manifest["stop_reason"] = fit.stop_reason
     write_manifest(manifest, os.path.join(out, "manifest.json"))
     save_config(cfg, os.path.join(out, "config.txt"))
-    print(f"wrote {fit_path} (stop: {fit.stop_reason}, "
-          f"objective {fit.trace[-1]:.4f})")
+    if fit.mode == "svi":
+        # one trace entry is a single-sample ELBO estimate; its window mean
+        # is what can be compared between fits
+        tail = fit.trace[-_ELBO_SUMMARY_STEPS:]
+        summary = f"mean ELBO of the last {len(tail)} steps {statistics.fmean(tail):.4f}"
+    else:
+        summary = f"objective {fit.trace[-1]:.4f}"
+    print(f"wrote {fit_path} (stop: {fit.stop_reason}, {summary})")
     return 0
 
 

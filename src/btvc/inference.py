@@ -55,6 +55,7 @@ __all__ = [
     "fit_map",
     "fit_svi",
     "draw_posterior",
+    "draw_quantiles",
     "check_gradient",
     "fit_document",
     "save_fit",
@@ -421,8 +422,80 @@ class PosteriorDraws:
         return self.packing.unpack(self.theta_draws[i])
 
     def coefficient_quantiles(self, levels) -> dict[float, np.ndarray]:
-        bands = np.quantile(self.coefficient_draws, levels, axis=0)
-        return {float(q): band for q, band in zip(levels, bands)}
+        return draw_quantiles(self.coefficient_draws, levels)
+
+
+def draw_quantiles(draws: np.ndarray, levels) -> dict[float, np.ndarray]:
+    """np.quantile(draws, levels, axis=0) with its linear method, keyed by
+    level, from one sort along the draw axis.
+
+    np.quantile partitions around every order statistic the levels need;
+    one full sort costs a fraction of that. The interpolation repeats
+    np.quantile's arithmetic step for step, so the bands are equal bit for
+    bit.
+    """
+    levels = list(levels)
+    q = np.asarray(levels, dtype=float)
+    ordered = np.sort(draws, axis=0)
+    n = ordered.shape[0]
+    virtual = (n - 1) * q
+    below = np.minimum(np.floor(virtual), n - 1)
+    gamma = (virtual - below).reshape((-1,) + (1,) * (ordered.ndim - 1))
+    lo = ordered[below.astype(np.intp)]
+    hi = ordered[np.minimum(below + 1, n - 1).astype(np.intp)]
+    diff = hi - lo
+    bands = lo + diff * gamma
+    np.subtract(hi, diff * (1 - gamma), out=bands, where=gamma >= 0.5)
+    np.copyto(bands, ordered[-1], where=np.isnan(ordered[-1]))
+    return {float(level): band for level, band in zip(levels, bands)}
+
+
+_GRAM_BLOCK_ROWS = 256
+_GRAM_WEIGHT_FLOOR = math.sqrt(np.finfo(float).tiny)
+
+
+def _gram(design, r0: np.ndarray, with_level: bool):
+    """G = Z'Z and c = Z'r0, where Z = [K_lev | K_seas (x) S | K_reg (x) X]
+    maps the knots [b_lev, b_seas, b_reg], raveled as theta holds them, to
+    the fitted values (K_lev's columns only when with_level).
+
+    Z' is built _GRAM_BLOCK_ROWS time rows at a time, each block holding
+    only the knots whose kernel columns are nonzero on its rows (two per
+    level kernel row), so G is the one dim^2-sized array and the build grows
+    with T times the block height squared, not with T dim^2. Gaussian
+    weights below sqrt(tiny) are left out: every product through one is
+    below tiny times its partner, so far below the rounding of G's entries,
+    and such products are mostly subnormal, which slows the block products
+    several-fold.
+    """
+    parts = [(design.k_seas.weights, np.ascontiguousarray(design.seasonal.T)),
+             (design.k_reg.weights, np.ascontiguousarray(design.regressors.T))]
+    if with_level:
+        parts.insert(0, (design.k_lev.weights, np.ones((1, design.n_times))))
+    offsets = np.cumsum([0] + [w.shape[1] * x.shape[0] for w, x in parts])
+    G = np.zeros((offsets[-1], offsets[-1]))
+    c = np.zeros(offsets[-1])
+    for start in range(0, r0.size, _GRAM_BLOCK_ROWS):
+        rows = slice(start, start + _GRAM_BLOCK_ROWS)
+        blocks, spans, height = [], [], 0
+        for (w, x), offset in zip(parts, offsets):
+            kept = w[rows] >= _GRAM_WEIGHT_FLOOR
+            used = np.flatnonzero(kept.any(axis=0))
+            lo, hi, width = used[0], used[-1] + 1, x.shape[0]
+            w_used = np.where(kept[:, lo:hi], w[rows, lo:hi], 0.0).T
+            # row j * width + q of Z' is w[:, j] * x[q] on these time rows
+            blocks.append((w_used[:, None, :] * x[None, :, rows])
+                          .reshape((hi - lo) * width, w_used.shape[1]))
+            spans.append((slice(offset + lo * width, offset + hi * width),
+                          slice(height, height + blocks[-1].shape[0])))
+            height += blocks[-1].shape[0]
+        zt = np.vstack(blocks)
+        g_block, c_block = zt @ zt.T, zt @ r0[rows]
+        for into, local in spans:
+            c[into] += c_block[local]
+            for into_col, local_col in spans:
+                G[into, into_col] += g_block[local, local_col]
+    return G, c
 
 
 def _objective(inputs, hp, packing, calibration, include_jacobian):
@@ -443,6 +516,16 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     mu_pool. Writing z = (x - loc) / sigma and a = 2 x loc / sigma^2, each
     term is the Gaussian -z^2/2 plus the mirror image's log(1 + e^-a); the
     Gaussian test prior on b_reg is the same term without the mirror.
+
+    The fitted values are Z beta for the linear knots beta = [b_lev, b_seas,
+    b_reg] (see _gram), so under Gaussian noise the residual sum of squares
+    is the quadratic s0 - 2 beta'c + beta'G beta with G = Z'Z, c = Z'r0 and
+    s0 = r0'r0 built here once; a call does one G @ beta in place of the
+    kernel products. r0 is the target less the fixed trend, or, when b_lev
+    is free, less the target's mean, which the level knots absorb exactly
+    since every level kernel row sums to 1; centering keeps s0 small, so
+    the quadratic loses few digits to cancellation. Student-t noise is not
+    quadratic in beta and goes through the kernel products.
     """
     design = inputs.design
     check_dims(packing.unpack(np.zeros(packing.dim)), design)
@@ -502,15 +585,19 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
                 fixed_mu, np.full(n_channels, hp.mu_pool), hp.sigma_pool)[0].sum())
 
     windows = tuple(
-        (slice(t.start0, t.end0 + 1), t.channel_index, t.mean, t.sd, t.weight)
+        (k_reg[t.start0:t.end0 + 1], t.channel_index, t.mean, t.sd, t.weight)
         for t in calibration
     )
-    for rows, _, _, sd, weight in windows:
-        const -= weight * (rows.stop - rows.start) * (math.log(sd) + 0.5 * LOG_2PI)
+    for k_rows, _, _, sd, weight in windows:
+        const -= weight * k_rows.shape[0] * (math.log(sd) + 0.5 * LOG_2PI)
 
     nu = hp.noise_df
     if nu is None:
         const -= 0.5 * n * LOG_2PI
+        y_mean = float(y.mean()) if lev_free else 0.0
+        r0 = y - y_mean if lev_free else y - trend_fixed
+        gram, r0_gram = _gram(design, r0, lev_free)
+        s0 = float(r0 @ r0)
     else:
         t_const = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
                    - 0.5 * math.log(nu * math.pi))
@@ -566,40 +653,46 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             g_loc[mirror:] -= w_mirror * v[mirror:]
             g_x[n_b:] += g_loc[:n_b].reshape(n_reg_knots, n_channels).sum(axis=0)
 
-        # likelihood through the three kernel products
-        fitted = k_lev @ z[:n_lev] if lev_free else trend_fixed
-        b_seas = z[n_lev:].reshape(n_seas_knots, n_cols)
-        coef = k_reg @ x[:n_b].reshape(n_reg_knots, n_channels)
-        fitted = (fitted + np.einsum("tq,tq->t", seasonal, k_seas @ b_seas)
-                  + np.einsum("tp,tp->t", regressors, coef))
-        resid = y - fitted
         sigma = float(np.exp(theta[-1])) if sigma_free else packing.fixed_sigma_obs
         if sigma <= 0:
             raise ValidationError("sigma_obs must be > 0")
+        b_reg = x[:n_b].reshape(n_reg_knots, n_channels)
         if nu is None:
+            # likelihood through the Gram quadratic; r = Z'resid
+            beta = np.concatenate((z, x[:n_b]))
+            beta[:n_lev] -= y_mean
+            r = r0_gram - gram @ beta
+            ss = s0 - float(beta @ (r + r0_gram))
             inv_var = 1.0 / (sigma * sigma)
-            ss = float(resid @ resid)
             value += -n * math.log(sigma) - 0.5 * ss * inv_var
-            dfit = resid * inv_var
             dlnsig = ss * inv_var - n
+            r *= inv_var
+            grad[:n_chain] += r[:n_chain]
+            g_x[:n_b] += r[n_chain:]
         else:
+            # likelihood through the three kernel products
+            fitted = k_lev @ z[:n_lev] if lev_free else trend_fixed
+            b_seas = z[n_lev:].reshape(n_seas_knots, n_cols)
+            fitted = (fitted + np.einsum("tq,tq->t", seasonal, k_seas @ b_seas)
+                      + np.einsum("tp,tp->t", regressors, k_reg @ b_reg))
+            resid = y - fitted
             nu_var = nu * sigma * sigma
             sq = resid * resid
             denom = nu_var + sq
             value += -n * math.log(sigma) - 0.5 * (nu + 1.0) * float(np.log1p(sq / nu_var).sum())
             dfit = (nu + 1.0) * resid / denom
             dlnsig = (nu + 1.0) * float((sq / denom).sum()) - n
+            if lev_free:
+                grad[:n_lev] += k_lev.T @ dfit
+            grad[n_lev:n_chain] += (k_seas.T @ (dfit[:, None] * seasonal)).ravel()
+            g_x[:n_b] += (k_reg.T @ (dfit[:, None] * regressors)).ravel()
 
-        if lev_free:
-            grad[:n_lev] += k_lev.T @ dfit
-        grad[n_lev:n_chain] += (k_seas.T @ (dfit[:, None] * seasonal)).ravel()
-        g_coef = dfit[:, None] * regressors
-        for rows, channel, mean, sd, weight in windows:
-            c = coef[rows, channel]
+        g_reg = g_x[:n_b].reshape(n_reg_knots, n_channels)
+        for k_rows, channel, mean, sd, weight in windows:
+            c = k_rows @ b_reg[:, channel]
             zc = (c - mean) / sd
             value -= 0.5 * weight * float(zc @ zc)
-            g_coef[rows, channel] += weight * (mean - c) / (sd * sd)
-        g_x[:n_b] += (k_reg.T @ g_coef).ravel()
+            g_reg[:, channel] += k_rows.T @ (weight * (mean - c) / (sd * sd))
 
         if softplus_reg:
             g_x *= dx_draw
@@ -733,30 +826,37 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
         )
     f = _objective(inputs, hp, packing, calibration, include_jacobian=True)
     dim = packing.dim
-    mean = init.theta.copy()
-    log_sd = np.full(dim, config.init_log_sd)
+    k = config.samples_per_step
+    # The step loop works in place on preallocated buffers, each op the one
+    # the plain expression would run, so the moments are the same bit for
+    # bit: state is [mean, log_sd], grad is [d/d mean, d/d log_sd].
+    state = np.concatenate([init.theta, np.full(dim, config.init_log_sd)])
+    mean, log_sd = state[:dim], state[dim:]
+    grad = np.empty(2 * dim)
+    g_mean, g_log_sd = grad[:dim], grad[dim:]
+    m, v = np.zeros(2 * dim), np.zeros(2 * dim)
+    step, work = np.empty(2 * dim), np.empty(2 * dim)
+    eps, sd, theta_s = np.empty((k, dim)), np.empty(dim), np.empty(dim)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    m = np.zeros(2 * dim)
-    v = np.zeros(2 * dim)
     n_iter = max(config.iterations, 1)
     decay = (config.final_learning_rate / config.learning_rate) ** (1.0 / max(n_iter - 1, 1))
     lr = config.learning_rate
     trace: list[float] = []
     entropy_const = 0.5 * dim * (1.0 + math.log(2.0 * math.pi))
     for t in range(config.iterations):
-        eps = rng.standard_normal((config.samples_per_step, dim))
-        sd = np.exp(log_sd)
-        g_mean = np.zeros(dim)
-        g_eps = np.zeros(dim)
+        rng.standard_normal(out=eps)
+        np.exp(log_sd, out=sd)
+        grad.fill(0.0)
         value_sum = 0.0
-        for s in range(config.samples_per_step):
-            theta_s = mean + sd * eps[s]
+        for eps_s in eps:
+            np.multiply(sd, eps_s, out=theta_s)
+            theta_s += mean
             val_s, grad_s = f(theta_s)
             value_sum += val_s
             g_mean += grad_s
-            g_eps += grad_s * eps[s]
-        k = config.samples_per_step
+            grad_s *= eps_s
+            g_log_sd += grad_s
         elbo = value_sum / k + entropy_const + float(log_sd.sum())
         if not np.isfinite(elbo):
             raise DivergenceError(
@@ -764,14 +864,26 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
             )
         if t % config.trace_every == 0:
             trace.append(elbo)
-        grad = np.concatenate([g_mean / k, (g_eps / k) * sd + 1.0])
-        m = 0.9 * m + 0.1 * grad
-        v = 0.999 * v + 0.001 * grad * grad
-        mhat = m / (1.0 - 0.9 ** (t + 1))
-        vhat = v / (1.0 - 0.999 ** (t + 1))
-        step = lr * mhat / (np.sqrt(vhat) + 1e-8)
-        mean = mean + step[:dim]
-        log_sd = log_sd + step[dim:]
+        # grad = [sum(grad_s) / k, (sum(grad_s * eps_s) / k) * sd + 1]
+        grad /= k
+        g_log_sd *= sd
+        g_log_sd += 1.0
+        # Adam: m = 0.9 m + 0.1 grad, v = 0.999 v + 0.001 grad^2, and
+        # state += lr mhat / (sqrt(vhat) + 1e-8)
+        m *= 0.9
+        np.multiply(grad, 0.1, out=work)
+        m += work
+        v *= 0.999
+        np.multiply(grad, 0.001, out=work)
+        work *= grad
+        v += work
+        np.divide(v, 1.0 - 0.999 ** (t + 1), out=work)
+        np.sqrt(work, out=work)
+        work += 1e-8
+        np.divide(m, 1.0 - 0.9 ** (t + 1), out=step)
+        step *= lr
+        step /= work
+        state += step
         lr *= decay
     return FitResult(
         params=packing.unpack(mean),

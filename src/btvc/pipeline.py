@@ -24,6 +24,7 @@ from .inference import (
     FitResult,
     MapConfig,
     SviConfig,
+    draw_quantiles,
     fit_map,
     fit_svi,
 )
@@ -237,9 +238,7 @@ def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: i
     thetas = fit.variational_mean + sd * rng.standard_normal((n_draws, fit.packing.dim))
     b_lev, b_seas, b_reg, _, _ = fit.packing.unpack_stacked(thetas)
     fitted = stacked_fitted(b_lev, b_seas, b_reg, design)
-    sims = np.exp(fitted) if link == "log" else fitted
-    bands = np.quantile(sims, levels, axis=0)
-    return {float(q): band for q, band in zip(levels, bands)}
+    return draw_quantiles(np.exp(fitted) if link == "log" else fitted, levels)
 
 
 def forecaster_from_config(cfg: RunConfig):

@@ -156,6 +156,32 @@ def test_svi_fit_gives_quantile_forecasts(tmp_path, capsys):
     assert lo <= hi
 
 
+@pytest.mark.parametrize("mode, iterations, label", [
+    ("svi", 300, "mean ELBO of the last 250 steps"),
+    ("svi", 60, "mean ELBO of the last 60 steps"),
+    ("map", 60, "objective"),
+])
+def test_fit_summary_line(tmp_path, capsys, mode, iterations, label):
+    # SVI trace entries are single-sample ELBO estimates, so the summary is
+    # their window mean; MAP prints its final (best) objective
+    sim_dir = tmp_path / "sim"
+    simulate_small(capsys, str(sim_dir))
+    fit_dir = tmp_path / "fit"
+    code, out, _ = run(
+        capsys, "fit", "--data", str(sim_dir / "data.csv"), "--out", str(fit_dir), *FAST,
+        "--set", f"mode={mode}", "--set", f"svi_iterations={iterations}",
+    )
+    assert code == 0
+    trace = json.loads((fit_dir / "fit.json").read_text())["trace"]
+    if mode == "svi":
+        assert len(trace) == iterations
+        value = float(np.mean(trace[-250:]))
+    else:
+        value = trace[-1]
+    assert out.strip().endswith(f"{label} {value:.4f})")
+    assert ("objective" in out) == (mode == "map")
+
+
 def test_predict_quantiles_equal_the_library_and_draws_follow_the_fit_config(tmp_path, capsys):
     sim_dir = tmp_path / "sim"
     simulate_small(capsys, str(sim_dir))
