@@ -35,8 +35,6 @@ from .model import (
     _abs_and_dsign,
     _folded_normal_terms,
     _laplace_chain,
-    _log_likelihood_and_grads,
-    _log_prior_and_grad,
     check_dims,
     check_support,
     log_posterior_and_grad,
@@ -510,12 +508,17 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
 
     theta's leading [b_lev, b_seas] block holds every Laplace chain: each
     knot's location is its predecessor in the same chain (0 for the first),
-    so one diff over the block covers the trend and all seasonal columns.
+    one place back for the trend and n_cols places back for a seasonal
+    column, so two slice differences cover every chain.
     The following [b_reg, mu_reg] block is where the softplus acts and where
     the folded-normal terms live: b_reg around mu_reg, then mu_reg around
     mu_pool. Writing z = (x - loc) / sigma and a = 2 x loc / sigma^2, each
     term is the Gaussian -z^2/2 plus the mirror image's log(1 + e^-a); the
-    Gaussian test prior on b_reg is the same term without the mirror.
+    Gaussian test prior on b_reg is the same term without the mirror. Both
+    the softplus and the mirror term come from np.logaddexp, and their
+    derivatives from one exp each: x = logaddexp(0, raw) has derivative
+    sigmoid(raw) = e^(raw - x), and the mirror term logaddexp(0, -a) has
+    derivative -sigmoid(-a) = -e^(-a - logaddexp(0, -a)).
 
     The fitted values are Z beta for the linear knots beta = [b_lev, b_seas,
     b_reg] (see _gram), so under Gaussian noise the residual sum of squares
@@ -526,6 +529,12 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     since every level kernel row sums to 1; centering keeps s0 small, so
     the quadratic loses few digits to cancellation. Student-t noise is not
     quadratic in beta and goes through the kernel products.
+
+    Calibration windows are quadratic in the regression knots under either
+    noise family: a channel's windows sum to h'b - b'Hb/2 plus a constant,
+    over the knots b their kernel rows reach. H and h are built here, so a
+    call does one H @ b per windowed channel in place of two products with
+    each window's kernel rows.
     """
     design = inputs.design
     check_dims(packing.unpack(np.zeros(packing.dim)), design)
@@ -559,10 +568,10 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         trend_fixed = k_lev @ packing.fixed_b_lev
     const -= float(np.log(2.0 * chain_scale).sum())
     chain_inv = 1.0 / chain_scale
-    lev_steps = np.arange(1, n_lev)
-    seas_steps = np.arange(n_lev + n_cols, n_chain)
-    steps = np.concatenate([lev_steps, seas_steps])
-    prev = np.concatenate([lev_steps - 1, seas_steps - n_cols])
+    # (knots, their predecessors): the level chain's are adjacent, the
+    # seasonal chains' n_cols apart
+    links = ((slice(1, max(n_lev, 1)), slice(0, max(n_lev - 1, 0))),
+             (slice(n_lev + n_cols, n_chain), slice(n_lev, n_chain - n_cols)))
 
     reg_scale = np.concatenate(
         [np.full(n_b, hp.sigma_reg), np.full(n_mu, hp.sigma_pool)]
@@ -584,12 +593,27 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             const += float(_folded_normal_terms(
                 fixed_mu, np.full(n_channels, hp.mu_pool), hp.sigma_pool)[0].sum())
 
-    windows = tuple(
-        (k_reg[t.start0:t.end0 + 1], t.channel_index, t.mean, t.sd, t.weight)
-        for t in calibration
-    )
-    for k_rows, _, _, sd, weight in windows:
-        const -= weight * k_rows.shape[0] * (math.log(sd) + 0.5 * LOG_2PI)
+    # A window with weight w adds -(w / 2 sd^2) |K_rows b - mean|^2, so
+    # H = (w / sd^2) K_rows'K_rows and h = (w mean / sd^2) K_rows'1, summed
+    # per channel over the knots its windows reach: weights below sqrt(tiny)
+    # are left out as in _gram, so H grows with the reach, not with J_reg.
+    by_channel: dict[int, list] = {}
+    for t in calibration:
+        by_channel.setdefault(t.channel_index, []).append(t)
+    windows = []
+    for channel, terms in by_channel.items():
+        rows = [k_reg[t.start0:t.end0 + 1] for t in terms]
+        reach = np.flatnonzero(np.vstack(rows).max(axis=0) >= _GRAM_WEIGHT_FLOOR)
+        knots = slice(reach[0], reach[-1] + 1)
+        H = h = 0.0
+        for t, k_rows in zip(terms, rows):
+            k_rows = k_rows[:, knots]
+            scale = t.weight / (t.sd * t.sd)
+            H = H + scale * (k_rows.T @ k_rows)
+            h = h + scale * t.mean * k_rows.sum(axis=0)
+            const -= k_rows.shape[0] * (t.weight * (math.log(t.sd) + 0.5 * LOG_2PI)
+                                        + 0.5 * scale * t.mean * t.mean)
+        windows.append((knots, channel, H, h))
 
     nu = hp.noise_df
     if nu is None:
@@ -612,24 +636,22 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         # Laplace chains
         z = theta[:n_chain]
         diff = z.copy()
-        diff[steps] -= z[prev]
+        for knots, preds in links:
+            diff[knots] -= z[preds]
         absd, sgn = _abs_and_dsign(diff, delta)
         value = const - float(absd @ chain_inv)
         g_diff = sgn * chain_inv
-        g_chain = -g_diff
-        g_chain[prev] += g_diff[steps]
-        grad[:n_chain] = g_chain
+        g_chain = grad[:n_chain]
+        np.negative(g_diff, out=g_chain)
+        for knots, preds in links:
+            g_chain[preds] += g_diff[knots]
 
         # softplus (or identity) block and its folded-normal terms
         raw = theta[n_chain:reg_end]
         if softplus_reg:
-            e = np.exp(-np.abs(raw))
-            log1p_e = np.log1p(e)
-            x = np.maximum(raw, 0.0) + log1p_e
-            inv_1pe = 1.0 / (1.0 + e)
-            e_inv = e * inv_1pe
-            positive = raw >= 0
-            dx_draw = np.where(positive, inv_1pe, e_inv)
+            x = np.logaddexp(0.0, raw)  # softplus, as unpack computes it
+            log_sig = raw - x  # ln sigmoid(raw)
+            dx_draw = np.exp(log_sig)
         else:
             x = raw
             if check_support:
@@ -641,12 +663,14 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         u = loc * reg_inv
         v = x * reg_inv
         zm = v - u
-        a = 2.0 * u[mirror:] * v[mirror:]
-        e_a = np.exp(-np.abs(a))
-        value += float(np.sum(np.maximum(-a, 0.0) + np.log1p(e_a)) - 0.5 * (zm @ zm))
-        w_mirror = mirror_inv2 * np.where(a >= 0, e_a, 1.0) / (1.0 + e_a)
+        neg_a = -2.0 * u[mirror:] * v[mirror:]
+        mirror_log = np.logaddexp(0.0, neg_a)  # log(1 + e^-a)
+        value += float(mirror_log.sum() - 0.5 * (zm @ zm))
+        # d/da of the mirror term is -sigmoid(-a) = -e^(-a - log(1 + e^-a))
+        w_mirror = mirror_inv2 * np.exp(neg_a - mirror_log)
         g_z = zm * reg_inv
-        g_x = -g_z
+        g_x = grad[n_chain:reg_end]
+        np.negative(g_z, out=g_x)
         g_x[mirror:] -= w_mirror * u[mirror:]
         if mu_free:
             g_loc = g_z
@@ -663,11 +687,14 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             beta[:n_lev] -= y_mean
             r = r0_gram - gram @ beta
             ss = s0 - float(beta @ (r + r0_gram))
-            inv_var = 1.0 / (sigma * sigma)
+            var = sigma * sigma
+            # a sigma whose square underflows gives a non-finite value, not
+            # a ZeroDivisionError
+            inv_var = 1.0 / var if var else math.inf
             value += -n * math.log(sigma) - 0.5 * ss * inv_var
             dlnsig = ss * inv_var - n
             r *= inv_var
-            grad[:n_chain] += r[:n_chain]
+            g_chain += r[:n_chain]
             g_x[:n_b] += r[n_chain:]
         else:
             # likelihood through the three kernel products
@@ -688,19 +715,18 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             g_x[:n_b] += (k_reg.T @ (dfit[:, None] * regressors)).ravel()
 
         g_reg = g_x[:n_b].reshape(n_reg_knots, n_channels)
-        for k_rows, channel, mean, sd, weight in windows:
-            c = k_rows @ b_reg[:, channel]
-            zc = (c - mean) / sd
-            value -= 0.5 * weight * float(zc @ zc)
-            g_reg[:, channel] += k_rows.T @ (weight * (mean - c) / (sd * sd))
+        for knots, channel, H, h in windows:
+            b = b_reg[knots, channel]
+            g_b = h - H @ b
+            value += 0.5 * float(b @ (h + g_b))  # h'b - b'Hb/2
+            g_reg[knots, channel] += g_b
 
         if softplus_reg:
             g_x *= dx_draw
             if include_jacobian:
-                # ln sigmoid(raw) = -softplus(-raw); its derivative is sigmoid(-raw)
-                value -= float(np.sum(np.maximum(-raw, 0.0) + log1p_e))
-                g_x += np.where(positive, e_inv, inv_1pe)
-        grad[n_chain:reg_end] = g_x
+                # ln sigmoid(raw), whose derivative is sigmoid(-raw) = e^-x
+                value += float(log_sig.sum())
+                g_x += np.exp(-x)
         if sigma_free:
             grad[-1] = dlnsig
         return value, grad
@@ -741,40 +767,43 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
             packing: ParameterPacking | None = None, calibration=(),
             run_config: dict | None = None) -> FitResult:
     """Maximize the log posterior over theta with one Adam run from
-    initial_theta, returning the best point seen. Deterministic."""
+    initial_theta, returning the best point seen. Deterministic.
+
+    A non-finite log posterior at initial_theta raises ValidationError (the
+    inputs are unusable); a non-finite value or gradient later raises
+    DivergenceError.
+    """
     config = config or MapConfig()
     packing = packing or default_packing(inputs)
-    theta = initial_theta(inputs, hp, packing)
     f = _objective(inputs, hp, packing, calibration, include_jacobian=False)
-
-    params0 = packing.unpack(theta)
-    prior0, _ = _log_prior_and_grad(params0, hp)
-    lik0, _, _ = _log_likelihood_and_grads(params0, inputs, hp)
-    if not np.isfinite(prior0):
-        raise ValidationError("log prior non-finite at the initial point")
-    if not np.isfinite(lik0):
-        raise ValidationError("log likelihood non-finite at the initial point")
-
-    m = np.zeros(packing.dim)
-    v = np.zeros(packing.dim)
+    beta1, beta2, eps = config.beta1, config.beta2, config.eps
+    # The Adam step works in place on preallocated buffers, each op the one
+    # the plain expression would run, so the iterates are the same bit for
+    # bit as from theta = theta + lr * mhat / (sqrt(vhat) + eps).
+    theta = initial_theta(inputs, hp, packing)
+    best_theta = theta.copy()
+    m, v = np.zeros(packing.dim), np.zeros(packing.dim)
+    step, work = np.empty(packing.dim), np.empty(packing.dim)
     decay = (config.final_learning_rate / config.learning_rate) ** (
         1.0 / max(config.iterations - 1, 1))
     lr = config.learning_rate
-    best_value, best_theta, best_grad = -np.inf, theta, None
+    best_value, best_grad = -np.inf, None
     trace: list[float] = []
     window: list[float] = []
     stop_reason, n_iterations = "max_iter", config.iterations
     for t in range(config.iterations):
         value, grad = f(theta)
-        if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        if t == 0 and not math.isfinite(value):
+            raise ValidationError("log posterior non-finite at the initial point")
+        if not (math.isfinite(value) and np.isfinite(grad).all()):
             raise DivergenceError(
                 f"objective became non-finite at iteration {t}",
                 trace=trace, iteration=t,
             )
-        # theta and grad are fresh arrays each iteration, so keeping
-        # references needs no copy.
+        # grad is a fresh array each call, so keeping a reference needs no copy
         if value > best_value:
-            best_value, best_theta, best_grad = value, theta, grad
+            best_value, best_grad = value, grad
+            best_theta[:] = theta
         if t % config.trace_every == 0:
             trace.append(best_value)
         window.append(best_value)
@@ -783,11 +812,21 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
             if abs(best_value - old) <= config.rel_tol * max(1.0, abs(best_value)):
                 stop_reason, n_iterations = "rel_change", t + 1
                 break
-        m = config.beta1 * m + (1.0 - config.beta1) * grad
-        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-        mhat = m / (1.0 - config.beta1 ** (t + 1))
-        vhat = v / (1.0 - config.beta2 ** (t + 1))
-        theta = theta + lr * mhat / (np.sqrt(vhat) + config.eps)
+        # m = beta1 m + (1 - beta1) grad, v = beta2 v + (1 - beta2) grad^2
+        m *= beta1
+        np.multiply(grad, 1.0 - beta1, out=work)
+        m += work
+        v *= beta2
+        np.multiply(grad, 1.0 - beta2, out=work)
+        work *= grad
+        v += work
+        np.divide(v, 1.0 - beta2 ** (t + 1), out=work)
+        np.sqrt(work, out=work)
+        work += eps
+        np.divide(m, 1.0 - beta1 ** (t + 1), out=step)
+        step *= lr
+        step /= work
+        theta += step
         lr *= decay
     # The trace ends at the returned point even when the last iteration
     # fell between two recorded ones.
@@ -847,25 +886,29 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     for t in range(config.iterations):
         rng.standard_normal(out=eps)
         np.exp(log_sd, out=sd)
-        grad.fill(0.0)
         value_sum = 0.0
-        for eps_s in eps:
+        for s, eps_s in enumerate(eps):
             np.multiply(sd, eps_s, out=theta_s)
             theta_s += mean
             val_s, grad_s = f(theta_s)
             value_sum += val_s
-            g_mean += grad_s
-            grad_s *= eps_s
-            g_log_sd += grad_s
+            if s:
+                g_mean += grad_s
+                grad_s *= eps_s
+                g_log_sd += grad_s
+            else:  # the first sample starts the sums
+                g_mean[:] = grad_s
+                np.multiply(grad_s, eps_s, out=g_log_sd)
         elbo = value_sum / k + entropy_const + float(log_sd.sum())
-        if not np.isfinite(elbo):
+        if not math.isfinite(elbo):
             raise DivergenceError(
                 f"ELBO became non-finite at iteration {t}", trace=trace, iteration=t
             )
         if t % config.trace_every == 0:
             trace.append(elbo)
         # grad = [sum(grad_s) / k, (sum(grad_s * eps_s) / k) * sd + 1]
-        grad /= k
+        if k > 1:
+            grad /= k
         g_log_sd *= sd
         g_log_sd += 1.0
         # Adam: m = 0.9 m + 0.1 grad, v = 0.999 v + 0.001 grad^2, and

@@ -183,12 +183,27 @@ def test_map_improves_posterior_over_init():
 
 def test_map_rejects_nonfinite_initial_likelihood():
     # finite target whose squared residuals overflow: the objective is
-    # non-finite at the very first evaluation and must name the term
+    # non-finite at the very first evaluation, which is a bad input
+    # (ValidationError, exit code 1), not a divergence (exit code 2)
     inputs, hp = small_problem(seed=24)
     bad = ModelInputs(design=inputs.design,
                       target=np.where(np.arange(40) == 5, 1e200, inputs.target))
-    with np.errstate(over="ignore"), pytest.raises(ValidationError, match="likelihood"):
+    with np.errstate(over="ignore"), pytest.raises(
+            ValidationError, match="non-finite at the initial point"):
         fit_map(bad, hp, MapConfig(iterations=10))
+
+
+@pytest.mark.parametrize("noise_df", [None, 4.0])
+def test_map_rejects_an_underflowing_fixed_sigma(noise_df):
+    # sigma^2 underflows to 0: the compiled objective returns a non-finite
+    # value instead of raising ZeroDivisionError, and the start check
+    # turns that into a ValidationError
+    inputs, _ = small_problem(seed=24)
+    hp = HyperParams(noise_df=noise_df)
+    packing = dataclasses.replace(default_packing(inputs), fixed_sigma_obs=1e-200)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            ValidationError, match="non-finite at the initial point"):
+        fit_map(inputs, hp, MapConfig(iterations=10), packing=packing)
 
 
 def test_divergence_aborts_with_trace(monkeypatch):
@@ -209,6 +224,37 @@ def test_divergence_aborts_with_trace(monkeypatch):
         fit_map(inputs, hp, MapConfig(iterations=50))
     assert exc.value.iteration >= 0
     assert len(exc.value.trace) > 0
+
+
+def test_map_in_place_adam_equals_the_allocating_update():
+    # fit_map updates its Adam state in place; the plain expressions below,
+    # driven by the same compiled objective, must give the same iterates
+    inputs, hp = small_problem(seed=26)
+    terms = window_terms(inputs, 1)
+    config = MapConfig(iterations=300, rel_tol=0.0)
+    fit = fit_map(inputs, hp, config, calibration=terms)
+
+    packing = default_packing(inputs)
+    f = inference._objective(inputs, hp, packing, terms, include_jacobian=False)
+    theta = initial_theta(inputs, hp, packing)
+    m = v = np.zeros(packing.dim)
+    lr = config.learning_rate
+    decay = (config.final_learning_rate / config.learning_rate) ** (1.0 / (config.iterations - 1))
+    best_value, best_theta, trace = -np.inf, theta, []
+    for t in range(config.iterations):
+        value, grad = f(theta)
+        if value > best_value:
+            best_value, best_theta = value, theta
+        trace.append(best_value)
+        m = config.beta1 * m + (1.0 - config.beta1) * grad
+        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
+        mhat = m / (1.0 - config.beta1 ** (t + 1))
+        vhat = v / (1.0 - config.beta2 ** (t + 1))
+        theta = theta + lr * mhat / (np.sqrt(vhat) + config.eps)
+        lr *= decay
+    assert fit.n_iterations == config.iterations
+    assert np.array_equal(fit.theta, best_theta)
+    assert fit.trace == trace
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +286,48 @@ def test_svi_deterministic_and_ascending():
     assert slope >= -1e-3
     assert a.has_variational
     assert a.mode == "svi"
+
+
+@pytest.mark.parametrize("samples_per_step", [1, 3])
+def test_svi_in_place_step_equals_the_allocating_update(samples_per_step):
+    # fit_svi's step loop runs in place and skips the sums' zero start and
+    # the division by k when k = 1; the plain expressions below must give
+    # the same moments and ELBO trace
+    inputs, hp = small_problem(seed=27)
+    terms = window_terms(inputs, 1)
+    init = fit_map(inputs, hp, MapConfig(iterations=200), calibration=terms)
+    config = SviConfig(iterations=150, samples_per_step=samples_per_step, seed=4)
+    fit = fit_svi(inputs, hp, config, calibration=terms, init=init)
+
+    packing = init.packing
+    dim, k = packing.dim, samples_per_step
+    f = inference._objective(inputs, hp, packing, terms, include_jacobian=True)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    mean, log_sd = init.theta, np.full(dim, config.init_log_sd)
+    m = v = np.zeros(2 * dim)
+    lr = config.learning_rate
+    decay = (config.final_learning_rate / config.learning_rate) ** (1.0 / (config.iterations - 1))
+    entropy_const = 0.5 * dim * (1.0 + np.log(2.0 * np.pi))
+    trace = []
+    for t in range(config.iterations):
+        eps = rng.standard_normal((k, dim))
+        sd = np.exp(log_sd)
+        value_sum, g_mean, g_log_sd = 0.0, np.zeros(dim), np.zeros(dim)
+        for eps_s in eps:
+            value, grad = f(sd * eps_s + mean)
+            value_sum += value
+            g_mean = g_mean + grad
+            g_log_sd = g_log_sd + grad * eps_s
+        trace.append(value_sum / k + entropy_const + float(log_sd.sum()))
+        grad = np.concatenate([g_mean / k, (g_log_sd / k) * sd + 1.0])
+        m = 0.9 * m + 0.1 * grad
+        v = 0.999 * v + 0.001 * grad * grad
+        step = lr * (m / (1.0 - 0.9 ** (t + 1))) / (np.sqrt(v / (1.0 - 0.999 ** (t + 1))) + 1e-8)
+        mean, log_sd = mean + step[:dim], log_sd + step[dim:]
+        lr *= decay
+    assert np.array_equal(fit.variational_mean, mean)
+    assert np.array_equal(fit.variational_log_sd, log_sd)
+    assert fit.trace == trace
 
 
 def test_conjugate_interval_coverage():
@@ -478,17 +566,29 @@ def compiled_variant(name):
         terms = window_terms(inputs, 1)
     elif name == "two_windows":
         terms = window_terms(inputs, 2)
+    elif name == "one_channel_windows":
+        # disjoint windows on one channel, as the acceptance gate sets them
+        names = inputs.design.regressor_names
+        windows = [PriorWindow(channel=names[1], start=3, end=12, mean=0.3, sd=0.1),
+                   PriorWindow(channel=names[1], start=22, end=35, mean=0.6, sd=0.05)]
+        terms = apply_prior_windows(windows, names, inputs.design.n_times)
     elif name == "student_t":
         hp = HyperParams(noise_df=4.0)
+    elif name == "student_t_windows":
+        hp = HyperParams(noise_df=4.0)
+        terms = window_terms(inputs, 2)
     elif name == "smoothed_laplace":
         hp = HyperParams(laplace_smoothing=1e-3)
     elif name == "no_seasonal":
         _, inputs = toy(T=40, P=2, seed=70, fourier=())
         packing = default_packing(inputs)
         assert packing.n_seas_cols == 0
-    elif name == "subnormal_kernel":
+    elif name in ("subnormal_kernel", "subnormal_kernel_windows"):
         inputs = subnormal_kernel_problem()
         packing = default_packing(inputs)
+        if name == "subnormal_kernel_windows":
+            # each window's rows reach only a few of the 12 knots
+            terms = window_terms(inputs, 2)
     elif name == "identity_gaussian":
         hp = HyperParams(gaussian_reg_prior=True)
         packing = dataclasses.replace(packing, reg_transform="identity")
@@ -504,8 +604,9 @@ def compiled_variant(name):
     return inputs, hp, packing, terms, name == "identity_folded"
 
 
-COMPILED_VARIANTS = ("default", "one_window", "two_windows", "student_t", "smoothed_laplace",
-                     "no_seasonal", "subnormal_kernel", "identity_gaussian", "identity_folded",
+COMPILED_VARIANTS = ("default", "one_window", "two_windows", "one_channel_windows", "student_t",
+                     "student_t_windows", "smoothed_laplace", "no_seasonal", "subnormal_kernel",
+                     "subnormal_kernel_windows", "identity_gaussian", "identity_folded",
                      "fixed_blocks", "conjugate")
 
 
@@ -526,6 +627,39 @@ def test_compiled_objective_matches_reference(variant, include_jacobian):
         ref_value, ref_grad = reference(theta)
         assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
         assert np.all(np.abs(grad - ref_grad) <= 1e-12 * np.maximum(1.0, np.abs(ref_grad)))
+
+
+@pytest.mark.parametrize("include_jacobian", [False, True])
+@pytest.mark.parametrize("variant", ["one_window", "student_t_windows"])
+def test_compiled_objective_at_extreme_arguments(variant, include_jacobian):
+    # raw b_reg and mu_reg from where softplus underflows to a subnormal to
+    # where it is the identity; the folded-normal mirror argument
+    # a = 2 x loc / sigma^2 then runs from 0 to about 4e6, so log(1 + e^-a)
+    # sees arguments from 0 to very negative. (a < 0 cannot occur: x and
+    # loc are kept >= 0 by softplus or by the support check.)
+    inputs, hp, packing, terms, _ = compiled_variant(variant)
+    compiled = inference._objective(inputs, hp, packing, terms, include_jacobian)
+    reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
+    theta0 = initial_theta(inputs, hp, packing)
+    reg = slice(packing.slices()["b_reg"].start, packing.slices()["mu_reg"].stop)
+    extremes = np.array([-745.0, -40.0, 0.0, 40.0, 700.0])
+    n_reg = reg.stop - reg.start
+    compared = 0
+    for shift in range(extremes.size):
+        for stride in (1, 2):
+            theta = theta0.copy()
+            theta[reg] = extremes[(shift + stride * np.arange(n_reg)) % extremes.size]
+            value, grad = compiled(theta)
+            assert np.isfinite(value) and np.all(np.isfinite(grad))
+            with np.errstate(over="ignore", under="ignore"):
+                ref_value, ref_grad = reference(theta)
+            if np.isfinite(ref_value):
+                assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
+                compared += 1
+            finite = np.isfinite(ref_grad)
+            assert np.all(np.abs(grad - ref_grad)[finite]
+                          <= 1e-12 * np.maximum(1.0, np.abs(ref_grad[finite])))
+    assert compared > 0
 
 
 def fitted_structure(T, windowed):
