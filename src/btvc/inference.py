@@ -14,8 +14,8 @@ The MAP objective is log_posterior composed with unpack, with no change of
 variables correction. The SVI objective adds the softplus log-Jacobian so
 the variational Gaussian approximates the posterior over theta.
 
-The optimizer is plain adaptive moment ascent (momentum plus per-coordinate
-scaling) with an exponentially decaying step size.
+MAP and SVI both ascend through one in-place Adam stepper, _adam: moments
+0.9 and 0.999, eps 1e-8, and an exponentially decaying step size.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .model import (
     _laplace_chain,
     check_dims,
     check_support,
-    log_posterior_and_grad,
+    log_posterior_and_grad,  # not called here; kept for perfbench's tracer to rebind
     stacked_coefficients,
 )
 
@@ -53,6 +53,8 @@ __all__ = [
     "fit_map",
     "fit_svi",
     "draw_posterior",
+    "check_variational",
+    "variational_draws",
     "draw_quantiles",
     "check_gradient",
     "fit_document",
@@ -142,9 +144,6 @@ class ParameterPacking:
             out[name] = slice(pos, pos + size)
             pos += size
         return out
-
-    def block_order(self) -> list[str]:
-        return [name for name, _ in self._sizes()]
 
     def _reg_forward(self, raw: np.ndarray) -> np.ndarray:
         return softplus(raw) if self.reg_transform == "softplus" else raw
@@ -327,7 +326,8 @@ def default_packing(inputs: ModelInputs) -> ParameterPacking:
 class MapConfig:
     """Optimizer settings for MAP: one Adam run from initial_theta.
 
-    The step size decays exponentially from learning_rate to
+    The run steps through _adam, shared with SVI: moments 0.9 and 0.999,
+    eps 1e-8, and a step size decaying exponentially from learning_rate to
     final_learning_rate over the iteration budget. The run stops early when
     the best value has risen by at most rel_tol (relative) over the last
     tol_window iterations; rel_tol=0 disables that plateau stop (useful when
@@ -342,9 +342,6 @@ class MapConfig:
     restarts: int = 1
     rel_tol: float = 1e-8
     tol_window: int = 50
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     trace_every: int = 1
 
@@ -763,6 +760,42 @@ def initial_theta(inputs: ModelInputs, hp: HyperParams,
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
+def _adam(x: np.ndarray, config):
+    """Returns ascend(grad), whose t-th call steps x in place by Adam:
+    m = 0.9 m + (1 - 0.9) grad, v = 0.999 v + (1 - 0.999) grad^2 and
+    x += lr (m / (1 - 0.9^t)) / (sqrt(v / (1 - 0.999^t)) + 1e-8), lr decaying
+    from config.learning_rate to config.final_learning_rate over
+    config.iterations calls. Each op is the plain expression's, bit for bit;
+    1 - 0.9 and 1 - 0.999 (one ulp off 0.1 and 0.001) keep MAP fits as before.
+    """
+    m, v = np.zeros(x.size), np.zeros(x.size)
+    step, work = np.empty(x.size), np.empty(x.size)
+    decay = (config.final_learning_rate / config.learning_rate) ** (
+        1.0 / max(config.iterations - 1, 1))
+    lr, t = config.learning_rate, 0
+
+    def ascend(grad):
+        nonlocal lr, t, m, v, step, work, x  # in-place operators rebind names
+        t += 1
+        m *= 0.9
+        np.multiply(grad, 1.0 - 0.9, out=work)
+        m += work
+        v *= 0.999
+        np.multiply(grad, 1.0 - 0.999, out=work)
+        work *= grad
+        v += work
+        np.divide(v, 1.0 - 0.999 ** t, out=work)
+        np.sqrt(work, out=work)
+        work += 1e-8
+        np.divide(m, 1.0 - 0.9 ** t, out=step)
+        step *= lr
+        step /= work
+        x += step
+        lr *= decay
+
+    return ascend
+
+
 def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = None,
             packing: ParameterPacking | None = None, calibration=(),
             run_config: dict | None = None) -> FitResult:
@@ -776,17 +809,9 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
     config = config or MapConfig()
     packing = packing or default_packing(inputs)
     f = _objective(inputs, hp, packing, calibration, include_jacobian=False)
-    beta1, beta2, eps = config.beta1, config.beta2, config.eps
-    # The Adam step works in place on preallocated buffers, each op the one
-    # the plain expression would run, so the iterates are the same bit for
-    # bit as from theta = theta + lr * mhat / (sqrt(vhat) + eps).
     theta = initial_theta(inputs, hp, packing)
     best_theta = theta.copy()
-    m, v = np.zeros(packing.dim), np.zeros(packing.dim)
-    step, work = np.empty(packing.dim), np.empty(packing.dim)
-    decay = (config.final_learning_rate / config.learning_rate) ** (
-        1.0 / max(config.iterations - 1, 1))
-    lr = config.learning_rate
+    ascend = _adam(theta, config)
     best_value, best_grad = -np.inf, None
     trace: list[float] = []
     window: list[float] = []
@@ -812,22 +837,7 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
             if abs(best_value - old) <= config.rel_tol * max(1.0, abs(best_value)):
                 stop_reason, n_iterations = "rel_change", t + 1
                 break
-        # m = beta1 m + (1 - beta1) grad, v = beta2 v + (1 - beta2) grad^2
-        m *= beta1
-        np.multiply(grad, 1.0 - beta1, out=work)
-        m += work
-        v *= beta2
-        np.multiply(grad, 1.0 - beta2, out=work)
-        work *= grad
-        v += work
-        np.divide(v, 1.0 - beta2 ** (t + 1), out=work)
-        np.sqrt(work, out=work)
-        work += eps
-        np.divide(m, 1.0 - beta1 ** (t + 1), out=step)
-        step *= lr
-        step /= work
-        theta += step
-        lr *= decay
+        ascend(grad)
     # The trace ends at the returned point even when the last iteration
     # fell between two recorded ones.
     if (n_iterations - 1) % config.trace_every != 0:
@@ -873,14 +883,10 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     mean, log_sd = state[:dim], state[dim:]
     grad = np.empty(2 * dim)
     g_mean, g_log_sd = grad[:dim], grad[dim:]
-    m, v = np.zeros(2 * dim), np.zeros(2 * dim)
-    step, work = np.empty(2 * dim), np.empty(2 * dim)
     eps, sd, theta_s = np.empty((k, dim)), np.empty(dim), np.empty(dim)
+    ascend = _adam(state, config)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    n_iter = max(config.iterations, 1)
-    decay = (config.final_learning_rate / config.learning_rate) ** (1.0 / max(n_iter - 1, 1))
-    lr = config.learning_rate
     trace: list[float] = []
     entropy_const = 0.5 * dim * (1.0 + math.log(2.0 * math.pi))
     for t in range(config.iterations):
@@ -911,23 +917,7 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
             grad /= k
         g_log_sd *= sd
         g_log_sd += 1.0
-        # Adam: m = 0.9 m + 0.1 grad, v = 0.999 v + 0.001 grad^2, and
-        # state += lr mhat / (sqrt(vhat) + 1e-8)
-        m *= 0.9
-        np.multiply(grad, 0.1, out=work)
-        m += work
-        v *= 0.999
-        np.multiply(grad, 0.001, out=work)
-        work *= grad
-        v += work
-        np.divide(v, 1.0 - 0.999 ** (t + 1), out=work)
-        np.sqrt(work, out=work)
-        work += 1e-8
-        np.divide(m, 1.0 - 0.9 ** (t + 1), out=step)
-        step *= lr
-        step /= work
-        state += step
-        lr *= decay
+        ascend(grad)
     return FitResult(
         params=packing.unpack(mean),
         theta=init.theta,
@@ -945,17 +935,27 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     )
 
 
-def draw_posterior(fit: FitResult, k_reg, n_draws: int, seed: int = 0) -> PosteriorDraws:
-    """Sample theta from the variational Gaussian and derive coefficients,
-    all draws in one batched pass (coefficient_draws has shape (S, n, P))."""
+def check_variational(fit: FitResult, n_draws: int) -> None:
+    """Raise ValidationError unless fit is an SVI fit and n_draws >= 1."""
     if not fit.has_variational:
         raise ValidationError("posterior draws need an SVI fit, this one is MAP-only")
     if n_draws < 1:
         raise ValidationError("n_draws must be >= 1")
+
+
+def variational_draws(fit: FitResult, n_draws: int, seed: int = 0) -> np.ndarray:
+    """(n_draws, dim) theta draws mean + sd * z from an SVI fit, z one
+    standard-normal block from SeedSequence(seed)."""
+    check_variational(fit, n_draws)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dim = fit.packing.dim
     sd = np.exp(fit.variational_log_sd)
-    theta_draws = fit.variational_mean + sd * rng.standard_normal((n_draws, dim))
+    return fit.variational_mean + sd * rng.standard_normal((n_draws, fit.packing.dim))
+
+
+def draw_posterior(fit: FitResult, k_reg, n_draws: int, seed: int = 0) -> PosteriorDraws:
+    """Sample theta from the variational Gaussian and derive coefficients,
+    all draws in one batched pass (coefficient_draws has shape (S, n, P))."""
+    theta_draws = variational_draws(fit, n_draws, seed)
     _, _, b_reg, _, _ = fit.packing.unpack_stacked(theta_draws)
     coef_draws = stacked_coefficients(b_reg, k_reg)
     return PosteriorDraws(

@@ -414,9 +414,11 @@ def _log_likelihood_and_grads(params: ParameterSet, inputs: ModelInputs,
     n = resid.size
     if hp.noise_df is None:
         ss = float(resid @ resid)
-        value = -0.5 * n * LOG_2PI - n * math.log(sigma) - ss / (2.0 * sigma * sigma)
-        dfit = resid / (sigma * sigma)
-        dlnsig = -n + ss / (sigma * sigma)
+        var = sigma * sigma
+        inv_var = 1.0 / var if var else math.inf  # non-finite if var underflows
+        value = -0.5 * n * LOG_2PI - n * math.log(sigma) - 0.5 * ss * inv_var
+        dfit = resid * inv_var
+        dlnsig = -n + ss * inv_var
     else:
         nu = hp.noise_df
         denom = nu * sigma * sigma + resid * resid

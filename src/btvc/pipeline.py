@@ -24,9 +24,11 @@ from .inference import (
     FitResult,
     MapConfig,
     SviConfig,
+    check_variational,
     draw_quantiles,
     fit_map,
     fit_svi,
+    variational_draws,
 )
 from .kernels import KnotGrid, build_grid, kernel_matrix
 from .model import HyperParams, ModelDesign, ModelInputs, decompose, predict, stacked_fitted
@@ -223,19 +225,14 @@ def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: i
                        levels, n_draws: int, seed: int = 0) -> dict[float, np.ndarray]:
     """Empirical forecast quantiles from variational draws, all draws
     evaluated in one batched pass over stacked knots."""
-    if not fit.has_variational:
-        raise ValidationError("forecast quantiles need an SVI fit, this one is MAP-only")
-    if n_draws < 1:
-        raise ValidationError("n_draws must be >= 1")
     if horizon == 0:
+        check_variational(fit, n_draws)
         return {float(q): np.zeros(0) for q in levels}
+    thetas = variational_draws(fit, n_draws, seed)
     link = fit.structure["link"]
     if link not in ("log", "identity"):
         raise ValidationError(f"unknown link {link!r}")
     design = forecast_design(fit.structure, future_regressors, horizon)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sd = np.exp(fit.variational_log_sd)
-    thetas = fit.variational_mean + sd * rng.standard_normal((n_draws, fit.packing.dim))
     b_lev, b_seas, b_reg, _, _ = fit.packing.unpack_stacked(thetas)
     fitted = stacked_fitted(b_lev, b_seas, b_reg, design)
     return draw_quantiles(np.exp(fitted) if link == "log" else fitted, levels)

@@ -206,6 +206,22 @@ def test_map_rejects_an_underflowing_fixed_sigma(noise_df):
         fit_map(inputs, hp, MapConfig(iterations=10), packing=packing)
 
 
+@pytest.mark.parametrize("noise_df", [None, 4.0])
+def test_underflowing_sigma_is_non_finite_in_reference_and_compiled(noise_df):
+    # sigma^2 underflows to 0: the readable reference and the compiled
+    # objective both give a non-finite value, neither raises
+    inputs, _ = small_problem(seed=24)
+    hp = HyperParams(noise_df=noise_df)
+    packing = dataclasses.replace(default_packing(inputs), fixed_sigma_obs=1e-200)
+    theta = initial_theta(inputs, hp, packing)
+    f = inference._objective(inputs, hp, packing, (), include_jacobian=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        reference = log_posterior(packing.unpack(theta), inputs, hp)
+        compiled, _ = f(theta)
+    assert not np.isfinite(reference)
+    assert not np.isfinite(compiled)
+
+
 def test_divergence_aborts_with_trace(monkeypatch):
     inputs, hp = small_problem(seed=25)
     packing = default_packing(inputs)
@@ -227,7 +243,7 @@ def test_divergence_aborts_with_trace(monkeypatch):
 
 
 def test_map_in_place_adam_equals_the_allocating_update():
-    # fit_map updates its Adam state in place; the plain expressions below,
+    # fit_map steps through the in-place _adam; the plain expressions below,
     # driven by the same compiled objective, must give the same iterates
     inputs, hp = small_problem(seed=26)
     terms = window_terms(inputs, 1)
@@ -246,11 +262,11 @@ def test_map_in_place_adam_equals_the_allocating_update():
         if value > best_value:
             best_value, best_theta = value, theta
         trace.append(best_value)
-        m = config.beta1 * m + (1.0 - config.beta1) * grad
-        v = config.beta2 * v + (1.0 - config.beta2) * grad * grad
-        mhat = m / (1.0 - config.beta1 ** (t + 1))
-        vhat = v / (1.0 - config.beta2 ** (t + 1))
-        theta = theta + lr * mhat / (np.sqrt(vhat) + config.eps)
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        mhat = m / (1.0 - 0.9 ** (t + 1))
+        vhat = v / (1.0 - 0.999 ** (t + 1))
+        theta = theta + lr * mhat / (np.sqrt(vhat) + 1e-8)
         lr *= decay
     assert fit.n_iterations == config.iterations
     assert np.array_equal(fit.theta, best_theta)
@@ -320,8 +336,8 @@ def test_svi_in_place_step_equals_the_allocating_update(samples_per_step):
             g_log_sd = g_log_sd + grad * eps_s
         trace.append(value_sum / k + entropy_const + float(log_sd.sum()))
         grad = np.concatenate([g_mean / k, (g_log_sd / k) * sd + 1.0])
-        m = 0.9 * m + 0.1 * grad
-        v = 0.999 * v + 0.001 * grad * grad
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
         step = lr * (m / (1.0 - 0.9 ** (t + 1))) / (np.sqrt(v / (1.0 - 0.999 ** (t + 1))) + 1e-8)
         mean, log_sd = mean + step[:dim], log_sd + step[dim:]
         lr *= decay

@@ -220,8 +220,9 @@ class TestFitAndForecast:
 
     def test_forecast_quantiles_need_svi(self):
         fit, _ = run_fit(small_frame(), small_cfg())
-        with pytest.raises(ValidationError, match="MAP-only"):
-            forecast_quantiles(fit, np.zeros((2, 2)), 2, [0.5], n_draws=10)
+        for horizon in (2, 0):  # checked before the horizon-0 return too
+            with pytest.raises(ValidationError, match="MAP-only"):
+                forecast_quantiles(fit, np.zeros((horizon, 2)), horizon, [0.5], n_draws=10)
 
     def test_forecast_quantiles_ordered(self):
         cfg = small_cfg(mode="svi", svi_iterations=80)
