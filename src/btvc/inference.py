@@ -493,6 +493,73 @@ def _gram(design, r0: np.ndarray, with_level: bool):
     return G, c
 
 
+# G entries one np.dot streams in about the time its fixed cost per call
+# takes: a merge of two row blocks that stores fewer extra entries than this
+# saves time
+_GRAM_CALL_ENTRIES = 8192
+
+
+def _gram_blocks(design, G: np.ndarray, with_level: bool):
+    """G's rows in time order, cut into blocks that keep only the columns
+    holding their nonzeros: (order, blocks), each block (rows, cols, array)
+    with array = G[order][:, order][rows, cols], contiguous.
+
+    The knots [b_lev, b_seas, b_reg] of _gram are ordered by their knot
+    times, where their kernel columns peak (ties keep theta's order), so each
+    knot couples only with its neighbours in that order and G is
+    block-banded.
+    Passes over the blocks merge adjacent pairs whenever the merged block
+    stores fewer than _GRAM_CALL_ENTRIES entries more than the two, until no
+    pair merges. The first blocks are as tall as the first passes would make
+    them anyway: two blocks of that height store fewer entries than that in
+    all, even at G's full width. Every nonzero of G is
+    in exactly one block, so G @ beta over the blocks changes only by
+    rounding; a structure whose G is small enough ends as one block.
+    """
+    parts = [(design.k_seas, design.seasonal.shape[1]),
+             (design.k_reg, design.regressors.shape[1])]
+    if with_level:
+        parts.insert(0, (design.k_lev, 1))
+    times = np.concatenate([np.repeat(k.grid.knot_times, width) for k, width in parts])
+    order = np.argsort(times, kind="stable")
+    dim = order.size
+    nonzero = (G != 0).take(order, axis=0).take(order, axis=1)
+    filled = nonzero.any(axis=1)
+    # a row's nonzero column span [first, last); dim, 0 for an all-zero row
+    first = np.where(filled, nonzero.argmax(axis=1), dim)
+    last = np.where(filled, dim - nonzero[:, ::-1].argmax(axis=1), 0)
+    height = max(_GRAM_CALL_ENTRIES // (2 * max(dim, 1)), 1)
+    starts = np.arange(0, dim, height)
+    spans = list(zip(starts.tolist(), (starts + height).clip(max=dim).tolist(),
+                     np.minimum.reduceat(first, starts).tolist(),
+                     np.maximum.reduceat(last, starts).tolist()))
+
+    def size(span):
+        start, stop, lo, hi = span
+        return (stop - start) * max(hi - lo, 0)
+
+    merging = True
+    while merging:
+        merged, i = [], 0
+        while i < len(spans):
+            if i + 1 < len(spans):
+                (start, _, lo, hi), (_, stop, lo2, hi2) = spans[i], spans[i + 1]
+                both = (start, stop, min(lo, lo2), max(hi, hi2))
+                if size(both) - size(spans[i]) - size(spans[i + 1]) < _GRAM_CALL_ENTRIES:
+                    merged.append(both)
+                    i += 2
+                    continue
+            merged.append(spans[i])
+            i += 1
+        merging = len(merged) < len(spans)
+        spans = merged
+    blocks = []
+    for start, stop, lo, hi in spans:  # lo > hi: an all-zero block, no columns
+        blocks.append((slice(start, stop), slice(lo, hi),
+                       G[np.ix_(order[start:stop], order[lo:hi])]))
+    return order, blocks
+
+
 def _objective(inputs, hp, packing, calibration, include_jacobian):
     """Compile the fit objective of one structure: theta -> (value, gradient).
 
@@ -521,7 +588,8 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     b_reg] (see _gram), so under Gaussian noise the residual sum of squares
     is the quadratic s0 - 2 beta'c + beta'G beta with G = Z'Z, c = Z'r0 and
     s0 = r0'r0 built here once; a call does one G @ beta in place of the
-    kernel products. r0 is the target less the fixed trend, or, when b_lev
+    kernel products, over the row blocks of _gram_blocks with beta and c in
+    the knots' time order. r0 is the target less the fixed trend, or, when b_lev
     is free, less the target's mean, which the level knots absorb exactly
     since every level kernel row sums to 1; centering keeps s0 small, so
     the quadratic loses few digits to cancellation. Student-t noise is not
@@ -612,12 +680,16 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
                                         + 0.5 * scale * t.mean * t.mean)
         windows.append((knots, channel, H, h))
 
+    if not sigma_free:  # (ln sigma, sigma); __post_init__ keeps it > 0
+        sigma_fixed = (math.log(packing.fixed_sigma_obs), float(packing.fixed_sigma_obs))
     nu = hp.noise_df
     if nu is None:
         const -= 0.5 * n * LOG_2PI
         y_mean = float(y.mean()) if lev_free else 0.0
         r0 = y - y_mean if lev_free else y - trend_fixed
         gram, r0_gram = _gram(design, r0, lev_free)
+        order, gram_blocks = _gram_blocks(design, gram, lev_free)
+        r0_gram = r0_gram[order]
         s0 = float(r0 @ r0)
     else:
         t_const = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
@@ -674,25 +746,30 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             g_loc[mirror:] -= w_mirror * v[mirror:]
             g_x[n_b:] += g_loc[:n_b].reshape(n_reg_knots, n_channels).sum(axis=0)
 
-        sigma = float(np.exp(theta[-1])) if sigma_free else packing.fixed_sigma_obs
-        if sigma <= 0:
-            raise ValidationError("sigma_obs must be > 0")
+        # a sigma that underflows (or whose square does) gives a non-finite
+        # value, not an error
+        if sigma_free:
+            ln_sigma, sigma = float(theta[-1]), float(np.exp(theta[-1]))
+        else:
+            ln_sigma, sigma = sigma_fixed
         b_reg = x[:n_b].reshape(n_reg_knots, n_channels)
         if nu is None:
-            # likelihood through the Gram quadratic; r = Z'resid
+            # likelihood through the Gram quadratic in time order; r = Z'resid
             beta = np.concatenate((z, x[:n_b]))
             beta[:n_lev] -= y_mean
-            r = r0_gram - gram @ beta
+            beta = beta[order]
+            r = np.empty_like(beta)
+            for rows, cols, block in gram_blocks:
+                np.dot(block, beta[cols], out=r[rows])
+            np.subtract(r0_gram, r, out=r)
             ss = s0 - float(beta @ (r + r0_gram))
             var = sigma * sigma
-            # a sigma whose square underflows gives a non-finite value, not
-            # a ZeroDivisionError
             inv_var = 1.0 / var if var else math.inf
-            value += -n * math.log(sigma) - 0.5 * ss * inv_var
+            value += -n * ln_sigma - 0.5 * ss * inv_var
             dlnsig = ss * inv_var - n
             r *= inv_var
-            g_chain += r[:n_chain]
-            g_x[:n_b] += r[n_chain:]
+            # beta's entries lead theta, in theta's order
+            grad[order] += r
         else:
             # likelihood through the three kernel products
             fitted = k_lev @ z[:n_lev] if lev_free else trend_fixed
@@ -703,7 +780,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             nu_var = nu * sigma * sigma
             sq = resid * resid
             denom = nu_var + sq
-            value += -n * math.log(sigma) - 0.5 * (nu + 1.0) * float(np.log1p(sq / nu_var).sum())
+            value += -n * ln_sigma - 0.5 * (nu + 1.0) * float(np.log1p(sq / nu_var).sum())
             dfit = (nu + 1.0) * resid / denom
             dlnsig = (nu + 1.0) * float((sq / denom).sum()) - n
             if lev_free:

@@ -222,6 +222,26 @@ def test_underflowing_sigma_is_non_finite_in_reference_and_compiled(noise_df):
     assert not np.isfinite(compiled)
 
 
+def test_map_sigma_underflowing_mid_fit_is_a_divergence():
+    # a constant target and zero regressors are fitted exactly at the start,
+    # so d/d ln sigma = -n there and the first Adam step, of size 1000, takes
+    # ln sigma below -745, where exp underflows to 0
+    T = 40
+    grid = build_grid(T, count=3)
+    design = ModelDesign(
+        regressors=np.zeros((T, 1)), seasonal=np.zeros((T, 0)),
+        k_lev=kernel_matrix(grid, "level"), k_seas=kernel_matrix(grid, "level"),
+        k_reg=kernel_matrix(grid, "gaussian", rho=10.0),
+    )
+    inputs = ModelInputs(design=design, target=np.full(T, 2.0))
+    config = MapConfig(learning_rate=1000.0, final_learning_rate=1000.0, rel_tol=0.0,
+                       iterations=10)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="non-finite at iteration 1") as exc:
+        fit_map(inputs, HyperParams(), config)
+    assert exc.value.iteration == 1
+
+
 def test_divergence_aborts_with_trace(monkeypatch):
     inputs, hp = small_problem(seed=25)
     packing = default_packing(inputs)
@@ -566,6 +586,25 @@ def subnormal_kernel_problem():
     return ModelInputs(design=design, target=inputs.target)
 
 
+def multi_block_problem():
+    # regression knots every 2 rows with rho=1 couple only with knots a few
+    # rows away, so G is cut into several row blocks; channel 1 is zero on
+    # rows 100-159, which leaves G rows of its knots there all zero
+    T = 300
+    _, inputs = toy(T=T, P=2, seed=75, n_lev=15, n_seas=10)
+    d = inputs.design
+    regressors = d.regressors.copy()
+    regressors[100:160, 1] = 0.0
+    design = ModelDesign(regressors=regressors, seasonal=d.seasonal, k_lev=d.k_lev,
+                         k_seas=d.k_seas,
+                         k_reg=kernel_matrix(build_grid(T, distance=2), "gaussian", rho=1.0))
+    inputs = ModelInputs(design=design, target=inputs.target)
+    G, _ = inference._gram(design, inputs.target, True)
+    assert len(inference._gram_blocks(design, G, True)[1]) >= 3
+    assert not np.all(G.any(axis=1))
+    return inputs
+
+
 def window_terms(inputs, n):
     names = inputs.design.regressor_names
     windows = [PriorWindow(channel=names[0], start=5, end=14, mean=0.3, sd=0.1),
@@ -617,13 +656,17 @@ def compiled_variant(name):
         terms = window_terms(inputs, 1)
     elif name == "conjugate":
         inputs, hp, packing, _, _, _ = conjugate_problem(72)
+    elif name == "multi_block":
+        inputs = multi_block_problem()
+        packing = default_packing(inputs)
+        terms = window_terms(inputs, 2)
     return inputs, hp, packing, terms, name == "identity_folded"
 
 
 COMPILED_VARIANTS = ("default", "one_window", "two_windows", "one_channel_windows", "student_t",
                      "student_t_windows", "smoothed_laplace", "no_seasonal", "subnormal_kernel",
                      "subnormal_kernel_windows", "identity_gaussian", "identity_folded",
-                     "fixed_blocks", "conjugate")
+                     "fixed_blocks", "conjugate", "multi_block")
 
 
 @pytest.mark.parametrize("include_jacobian", [False, True])
@@ -678,12 +721,19 @@ def test_compiled_objective_at_extreme_arguments(variant, include_jacobian):
     assert compared > 0
 
 
+def default_structure(T):
+    """(frame, inputs, hp) of a default-config structure of the
+    multiplicative simulator."""
+    frame = simulate_multiplicative(MultiplicativeSimConfig(T=T, P=3, seed=T)).frame
+    inputs, hp, _ = build_structure(frame, RunConfig(seed=T))
+    return frame, inputs, hp
+
+
 def fitted_structure(T, windowed):
     """(inputs, hp, packing, terms, MAP theta) of a default-config structure
     of the multiplicative simulator; windowed adds a 28-day prior window on
     x1, as the svi_calibrated benchmark workload does."""
-    frame = simulate_multiplicative(MultiplicativeSimConfig(T=T, P=3, seed=T)).frame
-    inputs, hp, _ = build_structure(frame, RunConfig(seed=T))
+    frame, inputs, hp = default_structure(T)
     terms = ()
     if windowed:
         window = PriorWindow(channel="x1", start=T - 27, end=T, mean=0.3, sd=0.02)
@@ -703,13 +753,14 @@ def max_relative_errors(compiled, reference, thetas):
     return value_err, grad_err
 
 
-@pytest.mark.parametrize("T, windowed", [(730, False), (420, True)])
+@pytest.mark.parametrize("T, windowed", [(730, False), (420, True), (3000, False)])
 def test_gram_likelihood_matches_reference_near_the_optimum(T, windowed):
     # Near the MAP point the residuals are small against the target, so the
     # Gram quadratic's s0 - 2 beta'c + beta'G beta and c - G beta lose digits
     # to cancellation that the readable residual path does not. Measured
-    # over three jitter seeds: at most 1.2e-14 (value) and 1.2e-11
-    # (gradient) relative; the bounds leave about 8x room.
+    # over three jitter seeds: at most 1.5e-14 (value) and 1.2e-11
+    # (gradient) relative; the bounds leave about 7x room. T=3000 runs the
+    # product over several row blocks of G (3.5e-15 and 5.5e-12 there).
     inputs, hp, packing, terms, theta_map = fitted_structure(T, windowed)
     rng = np.random.default_rng(T)
     thetas = [theta_map] + [theta_map + rng.normal(0, 0.01, packing.dim) for _ in range(10)]
@@ -718,6 +769,44 @@ def test_gram_likelihood_matches_reference_near_the_optimum(T, windowed):
     value_err, grad_err = max_relative_errors(compiled, reference, thetas)
     assert value_err <= 1e-13
     assert grad_err <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["default_3000", "multi_block"])
+def test_gram_blocks_hold_g_exactly(case):
+    # the blocks, put back in theta's order, are _gram's G bit for bit, so no
+    # nonzero is dropped; their product is G @ beta up to rounding
+    inputs = default_structure(3000)[1] if case == "default_3000" else multi_block_problem()
+    design, y = inputs.design, inputs.target
+    G, _ = inference._gram(design, y - y.mean(), True)
+    order, blocks = inference._gram_blocks(design, G, True)
+    assert len(blocks) > 1
+    assert sorted(order) == list(range(G.shape[0]))
+    permuted, product = np.zeros_like(G), np.empty(G.shape[0])
+    beta = np.random.default_rng(3).normal(0, 1, G.shape[0])
+    covered = 0
+    for rows, cols, block in blocks:
+        assert rows.start == covered and block.flags.c_contiguous
+        covered = rows.stop
+        permuted[rows, cols] = block
+        np.dot(block, beta[order][cols], out=product[rows])
+    assert covered == G.shape[0]
+    rebuilt = np.empty_like(G)
+    rebuilt[np.ix_(order, order)] = permuted
+    assert np.array_equal(rebuilt, G)
+    scale = (np.abs(G) @ np.abs(beta))[order]
+    assert np.all(np.abs(product - (G @ beta)[order]) <= 1e-13 * scale)
+    if case == "default_3000":
+        assert sum(block.size for _, _, block in blocks) < 0.7 * G.size
+
+
+@pytest.mark.parametrize("T", [420, 730])
+def test_gram_blocks_of_small_default_structures_are_one_block(T):
+    _, inputs, _ = default_structure(T)
+    design, y = inputs.design, inputs.target
+    G, _ = inference._gram(design, y - y.mean(), True)
+    _, blocks = inference._gram_blocks(design, G, True)
+    assert len(blocks) == 1
+    assert blocks[0][2].shape == G.shape
 
 
 def test_student_t_objective_keeps_the_kernel_products():
@@ -742,11 +831,16 @@ def test_compiled_objective_error_paths():
     f = inference._objective(inputs, hp, packing, (), include_jacobian=False)
     with pytest.raises(ValidationError, match="packing dim"):
         f(theta[:-1])
+    # exp(1000) overflows, but the value is taken from ln sigma itself: the
+    # likelihood is -n ln sigma there, its residual term 0
     with np.errstate(over="ignore"):
-        value, _ = f(np.concatenate([theta[:-1], [1000.0]]))
-    assert not np.isfinite(value)
-    with pytest.raises(ValidationError, match="sigma_obs must be > 0"):
-        f(np.concatenate([theta[:-1], [-1000.0]]))
+        value, grad = f(np.concatenate([theta[:-1], [1000.0]]))
+    assert np.isfinite(value) and grad[-1] == -inputs.target.size
+    # exp(-1000) underflows to 0: a non-finite value, as at ln sigma = -400
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ln_sigma in (-400.0, -1000.0):
+            value, _ = f(np.concatenate([theta[:-1], [ln_sigma]]))
+            assert not np.isfinite(value)
 
     identity = dataclasses.replace(packing, reg_transform="identity")
     sl = identity.slices()
