@@ -73,8 +73,8 @@ def softplus_inv(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0):
         raise ValidationError("softplus inverse needs strictly positive inputs")
-    # x + log(1 - e^{-x}), stable for both large and small x
-    return x + np.log1p(-np.exp(-x))
+    # x + log(1 - e^{-x}); expm1 keeps 1 - e^{-x} exact as x goes to 0
+    return x + np.log(-np.expm1(-x))
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -570,14 +570,24 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     the structure is done here once, so a call builds no ParameterSet or
     ParamGradient and runs no dimension checks.
 
-    theta's leading [b_lev, b_seas] block holds every Laplace chain: each
-    knot's location is its predecessor in the same chain (0 for the first),
-    one place back for the trend and n_cols places back for a seasonal
-    column, so two slice differences cover every chain.
-    The following [b_reg, mu_reg] block is where the softplus acts and where
-    the folded-normal terms live: b_reg around mu_reg, then mu_reg around
-    mu_pool. Writing z = (x - loc) / sigma and a = 2 x loc / sigma^2, each
-    term is the Gaussian -z^2/2 plus the mirror image's log(1 + e^-a); the
+    Every prior term is a density of one entry around a location. A call
+    writes the entries into one buffer t = [chain knots | x | location
+    slots]: the chain knots [b_lev, b_seas] are copied from theta, x =
+    softplus(raw) of the [b_reg, mu_reg] block is written in place (x = raw
+    under the identity transform), and the constant slots, written here
+    once, hold 0 (the location of each chain's first knot), mu_pool, and
+    the fixed mu_reg when packing fixes it. One index loc_of gives each
+    entry its location slot: the previous trend knot, the same seasonal
+    column one knot back, the channel's mu_reg, or mu_pool; inv holds each
+    entry's 1/scale. A call gathers t[loc_of] once, and the location
+    gradients of every term go back through one np.bincount over loc_of.
+    The buffer belongs to the returned function, so calls to one compiled
+    objective must not run concurrently; each still returns a fresh
+    gradient array and depends on its theta alone.
+
+    The chain knots take Laplace terms |t - loc| inv. The x entries take
+    folded-normal terms: writing z = (x - loc) inv and a = 2 x loc inv^2,
+    each is the Gaussian -z^2/2 plus the mirror image's log(1 + e^-a); the
     Gaussian test prior on b_reg is the same term without the mirror. Both
     the softplus and the mirror term come from np.logaddexp, and their
     derivatives from one exp each: x = logaddexp(0, raw) has derivative
@@ -585,11 +595,12 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     derivative -sigmoid(-a) = -e^(-a - logaddexp(0, -a)).
 
     The fitted values are Z beta for the linear knots beta = [b_lev, b_seas,
-    b_reg] (see _gram), so under Gaussian noise the residual sum of squares
-    is the quadratic s0 - 2 beta'c + beta'G beta with G = Z'Z, c = Z'r0 and
-    s0 = r0'r0 built here once; a call does one G @ beta in place of the
-    kernel products, over the row blocks of _gram_blocks with beta and c in
-    the knots' time order. r0 is the target less the fixed trend, or, when b_lev
+    b_reg] (see _gram), the buffer's leading entries, so under Gaussian
+    noise the residual sum of squares is the quadratic s0 - 2 beta'c +
+    beta'G beta with G = Z'Z, c = Z'r0 and s0 = r0'r0 built here once; a
+    call does one G @ beta in place of the kernel products, over the row
+    blocks of _gram_blocks with beta gathered from t, and c, in the knots'
+    time order. r0 is the target less the fixed trend, or, when b_lev
     is free, less the target's mean, which the level knots absorb exactly
     since every level kernel row sums to 1; centering keeps s0 small, so
     the quadratic loses few digits to cancellation. Student-t noise is not
@@ -623,62 +634,63 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     delta = hp.laplace_smoothing
 
     const = 0.0
-    chain_scale = np.concatenate(
-        [np.full(n_lev, hp.sigma_lev), np.full(n_chain - n_lev, hp.sigma_seas)]
-    )
-    if lev_free:
-        chain_scale[0] = hp.init_scale_lev
-    else:
+    if not lev_free:
         const += _laplace_chain(packing.fixed_b_lev, hp.init_scale_lev, hp.sigma_lev, delta)[0]
         trend_fixed = k_lev @ packing.fixed_b_lev
-    const -= float(np.log(2.0 * chain_scale).sum())
-    chain_inv = 1.0 / chain_scale
-    # (knots, their predecessors): the level chain's are adjacent, the
-    # seasonal chains' n_cols apart
-    links = ((slice(1, max(n_lev, 1)), slice(0, max(n_lev - 1, 0))),
-             (slice(n_lev + n_cols, n_chain), slice(n_lev, n_chain - n_cols)))
-
-    reg_scale = np.concatenate(
-        [np.full(n_b, hp.sigma_reg), np.full(n_mu, hp.sigma_pool)]
-    )
-    reg_inv = 1.0 / reg_scale
-    const -= float(np.sum(np.log(reg_scale) + 0.5 * LOG_2PI))
-    mirror = n_b if hp.gaussian_reg_prior else 0  # entries from here on are folded
-    mirror_inv2 = 2.0 * reg_inv[mirror:]
-    channel_of = np.tile(np.arange(n_channels), n_reg_knots)
-    if mu_free:
-        mu_of = n_b + channel_of
-        pool_loc = np.full(n_channels, hp.mu_pool)
-    else:
-        fixed_mu = packing.fixed_mu_reg
-        if check_support and n_channels and fixed_mu.min() < 0:
+    fixed_mu = np.zeros(0) if mu_free else packing.fixed_mu_reg
+    if not mu_free and n_channels:
+        if check_support and fixed_mu.min() < 0:
             raise ValidationError("mu_reg outside folded-normal support")
-        loc_fixed = fixed_mu[channel_of]
-        if n_channels:
-            const += float(_folded_normal_terms(
-                fixed_mu, np.full(n_channels, hp.mu_pool), hp.sigma_pool)[0].sum())
+        const += float(_folded_normal_terms(
+            fixed_mu, np.full(n_channels, hp.mu_pool), hp.sigma_pool)[0].sum())
+
+    # the buffer and its views; t[reg_end:] holds 0, mu_pool, then fixed mu_reg
+    t = np.concatenate((np.zeros(reg_end + 1), [hp.mu_pool], fixed_mu))
+    t_prior, t_chain, t_x = t[:reg_end], t[:n_chain], t[n_chain:reg_end]
+    b_reg = t[n_chain:n_chain + n_b].reshape(n_reg_knots, n_channels)
+    # a knot's predecessor is 1 place back in the trend, n_cols in the
+    # seasonal block; one that falls before its block's start is a chain
+    # head, located at the 0 slot
+    loc_chain = np.arange(n_chain) - np.repeat([1, n_cols], [n_lev, n_chain - n_lev])
+    loc_chain[loc_chain < np.repeat([0, n_lev], [n_lev, n_chain - n_lev])] = reg_end
+    mu_slot = n_chain + n_b if mu_free else reg_end + 2
+    loc_of = np.concatenate((loc_chain, mu_slot + np.tile(np.arange(n_channels), n_reg_knots),
+                             np.full(n_mu, reg_end + 1))).astype(np.intp)
+    scale = np.concatenate((np.full(n_lev, hp.sigma_lev), np.full(n_chain - n_lev, hp.sigma_seas),
+                            np.full(n_b, hp.sigma_reg), np.full(n_mu, hp.sigma_pool)))
+    if lev_free:
+        scale[0] = hp.init_scale_lev
+    const -= float(np.log(2.0 * scale[:n_chain]).sum())
+    const -= float(np.sum(np.log(scale[n_chain:]) + 0.5 * LOG_2PI))
+    inv = 1.0 / scale
+    inv_chain, inv_x = inv[:n_chain], inv[n_chain:]
+    # entries from `folded` on take the mirror term
+    folded = n_chain + (n_b if hp.gaussian_reg_prior else 0)
+    t_folded = t[folded:reg_end]
+    neg_two_inv2 = -2.0 * inv[folded:] * inv[folded:]
 
     # A window with weight w adds -(w / 2 sd^2) |K_rows b - mean|^2, so
     # H = (w / sd^2) K_rows'K_rows and h = (w mean / sd^2) K_rows'1, summed
     # per channel over the knots its windows reach: weights below sqrt(tiny)
     # are left out as in _gram, so H grows with the reach, not with J_reg.
     by_channel: dict[int, list] = {}
-    for t in calibration:
-        by_channel.setdefault(t.channel_index, []).append(t)
+    for term in calibration:
+        by_channel.setdefault(term.channel_index, []).append(term)
     windows = []
     for channel, terms in by_channel.items():
-        rows = [k_reg[t.start0:t.end0 + 1] for t in terms]
+        rows = [k_reg[term.start0:term.end0 + 1] for term in terms]
         reach = np.flatnonzero(np.vstack(rows).max(axis=0) >= _GRAM_WEIGHT_FLOOR)
         knots = slice(reach[0], reach[-1] + 1)
         H = h = 0.0
-        for t, k_rows in zip(terms, rows):
+        for term, k_rows in zip(terms, rows):
             k_rows = k_rows[:, knots]
-            scale = t.weight / (t.sd * t.sd)
-            H = H + scale * (k_rows.T @ k_rows)
-            h = h + scale * t.mean * k_rows.sum(axis=0)
-            const -= k_rows.shape[0] * (t.weight * (math.log(t.sd) + 0.5 * LOG_2PI)
-                                        + 0.5 * scale * t.mean * t.mean)
-        windows.append((knots, channel, H, h))
+            w = term.weight / (term.sd * term.sd)
+            H = H + w * (k_rows.T @ k_rows)
+            h = h + w * term.mean * k_rows.sum(axis=0)
+            const -= k_rows.shape[0] * (term.weight * (math.log(term.sd) + 0.5 * LOG_2PI)
+                                        + 0.5 * w * term.mean * term.mean)
+        # b is a view of the buffer's knots
+        windows.append((knots, channel, H, h, b_reg[knots, channel]))
 
     if not sigma_free:  # (ln sigma, sigma); __post_init__ keeps it > 0
         sigma_fixed = (math.log(packing.fixed_sigma_obs), float(packing.fixed_sigma_obs))
@@ -690,11 +702,13 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         gram, r0_gram = _gram(design, r0, lev_free)
         order, gram_blocks = _gram_blocks(design, gram, lev_free)
         r0_gram = r0_gram[order]
+        beta_shift = np.where(order < n_lev, y_mean, 0.0)
         s0 = float(r0 @ r0)
     else:
         t_const = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
                    - 0.5 * math.log(nu * math.pi))
         const += n * t_const
+        b_seas = t[n_lev:n_chain].reshape(n_seas_knots, n_cols)
 
     def f(theta):
         theta = np.asarray(theta, dtype=float)
@@ -702,49 +716,43 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             raise ValidationError(f"theta length {theta.shape} != packing dim {dim}")
         grad = np.empty(dim)
 
-        # Laplace chains
-        z = theta[:n_chain]
-        diff = z.copy()
-        for knots, preds in links:
-            diff[knots] -= z[preds]
-        absd, sgn = _abs_and_dsign(diff, delta)
-        value = const - float(absd @ chain_inv)
-        g_diff = sgn * chain_inv
-        g_chain = grad[:n_chain]
-        np.negative(g_diff, out=g_chain)
-        for knots, preds in links:
-            g_chain[preds] += g_diff[knots]
-
-        # softplus (or identity) block and its folded-normal terms
         raw = theta[n_chain:reg_end]
         if softplus_reg:
-            x = np.logaddexp(0.0, raw)  # softplus, as unpack computes it
-            log_sig = raw - x  # ln sigmoid(raw)
+            t_chain[:] = theta[:n_chain]
+            np.logaddexp(0.0, raw, out=t_x)  # softplus, as unpack computes it
+            log_sig = raw - t_x  # ln sigmoid(raw)
             dx_draw = np.exp(log_sig)
         else:
-            x = raw
+            t_prior[:] = theta[:reg_end]
             if check_support:
-                if n_b and x[:n_b].min() < 0:
+                if n_b and t_x[:n_b].min() < 0:
                     raise ValidationError("b_reg outside folded-normal support")
-                if n_mu and x[n_b:].min() < 0:
+                if n_mu and t_x[n_b:].min() < 0:
                     raise ValidationError("mu_reg outside folded-normal support")
-        loc = np.concatenate((x[mu_of], pool_loc)) if mu_free else loc_fixed
-        u = loc * reg_inv
-        v = x * reg_inv
-        zm = v - u
-        neg_a = -2.0 * u[mirror:] * v[mirror:]
+
+        # every prior entry against its location
+        loc = t[loc_of]
+        diff = t_prior - loc
+        absd, sgn = _abs_and_dsign(diff[:n_chain], delta)
+        value = const - float(absd @ inv_chain)
+        diff[:n_chain] = sgn
+        z = diff[n_chain:]
+        z *= inv_x
+        neg_a = loc[folded:] * t_folded
+        neg_a *= neg_two_inv2
         mirror_log = np.logaddexp(0.0, neg_a)  # log(1 + e^-a)
-        value += float(mirror_log.sum() - 0.5 * (zm @ zm))
-        # d/da of the mirror term is -sigmoid(-a) = -e^(-a - log(1 + e^-a))
-        w_mirror = mirror_inv2 * np.exp(neg_a - mirror_log)
-        g_z = zm * reg_inv
-        g_x = grad[n_chain:reg_end]
-        np.negative(g_z, out=g_x)
-        g_x[mirror:] -= w_mirror * u[mirror:]
-        if mu_free:
-            g_loc = g_z
-            g_loc[mirror:] -= w_mirror * v[mirror:]
-            g_x[n_b:] += g_loc[:n_b].reshape(n_reg_knots, n_channels).sum(axis=0)
+        value += float(mirror_log.sum() - 0.5 * (z @ z))
+        # the mirror term's d/dx is c loc and its d/dloc is c x, for
+        # c = -2 inv^2 sigmoid(-a) = -2 inv^2 e^(-a - log(1 + e^-a))
+        c = np.exp(neg_a - mirror_log)
+        c *= neg_two_inv2
+        # diff becomes d value / d loc: [sign | z] inv, plus the mirror's
+        diff *= inv
+        g = grad[:reg_end]
+        np.negative(diff, out=g)
+        g[folded:] += c * loc[folded:]
+        diff[folded:] += c * t_folded
+        g += np.bincount(loc_of, weights=diff, minlength=t.size)[:reg_end]
 
         # a sigma that underflows (or whose square does) gives a non-finite
         # value, not an error
@@ -752,12 +760,11 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             ln_sigma, sigma = float(theta[-1]), float(np.exp(theta[-1]))
         else:
             ln_sigma, sigma = sigma_fixed
-        b_reg = x[:n_b].reshape(n_reg_knots, n_channels)
+        g_x = grad[n_chain:reg_end]
         if nu is None:
             # likelihood through the Gram quadratic in time order; r = Z'resid
-            beta = np.concatenate((z, x[:n_b]))
-            beta[:n_lev] -= y_mean
-            beta = beta[order]
+            beta = t[order]
+            beta -= beta_shift
             r = np.empty_like(beta)
             for rows, cols, block in gram_blocks:
                 np.dot(block, beta[cols], out=r[rows])
@@ -768,12 +775,11 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             value += -n * ln_sigma - 0.5 * ss * inv_var
             dlnsig = ss * inv_var - n
             r *= inv_var
-            # beta's entries lead theta, in theta's order
+            # beta's entries lead t and theta, in theta's order
             grad[order] += r
         else:
             # likelihood through the three kernel products
-            fitted = k_lev @ z[:n_lev] if lev_free else trend_fixed
-            b_seas = z[n_lev:].reshape(n_seas_knots, n_cols)
+            fitted = k_lev @ t[:n_lev] if lev_free else trend_fixed
             fitted = (fitted + np.einsum("tq,tq->t", seasonal, k_seas @ b_seas)
                       + np.einsum("tp,tp->t", regressors, k_reg @ b_reg))
             resid = y - fitted
@@ -789,8 +795,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             g_x[:n_b] += (k_reg.T @ (dfit[:, None] * regressors)).ravel()
 
         g_reg = g_x[:n_b].reshape(n_reg_knots, n_channels)
-        for knots, channel, H, h in windows:
-            b = b_reg[knots, channel]
+        for knots, channel, H, h, b in windows:
             g_b = h - H @ b
             value += 0.5 * float(b @ (h + g_b))  # h'b - b'Hb/2
             g_reg[knots, channel] += g_b
@@ -800,7 +805,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             if include_jacobian:
                 # ln sigmoid(raw), whose derivative is sigmoid(-raw) = e^-x
                 value += float(log_sig.sum())
-                g_x += np.exp(-x)
+                g_x += np.exp(-t_x)
         if sigma_free:
             grad[-1] = dlnsig
         return value, grad

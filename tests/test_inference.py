@@ -105,6 +105,34 @@ def test_pack_without_cache_inverts_transform():
     assert np.allclose(packing.pack(stripped), theta, atol=1e-9)
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-20, 1e-16, 1e-8, 0.1, 1.0, 50.0, 800.0])
+def test_softplus_inverse_round_trips_down_to_tiny_inputs(x):
+    # 1 - e^-x as -expm1(-x) stays exact where e^-x rounds to 1 (x below
+    # about 1e-16, where log1p(-e^-x) gave -inf). What is left is the
+    # rounding of t = softplus_inv(x) itself, which softplus's exp turns into
+    # up to |t| eps relative: 1.5e-13 at 1e-300, where t = ln x = -690.8
+    t = float(softplus_inv(np.array(x)))
+    assert np.isfinite(t)
+    tol = max(1e-14, abs(t) * np.finfo(float).eps)
+    assert abs(float(softplus(np.array(t))) - x) <= tol * x
+
+
+def test_pack_without_cache_round_trips_a_tiny_coefficient():
+    inputs, hp = small_problem()
+    packing = default_packing(inputs)
+    params = packing.unpack(np.random.default_rng(5).normal(0, 1, packing.dim))
+    b_reg = params.b_reg.copy()
+    b_reg[0, 0] = 1e-20
+    stripped = inference.ParameterSet(
+        b_lev=params.b_lev.copy(), b_seas=params.b_seas.copy(), b_reg=b_reg,
+        mu_reg=params.mu_reg.copy(), sigma_obs=params.sigma_obs,
+    )
+    theta = packing.pack(stripped)
+    assert np.all(np.isfinite(theta))
+    back = packing.unpack(theta)
+    assert np.all(np.abs(back.b_reg - b_reg) <= 1e-14 * b_reg)
+
+
 def test_packing_description_round_trip():
     inputs, _ = small_problem()
     packing = default_packing(inputs)
@@ -654,6 +682,14 @@ def compiled_variant(name):
             packing, fixed_b_lev=np.linspace(1.5, 2.5, packing.n_lev),
             fixed_mu_reg=np.array([0.3, 0.2]), fixed_sigma_obs=0.6)
         terms = window_terms(inputs, 1)
+    elif name == "fixed_level_only":
+        # mu_pool > 0 keeps its location slot apart from the chains' 0 slot
+        hp = HyperParams(mu_pool=0.2)
+        packing = dataclasses.replace(packing, fixed_b_lev=np.linspace(1.5, 2.5, packing.n_lev))
+        terms = window_terms(inputs, 1)
+    elif name == "fixed_mu_only":
+        packing = dataclasses.replace(packing, fixed_mu_reg=np.array([0.3, 0.2]))
+        terms = window_terms(inputs, 2)
     elif name == "conjugate":
         inputs, hp, packing, _, _, _ = conjugate_problem(72)
     elif name == "multi_block":
@@ -666,7 +702,16 @@ def compiled_variant(name):
 COMPILED_VARIANTS = ("default", "one_window", "two_windows", "one_channel_windows", "student_t",
                      "student_t_windows", "smoothed_laplace", "no_seasonal", "subnormal_kernel",
                      "subnormal_kernel_windows", "identity_gaussian", "identity_folded",
-                     "fixed_blocks", "conjugate", "multi_block")
+                     "fixed_blocks", "fixed_level_only", "fixed_mu_only", "conjugate",
+                     "multi_block")
+
+
+def jittered_theta(theta0, packing, nonnegative_reg, rng):
+    theta = theta0 + rng.normal(0, 1.0, packing.dim)
+    if nonnegative_reg:
+        reg = slice(packing.slices()["b_reg"].start, packing.dim - 1)
+        theta[reg] = np.abs(theta[reg])
+    return theta
 
 
 @pytest.mark.parametrize("include_jacobian", [False, True])
@@ -676,16 +721,36 @@ def test_compiled_objective_matches_reference(variant, include_jacobian):
     compiled = inference._objective(inputs, hp, packing, terms, include_jacobian)
     reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
-    reg = packing.slices()["b_reg"]
     rng = np.random.default_rng(len(variant))
     for _ in range(30):
-        theta = theta0 + rng.normal(0, 1.0, packing.dim)
-        if nonnegative_reg:
-            theta[reg.start:packing.dim - 1] = np.abs(theta[reg.start:packing.dim - 1])
+        theta = jittered_theta(theta0, packing, nonnegative_reg, rng)
         value, grad = compiled(theta)
         ref_value, ref_grad = reference(theta)
         assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
         assert np.all(np.abs(grad - ref_grad) <= 1e-12 * np.maximum(1.0, np.abs(ref_grad)))
+
+
+@pytest.mark.parametrize("include_jacobian", [False, True])
+@pytest.mark.parametrize("variant", COMPILED_VARIANTS)
+def test_compiled_objective_keeps_no_state_between_calls(variant, include_jacobian):
+    # a call reuses buffers built at compile time; its result must still
+    # depend on its theta alone, and the gradient it returns must stay as it
+    # is through later calls (fit_map keeps best_grad without a copy)
+    inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
+    f = inference._objective(inputs, hp, packing, terms, include_jacobian)
+    rng = np.random.default_rng(len(variant))
+    theta0 = initial_theta(inputs, hp, packing)
+    a, b = (jittered_theta(theta0, packing, nonnegative_reg, rng) for _ in range(2))
+    a_given = a.copy()
+    value_a, grad_a = f(a)
+    grad_a_first = grad_a.copy()
+    value_b, grad_b = f(b)
+    value_again, grad_again = f(a)
+    assert value_b != value_a
+    assert value_again == value_a and np.array_equal(grad_again, grad_a_first)
+    assert np.array_equal(grad_a, grad_a_first)
+    assert not np.shares_memory(grad_a, grad_b) and not np.shares_memory(grad_a, grad_again)
+    assert np.array_equal(a, a_given)
 
 
 @pytest.mark.parametrize("include_jacobian", [False, True])
