@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -322,6 +322,15 @@ def default_packing(inputs: ModelInputs) -> ParameterPacking:
     )
 
 
+def _check_finite(config) -> None:
+    """Reject a nan or infinite float setting, which no range check below
+    catches and which would only surface as a non-finite objective."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MapConfig:
     """Optimizer settings for MAP: one Adam run from initial_theta.
@@ -346,6 +355,7 @@ class MapConfig:
     trace_every: int = 1
 
     def __post_init__(self):
+        _check_finite(self)
         if self.learning_rate <= 0 or self.final_learning_rate <= 0:
             raise ValidationError("learning rates must be > 0")
         if self.iterations < 1:
@@ -362,17 +372,22 @@ class MapConfig:
 
 @dataclass(frozen=True)
 class SviConfig:
-    """Settings for diagonal-Gaussian stochastic variational inference."""
+    """Settings for diagonal-Gaussian stochastic variational inference.
 
-    iterations: int = 5000
+    init_log_sd caps the starting log-sds, which fit_svi takes from the
+    objective's Hessian diagonal at the MAP point (see _start_log_sd).
+    """
+
+    iterations: int = 2000
     samples_per_step: int = 1
     learning_rate: float = 0.02
     final_learning_rate: float = 1e-4
-    init_log_sd: float = -3.0
+    init_log_sd: float = -2.0
     seed: int = 0
     trace_every: int = 1
 
     def __post_init__(self):
+        _check_finite(self)
         if self.iterations < 1 or self.samples_per_step < 1:
             raise ValidationError("iterations and samples_per_step must be >= 1")
         if self.learning_rate <= 0 or self.final_learning_rate <= 0:
@@ -939,14 +954,44 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
     )
 
 
+# Central-difference step of _start_log_sd: fixed, so refits stay
+# byte-identical.
+_HESSIAN_STEP = 1e-4
+
+
+def _start_log_sd(f, theta: np.ndarray, cap: float) -> np.ndarray:
+    """SVI's starting log-sds: min(-ln(-H_ii) / 2, cap), and cap wherever
+    H_ii >= 0, for H_ii the diagonal Hessian of f at theta.
+
+    For a Gaussian target the mean-field optimum has variances 1 / -H_ii
+    exactly (Bishop, PRML 10.1.2), so the run starts near where it ends.
+    H_ii comes from central differences of f's gradient, 2 dim calls.
+    """
+    work = np.array(theta, dtype=float)
+    curvature = np.empty(work.size)  # -H_ii
+    for i, x in enumerate(theta):
+        up, down = x + _HESSIAN_STEP, x - _HESSIAN_STEP
+        work[i] = down
+        g_down = f(work)[1][i]
+        work[i] = up
+        curvature[i] = (g_down - f(work)[1][i]) / (up - down)
+        work[i] = x
+    log_sd = np.full(work.size, float(cap))
+    ok = curvature > 0
+    log_sd[ok] = np.minimum(-0.5 * np.log(curvature[ok]), cap)
+    return log_sd
+
+
 def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = None,
             packing: ParameterPacking | None = None, calibration=(),
             init: FitResult | None = None, map_config: MapConfig | None = None,
             run_config: dict | None = None) -> FitResult:
     """Fit a diagonal Gaussian over theta by reparameterized gradient ascent.
 
-    The mean starts at the MAP point (fit here unless `init` is supplied);
-    the objective is E_q[log_posterior + log-Jacobian] + entropy(q).
+    The mean starts at the MAP point (fit here unless `init` is supplied)
+    and the log-sds at _start_log_sd's Hessian diagonal there, capped at
+    config.init_log_sd; the objective is E_q[log_posterior + log-Jacobian]
+    + entropy(q).
     """
     config = config or SviConfig()
     packing = packing or default_packing(inputs)
@@ -961,7 +1006,7 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     # The step loop works in place on preallocated buffers, each op the one
     # the plain expression would run, so the moments are the same bit for
     # bit: state is [mean, log_sd], grad is [d/d mean, d/d log_sd].
-    state = np.concatenate([init.theta, np.full(dim, config.init_log_sd)])
+    state = np.concatenate([init.theta, _start_log_sd(f, init.theta, config.init_log_sd)])
     mean, log_sd = state[:dim], state[dim:]
     grad = np.empty(2 * dim)
     g_mean, g_log_sd = grad[:dim], grad[dim:]

@@ -58,11 +58,11 @@ class RunConfig:
     map_iterations: int = 10000
     map_rel_tol: float = 1e-8
     map_tol_window: int = 50
-    svi_iterations: int = 5000
+    svi_iterations: int = 2000
     svi_samples: int = 1
     svi_learning_rate: float = 0.02
     svi_final_learning_rate: float = 1e-4
-    svi_init_log_sd: float = -3.0
+    svi_init_log_sd: float = -2.0          # cap on the Hessian-diagonal start
     # backtest protocol
     backtest_horizon: int = 28
     backtest_splits: int = 6

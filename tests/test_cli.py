@@ -328,6 +328,25 @@ class TestErrorPaths:
         assert err.strip() == "error: tol_window must be >= 1"
         assert out == ""
 
+    @pytest.mark.parametrize("mode, setting, message", [
+        ("svi", "svi_learning_rate=nan", "learning_rate must be finite, got nan"),
+        ("svi", "svi_init_log_sd=nan", "init_log_sd must be finite, got nan"),
+        ("svi", "svi_init_log_sd=inf", "init_log_sd must be finite, got inf"),
+        ("svi", "svi_final_learning_rate=inf", "final_learning_rate must be finite, got inf"),
+        ("map", "map_learning_rate=nan", "learning_rate must be finite, got nan"),
+    ])
+    def test_non_finite_optimizer_setting_is_a_validation_error(
+            self, capsys, tmp_path, mode, setting, message):
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        code, out, err = run(
+            capsys, "fit", "--data", str(sim_dir / "data.csv"), "--out", str(tmp_path / "o"),
+            *FAST, "--set", f"mode={mode}", "--set", setting,
+        )
+        assert code == 1
+        assert err.strip() == f"error: {message}"
+        assert out == ""
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
