@@ -36,6 +36,9 @@ class PriorWindow:
             raise ValidationError(
                 f"window [{self.start}, {self.end}] is not a valid 1-based range"
             )
+        for name, value in (("mean", self.mean), ("sd", self.sd)):
+            if not math.isfinite(value):
+                raise ValidationError(f"window {name} must be finite, got {value!r}")
         if self.mean < 0:
             raise ValidationError("window mean must be >= 0 (elasticity units)")
         if self.sd <= 0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .model import (
     ModelInputs,
     ParameterSet,
     _abs_and_dsign,
+    _check_finite,
     _folded_normal_terms,
     _laplace_chain,
     check_dims,
@@ -322,15 +323,6 @@ def default_packing(inputs: ModelInputs) -> ParameterPacking:
     )
 
 
-def _check_finite(config) -> None:
-    """Reject a nan or infinite float setting, which no range check below
-    catches and which would only surface as a non-finite objective."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"{f.name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class MapConfig:
     """Optimizer settings for MAP: one Adam run from initial_theta.
@@ -462,87 +454,64 @@ def draw_quantiles(draws: np.ndarray, levels) -> dict[float, np.ndarray]:
 
 _GRAM_BLOCK_ROWS = 256
 _GRAM_WEIGHT_FLOOR = math.sqrt(np.finfo(float).tiny)
-
-
-def _gram(design, r0: np.ndarray, with_level: bool):
-    """G = Z'Z and c = Z'r0, where Z = [K_lev | K_seas (x) S | K_reg (x) X]
-    maps the knots [b_lev, b_seas, b_reg], raveled as theta holds them, to
-    the fitted values (K_lev's columns only when with_level).
-
-    Z' is built _GRAM_BLOCK_ROWS time rows at a time, each block holding
-    only the knots whose kernel columns are nonzero on its rows (two per
-    level kernel row), so G is the one dim^2-sized array and the build grows
-    with T times the block height squared, not with T dim^2. Gaussian
-    weights below sqrt(tiny) are left out: every product through one is
-    below tiny times its partner, so far below the rounding of G's entries,
-    and such products are mostly subnormal, which slows the block products
-    several-fold.
-    """
-    parts = [(design.k_seas.weights, np.ascontiguousarray(design.seasonal.T)),
-             (design.k_reg.weights, np.ascontiguousarray(design.regressors.T))]
-    if with_level:
-        parts.insert(0, (design.k_lev.weights, np.ones((1, design.n_times))))
-    offsets = np.cumsum([0] + [w.shape[1] * x.shape[0] for w, x in parts])
-    G = np.zeros((offsets[-1], offsets[-1]))
-    c = np.zeros(offsets[-1])
-    for start in range(0, r0.size, _GRAM_BLOCK_ROWS):
-        rows = slice(start, start + _GRAM_BLOCK_ROWS)
-        blocks, spans, height = [], [], 0
-        for (w, x), offset in zip(parts, offsets):
-            kept = w[rows] >= _GRAM_WEIGHT_FLOOR
-            used = np.flatnonzero(kept.any(axis=0))
-            lo, hi, width = used[0], used[-1] + 1, x.shape[0]
-            w_used = np.where(kept[:, lo:hi], w[rows, lo:hi], 0.0).T
-            # row j * width + q of Z' is w[:, j] * x[q] on these time rows
-            blocks.append((w_used[:, None, :] * x[None, :, rows])
-                          .reshape((hi - lo) * width, w_used.shape[1]))
-            spans.append((slice(offset + lo * width, offset + hi * width),
-                          slice(height, height + blocks[-1].shape[0])))
-            height += blocks[-1].shape[0]
-        zt = np.vstack(blocks)
-        g_block, c_block = zt @ zt.T, zt @ r0[rows]
-        for into, local in spans:
-            c[into] += c_block[local]
-            for into_col, local_col in spans:
-                G[into, into_col] += g_block[local, local_col]
-    return G, c
-
-
-# G entries one np.dot streams in about the time its fixed cost per call
-# takes: a merge of two row blocks that stores fewer extra entries than this
-# saves time
+# G entries one np.dot streams in about the time of its fixed cost per call:
+# a merge of two row blocks storing fewer extra entries than this saves time
 _GRAM_CALL_ENTRIES = 8192
 
 
-def _gram_blocks(design, G: np.ndarray, with_level: bool):
-    """G's rows in time order, cut into blocks that keep only the columns
-    holding their nonzeros: (order, blocks), each block (rows, cols, array)
-    with array = G[order][:, order][rows, cols], contiguous.
+def _gram(design, r0: np.ndarray, with_level: bool):
+    """(order, blocks, c) for G = Z'Z and c = Z'r0, where Z = [K_lev | K_seas
+    (x) S | K_reg (x) X] maps the knots [b_lev, b_seas, b_reg] as theta
+    holds them (b_lev only when with_level) to the fitted values. order
+    sorts the knots by knot time (ties keep theta's order), where each knot
+    couples only with its neighbours; c = (Z'r0)[order], and each block
+    (rows, cols, array) holds G[order][:, order][rows, cols], contiguous.
 
-    The knots [b_lev, b_seas, b_reg] of _gram are ordered by their knot
-    times, where their kernel columns peak (ties keep theta's order), so each
-    knot couples only with its neighbours in that order and G is
-    block-banded.
-    Passes over the blocks merge adjacent pairs whenever the merged block
-    stores fewer than _GRAM_CALL_ENTRIES entries more than the two, until no
-    pair merges. The first blocks are as tall as the first passes would make
-    them anyway: two blocks of that height store fewer entries than that in
-    all, even at G's full width. Every nonzero of G is
-    in exactly one block, so G @ beta over the blocks changes only by
-    rounding; a structure whose G is small enough ends as one block.
+    Z' is built _GRAM_BLOCK_ROWS time rows at a time, each tile holding only
+    the knots its rows reach. Weights below sqrt(tiny) are left out: every
+    product through one is far below the rounding of G's entries, and
+    mostly subnormal, which is slow. A row's columns run from the first to
+    the last nonzero of its tiles' products. Passes over the rows merge
+    adjacent blocks while a merge stores fewer than _GRAM_CALL_ENTRIES extra
+    entries, from blocks as tall as the first passes would make them. The
+    tile products are added into the blocks in tile order, so each entry is
+    the sum a dense G built tile by tile holds.
     """
-    parts = [(design.k_seas, design.seasonal.shape[1]),
-             (design.k_reg, design.regressors.shape[1])]
+    parts = [(design.k_seas, np.ascontiguousarray(design.seasonal.T)),
+             (design.k_reg, np.ascontiguousarray(design.regressors.T))]
     if with_level:
-        parts.insert(0, (design.k_lev, 1))
-    times = np.concatenate([np.repeat(k.grid.knot_times, width) for k, width in parts])
-    order = np.argsort(times, kind="stable")
+        parts.insert(0, (design.k_lev, np.ones((1, design.n_times))))
+    offsets = np.cumsum([0] + [k.grid.n_knots * x.shape[0] for k, x in parts])
+    order = np.argsort(np.concatenate([np.repeat(k.grid.knot_times, x.shape[0])
+                                       for k, x in parts]), kind="stable")
     dim = order.size
-    nonzero = (G != 0).take(order, axis=0).take(order, axis=1)
-    filled = nonzero.any(axis=1)
+    place = np.argsort(order)  # each theta knot's place in time order
+    c = np.zeros(dim)
     # a row's nonzero column span [first, last); dim, 0 for an all-zero row
-    first = np.where(filled, nonzero.argmax(axis=1), dim)
-    last = np.where(filled, dim - nonzero[:, ::-1].argmax(axis=1), 0)
+    first, last, tiles = np.full(dim, dim), np.zeros(dim, dtype=np.intp), []
+    for start in range(0, r0.size, _GRAM_BLOCK_ROWS):
+        rows = slice(start, start + _GRAM_BLOCK_ROWS)
+        used, at = [], []
+        for (k, x), offset in zip(parts, offsets):
+            kept = k.weights[rows] >= _GRAM_WEIGHT_FLOOR
+            cols = np.flatnonzero(kept.any(axis=0))
+            lo, hi, width = cols[0], cols[-1] + 1, x.shape[0]
+            used.append((np.where(kept[:, lo:hi], k.weights[rows, lo:hi], 0.0).T, x[:, rows]))
+            at.append(place[offset + lo * width:offset + hi * width])
+        at = np.concatenate(at)  # the places of zt's rows
+        if not at.size:  # Z has no columns
+            continue
+        zt, top = np.empty((at.size, r0[rows].size)), 0
+        for w, x in used:  # row j * width + q of zt is w[j] * x[q]
+            out = zt[top:top + w.shape[0] * x.shape[0]].reshape(w.shape[0], *x.shape)
+            np.multiply(w[:, None], x[None], out=out)
+            top += out.shape[0] * out.shape[1]
+        c[at] += zt @ r0[rows]
+        g = zt @ zt.T
+        first[at] = np.minimum(first[at], np.where(g != 0, at, dim).min(axis=1))
+        last[at] = np.maximum(last[at], np.where(g != 0, at + 1, 0).max(axis=1))
+        tiles.append((at, g))
+
     height = max(_GRAM_CALL_ENTRIES // (2 * max(dim, 1)), 1)
     starts = np.arange(0, dim, height)
     spans = list(zip(starts.tolist(), (starts + height).clip(max=dim).tolist(),
@@ -554,25 +523,32 @@ def _gram_blocks(design, G: np.ndarray, with_level: bool):
         return (stop - start) * max(hi - lo, 0)
 
     merging = True
-    while merging:
-        merged, i = [], 0
-        while i < len(spans):
-            if i + 1 < len(spans):
-                (start, _, lo, hi), (_, stop, lo2, hi2) = spans[i], spans[i + 1]
+    while merging:  # a span merged in this pass waits for the next one
+        merged, fresh = [], False
+        for span in spans:
+            if merged and not fresh:
+                (start, _, lo, hi), (_, stop, lo2, hi2) = merged[-1], span
                 both = (start, stop, min(lo, lo2), max(hi, hi2))
-                if size(both) - size(spans[i]) - size(spans[i + 1]) < _GRAM_CALL_ENTRIES:
-                    merged.append(both)
-                    i += 2
+                if size(both) - size(merged[-1]) - size(span) < _GRAM_CALL_ENTRIES:
+                    merged[-1], fresh = both, True
                     continue
-            merged.append(spans[i])
-            i += 1
-        merging = len(merged) < len(spans)
-        spans = merged
-    blocks = []
-    for start, stop, lo, hi in spans:  # lo > hi: an all-zero block, no columns
-        blocks.append((slice(start, stop), slice(lo, hi),
-                       G[np.ix_(order[start:stop], order[lo:hi])]))
-    return order, blocks
+            merged.append(span)
+            fresh = False
+        merging, spans = len(merged) < len(spans), merged
+    # lo > hi: an all-zero block, no columns
+    blocks = [(slice(start, stop), slice(lo, hi), np.zeros((stop - start, max(hi - lo, 0))))
+              for start, stop, lo, hi in spans]
+    for at, g in tiles:  # g spread over its window of G, the places lo..hi
+        lo, hi = at.min(), at.max() + 1
+        window = np.zeros((hi - lo, hi - lo))
+        window.reshape(-1)[((at - lo)[:, None] * (hi - lo) + at - lo).ravel()] = g.ravel()
+        for rows, cols, block in blocks:
+            r_lo, r_hi = max(lo, rows.start), min(hi, rows.stop)
+            c_lo, c_hi = max(lo, cols.start), min(hi, cols.stop)
+            if r_lo < r_hi and c_lo < c_hi:
+                block[r_lo - rows.start:r_hi - rows.start, c_lo - cols.start:c_hi - cols.start] \
+                    += window[r_lo - lo:r_hi - lo, c_lo - lo:c_hi - lo]
+    return order, blocks, c
 
 
 def _objective(inputs, hp, packing, calibration, include_jacobian):
@@ -613,9 +589,9 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     b_reg] (see _gram), the buffer's leading entries, so under Gaussian
     noise the residual sum of squares is the quadratic s0 - 2 beta'c +
     beta'G beta with G = Z'Z, c = Z'r0 and s0 = r0'r0 built here once; a
-    call does one G @ beta in place of the kernel products, over the row
-    blocks of _gram_blocks with beta gathered from t, and c, in the knots'
-    time order. r0 is the target less the fixed trend, or, when b_lev
+    call does one G @ beta in place of the kernel products, over the
+    banded row blocks _gram builds, with beta gathered from t, and c, in
+    the knots' time order. r0 is the target less the fixed trend, or, when b_lev
     is free, less the target's mean, which the level knots absorb exactly
     since every level kernel row sums to 1; centering keeps s0 small, so
     the quadratic loses few digits to cancellation. Student-t noise is not
@@ -714,9 +690,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         const -= 0.5 * n * LOG_2PI
         y_mean = float(y.mean()) if lev_free else 0.0
         r0 = y - y_mean if lev_free else y - trend_fixed
-        gram, r0_gram = _gram(design, r0, lev_free)
-        order, gram_blocks = _gram_blocks(design, gram, lev_free)
-        r0_gram = r0_gram[order]
+        order, gram_blocks, r0_gram = _gram(design, r0, lev_free)
         beta_shift = np.where(order < n_lev, y_mean, 0.0)
         s0 = float(r0 @ r0)
     else:

@@ -303,6 +303,9 @@ def read_future_csv(path: str, structure: dict, horizon: int,
                 raise ValidationError(
                     f"unparsable value in column {c!r}, future row {r + 1}"
                 ) from None
+    if not np.isfinite(x).all():
+        r, j = np.argwhere(~np.isfinite(x))[0]
+        raise ValidationError(f"non-finite value in column {names[j]!r}, future row {r + 1}")
     return x
 
 

@@ -10,6 +10,7 @@ written back with repr() so a save/load cycle is bit-exact.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -94,6 +95,11 @@ class RunConfig:
 # --set rejects them like any unknown key.
 _RETIRED_KEYS = ("map_restarts", "map_restart_scale")
 
+# Structure and prior floats, which nan would pass through every range check
+# (nan > 0 is false); MapConfig and SviConfig check the optimizer floats.
+_FINITE_KEYS = ("floor_epsilon", "rho", "sigma_lev", "sigma_seas", "mu_pool", "sigma_pool",
+                "sigma_reg", "init_scale_lev", "noise_df", "laplace_smoothing")
+
 _CHOICES = {
     "link": ("log", "identity"),
     "zero_policy": ("shift1", "floor"),
@@ -127,6 +133,9 @@ def parse_value(key: str, raw: str):
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
+    for key in _FINITE_KEYS:
+        if not math.isfinite(getattr(cfg, key)):
+            raise ValidationError(f"config key {key!r} must be finite, got {getattr(cfg, key)!r}")
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
             raise ValidationError(

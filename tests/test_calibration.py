@@ -28,6 +28,19 @@ def test_window_validation():
         PriorWindow("x1", 1, 5, 0.3, 0.0)
 
 
+@pytest.mark.parametrize("mean, sd, message", [
+    (math.nan, 0.1, "window mean must be finite, got nan"),
+    (math.inf, 0.1, "window mean must be finite, got inf"),
+    (0.3, math.nan, "window sd must be finite, got nan"),
+    (0.3, math.inf, "window sd must be finite, got inf"),
+])
+def test_window_rejects_non_finite_mean_and_sd(mean, sd, message):
+    # nan passes both range checks and inf passes the sd one; either would
+    # only surface as a non-finite objective at the initial point
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        PriorWindow("x1", 1, 5, mean, sd)
+
+
 def test_apply_checks_channel_bounds_and_overlap():
     names = ("tv", "radio")
     wins = [PriorWindow("tv", 1, 10, 0.2, 0.1)]

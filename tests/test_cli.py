@@ -347,6 +347,45 @@ class TestErrorPaths:
         assert err.strip() == f"error: {message}"
         assert out == ""
 
+    @pytest.mark.parametrize("setting", [
+        "rho=nan", "noise_df=nan", "laplace_smoothing=nan", "sigma_reg=nan", "sigma_lev=inf",
+        "sigma_seas=-inf", "sigma_pool=nan", "mu_pool=nan", "init_scale_lev=inf",
+        "floor_epsilon=nan",
+    ])
+    def test_non_finite_structure_or_prior_setting_is_a_validation_error(
+            self, capsys, tmp_path, setting):
+        # each used to fit with the setting silently off (nan > 0 is false),
+        # or fail with "log posterior non-finite at the initial point"
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        key, _, value = setting.partition("=")
+        code, out, err = run(
+            capsys, "fit", "--data", str(sim_dir / "data.csv"), "--out", str(tmp_path / "o"),
+            *FAST, "--set", setting,
+        )
+        assert code == 1
+        assert err.strip() == f"error: config key {key!r} must be finite, got {float(value)!r}"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_predict_rejects_non_finite_future_spend(self, capsys, tmp_path):
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        data = sim_dir / "data.csv"
+        fit_dir = tmp_path / "fit"
+        run(capsys, "fit", "--data", str(data), "--out", str(fit_dir), *FAST)
+        rows = future_rows(data, 3)
+        rows[3][2] = "inf"
+        future = tmp_path / "future.csv"
+        write_csv(future, rows)
+        code, out, err = run(
+            capsys, "predict", "--fit", str(fit_dir / "fit.json"),
+            "--future", str(future), "--horizon", "3", "--out", str(tmp_path / "fc"),
+        )
+        assert code == 1
+        assert err.strip() == "error: non-finite value in column 'x2', future row 3"
+        assert out == ""
+
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -693,6 +694,45 @@ def subnormal_kernel_problem():
     return ModelInputs(design=design, target=inputs.target)
 
 
+def dense_gram(design, r0, with_level):
+    """(G, c): the dense G = Z'Z and c = Z'r0 over theta's knot order, the
+    reference inference._gram's blocks are checked against bit for bit.
+
+    Z' is built inference._GRAM_BLOCK_ROWS time rows at a time with weights
+    below sqrt(tiny) left out, as _gram builds it; each tile's product is
+    added into G in tile order, so every entry is the sum _gram's blocks
+    must hold.
+    """
+    parts = [(design.k_seas.weights, np.ascontiguousarray(design.seasonal.T)),
+             (design.k_reg.weights, np.ascontiguousarray(design.regressors.T))]
+    if with_level:
+        parts.insert(0, (design.k_lev.weights, np.ones((1, design.n_times))))
+    offsets = np.cumsum([0] + [w.shape[1] * x.shape[0] for w, x in parts])
+    G = np.zeros((offsets[-1], offsets[-1]))
+    c = np.zeros(offsets[-1])
+    for start in range(0, r0.size, inference._GRAM_BLOCK_ROWS):
+        rows = slice(start, start + inference._GRAM_BLOCK_ROWS)
+        blocks, spans, height = [], [], 0
+        for (w, x), offset in zip(parts, offsets):
+            kept = w[rows] >= inference._GRAM_WEIGHT_FLOOR
+            used = np.flatnonzero(kept.any(axis=0))
+            lo, hi, width = used[0], used[-1] + 1, x.shape[0]
+            w_used = np.where(kept[:, lo:hi], w[rows, lo:hi], 0.0).T
+            # row j * width + q of Z' is w[:, j] * x[q] on these time rows
+            blocks.append((w_used[:, None, :] * x[None, :, rows])
+                          .reshape((hi - lo) * width, w_used.shape[1]))
+            spans.append((slice(offset + lo * width, offset + hi * width),
+                          slice(height, height + blocks[-1].shape[0])))
+            height += blocks[-1].shape[0]
+        zt = np.vstack(blocks)
+        g_block, c_block = zt @ zt.T, zt @ r0[rows]
+        for into, local in spans:
+            c[into] += c_block[local]
+            for into_col, local_col in spans:
+                G[into, into_col] += g_block[local, local_col]
+    return G, c
+
+
 def multi_block_problem():
     # regression knots every 2 rows with rho=1 couple only with knots a few
     # rows away, so G is cut into several row blocks; channel 1 is zero on
@@ -706,9 +746,8 @@ def multi_block_problem():
                          k_seas=d.k_seas,
                          k_reg=kernel_matrix(build_grid(T, distance=2), "gaussian", rho=1.0))
     inputs = ModelInputs(design=design, target=inputs.target)
-    G, _ = inference._gram(design, inputs.target, True)
-    assert len(inference._gram_blocks(design, G, True)[1]) >= 3
-    assert not np.all(G.any(axis=1))
+    assert len(inference._gram(design, inputs.target, True)[1]) >= 3
+    assert not np.all(dense_gram(design, inputs.target, True)[0].any(axis=1))
     return inputs
 
 
@@ -915,16 +954,43 @@ def test_gram_likelihood_matches_reference_near_the_optimum(T, windowed):
     assert grad_err <= 1e-10
 
 
-@pytest.mark.parametrize("case", ["default_3000", "multi_block"])
-def test_gram_blocks_hold_g_exactly(case):
-    # the blocks, put back in theta's order, are _gram's G bit for bit, so no
-    # nonzero is dropped; their product is G @ beta up to rounding
-    inputs = default_structure(3000)[1] if case == "default_3000" else multi_block_problem()
+def gram_case(case):
+    """(design, r0, with_level) of one Gram builder case."""
+    if case == "multi_block":
+        inputs = multi_block_problem()
+        return inputs.design, inputs.target, True
+    if case == "no_fourier":
+        frame = simulate_multiplicative(MultiplicativeSimConfig(T=730, P=3, seed=730)).frame
+        inputs = build_structure(frame, RunConfig(seed=730, fourier=""))[0]
+        assert inputs.design.seasonal.shape[1] == 0
+        return inputs.design, inputs.target - inputs.target.mean(), True
+    T = {"default_3000": 3000, "one_tile": 200}.get(case, 730)
+    _, inputs, _ = default_structure(T)
     design, y = inputs.design, inputs.target
-    G, _ = inference._gram(design, y - y.mean(), True)
-    order, blocks = inference._gram_blocks(design, G, True)
-    assert len(blocks) > 1
+    if case == "fixed_trend":
+        # b_lev fixed: r0 is the target less a fixed trend, the level kernel
+        # has no columns in Z
+        trend = design.k_lev.weights @ np.linspace(1.0, 2.0, design.k_lev.grid.n_knots)
+        return design, y - trend, False
+    if case in ("no_regressors", "no_knots"):
+        design = dataclasses.replace(design, regressors=np.zeros((T, 0)), regressor_names=())
+    if case == "no_knots":
+        # no seasonal columns and b_lev fixed: Z has no columns at all
+        return dataclasses.replace(design, seasonal=np.zeros((T, 0))), y, False
+    return design, y - y.mean(), True
+
+
+@pytest.mark.parametrize("case", ["default_3000", "multi_block", "fixed_trend", "no_fourier",
+                                  "no_regressors", "one_tile", "no_knots"])
+def test_gram_blocks_hold_g_exactly(case):
+    # the blocks, put back in theta's order, are the dense reference G bit
+    # for bit, so no nonzero is dropped, and c is its c in time order; the
+    # blocks' product is G @ beta up to rounding
+    design, r0, with_level = gram_case(case)
+    G, c = dense_gram(design, r0, with_level)
+    order, blocks, c_time = inference._gram(design, r0, with_level)
     assert sorted(order) == list(range(G.shape[0]))
+    assert np.array_equal(c_time, c[order])
     permuted, product = np.zeros_like(G), np.empty(G.shape[0])
     beta = np.random.default_rng(3).normal(0, 1, G.shape[0])
     covered = 0
@@ -939,18 +1005,37 @@ def test_gram_blocks_hold_g_exactly(case):
     assert np.array_equal(rebuilt, G)
     scale = (np.abs(G) @ np.abs(beta))[order]
     assert np.all(np.abs(product - (G @ beta)[order]) <= 1e-13 * scale)
+    if case in ("default_3000", "multi_block"):
+        assert len(blocks) > 1
     if case == "default_3000":
         assert sum(block.size for _, _, block in blocks) < 0.7 * G.size
+    if case == "one_tile":
+        assert r0.size < inference._GRAM_BLOCK_ROWS
 
 
 @pytest.mark.parametrize("T", [420, 730])
 def test_gram_blocks_of_small_default_structures_are_one_block(T):
     _, inputs, _ = default_structure(T)
     design, y = inputs.design, inputs.target
-    G, _ = inference._gram(design, y - y.mean(), True)
-    _, blocks = inference._gram_blocks(design, G, True)
+    G, _ = dense_gram(design, y - y.mean(), True)
+    _, blocks, _ = inference._gram(design, y - y.mean(), True)
     assert len(blocks) == 1
     assert blocks[0][2].shape == G.shape
+
+
+def test_compile_allocates_no_dense_gram():
+    # the compile builds G's banded blocks from the kernel tiles, so its
+    # traced peak stays below one dense G (8 dim^2 bytes; 32 MB here)
+    _, inputs, hp = default_structure(10000)
+    packing = default_packing(inputs)
+    dim = packing.slices()["b_reg"].stop
+    tracemalloc.start()
+    try:
+        inference._objective(inputs, hp, packing, (), include_jacobian=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dim * dim
 
 
 def test_student_t_objective_keeps_the_kernel_products():

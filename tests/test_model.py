@@ -184,6 +184,17 @@ def test_folded_normal_normalizes_and_reduces_at_zero_mean():
     assert mass_mu == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("sigma_reg", math.nan), ("sigma_lev", math.inf), ("mu_pool", math.nan),
+    ("init_scale_lev", math.inf), ("noise_df", math.nan), ("noise_df", math.inf),
+    ("laplace_smoothing", math.nan),
+])
+def test_hyperparams_reject_non_finite_settings(name, value):
+    # nan > 0 is false, so no range check would catch these
+    with pytest.raises(ValidationError, match=f"^{name} must be finite, got {value!r}$"):
+        HyperParams(**{name: value})
+
+
 def test_negative_reg_knot_rejected_by_prior():
     params = ParameterSet(
         b_lev=np.zeros(1), b_seas=np.zeros((1, 0)),

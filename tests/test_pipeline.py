@@ -331,6 +331,17 @@ class TestFilePlumbing:
         with pytest.raises(ValidationError, match="unparsable value in column 'x2', future row 1"):
             read_future_csv(str(path), self.future_structure(), 1)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_read_future_csv_rejects_non_finite_values(self, tmp_path, cell):
+        # float() parses these, but the training data rejects them, and a
+        # forecast from them is non-finite
+        path = tmp_path / "future.csv"
+        write_csv(path, [["date", "x1", "x2"], ["2024-03-01", "1.0", "2.0"],
+                         ["2024-03-02", cell, "4.0"]])
+        with pytest.raises(ValidationError,
+                           match="^non-finite value in column 'x1', future row 2$"):
+            read_future_csv(str(path), self.future_structure(), 2)
+
     def test_forecast_dates_continue_the_calendar(self):
         dates = forecast_dates({"step_days": 7, "last_date": "2024-01-01"}, 3)
         assert [str(d) for d in dates] == ["2024-01-08", "2024-01-15", "2024-01-22"]
