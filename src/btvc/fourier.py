@@ -8,6 +8,7 @@ are periodic in t rather than phase-aligned to the calendar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ class FourierSpec:
     order: int
 
     def __post_init__(self):
+        if not math.isfinite(self.period):
+            raise ValidationError(f"period must be finite, got {self.period}")
         if self.period <= 1:
             raise ValidationError(f"period must be > 1, got {self.period}")
         if self.order < 1:

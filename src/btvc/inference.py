@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -119,8 +119,10 @@ class ParameterPacking:
             if m.shape != (self.n_channels,):
                 raise ValidationError("fixed_mu_reg has the wrong length")
             object.__setattr__(self, "fixed_mu_reg", m)
-        if self.fixed_sigma_obs is not None and self.fixed_sigma_obs <= 0:
-            raise ValidationError("fixed_sigma_obs must be > 0")
+        if self.fixed_sigma_obs is not None:
+            if self.fixed_sigma_obs <= 0:
+                raise ValidationError("fixed_sigma_obs must be > 0")
+            object.__setattr__(self, "fixed_sigma_obs", float(self.fixed_sigma_obs))
 
     # -- layout ------------------------------------------------------------
     def _sizes(self) -> list[tuple[str, int]]:
@@ -154,9 +156,9 @@ class ParameterPacking:
 
     # -- conversions --------------------------------------------------------
     def unpack(self, theta: np.ndarray) -> ParameterSet:
-        theta = np.asarray(theta, dtype=float)
-        b_lev, b_seas, b_reg, mu_reg, sigma_obs = self.unpack_stacked(theta[None])
-        params = ParameterSet(
+        b_lev, b_seas, b_reg, mu_reg, sigma_obs = self.unpack_stacked(
+            np.asarray(theta, dtype=float)[None])
+        return ParameterSet(
             b_lev=np.array(b_lev[0], dtype=float),
             b_seas=b_seas[0],
             b_reg=b_reg[0],
@@ -164,9 +166,6 @@ class ParameterPacking:
             sigma_obs=float(sigma_obs[0]),
             allow_negative_reg=self.reg_transform == "identity",
         )
-        # stash the source vector so pack() can return it bit-exactly
-        object.__setattr__(params, "_theta_cache", theta.copy())
-        return params
 
     def unpack_stacked(self, thetas: np.ndarray):
         """Blocks of S theta rows at once: b_lev (S, J_lev), b_seas
@@ -199,32 +198,9 @@ class ParameterPacking:
                       allow_negative_reg=self.reg_transform == "identity")
         return b_lev, b_seas, b_reg, mu_reg, sigma_obs
 
-    def _matches(self, theta: np.ndarray, params: ParameterSet) -> bool:
-        sl = self.slices()
-        if "b_lev" in sl and not np.array_equal(theta[sl["b_lev"]], params.b_lev):
-            return False
-        if not np.array_equal(
-            theta[sl["b_seas"]].reshape(self.n_seas_knots, self.n_seas_cols),
-            params.b_seas,
-        ):
-            return False
-        if not np.array_equal(
-            self._reg_forward(theta[sl["b_reg"]].reshape(self.n_reg_knots, self.n_channels)),
-            params.b_reg,
-        ):
-            return False
-        if "mu_reg" in sl and not np.array_equal(
-            self._reg_forward(theta[sl["mu_reg"]]), params.mu_reg
-        ):
-            return False
-        if "ln_sigma_obs" in sl and float(np.exp(theta[sl["ln_sigma_obs"]][0])) != params.sigma_obs:
-            return False
-        return True
-
     def pack(self, params: ParameterSet) -> np.ndarray:
-        cached = getattr(params, "_theta_cache", None)
-        if cached is not None and cached.shape == (self.dim,) and self._matches(cached, params):
-            return cached.copy()
+        """The inverse of unpack, up to the rounding of softplus's inverse
+        and of ln sigma_obs; fixed blocks are left out."""
         parts = []
         sl = self.slices()
         if "b_lev" in sl:
@@ -235,7 +211,7 @@ class ParameterPacking:
             parts.append(self._reg_inverse(params.mu_reg))
         if "ln_sigma_obs" in sl:
             parts.append(np.array([math.log(params.sigma_obs)]))
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(parts)
 
     def chain_grad(self, theta: np.ndarray, grad) -> np.ndarray:
         """Map a ParamGradient to d/d theta at the given theta."""
@@ -284,32 +260,16 @@ class ParameterPacking:
         return out
 
     def describe(self) -> dict:
-        return {
-            "blocks": [[name, size] for name, size in self._sizes()],
-            "reg_transform": self.reg_transform,
-            "n_lev": self.n_lev,
-            "n_seas_knots": self.n_seas_knots,
-            "n_seas_cols": self.n_seas_cols,
-            "n_reg_knots": self.n_reg_knots,
-            "n_channels": self.n_channels,
-            "fixed_b_lev": None if self.fixed_b_lev is None else [float(v) for v in self.fixed_b_lev],
-            "fixed_mu_reg": None if self.fixed_mu_reg is None else [float(v) for v in self.fixed_mu_reg],
-            "fixed_sigma_obs": None if self.fixed_sigma_obs is None else float(self.fixed_sigma_obs),
-        }
+        """The block layout, then every field as plain JSON."""
+        doc = {"blocks": [[name, size] for name, size in self._sizes()]}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return doc
 
     @classmethod
     def from_description(cls, doc: dict) -> "ParameterPacking":
-        return cls(
-            n_lev=int(doc["n_lev"]),
-            n_seas_knots=int(doc["n_seas_knots"]),
-            n_seas_cols=int(doc["n_seas_cols"]),
-            n_reg_knots=int(doc["n_reg_knots"]),
-            n_channels=int(doc["n_channels"]),
-            reg_transform=doc["reg_transform"],
-            fixed_b_lev=None if doc["fixed_b_lev"] is None else np.asarray(doc["fixed_b_lev"]),
-            fixed_mu_reg=None if doc["fixed_mu_reg"] is None else np.asarray(doc["fixed_mu_reg"]),
-            fixed_sigma_obs=doc["fixed_sigma_obs"],
-        )
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 def default_packing(inputs: ModelInputs) -> ParameterPacking:
@@ -804,31 +764,24 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
 
 def initial_theta(inputs: ModelInputs, hp: HyperParams,
                   packing: ParameterPacking) -> np.ndarray:
-    """Deterministic starting point near the data scale.
+    """Deterministic starting point near the data scale, packed.
 
     Trend knots start at the kernel-weighted local mean of the target,
     regression knots and pooled means at 0.1, seasonality at 0, and the
-    noise scale at the trend-only residual sd.
+    noise scale at the trend-only residual sd; packing drops the blocks it
+    fixes.
     """
-    design = inputs.design
-    K = design.k_lev.weights
+    K = inputs.design.k_lev.weights
     colsum = K.sum(axis=0)
     colsum[colsum == 0] = 1.0
-    b_lev0 = (K.T @ inputs.target) / colsum
-    parts = []
-    sl = packing.slices()
-    if "b_lev" in sl:
-        parts.append(b_lev0)
-    parts.append(np.zeros(packing.n_seas_knots * packing.n_seas_cols))
-    reg0 = np.full(packing.n_reg_knots * packing.n_channels, 0.1)
-    parts.append(packing._reg_inverse(reg0))
-    if "mu_reg" in sl:
-        parts.append(packing._reg_inverse(np.full(packing.n_channels, 0.1)))
-    if "ln_sigma_obs" in sl:
-        resid = inputs.target - K @ b_lev0
-        sigma0 = max(float(np.std(resid)), 1e-3)
-        parts.append(np.array([math.log(sigma0)]))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    b_lev = (K.T @ inputs.target) / colsum
+    return packing.pack(ParameterSet(
+        b_lev=b_lev,
+        b_seas=np.zeros((packing.n_seas_knots, packing.n_seas_cols)),
+        b_reg=np.full((packing.n_reg_knots, packing.n_channels), 0.1),
+        mu_reg=np.full(packing.n_channels, 0.1),
+        sigma_obs=max(float(np.std(inputs.target - K @ b_lev)), 1e-3),
+    ))
 
 
 def _adam(x: np.ndarray, config):
@@ -1135,20 +1088,6 @@ def check_gradient(inputs: ModelInputs, hp: HyperParams,
 
 # -- fit document ------------------------------------------------------------
 
-def _hyper_doc(hp: HyperParams) -> dict:
-    return {
-        "sigma_lev": hp.sigma_lev,
-        "sigma_seas": hp.sigma_seas,
-        "mu_pool": hp.mu_pool,
-        "sigma_pool": hp.sigma_pool,
-        "sigma_reg": hp.sigma_reg,
-        "init_scale_lev": hp.init_scale_lev,
-        "noise_df": hp.noise_df,
-        "gaussian_reg_prior": hp.gaussian_reg_prior,
-        "laplace_smoothing": hp.laplace_smoothing,
-    }
-
-
 def fit_document(fit: FitResult) -> dict:
     """Plain-JSON view of a fit; floats keep full precision via repr."""
     doc = {
@@ -1162,7 +1101,7 @@ def fit_document(fit: FitResult) -> dict:
         "stop_reason": fit.stop_reason,
         "n_iterations": fit.n_iterations,
         "grad_norm": float(fit.grad_norm),
-        "hyperparams": _hyper_doc(fit.hyper),
+        "hyperparams": asdict(fit.hyper),
         "config": fit.config,
         "structure": fit.structure,
     }

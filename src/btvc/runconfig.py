@@ -95,11 +95,6 @@ class RunConfig:
 # --set rejects them like any unknown key.
 _RETIRED_KEYS = ("map_restarts", "map_restart_scale")
 
-# Structure and prior floats, which nan would pass through every range check
-# (nan > 0 is false); MapConfig and SviConfig check the optimizer floats.
-_FINITE_KEYS = ("floor_epsilon", "rho", "sigma_lev", "sigma_seas", "mu_pool", "sigma_pool",
-                "sigma_reg", "init_scale_lev", "noise_df", "laplace_smoothing")
-
 _CHOICES = {
     "link": ("log", "identity"),
     "zero_policy": ("shift1", "floor"),
@@ -133,9 +128,11 @@ def parse_value(key: str, raw: str):
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
-    for key in _FINITE_KEYS:
-        if not math.isfinite(getattr(cfg, key)):
-            raise ValidationError(f"config key {key!r} must be finite, got {getattr(cfg, key)!r}")
+    # nan passes every range check (nan > 0 is false); MapConfig and
+    # SviConfig check the map_* and svi_* floats under their own field names
+    for key, kind in _field_types().items():
+        if kind is float and not key.startswith(("map_", "svi_")):
+            _require_finite(key, getattr(cfg, key))
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
             raise ValidationError(
@@ -147,6 +144,11 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     coef_init_values(cfg)
     sparsity_fields(cfg)
     return cfg
+
+
+def _require_finite(key: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValidationError(f"config key {key!r} must be finite, got {value!r}")
 
 
 def merge_config(base: RunConfig, overrides: dict[str, str]) -> RunConfig:
@@ -250,6 +252,8 @@ def coef_init_values(cfg: RunConfig) -> tuple[float, ...]:
         values = tuple(float(v) for v in cfg.sim_coef_init.split(","))
     except ValueError:
         raise ValidationError(f"unparsable sim_coef_init {cfg.sim_coef_init!r}") from None
+    for value in values:
+        _require_finite("sim_coef_init", value)
     if len(values) == 1:
         values = values * cfg.sim_channels
     if len(values) != cfg.sim_channels:

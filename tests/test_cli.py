@@ -368,6 +368,40 @@ class TestErrorPaths:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("settings, key, value", [
+        (["sim_noise_sd=nan"], "sim_noise_sd", "nan"),
+        (["sim_coef_init=nan"], "sim_coef_init", "nan"),
+        (["sim_channels=2", "sim_coef_init=0.5,-inf"], "sim_coef_init", "-inf"),
+        (["sim_kind=multiplicative", "sim_log_spend_sd=inf"], "sim_log_spend_sd", "inf"),
+        (["sim_kind=multiplicative", "sim_period=nan"], "sim_period", "nan"),
+        (["sim_trend_step_sd=inf"], "sim_trend_step_sd", "inf"),
+    ], ids=["sim_noise_sd", "sim_coef_init", "sim_coef_init_entry", "sim_log_spend_sd",
+            "sim_period", "sim_trend_step_sd"])
+    def test_non_finite_simulation_setting_is_a_validation_error(
+            self, capsys, tmp_path, settings, key, value):
+        # each used to simulate a non-finite series and then fail with
+        # "non-finite response at row 1", which names no config key
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        code, out, err = run(capsys, "simulate", "--out", str(tmp_path / "o"), *args)
+        assert code == 1
+        assert err == f"error: config key {key!r} must be finite, got {value}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("period", ["nan", "inf"])
+    def test_non_finite_fourier_period_fails_before_reading_data(self, capsys, tmp_path, period):
+        # nan used to fail at the initial point and inf to fit a constant
+        # seasonal column; the data file does not exist, so an error about
+        # the period shows that validation stops the run before any read
+        code, out, err = run(
+            capsys, "fit", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o"),
+            "--set", f"fourier=7:1,{period}:1",
+        )
+        assert code == 1
+        assert err == f"error: period must be finite, got {period}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_predict_rejects_non_finite_future_spend(self, capsys, tmp_path):
         sim_dir = tmp_path / "sim"
         simulate_small(capsys, str(sim_dir))

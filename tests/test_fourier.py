@@ -41,3 +41,11 @@ def test_spec_validation():
         FourierSpec(7.0, 0)       # order must be >= 1
     with pytest.raises(ValidationError):
         FourierSpec(7.0, 4)       # 2*order must stay below the period
+
+
+@pytest.mark.parametrize("period", [np.nan, np.inf])
+def test_spec_rejects_a_non_finite_period(period):
+    # nan passes the range and aliasing checks (comparisons with nan are
+    # false) and inf makes every column constant
+    with pytest.raises(ValidationError, match=f"period must be finite, got {period}"):
+        FourierSpec(period, 1)

