@@ -229,7 +229,7 @@ def cmd_predict(args) -> int:
             raise ValidationError(
                 "quantile forecasts need an SVI fit; refit with mode=svi"
             )
-        levels = quantile_levels(merge_config(cfg, {"quantiles": args.quantiles}))
+        levels = quantile_levels(args.quantiles)
         seed = args.seed if args.seed is not None else cfg.seed
         draws = args.draws if args.draws is not None else cfg.draws
         quantiles = forecast_quantiles(fit, future, horizon, levels,

@@ -32,7 +32,6 @@ from .model import (
     HyperParams,
     ModelInputs,
     ParameterSet,
-    _abs_and_dsign,
     _check_finite,
     _folded_normal_terms,
     _laplace_chain,
@@ -331,7 +330,6 @@ class SviConfig:
     """
 
     iterations: int = 2000
-    samples_per_step: int = 1
     learning_rate: float = 0.02
     final_learning_rate: float = 1e-4
     init_log_sd: float = -2.0
@@ -340,8 +338,8 @@ class SviConfig:
 
     def __post_init__(self):
         _check_finite(self)
-        if self.iterations < 1 or self.samples_per_step < 1:
-            raise ValidationError("iterations and samples_per_step must be >= 1")
+        if self.iterations < 1:
+            raise ValidationError("iterations must be >= 1")
         if self.learning_rate <= 0 or self.final_learning_rate <= 0:
             raise ValidationError("learning rates must be > 0")
         if self.trace_every < 1:
@@ -582,11 +580,10 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     n_b = n_reg_knots * n_channels
     n_mu = n_channels if mu_free else 0
     reg_end = n_chain + n_b + n_mu
-    delta = hp.laplace_smoothing
 
     const = 0.0
     if not lev_free:
-        const += _laplace_chain(packing.fixed_b_lev, hp.init_scale_lev, hp.sigma_lev, delta)[0]
+        const += _laplace_chain(packing.fixed_b_lev, hp.init_scale_lev, hp.sigma_lev)[0]
         trend_fixed = k_lev @ packing.fixed_b_lev
     fixed_mu = np.zeros(0) if mu_free else packing.fixed_mu_reg
     if not mu_free and n_channels:
@@ -682,9 +679,8 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         # every prior entry against its location
         loc = t[loc_of]
         diff = t_prior - loc
-        absd, sgn = _abs_and_dsign(diff[:n_chain], delta)
-        value = const - float(absd @ inv_chain)
-        diff[:n_chain] = sgn
+        value = const - float(np.abs(diff[:n_chain]) @ inv_chain)
+        np.sign(diff[:n_chain], out=diff[:n_chain])
         z = diff[n_chain:]
         z *= inv_x
         neg_a = loc[folded:] * t_folded
@@ -821,8 +817,7 @@ def _adam(x: np.ndarray, config):
 
 
 def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = None,
-            packing: ParameterPacking | None = None, calibration=(),
-            run_config: dict | None = None) -> FitResult:
+            packing: ParameterPacking | None = None, calibration=()) -> FitResult:
     """Maximize the log posterior over theta with one Adam run from
     initial_theta, returning the best point seen. Deterministic.
 
@@ -877,7 +872,6 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
         stop_reason=stop_reason,
         n_iterations=n_iterations,
         grad_norm=float(np.linalg.norm(best_grad)),
-        config=dict(run_config or {}),
     )
 
 
@@ -911,8 +905,7 @@ def _start_log_sd(f, theta: np.ndarray, cap: float) -> np.ndarray:
 
 def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = None,
             packing: ParameterPacking | None = None, calibration=(),
-            init: FitResult | None = None, map_config: MapConfig | None = None,
-            run_config: dict | None = None) -> FitResult:
+            init: FitResult | None = None, map_config: MapConfig | None = None) -> FitResult:
     """Fit a diagonal Gaussian over theta by reparameterized gradient ascent.
 
     The mean starts at the MAP point (fit here unless `init` is supplied)
@@ -929,7 +922,6 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
         )
     f = _objective(inputs, hp, packing, calibration, include_jacobian=True)
     dim = packing.dim
-    k = config.samples_per_step
     # The step loop works in place on preallocated buffers, each op the one
     # the plain expression would run, so the moments are the same bit for
     # bit: state is [mean, log_sd], grad is [d/d mean, d/d log_sd].
@@ -937,7 +929,7 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     mean, log_sd = state[:dim], state[dim:]
     grad = np.empty(2 * dim)
     g_mean, g_log_sd = grad[:dim], grad[dim:]
-    eps, sd, theta_s = np.empty((k, dim)), np.empty(dim), np.empty(dim)
+    eps, sd, theta = np.empty(dim), np.empty(dim), np.empty(dim)
     ascend = _adam(state, config)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -946,29 +938,18 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     for t in range(config.iterations):
         rng.standard_normal(out=eps)
         np.exp(log_sd, out=sd)
-        value_sum = 0.0
-        for s, eps_s in enumerate(eps):
-            np.multiply(sd, eps_s, out=theta_s)
-            theta_s += mean
-            val_s, grad_s = f(theta_s)
-            value_sum += val_s
-            if s:
-                g_mean += grad_s
-                grad_s *= eps_s
-                g_log_sd += grad_s
-            else:  # the first sample starts the sums
-                g_mean[:] = grad_s
-                np.multiply(grad_s, eps_s, out=g_log_sd)
-        elbo = value_sum / k + entropy_const + float(log_sd.sum())
+        np.multiply(sd, eps, out=theta)
+        theta += mean
+        value, g_mean[:] = f(theta)
+        elbo = value + entropy_const + float(log_sd.sum())
         if not math.isfinite(elbo):
             raise DivergenceError(
                 f"ELBO became non-finite at iteration {t}", trace=trace, iteration=t
             )
         if t % config.trace_every == 0:
             trace.append(elbo)
-        # grad = [sum(grad_s) / k, (sum(grad_s * eps_s) / k) * sd + 1]
-        if k > 1:
-            grad /= k
+        # grad = [g, g * eps * sd + 1] for g the gradient at theta
+        np.multiply(g_mean, eps, out=g_log_sd)
         g_log_sd *= sd
         g_log_sd += 1.0
         ascend(grad)
@@ -985,7 +966,6 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
         grad_norm=init.grad_norm,
         variational_mean=mean,
         variational_log_sd=log_sd,
-        config=dict(run_config or {}),
     )
 
 
@@ -1125,8 +1105,10 @@ def load_fit(path: str) -> FitResult:
     if doc.get("format") != "btvc-fit-v1":
         raise ValidationError(f"not a fit document: {path}")
     packing = ParameterPacking.from_description(doc["packing"])
-    hp_doc = doc["hyperparams"]
-    hp = HyperParams(**hp_doc)
+    # older documents carry the retired laplace_smoothing; predict and
+    # decompose read only the parameters, and a document is never refit
+    hp = HyperParams(**{key: value for key, value in doc["hyperparams"].items()
+                        if key != "laplace_smoothing"})
     theta = np.asarray(doc["theta_map"], dtype=float)
     var = doc.get("variational")
     point = theta if var is None else np.asarray(var["mean"], dtype=float)

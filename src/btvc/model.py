@@ -47,8 +47,7 @@ class HyperParams:
     trend knot; callers typically widen it to 10x the sd of the log
     response. noise_df=None means Gaussian noise. gaussian_reg_prior swaps
     the folded-normal regression prior for a plain Normal (a test hook that
-    makes the posterior conjugate; see inference). laplace_smoothing > 0
-    replaces |x| with sqrt(x^2 + delta) in the Laplace terms.
+    makes the posterior conjugate; see inference).
     """
 
     sigma_lev: float = 0.1
@@ -59,7 +58,6 @@ class HyperParams:
     init_scale_lev: float = 1.0
     noise_df: float | None = None
     gaussian_reg_prior: bool = False
-    laplace_smoothing: float = 0.0
 
     def __post_init__(self):
         _check_finite(self)
@@ -70,8 +68,6 @@ class HyperParams:
             raise ValidationError("mu_pool must be >= 0")
         if self.noise_df is not None and self.noise_df <= 0:
             raise ValidationError("noise_df must be > 0 when set")
-        if self.laplace_smoothing < 0:
-            raise ValidationError("laplace_smoothing must be >= 0")
 
 
 def check_support(b_reg, mu_reg, sigma_obs, allow_negative_reg: bool) -> None:
@@ -305,22 +301,12 @@ def decompose(params: ParameterSet, design: ModelDesign) -> Decomposition:
     )
 
 
-def _abs_and_dsign(x: np.ndarray, delta: float):
-    # exact |x| with subgradient sign (0 at the kink), or the smoothed
-    # sqrt(x^2 + delta) variant when delta > 0
-    if delta > 0:
-        root = np.sqrt(x * x + delta)
-        return root, x / root
-    return np.abs(x), np.sign(x)
-
-
-def _laplace_chain(values: np.ndarray, first_scale: float, step_scale: float,
-                   delta: float):
+def _laplace_chain(values: np.ndarray, first_scale: float, step_scale: float):
     """Log density and gradient of a Laplace chain anchored at 0.
 
     values is (J,) or (J, Q); columns are independent chains. Term j uses
     location values[j-1] (0 for j=0) and scale first_scale for j=0,
-    step_scale after.
+    step_scale after. The gradient takes the subgradient 0 at a kink.
     """
     v = np.atleast_2d(values.T).T if values.ndim == 1 else values
     J = v.shape[0]
@@ -328,8 +314,8 @@ def _laplace_chain(values: np.ndarray, first_scale: float, step_scale: float,
     diffs = v - prev
     scales = np.full((J, 1), step_scale)
     scales[0, 0] = first_scale
-    absd, sgn = _abs_and_dsign(diffs, delta)
-    value = float(np.sum(-np.log(2.0 * scales) - absd / scales))
+    sgn = np.sign(diffs)
+    value = float(np.sum(-np.log(2.0 * scales) - np.abs(diffs) / scales))
     grad = -sgn / scales
     grad[:-1] += (sgn / scales)[1:]
     if values.ndim == 1:
@@ -365,16 +351,12 @@ def _log_prior_and_grad(params: ParameterSet, hp: HyperParams):
     grad = ParamGradient.zeros_like(params)
     value = 0.0
 
-    lev_v, lev_g = _laplace_chain(
-        params.b_lev, hp.init_scale_lev, hp.sigma_lev, hp.laplace_smoothing
-    )
+    lev_v, lev_g = _laplace_chain(params.b_lev, hp.init_scale_lev, hp.sigma_lev)
     value += lev_v
     grad.b_lev += lev_g
 
     if params.b_seas.size:
-        seas_v, seas_g = _laplace_chain(
-            params.b_seas, hp.sigma_seas, hp.sigma_seas, hp.laplace_smoothing
-        )
+        seas_v, seas_g = _laplace_chain(params.b_seas, hp.sigma_seas, hp.sigma_seas)
         value += seas_v
         grad.b_seas += seas_g
 

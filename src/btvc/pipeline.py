@@ -37,7 +37,6 @@ from .runconfig import (
     config_to_dict,
     csv_schema,
     fourier_specs,
-    quantile_levels,
 )
 from .timeframe import TimeSeriesFrame, ingest_csv, to_log_frame, transform_regressors
 
@@ -106,7 +105,6 @@ def build_structure(frame: TimeSeriesFrame, cfg: RunConfig):
         sigma_reg=cfg.sigma_reg,
         init_scale_lev=init_scale,
         noise_df=cfg.noise_df if cfg.noise_df > 0 else None,
-        laplace_smoothing=cfg.laplace_smoothing,
     )
     return inputs, hp, structure
 
@@ -132,7 +130,6 @@ def map_config_from(cfg: RunConfig) -> MapConfig:
 def svi_config_from(cfg: RunConfig) -> SviConfig:
     return SviConfig(
         iterations=cfg.svi_iterations,
-        samples_per_step=cfg.svi_samples,
         learning_rate=cfg.svi_learning_rate,
         final_learning_rate=cfg.svi_final_learning_rate,
         init_log_sd=cfg.svi_init_log_sd,
@@ -143,16 +140,12 @@ def svi_config_from(cfg: RunConfig) -> SviConfig:
 def run_fit(frame: TimeSeriesFrame, cfg: RunConfig) -> tuple[FitResult, ModelInputs]:
     inputs, hp, structure = build_structure(frame, cfg)
     terms = calibration_terms(frame, cfg)
-    snapshot = config_to_dict(cfg)
     if cfg.mode == "svi":
-        fit = fit_svi(
-            inputs, hp, svi_config_from(cfg), calibration=terms,
-            map_config=map_config_from(cfg), run_config=snapshot,
-        )
+        fit = fit_svi(inputs, hp, svi_config_from(cfg), calibration=terms,
+                      map_config=map_config_from(cfg))
     else:
-        fit = fit_map(
-            inputs, hp, map_config_from(cfg), calibration=terms, run_config=snapshot
-        )
+        fit = fit_map(inputs, hp, map_config_from(cfg), calibration=terms)
+    fit.config = config_to_dict(cfg)
     fit.structure = structure
     return fit, inputs
 

@@ -46,11 +46,9 @@ class RunConfig:
     sigma_reg: float = 0.5
     init_scale_lev: float = 0.0       # 0 = 10 * sd of the model-scale response
     noise_df: float = 0.0             # 0 = Gaussian noise
-    laplace_smoothing: float = 0.0
     # inference
     mode: str = "map"                 # map | svi
     draws: int = 300
-    quantiles: str = "0.025,0.5,0.975"
     prior_windows: str = ""           # path to a calibration CSV
     seed: int = 0
     out: str = "out"
@@ -60,7 +58,6 @@ class RunConfig:
     map_rel_tol: float = 1e-8
     map_tol_window: int = 50
     svi_iterations: int = 2000
-    svi_samples: int = 1
     svi_learning_rate: float = 0.02
     svi_final_learning_rate: float = 1e-4
     svi_init_log_sd: float = -2.0          # cap on the Hessian-diagonal start
@@ -91,9 +88,17 @@ class RunConfig:
 
 
 # Keys that older fit documents and config files carry but that no longer
-# change a result: fit documents and config files drop them on load, while
-# --set rejects them like any unknown key.
-_RETIRED_KEYS = ("map_restarts", "map_restart_scale")
+# change a result: fit documents drop them on load, while --set rejects them
+# like any unknown key. A config file drops one at any value (None) or only
+# at the value it still fits the same model with; any other value would
+# silently change a refit, so it is an error.
+_RETIRED_KEYS = {
+    "map_restarts": None,
+    "map_restart_scale": None,
+    "quantiles": None,
+    "laplace_smoothing": 0.0,
+    "svi_samples": 1,
+}
 
 _CHOICES = {
     "link": ("log", "identity"),
@@ -133,6 +138,12 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for key, kind in _field_types().items():
         if kind is float and not key.startswith(("map_", "svi_")):
             _require_finite(key, getattr(cfg, key))
+    # 0 means automatic or off for these keys; a negative value would
+    # silently mean the same
+    for key in ("knot_count_lev", "knot_count_seas", "knot_count_reg", "rho",
+                "init_scale_lev", "noise_df", "backtest_stride"):
+        if getattr(cfg, key) < 0:
+            raise ValidationError(f"config key {key!r} must be >= 0, got {getattr(cfg, key)!r}")
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
             raise ValidationError(
@@ -140,7 +151,6 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                 f"got {getattr(cfg, key)!r}"
             )
     fourier_specs(cfg)
-    quantile_levels(cfg)
     coef_init_values(cfg)
     sparsity_fields(cfg)
     return cfg
@@ -168,9 +178,23 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if key in out:
             raise ValidationError(f"duplicate config key {key!r} at line {lineno}")
-        if key not in _RETIRED_KEYS:
+        if key in _RETIRED_KEYS:
+            _check_retired(key, raw.strip())
+        else:
             out[key] = raw.strip()
     return out
+
+
+def _check_retired(key: str, raw: str) -> None:
+    kept = _RETIRED_KEYS[key]
+    try:
+        same = kept is None or type(kept)(raw) == kept
+    except ValueError:
+        same = False
+    if not same:
+        raise ValidationError(
+            f"config key {key!r} is retired and loads only as {key} = {kept!r}, got {raw!r}"
+        )
 
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
@@ -226,13 +250,14 @@ def fourier_specs(cfg: RunConfig) -> tuple[FourierSpec, ...]:
     return tuple(specs)
 
 
-def quantile_levels(cfg: RunConfig) -> tuple[float, ...]:
-    if not cfg.quantiles.strip():
+def quantile_levels(text: str) -> tuple[float, ...]:
+    """The comma-separated levels of `btvc predict --quantiles`."""
+    if not text.strip():
         return ()
     try:
-        levels = tuple(float(p) for p in cfg.quantiles.split(","))
+        levels = tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise ValidationError(f"unparsable quantiles {cfg.quantiles!r}") from None
+        raise ValidationError(f"unparsable quantiles {text!r}") from None
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ValidationError("quantile levels must lie in (0, 1)")
     return levels

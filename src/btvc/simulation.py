@@ -105,23 +105,34 @@ def _calendar(start_date: str, T: int) -> np.ndarray:
     return start + np.arange(T)
 
 
+def _check_generated(y: np.ndarray, x: np.ndarray) -> None:
+    """The generators run under np.errstate, so settings too large for
+    floats surface here, once, instead of as warnings and a data error."""
+    if not (np.isfinite(y).all() and np.isfinite(x).all()):
+        raise ValidationError(
+            "simulation settings overflow: the generated response or spend is not finite"
+        )
+
+
 def _simulate_additive(config: SimConfig, sparsity: SparsitySpec | None) -> SimDataset:
     # draw order: trend steps, coefficient steps, covariates, noise
     root = np.random.SeedSequence(config.seed)
     rng = np.random.default_rng(root)
     T, P = config.T, config.P
-    trend = np.cumsum(rng.normal(0.0, config.trend_step_sd, T))
-    coef = _walk_coefficients(
-        config.coef_init, rng.normal(0.0, config.coef_step_sd, (T, P)), config.reflect
-    )
-    x = rng.normal(config.covariate_mean, config.covariate_sd, (T, P))
-    noise = rng.normal(0.0, config.noise_sd, T)
-    if sparsity is not None:
-        mask_rng = np.random.default_rng(root.spawn(1)[0])
-        rows = np.arange(sparsity.start - 1, sparsity.end)
-        u = mask_rng.uniform(size=rows.size)
-        x[rows[u < sparsity.zero_prob], sparsity.channel] = 0.0
-    y = trend + (coef * x).sum(axis=1) + noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        trend = np.cumsum(rng.normal(0.0, config.trend_step_sd, T))
+        coef = _walk_coefficients(
+            config.coef_init, rng.normal(0.0, config.coef_step_sd, (T, P)), config.reflect
+        )
+        x = rng.normal(config.covariate_mean, config.covariate_sd, (T, P))
+        noise = rng.normal(0.0, config.noise_sd, T)
+        if sparsity is not None:
+            mask_rng = np.random.default_rng(root.spawn(1)[0])
+            rows = np.arange(sparsity.start - 1, sparsity.end)
+            u = mask_rng.uniform(size=rows.size)
+            x[rows[u < sparsity.zero_prob], sparsity.channel] = 0.0
+        y = trend + (coef * x).sum(axis=1) + noise
+    _check_generated(y, x)
     frame = TimeSeriesFrame(
         timestamps=_calendar(config.start_date, T),
         response=y,
@@ -195,20 +206,23 @@ def simulate_multiplicative(config: MultiplicativeSimConfig) -> SimDataset:
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     T, P = config.T, config.P
-    trend = config.base_level + np.cumsum(rng.normal(0.0, config.trend_step_sd, T))
-    coef = _walk_coefficients(
-        config.coef_init, rng.normal(0.0, config.coef_step_sd, (T, P)), True
-    )
-    log_x = rng.normal(config.log_spend_mean, config.log_spend_sd, (T, P))
-    noise = rng.normal(0.0, config.noise_sd, T)
-    t = np.arange(1, T + 1, dtype=float)
-    arg = 2.0 * np.pi * t / config.period
-    seasonal = config.seasonal_cos * np.cos(arg) + config.seasonal_sin * np.sin(arg)
-    log_y = trend + seasonal + (coef * log_x).sum(axis=1) + noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        trend = config.base_level + np.cumsum(rng.normal(0.0, config.trend_step_sd, T))
+        coef = _walk_coefficients(
+            config.coef_init, rng.normal(0.0, config.coef_step_sd, (T, P)), True
+        )
+        log_x = rng.normal(config.log_spend_mean, config.log_spend_sd, (T, P))
+        noise = rng.normal(0.0, config.noise_sd, T)
+        t = np.arange(1, T + 1, dtype=float)
+        arg = 2.0 * np.pi * t / config.period
+        seasonal = config.seasonal_cos * np.cos(arg) + config.seasonal_sin * np.sin(arg)
+        log_y = trend + seasonal + (coef * log_x).sum(axis=1) + noise
+        y, x = np.exp(log_y), np.exp(log_x)
+    _check_generated(y, x)
     frame = TimeSeriesFrame(
         timestamps=_calendar(config.start_date, T),
-        response=np.exp(log_y),
-        regressors=np.exp(log_x),
+        response=y,
+        regressors=x,
         regressor_names=tuple(f"x{p + 1}" for p in range(P)),
     )
     return SimDataset(frame=frame, true_trend=trend, true_coefficients=coef)

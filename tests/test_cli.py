@@ -1,6 +1,7 @@
 """End-to-end command tests, run in-process through main()."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from btvc.pipeline import (
     read_future_csv,
     write_forecast_csv,
 )
-from btvc.runconfig import config_from_dict
+from btvc.runconfig import config_from_dict, parse_value
 
 from tests.test_timeframe import write_csv
 
@@ -271,6 +272,24 @@ def test_backtest_command(tmp_path, capsys):
     assert len(lines) == 5  # 2 splits + mean + sd
 
 
+def test_config_file_with_retired_knobs(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "sim_length = 40\nquantiles = 0.1,0.9\nlaplace_smoothing = 0.0\nsvi_samples = 1\n")
+    code, out, err = run(capsys, "simulate", "--config", str(cfg_file),
+                         "--out", str(tmp_path / "sim"))
+    assert code == 0, err
+    assert "(40 rows)" in out
+    for key, value, kept in (("laplace_smoothing", "0.001", "0.0"), ("svi_samples", "4", "1")):
+        cfg_file.write_text(f"{key} = {value}\n")
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_file),
+                             "--out", str(tmp_path / key))
+        assert code == 1
+        assert err == (f"error: config key {key!r} is retired and loads only as "
+                       f"{key} = {kept}, got {value!r}\n")
+        assert out == ""
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("sim_length = 50\nsim_channels = 1\nseed = 3\n")
@@ -317,6 +336,48 @@ class TestErrorPaths:
         assert err.strip() == "error: unknown config key 'map_restarts'"
         assert out == ""
 
+    @pytest.mark.parametrize("command, setting", [
+        ("fit", "noise_df=-3"), ("fit", "rho=-2"), ("fit", "init_scale_lev=-1"),
+        ("fit", "knot_count_lev=-4"), ("fit", "knot_count_seas=-4"),
+        ("fit", "knot_count_reg=-4"), ("backtest", "backtest_stride=-5"),
+    ])
+    def test_negative_automatic_setting_is_rejected_before_the_data_is_read(
+            self, capsys, tmp_path, command, setting):
+        # 0 means automatic or off for these keys, and a negative value used
+        # to silently mean the same; the data file does not exist, so an
+        # error about the key shows it was never read
+        key, _, value = setting.partition("=")
+        code, out, err = run(
+            capsys, command, "--data", str(tmp_path / "missing.csv"),
+            "--out", str(tmp_path / "o"), "--set", setting,
+        )
+        assert code == 1
+        assert err == f"error: config key {key!r} must be >= 0, got {parse_value(key, value)!r}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("settings", [
+        ("sim_kind=multiplicative", "sim_log_spend_sd=1e300"),
+        ("sim_kind=multiplicative", "sim_noise_sd=1e300"),
+        ("sim_kind=multiplicative", "sim_base_level=1e300"),
+        ("sim_covariate_mean=1e308",),
+        ("sim_noise_sd=1e308",),
+    ])
+    def test_overflowing_simulation_settings_are_one_validation_error(
+            self, capsys, tmp_path, settings):
+        # each used to warn of an overflow and then blame the data
+        argv = ["simulate", "--out", str(tmp_path / "sim")]
+        for setting in settings:
+            argv += ["--set", setting]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == ("error: simulation settings overflow: the generated response "
+                       "or spend is not finite\n")
+        assert out == ""
+        assert not (tmp_path / "sim" / "data.csv").exists()
+
     def test_map_tol_window_must_be_positive(self, capsys, tmp_path):
         sim_dir = tmp_path / "sim"
         simulate_small(capsys, str(sim_dir))
@@ -348,7 +409,7 @@ class TestErrorPaths:
         assert out == ""
 
     @pytest.mark.parametrize("setting", [
-        "rho=nan", "noise_df=nan", "laplace_smoothing=nan", "sigma_reg=nan", "sigma_lev=inf",
+        "rho=nan", "noise_df=nan", "sigma_reg=nan", "sigma_lev=inf",
         "sigma_seas=-inf", "sigma_pool=nan", "mu_pool=nan", "init_scale_lev=inf",
         "floor_epsilon=nan",
     ])

@@ -400,19 +400,17 @@ def test_svi_deterministic_and_ascending():
     assert a.mode == "svi"
 
 
-@pytest.mark.parametrize("samples_per_step", [1, 3])
-def test_svi_in_place_step_equals_the_allocating_update(samples_per_step):
-    # fit_svi's step loop runs in place and skips the sums' zero start and
-    # the division by k when k = 1; the plain expressions below must give
-    # the same moments and ELBO trace
+def test_svi_in_place_step_equals_the_allocating_update():
+    # fit_svi's step loop runs in place; the plain expressions below must
+    # give the same moments and ELBO trace
     inputs, hp = small_problem(seed=27)
     terms = window_terms(inputs, 1)
     init = fit_map(inputs, hp, MapConfig(iterations=200), calibration=terms)
-    config = SviConfig(iterations=150, samples_per_step=samples_per_step, seed=4)
+    config = SviConfig(iterations=150, seed=4)
     fit = fit_svi(inputs, hp, config, calibration=terms, init=init)
 
     packing = init.packing
-    dim, k = packing.dim, samples_per_step
+    dim = packing.dim
     f = inference._objective(inputs, hp, packing, terms, include_jacobian=True)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     mean, log_sd = init.theta, inference._start_log_sd(f, init.theta, config.init_log_sd)
@@ -422,16 +420,11 @@ def test_svi_in_place_step_equals_the_allocating_update(samples_per_step):
     entropy_const = 0.5 * dim * (1.0 + np.log(2.0 * np.pi))
     trace = []
     for t in range(config.iterations):
-        eps = rng.standard_normal((k, dim))
+        eps = rng.standard_normal(dim)
         sd = np.exp(log_sd)
-        value_sum, g_mean, g_log_sd = 0.0, np.zeros(dim), np.zeros(dim)
-        for eps_s in eps:
-            value, grad = f(sd * eps_s + mean)
-            value_sum += value
-            g_mean = g_mean + grad
-            g_log_sd = g_log_sd + grad * eps_s
-        trace.append(value_sum / k + entropy_const + float(log_sd.sum()))
-        grad = np.concatenate([g_mean / k, (g_log_sd / k) * sd + 1.0])
+        value, grad = f(sd * eps + mean)
+        trace.append(value + entropy_const + float(log_sd.sum()))
+        grad = np.concatenate([grad, grad * eps * sd + 1.0])
         m = 0.9 * m + (1.0 - 0.9) * grad
         v = 0.999 * v + (1.0 - 0.999) * grad * grad
         step = lr * (m / (1.0 - 0.9 ** (t + 1))) / (np.sqrt(v / (1.0 - 0.999 ** (t + 1))) + 1e-8)
@@ -808,8 +801,6 @@ def compiled_variant(name):
     elif name == "student_t_windows":
         hp = HyperParams(noise_df=4.0)
         terms = window_terms(inputs, 2)
-    elif name == "smoothed_laplace":
-        hp = HyperParams(laplace_smoothing=1e-3)
     elif name == "no_seasonal":
         _, inputs = toy(T=40, P=2, seed=70, fourier=())
         packing = default_packing(inputs)
@@ -848,7 +839,7 @@ def compiled_variant(name):
 
 
 COMPILED_VARIANTS = ("default", "one_window", "two_windows", "one_channel_windows", "student_t",
-                     "student_t_windows", "smoothed_laplace", "no_seasonal", "subnormal_kernel",
+                     "student_t_windows", "no_seasonal", "subnormal_kernel",
                      "subnormal_kernel_windows", "identity_gaussian", "identity_folded",
                      "fixed_blocks", "fixed_level_only", "fixed_mu_only", "conjugate",
                      "multi_block")
@@ -1205,7 +1196,7 @@ def test_fit_document_keeps_every_hyperparameter_and_packing_field(tmp_path):
     inputs, _ = small_problem(seed=63)
     hp = HyperParams(sigma_lev=0.2, sigma_seas=0.07, mu_pool=0.3, sigma_pool=1.7,
                      sigma_reg=1.2, init_scale_lev=3.5, noise_df=5.0,
-                     gaussian_reg_prior=True, laplace_smoothing=1e-4)
+                     gaussian_reg_prior=True)
     base = default_packing(inputs)
     packing = dataclasses.replace(
         base, reg_transform="identity", fixed_b_lev=np.linspace(1.5, 2.5, base.n_lev),

@@ -187,7 +187,6 @@ def test_folded_normal_normalizes_and_reduces_at_zero_mean():
 @pytest.mark.parametrize("name, value", [
     ("sigma_reg", math.nan), ("sigma_lev", math.inf), ("mu_pool", math.nan),
     ("init_scale_lev", math.inf), ("noise_df", math.nan), ("noise_df", math.inf),
-    ("laplace_smoothing", math.nan),
 ])
 def test_hyperparams_reject_non_finite_settings(name, value):
     # nan > 0 is false, so no range check would catch these

@@ -2,10 +2,12 @@
 each must still exist: a deleted or renamed one would otherwise surface
 only as an AttributeError from Tracer.install in a traced benchmark run.
 
-The untraced benchmark code reads btvc names and passes keywords to btvc
-callables too; those are checked from the source, without running it."""
+The untraced benchmark code reads btvc names, passes keywords to btvc
+callables and config keys to `btvc ... --set` too; those are checked from
+the source, without running it."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -105,3 +107,38 @@ def test_every_keyword_the_benchmark_passes_to_btvc_is_a_parameter():
     # a dataclass's parameters are its fields, so these two are checked
     # against the fields MapConfig and SviConfig keep
     assert {MapConfig, SviConfig} <= called
+
+
+def _set_arguments(tree: ast.Module):
+    """(line, text) for each argument that follows a "--set" in a list, tuple
+    or call: the string, or an f-string's text before its first field; text
+    is None for anything else, whose key cannot be read from the source."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.List, ast.Tuple)):
+            items = node.elts
+        elif isinstance(node, ast.Call):
+            items = node.args
+        else:
+            continue
+        for flag, arg in zip(items, items[1:]):
+            if not (isinstance(flag, ast.Constant) and flag.value == "--set"):
+                continue
+            if isinstance(arg, ast.JoinedStr) and arg.values:
+                arg = arg.values[0]
+            is_text = isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            yield arg.lineno, arg.value if is_text else None
+
+
+def test_every_key_the_benchmark_sets_is_a_config_field():
+    from btvc.runconfig import RunConfig
+
+    live = {f.name for f in dataclasses.fields(RunConfig)}
+    bad, seen = [], 0
+    for name, tree in _benchmark_sources():
+        for lineno, text in _set_arguments(tree):
+            seen += 1
+            key, sep, _ = (text or "").partition("=")
+            if not sep or key not in live:
+                bad.append(f"{name}:{lineno} {text!r}")
+    assert bad == []
+    assert seen > 0  # the walk found the benchmark's --set arguments

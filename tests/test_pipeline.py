@@ -31,7 +31,7 @@ from btvc.pipeline import (
     training_design,
     write_forecast_csv,
 )
-from btvc.runconfig import RunConfig
+from btvc.runconfig import RunConfig, config_from_dict, config_to_dict
 from btvc.timeframe import transform_regressors
 
 from tests.test_inference import with_moments
@@ -124,11 +124,18 @@ class TestConfigBridges:
         assert mc.seed == 9
 
     def test_svi_config_fields(self):
-        cfg = small_cfg(svi_iterations=123, svi_samples=4, seed=9)
+        cfg = small_cfg(svi_iterations=123, seed=9)
         sc = svi_config_from(cfg)
         assert sc.iterations == 123
-        assert sc.samples_per_step == 4
         assert sc.seed == 9
+
+    @pytest.mark.parametrize("mode", ["map", "svi"])
+    def test_run_fit_records_the_config(self, mode):
+        # fit_map and fit_svi know nothing of the run; run_fit records it
+        cfg = small_cfg(mode=mode, svi_iterations=20)
+        fit, _ = run_fit(small_frame(), cfg)
+        assert fit.config == config_to_dict(cfg)
+        assert config_from_dict(fit.config) == cfg
 
     def test_backtest_plan_stride_zero_means_horizon(self):
         plan = backtest_plan_from(small_cfg(backtest_stride=0))

@@ -133,14 +133,25 @@ def test_dict_round_trip_and_unknown_keys():
 
 
 def test_retired_keys_are_dropped_from_files_and_documents(tmp_path):
+    # laplace_smoothing = 0.0 and svi_samples = 1, as older config.txt files
+    # carry them, fit the same model as no key at all
     path = tmp_path / "old.cfg"
-    path.write_text("map_restarts = 3\nmap_restart_scale = 0.3\nseed = 5\n")
+    path.write_text("map_restarts = 3\nmap_restart_scale = 0.3\nseed = 5\nquantiles = 0.1,0.9\n"
+                    "laplace_smoothing = 0.0\nsvi_samples = 1\n")
     assert load_config(str(path)) == dataclasses.replace(RunConfig(), seed=5)
+    for line in ("laplace_smoothing = 0.001", "svi_samples = 4", "svi_samples = x"):
+        key, _, raw = line.partition(" = ")
+        path.write_text(line + "\n")
+        with pytest.raises(ValidationError, match=f"config key '{key}' is retired .* got '{raw}'"):
+            load_config(str(path))
+    # a fit document is never refit, so it drops them at any value
     doc = config_to_dict(RunConfig())
-    doc.update(map_restarts=3, map_restart_scale=0.3)
+    doc.update(map_restarts=3, map_restart_scale=0.3, quantiles="0.5", laplace_smoothing=0.01,
+               svi_samples=4)
     assert config_from_dict(doc) == RunConfig()
-    with pytest.raises(ValidationError, match="unknown config key 'map_restarts'"):
-        merge_config(RunConfig(), {"map_restarts": "3"})
+    for key in ("map_restarts", "quantiles", "laplace_smoothing", "svi_samples"):
+        with pytest.raises(ValidationError, match=f"unknown config key '{key}'"):
+            merge_config(RunConfig(), {key: "3"})
 
 
 def test_fourier_specs_view():
@@ -157,10 +168,12 @@ def test_fourier_specs_view():
 
 
 def test_quantile_levels_view():
-    assert quantile_levels(RunConfig()) == (0.025, 0.5, 0.975)
-    assert quantile_levels(dataclasses.replace(RunConfig(), quantiles="")) == ()
+    assert quantile_levels("0.025,0.5,0.975") == (0.025, 0.5, 0.975)
+    assert quantile_levels(" ") == ()
     with pytest.raises(ValidationError, match=r"lie in \(0, 1\)"):
-        quantile_levels(dataclasses.replace(RunConfig(), quantiles="0.5,1.0"))
+        quantile_levels("0.5,1.0")
+    with pytest.raises(ValidationError, match="unparsable quantiles '0.5,x'"):
+        quantile_levels("0.5,x")
 
 
 def test_csv_schema_view():
@@ -197,6 +210,6 @@ def test_sparsity_fields_view():
 
 def test_validate_config_runs_all_derived_views():
     # a config whose only problem sits inside a derived view still fails fast
-    bad = dataclasses.replace(RunConfig(), quantiles="0.5,2")
-    with pytest.raises(ValidationError):
+    bad = dataclasses.replace(RunConfig(), sim_sparsity="2:150")
+    with pytest.raises(ValidationError, match="channel:start:end:prob"):
         validate_config(bad)
