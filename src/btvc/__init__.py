@@ -58,14 +58,14 @@ from .simulation import (
     simulate_rw,
     simulate_sparse,
 )
-from .timeframe import CsvSchema, LogFrame, TimeSeriesFrame, ingest_csv, to_log_frame
+from .timeframe import CsvSchema, TimeSeriesFrame, ingest_csv
 
 __all__ = [
     "__version__",
     "BtvcError", "ValidationError", "DivergenceError",
     "KnotGrid", "KernelMatrix", "build_grid", "kernel_matrix",
     "FourierSpec", "SeasonalDesign", "fourier_design",
-    "CsvSchema", "TimeSeriesFrame", "LogFrame", "ingest_csv", "to_log_frame",
+    "CsvSchema", "TimeSeriesFrame", "ingest_csv",
     "HyperParams", "ParameterSet", "ModelDesign", "ModelInputs", "Decomposition",
     "coefficients", "decompose", "log_prior", "log_likelihood", "log_posterior",
     "predict",

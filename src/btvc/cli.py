@@ -131,6 +131,11 @@ def _outdir(cfg_out: str) -> str:
 
 def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
+    fields = sparsity_fields(cfg)
+    if fields is not None and cfg.sim_kind != "sparse":
+        raise ValidationError(
+            f"sim_sparsity needs sim_kind=sparse, got sim_kind={cfg.sim_kind}"
+        )
     out = _outdir(cfg.out)
     init = coef_init_values(cfg)
     if cfg.sim_kind == "multiplicative":
@@ -148,7 +153,6 @@ def cmd_simulate(args) -> int:
         ))
     else:
         sparsity = None
-        fields = sparsity_fields(cfg)
         if fields is not None:
             channel, start, end, prob = fields
             sparsity = SparsitySpec(channel=channel - 1, start=start, end=end,

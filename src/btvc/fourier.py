@@ -67,21 +67,26 @@ class SeasonalDesign:
         return tuple(names)
 
 
-def fourier_design(T: int, specs: list[FourierSpec] | tuple[FourierSpec, ...]) -> SeasonalDesign:
-    """Build the seasonal covariate matrix for t = 1..T.
+def fourier_design(T: int, specs: list[FourierSpec] | tuple[FourierSpec, ...], *,
+                   times=None) -> SeasonalDesign:
+    """Build the seasonal covariate matrix for the (1-based) ``times``,
+    default t = 1..T.
 
-    Column order is (spec, k, cos-then-sin). An empty spec list yields a
-    T x 0 matrix so a model without seasonality needs no special casing.
+    Times beyond T give forecast rows, e.g. ``times=range(T + 1, T + h + 1)``;
+    each row depends only on its own t, so any range of rows equals the
+    matching rows of a longer design bit for bit. Column order is (spec, k,
+    cos-then-sin). An empty spec list yields an n x 0 matrix so a model
+    without seasonality needs no special casing.
     """
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
     specs = tuple(specs)
-    t = np.arange(1, T + 1, dtype=float)
+    t = np.arange(1, T + 1, dtype=float) if times is None else np.fromiter(times, dtype=float)
     cols = []
     for s in specs:
         for k in range(1, s.order + 1):
             arg = 2.0 * k * np.pi * t / s.period
             cols.append(np.cos(arg))
             cols.append(np.sin(arg))
-    matrix = np.column_stack(cols) if cols else np.zeros((T, 0))
+    matrix = np.column_stack(cols) if cols else np.zeros((t.size, 0))
     return SeasonalDesign(matrix=matrix, specs=specs)

@@ -38,7 +38,7 @@ from .runconfig import (
     csv_schema,
     fourier_specs,
 )
-from .timeframe import TimeSeriesFrame, ingest_csv, to_log_frame, transform_regressors
+from .timeframe import TimeSeriesFrame, ingest_csv, model_scale
 
 
 def load_frame(path: str, cfg: RunConfig) -> TimeSeriesFrame:
@@ -59,21 +59,9 @@ def _auto_rho(grid: KnotGrid, T: int) -> float:
     return max(T / 4.0, 1.0)
 
 
-def model_scale_arrays(frame: TimeSeriesFrame, cfg: RunConfig):
-    """(target, regressor matrix) on the scale the model is fit on."""
-    if cfg.link == "log":
-        logf = to_log_frame(
-            frame, cfg.zero_policy,
-            epsilon=cfg.floor_epsilon if cfg.zero_policy == "floor" else None,
-        )
-        return logf.log_response, logf.log_regressors
-    return frame.response.copy(), frame.regressors.copy()
-
-
 def build_structure(frame: TimeSeriesFrame, cfg: RunConfig):
     """Returns (inputs, hyper, structure dict for the fit document)."""
     T = frame.n_times
-    target, X = model_scale_arrays(frame, cfg)
     specs = fourier_specs(cfg)
     grid_lev = _component_grid(T, cfg.knot_count_lev, cfg.knot_distance_lev, cfg.knot_anchor)
     grid_seas = _component_grid(T, cfg.knot_count_seas, cfg.knot_distance_seas, cfg.knot_anchor)
@@ -93,7 +81,8 @@ def build_structure(frame: TimeSeriesFrame, cfg: RunConfig):
         "floor_epsilon": cfg.floor_epsilon,
         "regressor_names": list(frame.regressor_names),
     }
-    inputs = ModelInputs(design=_design(structure, X, 1, T), target=target)
+    x, target = model_scale(structure, frame.regressors, frame.response)
+    inputs = ModelInputs(design=_design(structure, x, 1, T), target=target)
     init_scale = cfg.init_scale_lev
     if init_scale <= 0:
         init_scale = 10.0 * max(float(np.std(target)), 1e-3)
@@ -163,20 +152,12 @@ def _design(structure: dict, x: np.ndarray, first: int, n: int) -> ModelDesign:
     times = range(first, first + n)
     return ModelDesign(
         regressors=x,
-        seasonal=fourier_design(first + n - 1, specs).matrix[first - 1:],
+        seasonal=fourier_design(T, specs, times=times).matrix,
         k_lev=kernel_matrix(grid_lev, "level", times=times),
         k_seas=kernel_matrix(grid_seas, "level", times=times),
         k_reg=kernel_matrix(grid_reg, "gaussian", rho=structure["rho"], times=times),
         regressor_names=tuple(structure["regressor_names"]),
     )
-
-
-def _model_scale_regressors(structure: dict, x: np.ndarray) -> np.ndarray:
-    """Raw regressors mapped to the scale a saved fit was trained on."""
-    if structure["link"] != "log":
-        return np.array(x, dtype=float)
-    eps = structure["floor_epsilon"] if structure["zero_policy"] == "floor" else None
-    return transform_regressors(x, structure["zero_policy"], eps)
 
 
 def training_design(structure: dict, frame: TimeSeriesFrame) -> ModelDesign:
@@ -188,7 +169,7 @@ def training_design(structure: dict, frame: TimeSeriesFrame) -> ModelDesign:
         )
     if list(frame.regressor_names) != list(structure["regressor_names"]):
         raise ValidationError("data regressor columns do not match the fit")
-    return _design(structure, _model_scale_regressors(structure, frame.regressors), 1, T)
+    return _design(structure, model_scale(structure, frame.regressors)[0], 1, T)
 
 
 def forecast_design(structure: dict, future_regressors: np.ndarray,
@@ -203,7 +184,7 @@ def forecast_design(structure: dict, future_regressors: np.ndarray,
         raise ValidationError(
             f"future regressors shape {x.shape} does not match ({horizon}, {P})"
         )
-    return _design(structure, _model_scale_regressors(structure, x), T + 1, horizon)
+    return _design(structure, model_scale(structure, x)[0], T + 1, horizon)
 
 
 def predict_from_fit(fit: FitResult, future_regressors: np.ndarray,

@@ -138,12 +138,22 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     for key, kind in _field_types().items():
         if kind is float and not key.startswith(("map_", "svi_")):
             _require_finite(key, getattr(cfg, key))
-    # 0 means automatic or off for these keys; a negative value would
-    # silently mean the same
-    for key in ("knot_count_lev", "knot_count_seas", "knot_count_reg", "rho",
-                "init_scale_lev", "noise_df", "backtest_stride"):
-        if getattr(cfg, key) < 0:
-            raise ValidationError(f"config key {key!r} must be >= 0, got {getattr(cfg, key)!r}")
+    # 0 means automatic or off for the floor-0 keys, so a negative value
+    # would silently mean the same; the floor-1 keys are counts and spans
+    # that a later command would reject without naming the key
+    for floor, keys in ((0, ("knot_count_lev", "knot_count_seas", "knot_count_reg", "rho",
+                             "init_scale_lev", "noise_df", "backtest_stride")),
+                        (1, ("draws", "knot_distance_lev", "knot_distance_seas",
+                             "knot_distance_reg", "backtest_horizon", "backtest_splits",
+                             "backtest_min_train"))):
+        for key in keys:
+            # a knot distance is unused, so unchecked, once its count is set
+            if key.startswith("knot_distance_") and getattr(cfg, "knot_count_" + key[14:]) > 0:
+                continue
+            if getattr(cfg, key) < floor:
+                raise ValidationError(
+                    f"config key {key!r} must be >= {floor}, got {getattr(cfg, key)!r}"
+                )
     for key, allowed in _CHOICES.items():
         if getattr(cfg, key) not in allowed:
             raise ValidationError(

@@ -106,66 +106,37 @@ class TimeSeriesFrame:
         return self.timestamps[1] - self.timestamps[0]
 
 
-@dataclass(frozen=True)
-class LogFrame:
-    """Model-scale arrays: ln(response) and transformed regressors."""
+def model_scale(structure: dict, regressors, response=None):
+    """Raw regressors, and the response when given, mapped to the scale a
+    fit structure is fit on; returns (regressors, response or None).
 
-    log_response: np.ndarray
-    log_regressors: np.ndarray
-
-    def __post_init__(self):
-        ly = np.asarray(self.log_response, dtype=float)
-        lx = np.asarray(self.log_regressors, dtype=float)
-        object.__setattr__(self, "log_response", ly)
-        object.__setattr__(self, "log_regressors", lx)
-        if not (np.all(np.isfinite(ly)) and np.all(np.isfinite(lx))):
-            raise ValidationError("log frame entries must all be finite")
-        if lx.ndim != 2 or lx.shape[0] != ly.size:
-            raise ValidationError(f"log frame shapes disagree: {ly.shape} vs {lx.shape}")
-
-
-def to_log_frame(frame: TimeSeriesFrame, zero_policy: str = "shift1",
-                 epsilon: float | None = None) -> LogFrame:
-    """Transform a frame for log-scale fitting.
-
-    shift1 maps regressors through ln(x+1) so zero spend lands exactly at 0;
-    floor uses ln(max(x, epsilon)). The response must be strictly positive
-    either way.
+    The structure's link, zero_policy and floor_epsilon decide the map. Under
+    link=log the response is logged and must be strictly positive, and the
+    nonnegative regressors go through ln(x+1) (shift1, so zero spend lands
+    exactly at 0) or ln(max(x, floor_epsilon)) (floor). Other links copy both.
     """
-    if zero_policy not in ZERO_POLICIES:
-        raise ValidationError(f"unknown zero_policy {zero_policy!r}")
-    y = frame.response
-    if np.any(y <= 0):
-        i = int(np.argmax(y <= 0))
-        raise ValidationError(f"nonpositive response at row {i + 1}: {y[i]}")
-    x = frame.regressors
+    x = np.array(regressors, dtype=float)
+    y = None if response is None else np.array(response, dtype=float)
+    if structure["link"] != "log":
+        return x, y
+    policy = structure["zero_policy"]
+    if policy not in ZERO_POLICIES:
+        raise ValidationError(f"unknown zero_policy {policy!r}")
+    if y is not None:
+        if np.any(y <= 0):
+            i = int(np.argmax(y <= 0))
+            raise ValidationError(f"nonpositive response at row {i + 1}: {y[i]}")
+        y = np.log(y)
     if x.size and x.min() < 0:
         i, j = np.argwhere(x < 0)[0]
-        raise ValidationError(
-            f"negative regressor {frame.regressor_names[j]!r} at row {int(i) + 1}"
-        )
-    return LogFrame(log_response=np.log(y),
-                    log_regressors=transform_regressors(x, zero_policy, epsilon))
-
-
-def transform_regressors(x: np.ndarray, zero_policy: str,
-                         epsilon: float | None = None) -> np.ndarray:
-    """The regressor half of to_log_frame, for a raw matrix without a response
-    (future regressors, or a saved fit's training rows).
-    """
-    x = np.asarray(x, dtype=float)
-    if zero_policy not in ZERO_POLICIES:
-        raise ValidationError(f"unknown zero_policy {zero_policy!r}")
-    if x.size and x.min() < 0:
-        i, j = np.argwhere(x < 0)[0]
-        raise ValidationError(
-            f"negative regressor value in column {int(j) + 1} at row {int(i) + 1}"
-        )
-    if zero_policy == "shift1":
-        return np.log1p(x)
-    if epsilon is None or epsilon <= 0:
-        raise ValidationError("floor policy needs epsilon > 0")
-    return np.log(np.maximum(x, epsilon))
+        name = structure["regressor_names"][j]
+        raise ValidationError(f"negative regressor {name!r} at row {int(i) + 1}")
+    if policy == "shift1":
+        return np.log1p(x), y
+    epsilon = structure["floor_epsilon"]
+    if epsilon is None or not epsilon > 0:
+        raise ValidationError(f"floor policy needs floor_epsilon > 0, got {epsilon!r}")
+    return np.log(np.maximum(x, epsilon)), y
 
 
 def _parse_cell(text: str, col: str, row: int) -> float:

@@ -356,6 +356,27 @@ class TestErrorPaths:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, setting", [
+        ("fit", "draws=0"), ("fit", "draws=-7"), ("fit", "knot_distance_lev=0"),
+        ("fit", "knot_distance_seas=0"), ("fit", "knot_distance_reg=0"),
+        ("backtest", "backtest_horizon=0"), ("backtest", "backtest_splits=0"),
+        ("backtest", "backtest_min_train=0"),
+    ])
+    def test_setting_below_one_is_rejected_before_the_data_is_read(
+            self, capsys, tmp_path, command, setting):
+        # draws and the backtest keys used to be accepted by fit and fail
+        # only in a later predict or backtest, and a knot distance of 0 only
+        # after the data was read, each with an error that named no key
+        key, _, value = setting.partition("=")
+        code, out, err = run(
+            capsys, command, "--data", str(tmp_path / "missing.csv"),
+            "--out", str(tmp_path / "o"), "--set", setting,
+        )
+        assert code == 1
+        assert err == f"error: config key {key!r} must be >= 1, got {int(value)}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("settings", [
         ("sim_kind=multiplicative", "sim_log_spend_sd=1e300"),
         ("sim_kind=multiplicative", "sim_noise_sd=1e300"),
@@ -493,6 +514,37 @@ class TestErrorPaths:
         )
         assert code == 1
         assert "sim_kind=sparse needs a sim_sparsity window" in err
+
+    @pytest.mark.parametrize("kind", ["rw", "multiplicative"])
+    def test_sparsity_window_needs_the_sparse_kind(self, capsys, tmp_path, kind):
+        # rw used to fail naming a Python function, and multiplicative
+        # silently ignored the window
+        code, out, err = run(
+            capsys, "simulate", "--out", str(tmp_path / "o"),
+            "--set", f"sim_kind={kind}", "--set", "sim_sparsity=1:10:20:1.0",
+        )
+        assert code == 1
+        assert err == f"error: sim_sparsity needs sim_kind=sparse, got sim_kind={kind}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_predict_names_a_negative_future_regressor(self, capsys, tmp_path):
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        data = sim_dir / "data.csv"
+        fit_dir = tmp_path / "fit"
+        run(capsys, "fit", "--data", str(data), "--out", str(fit_dir), *FAST)
+        rows = future_rows(data, 3)
+        rows[3][1] = "-1.0"
+        future = tmp_path / "future.csv"
+        write_csv(future, rows)
+        code, out, err = run(
+            capsys, "predict", "--fit", str(fit_dir / "fit.json"),
+            "--future", str(future), "--horizon", "3", "--out", str(tmp_path / "fc"),
+        )
+        assert code == 1
+        assert err == "error: negative regressor 'x1' at row 3\n"
+        assert out == ""
 
     def test_horizon_beyond_future_rows(self, capsys, tmp_path):
         sim_dir = tmp_path / "sim"

@@ -49,3 +49,17 @@ def test_spec_rejects_a_non_finite_period(period):
     # false) and inf makes every column constant
     with pytest.raises(ValidationError, match=f"period must be finite, got {period}"):
         FourierSpec(period, 1)
+
+
+def test_times_give_the_matching_rows_bit_for_bit():
+    # rows past 3000 of a design that starts at t = 1, asked for on their own
+    specs = (FourierSpec(7.0, 3), FourierSpec(365.25, 2))
+    full = fourier_design(3028, specs)
+    tail = fourier_design(3000, specs, times=range(3001, 3029))
+    assert tail.matrix.shape == (28, 10)
+    assert np.array_equal(tail.matrix, full.matrix[3000:])
+
+
+def test_times_with_no_specs_give_zero_columns():
+    design = fourier_design(10, (), times=range(11, 16))
+    assert design.matrix.shape == (5, 0)

@@ -21,7 +21,6 @@ from btvc.pipeline import (
     input_digest,
     load_frame,
     map_config_from,
-    model_scale_arrays,
     predict_from_fit,
     read_future_csv,
     run_backtest,
@@ -32,7 +31,7 @@ from btvc.pipeline import (
     write_forecast_csv,
 )
 from btvc.runconfig import RunConfig, config_from_dict, config_to_dict
-from btvc.timeframe import transform_regressors
+from btvc.timeframe import model_scale
 
 from tests.test_inference import with_moments
 from tests.test_timeframe import make_frame, write_csv
@@ -99,16 +98,19 @@ class TestBuildStructure:
 
     def test_model_scale_arrays_log_vs_identity(self):
         frame = small_frame()
-        target, x = model_scale_arrays(frame, small_cfg())
+        _, _, structure = build_structure(frame, small_cfg())
+        x, target = model_scale(structure, frame.regressors, frame.response)
         np.testing.assert_allclose(target, np.log(frame.response))
         np.testing.assert_allclose(x, np.log1p(frame.regressors))
-        target_i, x_i = model_scale_arrays(frame, small_cfg(link="identity"))
+        _, _, structure_i = build_structure(frame, small_cfg(link="identity"))
+        x_i, target_i = model_scale(structure_i, frame.regressors, frame.response)
         np.testing.assert_array_equal(target_i, frame.response)
         np.testing.assert_array_equal(x_i, frame.regressors)
 
     def test_init_scale_defaults_to_ten_response_sds(self):
         frame = small_frame()
-        target, _ = model_scale_arrays(frame, small_cfg())
+        _, _, structure = build_structure(frame, small_cfg())
+        _, target = model_scale(structure, frame.regressors, frame.response)
         _, hp, _ = build_structure(frame, small_cfg())
         assert hp.init_scale_lev == pytest.approx(10.0 * float(np.std(target)))
         _, hp2, _ = build_structure(frame, small_cfg(init_scale_lev=3.0))
@@ -203,9 +205,8 @@ class TestFitAndForecast:
         structure = fit.structure
         T = structure["T"]
         specs = (FourierSpec(7.0, 1),)
-        _, x_train = model_scale_arrays(frame, cfg)
         full = ModelDesign(
-            regressors=np.vstack([x_train, transform_regressors(future, "shift1", None)]),
+            regressors=model_scale(structure, np.vstack([frame.regressors, future]))[0],
             seasonal=fourier_design(T + h, specs).matrix,
             k_lev=kernel_matrix(KnotGrid(structure["knots_lev"], T), "level",
                                 times=range(1, T + h + 1)),

@@ -213,3 +213,15 @@ def test_validate_config_runs_all_derived_views():
     bad = dataclasses.replace(RunConfig(), sim_sparsity="2:150")
     with pytest.raises(ValidationError, match="channel:start:end:prob"):
         validate_config(bad)
+
+
+@pytest.mark.parametrize("component", ["lev", "seas", "reg"])
+def test_knot_distance_is_checked_only_without_a_knot_count(component):
+    # a count overrides the distance, so a config or fit document that
+    # carries an unused distance below 1 still loads
+    unused = dataclasses.replace(RunConfig(), **{f"knot_count_{component}": 5,
+                                                 f"knot_distance_{component}": 0})
+    assert validate_config(unused) is unused
+    used = dataclasses.replace(RunConfig(), **{f"knot_distance_{component}": 0})
+    with pytest.raises(ValidationError, match=f"'knot_distance_{component}' must be >= 1"):
+        validate_config(used)

@@ -7,8 +7,7 @@ from btvc.timeframe import (
     TimeSeriesFrame,
     emit_csv,
     ingest_csv,
-    to_log_frame,
-    transform_regressors,
+    model_scale,
 )
 
 
@@ -19,6 +18,12 @@ def make_frame(T=6, P=2, start="2024-01-01", step=1, x=None, y=None):
     if x is None:
         x = np.arange(T * P, dtype=float).reshape(T, P)
     return TimeSeriesFrame(timestamps=ts, response=y, regressors=x)
+
+
+def log_structure(zero_policy="shift1", floor_epsilon=1e-6, names=("x1", "x2")):
+    """The keys of a fit structure that model_scale reads."""
+    return {"link": "log", "zero_policy": zero_policy, "floor_epsilon": floor_epsilon,
+            "regressor_names": list(names)}
 
 
 def write_csv(path, rows):
@@ -62,37 +67,46 @@ class TestFrameValidation:
 class TestLogTransforms:
     def test_shift1_matches_log1p(self):
         f = make_frame(T=5, P=2)
-        lf = to_log_frame(f, "shift1")
-        assert np.array_equal(lf.log_response, np.log(f.response))
-        assert np.array_equal(lf.log_regressors, np.log1p(f.regressors))
+        x, y = model_scale(log_structure(), f.regressors, f.response)
+        assert np.array_equal(y, np.log(f.response))
+        assert np.array_equal(x, np.log1p(f.regressors))
 
     def test_floor_matches_clipped_log(self):
         x = np.array([[0.0], [0.5], [3.0]])
         f = make_frame(T=3, P=1, x=x)
-        lf = to_log_frame(f, "floor", epsilon=0.01)
-        assert np.array_equal(lf.log_regressors, np.log(np.maximum(x, 0.01)))
+        lx, _ = model_scale(log_structure("floor", 0.01), f.regressors, f.response)
+        assert np.array_equal(lx, np.log(np.maximum(x, 0.01)))
 
     def test_floor_requires_epsilon(self):
         f = make_frame()
-        with pytest.raises(ValidationError):
-            to_log_frame(f, "floor")
+        for epsilon in (None, 0.0):
+            with pytest.raises(ValidationError):
+                model_scale(log_structure("floor", epsilon), f.regressors, f.response)
 
     def test_nonpositive_response_reports_row(self):
         y = np.array([5.0, 0.0, 3.0])
         f = make_frame(T=3, y=y)
         with pytest.raises(ValidationError, match="row 2"):
-            to_log_frame(f, "shift1")
+            model_scale(log_structure(), f.regressors, f.response)
 
     def test_unknown_policy(self):
+        f = make_frame()
         with pytest.raises(ValidationError):
-            to_log_frame(make_frame(), "clip")
+            model_scale(log_structure("clip"), f.regressors, f.response)
 
     def test_transform_regressors_for_future_rows(self):
         x = np.array([[0.0, 2.0], [1.0, 3.0]])
-        assert np.array_equal(transform_regressors(x, "shift1", None), np.log1p(x))
+        lx, y = model_scale(log_structure(), x)
+        assert y is None
+        assert np.array_equal(lx, np.log1p(x))
         assert np.array_equal(
-            transform_regressors(x, "floor", 0.5), np.log(np.maximum(x, 0.5))
+            model_scale(log_structure("floor", 0.5), x)[0], np.log(np.maximum(x, 0.5))
         )
+
+    def test_negative_regressor_is_named_from_the_structure(self):
+        x = np.array([[0.0, 2.0], [1.0, 3.0], [1.0, -0.5]])
+        with pytest.raises(ValidationError, match="^negative regressor 'b' at row 3$"):
+            model_scale(log_structure(names=("a", "b")), x)
 
 
 class TestCsvIngest:
