@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import DivergenceError, ValidationError
+from .kernels import TILE_ROWS, WEIGHT_FLOOR
 from .model import (
     LOG_2PI,
     HyperParams,
@@ -410,8 +411,6 @@ def draw_quantiles(draws: np.ndarray, levels) -> dict[float, np.ndarray]:
     return {float(level): band for level, band in zip(levels, bands)}
 
 
-_GRAM_BLOCK_ROWS = 256
-_GRAM_WEIGHT_FLOOR = math.sqrt(np.finfo(float).tiny)
 # G entries one np.dot streams in about the time of its fixed cost per call:
 # a merge of two row blocks storing fewer extra entries than this saves time
 _GRAM_CALL_ENTRIES = 8192
@@ -425,11 +424,12 @@ def _gram(design, r0: np.ndarray, with_level: bool):
     couples only with its neighbours; c = (Z'r0)[order], and each block
     (rows, cols, array) holds G[order][:, order][rows, cols], contiguous.
 
-    Z' is built _GRAM_BLOCK_ROWS time rows at a time, each tile holding only
-    the knots its rows reach. Weights below sqrt(tiny) are left out: every
-    product through one is far below the rounding of G's entries, and
-    mostly subnormal, which is slow. A row's columns run from the first to
-    the last nonzero of its tiles' products. Passes over the rows merge
+    Z' is built TILE_ROWS time rows at a time from each kernel's band, each
+    tile holding only the knots its rows reach. Weights below WEIGHT_FLOOR
+    are left out (kernel_matrix drops them already; a hand-built band may
+    hold them): every product through one is far below the rounding of G's
+    entries, and mostly subnormal, which is slow. A row's columns run from
+    the first to the last nonzero of its tiles' products. Passes over the rows merge
     adjacent blocks while a merge stores fewer than _GRAM_CALL_ENTRIES extra
     entries, from blocks as tall as the first passes would make them. The
     tile products are added into the blocks in tile order, so each entry is
@@ -447,15 +447,16 @@ def _gram(design, r0: np.ndarray, with_level: bool):
     c = np.zeros(dim)
     # a row's nonzero column span [first, last); dim, 0 for an all-zero row
     first, last, tiles = np.full(dim, dim), np.zeros(dim, dtype=np.intp), []
-    for start in range(0, r0.size, _GRAM_BLOCK_ROWS):
-        rows = slice(start, start + _GRAM_BLOCK_ROWS)
+    for start in range(0, r0.size, TILE_ROWS):
+        rows = slice(start, start + TILE_ROWS)
         used, at = [], []
         for (k, x), offset in zip(parts, offsets):
-            kept = k.weights[rows] >= _GRAM_WEIGHT_FLOOR
+            k_lo, w = k.tile(rows)
+            kept = w >= WEIGHT_FLOOR
             cols = np.flatnonzero(kept.any(axis=0))
             lo, hi, width = cols[0], cols[-1] + 1, x.shape[0]
-            used.append((np.where(kept[:, lo:hi], k.weights[rows, lo:hi], 0.0).T, x[:, rows]))
-            at.append(place[offset + lo * width:offset + hi * width])
+            used.append((np.where(kept[:, lo:hi], w[:, lo:hi], 0.0).T, x[:, rows]))
+            at.append(place[offset + (k_lo + lo) * width:offset + (k_lo + hi) * width])
         at = np.concatenate(at)  # the places of zt's rows
         if not at.size:  # Z has no columns
             continue
@@ -565,7 +566,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     check_dims(packing.unpack(np.zeros(packing.dim)), design)
     y = inputs.target
     n = y.size
-    k_lev, k_seas, k_reg = design.k_lev.weights, design.k_seas.weights, design.k_reg.weights
+    k_lev, k_seas, k_reg = design.k_lev, design.k_seas, design.k_reg
     seasonal, regressors = design.seasonal, design.regressors
     n_seas_knots, n_cols = packing.n_seas_knots, packing.n_seas_cols
     n_reg_knots, n_channels = packing.n_reg_knots, packing.n_channels
@@ -584,7 +585,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     const = 0.0
     if not lev_free:
         const += _laplace_chain(packing.fixed_b_lev, hp.init_scale_lev, hp.sigma_lev)[0]
-        trend_fixed = k_lev @ packing.fixed_b_lev
+        trend_fixed = k_lev.product(packing.fixed_b_lev)
     fixed_mu = np.zeros(0) if mu_free else packing.fixed_mu_reg
     if not mu_free and n_channels:
         if check_support and fixed_mu.min() < 0:
@@ -619,19 +620,24 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
 
     # A window with weight w adds -(w / 2 sd^2) |K_rows b - mean|^2, so
     # H = (w / sd^2) K_rows'K_rows and h = (w mean / sd^2) K_rows'1, summed
-    # per channel over the knots its windows reach: weights below sqrt(tiny)
-    # are left out as in _gram, so H grows with the reach, not with J_reg.
+    # per channel over the knots its windows reach: weights below
+    # WEIGHT_FLOOR are left out as in _gram, so H grows with the reach, not
+    # with J_reg.
     by_channel: dict[int, list] = {}
     for term in calibration:
         by_channel.setdefault(term.channel_index, []).append(term)
     windows = []
     for channel, terms in by_channel.items():
-        rows = [k_reg[term.start0:term.end0 + 1] for term in terms]
-        reach = np.flatnonzero(np.vstack(rows).max(axis=0) >= _GRAM_WEIGHT_FLOOR)
-        knots = slice(reach[0], reach[-1] + 1)
+        tiles = [k_reg.tile(slice(term.start0, term.end0 + 1)) for term in terms]
+        kept = np.concatenate([lo + np.flatnonzero((k >= WEIGHT_FLOOR).any(axis=0))
+                               for lo, k in tiles])
+        knots = slice(kept.min(), kept.max() + 1)
         H = h = 0.0
-        for term, k_rows in zip(terms, rows):
-            k_rows = k_rows[:, knots]
+        for term, (lo, k) in zip(terms, tiles):
+            # the window's kernel rows over the channel's knots
+            k_rows = np.zeros((k.shape[0], knots.stop - knots.start))
+            c_lo, c_hi = max(lo, knots.start), min(lo + k.shape[1], knots.stop)
+            k_rows[:, c_lo - knots.start:c_hi - knots.start] = k[:, c_lo - lo:c_hi - lo]
             w = term.weight / (term.sd * term.sd)
             H = H + w * (k_rows.T @ k_rows)
             h = h + w * term.mean * k_rows.sum(axis=0)
@@ -655,6 +661,8 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
                    - 0.5 * math.log(nu * math.pi))
         const += n * t_const
         b_seas = t[n_lev:n_chain].reshape(n_seas_knots, n_cols)
+        # each call multiplies by every kernel twice: scatter the tiles once
+        lev_tiles, seas_tiles, reg_tiles = k_lev.tiles(), k_seas.tiles(), k_reg.tiles()
 
     def f(theta):
         theta = np.asarray(theta, dtype=float)
@@ -724,9 +732,10 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             grad[order] += r
         else:
             # likelihood through the three kernel products
-            fitted = k_lev @ t[:n_lev] if lev_free else trend_fixed
-            fitted = (fitted + np.einsum("tq,tq->t", seasonal, k_seas @ b_seas)
-                      + np.einsum("tp,tp->t", regressors, k_reg @ b_reg))
+            fitted = k_lev.product(t[:n_lev], tiles=lev_tiles) if lev_free else trend_fixed
+            fitted = (fitted
+                      + np.einsum("tq,tq->t", seasonal, k_seas.product(b_seas, tiles=seas_tiles))
+                      + np.einsum("tp,tp->t", regressors, k_reg.product(b_reg, tiles=reg_tiles)))
             resid = y - fitted
             nu_var = nu * sigma * sigma
             sq = resid * resid
@@ -735,9 +744,11 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             dfit = (nu + 1.0) * resid / denom
             dlnsig = (nu + 1.0) * float((sq / denom).sum()) - n
             if lev_free:
-                grad[:n_lev] += k_lev.T @ dfit
-            grad[n_lev:n_chain] += (k_seas.T @ (dfit[:, None] * seasonal)).ravel()
-            g_x[:n_b] += (k_reg.T @ (dfit[:, None] * regressors)).ravel()
+                grad[:n_lev] += k_lev.product(dfit, transpose=True, tiles=lev_tiles)
+            grad[n_lev:n_chain] += k_seas.product(dfit[:, None] * seasonal, transpose=True,
+                                                  tiles=seas_tiles).ravel()
+            g_x[:n_b] += k_reg.product(dfit[:, None] * regressors, transpose=True,
+                                       tiles=reg_tiles).ravel()
 
         g_reg = g_x[:n_b].reshape(n_reg_knots, n_channels)
         for knots, channel, H, h, b in windows:
@@ -767,16 +778,17 @@ def initial_theta(inputs: ModelInputs, hp: HyperParams,
     noise scale at the trend-only residual sd; packing drops the blocks it
     fixes.
     """
-    K = inputs.design.k_lev.weights
-    colsum = K.sum(axis=0)
+    K = inputs.design.k_lev
+    tiles = K.tiles()
+    colsum = K.product(np.ones(K.n_times), transpose=True, tiles=tiles)
     colsum[colsum == 0] = 1.0
-    b_lev = (K.T @ inputs.target) / colsum
+    b_lev = K.product(inputs.target, transpose=True, tiles=tiles) / colsum
     return packing.pack(ParameterSet(
         b_lev=b_lev,
         b_seas=np.zeros((packing.n_seas_knots, packing.n_seas_cols)),
         b_reg=np.full((packing.n_reg_knots, packing.n_channels), 0.1),
         mu_reg=np.full(packing.n_channels, 0.1),
-        sigma_obs=max(float(np.std(inputs.target - K @ b_lev)), 1e-3),
+        sigma_obs=max(float(np.std(inputs.target - K.product(b_lev, tiles=tiles))), 1e-3),
     ))
 
 

@@ -7,10 +7,19 @@ adjacent knots and is used for trend and seasonality; the Gaussian kernel
 spreads mass over all knots with scale ``rho`` and is used for regression.
 Raw kernel values are always normalized across knots so every weight row
 sums to 1.
+
+Both kernels are local, so a KernelMatrix stores only its band, an (n,
+width) array, and the knot index of each row's first band column. The
+piecewise-linear band is the 2 knots bracketing t. The Gaussian band holds
+each row's weights of at least sqrt(tiny), a few dozen, padded to the
+widest row. Products with K or K' run over blocks of TILE_ROWS rows, each
+scattered into a dense tile over the knots its rows reach, so no n x J
+array is ever built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +27,13 @@ import numpy as np
 from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-12
+# Weights below this are dropped from the band: each changes a product by
+# under 1.5e-154 times the other factor, far below its rounding, and the
+# Gaussian ones far from their knot would be subnormal, which is slow.
+WEIGHT_FLOOR = math.sqrt(np.finfo(float).tiny)
+# Rows per dense block of a product; a design of at most this many rows
+# (forecast rows, short series) costs one GEMM per product.
+TILE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -37,7 +53,7 @@ class KnotGrid:
             raise ValidationError(f"series length must be >= 1, got {self.T}")
         if times.ndim != 1 or times.size < 1:
             raise ValidationError("knot grid needs at least one knot")
-        if np.any(np.diff(times) <= 0):
+        if (times[1:] <= times[:-1]).any():
             raise ValidationError(f"knot times must be strictly increasing, got {times.tolist()}")
         if times[0] < 1 or times[-1] > self.T:
             raise ValidationError(
@@ -51,24 +67,36 @@ class KnotGrid:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Row-stochastic weight matrix: entry (t, j) is knot j's weight at time t+1.
+    """Row-stochastic weight matrix K: entry (t, j) is knot j's weight at
+    time t+1, stored as its band.
 
-    Rows may extend beyond the grid's T (forecast times); every row sums
-    to 1 within 1e-12 and entries are nonnegative.
+    Row t holds band[t, c] at knot first[t] + c and 0 at every other knot,
+    with first[t] + width <= J for the band's width. Rows may extend beyond
+    the grid's T (forecast times); every row sums to 1 within 1e-12 and
+    entries are nonnegative.
     """
 
-    weights: np.ndarray
+    band: np.ndarray
+    first: np.ndarray
     grid: KnotGrid
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 2 or w.shape[1] != self.grid.n_knots:
-            raise ValidationError(f"weight matrix shape {w.shape} does not match grid")
-        if np.any(w < 0):
+        band = np.asarray(self.band, dtype=float)
+        first = np.asarray(self.first, dtype=np.intp)
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "first", first)
+        if band.ndim != 2 or not band.shape[1] or first.shape != band.shape[:1]:
+            raise ValidationError(f"band shape {band.shape} and first shape "
+                                  f"{first.shape} do not match")
+        if not band.size:
+            return
+        if first.min() < 0 or first.max() + band.shape[1] > self.grid.n_knots:
+            raise ValidationError(f"a band of width {band.shape[1]} runs past the "
+                                  f"grid's {self.grid.n_knots} knots")
+        if band.min() < 0:
             raise ValidationError("kernel weights must be nonnegative")
-        row_sums = w.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+        row_sums = band.sum(axis=1)
+        if np.abs(row_sums - 1.0).max() > ROW_SUM_TOL:
             worst = int(np.argmax(np.abs(row_sums - 1.0)))
             raise ValidationError(
                 f"kernel row {worst + 1} sums to {row_sums[worst]!r}, expected 1"
@@ -76,7 +104,58 @@ class KernelMatrix:
 
     @property
     def n_times(self) -> int:
-        return int(self.weights.shape[0])
+        return int(self.band.shape[0])
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense (n, J) matrix, built anew on every read."""
+        out = np.zeros((self.n_times, self.grid.n_knots))
+        if self.n_times:
+            lo, k = self.tile(slice(None))
+            out[:, lo:lo + k.shape[1]] = k
+        return out
+
+    def tile(self, rows: slice) -> tuple[int, np.ndarray]:
+        """(lo, K[rows, lo:hi]) for the knots lo..hi-1 that the band of
+        these rows covers, as a dense array not to be written to: when
+        every row starts at knot lo, it is the band itself."""
+        first, band = self.first[rows], self.band[rows]
+        lo, hi = int(first.min()), int(first.max()) + band.shape[1]
+        if hi - lo == band.shape[1]:
+            return lo, band
+        out = np.zeros((first.size, hi - lo))
+        # row i's band starts at flat offset i * (hi - lo) + first[i] - lo
+        starts = np.arange(0, out.size, out.shape[1]) + first - lo
+        out.reshape(-1)[starts[:, None] + np.arange(band.shape[1])] = band
+        return lo, out
+
+    def tiles(self) -> list[tuple[slice, int, np.ndarray]]:
+        """(rows, lo, K[rows, lo:hi]) for each block of TILE_ROWS rows."""
+        blocks = []
+        for start in range(0, self.n_times, TILE_ROWS):
+            rows = slice(start, start + TILE_ROWS)
+            blocks.append((rows, *self.tile(rows)))
+        return blocks
+
+    def product(self, x, transpose: bool = False,
+                tiles: list[tuple[slice, int, np.ndarray]] | None = None) -> np.ndarray:
+        """K @ x, or K' @ x when transpose, for x of shape (J, ...) or (n, ...).
+
+        Each block of TILE_ROWS rows is one GEMM of its tile; K' @ x adds
+        the blocks in row order. A caller that multiplies by K many times
+        passes tiles=self.tiles(), built once.
+        """
+        x = np.asarray(x, dtype=float)
+        if transpose:
+            out = np.zeros((self.grid.n_knots,) + x.shape[1:])
+        else:
+            out = np.empty((self.n_times,) + x.shape[1:])
+        for rows, lo, k in self.tiles() if tiles is None else tiles:
+            if transpose:
+                out[lo:lo + k.shape[1]] += k.T @ x[rows]
+            else:
+                out[rows] = k @ x[lo:lo + k.shape[1]]
+        return out
 
 
 def build_grid(T: int, *, count: int | None = None, distance: int | None = None,
@@ -132,8 +211,10 @@ def kernel_matrix(grid: KnotGrid, kind: str, *, rho: float | None = None,
     forecast times). "gaussian" is exp(-(t - t_j)^2 / (2 rho^2)) normalized
     per row, computed in log space so far-away rows cannot underflow to an
     all-zero row. All rows are renormalized so row-stochasticity holds
-    exactly at the boundary rule as well; Gaussian weights below the
-    smallest normal float are then set to 0.
+    exactly at the boundary rule as well. Each kept weight is the float a
+    dense n x J computation of this formula holds: "level" rows are built on
+    their 2 knots, "gaussian" rows TILE_ROWS at a time over all J knots,
+    keeping the weights of at least WEIGHT_FLOOR.
     """
     if times is None:
         ts = np.arange(1, grid.T + 1, dtype=float)
@@ -141,35 +222,56 @@ def kernel_matrix(grid: KnotGrid, kind: str, *, rho: float | None = None,
         ts = np.fromiter(times, dtype=float)
         if not ts.size:
             raise ValidationError("times must be nonempty")
+        if not np.isfinite(ts).all():
+            raise ValidationError("times must be finite")
         if ts.min() < 1:
             raise ValidationError(f"time {ts.min()} out of range, must be >= 1")
-    knots = grid.knot_times
     if kind == "level":
-        w = np.zeros((ts.size, grid.n_knots))
-        first = ts <= knots[0]
-        last = ~first & (ts >= knots[-1])
-        w[first, 0] = 1.0
-        w[last, -1] = 1.0
-        rows = np.flatnonzero(~(first | last))
-        t = ts[rows]
-        i = np.searchsorted(knots, t, side="right") - 1
-        span = (knots[i + 1] - knots[i]).astype(float)
-        w[rows, i] = 1.0 - (t - knots[i]) / span
-        w[rows, i + 1] = 1.0 - (knots[i + 1] - t) / span
-    elif kind == "gaussian":
-        if rho is None:
-            raise ValidationError("gaussian kernel requires rho")
-        if rho <= 0:
-            raise ValidationError(f"kernel scale rho must be > 0, got {rho}")
-        log_w = -((ts[:, None] - knots.astype(float)) ** 2) / (2.0 * rho * rho)
+        first, band = _level_band(grid.knot_times, ts)
+        return KernelMatrix(band=band, first=first, grid=grid)
+    if kind != "gaussian":
+        raise ValidationError(f"unknown kernel kind {kind!r}")
+    if rho is None:
+        raise ValidationError("gaussian kernel requires rho")
+    if rho <= 0:
+        raise ValidationError(f"kernel scale rho must be > 0, got {rho}")
+    rows, knots, values = [], [], []
+    for start in range(0, ts.size, TILE_ROWS):
+        t = ts[start:start + TILE_ROWS, None]
+        log_w = -((t - grid.knot_times.astype(float)) ** 2) / (2.0 * rho * rho)
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
         w = w / w.sum(axis=1, keepdims=True)
-    else:
-        raise ValidationError(f"unknown kernel kind {kind!r}")
-    w = w / w.sum(axis=1, keepdims=True)
-    if kind == "gaussian":
-        # Gaussian weights far from their knot underflow to subnormal numbers,
-        # which slow every product through them several-fold. Each changes a
-        # product by under 1e-300 times the other factor, far below its rounding.
-        w[w < np.finfo(float).tiny] = 0.0
-    return KernelMatrix(weights=w, grid=grid)
+        w = w / w.sum(axis=1, keepdims=True)
+        r, j = np.nonzero(w >= WEIGHT_FLOOR)
+        rows.append(start + r)
+        knots.append(j)
+        values.append(w[r, j])
+    rows, knots, values = (np.concatenate(a) for a in (rows, knots, values))
+    # every row keeps its largest weight, at least 1/J; entries are row-major
+    at = np.searchsorted(rows, np.arange(ts.size))
+    lo, hi = knots[at], np.maximum.reduceat(knots, at) + 1
+    width = int((hi - lo).max())
+    first = np.minimum(lo, grid.n_knots - width)
+    band = np.zeros((ts.size, width))
+    band[rows, knots - first[rows]] = values
+    return KernelMatrix(band=band, first=first, grid=grid)
+
+
+def _level_band(knots: np.ndarray, ts: np.ndarray):
+    """(first, band) of the "level" kernel: each row's weights on the two
+    knots bracketing t (the only knot when J = 1), normalized by their sum,
+    which is the dense row's. Each weight is 0 or at least 2^-54, so none
+    falls below WEIGHT_FLOOR."""
+    if knots.size == 1:
+        return np.zeros(ts.size, dtype=np.intp), np.ones((ts.size, 1))
+    first = np.searchsorted(knots, ts, side="right") - 1
+    first = np.minimum(np.maximum(first, 0), knots.size - 2)
+    left, right = knots[first], knots[first + 1]
+    span = (right - left).astype(float)
+    band = np.empty((ts.size, 2))
+    band[:, 0] = 1.0 - (ts - left) / span
+    band[:, 1] = 1.0 - (right - ts) / span
+    band[ts <= knots[0]] = (1.0, 0.0)
+    band[ts >= knots[-1]] = (0.0, 1.0)
+    band /= band.sum(axis=1, keepdims=True)
+    return first, band

@@ -249,15 +249,14 @@ def _check_reg_rows(b_reg, k_reg: KernelMatrix) -> None:
 def coefficients(params: ParameterSet, k_reg: KernelMatrix) -> np.ndarray:
     """Time-varying regression coefficients B = K @ b_reg, shape (n, P)."""
     _check_reg_rows(params.b_reg, k_reg)
-    return k_reg.weights @ params.b_reg
+    return k_reg.product(params.b_reg)
 
 
 def _stacked_product(k: KernelMatrix, b: np.ndarray) -> np.ndarray:
-    """K @ b[s] for every draw s as one GEMM that reads K once: b (S, J, C)
-    moves to (J, S*C), and the result is laid out (n, S, C)."""
+    """K @ b[s] for every draw s as one product that reads K once: b
+    (S, J, C) moves to (J, S*C), and the result is laid out (n, S, C)."""
     S, J, C = b.shape
-    n = k.weights.shape[0]
-    return (k.weights @ b.transpose(1, 0, 2).reshape(J, S * C)).reshape(n, S, C)
+    return k.product(b.transpose(1, 0, 2).reshape(J, S * C)).reshape(k.n_times, S, C)
 
 
 def stacked_coefficients(b_reg: np.ndarray, k_reg: KernelMatrix) -> np.ndarray:
@@ -275,7 +274,7 @@ def stacked_fitted(b_lev: np.ndarray, b_seas: np.ndarray, b_reg: np.ndarray,
     for all draws.
     """
     _check_knot_shapes(b_lev, b_seas, b_reg, design)
-    trend = b_lev @ design.k_lev.weights.T
+    trend = design.k_lev.product(b_lev.T).T
     seasonality = np.einsum("tq,tsq->st", design.seasonal,
                             _stacked_product(design.k_seas, b_seas))
     regression = np.einsum("tp,tsp->st", design.regressors,
@@ -286,10 +285,10 @@ def stacked_fitted(b_lev: np.ndarray, b_seas: np.ndarray, b_reg: np.ndarray,
 def decompose(params: ParameterSet, design: ModelDesign) -> Decomposition:
     """Split the fitted target into trend, seasonality, and regression."""
     check_dims(params, design)
-    trend = design.k_lev.weights @ params.b_lev
-    seas_coef = design.k_seas.weights @ params.b_seas
+    trend = design.k_lev.product(params.b_lev)
+    seas_coef = design.k_seas.product(params.b_seas)
     seasonality = (design.seasonal * seas_coef).sum(axis=1)
-    coef = design.k_reg.weights @ params.b_reg
+    coef = design.k_reg.product(params.b_reg)
     per_channel = design.regressors * coef
     regression = per_channel.sum(axis=1)
     return Decomposition(
@@ -446,18 +445,18 @@ def log_posterior_and_grad(params: ParameterSet, inputs: ModelInputs,
     ll, dfit, dlnsig = _log_likelihood_and_grads(params, inputs, hp)
     value += ll
     design = inputs.design
-    grad.b_lev += design.k_lev.weights.T @ dfit
+    grad.b_lev += design.k_lev.product(dfit, transpose=True)
     if params.b_seas.size:
-        grad.b_seas += design.k_seas.weights.T @ (dfit[:, None] * design.seasonal)
+        grad.b_seas += design.k_seas.product(dfit[:, None] * design.seasonal, transpose=True)
     if params.b_reg.size:
-        grad.b_reg += design.k_reg.weights.T @ (dfit[:, None] * design.regressors)
+        grad.b_reg += design.k_reg.product(dfit[:, None] * design.regressors, transpose=True)
     grad.ln_sigma_obs += dlnsig
     if calibration:
-        coef = design.k_reg.weights @ params.b_reg
+        coef = design.k_reg.product(params.b_reg)
         for term in calibration:
             t_value, t_coef_grad = term.value_and_coef_grad(coef)
             value += t_value
-            grad.b_reg += design.k_reg.weights.T @ t_coef_grad
+            grad.b_reg += design.k_reg.product(t_coef_grad, transpose=True)
     return value, grad
 
 

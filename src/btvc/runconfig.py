@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -133,19 +134,26 @@ def parse_value(key: str, raw: str):
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
-    # nan passes every range check (nan > 0 is false); MapConfig and
-    # SviConfig check the map_* and svi_* floats under their own field names
     for key, kind in _field_types().items():
+        value = getattr(cfg, key)
+        # a fit document's config block can hold any JSON value; a bool is
+        # an int to Python but not a count or a scale here
+        if kind in (int, float) and (isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if kind is int else numbers.Real)):
+            raise ValidationError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
+        # nan passes every range check (nan > 0 is false); MapConfig and
+        # SviConfig check the map_* and svi_* floats under their own names
         if kind is float and not key.startswith(("map_", "svi_")):
-            _require_finite(key, getattr(cfg, key))
+            _require_finite(key, value)
     # 0 means automatic or off for the floor-0 keys, so a negative value
-    # would silently mean the same; the floor-1 keys are counts and spans
-    # that a later command would reject without naming the key
+    # would silently mean the same; the floor-1 and floor-2 keys are counts
+    # and spans that a later command would reject without naming the key
     for floor, keys in ((0, ("knot_count_lev", "knot_count_seas", "knot_count_reg", "rho",
                              "init_scale_lev", "noise_df", "backtest_stride")),
                         (1, ("draws", "knot_distance_lev", "knot_distance_seas",
                              "knot_distance_reg", "backtest_horizon", "backtest_splits",
-                             "backtest_min_train"))):
+                             "backtest_min_train", "sim_channels")),
+                        (2, ("sim_length",))):
         for key in keys:
             # a knot distance is unused, so unchecked, once its count is set
             if key.startswith("knot_distance_") and getattr(cfg, "knot_count_" + key[14:]) > 0:

@@ -528,6 +528,66 @@ class TestErrorPaths:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("setting, floor", [
+        ("sim_length=1", 2), ("sim_length=0", 2), ("sim_channels=0", 1), ("sim_channels=-2", 1),
+    ])
+    def test_simulation_size_below_its_floor_names_the_key(self, capsys, tmp_path, setting,
+                                                           floor):
+        # each used to fail in the simulator with "need T >= 2 and P >= 1"
+        key, _, value = setting.partition("=")
+        code, out, err = run(capsys, "simulate", "--out", str(tmp_path / "o"), "--set", setting)
+        assert code == 1
+        assert err == f"error: config key {key!r} must be >= {floor}, got {int(value)}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_predict_names_the_draws_flag(self, capsys, tmp_path):
+        # the flag used to reach forecast_quantiles, whose error named its
+        # n_draws parameter
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        data = sim_dir / "data.csv"
+        fit_dir = tmp_path / "fit"
+        code, _, err = run(capsys, "fit", "--data", str(data), "--out", str(fit_dir), *FAST,
+                           "--set", "mode=svi", "--set", "svi_iterations=60")
+        assert code == 0, err
+        future = tmp_path / "future.csv"
+        write_csv(future, future_rows(data, 3))
+        for draws in ("0", "-3"):
+            code, out, err = run(
+                capsys, "predict", "--fit", str(fit_dir / "fit.json"), "--future", str(future),
+                "--horizon", "3", "--quantiles", "0.5", "--draws", draws,
+                "--out", str(tmp_path / "fc"),
+            )
+            assert code == 1
+            assert err == f"error: --draws must be >= 1, got {draws}\n"
+            assert out == ""
+            assert not (tmp_path / "fc").exists()
+
+    def test_non_number_in_a_numeric_config_key_of_a_fit_document(self, capsys, tmp_path):
+        # a null float key used to end in a TypeError from math.isfinite
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        data = sim_dir / "data.csv"
+        fit_dir = tmp_path / "fit"
+        code, _, err = run(capsys, "fit", "--data", str(data), "--out", str(fit_dir), *FAST)
+        assert code == 0, err
+        doc = json.loads((fit_dir / "fit.json").read_text())
+        numeric = [key for key, value in doc["config"].items()
+                   if isinstance(value, (int, float)) and not isinstance(value, bool)]
+        assert len(numeric) > 40 and "floor_epsilon" in numeric and "draws" in numeric
+        bad_fit = tmp_path / "bad_fit.json"
+        for bad in (None, "x", True):
+            for key in numeric:
+                bad_fit.write_text(json.dumps({**doc, "config": {**doc["config"], key: bad}}))
+                code, out, err = run(capsys, "decompose", "--fit", str(bad_fit),
+                                     "--data", str(data), "--out", str(tmp_path / "dec"))
+                assert code == 1, (key, bad)
+                kind = type(doc["config"][key]).__name__
+                assert err == f"error: config key {key!r} expects {kind}, got {bad!r}\n"
+                assert out == ""
+        assert not (tmp_path / "dec").exists()
+
     def test_predict_names_a_negative_future_regressor(self, capsys, tmp_path):
         sim_dir = tmp_path / "sim"
         simulate_small(capsys, str(sim_dir))

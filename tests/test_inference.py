@@ -9,7 +9,7 @@ import btvc.inference as inference
 from btvc.calibration import PriorWindow, apply_prior_windows
 from btvc.errors import DivergenceError, ValidationError
 from btvc.fourier import FourierSpec
-from btvc.kernels import KernelMatrix, KnotGrid, build_grid, kernel_matrix
+from btvc.kernels import TILE_ROWS, WEIGHT_FLOOR, KnotGrid, build_grid, kernel_matrix
 from btvc.model import (
     HyperParams,
     ModelDesign,
@@ -37,6 +37,7 @@ from btvc.inference import (
 from btvc.pipeline import build_structure, map_config_from, svi_config_from
 from btvc.runconfig import RunConfig
 from btvc.simulation import MultiplicativeSimConfig, simulate_multiplicative
+from tests.test_kernels import dense_kernel, reference_rows
 from tests.test_model import toy
 
 
@@ -153,7 +154,7 @@ def test_initial_theta_unpacks_to_the_documented_start(kind):
                 packing, fixed_b_lev=np.linspace(1.5, 2.5, packing.n_lev))
     params = packing.unpack(initial_theta(inputs, hp, packing))
     K, y = inputs.design.k_lev.weights, inputs.target
-    local_means = (K.T @ y) / K.sum(axis=0)
+    local_means = (K.T @ y) / (K.T @ np.ones(y.size))
     if packing.fixed_b_lev is None:
         assert np.array_equal(params.b_lev, local_means)
     else:
@@ -712,7 +713,7 @@ def subnormal_kernel_problem():
     zero = w == 0
     w[zero] = np.finfo(float).tiny * np.geomspace(0.5, 2.0**-40, np.count_nonzero(zero))
     design = ModelDesign(regressors=d.regressors, seasonal=d.seasonal, k_lev=d.k_lev,
-                         k_seas=d.k_seas, k_reg=KernelMatrix(weights=w, grid=grid))
+                         k_seas=d.k_seas, k_reg=dense_kernel(w, grid))
     assert np.count_nonzero((w != 0) & (w < np.finfo(float).tiny)) > w.size // 3
     return ModelInputs(design=design, target=inputs.target)
 
@@ -721,8 +722,8 @@ def dense_gram(design, r0, with_level):
     """(G, c): the dense G = Z'Z and c = Z'r0 over theta's knot order, the
     reference inference._gram's blocks are checked against bit for bit.
 
-    Z' is built inference._GRAM_BLOCK_ROWS time rows at a time with weights
-    below sqrt(tiny) left out, as _gram builds it; each tile's product is
+    Z' is built TILE_ROWS time rows at a time with weights below
+    WEIGHT_FLOOR left out, as _gram builds it; each tile's product is
     added into G in tile order, so every entry is the sum _gram's blocks
     must hold.
     """
@@ -733,11 +734,11 @@ def dense_gram(design, r0, with_level):
     offsets = np.cumsum([0] + [w.shape[1] * x.shape[0] for w, x in parts])
     G = np.zeros((offsets[-1], offsets[-1]))
     c = np.zeros(offsets[-1])
-    for start in range(0, r0.size, inference._GRAM_BLOCK_ROWS):
-        rows = slice(start, start + inference._GRAM_BLOCK_ROWS)
+    for start in range(0, r0.size, TILE_ROWS):
+        rows = slice(start, start + TILE_ROWS)
         blocks, spans, height = [], [], 0
         for (w, x), offset in zip(parts, offsets):
-            kept = w[rows] >= inference._GRAM_WEIGHT_FLOOR
+            kept = w[rows] >= WEIGHT_FLOOR
             used = np.flatnonzero(kept.any(axis=0))
             lo, hi, width = used[0], used[-1] + 1, x.shape[0]
             w_used = np.where(kept[:, lo:hi], w[rows, lo:hi], 0.0).T
@@ -1031,7 +1032,7 @@ def test_gram_blocks_hold_g_exactly(case):
     if case == "default_3000":
         assert sum(block.size for _, _, block in blocks) < 0.7 * G.size
     if case == "one_tile":
-        assert r0.size < inference._GRAM_BLOCK_ROWS
+        assert r0.size < TILE_ROWS
 
 
 @pytest.mark.parametrize("T", [420, 730])
@@ -1057,6 +1058,48 @@ def test_compile_allocates_no_dense_gram():
     finally:
         tracemalloc.stop()
     assert peak < 8 * dim * dim
+
+
+@pytest.mark.parametrize("case", ["windows", "student_t"])
+def test_banded_kernels_give_the_objective_of_the_dense_reference(case):
+    # T=600 is three product tiles; the second window crosses the tile
+    # boundary at row 256. Each kernel of the reference design holds every
+    # entry of the dense row-by-row formula, so its compile reads whole rows
+    T = 600
+    frame = simulate_multiplicative(MultiplicativeSimConfig(T=T, P=3, seed=T)).frame
+    cfg = RunConfig(seed=T, noise_df=4.0 if case == "student_t" else 0.0)
+    inputs, hp, structure = build_structure(frame, cfg)
+    d, times = inputs.design, range(1, T + 1)
+    dense = ModelInputs(design=dataclasses.replace(
+        d, k_lev=dense_kernel(reference_rows(d.k_lev.grid, "level", times), d.k_lev.grid),
+        k_seas=dense_kernel(reference_rows(d.k_seas.grid, "level", times), d.k_seas.grid),
+        k_reg=dense_kernel(reference_rows(d.k_reg.grid, "gaussian", times, structure["rho"]),
+                           d.k_reg.grid)), target=inputs.target)
+    windows = [PriorWindow(channel="x1", start=T - 27, end=T, mean=0.3, sd=0.02),
+               PriorWindow(channel="x2", start=240, end=280, mean=0.2, sd=0.05)]
+    terms = apply_prior_windows(windows, frame.regressor_names, T)
+    packing = default_packing(inputs)
+    theta0 = initial_theta(inputs, hp, packing)
+    np.testing.assert_allclose(initial_theta(dense, hp, packing), theta0, rtol=1e-12)
+    rng = np.random.default_rng(6)
+    thetas = [theta0] + [theta0 + rng.normal(0, 0.1, packing.dim) for _ in range(10)]
+    for include_jacobian in (False, True):
+        value_err, grad_err = max_relative_errors(
+            inference._objective(inputs, hp, packing, terms, include_jacobian),
+            inference._objective(dense, hp, packing, terms, include_jacobian), thetas)
+        assert value_err <= 1e-12 and grad_err <= 1e-12
+        value_err, grad_err = max_relative_errors(
+            reference_objective(inputs, hp, packing, terms, include_jacobian),
+            reference_objective(dense, hp, packing, terms, include_jacobian), thetas)
+        assert value_err <= 1e-12 and grad_err <= 1e-12
+    if case == "windows":
+        r0 = inputs.target - inputs.target.mean()
+        (order, blocks, c), (order_d, blocks_d, c_d) = (
+            inference._gram(x.design, r0, True) for x in (inputs, dense))
+        assert np.array_equal(order, order_d) and np.array_equal(c, c_d)
+        assert len(blocks) == len(blocks_d)
+        for (rows, cols, block), (rows_d, cols_d, block_d) in zip(blocks, blocks_d):
+            assert (rows, cols) == (rows_d, cols_d) and np.array_equal(block, block_d)
 
 
 def test_student_t_objective_keeps_the_kernel_products():

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from btvc.errors import ValidationError
-from btvc.kernels import KnotGrid, build_grid, kernel_matrix
+from btvc.kernels import (
+    TILE_ROWS,
+    WEIGHT_FLOOR,
+    KernelMatrix,
+    KnotGrid,
+    build_grid,
+    kernel_matrix,
+)
 
 ROW_SUM_TOL = 1e-12
 
@@ -120,8 +127,17 @@ def test_level_rows_have_at_most_two_nonzeros(T, data):
     assert np.max(np.count_nonzero(km.weights, axis=1)) <= 2
 
 
+def dense_kernel(weights, grid):
+    """A KernelMatrix holding every entry of a dense weight matrix: a band
+    as wide as the grid, starting at knot 0 on every row."""
+    weights = np.asarray(weights, dtype=float)
+    return KernelMatrix(band=weights, first=np.zeros(weights.shape[0], dtype=int), grid=grid)
+
+
 def reference_rows(grid, kind, ts, rho=None):
-    """The kernel formulas evaluated one time at a time."""
+    """The dense kernel formulas evaluated one time at a time, with Gaussian
+    weights below the smallest normal float set to 0; kernel_matrix keeps
+    the entries of at least WEIGHT_FLOOR (see banded)."""
     knots = grid.knot_times
     rows = []
     for t in ts:
@@ -165,7 +181,12 @@ def test_kernel_matrix_equals_row_by_row_reference(T, extra, rho, data):
     for ts in (range(1, T + extra + 1), fractional):
         for kind in ("level", "gaussian"):
             got = kernel_matrix(grid, kind, rho=rho, times=ts).weights
-            assert np.array_equal(got, reference_rows(grid, kind, ts, rho))
+            assert np.array_equal(got, banded(reference_rows(grid, kind, ts, rho)))
+
+
+def banded(w):
+    """The dense reference with the entries below WEIGHT_FLOOR dropped."""
+    return np.where(w >= WEIGHT_FLOOR, w, 0.0)
 
 
 def test_gaussian_weights_have_no_subnormals():
@@ -205,3 +226,69 @@ def test_kernel_matrix_rejects_bad_rho_and_times():
             kernel_matrix(grid, kind, rho=1.0, times=[0.5, 3])
         with pytest.raises(ValidationError, match="nonempty"):
             kernel_matrix(grid, kind, rho=1.0, times=[])
+
+
+# (grid, times, rho) of each band case: uneven count spacing, both distance
+# anchors, forecast rows past T, one knot, T = 1..3, rows out of time order,
+# and a rho so wide that every row keeps all J knots
+BAND_CASES = {
+    "count_uneven": (build_grid(97, count=13), range(1, 98), 3.5),
+    "distance_end": (build_grid(3000, distance=30), range(1, 3001), 15.0),
+    "distance_start": (build_grid(700, distance=30, anchor="start"), range(1, 701), 15.0),
+    "forecast_rows": (build_grid(600, distance=30), range(1, 629), 15.0),
+    "forecast_only": (build_grid(600, distance=30), range(601, 629), 15.0),
+    "single_knot": (build_grid(300, count=1), range(1, 329), 15.0),
+    "T1": (build_grid(1, count=1), range(1, 2), 1.0),
+    "T2": (build_grid(2, distance=1), range(1, 3), 1.0),
+    "T3": (build_grid(3, count=2), range(1, 4), 1.0),
+    "unordered_times": (build_grid(400, distance=20), [390.5, 2.25, 400.0, 1.0, 201.75], 6.0),
+    "full_width": (build_grid(520, distance=40), range(1, 521), 1e4),
+}
+
+
+@pytest.mark.parametrize("kind", ["level", "gaussian"])
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_band_matches_the_dense_reference(case, kind):
+    grid, times, rho = BAND_CASES[case]
+    km = kernel_matrix(grid, kind, rho=rho, times=times)
+    ref = reference_rows(grid, kind, times, rho)
+    width = km.band.shape[1]
+    assert km.first.min() >= 0 and km.first.max() + width <= grid.n_knots
+    # each kept entry is the reference's float, and only those below the
+    # floor are dropped
+    cols = km.first[:, None] + np.arange(width)
+    assert np.array_equal(km.band, np.take_along_axis(banded(ref), cols, axis=1))
+    assert np.array_equal(km.weights, banded(ref))
+    if case == "full_width" and kind == "gaussian":
+        assert width == grid.n_knots
+    if case == "distance_end":  # the default spacing: 100 knots
+        assert width == (2 if kind == "level" else 27)
+    rng = np.random.default_rng(len(case))
+    for trailing in ((), (3,)):
+        b = rng.normal(size=(grid.n_knots, *trailing))
+        r = rng.normal(size=(len(ref), *trailing))
+        np.testing.assert_allclose(km.product(b), ref @ b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(km.product(r, transpose=True), ref.T @ r,
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_products_of_a_design_longer_than_one_tile_use_every_tile():
+    grid = build_grid(3 * TILE_ROWS + 5, distance=7)
+    km = kernel_matrix(grid, "gaussian", rho=3.5)
+    assert km.first[-1] > km.first[TILE_ROWS] > km.first[0] == 0
+    b = np.arange(grid.n_knots, dtype=float)
+    np.testing.assert_allclose(km.product(b), km.weights @ b, rtol=1e-12)
+    np.testing.assert_allclose(km.product(np.ones(km.n_times), transpose=True),
+                               km.weights.sum(axis=0), rtol=1e-12)
+
+
+def test_kernel_matrix_rejects_a_band_outside_its_grid():
+    grid = build_grid(10, distance=5)
+    with pytest.raises(ValidationError, match="runs past"):
+        KernelMatrix(band=np.full((3, 2), 0.5), first=[0, 1, 1], grid=grid)
+    with pytest.raises(ValidationError, match="runs past"):
+        KernelMatrix(band=np.full((3, 1), 1.0), first=[0, -1, 1], grid=grid)
+    with pytest.raises(ValidationError, match="do not match"):
+        KernelMatrix(band=np.full((3, 1), 1.0), first=[0, 1], grid=grid)
+    with pytest.raises(ValidationError, match="sums to"):
+        KernelMatrix(band=np.full((3, 2), 0.25), first=[0, 0, 0], grid=grid)
