@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .model import LOG_2PI
 from .timeframe import TimeSeriesFrame
 
@@ -32,13 +32,11 @@ class PriorWindow:
     sd: float
 
     def __post_init__(self):
+        check_fields(self, "window {}")
         if self.start < 1 or self.end < self.start:
             raise ValidationError(
                 f"window [{self.start}, {self.end}] is not a valid 1-based range"
             )
-        for name, value in (("mean", self.mean), ("sd", self.sd)):
-            if not math.isfinite(value):
-                raise ValidationError(f"window {name} must be finite, got {value!r}")
         if self.mean < 0:
             raise ValidationError("window mean must be >= 0 (elasticity units)")
         if self.sd <= 0:

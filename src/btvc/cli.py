@@ -214,6 +214,8 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     if args.draws is not None and args.draws < 1:
         raise ValidationError(f"--draws must be >= 1, got {args.draws}")
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     fit = load_fit(args.fit)
     cfg = config_from_dict(fit.config) if fit.config else RunConfig()
     out = _outdir(args.out if args.out is not None else cfg.out)

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type rule for settings."""
+
+import dataclasses
+import functools
+import math
+import reprlib
+import typing
+
+import numpy as np
 
 
 class BtvcError(Exception):
@@ -16,3 +24,75 @@ class DivergenceError(BtvcError):
         super().__init__(message)
         self.trace = [] if trace is None else list(trace)
         self.iteration = iteration
+
+
+# the types a declared int or float admits (isinstance with numbers.Real is far slower)
+_NUMBERS = {int: (int, np.integer), float: (int, np.integer, float, np.floating)}
+
+
+def _rule(hint):
+    """value -> what is wrong with it under the declared type hint (int, float, str, bool,
+    np.ndarray for a flat vector, Literal[...] of strings, or one of these | None), or None."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is typing.Literal:
+        return lambda v: None if isinstance(v, str) and v in args else (
+            "must be one of " + "|".join(args))
+    if args:
+        rule = _rule(args[0])
+        return lambda v: None if v is None else rule(v)
+    if hint is np.ndarray:
+        number = _rule(float)
+        return lambda v: None if isinstance(v, (list, tuple, np.ndarray)) and not any(
+            map(number, v)) else "expects a list of finite numbers"
+    admits = _NUMBERS.get(hint, hint)
+
+    def rule(v):
+        # a bool is an int to Python but not a count or a scale here
+        if isinstance(v, bool) and hint is not bool or not isinstance(v, admits):
+            return "expects " + hint.__name__
+        # nan passes every range check (nan > 0 is false)
+        if hint is float and not (isinstance(v, _NUMBERS[int]) or math.isfinite(v)):
+            return "must be finite"
+        return None
+    return rule
+
+
+@functools.cache
+def _rules(cls) -> tuple:
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], _rule(hints[f.name])) for f in dataclasses.fields(cls))
+
+
+def check_value(value, hint, label: str) -> None:
+    """Raise ValidationError naming `label` unless value has the type `hint`."""
+    problem = _rule(hint)(value)
+    if problem:
+        raise ValidationError(f"{label} {problem}, got {reprlib.repr(value)}")
+
+
+def check_fields(obj, label: str = "{}") -> None:
+    """check_value on each field of the dataclass obj, named label.format(name)."""
+    for name, hint, rule in _rules(type(obj)):
+        if rule(getattr(obj, name)):
+            check_value(getattr(obj, name), hint, label.format(name))
+
+
+def check_block(doc, block: str) -> dict:
+    """doc itself, if it is a JSON object (a dict)."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{block} block must be an object, got {reprlib.repr(doc)}")
+    return doc
+
+
+def from_block(cls, doc, block: str, dropped=()):
+    """Build the settings dataclass cls from one block of a document: an
+    object whose keys are cls's fields, less the `dropped` keys it may carry.
+    A field with a default may be missing."""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(check_block(doc, block)) - {f.name for f in fields} - set(dropped))
+    if unknown:
+        raise ValidationError(f"unknown {block} keys: {unknown}")
+    missing = [f.name for f in fields if f.name not in doc and f.default is dataclasses.MISSING]
+    if missing:
+        raise ValidationError(f"{block} block lacks keys: {missing}")
+    return cls(**{key: value for key, value in doc.items() if key not in dropped})

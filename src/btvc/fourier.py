@@ -8,12 +8,11 @@ are periodic in t rather than phase-aligned to the calendar.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 
 
 @dataclass(frozen=True)
@@ -24,8 +23,7 @@ class FourierSpec:
     order: int
 
     def __post_init__(self):
-        if not math.isfinite(self.period):
-            raise ValidationError(f"period must be finite, got {self.period}")
+        check_fields(self)
         if self.period <= 1:
             raise ValidationError(f"period must be > 1, got {self.period}")
         if self.order < 1:

@@ -23,17 +23,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from typing import Literal
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import (
+    DivergenceError,
+    ValidationError,
+    check_block,
+    check_fields,
+    check_value,
+    from_block,
+)
 from .kernels import TILE_ROWS, WEIGHT_FLOOR
 from .model import (
     LOG_2PI,
     HyperParams,
     ModelInputs,
     ParameterSet,
-    _check_finite,
     _folded_normal_terms,
     _laplace_chain,
     check_dims,
@@ -101,24 +108,18 @@ class ParameterPacking:
     n_seas_cols: int
     n_reg_knots: int
     n_channels: int
-    reg_transform: str = "softplus"
+    reg_transform: Literal["softplus", "identity"] = "softplus"
     fixed_b_lev: np.ndarray | None = None
     fixed_mu_reg: np.ndarray | None = None
     fixed_sigma_obs: float | None = None
 
     def __post_init__(self):
-        if self.reg_transform not in ("softplus", "identity"):
-            raise ValidationError(f"unknown reg_transform {self.reg_transform!r}")
-        if self.fixed_b_lev is not None:
-            b = np.asarray(self.fixed_b_lev, dtype=float)
-            if b.shape != (self.n_lev,):
-                raise ValidationError("fixed_b_lev has the wrong length")
-            object.__setattr__(self, "fixed_b_lev", b)
-        if self.fixed_mu_reg is not None:
-            m = np.asarray(self.fixed_mu_reg, dtype=float)
-            if m.shape != (self.n_channels,):
-                raise ValidationError("fixed_mu_reg has the wrong length")
-            object.__setattr__(self, "fixed_mu_reg", m)
+        check_fields(self)
+        for name, size in (("fixed_b_lev", self.n_lev), ("fixed_mu_reg", self.n_channels)):
+            if getattr(self, name) is not None:
+                if len(getattr(self, name)) != size:
+                    raise ValidationError(f"{name} has the wrong length")
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.fixed_sigma_obs is not None:
             if self.fixed_sigma_obs <= 0:
                 raise ValidationError("fixed_sigma_obs must be > 0")
@@ -269,7 +270,7 @@ class ParameterPacking:
 
     @classmethod
     def from_description(cls, doc: dict) -> "ParameterPacking":
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
+        return from_block(cls, doc, "packing", dropped=("blocks",))
 
 
 def default_packing(inputs: ModelInputs) -> ParameterPacking:
@@ -307,7 +308,7 @@ class MapConfig:
     trace_every: int = 1
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self)
         if self.learning_rate <= 0 or self.final_learning_rate <= 0:
             raise ValidationError("learning rates must be > 0")
         if self.iterations < 1:
@@ -338,7 +339,7 @@ class SviConfig:
     trace_every: int = 1
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self)
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
         if self.learning_rate <= 0 or self.final_learning_rate <= 0:
@@ -1111,21 +1112,35 @@ def save_fit(fit: FitResult, path: str) -> None:
         fh.write("\n")
 
 
+def _theta_vector(value, key: str, dim: int) -> np.ndarray:
+    check_value(value, np.ndarray, key)
+    if len(value) != dim:
+        raise ValidationError(f"{key} has {len(value)} values, the packing's dim is {dim}")
+    return np.asarray(value, dtype=float)
+
+
 def load_fit(path: str) -> FitResult:
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "btvc-fit-v1":
+        try:
+            doc = json.load(fh)
+        except ValueError:  # not JSON, or not text
+            doc = None
+    if not isinstance(doc, dict) or doc.get("format") != "btvc-fit-v1":
         raise ValidationError(f"not a fit document: {path}")
-    packing = ParameterPacking.from_description(doc["packing"])
+    packing = ParameterPacking.from_description(doc.get("packing"))
     # older documents carry the retired laplace_smoothing; predict and
     # decompose read only the parameters, and a document is never refit
-    hp = HyperParams(**{key: value for key, value in doc["hyperparams"].items()
-                        if key != "laplace_smoothing"})
-    theta = np.asarray(doc["theta_map"], dtype=float)
+    hp = from_block(HyperParams, doc.get("hyperparams"), "hyperparams",
+                    dropped=("laplace_smoothing",))
+    theta = _theta_vector(doc.get("theta_map"), "theta_map", packing.dim)
     var = doc.get("variational")
-    point = theta if var is None else np.asarray(var["mean"], dtype=float)
+    mean = log_sd = None
+    if var is not None:
+        check_block(var, "variational")
+        mean = _theta_vector(var.get("mean"), "variational.mean", packing.dim)
+        log_sd = _theta_vector(var.get("log_sd"), "variational.log_sd", packing.dim)
     return FitResult(
-        params=packing.unpack(point),
+        params=packing.unpack(theta if mean is None else mean),
         theta=theta,
         packing=packing,
         hyper=hp,
@@ -1135,8 +1150,8 @@ def load_fit(path: str) -> FitResult:
         stop_reason=doc["stop_reason"],
         n_iterations=int(doc["n_iterations"]),
         grad_norm=float(doc["grad_norm"]),
-        variational_mean=None if var is None else np.asarray(var["mean"], dtype=float),
-        variational_log_sd=None if var is None else np.asarray(var["log_sd"], dtype=float),
-        config=dict(doc.get("config", {})),
-        structure=dict(doc.get("structure", {})),
+        variational_mean=mean,
+        variational_log_sd=log_sd,
+        config=dict(check_block(doc.get("config", {}), "config")),
+        structure=dict(check_block(doc.get("structure", {}), "structure")),
     )

@@ -20,23 +20,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .kernels import KernelMatrix
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _check_finite(config) -> None:
-    """Reject a nan or infinite float setting, which no range check catches
-    (nan > 0 is false) and which would surface as a non-finite objective."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +51,7 @@ class HyperParams:
     gaussian_reg_prior: bool = False
 
     def __post_init__(self):
-        _check_finite(self)
+        check_fields(self)
         for name in ("sigma_lev", "sigma_seas", "sigma_pool", "sigma_reg", "init_scale_lev"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")

@@ -2,19 +2,18 @@
 
 The file format is one `key = value` pair per line; `#` starts a comment.
 Every key has a default except `data`, which names the input CSV and is
-usually supplied as a flag. Precedence is flag > file > default. Field
-types are inferred from the defaults (str, int, or float); floats are
-written back with repr() so a save/load cycle is bit-exact.
+usually supplied as a flag. Precedence is flag > file > default. Text is
+parsed by the type of each default and checked by the annotations; floats
+are written back with repr() so a save/load cycle is bit-exact.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass
+from typing import Literal
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields, check_value, from_block
 from .fourier import FourierSpec
 from .timeframe import CsvSchema
 
@@ -26,8 +25,8 @@ class RunConfig:
     date_col: str = "date"
     response_col: str = "y"
     regressor_cols: str = ""          # comma list; empty means all other columns
-    link: str = "log"                 # log | identity
-    zero_policy: str = "shift1"       # shift1 | floor
+    link: Literal["log", "identity"] = "log"
+    zero_policy: Literal["shift1", "floor"] = "shift1"
     floor_epsilon: float = 1e-6
     # structure
     fourier: str = "7:3"              # period:order pairs, comma separated; empty = none
@@ -37,7 +36,7 @@ class RunConfig:
     knot_count_lev: int = 0           # >0 switches that component to count spacing
     knot_count_seas: int = 0
     knot_count_reg: int = 0
-    knot_anchor: str = "end"          # end | start
+    knot_anchor: Literal["end", "start"] = "end"
     rho: float = 0.0                  # 0 = half the regression knot spacing
     # hyperparameters
     sigma_lev: float = 0.1
@@ -48,7 +47,7 @@ class RunConfig:
     init_scale_lev: float = 0.0       # 0 = 10 * sd of the model-scale response
     noise_df: float = 0.0             # 0 = Gaussian noise
     # inference
-    mode: str = "map"                 # map | svi
+    mode: Literal["map", "svi"] = "map"
     draws: int = 300
     prior_windows: str = ""           # path to a calibration CSV
     seed: int = 0
@@ -68,7 +67,7 @@ class RunConfig:
     backtest_min_train: int = 1
     backtest_stride: int = 0          # 0 = horizon
     # simulation
-    sim_kind: str = "rw"              # rw | sparse | multiplicative
+    sim_kind: Literal["rw", "sparse", "multiplicative"] = "rw"
     sim_length: int = 300
     sim_channels: int = 3
     sim_trend_step_sd: float = 0.02
@@ -77,7 +76,7 @@ class RunConfig:
     sim_covariate_mean: float = 3.0
     sim_covariate_sd: float = 1.0
     sim_noise_sd: float = 0.3
-    sim_reflect: str = "yes"          # yes | no
+    sim_reflect: Literal["yes", "no"] = "yes"
     sim_sparsity: str = ""            # channel:start:end:prob (channel 1-based)
     sim_start_date: str = "2020-01-01"
     sim_base_level: float = 4.6
@@ -101,55 +100,25 @@ _RETIRED_KEYS = {
     "svi_samples": 1,
 }
 
-_CHOICES = {
-    "link": ("log", "identity"),
-    "zero_policy": ("shift1", "floor"),
-    "knot_anchor": ("end", "start"),
-    "mode": ("map", "svi"),
-    "sim_kind": ("rw", "sparse", "multiplicative"),
-    "sim_reflect": ("yes", "no"),
-}
-
-
-def _field_types() -> dict[str, type]:
-    return {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}
-
-
 def parse_value(key: str, raw: str):
-    types = _field_types()
-    if key not in types:
+    kind = {f.name: type(f.default) for f in dataclasses.fields(RunConfig)}.get(key)
+    if kind is None:
         raise ValidationError(f"unknown config key {key!r}")
-    kind = types[key]
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        return kind(raw)
     except ValueError:
-        raise ValidationError(
-            f"config key {key!r} expects {kind.__name__}, got {raw!r}"
-        ) from None
-    return raw
+        raise ValidationError(f"config key {key!r} expects {kind.__name__}, got {raw!r}") from None
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
-    for key, kind in _field_types().items():
-        value = getattr(cfg, key)
-        # a fit document's config block can hold any JSON value; a bool is
-        # an int to Python but not a count or a scale here
-        if kind in (int, float) and (isinstance(value, bool) or not isinstance(
-                value, numbers.Integral if kind is int else numbers.Real)):
-            raise ValidationError(f"config key {key!r} expects {kind.__name__}, got {value!r}")
-        # nan passes every range check (nan > 0 is false); MapConfig and
-        # SviConfig check the map_* and svi_* floats under their own names
-        if kind is float and not key.startswith(("map_", "svi_")):
-            _require_finite(key, value)
+    check_fields(cfg, "config key {!r}")
     # 0 means automatic or off for the floor-0 keys, so a negative value
-    # would silently mean the same; the floor-1 and floor-2 keys are counts
-    # and spans that a later command would reject without naming the key
+    # would silently mean the same, and numpy takes no negative seed; the
+    # floor-1 and floor-2 keys are counts and spans that a later command
+    # would reject without naming the key
     for floor, keys in ((0, ("knot_count_lev", "knot_count_seas", "knot_count_reg", "rho",
-                             "init_scale_lev", "noise_df", "backtest_stride")),
+                             "init_scale_lev", "noise_df", "backtest_stride", "seed")),
                         (1, ("draws", "knot_distance_lev", "knot_distance_seas",
                              "knot_distance_reg", "backtest_horizon", "backtest_splits",
                              "backtest_min_train", "sim_channels")),
@@ -162,21 +131,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
                 raise ValidationError(
                     f"config key {key!r} must be >= {floor}, got {getattr(cfg, key)!r}"
                 )
-    for key, allowed in _CHOICES.items():
-        if getattr(cfg, key) not in allowed:
-            raise ValidationError(
-                f"config key {key!r} must be one of {'|'.join(allowed)}, "
-                f"got {getattr(cfg, key)!r}"
-            )
     fourier_specs(cfg)
     coef_init_values(cfg)
     sparsity_fields(cfg)
     return cfg
-
-
-def _require_finite(key: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValidationError(f"config key {key!r} must be finite, got {value!r}")
 
 
 def merge_config(base: RunConfig, overrides: dict[str, str]) -> RunConfig:
@@ -240,12 +198,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def config_from_dict(doc: dict) -> RunConfig:
-    doc = {key: value for key, value in doc.items() if key not in _RETIRED_KEYS}
-    types = _field_types()
-    unknown = sorted(set(doc) - set(types))
-    if unknown:
-        raise ValidationError(f"unknown config keys: {unknown}")
-    return validate_config(RunConfig(**doc))
+    return validate_config(from_block(RunConfig, doc, "config", dropped=_RETIRED_KEYS))
 
 
 # -- derived views -----------------------------------------------------------
@@ -296,7 +249,7 @@ def coef_init_values(cfg: RunConfig) -> tuple[float, ...]:
     except ValueError:
         raise ValidationError(f"unparsable sim_coef_init {cfg.sim_coef_init!r}") from None
     for value in values:
-        _require_finite("sim_coef_init", value)
+        check_value(value, float, "config key 'sim_coef_init'")
     if len(values) == 1:
         values = values * cfg.sim_channels
     if len(values) != cfg.sim_channels:

@@ -1,5 +1,8 @@
 """End-to-end command tests, run in-process through main()."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import warnings
 
@@ -15,7 +18,8 @@ from btvc.pipeline import (
     read_future_csv,
     write_forecast_csv,
 )
-from btvc.runconfig import config_from_dict, parse_value
+from btvc.model import HyperParams
+from btvc.runconfig import RunConfig, config_from_dict, parse_value
 
 from tests.test_timeframe import write_csv
 
@@ -411,11 +415,12 @@ class TestErrorPaths:
         assert out == ""
 
     @pytest.mark.parametrize("mode, setting, message", [
-        ("svi", "svi_learning_rate=nan", "learning_rate must be finite, got nan"),
-        ("svi", "svi_init_log_sd=nan", "init_log_sd must be finite, got nan"),
-        ("svi", "svi_init_log_sd=inf", "init_log_sd must be finite, got inf"),
-        ("svi", "svi_final_learning_rate=inf", "final_learning_rate must be finite, got inf"),
-        ("map", "map_learning_rate=nan", "learning_rate must be finite, got nan"),
+        ("svi", "svi_learning_rate=nan", "config key 'svi_learning_rate' must be finite, got nan"),
+        ("svi", "svi_init_log_sd=nan", "config key 'svi_init_log_sd' must be finite, got nan"),
+        ("svi", "svi_init_log_sd=inf", "config key 'svi_init_log_sd' must be finite, got inf"),
+        ("svi", "svi_final_learning_rate=inf",
+         "config key 'svi_final_learning_rate' must be finite, got inf"),
+        ("map", "map_learning_rate=nan", "config key 'map_learning_rate' must be finite, got nan"),
     ])
     def test_non_finite_optimizer_setting_is_a_validation_error(
             self, capsys, tmp_path, mode, setting, message):
@@ -636,3 +641,133 @@ class TestErrorPaths:
         assert code == 2
         assert err.strip() == "error: objective diverged at iteration 3"
         assert out == ""
+
+
+@pytest.fixture(scope="module")
+def svi_fit(tmp_path_factory):
+    """A small saved SVI fit: (fit.json, data.csv, future.csv with 3 rows)."""
+    root = tmp_path_factory.mktemp("svi_fit")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--out", str(root / "sim"), "--seed", "4",
+                     "--set", "sim_kind=multiplicative", "--set", "sim_length=80",
+                     "--set", "sim_channels=2"]) == 0
+        data = root / "sim" / "data.csv"
+        assert main(["fit", "--data", str(data), "--out", str(root / "fit"), *FAST,
+                     "--set", "mode=svi", "--set", "svi_iterations=60"]) == 0
+    future = root / "future.csv"
+    write_csv(future, future_rows(data, 3))
+    return root / "fit" / "fit.json", data, future
+
+
+def read_with_a_mutated_document(capsys, tmp_path, svi_fit, mutate):
+    """Write the SVI fit document after mutate(doc), then run decompose and
+    predict --quantiles on it; returns [(code, out, err)] of both runs."""
+    fit_json, data, future = svi_fit
+    doc = json.loads(fit_json.read_text())
+    mutate(doc)
+    bad_fit = tmp_path / "bad_fit.json"
+    bad_fit.write_text(json.dumps(doc))
+    return [
+        run(capsys, "decompose", "--fit", str(bad_fit), "--data", str(data),
+            "--out", str(tmp_path / "dec")),
+        run(capsys, "predict", "--fit", str(bad_fit), "--future", str(future), "--horizon", "3",
+            "--quantiles", "0.1,0.9", "--draws", "20", "--out", str(tmp_path / "fc")),
+    ]
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "backtest", "predict"])
+def test_negative_seed_names_the_key_or_flag(capsys, tmp_path, command, svi_fit):
+    # each used to end in numpy's "expected non-negative integer" traceback
+    fit_json, data, future = svi_fit
+    extra = {
+        "simulate": ["--out", str(tmp_path / "o")],
+        "fit": ["--data", str(data), "--out", str(tmp_path / "o"), "--set", "mode=svi"],
+        "backtest": ["--data", str(data), "--out", str(tmp_path / "o")],
+        "predict": ["--fit", str(fit_json), "--future", str(future), "--horizon", "3",
+                    "--quantiles", "0.5", "--out", str(tmp_path / "o")],
+    }[command]
+    code, out, err = run(capsys, command, *extra, "--seed", "-1")
+    assert code == 1
+    name = "--seed" if command == "predict" else "config key 'seed'"
+    assert err == f"error: {name} must be >= 0, got -1\n"
+    assert out == ""
+    assert not (tmp_path / "o").exists()
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, key = path
+        for part in parents:
+            doc = doc[part]
+        doc[key] = value
+    return mutate
+
+
+MALFORMED_DOCUMENTS = [
+    (("theta_map",), "x", "theta_map expects a list of finite numbers, got 'x'"),
+    (("theta_map",), [], "theta_map has 0 values, the packing's dim is {dim}"),
+    (("variational", "mean"), None, "variational.mean expects a list of finite numbers, got None"),
+    (("variational", "log_sd"), [], "variational.log_sd has 0 values, the packing's dim is {dim}"),
+    (("variational",), "x", "variational block must be an object, got 'x'"),
+    (("packing", "n_lev"), None, "n_lev expects int, got None"),
+    (("hyperparams",), None, "hyperparams block must be an object, got None"),
+    (("hyperparams", "bogus"), 1, "unknown hyperparams keys: ['bogus']"),
+    (("config",), "x", "config block must be an object, got 'x'"),
+    (("config", "mode"), "mcmc", "config key 'mode' must be one of map|svi, got 'mcmc'"),
+]
+
+
+@pytest.mark.parametrize("path, value, message", MALFORMED_DOCUMENTS, ids=[
+    f"{'.'.join(path)}={value!r}" for path, value, _ in MALFORMED_DOCUMENTS])
+def test_a_malformed_fit_document_names_the_key(capsys, tmp_path, svi_fit, path, value, message):
+    dim = len(json.loads(svi_fit[0].read_text())["theta_map"])
+    for code, out, err in read_with_a_mutated_document(capsys, tmp_path, svi_fit,
+                                                       _set(path, value)):
+        assert code == 1
+        assert err == f"error: {message.format(dim=dim)}\n"
+        assert out == ""
+
+
+@pytest.mark.parametrize("content", [b"not json", b"\xff\xfe", b"[1, 2]"])
+def test_a_file_that_is_not_a_fit_document(capsys, tmp_path, svi_fit, content):
+    # text that is not JSON used to end in a JSONDecodeError traceback
+    bad_fit = tmp_path / "bad_fit.json"
+    bad_fit.write_bytes(content)
+    code, out, err = run(capsys, "decompose", "--fit", str(bad_fit), "--data", str(svi_fit[1]),
+                         "--out", str(tmp_path / "dec"))
+    assert code == 1
+    assert err == f"error: not a fit document: {bad_fit}\n"
+    assert out == ""
+
+
+def test_a_missing_packing_key_names_the_block_and_key(capsys, tmp_path, svi_fit):
+    # a missing packing.n_lev used to raise KeyError
+    for code, out, err in read_with_a_mutated_document(
+            capsys, tmp_path, svi_fit, lambda doc: doc["packing"].pop("n_lev")):
+        assert code == 1
+        assert err == "error: packing block lacks keys: ['n_lev']\n"
+        assert out == ""
+
+
+def test_mutating_any_settings_field_or_theta_vector_never_ends_in_a_traceback(
+        capsys, tmp_path, svi_fit):
+    # every field of the config, hyperparams and packing blocks, and each
+    # theta vector, set in turn to values of the wrong type or range
+    doc = json.loads(svi_fit[0].read_text())
+    paths = [(block, key) for block in ("config", "hyperparams", "packing") for key in doc[block]]
+    paths += [("theta_map",), ("variational", "mean"), ("variational", "log_sd")]
+    failures = []
+    for path in paths:
+        for value in (None, "x", [], -1, 0):
+            try:
+                runs = read_with_a_mutated_document(capsys, tmp_path, svi_fit, _set(path, value))
+            except Exception as exc:  # a traceback in the CLI
+                failures.append((path, value, repr(exc)))
+                continue
+            for code, _, err in runs:
+                if code != 0 and not (code == 1 and err.startswith("error: ")
+                                      and err.count("\n") == 1):
+                    failures.append((path, value, code, err))
+    assert set(doc["config"]) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert set(doc["hyperparams"]) == {f.name for f in dataclasses.fields(HyperParams)}
+    assert failures == []

@@ -1,0 +1,117 @@
+"""The one type rule for settings: every field of every settings dataclass is
+checked against its declared annotation, and an error names the field."""
+
+import dataclasses
+import typing
+
+import numpy as np
+import pytest
+
+from btvc.calibration import PriorWindow
+from btvc.errors import ValidationError, check_value, from_block
+from btvc.fourier import FourierSpec
+from btvc.inference import MapConfig, ParameterPacking, SviConfig
+from btvc.model import HyperParams
+from btvc.runconfig import RunConfig, validate_config
+
+# each settings class: a valid instance's arguments, how a changed field is
+# checked, and how its errors name the field
+SETTINGS = {
+    RunConfig: ({}, lambda kw: validate_config(RunConfig(**kw)), "config key {!r}"),
+    HyperParams: ({}, lambda kw: HyperParams(**kw), "{}"),
+    MapConfig: ({}, lambda kw: MapConfig(**kw), "{}"),
+    SviConfig: ({}, lambda kw: SviConfig(**kw), "{}"),
+    ParameterPacking: (dict(n_lev=2, n_seas_knots=1, n_seas_cols=2, n_reg_knots=2,
+                            n_channels=1), lambda kw: ParameterPacking(**kw), "{}"),
+    FourierSpec: (dict(period=7.0, order=2), lambda kw: FourierSpec(**kw), "{}"),
+    PriorWindow: (dict(channel="x1", start=1, end=5, mean=0.3, sd=0.1),
+                  lambda kw: PriorWindow(**kw), "window {}"),
+}
+
+
+def bad_values(hint):
+    """Values of the wrong type for a field declared as hint, with nan for
+    a float and a nan entry for a vector."""
+    args = typing.get_args(hint)
+    kind = args[0] if args and typing.get_origin(hint) is not typing.Literal else hint
+    if kind is str:
+        return [1, None]
+    if typing.get_origin(kind) is typing.Literal:
+        return ["x", 1]
+    if kind is np.ndarray:
+        return ["x", [1.0, "x"], [[1.0]], [float("nan")], [True]]
+    if kind is bool:
+        return ["x", 1, None]
+    bad = ["x", True, [1]]
+    if kind is float:
+        bad += [float("nan"), float("inf")]
+    if kind is int:
+        bad += [1.5]
+    if not args:
+        bad += [None]
+    return bad
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in SETTINGS for f in dataclasses.fields(cls)
+])
+def test_a_wrong_typed_or_non_finite_field_names_the_field(cls, name):
+    base, build, label = SETTINGS[cls]
+    build(base)  # the base is valid
+    for bad in bad_values(typing.get_type_hints(cls)[name]):
+        with pytest.raises(ValidationError) as info:
+            build({**base, name: bad})
+        assert str(info.value).startswith(label.format(name) + " "), (bad, str(info.value))
+
+
+def test_messages():
+    with pytest.raises(ValidationError, match=r"^config key 'rho' expects float, got None$"):
+        validate_config(RunConfig(rho=None))
+    with pytest.raises(ValidationError,
+                       match=r"^config key 'link' must be one of log\|identity, got 'x'$"):
+        validate_config(RunConfig(link="x"))
+    with pytest.raises(ValidationError, match=r"^sigma_lev must be finite, got nan$"):
+        HyperParams(sigma_lev=float("nan"))
+    with pytest.raises(ValidationError, match=r"^window mean must be finite, got nan$"):
+        PriorWindow("x1", 1, 5, float("nan"), 0.1)
+    with pytest.raises(ValidationError, match=r"^noise_df expects float, got 'x'$"):
+        HyperParams(noise_df="x")
+    with pytest.raises(ValidationError,
+                       match=r"^reg_transform must be one of softplus\|identity, got 'x'$"):
+        ParameterPacking(1, 1, 1, 1, 1, reg_transform="x")
+
+
+def test_numpy_scalars_and_ints_are_numbers():
+    MapConfig(iterations=np.int64(5), learning_rate=np.float32(0.1), rel_tol=0)
+    ParameterPacking(np.int64(2), 1, 1, 1, 1, fixed_b_lev=np.array([1, 2]), fixed_sigma_obs=1)
+    validate_config(RunConfig(sigma_lev=1, seed=np.int64(3)))
+
+
+def test_check_value_on_a_vector():
+    check_value([0.5, 1, np.float64(2.0)], np.ndarray, "theta_map")
+    with pytest.raises(ValidationError,
+                       match=r"^theta_map expects a list of finite numbers, got \[0\.5, 'x'\]$"):
+        check_value([0.5, "x"], np.ndarray, "theta_map")
+
+
+@pytest.mark.parametrize("doc, message", [
+    (None, "hyperparams block must be an object, got None"),
+    ("x", "hyperparams block must be an object, got 'x'"),
+    ({"bogus": 1}, "unknown hyperparams keys: ['bogus']"),
+    ({"laplace_smoothing": 0.0, "sigma_lev": "x"}, "sigma_lev expects float, got 'x'"),
+])
+def test_from_block_key_rule(doc, message):
+    with pytest.raises(ValidationError) as info:
+        from_block(HyperParams, doc, "hyperparams", dropped=("laplace_smoothing",))
+    assert str(info.value) == message
+
+
+def test_from_block_names_missing_required_keys():
+    with pytest.raises(ValidationError) as info:
+        from_block(ParameterPacking, {"n_seas_knots": 1}, "packing")
+    assert str(info.value) == (
+        "packing block lacks keys: ['n_lev', 'n_seas_cols', 'n_reg_knots', 'n_channels']")
+    packing = from_block(ParameterPacking, {"n_lev": 2, "n_seas_knots": 1, "n_seas_cols": 2,
+                                            "n_reg_knots": 2, "n_channels": 1}, "packing")
+    assert packing.reg_transform == "softplus" and packing.fixed_b_lev is None
