@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError, check_fields
 from .model import LOG_2PI
-from .timeframe import TimeSeriesFrame
+from .timeframe import TimeSeriesFrame, dict_rows
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def read_prior_windows_csv(path: str, frame: TimeSeriesFrame) -> list[PriorWindo
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             missing = sorted(required - set(reader.fieldnames or ()))
             raise ValidationError(f"prior windows file missing columns: {missing}")
-        rows = list(reader)
+        rows = dict_rows(reader, "prior windows")
     windows = []
     for r, row in enumerate(rows, start=1):
         try:

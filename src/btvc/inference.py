@@ -428,13 +428,13 @@ def _gram(design, r0: np.ndarray, with_level: bool):
     Z' is built TILE_ROWS time rows at a time from each kernel's band, each
     tile holding only the knots its rows reach. Weights below WEIGHT_FLOOR
     are left out (kernel_matrix drops them already; a hand-built band may
-    hold them): every product through one is far below the rounding of G's
-    entries, and mostly subnormal, which is slow. A row's columns run from
-    the first to the last nonzero of its tiles' products. Passes over the rows merge
-    adjacent blocks while a merge stores fewer than _GRAM_CALL_ENTRIES extra
-    entries, from blocks as tall as the first passes would make them. The
-    tile products are added into the blocks in tile order, so each entry is
-    the sum a dense G built tile by tile holds.
+    hold them): each is under half an ulp of its row's sum of 1, and far
+    from its knot it may be subnormal, which is slow. A row's columns run
+    from the first to the last nonzero of its tiles' products. Passes over
+    the rows merge adjacent blocks while a merge stores fewer than
+    _GRAM_CALL_ENTRIES extra entries, from blocks as tall as the first
+    passes would make them. The tile products are added into the blocks in
+    tile order, so each entry is the sum a dense G built tile by tile holds.
     """
     parts = [(design.k_seas, np.ascontiguousarray(design.seasonal.T)),
              (design.k_reg, np.ascontiguousarray(design.regressors.T))]
@@ -1139,17 +1139,21 @@ def load_fit(path: str) -> FitResult:
         check_block(var, "variational")
         mean = _theta_vector(var.get("mean"), "variational.mean", packing.dim)
         log_sd = _theta_vector(var.get("log_sd"), "variational.log_sd", packing.dim)
+    # trace is checked as one list, not entry by entry: an SVI trace has 2000
+    for key, hint in (("trace", list), ("seed", int), ("n_iterations", int),
+                      ("grad_norm", float)):
+        check_value(doc.get(key), hint, key)
     return FitResult(
         params=packing.unpack(theta if mean is None else mean),
         theta=theta,
         packing=packing,
         hyper=hp,
-        trace=list(doc["trace"]),
-        seed=int(doc["seed"]),
+        trace=doc["trace"],
+        seed=doc["seed"],
         mode=doc["mode"],
         stop_reason=doc["stop_reason"],
-        n_iterations=int(doc["n_iterations"]),
-        grad_norm=float(doc["grad_norm"]),
+        n_iterations=doc["n_iterations"],
+        grad_norm=doc["grad_norm"],
         variational_mean=mean,
         variational_log_sd=log_sd,
         config=dict(check_block(doc.get("config", {}), "config")),

@@ -11,15 +11,14 @@ sums to 1.
 Both kernels are local, so a KernelMatrix stores only its band, an (n,
 width) array, and the knot index of each row's first band column. The
 piecewise-linear band is the 2 knots bracketing t. The Gaussian band holds
-each row's weights of at least sqrt(tiny), a few dozen, padded to the
-widest row. Products with K or K' run over blocks of TILE_ROWS rows, each
-scattered into a dense tile over the knots its rows reach, so no n x J
-array is ever built.
+each row's weights of at least 2^-54 (9 knots at the default spacing),
+padded to the widest row. Products with K or K' run over blocks of
+TILE_ROWS rows, each scattered into a dense tile over the knots its rows
+reach, so no n x J array is ever built.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,10 @@ import numpy as np
 from .errors import ValidationError
 
 ROW_SUM_TOL = 1e-12
-# Weights below this are dropped from the band: each changes a product by
-# under 1.5e-154 times the other factor, far below its rounding, and the
-# Gaussian ones far from their knot would be subnormal, which is slow.
-WEIGHT_FLOOR = math.sqrt(np.finfo(float).tiny)
+# Weights below this are dropped from the band. A row sums to 1, and a
+# weight under 2^-54 is less than half an ulp of a sum near 1: a kept weight
+# can change a row's sum, and a dropped one cannot.
+WEIGHT_FLOOR = 2.0**-54
 # Rows per dense block of a product; a design of at most this many rows
 # (forecast rows, short series) costs one GEMM per product.
 TILE_ROWS = 256

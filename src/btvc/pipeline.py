@@ -38,7 +38,7 @@ from .runconfig import (
     csv_schema,
     fourier_specs,
 )
-from .timeframe import TimeSeriesFrame, ingest_csv, model_scale
+from .timeframe import TimeSeriesFrame, dict_rows, ingest_csv, model_scale
 
 
 def load_frame(path: str, cfg: RunConfig) -> TimeSeriesFrame:
@@ -251,7 +251,7 @@ def read_future_csv(path: str, structure: dict, horizon: int,
         missing = [c for c in [date_col, *names] if c not in have]
         if missing:
             raise ValidationError(f"future regressors file missing columns: {missing}")
-        rows = list(reader)
+        rows = dict_rows(reader, "future")
     if len(rows) < horizon:
         raise ValidationError(
             f"horizon {horizon} exceeds the {len(rows)} supplied future rows"

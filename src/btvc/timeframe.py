@@ -148,6 +148,17 @@ def _parse_cell(text: str, col: str, row: int) -> float:
         ) from None
 
 
+def dict_rows(reader: csv.DictReader, kind: str) -> list[dict]:
+    """The rows of reader, each checked to hold one cell per header column;
+    a short row has None values, a long one its extra cells under None."""
+    rows, m = list(reader), len(reader.fieldnames)
+    for r, row in enumerate(rows, start=1):
+        n = m - list(row.values()).count(None) + len(row.get(None, ()))
+        if n != m:
+            raise ValidationError(f"{kind} row {r} has {n} cells, expected {m}")
+    return rows
+
+
 def ingest_csv(path: str, schema: CsvSchema | None = None, *,
                allow_negative_regressors: bool = False) -> TimeSeriesFrame:
     """Read a series CSV into a validated TimeSeriesFrame, sorted by date.

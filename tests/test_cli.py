@@ -611,6 +611,40 @@ class TestErrorPaths:
         assert err == "error: negative regressor 'x1' at row 3\n"
         assert out == ""
 
+    def test_a_short_prior_windows_row_names_its_cells(self, capsys, tmp_path):
+        # used to end in AttributeError from None.strip()
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        windows = tmp_path / "windows.csv"
+        write_csv(windows, [["channel", "start_date", "end_date", "mean", "sd"],
+                            ["x1", "2020-01-05"]])
+        code, out, err = run(
+            capsys, "fit", "--data", str(sim_dir / "data.csv"), "--out", str(tmp_path / "fit"),
+            *FAST, "--set", f"prior_windows={windows}",
+        )
+        assert code == 1
+        assert err == "error: prior windows row 1 has 2 cells, expected 5\n"
+        assert out == ""
+
+    def test_a_short_future_row_names_its_cells(self, capsys, tmp_path):
+        # used to end in TypeError from float(None)
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        data = sim_dir / "data.csv"
+        fit_dir = tmp_path / "fit"
+        run(capsys, "fit", "--data", str(data), "--out", str(fit_dir), *FAST)
+        rows = future_rows(data, 3)
+        rows[2] = rows[2][:2]
+        future = tmp_path / "future.csv"
+        write_csv(future, rows)
+        code, out, err = run(
+            capsys, "predict", "--fit", str(fit_dir / "fit.json"),
+            "--future", str(future), "--horizon", "3", "--out", str(tmp_path / "fc"),
+        )
+        assert code == 1
+        assert err == "error: future row 2 has 2 cells, expected 3\n"
+        assert out == ""
+
     def test_horizon_beyond_future_rows(self, capsys, tmp_path):
         sim_dir = tmp_path / "sim"
         simulate_small(capsys, str(sim_dir))
@@ -746,6 +780,21 @@ def test_a_missing_packing_key_names_the_block_and_key(capsys, tmp_path, svi_fit
             capsys, tmp_path, svi_fit, lambda doc: doc["packing"].pop("n_lev")):
         assert code == 1
         assert err == "error: packing block lacks keys: ['n_lev']\n"
+        assert out == ""
+
+
+@pytest.mark.parametrize("key, hint", [("seed", "int"), ("n_iterations", "int"),
+                                       ("grad_norm", "float"), ("trace", "list")])
+@pytest.mark.parametrize("value", [None, "x", [], True])
+def test_a_malformed_top_level_field_names_the_key(capsys, tmp_path, svi_fit, key, hint, value):
+    # each used to end in a traceback from int(), float() or list()
+    for code, out, err in read_with_a_mutated_document(capsys, tmp_path, svi_fit,
+                                                       _set((key,), value)):
+        if key == "trace" and value == []:  # an empty trace is a list
+            assert code == 0
+            continue
+        assert code == 1
+        assert err == f"error: {key} expects {hint}, got {value!r}\n"
         assert out == ""
 
 

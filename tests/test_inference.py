@@ -1047,7 +1047,10 @@ def test_gram_blocks_of_small_default_structures_are_one_block(T):
 
 def test_compile_allocates_no_dense_gram():
     # the compile builds G's banded blocks from the kernel tiles, so its
-    # traced peak stays below one dense G (8 dim^2 bytes; 32 MB here)
+    # traced peak stays below one dense G (8 dim^2 bytes; 32 MB here). The
+    # blocks stored 820,952 entries when the kernels kept weights down to
+    # sqrt(tiny) (27 regression knots a row); cut at 2^-54 (9 a row) they
+    # store 422,072
     _, inputs, hp = default_structure(10000)
     packing = default_packing(inputs)
     dim = packing.slices()["b_reg"].stop
@@ -1058,6 +1061,9 @@ def test_compile_allocates_no_dense_gram():
     finally:
         tracemalloc.stop()
     assert peak < 8 * dim * dim
+    y = inputs.target
+    _, blocks, _ = inference._gram(inputs.design, y - y.mean(), True)
+    assert sum(block.size for _, _, block in blocks) < 500_000
 
 
 @pytest.mark.parametrize("case", ["windows", "student_t"])

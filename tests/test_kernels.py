@@ -200,6 +200,16 @@ def test_gaussian_weights_have_no_subnormals():
     assert not np.any((w != 0) & (w < np.finfo(float).tiny))
 
 
+def test_level_weights_are_zero_or_kept_by_the_floor():
+    # a time one float step from a knot gives its neighbour the smallest
+    # nonzero weight, 1 - (largest float below 1) = 2^-53, which the floor keeps
+    grid = build_grid(3000, distance=30)
+    knots = grid.knot_times.astype(float)
+    ts = np.concatenate([np.nextafter(knots, 0), np.nextafter(knots, np.inf)])
+    band = kernel_matrix(grid, "level", times=ts[ts >= 1]).band
+    assert band[band > 0].min() == 2.0**-53 >= WEIGHT_FLOOR
+
+
 def test_kernel_matrix_times_matches_extended_slice():
     grid = build_grid(60, distance=20)
     full = kernel_matrix(grid, "gaussian", rho=10.0, times=range(1, 89))
@@ -262,7 +272,7 @@ def test_band_matches_the_dense_reference(case, kind):
     if case == "full_width" and kind == "gaussian":
         assert width == grid.n_knots
     if case == "distance_end":  # the default spacing: 100 knots
-        assert width == (2 if kind == "level" else 27)
+        assert width == (2 if kind == "level" else 9)
     rng = np.random.default_rng(len(case))
     for trailing in ((), (3,)):
         b = rng.normal(size=(grid.n_knots, *trailing))
