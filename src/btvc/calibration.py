@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError, check_fields
 from .model import LOG_2PI
-from .timeframe import TimeSeriesFrame, dict_rows
+from .timeframe import TimeSeriesFrame, dict_rows, parse_date
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,8 @@ def read_prior_windows_csv(path: str, frame: TimeSeriesFrame) -> list[PriorWindo
         rows = dict_rows(reader, "prior windows")
     windows = []
     for r, row in enumerate(rows, start=1):
-        try:
-            start_date = np.datetime64(row["start_date"].strip(), "D")
-            end_date = np.datetime64(row["end_date"].strip(), "D")
-        except ValueError:
-            raise ValidationError(f"unparsable date in prior windows row {r}") from None
+        start_date = parse_date(row["start_date"], f"in prior windows row {r}")
+        end_date = parse_date(row["end_date"], f"in prior windows row {r}")
         try:
             mean = float(row["mean"])
             sd = float(row["sd"])

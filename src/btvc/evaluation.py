@@ -9,13 +9,12 @@ overlap, the last one ending at T.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .timeframe import TimeSeriesFrame
+from .timeframe import TimeSeriesFrame, write_table
 
 BOTH_ZERO_EPS = 0.0  # |F|+|A| == 0 terms contribute exactly 0 by convention
 
@@ -181,13 +180,9 @@ def seasonal_naive_forecaster(period: int = 7):
 
 def write_metric_report_csv(report: MetricReport, path: str,
                             metric_name: str = "smape") -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["split", metric_name])
-        for i, v in enumerate(report.per_split, start=1):
-            writer.writerow([i, repr(float(v))])
-        writer.writerow(["mean", repr(report.mean)])
-        writer.writerow(["sd", repr(report.sd)])
+    labels = [*range(1, len(report.per_split) + 1), "mean", "sd"]
+    write_table(path, ["split", metric_name], labels,
+                [[*report.per_split, report.mean, report.sd]])
 
 
 def format_metric_report(report: MetricReport, metric_name: str = "smape") -> str:

@@ -1140,8 +1140,8 @@ def load_fit(path: str) -> FitResult:
         mean = _theta_vector(var.get("mean"), "variational.mean", packing.dim)
         log_sd = _theta_vector(var.get("log_sd"), "variational.log_sd", packing.dim)
     # trace is checked as one list, not entry by entry: an SVI trace has 2000
-    for key, hint in (("trace", list), ("seed", int), ("n_iterations", int),
-                      ("grad_norm", float)):
+    for key, hint in (("trace", list), ("seed", int), ("mode", Literal["map", "svi"]),
+                      ("stop_reason", str), ("n_iterations", int), ("grad_norm", float)):
         check_value(doc.get(key), hint, key)
     return FitResult(
         params=packing.unpack(theta if mean is None else mean),
@@ -1157,5 +1157,5 @@ def load_fit(path: str) -> FitResult:
         variational_mean=mean,
         variational_log_sd=log_sd,
         config=dict(check_block(doc.get("config", {}), "config")),
-        structure=dict(check_block(doc.get("structure", {}), "structure")),
+        structure=dict(check_block(doc.get("structure"), "structure")),
     )

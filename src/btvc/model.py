@@ -18,7 +18,6 @@ immutable inputs and return floats/arrays without touching shared state.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import InitVar, dataclass
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .errors import ValidationError, check_fields
 from .kernels import KernelMatrix
+from .timeframe import write_table
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -471,18 +471,11 @@ def predict(params: ParameterSet, design: ModelDesign, horizon: int,
 def write_decomposition_csv(decomp: Decomposition, timestamps: np.ndarray,
                             names: tuple[str, ...], path: str) -> None:
     """One row per time step: components, per-channel contributions, betas."""
-    n = decomp.trend.size
     header = (
         ["date", "trend", "seasonality", "regression"]
         + [f"contrib_{c}" for c in names]
         + [f"beta_{c}" for c in names]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(n):
-            row = [str(timestamps[t]), repr(float(decomp.trend[t])),
-                   repr(float(decomp.seasonality[t])), repr(float(decomp.regression[t]))]
-            row += [repr(float(v)) for v in decomp.per_channel[t]]
-            row += [repr(float(v)) for v in decomp.coefficients[t]]
-            writer.writerow(row)
+    write_table(path, header, timestamps,
+                [decomp.trend, decomp.seasonality, decomp.regression,
+                 *decomp.per_channel.T, *decomp.coefficients.T])

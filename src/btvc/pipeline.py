@@ -38,7 +38,7 @@ from .runconfig import (
     csv_schema,
     fourier_specs,
 )
-from .timeframe import TimeSeriesFrame, dict_rows, ingest_csv, model_scale
+from .timeframe import TimeSeriesFrame, dict_rows, ingest_csv, model_scale, parse_date, write_table
 
 
 def load_frame(path: str, cfg: RunConfig) -> TimeSeriesFrame:
@@ -260,11 +260,7 @@ def read_future_csv(path: str, structure: dict, horizon: int,
     expected = np.datetime64(structure["last_date"], "D") + step
     x = np.empty((horizon, len(names)))
     for r in range(horizon):
-        raw_date = rows[r][date_col].strip()
-        try:
-            date = np.datetime64(raw_date, "D")
-        except ValueError:
-            raise ValidationError(f"unparsable date {raw_date!r} in future row {r + 1}") from None
+        date = parse_date(rows[r][date_col], f"in future row {r + 1}")
         if date != expected:
             raise ValidationError(
                 f"future row {r + 1} has date {date}, expected {expected}"
@@ -293,14 +289,8 @@ def write_forecast_csv(path: str, structure: dict, point: np.ndarray,
                        quantiles: dict[float, np.ndarray] | None = None) -> None:
     quantiles = quantiles or {}
     levels = sorted(quantiles)
-    dates = forecast_dates(structure, point.size)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "forecast", *(f"q_{q:g}" for q in levels)])
-        for t in range(point.size):
-            row = [str(dates[t]), repr(float(point[t]))]
-            row += [repr(float(quantiles[q][t])) for q in levels]
-            writer.writerow(row)
+    write_table(path, ["date", "forecast", *(f"q_{q:g}" for q in levels)],
+                forecast_dates(structure, point.size), [point, *(quantiles[q] for q in levels)])
 
 
 def input_digest(path: str) -> str:

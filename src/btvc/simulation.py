@@ -15,13 +15,12 @@ is bit-identical to the unmasked dataset.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .timeframe import TimeSeriesFrame
+from .timeframe import TimeSeriesFrame, write_table
 
 
 @dataclass(frozen=True)
@@ -88,15 +87,15 @@ class SimDataset:
 
 
 def _walk_coefficients(init, steps, reflect):
-    # sequential because reflection |prev + step| acts per step
-    T, P = steps.shape
-    coef = np.empty((T, P))
-    prev = np.asarray(init, dtype=float)
-    for t in range(T):
-        prev = prev + steps[t]
-        if reflect:
-            prev = np.abs(prev)
-        coef[t] = prev
+    # sequential because reflection |prev + step| acts per step; a Python
+    # float rounds each add and abs as numpy does, at a fraction of the cost
+    coef = np.empty(steps.shape)
+    for p, prev in enumerate(init):
+        walk = []
+        for s in steps[:, p].tolist():
+            prev = abs(prev + s) if reflect else prev + s
+            walk.append(prev)
+        coef[:, p] = walk
     return coef
 
 
@@ -231,11 +230,5 @@ def simulate_multiplicative(config: MultiplicativeSimConfig) -> SimDataset:
 def write_truth_csv(dataset: SimDataset, path: str) -> None:
     """date, true trend, and per-channel true coefficients, one row per t."""
     names = dataset.frame.regressor_names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "trend", *(f"beta_{c}" for c in names)])
-        for t in range(dataset.frame.n_times):
-            writer.writerow(
-                [str(dataset.frame.timestamps[t]), repr(float(dataset.true_trend[t])),
-                 *(repr(float(v)) for v in dataset.true_coefficients[t])]
-            )
+    write_table(path, ["date", "trend", *(f"beta_{c}" for c in names)],
+                dataset.frame.timestamps, [dataset.true_trend, *dataset.true_coefficients.T])

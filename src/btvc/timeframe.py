@@ -139,13 +139,16 @@ def model_scale(structure: dict, regressors, response=None):
     return np.log(np.maximum(x, epsilon)), y
 
 
-def _parse_cell(text: str, col: str, row: int) -> float:
+def parse_date(text: str, where: str) -> np.datetime64:
+    """text, stripped, as a day; a blank or 'NaT' cell is unparsable too."""
+    text = text.strip()
     try:
-        return float(text)
+        date = np.datetime64(text, "D")
     except ValueError:
-        raise ValidationError(
-            f"unparsable value {text!r} in column {col!r} at row {row}"
-        ) from None
+        date = np.datetime64("NaT")
+    if np.isnat(date):
+        raise ValidationError(f"unparsable date {text!r} {where}") from None
+    return date
 
 
 def dict_rows(reader: csv.DictReader, kind: str) -> list[dict]:
@@ -187,25 +190,36 @@ def ingest_csv(path: str, schema: CsvSchema | None = None, *,
         for col in reg_cols:
             if col not in header:
                 raise ValidationError(f"missing column {col!r} in {path}")
-    idx = {c: header.index(c) for c in (schema.date_col, schema.response_col, *reg_cols)}
+    names = (schema.date_col, schema.response_col, *reg_cols)
+    idx = [header.index(c) for c in names]
+    m = len(header)
+    # parsed column by column; on any failure the row pass below names the
+    # first bad cell in file order
+    try:
+        if any(len(row) != m for row in rows):
+            raise ValueError("a row has the wrong number of cells")
+        columns = list(zip(*rows)) or [()] * m
+        ts = np.array([s.strip() for s in columns[idx[0]]], dtype="datetime64[D]")
+        if np.isnat(ts).any():
+            raise ValueError("a blank or NaT date")
+        values = np.empty((len(rows), len(idx) - 1))
+        for j, i in enumerate(idx[1:]):
+            values[:, j] = list(map(float, columns[i]))
+    except ValueError:
+        for r, row in enumerate(rows, start=1):
+            if len(row) != m:
+                raise ValidationError(f"row {r} has {len(row)} cells, expected {m}") from None
+            parse_date(row[idx[0]], f"at row {r}")
+            for c, i in zip(names[1:], idx[1:]):
+                try:
+                    float(row[i])
+                except ValueError:
+                    raise ValidationError(
+                        f"unparsable value {row[i]!r} in column {c!r} at row {r}") from None
+        raise
 
-    dates, ys, xs = [], [], []
-    for r, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise ValidationError(f"row {r} has {len(row)} cells, expected {len(header)}")
-        raw_date = row[idx[schema.date_col]].strip()
-        try:
-            dates.append(np.datetime64(raw_date, "D"))
-        except ValueError:
-            raise ValidationError(
-                f"unparsable date {raw_date!r} at row {r}"
-            ) from None
-        ys.append(_parse_cell(row[idx[schema.response_col]], schema.response_col, r))
-        xs.append([_parse_cell(row[idx[c]], c, r) for c in reg_cols])
-
-    if len(dates) < 2:
-        raise ValidationError(f"need at least 2 data rows, got {len(dates)}")
-    ts = np.array(dates, dtype="datetime64[D]")
+    if ts.size < 2:
+        raise ValidationError(f"need at least 2 data rows, got {ts.size}")
     uniq, counts = np.unique(ts, return_counts=True)
     if np.any(counts > 1):
         dup = uniq[np.argmax(counts > 1)]
@@ -215,11 +229,25 @@ def ingest_csv(path: str, schema: CsvSchema | None = None, *,
     order = np.argsort(ts, kind="stable")
     return TimeSeriesFrame(
         timestamps=ts[order],
-        response=np.asarray(ys, dtype=float)[order],
-        regressors=np.asarray(xs, dtype=float).reshape(len(ys), len(reg_cols))[order],
+        response=values[order, 0],
+        regressors=values[order, 1:],
         regressor_names=reg_cols,
         allow_negative_regressors=allow_negative_regressors,
     )
+
+
+def write_table(path: str, header, first_column, columns) -> None:
+    """Write a CSV table: the header, then per entry of first_column (a date or
+    a label, written with str) that row's float of each column, as its repr.
+
+    Byte for byte what csv.writer writes row by row, but the body is joined
+    and streamed here: only the header's names can need quoting, and rows end
+    in CR LF as csv.writer's do."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        cells = [map(repr, np.asarray(col, dtype=float).tolist()) for col in columns]
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in zip(map(str, first_column), *cells, strict=True))
 
 
 def emit_csv(frame: TimeSeriesFrame, path: str, schema: CsvSchema | None = None) -> None:
@@ -228,11 +256,5 @@ def emit_csv(frame: TimeSeriesFrame, path: str, schema: CsvSchema | None = None)
     names = schema.regressor_cols or frame.regressor_names
     if len(names) != frame.n_regressors:
         raise ValidationError("schema regressor columns do not match frame")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.date_col, schema.response_col, *names])
-        for t in range(frame.n_times):
-            writer.writerow(
-                [str(frame.timestamps[t]), repr(float(frame.response[t])),
-                 *(repr(float(v)) for v in frame.regressors[t])]
-            )
+    write_table(path, [schema.date_col, schema.response_col, *names], frame.timestamps,
+                [frame.response, *frame.regressors.T])

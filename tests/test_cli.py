@@ -798,6 +798,38 @@ def test_a_malformed_top_level_field_names_the_key(capsys, tmp_path, svi_fit, ke
         assert out == ""
 
 
+MISSING_KEYS = {
+    "format": "not a fit document: {path}",
+    "packing": "packing block must be an object, got None",
+    "hyperparams": "hyperparams block must be an object, got None",
+    "theta_map": "theta_map expects a list of finite numbers, got None",
+    "trace": "trace expects list, got None",
+    "seed": "seed expects int, got None",
+    "mode": "mode must be one of map|svi, got None",
+    "stop_reason": "stop_reason expects str, got None",
+    "n_iterations": "n_iterations expects int, got None",
+    "grad_norm": "grad_norm expects float, got None",
+    "structure": "structure block must be an object, got None",
+}
+
+
+def test_a_missing_top_level_key_names_it(capsys, tmp_path, svi_fit):
+    # mode, stop_reason and structure used to end in KeyError tracebacks
+    keys = json.loads(svi_fit[0].read_text())
+    assert set(MISSING_KEYS) | {"config", "variational"} == set(keys)
+    for key in keys:
+        runs = read_with_a_mutated_document(capsys, tmp_path, svi_fit,
+                                            lambda doc: doc.pop(key))
+        if key == "config":  # a document may omit its run settings
+            assert [code for code, _, _ in runs] == [0, 0]
+        elif key == "variational":  # a MAP document: it decomposes, but has no draws
+            assert [code for code, _, _ in runs] == [0, 1]
+            assert runs[1][2].startswith("error: quantile forecasts need an SVI fit")
+        else:
+            message = MISSING_KEYS[key].format(path=tmp_path / "bad_fit.json")
+            assert runs == [(1, "", f"error: {message}\n")] * 2, key
+
+
 def test_mutating_any_settings_field_or_theta_vector_never_ends_in_a_traceback(
         capsys, tmp_path, svi_fit):
     # every field of the config, hyperparams and packing blocks, and each
