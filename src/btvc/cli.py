@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .errors import BtvcError, DivergenceError, ValidationError
-from .inference import load_fit, save_fit
+from .inference import FitResult, load_fit, save_fit
 from .model import decompose, write_decomposition_csv
 from .pipeline import (
     forecast_quantiles,
@@ -211,18 +211,27 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _load_fit_with_structure(path: str) -> tuple[FitResult, RunConfig]:
+    """load_fit and the fit's run settings, for the commands that rebuild its design."""
+    fit = load_fit(path)
+    if fit.structure is None:
+        raise ValidationError(
+            f"structure block is empty in {path}: a library fit has no design recipe"
+        )
+    return fit, config_from_dict(fit.config) if fit.config else RunConfig()
+
+
 def cmd_predict(args) -> int:
     if args.draws is not None and args.draws < 1:
         raise ValidationError(f"--draws must be >= 1, got {args.draws}")
     if args.seed is not None and args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-    fit = load_fit(args.fit)
-    cfg = config_from_dict(fit.config) if fit.config else RunConfig()
+    fit, cfg = _load_fit_with_structure(args.fit)
     out = _outdir(args.out if args.out is not None else cfg.out)
     horizon = args.horizon
     if horizon < 0:
         raise ValidationError("horizon must be >= 0")
-    P = len(fit.structure["regressor_names"])
+    P = len(fit.structure.regressor_names)
     if horizon > 0 and P > 0:
         if not args.future:
             raise ValidationError("predict needs --future when the fit has regressors")
@@ -252,8 +261,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    fit = load_fit(args.fit)
-    cfg = config_from_dict(fit.config) if fit.config else RunConfig()
+    fit, cfg = _load_fit_with_structure(args.fit)
     frame = load_frame(args.data, cfg)
     design = training_design(fit.structure, frame)
     decomp = decompose(fit.params, design)

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import reprlib
+import types
 import typing
 
 import numpy as np
@@ -28,22 +29,37 @@ class DivergenceError(BtvcError):
 
 # the types a declared int or float admits (isinstance with numbers.Real is far slower)
 _NUMBERS = {int: (int, np.integer), float: (int, np.integer, float, np.floating)}
+# what a list of each entry type is called in a message
+_PLURALS = {int: "integers", float: "finite numbers", str: "strings"}
 
 
 def _rule(hint):
-    """value -> what is wrong with it under the declared type hint (int, float, str, bool,
-    np.ndarray for a flat vector, Literal[...] of strings, or one of these | None), or None."""
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is typing.Literal:
+    """value -> what is wrong with it under the declared type hint, or None.
+
+    A hint is int, float, str, bool or another class; Literal[...] of
+    strings; tuple[X, ...] (a list or tuple whose every entry passes X) or
+    tuple[A, B] (one entry per type); np.ndarray for a flat vector of
+    floats; or a union of these, which admits what any arm admits."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Literal:
         return lambda v: None if isinstance(v, str) and v in args else (
             "must be one of " + "|".join(args))
-    if args:
-        rule = _rule(args[0])
-        return lambda v: None if v is None else rule(v)
+    if origin in (typing.Union, types.UnionType):
+        rules = [_rule(arg) for arg in args]
+        return lambda v: None if any(rule(v) is None for rule in rules) else rules[0](v)
     if hint is np.ndarray:
-        number = _rule(float)
-        return lambda v: None if isinstance(v, (list, tuple, np.ndarray)) and not any(
-            map(number, v)) else "expects a list of finite numbers"
+        return _rule(tuple[float, ...])
+    if origin is tuple:
+        sequence = (list, tuple, np.ndarray)
+        if args[1:] == (Ellipsis,):
+            entry = _rule(args[0])
+            problem = "expects a list of " + _PLURALS.get(args[0], str(args[0]))
+            return lambda v: None if isinstance(v, sequence) and not any(
+                map(entry, v)) else problem
+        entries = [_rule(arg) for arg in args]
+        problem = "expects a list [" + ", ".join(arg.__name__ for arg in args) + "]"
+        return lambda v: None if isinstance(v, sequence) and len(v) == len(entries) and not any(
+            rule(e) for rule, e in zip(entries, v)) else problem
     admits = _NUMBERS.get(hint, hint)
 
     def rule(v):

@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ValidationError
 from .timeframe import TimeSeriesFrame, write_table
 
-BOTH_ZERO_EPS = 0.0  # |F|+|A| == 0 terms contribute exactly 0 by convention
-
 
 def smape(forecast: np.ndarray, actual: np.ndarray) -> float:
     """(1/h) * sum 2|F-A| / (|F|+|A|); symmetric, scale-invariant, in [0,2]."""
@@ -29,7 +27,8 @@ def smape(forecast: np.ndarray, actual: np.ndarray) -> float:
         raise ValidationError("smape needs at least one point")
     denom = np.abs(f) + np.abs(a)
     num = 2.0 * np.abs(f - a)
-    terms = np.where(denom > BOTH_ZERO_EPS, num / np.where(denom > 0, denom, 1.0), 0.0)
+    # a term with |F|+|A| == 0 contributes exactly 0 by convention
+    terms = np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
     return float(terms.mean())
 
 

@@ -41,6 +41,7 @@ from .model import (
     HyperParams,
     ModelInputs,
     ParameterSet,
+    Structure,
     _folded_normal_terms,
     _laplace_chain,
     check_dims,
@@ -365,7 +366,8 @@ class FitResult:
     variational_mean: np.ndarray | None = None
     variational_log_sd: np.ndarray | None = None
     config: dict = field(default_factory=dict)
-    structure: dict = field(default_factory=dict)
+    # None for a library fit, which has no design recipe; saved as {}
+    structure: Structure | None = None
 
     @property
     def has_variational(self) -> bool:
@@ -1096,7 +1098,9 @@ def fit_document(fit: FitResult) -> dict:
         "grad_norm": float(fit.grad_norm),
         "hyperparams": asdict(fit.hyper),
         "config": fit.config,
-        "structure": fit.structure,
+        # the fields as they are: asdict would deep-copy every knot time
+        "structure": {} if fit.structure is None else {
+            f.name: getattr(fit.structure, f.name) for f in fields(Structure)},
     }
     if fit.has_variational:
         doc["variational"] = {
@@ -1143,6 +1147,7 @@ def load_fit(path: str) -> FitResult:
     for key, hint in (("trace", list), ("seed", int), ("mode", Literal["map", "svi"]),
                       ("stop_reason", str), ("n_iterations", int), ("grad_norm", float)):
         check_value(doc.get(key), hint, key)
+    structure = check_block(doc.get("structure"), "structure")
     return FitResult(
         params=packing.unpack(theta if mean is None else mean),
         theta=theta,
@@ -1157,5 +1162,5 @@ def load_fit(path: str) -> FitResult:
         variational_mean=mean,
         variational_log_sd=log_sd,
         config=dict(check_block(doc.get("config", {}), "config")),
-        structure=dict(check_block(doc.get("structure"), "structure")),
+        structure=from_block(Structure, structure, "structure") if structure else None,
     )

@@ -46,7 +46,11 @@ class KnotGrid:
     T: int
 
     def __post_init__(self):
-        times = np.asarray(self.knot_times, dtype=int)
+        times = np.asarray(self.knot_times)
+        # a cast to int would truncate
+        if times.dtype.kind == "f" and not (np.isfinite(times) & (np.trunc(times) == times)).all():
+            raise ValidationError(f"knot times must be integers, got {times.tolist()}")
+        times = times.astype(int)
         object.__setattr__(self, "knot_times", times)
         if self.T < 1:
             raise ValidationError(f"series length must be >= 1, got {self.T}")

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from typing import Literal
 
 import numpy as np
 
 from .errors import ValidationError, check_fields
-from .kernels import KernelMatrix
-from .timeframe import write_table
+from .fourier import FourierSpec
+from .kernels import KernelMatrix, KnotGrid
+from .timeframe import parse_date, write_table
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -152,6 +154,50 @@ class ModelDesign:
     @property
     def n_channels(self) -> int:
         return int(self.regressors.shape[1])
+
+
+@dataclass(frozen=True)
+class Structure:
+    """A fit's design recipe, its fit document's structure block: it rebuilds
+    the design of any rows, training or forecast, from their regressors."""
+
+    T: int
+    last_date: str
+    step_days: int
+    knots_lev: tuple[int, ...]
+    knots_seas: tuple[int, ...]
+    knots_reg: tuple[int, ...]
+    rho: float
+    fourier: tuple[tuple[float, int], ...]
+    link: Literal["log", "identity"]
+    zero_policy: Literal["shift1", "floor"]
+    floor_epsilon: float
+    regressor_names: tuple[str, ...]
+
+    def __post_init__(self):
+        check_fields(self, "structure.{}")
+        for name in ("knots_lev", "knots_seas", "knots_reg", "regressor_names"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "fourier", tuple(map(tuple, self.fourier)))
+        for name in ("T", "step_days"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"structure.{name} must be >= 1, got {getattr(self, name)}")
+        if self.rho <= 0:
+            raise ValidationError(f"structure.rho must be > 0, got {self.rho}")
+        if self.link == "log" and self.zero_policy == "floor" and self.floor_epsilon <= 0:
+            raise ValidationError(f"structure.floor_epsilon must be > 0 under zero_policy floor, "
+                                  f"got {self.floor_epsilon}")
+        if str(parse_date(self.last_date, "in structure.last_date")) != self.last_date:
+            raise ValidationError(
+                f"structure.last_date must be YYYY-MM-DD, got {self.last_date!r}")
+        name = "fourier"  # the key a failed build below names
+        try:
+            for period, order in self.fourier:
+                FourierSpec(period=period, order=order)
+            for name in ("knots_lev", "knots_seas", "knots_reg"):
+                KnotGrid(getattr(self, name), self.T)
+        except ValidationError as exc:
+            raise ValidationError(f"structure.{name}: {exc}") from None
 
 
 @dataclass(frozen=True)

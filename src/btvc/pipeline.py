@@ -31,7 +31,8 @@ from .inference import (
     variational_draws,
 )
 from .kernels import KnotGrid, build_grid, kernel_matrix
-from .model import HyperParams, ModelDesign, ModelInputs, decompose, predict, stacked_fitted
+from .model import (HyperParams, ModelDesign, ModelInputs, Structure, decompose, predict,
+                    stacked_fitted)
 from .runconfig import (
     RunConfig,
     config_to_dict,
@@ -60,27 +61,27 @@ def _auto_rho(grid: KnotGrid, T: int) -> float:
 
 
 def build_structure(frame: TimeSeriesFrame, cfg: RunConfig):
-    """Returns (inputs, hyper, structure dict for the fit document)."""
+    """Returns (inputs, hyper, the Structure for the fit document)."""
     T = frame.n_times
     specs = fourier_specs(cfg)
     grid_lev = _component_grid(T, cfg.knot_count_lev, cfg.knot_distance_lev, cfg.knot_anchor)
     grid_seas = _component_grid(T, cfg.knot_count_seas, cfg.knot_distance_seas, cfg.knot_anchor)
     grid_reg = _component_grid(T, cfg.knot_count_reg, cfg.knot_distance_reg, cfg.knot_anchor)
     rho = cfg.rho if cfg.rho > 0 else _auto_rho(grid_reg, T)
-    structure = {
-        "T": T,
-        "last_date": str(frame.timestamps[-1]),
-        "step_days": int(frame.step / np.timedelta64(1, "D")),
-        "knots_lev": [int(v) for v in grid_lev.knot_times],
-        "knots_seas": [int(v) for v in grid_seas.knot_times],
-        "knots_reg": [int(v) for v in grid_reg.knot_times],
-        "rho": float(rho),
-        "fourier": [[s.period, s.order] for s in specs],
-        "link": cfg.link,
-        "zero_policy": cfg.zero_policy,
-        "floor_epsilon": cfg.floor_epsilon,
-        "regressor_names": list(frame.regressor_names),
-    }
+    structure = Structure(
+        T=T,
+        last_date=str(frame.timestamps[-1]),
+        step_days=int(frame.step / np.timedelta64(1, "D")),
+        knots_lev=grid_lev.knot_times.tolist(),
+        knots_seas=grid_seas.knot_times.tolist(),
+        knots_reg=grid_reg.knot_times.tolist(),
+        rho=float(rho),
+        fourier=[(s.period, s.order) for s in specs],
+        link=cfg.link,
+        zero_policy=cfg.zero_policy,
+        floor_epsilon=cfg.floor_epsilon,
+        regressor_names=frame.regressor_names,
+    )
     x, target = model_scale(structure, frame.regressors, frame.response)
     inputs = ModelInputs(design=_design(structure, x, 1, T), target=target)
     init_scale = cfg.init_scale_lev
@@ -141,50 +142,46 @@ def run_fit(frame: TimeSeriesFrame, cfg: RunConfig) -> tuple[FitResult, ModelInp
 
 # -- designs from a saved fit -------------------------------------------------
 
-def _design(structure: dict, x: np.ndarray, first: int, n: int) -> ModelDesign:
+def _design(structure: Structure, x: np.ndarray, first: int, n: int) -> ModelDesign:
     """Design of a saved structure for rows first..first+n-1 (rows past T are
     forecast rows), given the model-scale regressors of those rows."""
-    T = int(structure["T"])
-    specs = tuple(FourierSpec(period=s, order=int(k)) for s, k in structure["fourier"])
-    grid_lev, grid_seas, grid_reg = (
-        KnotGrid(np.asarray(structure[key]), T) for key in ("knots_lev", "knots_seas", "knots_reg")
-    )
+    T = structure.T
+    specs = tuple(FourierSpec(period=s, order=k) for s, k in structure.fourier)
     times = range(first, first + n)
     return ModelDesign(
         regressors=x,
         seasonal=fourier_design(T, specs, times=times).matrix,
-        k_lev=kernel_matrix(grid_lev, "level", times=times),
-        k_seas=kernel_matrix(grid_seas, "level", times=times),
-        k_reg=kernel_matrix(grid_reg, "gaussian", rho=structure["rho"], times=times),
-        regressor_names=tuple(structure["regressor_names"]),
+        k_lev=kernel_matrix(KnotGrid(structure.knots_lev, T), "level", times=times),
+        k_seas=kernel_matrix(KnotGrid(structure.knots_seas, T), "level", times=times),
+        k_reg=kernel_matrix(KnotGrid(structure.knots_reg, T), "gaussian", rho=structure.rho,
+                            times=times),
+        regressor_names=structure.regressor_names,
     )
 
 
-def training_design(structure: dict, frame: TimeSeriesFrame) -> ModelDesign:
+def training_design(structure: Structure, frame: TimeSeriesFrame) -> ModelDesign:
     """Rebuild the rows-1..T design of a saved fit from the original data."""
-    T = int(structure["T"])
-    if frame.n_times != T:
+    if frame.n_times != structure.T:
         raise ValidationError(
-            f"data has {frame.n_times} rows but the fit was trained on {T}"
+            f"data has {frame.n_times} rows but the fit was trained on {structure.T}"
         )
-    if list(frame.regressor_names) != list(structure["regressor_names"]):
+    if frame.regressor_names != structure.regressor_names:
         raise ValidationError("data regressor columns do not match the fit")
-    return _design(structure, model_scale(structure, frame.regressors)[0], 1, T)
+    return _design(structure, model_scale(structure, frame.regressors)[0], 1, structure.T)
 
 
-def forecast_design(structure: dict, future_regressors: np.ndarray,
+def forecast_design(structure: Structure, future_regressors: np.ndarray,
                     horizon: int) -> ModelDesign:
     """Design covering only the forecast rows T+1 .. T+horizon."""
-    T = int(structure["T"])
     if horizon < 1:
         raise ValidationError("horizon must be >= 1 for a forecast design")
     x = np.asarray(future_regressors, dtype=float)
-    P = len(structure["regressor_names"])
+    P = len(structure.regressor_names)
     if x.shape != (horizon, P):
         raise ValidationError(
             f"future regressors shape {x.shape} does not match ({horizon}, {P})"
         )
-    return _design(structure, model_scale(structure, x)[0], T + 1, horizon)
+    return _design(structure, model_scale(structure, x)[0], structure.T + 1, horizon)
 
 
 def predict_from_fit(fit: FitResult, future_regressors: np.ndarray,
@@ -192,7 +189,7 @@ def predict_from_fit(fit: FitResult, future_regressors: np.ndarray,
     if horizon == 0:
         return np.zeros(0)
     design = forecast_design(fit.structure, future_regressors, horizon)
-    return predict(fit.params, design, horizon, link=fit.structure["link"])
+    return predict(fit.params, design, horizon, link=fit.structure.link)
 
 
 def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: int,
@@ -203,13 +200,10 @@ def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: i
         check_variational(fit, n_draws)
         return {float(q): np.zeros(0) for q in levels}
     thetas = variational_draws(fit, n_draws, seed)
-    link = fit.structure["link"]
-    if link not in ("log", "identity"):
-        raise ValidationError(f"unknown link {link!r}")
     design = forecast_design(fit.structure, future_regressors, horizon)
     b_lev, b_seas, b_reg, _, _ = fit.packing.unpack_stacked(thetas)
     fitted = stacked_fitted(b_lev, b_seas, b_reg, design)
-    return draw_quantiles(np.exp(fitted) if link == "log" else fitted, levels)
+    return draw_quantiles(np.exp(fitted) if fit.structure.link == "log" else fitted, levels)
 
 
 def forecaster_from_config(cfg: RunConfig):
@@ -240,11 +234,11 @@ def run_backtest(frame: TimeSeriesFrame, cfg: RunConfig) -> MetricReport:
 
 # -- file plumbing ------------------------------------------------------------
 
-def read_future_csv(path: str, structure: dict, horizon: int,
+def read_future_csv(path: str, structure: Structure, horizon: int,
                     date_col: str = "date") -> np.ndarray:
     """Read >= horizon rows of future regressor values, checking the dates
     continue the training calendar."""
-    names = list(structure["regressor_names"])
+    names = structure.regressor_names
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         have = set(reader.fieldnames or ())
@@ -256,16 +250,14 @@ def read_future_csv(path: str, structure: dict, horizon: int,
         raise ValidationError(
             f"horizon {horizon} exceeds the {len(rows)} supplied future rows"
         )
-    step = np.timedelta64(int(structure["step_days"]), "D")
-    expected = np.datetime64(structure["last_date"], "D") + step
+    expected = forecast_dates(structure, horizon)
     x = np.empty((horizon, len(names)))
     for r in range(horizon):
         date = parse_date(rows[r][date_col], f"in future row {r + 1}")
-        if date != expected:
+        if date != expected[r]:
             raise ValidationError(
-                f"future row {r + 1} has date {date}, expected {expected}"
+                f"future row {r + 1} has date {date}, expected {expected[r]}"
             )
-        expected = date + step
         for j, c in enumerate(names):
             try:
                 x[r, j] = float(rows[r][c])
@@ -279,13 +271,12 @@ def read_future_csv(path: str, structure: dict, horizon: int,
     return x
 
 
-def forecast_dates(structure: dict, horizon: int) -> np.ndarray:
-    step = np.timedelta64(int(structure["step_days"]), "D")
-    start = np.datetime64(structure["last_date"], "D") + step
-    return start + step * np.arange(horizon)
+def forecast_dates(structure: Structure, horizon: int) -> np.ndarray:
+    step = np.timedelta64(structure.step_days, "D")
+    return np.datetime64(structure.last_date, "D") + step * np.arange(1, horizon + 1)
 
 
-def write_forecast_csv(path: str, structure: dict, point: np.ndarray,
+def write_forecast_csv(path: str, structure: Structure, point: np.ndarray,
                        quantiles: dict[float, np.ndarray] | None = None) -> None:
     quantiles = quantiles or {}
     levels = sorted(quantiles)

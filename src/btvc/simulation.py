@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_fields
 from .timeframe import TimeSeriesFrame, write_table
 
 
@@ -34,12 +34,31 @@ class SparsitySpec:
     zero_prob: float = 1.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.channel < 0:
             raise ValidationError("sparsity channel index must be >= 0")
         if self.start < 1 or self.end < self.start:
             raise ValidationError(f"bad sparsity window [{self.start}, {self.end}]")
         if not 0.0 <= self.zero_prob <= 1.0:
             raise ValidationError("zero_prob must lie in [0, 1]")
+
+
+def _check_shared(config, scales: tuple[str, ...]) -> None:
+    """The checks both generators' settings share: types, sizes, seed, the
+    named scales, and coef_init, which becomes one float per channel."""
+    check_fields(config)
+    if config.T < 2 or config.P < 1:
+        raise ValidationError("need T >= 2 and P >= 1")
+    if config.seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {config.seed}")
+    for name in scales:
+        if getattr(config, name) < 0:
+            raise ValidationError(f"{name} must be >= 0")
+    init = config.coef_init
+    init = (float(init),) * config.P if np.isscalar(init) else tuple(float(v) for v in init)
+    if len(init) != config.P:
+        raise ValidationError(f"coef_init needs {config.P} entries, got {len(init)}")
+    object.__setattr__(config, "coef_init", init)
 
 
 @dataclass(frozen=True)
@@ -58,21 +77,9 @@ class SimConfig:
     start_date: str = "2020-01-01"
 
     def __post_init__(self):
-        if self.T < 2 or self.P < 1:
-            raise ValidationError("need T >= 2 and P >= 1")
-        for name in ("trend_step_sd", "coef_step_sd", "covariate_sd", "noise_sd"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        init = self.coef_init
-        if np.isscalar(init):
-            init = (float(init),) * self.P
-        else:
-            init = tuple(float(v) for v in init)
-        if len(init) != self.P:
-            raise ValidationError(f"coef_init needs {self.P} entries, got {len(init)}")
-        if min(init) < 0:
+        _check_shared(self, ("trend_step_sd", "coef_step_sd", "covariate_sd", "noise_sd"))
+        if min(self.coef_init) < 0:
             raise ValidationError("coef_init entries must be >= 0")
-        object.__setattr__(self, "coef_init", init)
         if self.sparsity is not None and self.sparsity.end > self.T:
             raise ValidationError("sparsity window extends past T")
         if self.sparsity is not None and self.sparsity.channel >= self.P:
@@ -180,21 +187,9 @@ class MultiplicativeSimConfig:
     start_date: str = "2020-01-01"
 
     def __post_init__(self):
-        if self.T < 2 or self.P < 1:
-            raise ValidationError("need T >= 2 and P >= 1")
-        for name in ("trend_step_sd", "coef_step_sd", "log_spend_sd", "noise_sd"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+        _check_shared(self, ("trend_step_sd", "coef_step_sd", "log_spend_sd", "noise_sd"))
         if self.period <= 1:
             raise ValidationError("period must be > 1")
-        init = self.coef_init
-        if np.isscalar(init):
-            init = (float(init),) * self.P
-        else:
-            init = tuple(float(v) for v in init)
-        if len(init) != self.P:
-            raise ValidationError(f"coef_init needs {self.P} entries, got {len(init)}")
-        object.__setattr__(self, "coef_init", init)
 
 
 def simulate_multiplicative(config: MultiplicativeSimConfig) -> SimDataset:

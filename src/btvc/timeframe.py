@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-ZERO_POLICIES = ("shift1", "floor")
-
 
 @dataclass(frozen=True)
 class CsvSchema:
@@ -106,7 +104,7 @@ class TimeSeriesFrame:
         return self.timestamps[1] - self.timestamps[0]
 
 
-def model_scale(structure: dict, regressors, response=None):
+def model_scale(structure, regressors, response=None):
     """Raw regressors, and the response when given, mapped to the scale a
     fit structure is fit on; returns (regressors, response or None).
 
@@ -117,11 +115,8 @@ def model_scale(structure: dict, regressors, response=None):
     """
     x = np.array(regressors, dtype=float)
     y = None if response is None else np.array(response, dtype=float)
-    if structure["link"] != "log":
+    if structure.link != "log":
         return x, y
-    policy = structure["zero_policy"]
-    if policy not in ZERO_POLICIES:
-        raise ValidationError(f"unknown zero_policy {policy!r}")
     if y is not None:
         if np.any(y <= 0):
             i = int(np.argmax(y <= 0))
@@ -129,14 +124,11 @@ def model_scale(structure: dict, regressors, response=None):
         y = np.log(y)
     if x.size and x.min() < 0:
         i, j = np.argwhere(x < 0)[0]
-        name = structure["regressor_names"][j]
+        name = structure.regressor_names[j]
         raise ValidationError(f"negative regressor {name!r} at row {int(i) + 1}")
-    if policy == "shift1":
+    if structure.zero_policy == "shift1":
         return np.log1p(x), y
-    epsilon = structure["floor_epsilon"]
-    if epsilon is None or not epsilon > 0:
-        raise ValidationError(f"floor policy needs floor_epsilon > 0, got {epsilon!r}")
-    return np.log(np.maximum(x, epsilon)), y
+    return np.log(np.maximum(x, structure.floor_epsilon)), y
 
 
 def parse_date(text: str, where: str) -> np.datetime64:

@@ -18,7 +18,7 @@ from btvc.pipeline import (
     read_future_csv,
     write_forecast_csv,
 )
-from btvc.model import HyperParams
+from btvc.model import HyperParams, Structure
 from btvc.runconfig import RunConfig, config_from_dict, parse_value
 
 from tests.test_timeframe import write_csv
@@ -737,6 +737,15 @@ def _set(path, value):
     return mutate
 
 
+def _delete(path):
+    def mutate(doc):
+        *parents, key = path
+        for part in parents:
+            doc = doc[part]
+        del doc[key]
+    return mutate
+
+
 MALFORMED_DOCUMENTS = [
     (("theta_map",), "x", "theta_map expects a list of finite numbers, got 'x'"),
     (("theta_map",), [], "theta_map has 0 values, the packing's dim is {dim}"),
@@ -748,6 +757,19 @@ MALFORMED_DOCUMENTS = [
     (("hyperparams", "bogus"), 1, "unknown hyperparams keys: ['bogus']"),
     (("config",), "x", "config block must be an object, got 'x'"),
     (("config", "mode"), "mcmc", "config key 'mode' must be one of map|svi, got 'mcmc'"),
+    # a structure value used to be coerced where it was read: these three
+    # exited 0, reading link as identity, step_days as 1 and the knot as 20
+    (("structure", "link"), "x", "structure.link must be one of log|identity, got 'x'"),
+    (("structure", "step_days"), 1.9, "structure.step_days expects int, got 1.9"),
+    (("structure", "knots_reg"), [20.9, 50, 80],
+     "structure.knots_reg expects a list of integers, got [20.9, 50, 80]"),
+    (("structure", "knots_lev"), [99],
+     "structure.knots_lev: knot times must lie in [1, 80], got [99]"),
+    (("structure", "last_date"), "2020-02",
+     "structure.last_date must be YYYY-MM-DD, got '2020-02'"),
+    (("structure", "bogus"), 1, "unknown structure keys: ['bogus']"),
+    (("structure",), {},
+     "structure block is empty in {path}: a library fit has no design recipe"),
 ]
 
 
@@ -755,10 +777,11 @@ MALFORMED_DOCUMENTS = [
     f"{'.'.join(path)}={value!r}" for path, value, _ in MALFORMED_DOCUMENTS])
 def test_a_malformed_fit_document_names_the_key(capsys, tmp_path, svi_fit, path, value, message):
     dim = len(json.loads(svi_fit[0].read_text())["theta_map"])
+    message = message.format(dim=dim, path=tmp_path / "bad_fit.json")
     for code, out, err in read_with_a_mutated_document(capsys, tmp_path, svi_fit,
                                                        _set(path, value)):
         assert code == 1
-        assert err == f"error: {message.format(dim=dim)}\n"
+        assert err == f"error: {message}\n"
         assert out == ""
 
 
@@ -832,23 +855,32 @@ def test_a_missing_top_level_key_names_it(capsys, tmp_path, svi_fit):
 
 def test_mutating_any_settings_field_or_theta_vector_never_ends_in_a_traceback(
         capsys, tmp_path, svi_fit):
-    # every field of the config, hyperparams and packing blocks, and each
-    # theta vector, set in turn to values of the wrong type or range
+    # every field of the config, hyperparams, packing and structure blocks,
+    # and each theta vector, set in turn to values of the wrong type or
+    # range, or deleted; then the structure block emptied, and an unknown
+    # key added to each block. 152 of the structure block's 388 runs used
+    # to end in a traceback
     doc = json.loads(svi_fit[0].read_text())
-    paths = [(block, key) for block in ("config", "hyperparams", "packing") for key in doc[block]]
+    blocks = ("config", "hyperparams", "packing", "structure")
+    paths = [(block, key) for block in blocks for key in doc[block]]
     paths += [("theta_map",), ("variational", "mean"), ("variational", "log_sd")]
+    mutations = [(path, value, _set(path, value))
+                 for path in paths for value in (None, "x", [], -1, 0, 1.5, [1.5])]
+    mutations += [(path, "deleted", _delete(path)) for path in paths]
+    mutations += [(("structure",), {}, _set(("structure",), {}))]
+    mutations += [((block, "bogus"), 1, _set((block, "bogus"), 1)) for block in blocks]
     failures = []
-    for path in paths:
-        for value in (None, "x", [], -1, 0):
-            try:
-                runs = read_with_a_mutated_document(capsys, tmp_path, svi_fit, _set(path, value))
-            except Exception as exc:  # a traceback in the CLI
-                failures.append((path, value, repr(exc)))
-                continue
-            for code, _, err in runs:
-                if code != 0 and not (code == 1 and err.startswith("error: ")
-                                      and err.count("\n") == 1):
-                    failures.append((path, value, code, err))
+    for path, value, mutate in mutations:
+        try:
+            runs = read_with_a_mutated_document(capsys, tmp_path, svi_fit, mutate)
+        except Exception as exc:  # a traceback in the CLI
+            failures.append((path, value, repr(exc)))
+            continue
+        for code, _, err in runs:
+            if code != 0 and not (code == 1 and err.startswith("error: ")
+                                  and err.count("\n") == 1):
+                failures.append((path, value, code, err))
     assert set(doc["config"]) == {f.name for f in dataclasses.fields(RunConfig)}
     assert set(doc["hyperparams"]) == {f.name for f in dataclasses.fields(HyperParams)}
+    assert set(doc["structure"]) == {f.name for f in dataclasses.fields(Structure)}
     assert failures == []

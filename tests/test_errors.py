@@ -2,6 +2,7 @@
 checked against its declared annotation, and an error names the field."""
 
 import dataclasses
+import re
 import typing
 
 import numpy as np
@@ -11,8 +12,9 @@ from btvc.calibration import PriorWindow
 from btvc.errors import ValidationError, check_value, from_block
 from btvc.fourier import FourierSpec
 from btvc.inference import MapConfig, ParameterPacking, SviConfig
-from btvc.model import HyperParams
+from btvc.model import HyperParams, Structure
 from btvc.runconfig import RunConfig, validate_config
+from btvc.simulation import MultiplicativeSimConfig, SimConfig, SparsitySpec
 
 # each settings class: a valid instance's arguments, how a changed field is
 # checked, and how its errors name the field
@@ -26,29 +28,41 @@ SETTINGS = {
     FourierSpec: (dict(period=7.0, order=2), lambda kw: FourierSpec(**kw), "{}"),
     PriorWindow: (dict(channel="x1", start=1, end=5, mean=0.3, sd=0.1),
                   lambda kw: PriorWindow(**kw), "window {}"),
+    Structure: (dict(T=60, last_date="2024-02-29", step_days=1, knots_lev=[1, 60], knots_seas=[60],
+                     knots_reg=[30, 60], rho=15.0, fourier=[[7.0, 1]], link="log",
+                     zero_policy="shift1", floor_epsilon=1e-6, regressor_names=["x1", "x2"]),
+                lambda kw: Structure(**kw), "structure.{}"),
+    SimConfig: ({}, lambda kw: SimConfig(**kw), "{}"),
+    MultiplicativeSimConfig: ({}, lambda kw: MultiplicativeSimConfig(**kw), "{}"),
+    SparsitySpec: (dict(channel=0, start=1, end=3), lambda kw: SparsitySpec(**kw), "{}"),
 }
 
 
 def bad_values(hint):
     """Values of the wrong type for a field declared as hint, with nan for
-    a float and a nan entry for a vector."""
-    args = typing.get_args(hint)
-    kind = args[0] if args and typing.get_origin(hint) is not typing.Literal else hint
-    if kind is str:
-        return [1, None]
-    if typing.get_origin(kind) is typing.Literal:
+    a float and one bad entry for a list."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Literal:
         return ["x", 1]
-    if kind is np.ndarray:
-        return ["x", [1.0, "x"], [[1.0]], [float("nan")], [True]]
-    if kind is bool:
+    if hint is np.ndarray:
+        return bad_values(tuple[float, ...])
+    if origin is tuple:
+        if args[1:] == (Ellipsis,):
+            return ["x", None, 1] + [[v] for v in bad_values(args[0])]
+        return ["x", None, 1, [], list(args)]
+    if args:  # a union: values that every arm rejects
+        arms = [bad_values(arm) for arm in args if arm is not type(None)]
+        return [v for v in arms[0] if all(v in arm for arm in arms[1:])
+                and not (v is None and type(None) in args)]
+    if hint is str:
+        return [1, None]
+    if hint is bool:
         return ["x", 1, None]
-    bad = ["x", True, [1]]
-    if kind is float:
+    bad = ["x", True, [1], None]
+    if hint is float:
         bad += [float("nan"), float("inf")]
-    if kind is int:
+    if hint is int:
         bad += [1.5]
-    if not args:
-        bad += [None]
     return bad
 
 
@@ -93,6 +107,24 @@ def test_check_value_on_a_vector():
     with pytest.raises(ValidationError,
                        match=r"^theta_map expects a list of finite numbers, got \[0\.5, 'x'\]$"):
         check_value([0.5, "x"], np.ndarray, "theta_map")
+
+
+def test_check_value_on_tuples_and_unions():
+    check_value((1, np.int64(2)), tuple[int, ...], "knots")
+    check_value([], tuple[int, ...], "knots")
+    check_value([[7.0, 3], (30, 1)], tuple[tuple[float, int], ...], "fourier")
+    for value in (0.5, [0.5, 1], (0.5,), np.array([0.5])):
+        check_value(value, float | tuple[float, ...], "coef_init")
+    check_value(None, float | None, "noise_df")
+    for value, hint, message in [
+        ([1, 2.5], tuple[int, ...], "expects a list of integers"),
+        ([[7.0, 3.5]], tuple[tuple[float, int], ...], "expects a list of tuple[float, int]"),
+        ([7.0], tuple[float, int], "expects a list [float, int]"),
+        ("x", float | tuple[float, ...], "expects float"),
+        ([float("nan")], float | tuple[float, ...], "expects float"),
+    ]:
+        with pytest.raises(ValidationError, match=rf"^v {re.escape(message)}, got "):
+            check_value(value, hint, "v")
 
 
 @pytest.mark.parametrize("doc, message", [

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,7 @@ from btvc.runconfig import RunConfig
 from btvc.simulation import MultiplicativeSimConfig, simulate_multiplicative
 from tests.test_kernels import dense_kernel, reference_rows
 from tests.test_model import toy
+from tests.test_timeframe import make_structure
 
 
 def small_problem(seed=0, T=40, P=2):
@@ -1079,7 +1081,7 @@ def test_banded_kernels_give_the_objective_of_the_dense_reference(case):
     dense = ModelInputs(design=dataclasses.replace(
         d, k_lev=dense_kernel(reference_rows(d.k_lev.grid, "level", times), d.k_lev.grid),
         k_seas=dense_kernel(reference_rows(d.k_seas.grid, "level", times), d.k_seas.grid),
-        k_reg=dense_kernel(reference_rows(d.k_reg.grid, "gaussian", times, structure["rho"]),
+        k_reg=dense_kernel(reference_rows(d.k_reg.grid, "gaussian", times, structure.rho),
                            d.k_reg.grid)), target=inputs.target)
     windows = [PriorWindow(channel="x1", start=T - 27, end=T, mean=0.3, sd=0.02),
                PriorWindow(channel="x2", start=240, end=280, mean=0.2, sd=0.05)]
@@ -1228,7 +1230,7 @@ def test_save_load_round_trip(tmp_path):
     inputs, hp = small_problem(seed=61)
     fit = fit_svi(inputs, hp, SviConfig(iterations=150, seed=0),
                   map_config=MapConfig(iterations=200))
-    fit.structure = {"T": 40, "note": "round-trip"}
+    fit.structure = make_structure(T=40, knots_lev=[10, 20, 30, 40], fourier=[(7.0, 1)])
     p = tmp_path / "fit.json"
     save_fit(fit, str(p))
     back = load_fit(str(p))
@@ -1239,6 +1241,14 @@ def test_save_load_round_trip(tmp_path):
     assert back.structure == fit.structure
     assert back.mode == "svi"
     assert np.array_equal(back.params.b_reg, fit.params.b_reg)
+    save_fit(back, str(tmp_path / "again.json"))
+    assert (tmp_path / "again.json").read_bytes() == p.read_bytes()
+    # the free-form block a structure once was is rejected, naming the block
+    doc = json.loads(p.read_text())
+    doc["structure"] = {"T": 40, "note": "round-trip"}
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"^unknown structure keys: \['note'\]$"):
+        load_fit(str(p))
 
 
 def test_fit_document_keeps_every_hyperparameter_and_packing_field(tmp_path):

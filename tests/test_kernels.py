@@ -58,6 +58,17 @@ def test_grid_rejects_out_of_range_times():
         KnotGrid(knot_times=[5, 5], T=10)
 
 
+def test_grid_rejects_fractional_times():
+    # the int cast used to truncate them to [1, 3]
+    with pytest.raises(ValidationError,
+                       match=r"^knot times must be integers, got \[1\.5, 3\.7\]$"):
+        KnotGrid(knot_times=[1.5, 3.7], T=5)
+    with pytest.raises(ValidationError,
+                       match=r"^knot times must be integers, got \[1\.0, nan\]$"):
+        KnotGrid(knot_times=[1.0, float("nan")], T=5)
+    assert KnotGrid(knot_times=[1.0, 3.0], T=5).knot_times.tolist() == [1, 3]
+
+
 def test_level_kernel_interpolates_between_adjacent_knots():
     grid = KnotGrid(knot_times=[2, 6, 10], T=10)
     # t=4 lies midway between knots at 2 and 6

@@ -36,7 +36,7 @@ from btvc.simulation import MultiplicativeSimConfig, simulate_multiplicative
 from btvc.timeframe import model_scale
 
 from tests.test_inference import with_moments
-from tests.test_timeframe import make_frame, write_csv
+from tests.test_timeframe import make_frame, make_structure, write_csv
 
 FAST = dict(map_iterations=60)
 
@@ -63,7 +63,7 @@ def per_draw_quantiles(fit, future, horizon, levels, n_draws, seed):
     for s in range(n_draws):
         theta = fit.variational_mean + sd * rng.standard_normal(fit.packing.dim)
         sims[s] = predict(fit.packing.unpack(theta), design, horizon,
-                          link=fit.structure["link"])
+                          link=fit.structure.link)
     return {float(q): np.quantile(sims, q, axis=0) for q in levels}
 
 
@@ -74,29 +74,29 @@ class TestBuildStructure:
         assert inputs.design.regressors.shape == (60, 2)
         assert inputs.design.seasonal.shape == (60, 2)  # one harmonic
         assert inputs.target.shape == (60,)
-        assert structure["T"] == 60
-        assert structure["step_days"] == 1
-        assert structure["last_date"] == str(frame.timestamps[-1])
-        assert structure["knots_lev"] == [30, 60]
-        assert structure["knots_seas"] == [60]  # distance clamped to T
-        assert structure["knots_reg"] == [30, 60]
-        assert structure["fourier"] == [[7.0, 1]]
-        assert structure["link"] == "log"
-        assert structure["regressor_names"] == ["x1", "x2"]
+        assert structure.T == 60
+        assert structure.step_days == 1
+        assert structure.last_date == str(frame.timestamps[-1])
+        assert structure.knots_lev == (30, 60)
+        assert structure.knots_seas == (60,)  # distance clamped to T
+        assert structure.knots_reg == (30, 60)
+        assert structure.fourier == ((7.0, 1),)
+        assert structure.link == "log"
+        assert structure.regressor_names == ("x1", "x2")
 
     def test_auto_rho_is_half_the_knot_gap(self):
         frame = small_frame()
         _, _, structure = build_structure(frame, small_cfg(knot_distance_reg=20))
-        assert structure["rho"] == 10.0
+        assert structure.rho == 10.0
 
     def test_auto_rho_single_knot_falls_back_to_quarter_span(self):
         frame = small_frame()
         _, _, structure = build_structure(frame, small_cfg(knot_count_reg=1))
-        assert structure["rho"] == 15.0
+        assert structure.rho == 15.0
 
     def test_explicit_rho_wins(self):
         _, _, structure = build_structure(small_frame(), small_cfg(rho=4.5))
-        assert structure["rho"] == 4.5
+        assert structure.rho == 4.5
 
     def test_model_scale_arrays_log_vs_identity(self):
         frame = small_frame()
@@ -174,15 +174,15 @@ class TestSavedFitDesigns:
         cfg = small_cfg()
         _, _, structure = build_structure(frame, cfg)
         h = 5
-        T = structure["T"]
+        T = structure.T
         future = np.full((h, 2), 2.5)
         fc = forecast_design(structure, future, h)
         specs = (FourierSpec(7.0, 1),)
         np.testing.assert_array_equal(
             fc.seasonal, fourier_design(T + h, specs).matrix[T:]
         )
-        grid = KnotGrid(np.asarray(structure["knots_reg"]), T)
-        full = kernel_matrix(grid, "gaussian", rho=structure["rho"], times=range(1, T + h + 1))
+        grid = KnotGrid(structure.knots_reg, T)
+        full = kernel_matrix(grid, "gaussian", rho=structure.rho, times=range(1, T + h + 1))
         np.testing.assert_array_equal(fc.k_reg.weights, full.weights[T:])
         # log link: future regressors get the same zero policy as training
         np.testing.assert_allclose(fc.regressors, np.log1p(future))
@@ -224,18 +224,18 @@ class TestFitAndForecast:
         quick = predict_from_fit(fit, future, h)
 
         structure = fit.structure
-        T = structure["T"]
+        T = structure.T
         specs = (FourierSpec(7.0, 1),)
         full = ModelDesign(
             regressors=model_scale(structure, np.vstack([frame.regressors, future]))[0],
             seasonal=fourier_design(T + h, specs).matrix,
-            k_lev=kernel_matrix(KnotGrid(structure["knots_lev"], T), "level",
+            k_lev=kernel_matrix(KnotGrid(structure.knots_lev, T), "level",
                                 times=range(1, T + h + 1)),
-            k_seas=kernel_matrix(KnotGrid(structure["knots_seas"], T), "level",
+            k_seas=kernel_matrix(KnotGrid(structure.knots_seas, T), "level",
                                  times=range(1, T + h + 1)),
             k_reg=kernel_matrix(
-                KnotGrid(structure["knots_reg"], T), "gaussian",
-                rho=structure["rho"], times=range(1, T + h + 1),
+                KnotGrid(structure.knots_reg, T), "gaussian",
+                rho=structure.rho, times=range(1, T + h + 1),
             ),
             regressor_names=frame.regressor_names,
         )
@@ -319,11 +319,7 @@ class TestFilePlumbing:
             load_frame(str(path), small_cfg(link="log"))
 
     def future_structure(self):
-        return {
-            "regressor_names": ["x1", "x2"],
-            "step_days": 1,
-            "last_date": "2024-02-29",
-        }
+        return make_structure(regressor_names=["x1", "x2"], step_days=1, last_date="2024-02-29")
 
     def test_read_future_csv_happy_path(self, tmp_path):
         rows = [
@@ -372,14 +368,15 @@ class TestFilePlumbing:
             read_future_csv(str(path), self.future_structure(), 2)
 
     def test_forecast_dates_continue_the_calendar(self):
-        dates = forecast_dates({"step_days": 7, "last_date": "2024-01-01"}, 3)
+        dates = forecast_dates(make_structure(step_days=7, last_date="2024-01-01"), 3)
         assert [str(d) for d in dates] == ["2024-01-08", "2024-01-15", "2024-01-22"]
 
     def test_write_forecast_csv(self, tmp_path):
         path = tmp_path / "fc.csv"
         point = np.array([1.5, 2.5])
         q = {0.025: np.array([1.0, 2.0]), 0.975: np.array([2.0, 3.0])}
-        write_forecast_csv(str(path), {"step_days": 1, "last_date": "2024-02-29"}, point, q)
+        write_forecast_csv(str(path), make_structure(step_days=1, last_date="2024-02-29"), point,
+                           q)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "date,forecast,q_0.025,q_0.975"
         assert lines[1] == "2024-03-01,1.5,1.0,2.0"

@@ -109,6 +109,14 @@ class TestSparse:
             simulate_rw(SimConfig(sparsity=SparsitySpec(channel=0, start=1, end=10)))
         with pytest.raises(ValidationError, match="sparsity"):
             simulate_sparse(SimConfig())
+        # these ended in a numpy TypeError, a SeedSequence ValueError, or passed
+        with pytest.raises(ValidationError, match=r"^T expects int, got 300\.0$"):
+            SimConfig(T=300.0)
+        for config in (SimConfig, MultiplicativeSimConfig):
+            with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
+                config(seed=-1)
+        with pytest.raises(ValidationError, match=r"^channel expects int, got 0\.5$"):
+            SparsitySpec(channel=0.5, start=1, end=3)
 
 
 def weekly_pattern(cfg):

@@ -22,6 +22,8 @@ from btvc.pipeline import read_future_csv, write_forecast_csv
 from btvc.simulation import SimDataset, write_truth_csv
 from btvc.timeframe import CsvSchema, TimeSeriesFrame, emit_csv, ingest_csv
 
+from tests.test_timeframe import make_structure
+
 # the floats whose repr is easiest to get wrong: non-finite, signed zero,
 # subnormal, exponent forms on both sides, and a shortest round trip
 VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
@@ -91,7 +93,7 @@ def test_write_decomposition_csv_writes_what_the_row_writer_writes(tmp_path, T):
 @pytest.mark.parametrize("T", [0, 1, 11])
 def test_write_forecast_csv_writes_what_the_row_writer_writes(tmp_path, T, levels):
     values = columns(T, 1 + len(levels), shift=2)
-    structure = {"step_days": 7, "last_date": "2019-12-25"}
+    structure = make_structure(step_days=7, last_date="2019-12-25")
     quantiles = {q: values[:, 1 + j] for j, q in enumerate(levels)}
     write_forecast_csv(str(tmp_path / "a.csv"), structure, values[:, 0], quantiles or None)
     days = np.datetime64("2020-01-01", "D") + 7 * np.arange(T)
@@ -248,7 +250,7 @@ def test_ingest_csv_reads_regressorless_files_and_rejects_a_blank_date_in_a_long
 def test_read_future_csv_rejects_a_nat_date(tmp_path, cell):
     path = tmp_path / "future.csv"
     path.write_text(f"date,x1\n2020-01-01,1\n{cell},2\n")
-    structure = {"regressor_names": ["x1"], "step_days": 1, "last_date": "2019-12-31"}
+    structure = make_structure(regressor_names=["x1"], step_days=1, last_date="2019-12-31")
     with pytest.raises(ValidationError,
                        match=rf"^unparsable date {cell.strip()!r} in future row 2$"):
         read_future_csv(str(path), structure, 2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from btvc.errors import ValidationError
+from btvc.model import Structure
 from btvc.timeframe import (
     CsvSchema,
     TimeSeriesFrame,
@@ -20,10 +21,20 @@ def make_frame(T=6, P=2, start="2024-01-01", step=1, x=None, y=None):
     return TimeSeriesFrame(timestamps=ts, response=y, regressors=x)
 
 
+def make_structure(**fields):
+    """A log-link fit Structure of one knot per component, with fields
+    overriding its defaults."""
+    values = dict(T=60, last_date="2024-02-29", step_days=1, knots_lev=[1], knots_seas=[1],
+                  knots_reg=[1], rho=15.0, fourier=[], link="log", zero_policy="shift1",
+                  floor_epsilon=1e-6, regressor_names=["x1", "x2"])
+    values.update(fields)
+    return Structure(**values)
+
+
 def log_structure(zero_policy="shift1", floor_epsilon=1e-6, names=("x1", "x2")):
-    """The keys of a fit structure that model_scale reads."""
-    return {"link": "log", "zero_policy": zero_policy, "floor_epsilon": floor_epsilon,
-            "regressor_names": list(names)}
+    """A log-link fit structure with the fields model_scale reads."""
+    return make_structure(zero_policy=zero_policy, floor_epsilon=floor_epsilon,
+                          regressor_names=names)
 
 
 def write_csv(path, rows):
