@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, check_fields
+from .errors import Count, NonNegative, Positive, ValidationError, check_fields
 from .model import LOG_2PI
 from .timeframe import TimeSeriesFrame, dict_rows, parse_date
 
@@ -26,21 +26,17 @@ class PriorWindow:
     """One test result: channel name, inclusive 1-based window, mean, sd."""
 
     channel: str
-    start: int
+    start: Count
     end: int
-    mean: float
-    sd: float
+    mean: NonNegative  # elasticity units
+    sd: Positive
 
     def __post_init__(self):
         check_fields(self, "window {}")
-        if self.start < 1 or self.end < self.start:
+        if self.end < self.start:
             raise ValidationError(
                 f"window [{self.start}, {self.end}] is not a valid 1-based range"
             )
-        if self.mean < 0:
-            raise ValidationError("window mean must be >= 0 (elasticity units)")
-        if self.sd <= 0:
-            raise ValidationError("window sd must be > 0")
 
 
 @dataclass(frozen=True)

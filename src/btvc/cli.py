@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import BtvcError, DivergenceError, ValidationError
+from .errors import BtvcError, Count, DivergenceError, NonNegativeInt, ValidationError, check_value
 from .inference import FitResult, load_fit, save_fit
 from .model import decompose, write_decomposition_csv
 from .pipeline import (
@@ -22,6 +22,7 @@ from .pipeline import (
     load_frame,
     predict_from_fit,
     read_future_csv,
+    require_structure,
     run_backtest,
     run_fit,
     run_manifest,
@@ -136,7 +137,6 @@ def cmd_simulate(args) -> int:
         raise ValidationError(
             f"sim_sparsity needs sim_kind=sparse, got sim_kind={cfg.sim_kind}"
         )
-    out = _outdir(cfg.out)
     init = coef_init_values(cfg)
     if cfg.sim_kind == "multiplicative":
         dataset = simulate_multiplicative(MultiplicativeSimConfig(
@@ -173,6 +173,7 @@ def cmd_simulate(args) -> int:
             dataset = simulate_sparse(sim_config)
         else:
             dataset = simulate_rw(sim_config)
+    out = _outdir(cfg.out)
     data_path = os.path.join(out, "data.csv")
     emit_csv(dataset.frame, data_path, csv_schema(cfg))
     write_truth_csv(dataset, os.path.join(out, "truth.csv"))
@@ -214,23 +215,17 @@ def cmd_fit(args) -> int:
 def _load_fit_with_structure(path: str) -> tuple[FitResult, RunConfig]:
     """load_fit and the fit's run settings, for the commands that rebuild its design."""
     fit = load_fit(path)
-    if fit.structure is None:
-        raise ValidationError(
-            f"structure block is empty in {path}: a library fit has no design recipe"
-        )
+    require_structure(fit.structure, path)
     return fit, config_from_dict(fit.config) if fit.config else RunConfig()
 
 
 def cmd_predict(args) -> int:
-    if args.draws is not None and args.draws < 1:
-        raise ValidationError(f"--draws must be >= 1, got {args.draws}")
-    if args.seed is not None and args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    check_value(args.horizon, NonNegativeInt, "--horizon")
+    check_value(args.draws, Count | None, "--draws")
+    check_value(args.seed, NonNegativeInt | None, "--seed")
     fit, cfg = _load_fit_with_structure(args.fit)
     out = _outdir(args.out if args.out is not None else cfg.out)
     horizon = args.horizon
-    if horizon < 0:
-        raise ValidationError("horizon must be >= 0")
     P = len(fit.structure.regressor_names)
     if horizon > 0 and P > 0:
         if not args.future:

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the type rule for settings."""
+"""Exception types shared across the package, and the type and range rule for
+settings."""
 
 import dataclasses
 import functools
 import math
+import operator
 import reprlib
 import types
 import typing
@@ -27,38 +29,65 @@ class DivergenceError(BtvcError):
         self.iteration = iteration
 
 
+class Bound(typing.NamedTuple):
+    """A setting's range, declared in its annotation: Annotated[float,
+    Bound(">", 0)] admits only values v with v > 0. op is >, >= or <=."""
+
+    op: str
+    limit: float
+
+
+# the ranges the model's settings share: scales and rates, steps, counts, seeds
+Positive = typing.Annotated[float, Bound(">", 0)]
+NonNegative = typing.Annotated[float, Bound(">=", 0)]
+Count = typing.Annotated[int, Bound(">=", 1)]
+NonNegativeInt = typing.Annotated[int, Bound(">=", 0)]
+
 # the types a declared int or float admits (isinstance with numbers.Real is far slower)
 _NUMBERS = {int: (int, np.integer), float: (int, np.integer, float, np.floating)}
 # what a list of each entry type is called in a message
 _PLURALS = {int: "integers", float: "finite numbers", str: "strings"}
+_SEQUENCES = (list, tuple, np.ndarray)
+_OPS = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
 
 
+@functools.cache
 def _rule(hint):
     """value -> what is wrong with it under the declared type hint, or None.
 
     A hint is int, float, str, bool or another class; Literal[...] of
     strings; tuple[X, ...] (a list or tuple whose every entry passes X) or
     tuple[A, B] (one entry per type); np.ndarray for a flat vector of
-    floats; or a union of these, which admits what any arm admits."""
+    floats; Annotated[X, Bound, ...] for an X within every Bound; or a
+    union of these, which admits what any arm admits. A union reports the
+    problem of its first arm, or for a list, tuple or array of its first
+    tuple or array arm."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Literal:
         return lambda v: None if isinstance(v, str) and v in args else (
             "must be one of " + "|".join(args))
+    if origin is typing.Annotated:
+        typed = _rule(args[0])
+        checks = [(_OPS[b.op], b.limit, f"must be {b.op} {b.limit}") for b in args[1:]]
+        return lambda v: typed(v) or next(
+            (problem for admits, limit, problem in checks if not admits(v, limit)), None)
     if origin in (typing.Union, types.UnionType):
         rules = [_rule(arg) for arg in args]
-        return lambda v: None if any(rule(v) is None for rule in rules) else rules[0](v)
+        sequence = next((rule for arg, rule in zip(args, rules) if arg is np.ndarray
+                         or typing.get_origin(arg) is tuple), rules[0])
+        return lambda v: None if any(rule(v) is None for rule in rules) else (
+            sequence if isinstance(v, _SEQUENCES) else rules[0])(v)
     if hint is np.ndarray:
         return _rule(tuple[float, ...])
     if origin is tuple:
-        sequence = (list, tuple, np.ndarray)
         if args[1:] == (Ellipsis,):
             entry = _rule(args[0])
             problem = "expects a list of " + _PLURALS.get(args[0], str(args[0]))
-            return lambda v: None if isinstance(v, sequence) and not any(
+            return lambda v: None if isinstance(v, _SEQUENCES) and not any(
                 map(entry, v)) else problem
         entries = [_rule(arg) for arg in args]
         problem = "expects a list [" + ", ".join(arg.__name__ for arg in args) + "]"
-        return lambda v: None if isinstance(v, sequence) and len(v) == len(entries) and not any(
+        return lambda v: None if isinstance(v, _SEQUENCES) and len(v) == len(entries) and not any(
             rule(e) for rule, e in zip(entries, v)) else problem
     admits = _NUMBERS.get(hint, hint)
 
@@ -75,7 +104,7 @@ def _rule(hint):
 
 @functools.cache
 def _rules(cls) -> tuple:
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return tuple((f.name, hints[f.name], _rule(hints[f.name])) for f in dataclasses.fields(cls))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Count, ValidationError, check_fields, check_value
 from .timeframe import TimeSeriesFrame, write_table
 
 
@@ -55,16 +55,13 @@ def coef_mse(estimated: np.ndarray, truth: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BacktestPlan:
-    horizon: int = 28
-    splits: int = 6
-    min_train: int = 1
-    stride: int | None = None  # None means horizon
+    horizon: Count = 28
+    splits: Count = 6
+    min_train: Count = 1
+    stride: Count | None = None  # None means horizon
 
     def __post_init__(self):
-        if self.horizon < 1 or self.splits < 1 or self.min_train < 1:
-            raise ValidationError("horizon, splits, min_train must all be >= 1")
-        if self.stride is not None and self.stride < 1:
-            raise ValidationError("stride must be >= 1 when given")
+        check_fields(self)
 
     @property
     def effective_stride(self) -> int:
@@ -96,27 +93,20 @@ class MetricReport:
     split reports sd 0.0)."""
 
     per_split: tuple[float, ...]
-    mean: float
-    sd: float
 
     def __post_init__(self):
         values = tuple(float(v) for v in self.per_split)
         object.__setattr__(self, "per_split", values)
         if not values:
             raise ValidationError("MetricReport needs at least one split")
-        m = float(np.mean(values))
-        s = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-        if abs(m - self.mean) > 1e-12 or abs(s - self.sd) > 1e-12:
-            raise ValidationError("MetricReport mean/sd inconsistent with per-split values")
 
-    @classmethod
-    def from_values(cls, values) -> "MetricReport":
-        values = tuple(float(v) for v in values)
-        if not values:
-            raise ValidationError("MetricReport needs at least one split")
-        mean = float(np.mean(values))
-        sd = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
-        return cls(per_split=values, mean=mean, sd=sd)
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.per_split))
+
+    @property
+    def sd(self) -> float:
+        return float(np.std(self.per_split, ddof=1)) if len(self.per_split) > 1 else 0.0
 
 
 def seed_for_split(root_seed: int, index: int) -> int:
@@ -159,13 +149,12 @@ def backtest(frame: TimeSeriesFrame, forecaster, plan: BacktestPlan,
                 f"forecaster returned shape {forecast.shape}, expected {actual.shape}"
             )
         values.append(smape(forecast, actual))
-    return MetricReport.from_values(values)
+    return MetricReport(values)
 
 
 def seasonal_naive_forecaster(period: int = 7):
     """Last-cycle repeat: forecast step k copies y[T - period + (k mod period)]."""
-    if period < 1:
-        raise ValidationError("period must be >= 1")
+    check_value(period, Count, "period")
 
     def forecaster(train: TimeSeriesFrame, horizon: int, future_regressors, seed: int):
         y = train.response

@@ -9,25 +9,26 @@ are periodic in t rather than phase-aligned to the calendar.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ValidationError, check_fields
+from .errors import Bound, Count, ValidationError, check_fields
+
+
+# a cycle longer than one time step
+Period = Annotated[float, Bound(">", 1)]
 
 
 @dataclass(frozen=True)
 class FourierSpec:
     """One seasonal component: period S (in time steps) and Fourier order."""
 
-    period: float
-    order: int
+    period: Period
+    order: Count
 
     def __post_init__(self):
         check_fields(self)
-        if self.period <= 1:
-            raise ValidationError(f"period must be > 1, got {self.period}")
-        if self.order < 1:
-            raise ValidationError(f"order must be >= 1, got {self.order}")
         if 2 * self.order >= self.period:
             raise ValidationError(
                 f"aliasing: 2*order={2 * self.order} must be < period={self.period}"
@@ -50,10 +51,6 @@ class SeasonalDesign:
             raise ValidationError(f"design shape {m.shape} does not match specs ({expected} cols)")
         if m.size and np.max(np.abs(m)) > 1.0 + 1e-12:
             raise ValidationError("seasonal design entries must lie in [-1, 1]")
-
-    @property
-    def n_cols(self) -> int:
-        return int(self.matrix.shape[1])
 
     @property
     def column_names(self) -> tuple[str, ...]:

@@ -28,7 +28,10 @@ from typing import Literal
 import numpy as np
 
 from .errors import (
+    Count,
     DivergenceError,
+    NonNegative,
+    Positive,
     ValidationError,
     check_block,
     check_fields,
@@ -112,7 +115,7 @@ class ParameterPacking:
     reg_transform: Literal["softplus", "identity"] = "softplus"
     fixed_b_lev: np.ndarray | None = None
     fixed_mu_reg: np.ndarray | None = None
-    fixed_sigma_obs: float | None = None
+    fixed_sigma_obs: Positive | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -122,8 +125,6 @@ class ParameterPacking:
                     raise ValidationError(f"{name} has the wrong length")
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.fixed_sigma_obs is not None:
-            if self.fixed_sigma_obs <= 0:
-                raise ValidationError("fixed_sigma_obs must be > 0")
             object.__setattr__(self, "fixed_sigma_obs", float(self.fixed_sigma_obs))
 
     # -- layout ------------------------------------------------------------
@@ -299,29 +300,19 @@ class MapConfig:
     is recorded with the fit.
     """
 
-    learning_rate: float = 0.05
-    final_learning_rate: float = 1e-6
-    iterations: int = 10000
+    learning_rate: Positive = 0.05
+    final_learning_rate: Positive = 1e-6
+    iterations: Count = 10000
     restarts: int = 1
-    rel_tol: float = 1e-8
-    tol_window: int = 50
+    rel_tol: NonNegative = 1e-8
+    tol_window: Count = 50
     seed: int = 0
-    trace_every: int = 1
+    trace_every: Count = 1
 
     def __post_init__(self):
         check_fields(self)
-        if self.learning_rate <= 0 or self.final_learning_rate <= 0:
-            raise ValidationError("learning rates must be > 0")
-        if self.iterations < 1:
-            raise ValidationError("iterations must be >= 1")
         if self.restarts != 1:
             raise ValidationError("restarts must be 1: MAP runs the optimizer once")
-        if self.rel_tol < 0:
-            raise ValidationError("rel_tol must be >= 0")
-        if self.tol_window < 1:
-            raise ValidationError("tol_window must be >= 1")
-        if self.trace_every < 1:
-            raise ValidationError("trace_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -332,21 +323,15 @@ class SviConfig:
     objective's Hessian diagonal at the MAP point (see _start_log_sd).
     """
 
-    iterations: int = 2000
-    learning_rate: float = 0.02
-    final_learning_rate: float = 1e-4
+    iterations: Count = 2000
+    learning_rate: Positive = 0.02
+    final_learning_rate: Positive = 1e-4
     init_log_sd: float = -2.0
     seed: int = 0
-    trace_every: int = 1
+    trace_every: Count = 1
 
     def __post_init__(self):
         check_fields(self)
-        if self.iterations < 1:
-            raise ValidationError("iterations must be >= 1")
-        if self.learning_rate <= 0 or self.final_learning_rate <= 0:
-            raise ValidationError("learning rates must be > 0")
-        if self.trace_every < 1:
-            raise ValidationError("trace_every must be >= 1")
 
 
 @dataclass
@@ -988,8 +973,7 @@ def check_variational(fit: FitResult, n_draws: int) -> None:
     """Raise ValidationError unless fit is an SVI fit and n_draws >= 1."""
     if not fit.has_variational:
         raise ValidationError("posterior draws need an SVI fit, this one is MAP-only")
-    if n_draws < 1:
-        raise ValidationError("n_draws must be >= 1")
+    check_value(n_draws, Count, "n_draws")
 
 
 def variational_draws(fit: FitResult, n_draws: int, seed: int = 0) -> np.ndarray:

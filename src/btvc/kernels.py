@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Count, ValidationError, check_value
 
 ROW_SUM_TOL = 1e-12
 # Weights below this are dropped from the band. A row sums to 1, and a
@@ -172,16 +172,14 @@ def build_grid(T: int, *, count: int | None = None, distance: int | None = None,
     ``distance`` while the position stays >= 1; anchor="start" mirrors this
     from t=1 forward.
     """
-    if T < 1:
-        raise ValidationError(f"series length must be >= 1, got {T}")
+    check_value(T, Count, "series length")
     if (count is None) == (distance is None):
         raise ValidationError("specify exactly one of count= or distance=")
     if anchor not in ("end", "start"):
         raise ValidationError(f"anchor must be 'end' or 'start', got {anchor!r}")
 
     if count is not None:
-        if count < 1:
-            raise ValidationError(f"knot count must be >= 1, got {count}")
+        check_value(count, Count, "knot count")
         if count > T:
             raise ValidationError(f"knot count {count} exceeds series length {T}")
         if count == 1:
@@ -190,8 +188,7 @@ def build_grid(T: int, *, count: int | None = None, distance: int | None = None,
             positions = 1.0 + (T - 1.0) * np.arange(count) / (count - 1.0)
         times = np.floor(positions + 0.5).astype(int)
     else:
-        if distance < 1:
-            raise ValidationError(f"knot distance must be >= 1, got {distance}")
+        check_value(distance, Count, "knot distance")
         if distance > T:
             raise ValidationError(f"knot distance {distance} exceeds series length {T}")
         if anchor == "end":

@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import ValidationError, check_fields
+from .errors import Count, NonNegative, Positive, ValidationError, check_fields
 from .fourier import FourierSpec
 from .kernels import KernelMatrix, KnotGrid
 from .timeframe import parse_date, write_table
@@ -43,24 +43,17 @@ class HyperParams:
     makes the posterior conjugate; see inference).
     """
 
-    sigma_lev: float = 0.1
-    sigma_seas: float = 0.05
-    mu_pool: float = 0.0
-    sigma_pool: float = 1.0
-    sigma_reg: float = 0.5
-    init_scale_lev: float = 1.0
-    noise_df: float | None = None
+    sigma_lev: Positive = 0.1
+    sigma_seas: Positive = 0.05
+    mu_pool: NonNegative = 0.0
+    sigma_pool: Positive = 1.0
+    sigma_reg: Positive = 0.5
+    init_scale_lev: Positive = 1.0
+    noise_df: Positive | None = None
     gaussian_reg_prior: bool = False
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("sigma_lev", "sigma_seas", "sigma_pool", "sigma_reg", "init_scale_lev"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0")
-        if self.mu_pool < 0:
-            raise ValidationError("mu_pool must be >= 0")
-        if self.noise_df is not None and self.noise_df <= 0:
-            raise ValidationError("noise_df must be > 0 when set")
 
 
 def check_support(b_reg, mu_reg, sigma_obs, allow_negative_reg: bool) -> None:
@@ -161,13 +154,13 @@ class Structure:
     """A fit's design recipe, its fit document's structure block: it rebuilds
     the design of any rows, training or forecast, from their regressors."""
 
-    T: int
+    T: Count
     last_date: str
-    step_days: int
+    step_days: Count
     knots_lev: tuple[int, ...]
     knots_seas: tuple[int, ...]
     knots_reg: tuple[int, ...]
-    rho: float
+    rho: Positive
     fourier: tuple[tuple[float, int], ...]
     link: Literal["log", "identity"]
     zero_policy: Literal["shift1", "floor"]
@@ -179,11 +172,6 @@ class Structure:
         for name in ("knots_lev", "knots_seas", "knots_reg", "regressor_names"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "fourier", tuple(map(tuple, self.fourier)))
-        for name in ("T", "step_days"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"structure.{name} must be >= 1, got {getattr(self, name)}")
-        if self.rho <= 0:
-            raise ValidationError(f"structure.rho must be > 0, got {self.rho}")
         if self.link == "log" and self.zero_policy == "floor" and self.floor_epsilon <= 0:
             raise ValidationError(f"structure.floor_epsilon must be > 0 under zero_policy floor, "
                                   f"got {self.floor_epsilon}")

@@ -142,6 +142,13 @@ def run_fit(frame: TimeSeriesFrame, cfg: RunConfig) -> tuple[FitResult, ModelInp
 
 # -- designs from a saved fit -------------------------------------------------
 
+def require_structure(structure: Structure | None, source: str = "this fit") -> None:
+    """A library fit (a fit_map or fit_svi result) has no structure to build designs from."""
+    if structure is None:
+        raise ValidationError(
+            f"structure block is empty in {source}: a library fit has no design recipe")
+
+
 def _design(structure: Structure, x: np.ndarray, first: int, n: int) -> ModelDesign:
     """Design of a saved structure for rows first..first+n-1 (rows past T are
     forecast rows), given the model-scale regressors of those rows."""
@@ -161,6 +168,7 @@ def _design(structure: Structure, x: np.ndarray, first: int, n: int) -> ModelDes
 
 def training_design(structure: Structure, frame: TimeSeriesFrame) -> ModelDesign:
     """Rebuild the rows-1..T design of a saved fit from the original data."""
+    require_structure(structure)
     if frame.n_times != structure.T:
         raise ValidationError(
             f"data has {frame.n_times} rows but the fit was trained on {structure.T}"
@@ -173,6 +181,7 @@ def training_design(structure: Structure, frame: TimeSeriesFrame) -> ModelDesign
 def forecast_design(structure: Structure, future_regressors: np.ndarray,
                     horizon: int) -> ModelDesign:
     """Design covering only the forecast rows T+1 .. T+horizon."""
+    require_structure(structure)
     if horizon < 1:
         raise ValidationError("horizon must be >= 1 for a forecast design")
     x = np.asarray(future_regressors, dtype=float)

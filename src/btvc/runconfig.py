@@ -3,8 +3,9 @@
 The file format is one `key = value` pair per line; `#` starts a comment.
 Every key has a default except `data`, which names the input CSV and is
 usually supplied as a flag. Precedence is flag > file > default. Text is
-parsed by the type of each default and checked by the annotations; floats
-are written back with repr() so a save/load cycle is bit-exact.
+parsed by the type of each default and checked by the annotations, which
+also declare each key's range; floats are written back with repr() so a
+save/load cycle is bit-exact.
 """
 
 from __future__ import annotations
@@ -13,11 +14,16 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import ValidationError, check_fields, check_value, from_block
-from .fourier import FourierSpec
+from .errors import (Count, NonNegative, NonNegativeInt, Positive, ValidationError,
+                     check_fields, check_value, from_block)
+from .fourier import FourierSpec, Period
+from .simulation import Length
 from .timeframe import CsvSchema
 
 
+# A key where 0 means automatic or off (rho, init_scale_lev, noise_df, the
+# knot counts, backtest_stride) takes no negative value, which would mean the
+# same; every other range is that of the setting the key feeds.
 @dataclass(frozen=True)
 class RunConfig:
     # data and transforms
@@ -33,58 +39,58 @@ class RunConfig:
     knot_distance_lev: int = 30
     knot_distance_seas: int = 90
     knot_distance_reg: int = 30
-    knot_count_lev: int = 0           # >0 switches that component to count spacing
-    knot_count_seas: int = 0
-    knot_count_reg: int = 0
+    knot_count_lev: NonNegativeInt = 0  # >0 switches that component to count spacing
+    knot_count_seas: NonNegativeInt = 0
+    knot_count_reg: NonNegativeInt = 0
     knot_anchor: Literal["end", "start"] = "end"
-    rho: float = 0.0                  # 0 = half the regression knot spacing
+    rho: NonNegative = 0.0            # 0 = half the regression knot spacing
     # hyperparameters
-    sigma_lev: float = 0.1
-    sigma_seas: float = 0.05
-    mu_pool: float = 0.0
-    sigma_pool: float = 1.0
-    sigma_reg: float = 0.5
-    init_scale_lev: float = 0.0       # 0 = 10 * sd of the model-scale response
-    noise_df: float = 0.0             # 0 = Gaussian noise
+    sigma_lev: Positive = 0.1
+    sigma_seas: Positive = 0.05
+    mu_pool: NonNegative = 0.0
+    sigma_pool: Positive = 1.0
+    sigma_reg: Positive = 0.5
+    init_scale_lev: NonNegative = 0.0  # 0 = 10 * sd of the model-scale response
+    noise_df: NonNegative = 0.0       # 0 = Gaussian noise
     # inference
     mode: Literal["map", "svi"] = "map"
-    draws: int = 300
+    draws: Count = 300
     prior_windows: str = ""           # path to a calibration CSV
-    seed: int = 0
+    seed: NonNegativeInt = 0
     out: str = "out"
-    map_learning_rate: float = 0.05
-    map_final_learning_rate: float = 1e-6
-    map_iterations: int = 10000
-    map_rel_tol: float = 1e-8
-    map_tol_window: int = 50
-    svi_iterations: int = 2000
-    svi_learning_rate: float = 0.02
-    svi_final_learning_rate: float = 1e-4
+    map_learning_rate: Positive = 0.05
+    map_final_learning_rate: Positive = 1e-6
+    map_iterations: Count = 10000
+    map_rel_tol: NonNegative = 1e-8
+    map_tol_window: Count = 50
+    svi_iterations: Count = 2000
+    svi_learning_rate: Positive = 0.02
+    svi_final_learning_rate: Positive = 1e-4
     svi_init_log_sd: float = -2.0          # cap on the Hessian-diagonal start
     # backtest protocol
-    backtest_horizon: int = 28
-    backtest_splits: int = 6
-    backtest_min_train: int = 1
-    backtest_stride: int = 0          # 0 = horizon
+    backtest_horizon: Count = 28
+    backtest_splits: Count = 6
+    backtest_min_train: Count = 1
+    backtest_stride: NonNegativeInt = 0  # 0 = horizon
     # simulation
     sim_kind: Literal["rw", "sparse", "multiplicative"] = "rw"
-    sim_length: int = 300
-    sim_channels: int = 3
-    sim_trend_step_sd: float = 0.02
-    sim_coef_step_sd: float = 0.03
+    sim_length: Length = 300
+    sim_channels: Count = 3
+    sim_trend_step_sd: NonNegative = 0.02
+    sim_coef_step_sd: NonNegative = 0.03
     sim_coef_init: str = "0.5"        # one value, or one per channel
     sim_covariate_mean: float = 3.0
-    sim_covariate_sd: float = 1.0
-    sim_noise_sd: float = 0.3
+    sim_covariate_sd: NonNegative = 1.0
+    sim_noise_sd: NonNegative = 0.3
     sim_reflect: Literal["yes", "no"] = "yes"
     sim_sparsity: str = ""            # channel:start:end:prob (channel 1-based)
     sim_start_date: str = "2020-01-01"
     sim_base_level: float = 4.6
     sim_seasonal_cos: float = 0.10
     sim_seasonal_sin: float = 0.06
-    sim_period: float = 7.0
+    sim_period: Period = 7.0
     sim_log_spend_mean: float = 0.0
-    sim_log_spend_sd: float = 0.5
+    sim_log_spend_sd: NonNegative = 0.5
 
 
 # Keys that older fit documents and config files carry but that no longer
@@ -113,24 +119,11 @@ def parse_value(key: str, raw: str):
 
 def validate_config(cfg: RunConfig) -> RunConfig:
     check_fields(cfg, "config key {!r}")
-    # 0 means automatic or off for the floor-0 keys, so a negative value
-    # would silently mean the same, and numpy takes no negative seed; the
-    # floor-1 and floor-2 keys are counts and spans that a later command
-    # would reject without naming the key
-    for floor, keys in ((0, ("knot_count_lev", "knot_count_seas", "knot_count_reg", "rho",
-                             "init_scale_lev", "noise_df", "backtest_stride", "seed")),
-                        (1, ("draws", "knot_distance_lev", "knot_distance_seas",
-                             "knot_distance_reg", "backtest_horizon", "backtest_splits",
-                             "backtest_min_train", "sim_channels")),
-                        (2, ("sim_length",))):
-        for key in keys:
-            # a knot distance is unused, so unchecked, once its count is set
-            if key.startswith("knot_distance_") and getattr(cfg, "knot_count_" + key[14:]) > 0:
-                continue
-            if getattr(cfg, key) < floor:
-                raise ValidationError(
-                    f"config key {key!r} must be >= {floor}, got {getattr(cfg, key)!r}"
-                )
+    # a knot distance is unused, so unchecked, once its count is set
+    for part in ("lev", "seas", "reg"):
+        if getattr(cfg, "knot_count_" + part) == 0:
+            key = "knot_distance_" + part
+            check_value(getattr(cfg, key), Count, f"config key {key!r}")
     fourier_specs(cfg)
     coef_init_values(cfg)
     sparsity_fields(cfg)

@@ -16,10 +16,12 @@ is bit-identical to the unmasked dataset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ValidationError, check_fields
+from .errors import Bound, Count, NonNegative, NonNegativeInt, ValidationError, check_fields
+from .fourier import Period
 from .timeframe import TimeSeriesFrame, write_table
 
 
@@ -28,32 +30,25 @@ class SparsitySpec:
     """Zero out one channel's spend on [start, end] (1-based, inclusive)
     with the given per-step probability."""
 
-    channel: int
-    start: int
+    channel: NonNegativeInt
+    start: Count
     end: int
-    zero_prob: float = 1.0
+    zero_prob: Annotated[float, Bound(">=", 0), Bound("<=", 1)] = 1.0
 
     def __post_init__(self):
         check_fields(self)
-        if self.channel < 0:
-            raise ValidationError("sparsity channel index must be >= 0")
-        if self.start < 1 or self.end < self.start:
+        if self.end < self.start:
             raise ValidationError(f"bad sparsity window [{self.start}, {self.end}]")
-        if not 0.0 <= self.zero_prob <= 1.0:
-            raise ValidationError("zero_prob must lie in [0, 1]")
 
 
-def _check_shared(config, scales: tuple[str, ...]) -> None:
-    """The checks both generators' settings share: types, sizes, seed, the
-    named scales, and coef_init, which becomes one float per channel."""
+# a series of at least two steps
+Length = Annotated[int, Bound(">=", 2)]
+
+
+def _check_shared(config) -> None:
+    """The checks both generators' settings share: types, ranges and
+    coef_init, which becomes one float per channel."""
     check_fields(config)
-    if config.T < 2 or config.P < 1:
-        raise ValidationError("need T >= 2 and P >= 1")
-    if config.seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {config.seed}")
-    for name in scales:
-        if getattr(config, name) < 0:
-            raise ValidationError(f"{name} must be >= 0")
     init = config.coef_init
     init = (float(init),) * config.P if np.isscalar(init) else tuple(float(v) for v in init)
     if len(init) != config.P:
@@ -63,21 +58,21 @@ def _check_shared(config, scales: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class SimConfig:
-    T: int = 300
-    P: int = 3
-    trend_step_sd: float = 0.02
-    coef_step_sd: float = 0.03
+    T: Length = 300
+    P: Count = 3
+    trend_step_sd: NonNegative = 0.02
+    coef_step_sd: NonNegative = 0.03
     coef_init: float | tuple[float, ...] = 0.5
     covariate_mean: float = 3.0
-    covariate_sd: float = 1.0
-    noise_sd: float = 0.3
-    seed: int = 0
+    covariate_sd: NonNegative = 1.0
+    noise_sd: NonNegative = 0.3
+    seed: NonNegativeInt = 0
     reflect: bool = True
     sparsity: SparsitySpec | None = None
     start_date: str = "2020-01-01"
 
     def __post_init__(self):
-        _check_shared(self, ("trend_step_sd", "coef_step_sd", "covariate_sd", "noise_sd"))
+        _check_shared(self)
         if min(self.coef_init) < 0:
             raise ValidationError("coef_init entries must be >= 0")
         if self.sparsity is not None and self.sparsity.end > self.T:
@@ -171,25 +166,23 @@ class MultiplicativeSimConfig:
              + sum_p beta_{t,p} ln x_{t,p} + noise, with lognormal spends.
     """
 
-    T: int = 420
-    P: int = 3
+    T: Length = 420
+    P: Count = 3
     base_level: float = 4.6
-    trend_step_sd: float = 0.005
-    coef_step_sd: float = 0.005
+    trend_step_sd: NonNegative = 0.005
+    coef_step_sd: NonNegative = 0.005
     coef_init: float | tuple[float, ...] = 0.25
     seasonal_cos: float = 0.10
     seasonal_sin: float = 0.06
-    period: float = 7.0
+    period: Period = 7.0
     log_spend_mean: float = 0.0
-    log_spend_sd: float = 0.5
-    noise_sd: float = 0.05
-    seed: int = 0
+    log_spend_sd: NonNegative = 0.5
+    noise_sd: NonNegative = 0.05
+    seed: NonNegativeInt = 0
     start_date: str = "2020-01-01"
 
     def __post_init__(self):
-        _check_shared(self, ("trend_step_sd", "coef_step_sd", "log_spend_sd", "noise_sd"))
-        if self.period <= 1:
-            raise ValidationError("period must be > 1")
+        _check_shared(self)
 
 
 def simulate_multiplicative(config: MultiplicativeSimConfig) -> SimDataset:

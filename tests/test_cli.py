@@ -340,44 +340,43 @@ class TestErrorPaths:
         assert err.strip() == "error: unknown config key 'map_restarts'"
         assert out == ""
 
-    @pytest.mark.parametrize("command, setting", [
-        ("fit", "noise_df=-3"), ("fit", "rho=-2"), ("fit", "init_scale_lev=-1"),
-        ("fit", "knot_count_lev=-4"), ("fit", "knot_count_seas=-4"),
-        ("fit", "knot_count_reg=-4"), ("backtest", "backtest_stride=-5"),
-    ])
-    def test_negative_automatic_setting_is_rejected_before_the_data_is_read(
-            self, capsys, tmp_path, command, setting):
+    @pytest.mark.parametrize("command, setting, bound", [
         # 0 means automatic or off for these keys, and a negative value used
-        # to silently mean the same; the data file does not exist, so an
-        # error about the key shows it was never read
-        key, _, value = setting.partition("=")
-        code, out, err = run(
-            capsys, command, "--data", str(tmp_path / "missing.csv"),
-            "--out", str(tmp_path / "o"), "--set", setting,
-        )
-        assert code == 1
-        assert err == f"error: config key {key!r} must be >= 0, got {parse_value(key, value)!r}\n"
-        assert out == ""
-        assert not (tmp_path / "o").exists()
-
-    @pytest.mark.parametrize("command, setting", [
-        ("fit", "draws=0"), ("fit", "draws=-7"), ("fit", "knot_distance_lev=0"),
-        ("fit", "knot_distance_seas=0"), ("fit", "knot_distance_reg=0"),
-        ("backtest", "backtest_horizon=0"), ("backtest", "backtest_splits=0"),
-        ("backtest", "backtest_min_train=0"),
-    ])
-    def test_setting_below_one_is_rejected_before_the_data_is_read(
-            self, capsys, tmp_path, command, setting):
+        # to silently mean the same
+        ("fit", "noise_df=-3", ">= 0"), ("fit", "rho=-2", ">= 0"),
+        ("fit", "init_scale_lev=-1", ">= 0"), ("fit", "knot_count_lev=-4", ">= 0"),
+        ("fit", "knot_count_seas=-4", ">= 0"), ("fit", "knot_count_reg=-4", ">= 0"),
+        ("backtest", "backtest_stride=-5", ">= 0"),
         # draws and the backtest keys used to be accepted by fit and fail
         # only in a later predict or backtest, and a knot distance of 0 only
         # after the data was read, each with an error that named no key
+        ("fit", "draws=0", ">= 1"), ("fit", "draws=-7", ">= 1"),
+        ("fit", "knot_distance_lev=0", ">= 1"), ("fit", "knot_distance_seas=0", ">= 1"),
+        ("fit", "knot_distance_reg=0", ">= 1"), ("backtest", "backtest_horizon=0", ">= 1"),
+        ("backtest", "backtest_splits=0", ">= 1"), ("backtest", "backtest_min_train=0", ">= 1"),
+        # the optimizer and prior keys used to fail after the data was read,
+        # naming a settings field instead of the key
+        ("fit", "map_tol_window=0", ">= 1"), ("fit", "map_learning_rate=0", "> 0"),
+        ("fit", "svi_iterations=0", ">= 1"), ("fit", "sigma_lev=0", "> 0"),
+        ("fit", "mu_pool=-1", ">= 0"),
+        # a simulator key used to be checked only by simulate (fit accepted
+        # sim_noise_sd=-1 and saved it in its fit document), or in the
+        # simulator with a message that named no key
+        ("fit", "sim_noise_sd=-1", ">= 0"), ("simulate", "sim_period=1", "> 1"),
+        ("simulate", "sim_length=1", ">= 2"), ("simulate", "sim_length=0", ">= 2"),
+        ("simulate", "sim_channels=0", ">= 1"), ("simulate", "sim_channels=-2", ">= 1"),
+    ])
+    def test_out_of_range_setting_is_rejected_before_the_data_is_read(
+            self, capsys, tmp_path, command, setting, bound):
+        # the data file does not exist, so an error about the key shows it
+        # was never read
         key, _, value = setting.partition("=")
         code, out, err = run(
             capsys, command, "--data", str(tmp_path / "missing.csv"),
             "--out", str(tmp_path / "o"), "--set", setting,
         )
         assert code == 1
-        assert err == f"error: config key {key!r} must be >= 1, got {int(value)}\n"
+        assert err == f"error: config key {key!r} must be {bound}, got {parse_value(key, value)!r}\n"
         assert out == ""
         assert not (tmp_path / "o").exists()
 
@@ -411,7 +410,7 @@ class TestErrorPaths:
             *FAST, "--set", "map_tol_window=0",
         )
         assert code == 1
-        assert err.strip() == "error: tol_window must be >= 1"
+        assert err.strip() == "error: config key 'map_tol_window' must be >= 1, got 0"
         assert out == ""
 
     @pytest.mark.parametrize("mode, setting, message", [
@@ -520,6 +519,22 @@ class TestErrorPaths:
         assert code == 1
         assert "sim_kind=sparse needs a sim_sparsity window" in err
 
+    @pytest.mark.parametrize("settings, message", [
+        (("sim_coef_init=-0.5",), "coef_init entries must be >= 0"),
+        (("sim_kind=sparse", "sim_sparsity=1:10:20:1.5"), "zero_prob must be <= 1, got 1.5"),
+    ])
+    def test_invalid_simulator_settings_leave_no_output_directory(
+            self, capsys, tmp_path, settings, message):
+        # the directory used to be made before the simulator checked them
+        argv = ["simulate", "--out", str(tmp_path / "o")]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("kind", ["rw", "multiplicative"])
     def test_sparsity_window_needs_the_sparse_kind(self, capsys, tmp_path, kind):
         # rw used to fail naming a Python function, and multiplicative
@@ -533,22 +548,9 @@ class TestErrorPaths:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("setting, floor", [
-        ("sim_length=1", 2), ("sim_length=0", 2), ("sim_channels=0", 1), ("sim_channels=-2", 1),
-    ])
-    def test_simulation_size_below_its_floor_names_the_key(self, capsys, tmp_path, setting,
-                                                           floor):
-        # each used to fail in the simulator with "need T >= 2 and P >= 1"
-        key, _, value = setting.partition("=")
-        code, out, err = run(capsys, "simulate", "--out", str(tmp_path / "o"), "--set", setting)
-        assert code == 1
-        assert err == f"error: config key {key!r} must be >= {floor}, got {int(value)}\n"
-        assert out == ""
-        assert not (tmp_path / "o").exists()
-
-    def test_predict_names_the_draws_flag(self, capsys, tmp_path):
-        # the flag used to reach forecast_quantiles, whose error named its
-        # n_draws parameter
+    def test_predict_names_an_out_of_range_flag(self, capsys, tmp_path):
+        # --draws used to reach forecast_quantiles, whose error named its
+        # n_draws parameter, and --horizon was named without its dashes
         sim_dir = tmp_path / "sim"
         simulate_small(capsys, str(sim_dir))
         data = sim_dir / "data.csv"
@@ -558,14 +560,15 @@ class TestErrorPaths:
         assert code == 0, err
         future = tmp_path / "future.csv"
         write_csv(future, future_rows(data, 3))
-        for draws in ("0", "-3"):
+        for flag, value, bound in (("--draws", "0", ">= 1"), ("--draws", "-3", ">= 1"),
+                                   ("--horizon", "-1", ">= 0")):
             code, out, err = run(
                 capsys, "predict", "--fit", str(fit_dir / "fit.json"), "--future", str(future),
-                "--horizon", "3", "--quantiles", "0.5", "--draws", draws,
+                "--horizon", "3", "--quantiles", "0.5", "--draws", "5", flag, value,
                 "--out", str(tmp_path / "fc"),
             )
             assert code == 1
-            assert err == f"error: --draws must be >= 1, got {draws}\n"
+            assert err == f"error: {flag} must be {bound}, got {value}\n"
             assert out == ""
             assert not (tmp_path / "fc").exists()
 

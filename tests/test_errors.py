@@ -1,15 +1,24 @@
-"""The one type rule for settings: every field of every settings dataclass is
-checked against its declared annotation, and an error names the field."""
+"""The one type and range rule for settings: every field of every settings
+dataclass is checked against its declared annotation, including the bounds
+the annotation declares, and an error names the field."""
 
 import dataclasses
+import importlib
+import inspect
+import math
+import pkgutil
 import re
+import types
 import typing
 
 import numpy as np
 import pytest
 
+import btvc
 from btvc.calibration import PriorWindow
-from btvc.errors import ValidationError, check_value, from_block
+from btvc.errors import (Bound, Count, NonNegative, NonNegativeInt, Positive, ValidationError,
+                         check_value, from_block)
+from btvc.evaluation import BacktestPlan
 from btvc.fourier import FourierSpec
 from btvc.inference import MapConfig, ParameterPacking, SviConfig
 from btvc.model import HyperParams, Structure
@@ -35,7 +44,33 @@ SETTINGS = {
     SimConfig: ({}, lambda kw: SimConfig(**kw), "{}"),
     MultiplicativeSimConfig: ({}, lambda kw: MultiplicativeSimConfig(**kw), "{}"),
     SparsitySpec: (dict(channel=0, start=1, end=3), lambda kw: SparsitySpec(**kw), "{}"),
+    BacktestPlan: ({}, lambda kw: BacktestPlan(**kw), "{}"),
 }
+
+
+def declared_bounds(hint) -> list[tuple[type, Bound]]:
+    """(the bounded type, its Bound) for each bound an annotation declares,
+    directly or in an arm of a union."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is typing.Annotated:
+        return [(args[0], bound) for bound in args[1:]]
+    if origin in (typing.Union, types.UnionType):
+        return [pair for arm in args for pair in declared_bounds(arm)]
+    return []
+
+
+def out_of_range(kind: type, bound: Bound):
+    """The value nearest the bound that the bound rejects: the limit itself
+    for >, the next value below it for >=, and above it for <=."""
+    limit = kind(bound.limit)
+    if bound.op == ">":
+        return limit
+    step = -1 if bound.op == ">=" else 1
+    return limit + step if kind is int else math.nextafter(limit, step * math.inf)
+
+
+def hints(cls) -> dict:
+    return typing.get_type_hints(cls, include_extras=True)
 
 
 def bad_values(hint):
@@ -44,6 +79,8 @@ def bad_values(hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is typing.Literal:
         return ["x", 1]
+    if origin is typing.Annotated:
+        return bad_values(args[0])
     if hint is np.ndarray:
         return bad_values(tuple[float, ...])
     if origin is tuple:
@@ -73,10 +110,32 @@ def bad_values(hint):
 def test_a_wrong_typed_or_non_finite_field_names_the_field(cls, name):
     base, build, label = SETTINGS[cls]
     build(base)  # the base is valid
-    for bad in bad_values(typing.get_type_hints(cls)[name]):
+    for bad in bad_values(hints(cls)[name]):
         with pytest.raises(ValidationError) as info:
             build({**base, name: bad})
         assert str(info.value).startswith(label.format(name) + " "), (bad, str(info.value))
+
+
+BOUNDED = [(cls, name, kind, bound) for cls in SETTINGS for name, hint in hints(cls).items()
+           for kind, bound in declared_bounds(hint)]
+
+
+@pytest.mark.parametrize("cls, name, kind, bound", BOUNDED, ids=[
+    f"{cls.__name__}.{name}{bound.op}{bound.limit}" for cls, name, _, bound in BOUNDED])
+def test_a_value_outside_a_declared_bound_names_the_field_and_the_bound(cls, name, kind, bound):
+    base, build, label = SETTINGS[cls]
+    value = out_of_range(kind, bound)
+    with pytest.raises(ValidationError) as info:
+        build({**base, name: value})
+    assert str(info.value) == f"{label.format(name)} must be {bound.op} {bound.limit}, got {value!r}"
+
+
+def test_every_dataclass_with_a_bounded_field_is_in_the_settings_table():
+    modules = [importlib.import_module(f"btvc.{m.name}") for m in pkgutil.iter_modules(btvc.__path__)]
+    bounded = {cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+               and any(map(declared_bounds, hints(cls).values()))}
+    assert bounded and bounded <= set(SETTINGS), sorted(c.__name__ for c in bounded - set(SETTINGS))
 
 
 def test_messages():
@@ -91,6 +150,11 @@ def test_messages():
         PriorWindow("x1", 1, 5, float("nan"), 0.1)
     with pytest.raises(ValidationError, match=r"^noise_df expects float, got 'x'$"):
         HyperParams(noise_df="x")
+    with pytest.raises(ValidationError, match=r"^noise_df must be > 0, got -1$"):
+        HyperParams(noise_df=-1)
+    with pytest.raises(ValidationError, match=(
+            r"^coef_init expects a list of finite numbers, got \[0\.1, 'a', 0\.2\]$")):
+        SimConfig(coef_init=[0.1, "a", 0.2])
     with pytest.raises(ValidationError,
                        match=r"^reg_transform must be one of softplus\|identity, got 'x'$"):
         ParameterPacking(1, 1, 1, 1, 1, reg_transform="x")
@@ -100,6 +164,14 @@ def test_numpy_scalars_and_ints_are_numbers():
     MapConfig(iterations=np.int64(5), learning_rate=np.float32(0.1), rel_tol=0)
     ParameterPacking(np.int64(2), 1, 1, 1, 1, fixed_b_lev=np.array([1, 2]), fixed_sigma_obs=1)
     validate_config(RunConfig(sigma_lev=1, seed=np.int64(3)))
+
+
+def test_a_bound_admits_its_limit_unless_it_is_strict():
+    for value, hint in [(0, NonNegativeInt), (1, Count), (0.0, NonNegative), (1e-300, Positive),
+                        (1.0, typing.Annotated[float, Bound("<=", 1)]), (None, Count | None)]:
+        check_value(value, hint, "v")
+    with pytest.raises(ValidationError, match=r"^v must be > 0, got 0$"):
+        check_value(0, Positive, "v")
 
 
 def test_check_value_on_a_vector():
@@ -121,7 +193,9 @@ def test_check_value_on_tuples_and_unions():
         ([[7.0, 3.5]], tuple[tuple[float, int], ...], "expects a list of tuple[float, int]"),
         ([7.0], tuple[float, int], "expects a list [float, int]"),
         ("x", float | tuple[float, ...], "expects float"),
-        ([float("nan")], float | tuple[float, ...], "expects float"),
+        # a list is judged by the sequence arm, whatever the arms' order
+        ([float("nan")], float | tuple[float, ...], "expects a list of finite numbers"),
+        (-1.0, typing.Annotated[float, Bound(">", 0)] | None, "must be > 0"),
     ]:
         with pytest.raises(ValidationError, match=rf"^v {re.escape(message)}, got "):
             check_value(value, hint, "v")

@@ -121,6 +121,21 @@ def test_infeasible_plan_rejected():
         split_bounds(100, BacktestPlan(horizon=28, splits=6, min_train=30))
 
 
+
+@pytest.mark.parametrize("field, value, message", [
+    ("horizon", 2.5, "horizon expects int, got 2.5"),
+    ("horizon", float("nan"), "horizon expects int, got nan"),
+    ("splits", True, "splits expects int, got True"),
+    ("min_train", "3", "min_train expects int, got '3'"),
+    ("stride", 0, "stride must be >= 1, got 0"),
+])
+def test_plan_fields_are_checked_by_type_and_range(field, value, message):
+    # horizon=2.5 used to give split bounds (45.0, 46.0, 47.5) at T=60,
+    # nan and True passed, and "3" ended in a TypeError
+    with pytest.raises(ValidationError) as info:
+        BacktestPlan(**{field: value})
+    assert str(info.value) == message
+
 def enumerate_bounds(T, horizon, splits, stride):
     """Independent enumeration: walk back from T in stride steps."""
     out = []
@@ -150,18 +165,18 @@ def test_split_bounds_match_enumeration(data):
 # MetricReport
 # ---------------------------------------------------------------------------
 
-def test_metric_report_consistency_enforced():
-    MetricReport(per_split=(1.0, 3.0), mean=2.0, sd=np.std([1, 3], ddof=1))
-    with pytest.raises(ValidationError):
-        MetricReport(per_split=(1.0, 3.0), mean=2.5, sd=1.0)
-    r = MetricReport.from_values([0.5])
+def test_metric_report_mean_and_sd():
+    r = MetricReport([1, 3])
+    assert r.per_split == (1.0, 3.0)
+    assert (r.mean, r.sd) == (2.0, float(np.std([1, 3], ddof=1)))
+    r = MetricReport([0.5])
     assert r.sd == 0.0
     with pytest.raises(ValidationError):
-        MetricReport.from_values([])
+        MetricReport([])
 
 
 def test_metric_report_csv_and_table(tmp_path):
-    r = MetricReport.from_values([0.1, 0.2, 0.3])
+    r = MetricReport([0.1, 0.2, 0.3])
     p = tmp_path / "report.csv"
     write_metric_report_csv(r, str(p))
     lines = p.read_text().strip().split("\n")

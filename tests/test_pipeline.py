@@ -10,6 +10,7 @@ import pytest
 from btvc.errors import ValidationError
 from btvc.evaluation import BacktestPlan, backtest
 from btvc.fourier import FourierSpec, fourier_design
+from btvc.inference import MapConfig, SviConfig, fit_map, fit_svi
 from btvc.kernels import KnotGrid, kernel_matrix
 from btvc.model import ModelDesign, predict
 from btvc.pipeline import (
@@ -194,6 +195,26 @@ class TestSavedFitDesigns:
         with pytest.raises(ValidationError, match=r"shape \(3, 1\) does not match \(3, 2\)"):
             forecast_design(structure, np.zeros((3, 1)), 3)
 
+
+    @pytest.mark.parametrize("fitter", ["map", "svi"])
+    def test_a_library_fit_has_no_design_recipe(self, fitter):
+        # each used to end in AttributeError: 'NoneType' object has no
+        # attribute 'regressor_names' (or 'T')
+        frame = small_frame()
+        inputs, hp, _ = build_structure(frame, small_cfg())
+        if fitter == "map":
+            fit = fit_map(inputs, hp, MapConfig(iterations=60))
+        else:
+            fit = fit_svi(inputs, hp, SviConfig(iterations=20), map_config=MapConfig(iterations=60))
+        assert fit.structure is None
+        future = np.full((3, 2), 2.5)
+        message = "^structure block is empty in this fit: a library fit has no design recipe$"
+        for call in (lambda: predict_from_fit(fit, future, 3),
+                     lambda: forecast_design(fit.structure, future, 3),
+                     lambda: training_design(fit.structure, frame),
+                     lambda: forecast_quantiles(with_moments(fit, "own"), future, 3, (0.5,), 10)):
+            with pytest.raises(ValidationError, match=message):
+                call()
 
 def test_a_long_structure_holds_its_kernels_as_bands():
     # dense, the three kernels of this structure held 59.5 MB and

@@ -104,7 +104,7 @@ def test_write_forecast_csv_writes_what_the_row_writer_writes(tmp_path, T, level
 
 @pytest.mark.parametrize("splits", [VALUES[:1], VALUES, VALUES[3:]])
 def test_write_metric_report_csv_writes_what_the_row_writer_writes(tmp_path, splits):
-    report = MetricReport.from_values(splits)
+    report = MetricReport(splits)
     write_metric_report_csv(report, str(tmp_path / "a.csv"), metric_name="smape, %")
     reference_csv(tmp_path / "b.csv", ["split", "smape, %"],
                   [*enumerate(report.per_split, start=1),
