@@ -320,7 +320,8 @@ class SviConfig:
     """Settings for diagonal-Gaussian stochastic variational inference.
 
     init_log_sd caps the starting log-sds, which fit_svi takes from the
-    objective's Hessian diagonal at the MAP point (see _start_log_sd).
+    objective's exact Hessian diagonal at the MAP point, compiled beside
+    the objective (see _start_log_sd).
     """
 
     iterations: Count = 2000
@@ -549,6 +550,9 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     over the knots b their kernel rows reach. H and h are built here, so a
     call does one H @ b per windowed channel in place of two products with
     each window's kernel rows.
+
+    The returned f carries f.curvature(theta), the diagonal of f's negated
+    Hessian, from the same buffers (see curvature below).
     """
     design = inputs.design
     check_dims(packing.unpack(np.zeros(packing.dim)), design)
@@ -652,6 +656,12 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         # each call multiplies by every kernel twice: scatter the tiles once
         lev_tiles, seas_tiles, reg_tiles = k_lev.tiles(), k_seas.tiles(), k_reg.tiles()
 
+        def residuals():  # y less the fitted values, through the three kernel products
+            fitted = k_lev.product(t[:n_lev], tiles=lev_tiles) if lev_free else trend_fixed
+            return y - (fitted
+                        + np.einsum("tq,tq->t", seasonal, k_seas.product(b_seas, tiles=seas_tiles))
+                        + np.einsum("tp,tp->t", regressors, k_reg.product(b_reg, tiles=reg_tiles)))
+
     def f(theta):
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (dim,):
@@ -720,11 +730,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             grad[order] += r
         else:
             # likelihood through the three kernel products
-            fitted = k_lev.product(t[:n_lev], tiles=lev_tiles) if lev_free else trend_fixed
-            fitted = (fitted
-                      + np.einsum("tq,tq->t", seasonal, k_seas.product(b_seas, tiles=seas_tiles))
-                      + np.einsum("tp,tp->t", regressors, k_reg.product(b_reg, tiles=reg_tiles)))
-            resid = y - fitted
+            resid = residuals()
             nu_var = nu * sigma * sigma
             sq = resid * resid
             denom = nu_var + sq
@@ -754,6 +760,100 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             grad[-1] = dlnsig
         return value, grad
 
+    def constant_curvature():
+        """(diag(H) of the windows over the b_reg entries, the likelihood's
+        diag(G) in the buffer's order or its squared kernel tiles)."""
+        window_diag = np.zeros((n_reg_knots, n_channels))
+        for knots, channel, H, h, b in windows:
+            window_diag[knots, channel] += np.diag(H)
+        if nu is not None:
+            return window_diag.ravel(), [[(rows, lo, k * k) for rows, lo, k in tiles]
+                                         for tiles in (lev_tiles, seas_tiles, reg_tiles)]
+        gram_diag = np.zeros(order.size)  # in time order
+        for rows, cols, block in gram_blocks:
+            on = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+            gram_diag[on] = block[on - rows.start, on - cols.start]
+        likelihood = np.empty(order.size)
+        likelihood[order] = gram_diag
+        return window_diag.ravel(), likelihood
+
+    constant = None  # built on curvature's first call, so compiling f does no more work
+
+    def curvature(theta):
+        """The diagonal of -H, for H the Hessian of f at theta, exact away
+        from the Laplace kinks: a chain term is linear on either side of its
+        kink and adds 0.
+
+        One call of f fills the buffer and gives the gradient; every other
+        term is a second derivative in the buffer's coordinates. The
+        likelihood adds diag(G) / sigma^2 under Gaussian noise, and under
+        Student-t noise sum_t w_t Z_ti^2, for w_t each row's -d^2/dfit^2 at
+        its residual: the observed information, one pass of the squared
+        kernel tiles. The windows add diag(H). Each folded-normal or
+        Gaussian term adds its -d^2/dx^2 on its entry and its -d^2/dloc^2 on
+        its location slot, gathered by one np.bincount over loc_of: every
+        channel's knots onto its mu_reg. A softplus entry then takes the
+        chain term -(s^2 L_xx + s (1 - s) L_x), s = sigmoid(raw), where s L_x
+        is f's gradient less the log-Jacobian's e^-x = 1 - s, and the
+        log-Jacobian's own s (1 - s). ln sigma takes 2 ss / sigma^2 under
+        Gaussian noise and 2 (nu + 1) sum q / (1 + q)^2, q = r^2 / (nu
+        sigma^2), under Student-t. diag(G), the squared tiles and diag(H)
+        depend on the structure alone and are built on the first call.
+        """
+        nonlocal constant
+        _, grad = f(theta)
+        if constant is None:
+            constant = constant_curvature()
+        window_diag, likelihood = constant
+        out = np.zeros(dim)
+        curv = out[:reg_end]
+
+        # the x entries' terms against their locations
+        loc = t[loc_of[n_chain:]]
+        d2_x, d2_loc = inv_x * inv_x, inv_x * inv_x
+        # the mirror log(1 + e^-a) has d^2/dx^2 = (2 inv^2 loc)^2 p (1 - p)
+        # for p = sigmoid(-a) = e^(-a - log(1 + e^-a)) and 1 - p =
+        # e^-log(1 + e^-a); its d^2/dloc^2 has x in place of loc
+        neg_a = loc[folded - n_chain:] * t_folded * neg_two_inv2
+        mirror = np.exp(neg_a - 2.0 * np.logaddexp(0.0, neg_a)) * neg_two_inv2 * neg_two_inv2
+        d2_x[folded - n_chain:] -= mirror * loc[folded - n_chain:] ** 2
+        d2_loc[folded - n_chain:] -= mirror * t_folded * t_folded
+        curv[n_chain:] = d2_x
+        curv += np.bincount(loc_of[n_chain:], weights=d2_loc, minlength=t.size)[:reg_end]
+        curv[n_chain:n_chain + n_b] += window_diag
+
+        sigma = float(np.exp(theta[-1])) if sigma_free else sigma_fixed[1]
+        if nu is None:
+            curv[:n_chain + n_b] += likelihood / (sigma * sigma)
+            if sigma_free:  # f's d/d ln sigma is ss / sigma^2 - n
+                out[-1] = 2.0 * (grad[-1] + n)
+        else:
+            resid = residuals()
+            nu_var = nu * sigma * sigma
+            sq = resid * resid
+            denom = nu_var + sq
+            w = (nu + 1.0) * (nu_var - sq) / (denom * denom)
+            lev_sq, seas_sq, reg_sq = likelihood
+            if lev_free:
+                curv[:n_lev] += k_lev.product(w, transpose=True, tiles=lev_sq)
+            curv[n_lev:n_chain] += k_seas.product(w[:, None] * seasonal * seasonal,
+                                                  transpose=True, tiles=seas_sq).ravel()
+            curv[n_chain:n_chain + n_b] += k_reg.product(w[:, None] * regressors * regressors,
+                                                         transpose=True, tiles=reg_sq).ravel()
+            if sigma_free:
+                out[-1] = 2.0 * (nu + 1.0) * float((sq * nu_var / (denom * denom)).sum())
+
+        if softplus_reg:
+            s = np.exp(theta[n_chain:reg_end] - t_x)  # sigmoid(raw), as f's dx_draw
+            e = np.exp(-t_x)  # 1 - s
+            s_grad = grad[n_chain:reg_end] - e if include_jacobian else grad[n_chain:reg_end]
+            curv[n_chain:] *= s * s
+            curv[n_chain:] -= e * s_grad
+            if include_jacobian:
+                curv[n_chain:] += s * e
+        return out
+
+    f.curvature = curvature
     return f
 
 
@@ -875,29 +975,15 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
     )
 
 
-# Central-difference step of _start_log_sd: fixed, so refits stay
-# byte-identical.
-_HESSIAN_STEP = 1e-4
-
-
-def _start_log_sd(f, theta: np.ndarray, cap: float) -> np.ndarray:
-    """SVI's starting log-sds: min(-ln(-H_ii) / 2, cap), and cap wherever
-    H_ii >= 0, for H_ii the diagonal Hessian of f at theta.
+def _start_log_sd(curvature: np.ndarray, cap: float) -> np.ndarray:
+    """SVI's starting log-sds from the objective's curvature -H_ii (see
+    _objective's curvature): min(-ln(-H_ii) / 2, cap), and cap wherever
+    -H_ii <= 0 or is nan.
 
     For a Gaussian target the mean-field optimum has variances 1 / -H_ii
     exactly (Bishop, PRML 10.1.2), so the run starts near where it ends.
-    H_ii comes from central differences of f's gradient, 2 dim calls.
     """
-    work = np.array(theta, dtype=float)
-    curvature = np.empty(work.size)  # -H_ii
-    for i, x in enumerate(theta):
-        up, down = x + _HESSIAN_STEP, x - _HESSIAN_STEP
-        work[i] = down
-        g_down = f(work)[1][i]
-        work[i] = up
-        curvature[i] = (g_down - f(work)[1][i]) / (up - down)
-        work[i] = x
-    log_sd = np.full(work.size, float(cap))
+    log_sd = np.full(curvature.size, float(cap))
     ok = curvature > 0
     log_sd[ok] = np.minimum(-0.5 * np.log(curvature[ok]), cap)
     return log_sd
@@ -909,7 +995,8 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     """Fit a diagonal Gaussian over theta by reparameterized gradient ascent.
 
     The mean starts at the MAP point (fit here unless `init` is supplied)
-    and the log-sds at _start_log_sd's Hessian diagonal there, capped at
+    and the log-sds at _start_log_sd of the objective's exact Hessian
+    diagonal there (f.curvature, about one objective call), capped at
     config.init_log_sd; the objective is E_q[log_posterior + log-Jacobian]
     + entropy(q).
     """
@@ -925,7 +1012,8 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     # The step loop works in place on preallocated buffers, each op the one
     # the plain expression would run, so the moments are the same bit for
     # bit: state is [mean, log_sd], grad is [d/d mean, d/d log_sd].
-    state = np.concatenate([init.theta, _start_log_sd(f, init.theta, config.init_log_sd)])
+    state = np.concatenate([init.theta, _start_log_sd(f.curvature(init.theta),
+                                                      config.init_log_sd)])
     mean, log_sd = state[:dim], state[dim:]
     grad = np.empty(2 * dim)
     g_mean, g_log_sd = grad[:dim], grad[dim:]

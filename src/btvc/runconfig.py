@@ -17,7 +17,7 @@ from typing import Literal
 from .errors import (Count, NonNegative, NonNegativeInt, Positive, ValidationError,
                      check_fields, check_value, from_block)
 from .fourier import FourierSpec, Period
-from .simulation import Length
+from .simulation import Length, Probability
 from .timeframe import CsvSchema
 
 
@@ -66,7 +66,7 @@ class RunConfig:
     svi_iterations: Count = 2000
     svi_learning_rate: Positive = 0.02
     svi_final_learning_rate: Positive = 1e-4
-    svi_init_log_sd: float = -2.0          # cap on the Hessian-diagonal start
+    svi_init_log_sd: float = -2.0          # cap on the start from the exact Hessian diagonal
     # backtest protocol
     backtest_horizon: Count = 28
     backtest_splits: Count = 6
@@ -124,6 +124,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         if getattr(cfg, "knot_count_" + part) == 0:
             key = "knot_distance_" + part
             check_value(getattr(cfg, key), Count, f"config key {key!r}")
+    # floor_epsilon is read only under the log link's floor policy
+    if cfg.link == "log" and cfg.zero_policy == "floor":
+        check_value(cfg.floor_epsilon, Positive, "config key 'floor_epsilon' under zero_policy floor")
     fourier_specs(cfg)
     coef_init_values(cfg)
     sparsity_fields(cfg)
@@ -242,7 +245,7 @@ def coef_init_values(cfg: RunConfig) -> tuple[float, ...]:
     except ValueError:
         raise ValidationError(f"unparsable sim_coef_init {cfg.sim_coef_init!r}") from None
     for value in values:
-        check_value(value, float, "config key 'sim_coef_init'")
+        check_value(value, NonNegative, "config key 'sim_coef_init'")
     if len(values) == 1:
         values = values * cfg.sim_channels
     if len(values) != cfg.sim_channels:
@@ -253,6 +256,8 @@ def coef_init_values(cfg: RunConfig) -> tuple[float, ...]:
 
 
 def sparsity_fields(cfg: RunConfig) -> tuple[int, int, int, float] | None:
+    """(channel, start, end, prob) of sim_sparsity, channel 1-based, each
+    checked against the simulation it shapes; None when it is empty."""
     if not cfg.sim_sparsity.strip():
         return None
     parts = cfg.sim_sparsity.split(":")
@@ -265,4 +270,11 @@ def sparsity_fields(cfg: RunConfig) -> tuple[int, int, int, float] | None:
         prob = float(parts[3])
     except ValueError:
         raise ValidationError(f"unparsable sim_sparsity {cfg.sim_sparsity!r}") from None
+    key = "config key 'sim_sparsity'"
+    if not 1 <= channel <= cfg.sim_channels:
+        raise ValidationError(f"{key} channel must lie in 1..{cfg.sim_channels}, got {channel}")
+    if not 1 <= start <= end <= cfg.sim_length:
+        raise ValidationError(
+            f"{key} window must lie in 1..{cfg.sim_length} with start <= end, got {start}:{end}")
+    check_value(prob, Probability, f"{key} prob")
     return channel, start, end, prob

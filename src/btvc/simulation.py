@@ -25,6 +25,9 @@ from .fourier import Period
 from .timeframe import TimeSeriesFrame, write_table
 
 
+Probability = Annotated[float, Bound(">=", 0), Bound("<=", 1)]
+
+
 @dataclass(frozen=True)
 class SparsitySpec:
     """Zero out one channel's spend on [start, end] (1-based, inclusive)
@@ -33,7 +36,7 @@ class SparsitySpec:
     channel: NonNegativeInt
     start: Count
     end: int
-    zero_prob: Annotated[float, Bound(">=", 0), Bound("<=", 1)] = 1.0
+    zero_prob: Probability = 1.0
 
     def __post_init__(self):
         check_fields(self)

@@ -474,6 +474,26 @@ class TestErrorPaths:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("settings, message", [
+        (("zero_policy=floor", "floor_epsilon=0"),
+         "config key 'floor_epsilon' under zero_policy floor must be > 0, got 0.0"),
+        (("sim_coef_init=-0.5",), "config key 'sim_coef_init' must be >= 0, got -0.5"),
+        (("sim_sparsity=0:10:20:1.0",), "config key 'sim_sparsity' channel must lie in 1..3, got 0"),
+    ], ids=["floor_epsilon", "sim_coef_init", "sim_sparsity"])
+    def test_out_of_range_setting_fails_before_reading_data(self, capsys, tmp_path, settings,
+                                                             message):
+        # floor_epsilon used to fail only once the data was read, and the
+        # simulator keys used to fit and be saved in fit.json; the data file
+        # does not exist, so these errors show validation stops the run first
+        argv = ["fit", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o")]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("period", ["nan", "inf"])
     def test_non_finite_fourier_period_fails_before_reading_data(self, capsys, tmp_path, period):
         # nan used to fail at the initial point and inf to fit a constant
@@ -520,8 +540,9 @@ class TestErrorPaths:
         assert "sim_kind=sparse needs a sim_sparsity window" in err
 
     @pytest.mark.parametrize("settings, message", [
-        (("sim_coef_init=-0.5",), "coef_init entries must be >= 0"),
-        (("sim_kind=sparse", "sim_sparsity=1:10:20:1.5"), "zero_prob must be <= 1, got 1.5"),
+        (("sim_coef_init=-0.5",), "config key 'sim_coef_init' must be >= 0, got -0.5"),
+        (("sim_kind=sparse", "sim_sparsity=1:10:20:1.5"),
+         "config key 'sim_sparsity' prob must be <= 1, got 1.5"),
     ])
     def test_invalid_simulator_settings_leave_no_output_directory(
             self, capsys, tmp_path, settings, message):

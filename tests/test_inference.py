@@ -395,7 +395,7 @@ def test_svi_deterministic_and_ascending():
     f = inference._objective(inputs, hp, a.packing, (), include_jacobian=True)
     eps = np.random.default_rng(0).standard_normal((2000, a.packing.dim))
     half = fit_svi(inputs, hp, dataclasses.replace(sc, iterations=300), map_config=mc)
-    start = inference._start_log_sd(f, a.theta, sc.init_log_sd)
+    start = inference._start_log_sd(f.curvature(a.theta), sc.init_log_sd)
     end = fixed_draw_elbo(f, a.variational_mean, a.variational_log_sd, eps)
     assert end > fixed_draw_elbo(f, a.theta, start, eps)
     assert end > fixed_draw_elbo(f, half.variational_mean, half.variational_log_sd, eps)
@@ -416,7 +416,8 @@ def test_svi_in_place_step_equals_the_allocating_update():
     dim = packing.dim
     f = inference._objective(inputs, hp, packing, terms, include_jacobian=True)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    mean, log_sd = init.theta, inference._start_log_sd(f, init.theta, config.init_log_sd)
+    mean = init.theta
+    log_sd = inference._start_log_sd(f.curvature(init.theta), config.init_log_sd)
     m = v = np.zeros(2 * dim)
     lr = config.learning_rate
     decay = (config.final_learning_rate / config.learning_rate) ** (1.0 / (config.iterations - 1))
@@ -446,25 +447,21 @@ def test_svi_start_is_the_capped_hessian_diagonal():
     cap = SviConfig().init_log_sd
     assert np.log(post_sd) < cap
     for theta in (post_mean, post_mean + 3.0):
-        start = inference._start_log_sd(f, np.array([theta]), cap)
+        start = inference._start_log_sd(f.curvature(np.array([theta])), cap)
         assert abs(start[0] - np.log(post_sd)) < 1e-6
-    # a quadratic with H = -diag(d): d <= 0 (H_ii >= 0) and -ln(d)/2 above
-    # the cap both give the cap
-    d = np.array([100.0, 0.0, -3.0, 1e-2, 1e6])
-
-    def quadratic(theta):
-        return -0.5 * float(theta @ (d * theta)), -d * theta
-
-    start = inference._start_log_sd(quadratic, np.array([0.3, -1.0, 2.0, 0.0, 5.0]), -2.0)
-    expected = [-0.5 * np.log(100.0), -2.0, -2.0, -2.0, -0.5 * np.log(1e6)]
+    # the curvature -H = diag(d) of a quadratic: d <= 0 (H_ii >= 0), nan, and
+    # -ln(d)/2 above the cap all give the cap
+    d = np.array([100.0, 0.0, -3.0, 1e-2, 1e6, np.nan])
+    start = inference._start_log_sd(d, -2.0)
+    expected = [-0.5 * np.log(100.0), -2.0, -2.0, -2.0, -0.5 * np.log(1e6), -2.0]
     assert np.allclose(start, expected, rtol=0.0, atol=1e-9)
     # byte-equal on repeated calls
     inputs, hp = small_problem(seed=27)
     packing = default_packing(inputs)
     f = inference._objective(inputs, hp, packing, window_terms(inputs, 1), include_jacobian=True)
     theta = initial_theta(inputs, hp, packing)
-    first = inference._start_log_sd(f, theta, cap)
-    assert first.tobytes() == inference._start_log_sd(f, theta, cap).tobytes()
+    first = inference._start_log_sd(f.curvature(theta), cap)
+    assert first.tobytes() == inference._start_log_sd(f.curvature(theta), cap).tobytes()
     assert np.all(first <= cap)
 
 
@@ -489,7 +486,7 @@ def test_default_svi_budget_reaches_the_long_run_elbo(seed, monkeypatch):
     init = fit_map(inputs, hp, map_config_from(cfg), calibration=terms)
     fit = fit_svi(inputs, hp, svi_config_from(cfg), calibration=terms, init=init)
     monkeypatch.setattr(inference, "_start_log_sd",
-                        lambda f, theta, cap: np.full(theta.size, -3.0))
+                        lambda curvature, cap: np.full(curvature.size, -3.0))
     flat = fit_svi(inputs, hp, SviConfig(iterations=5000, seed=seed), calibration=terms,
                    init=init)
     f = inference._objective(inputs, hp, init.packing, terms, include_jacobian=True)
@@ -887,12 +884,58 @@ def test_compiled_objective_keeps_no_state_between_calls(variant, include_jacobi
     value_a, grad_a = f(a)
     grad_a_first = grad_a.copy()
     value_b, grad_b = f(b)
+    curv_a = f.curvature(a)
     value_again, grad_again = f(a)
+    f.curvature(b)
     assert value_b != value_a
     assert value_again == value_a and np.array_equal(grad_again, grad_a_first)
+    assert np.array_equal(f.curvature(a), curv_a)
     assert np.array_equal(grad_a, grad_a_first)
     assert not np.shares_memory(grad_a, grad_b) and not np.shares_memory(grad_a, grad_again)
     assert np.array_equal(a, a_given)
+
+
+def fd_curvature(f, theta, step):
+    """-H_ii by central differences of f's compiled gradient, 2 dim calls:
+    the oracle for f.curvature, trustworthy only away from Laplace kinks."""
+    out = np.empty(theta.size)
+    for i, x in enumerate(theta):
+        up, down = theta.copy(), theta.copy()
+        up[i], down[i] = x + step * max(1.0, abs(x)), x - step * max(1.0, abs(x))
+        out[i] = (f(down)[1][i] - f(up)[1][i]) / (up[i] - down[i])
+    return out
+
+
+@pytest.mark.parametrize("include_jacobian", [False, True])
+@pytest.mark.parametrize("variant", COMPILED_VARIANTS)
+def test_curvature_is_the_hessian_diagonal(variant, include_jacobian):
+    # jittered points sit far from every Laplace kink, where the diagonal
+    # is smooth and central differences of the gradient read it to ~1e-9
+    inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
+    f = inference._objective(inputs, hp, packing, terms, include_jacobian)
+    theta0 = initial_theta(inputs, hp, packing)
+    rng = np.random.default_rng(len(variant))
+    for _ in range(3):
+        theta = jittered_theta(theta0, packing, nonnegative_reg, rng)
+        exact, oracle = f.curvature(theta), fd_curvature(f, theta, 1e-5)
+        assert np.all(np.abs(exact - oracle) <= 1e-6 * np.maximum(1.0, np.abs(oracle)))
+
+
+def test_curvature_reads_no_kink():
+    # a level knot on its chain neighbour: the Laplace term's kink is a jump
+    # in the gradient, which central differences read as curvature; the
+    # exact diagonal keeps the value it has just off the kink
+    inputs, hp = small_problem(seed=27)
+    packing = default_packing(inputs)
+    f = inference._objective(inputs, hp, packing, (), include_jacobian=True)
+    theta = jittered_theta(initial_theta(inputs, hp, packing), packing, False,
+                           np.random.default_rng(5))
+    theta[1] = theta[0]
+    off = theta.copy()
+    off[1] += 0.01
+    exact = f.curvature(theta)
+    assert abs(exact[1] - fd_curvature(f, off, 1e-5)[1]) <= 1e-6 * exact[1]
+    assert fd_curvature(f, theta, 1e-4)[1] >= 10.0 * exact[1]
 
 
 @pytest.mark.parametrize("include_jacobian", [False, True])

@@ -208,6 +208,46 @@ def test_sparsity_fields_view():
         sparsity_fields(dataclasses.replace(RunConfig(), sim_sparsity="a:1:2:0.5"))
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("0:150:249:1.0", "channel must lie in 1..3, got 0"),
+    ("4:150:249:1.0", "channel must lie in 1..3, got 4"),
+    ("2:0:249:1.0", "window must lie in 1..300 with start <= end, got 0:249"),
+    ("2:250:249:1.0", "window must lie in 1..300 with start <= end, got 250:249"),
+    ("2:150:301:1.0", "window must lie in 1..300 with start <= end, got 150:301"),
+    ("2:150:249:-0.5", "prob must be >= 0, got -0.5"),
+    ("2:150:249:1.5", "prob must be <= 1, got 1.5"),
+    ("2:150:249:nan", "prob must be finite, got nan"),
+])
+def test_sparsity_fields_ranges(setting, message):
+    # each names the key and shows the channel 1-based, as it is written
+    cfg = dataclasses.replace(RunConfig(), sim_sparsity=setting)
+    with pytest.raises(ValidationError) as err:
+        sparsity_fields(cfg)
+    assert str(err.value) == f"config key 'sim_sparsity' {message}"
+    edges = dataclasses.replace(RunConfig(), sim_sparsity="3:1:300:0.0")
+    assert sparsity_fields(edges) == (3, 1, 300, 0.0)
+
+
+def test_coef_init_values_are_nonnegative():
+    cfg = dataclasses.replace(RunConfig(), sim_channels=2, sim_coef_init="0.4,-0.1")
+    with pytest.raises(ValidationError, match=r"^config key 'sim_coef_init' must be >= 0, got -0.1$"):
+        coef_init_values(cfg)
+    assert coef_init_values(dataclasses.replace(cfg, sim_coef_init="0")) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("link, zero_policy, checked", [
+    ("log", "floor", True), ("log", "shift1", False), ("identity", "floor", False)])
+def test_floor_epsilon_is_checked_only_where_it_is_read(link, zero_policy, checked):
+    # as the fit's Structure checks it: only the log link's floor reads it
+    cfg = dataclasses.replace(RunConfig(), link=link, zero_policy=zero_policy, floor_epsilon=0.0)
+    if checked:
+        with pytest.raises(ValidationError, match="'floor_epsilon' under zero_policy floor "
+                                                  "must be > 0, got 0.0"):
+            validate_config(cfg)
+    else:
+        assert validate_config(cfg) is cfg
+
+
 def test_validate_config_runs_all_derived_views():
     # a config whose only problem sits inside a derived view still fails fast
     bad = dataclasses.replace(RunConfig(), sim_sparsity="2:150")
