@@ -518,11 +518,15 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     the fixed mu_reg when packing fixes it. One index loc_of gives each
     entry its location slot: the previous trend knot, the same seasonal
     column one knot back, the channel's mu_reg, or mu_pool; inv holds each
-    entry's 1/scale. A call gathers t[loc_of] once, and the location
-    gradients of every term go back through one np.bincount over loc_of.
-    The buffer belongs to the returned function, so calls to one compiled
-    objective must not run concurrently; each still returns a fresh
-    gradient array and depends on its theta alone.
+    entry's 1/scale. A call gathers t[loc_of] once. Three kinds of gradient
+    are written into the slices of one weight buffer: the location
+    gradients (bound for loc_of), the likelihood's Gram gradient (for the
+    knots, in _gram's order; see below) and each window's (for its knots).
+    One np.bincount per call, over one index compiled here, adds them all
+    to the gradient. The buffers belong to the returned function, so calls to one compiled
+    objective must not run concurrently; each still depends on its theta
+    alone. f(theta) returns a fresh gradient array; f(theta, out=buf)
+    writes the gradient into buf, every entry, and returns (value, buf).
 
     The chain knots take Laplace terms |t - loc| inv. The x entries take
     folded-normal terms: writing z = (x - loc) inv and a = 2 x loc inv^2,
@@ -635,8 +639,9 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             h = h + w * term.mean * k_rows.sum(axis=0)
             const -= k_rows.shape[0] * (term.weight * (math.log(term.sd) + 0.5 * LOG_2PI)
                                         + 0.5 * w * term.mean * term.mean)
-        # b is a view of the buffer's knots
-        windows.append((knots, channel, H, h, b_reg[knots, channel]))
+        # b is a view of the buffer's knots, at these places of t
+        windows.append((knots, channel, H, h, b_reg[knots, channel],
+                        n_chain + np.arange(knots.start, knots.stop) * n_channels + channel))
 
     if not sigma_free:  # (ln sigma, sigma); __post_init__ keeps it > 0
         sigma_fixed = (math.log(packing.fixed_sigma_obs), float(packing.fixed_sigma_obs))
@@ -662,11 +667,24 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
                         + np.einsum("tq,tq->t", seasonal, k_seas.product(b_seas, tiles=seas_tiles))
                         + np.einsum("tp,tp->t", regressors, k_reg.product(b_reg, tiles=reg_tiles)))
 
-    def f(theta):
+    # f's one np.bincount: the entries of t its weights go to, and the
+    # weights' slices, the prior's d/dloc, the Gram gradient r and each g_b
+    scatter_to = np.concatenate([loc_of] + ([order] if nu is None else [])
+                                + [at for *_, at in windows])
+    weights = np.empty(scatter_to.size)
+    w_prior = weights[:reg_end]
+    top = reg_end
+    if nu is None:
+        w_gram, top = weights[top:top + order.size], top + order.size
+    for i, (knots, channel, H, h, b, at) in enumerate(windows):
+        windows[i] = (knots, channel, H, h, b, weights[top:top + at.size])
+        top += at.size
+
+    def f(theta, out=None):
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (dim,):
             raise ValidationError(f"theta length {theta.shape} != packing dim {dim}")
-        grad = np.empty(dim)
+        grad = np.empty(dim) if out is None else out
 
         raw = theta[n_chain:reg_end]
         if softplus_reg:
@@ -684,7 +702,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
 
         # every prior entry against its location
         loc = t[loc_of]
-        diff = t_prior - loc
+        diff = np.subtract(t_prior, loc, out=w_prior)
         value = const - float(np.abs(diff[:n_chain]) @ inv_chain)
         np.sign(diff[:n_chain], out=diff[:n_chain])
         z = diff[n_chain:]
@@ -703,7 +721,6 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         np.negative(diff, out=g)
         g[folded:] += c * loc[folded:]
         diff[folded:] += c * t_folded
-        g += np.bincount(loc_of, weights=diff, minlength=t.size)[:reg_end]
 
         # a sigma that underflows (or whose square does) gives a non-finite
         # value, not an error
@@ -716,18 +733,15 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             # likelihood through the Gram quadratic in time order; r = Z'resid
             beta = t[order]
             beta -= beta_shift
-            r = np.empty_like(beta)
             for rows, cols, block in gram_blocks:
-                np.dot(block, beta[cols], out=r[rows])
-            np.subtract(r0_gram, r, out=r)
+                np.dot(block, beta[cols], out=w_gram[rows])
+            r = np.subtract(r0_gram, w_gram, out=w_gram)
             ss = s0 - float(beta @ (r + r0_gram))
             var = sigma * sigma
             inv_var = 1.0 / var if var else math.inf
             value += -n * ln_sigma - 0.5 * ss * inv_var
             dlnsig = ss * inv_var - n
-            r *= inv_var
-            # beta's entries lead t and theta, in theta's order
-            grad[order] += r
+            r *= inv_var  # scattered over order: beta's entries lead t and theta
         else:
             # likelihood through the three kernel products
             resid = residuals()
@@ -744,11 +758,10 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             g_x[:n_b] += k_reg.product(dfit[:, None] * regressors, transpose=True,
                                        tiles=reg_tiles).ravel()
 
-        g_reg = g_x[:n_b].reshape(n_reg_knots, n_channels)
-        for knots, channel, H, h, b in windows:
-            g_b = h - H @ b
+        for *_, H, h, b, g_b in windows:
+            np.subtract(h, H @ b, out=g_b)
             value += 0.5 * float(b @ (h + g_b))  # h'b - b'Hb/2
-            g_reg[knots, channel] += g_b
+        g += np.bincount(scatter_to, weights=weights, minlength=t.size)[:reg_end]
 
         if softplus_reg:
             g_x *= dx_draw
@@ -764,7 +777,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         """(diag(H) of the windows over the b_reg entries, the likelihood's
         diag(G) in the buffer's order or its squared kernel tiles)."""
         window_diag = np.zeros((n_reg_knots, n_channels))
-        for knots, channel, H, h, b in windows:
+        for knots, channel, H, *_ in windows:
             window_diag[knots, channel] += np.diag(H)
         if nu is not None:
             return window_diag.ravel(), [[(rows, lo, k * k) for rows, lo, k in tiles]
@@ -885,31 +898,37 @@ def _adam(x: np.ndarray, config):
     m = 0.9 m + (1 - 0.9) grad, v = 0.999 v + (1 - 0.999) grad^2 and
     x += lr (m / (1 - 0.9^t)) / (sqrt(v / (1 - 0.999^t)) + 1e-8), lr decaying
     from config.learning_rate to config.final_learning_rate over
-    config.iterations calls. Each op is the plain expression's, bit for bit;
-    1 - 0.9 and 1 - 0.999 (one ulp off 0.1 and 0.001) keep MAP fits as before.
+    config.iterations calls. m and v are the rows of one (2, n) array, so
+    the decay, the (1 - beta) grad terms and the bias corrections each run
+    as one call over both rows; every element still goes through the plain
+    expression's operations in its order, bit for bit. 1 - 0.9 and 1 - 0.999
+    (one ulp off 0.1 and 0.001) keep MAP fits as before.
     """
-    m, v = np.zeros(x.size), np.zeros(x.size)
-    step, work = np.empty(x.size), np.empty(x.size)
+    moments, work = np.zeros((2, x.size)), np.empty((2, x.size))
+    # full rows, where a (2, 1) column would do: numpy takes about twice as
+    # long per call over a broadcast operand as over one of the same shape
+    beta = np.repeat([[0.9], [0.999]], x.size, axis=1)
+    one_minus_beta = np.array([[1.0 - 0.9], [1.0 - 0.999]])
+    correction = np.empty((2, 1))
+    step, root = work  # the rows m / (1 - 0.9^t) and v / (1 - 0.999^t) become these
     decay = (config.final_learning_rate / config.learning_rate) ** (
         1.0 / max(config.iterations - 1, 1))
     lr, t = config.learning_rate, 0
 
     def ascend(grad):
-        nonlocal lr, t, m, v, step, work, x  # in-place operators rebind names
+        nonlocal lr, t, moments, step, root, x  # in-place operators rebind names
         t += 1
-        m *= 0.9
-        np.multiply(grad, 1.0 - 0.9, out=work)
-        m += work
-        v *= 0.999
-        np.multiply(grad, 1.0 - 0.999, out=work)
-        work *= grad
-        v += work
-        np.divide(v, 1.0 - 0.999 ** t, out=work)
-        np.sqrt(work, out=work)
-        work += 1e-8
-        np.divide(m, 1.0 - 0.9 ** t, out=step)
+        moments *= beta
+        np.multiply(grad, one_minus_beta, out=work)
+        work[1] *= grad  # v's term is ((1 - 0.999) grad) grad
+        moments += work
+        # Python's powers, as the plain expression takes them
+        correction[0, 0], correction[1, 0] = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        np.divide(moments, correction, out=work)
+        np.sqrt(root, out=root)
+        root += 1e-8
         step *= lr
-        step /= work
+        step /= root
         x += step
         lr *= decay
 
@@ -989,6 +1008,10 @@ def _start_log_sd(curvature: np.ndarray, cap: float) -> np.ndarray:
     return log_sd
 
 
+# SVI steps whose noise one call draws
+_DRAW_BLOCK = 64
+
+
 def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = None,
             packing: ParameterPacking | None = None, calibration=(),
             init: FitResult | None = None, map_config: MapConfig | None = None) -> FitResult:
@@ -998,7 +1021,10 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     and the log-sds at _start_log_sd of the objective's exact Hessian
     diagonal there (f.curvature, about one objective call), capped at
     config.init_log_sd; the objective is E_q[log_posterior + log-Jacobian]
-    + entropy(q).
+    + entropy(q). Each step takes one standard-normal draw of dim entries
+    from SeedSequence(config.seed); they are drawn _DRAW_BLOCK steps at a
+    time, which numpy's Generator fills in order, so the stream is the one
+    a draw per step would give.
     """
     config = config or SviConfig()
     packing = packing or default_packing(inputs)
@@ -1017,18 +1043,23 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     mean, log_sd = state[:dim], state[dim:]
     grad = np.empty(2 * dim)
     g_mean, g_log_sd = grad[:dim], grad[dim:]
-    eps, sd, theta = np.empty(dim), np.empty(dim), np.empty(dim)
+    sd, theta = np.empty(dim), np.empty(dim)
+    block = np.empty((_DRAW_BLOCK, dim))
+    draws = list(block)  # its rows, one step's eps each
     ascend = _adam(state, config)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     trace: list[float] = []
     entropy_const = 0.5 * dim * (1.0 + math.log(2.0 * math.pi))
     for t in range(config.iterations):
-        rng.standard_normal(out=eps)
+        row = t % _DRAW_BLOCK
+        if not row:
+            rng.standard_normal(out=block)
+        eps = draws[row]
         np.exp(log_sd, out=sd)
         np.multiply(sd, eps, out=theta)
         theta += mean
-        value, g_mean[:] = f(theta)
+        value, _ = f(theta, out=g_mean)
         elbo = value + entropy_const + float(log_sd.sum())
         if not math.isfinite(elbo):
             raise DivergenceError(

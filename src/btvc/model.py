@@ -180,8 +180,10 @@ class Structure:
                 f"structure.last_date must be YYYY-MM-DD, got {self.last_date!r}")
         name = "fourier"  # the key a failed build below names
         try:
-            for period, order in self.fourier:
-                FourierSpec(period=period, order=order)
+            # kept beside the fields, so the fit document's structure block
+            # holds only the pairs; every design reads these
+            object.__setattr__(self, "fourier_specs", tuple(
+                FourierSpec(period=period, order=order) for period, order in self.fourier))
             for name in ("knots_lev", "knots_seas", "knots_reg"):
                 KnotGrid(getattr(self, name), self.T)
         except ValidationError as exc:

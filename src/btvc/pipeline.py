@@ -19,7 +19,7 @@ from . import __version__
 from .calibration import apply_prior_windows, read_prior_windows_csv
 from .errors import ValidationError
 from .evaluation import BacktestPlan, MetricReport, backtest
-from .fourier import FourierSpec, fourier_design
+from .fourier import fourier_design
 from .inference import (
     FitResult,
     MapConfig,
@@ -153,11 +153,10 @@ def _design(structure: Structure, x: np.ndarray, first: int, n: int) -> ModelDes
     """Design of a saved structure for rows first..first+n-1 (rows past T are
     forecast rows), given the model-scale regressors of those rows."""
     T = structure.T
-    specs = tuple(FourierSpec(period=s, order=k) for s, k in structure.fourier)
     times = range(first, first + n)
     return ModelDesign(
         regressors=x,
-        seasonal=fourier_design(T, specs, times=times).matrix,
+        seasonal=fourier_design(T, structure.fourier_specs, times=times).matrix,
         k_lev=kernel_matrix(KnotGrid(structure.knots_lev, T), "level", times=times),
         k_seas=kernel_matrix(KnotGrid(structure.knots_seas, T), "level", times=times),
         k_reg=kernel_matrix(KnotGrid(structure.knots_reg, T), "gaussian", rho=structure.rho,

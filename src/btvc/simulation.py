@@ -50,12 +50,14 @@ Length = Annotated[int, Bound(">=", 2)]
 
 def _check_shared(config) -> None:
     """The checks both generators' settings share: types, ranges and
-    coef_init, which becomes one float per channel."""
+    coef_init, which becomes one nonnegative float per channel."""
     check_fields(config)
     init = config.coef_init
     init = (float(init),) * config.P if np.isscalar(init) else tuple(float(v) for v in init)
     if len(init) != config.P:
         raise ValidationError(f"coef_init needs {config.P} entries, got {len(init)}")
+    if min(init) < 0:
+        raise ValidationError("coef_init entries must be >= 0")
     object.__setattr__(config, "coef_init", init)
 
 
@@ -76,8 +78,6 @@ class SimConfig:
 
     def __post_init__(self):
         _check_shared(self)
-        if min(self.coef_init) < 0:
-            raise ValidationError("coef_init entries must be >= 0")
         if self.sparsity is not None and self.sparsity.end > self.T:
             raise ValidationError("sparsity window extends past T")
         if self.sparsity is not None and self.sparsity.channel >= self.P:

@@ -403,13 +403,16 @@ def test_svi_deterministic_and_ascending():
     assert a.mode == "svi"
 
 
-def test_svi_in_place_step_equals_the_allocating_update():
-    # fit_svi's step loop runs in place; the plain expressions below must
-    # give the same moments and ELBO trace
+@pytest.mark.parametrize("iterations", [64, 150])
+def test_svi_in_place_step_equals_the_allocating_update(iterations):
+    # fit_svi's step loop runs in place and draws its noise in blocks; the
+    # plain expressions below, one draw per step, must give the same moments
+    # and ELBO trace, on a run ending at a draw-block boundary (64) and one
+    # ending inside a block (150)
     inputs, hp = small_problem(seed=27)
     terms = window_terms(inputs, 1)
     init = fit_map(inputs, hp, MapConfig(iterations=200), calibration=terms)
-    config = SviConfig(iterations=150, seed=4)
+    config = SviConfig(iterations=iterations, seed=4)
     fit = fit_svi(inputs, hp, config, calibration=terms, init=init)
 
     packing = init.packing
@@ -874,7 +877,8 @@ def test_compiled_objective_matches_reference(variant, include_jacobian):
 def test_compiled_objective_keeps_no_state_between_calls(variant, include_jacobian):
     # a call reuses buffers built at compile time; its result must still
     # depend on its theta alone, and the gradient it returns must stay as it
-    # is through later calls (fit_map keeps best_grad without a copy)
+    # is through later calls (fit_map keeps best_grad without a copy); a
+    # call given out= writes the same gradient there (fit_svi's path)
     inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
     f = inference._objective(inputs, hp, packing, terms, include_jacobian)
     rng = np.random.default_rng(len(variant))
@@ -893,6 +897,12 @@ def test_compiled_objective_keeps_no_state_between_calls(variant, include_jacobi
     assert np.array_equal(grad_a, grad_a_first)
     assert not np.shares_memory(grad_a, grad_b) and not np.shares_memory(grad_a, grad_again)
     assert np.array_equal(a, a_given)
+    buf = np.full(packing.dim, np.nan)
+    value_out, grad_out = f(a, out=buf)
+    assert grad_out is buf
+    assert value_out == value_a and buf.tobytes() == grad_a_first.tobytes()
+    f(b)
+    assert buf.tobytes() == grad_a_first.tobytes()
 
 
 def fd_curvature(f, theta, step):

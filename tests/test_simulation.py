@@ -115,6 +115,10 @@ class TestSparse:
         for config in (SimConfig, MultiplicativeSimConfig):
             with pytest.raises(ValidationError, match="^seed must be >= 0, got -1$"):
                 config(seed=-1)
+            # a negative start, scalar or per channel, is rejected by both
+            for init in (-0.5, (0.2, -0.1, 0.3)):
+                with pytest.raises(ValidationError, match="^coef_init entries must be >= 0$"):
+                    config(coef_init=init)
         with pytest.raises(ValidationError, match=r"^channel expects int, got 0\.5$"):
             SparsitySpec(channel=0.5, start=1, end=3)
 
