@@ -405,24 +405,18 @@ def draw_quantiles(draws: np.ndarray, levels) -> dict[float, np.ndarray]:
 _GRAM_CALL_ENTRIES = 8192
 
 
-def _gram(design, r0: np.ndarray, with_level: bool):
-    """(order, blocks, c) for G = Z'Z and c = Z'r0, where Z = [K_lev | K_seas
-    (x) S | K_reg (x) X] maps the knots [b_lev, b_seas, b_reg] as theta
-    holds them (b_lev only when with_level) to the fitted values. order
-    sorts the knots by knot time (ties keep theta's order), where each knot
-    couples only with its neighbours; c = (Z'r0)[order], and each block
-    (rows, cols, array) holds G[order][:, order][rows, cols], contiguous.
-
-    Z' is built TILE_ROWS time rows at a time from each kernel's band, each
-    tile holding only the knots its rows reach. Weights below WEIGHT_FLOOR
-    are left out (kernel_matrix drops them already; a hand-built band may
-    hold them): each is under half an ulp of its row's sum of 1, and far
-    from its knot it may be subnormal, which is slow. A row's columns run
-    from the first to the last nonzero of its tiles' products. Passes over
-    the rows merge adjacent blocks while a merge stores fewer than
-    _GRAM_CALL_ENTRIES extra entries, from blocks as tall as the first
-    passes would make them. The tile products are added into the blocks in
-    tile order, so each entry is the sum a dense G built tile by tile holds.
+def _design_tiles(design, with_level: bool):
+    """(order, tiles) of the map Z = [K_lev | K_seas (x) S | K_reg (x) X]
+    from the knots [b_lev, b_seas, b_reg] as theta holds them (b_lev only
+    when with_level) to the fitted values. order sorts the knots by knot
+    time (ties keep theta's order), where each knot couples only with its
+    neighbours. tiles is a generator of (rows, at, zt) over blocks of
+    TILE_ROWS time rows: zt is Z[rows]' built from the kernels' bands over
+    the knots these rows reach, its row i the knot at place at[i] of the
+    time order (no place twice). Weights below WEIGHT_FLOOR are left out
+    (kernel_matrix drops them already; a hand-built band may hold them):
+    each is under half an ulp of its row's sum of 1, and far from its knot
+    it may be subnormal, which is slow.
     """
     parts = [(design.k_seas, np.ascontiguousarray(design.seasonal.T)),
              (design.k_reg, np.ascontiguousarray(design.regressors.T))]
@@ -431,34 +425,54 @@ def _gram(design, r0: np.ndarray, with_level: bool):
     offsets = np.cumsum([0] + [k.grid.n_knots * x.shape[0] for k, x in parts])
     order = np.argsort(np.concatenate([np.repeat(k.grid.knot_times, x.shape[0])
                                        for k, x in parts]), kind="stable")
-    dim = order.size
     place = np.argsort(order)  # each theta knot's place in time order
+
+    def tiles():
+        for start in range(0, design.n_times, TILE_ROWS):
+            rows = slice(start, start + TILE_ROWS)
+            used, at = [], []
+            for (k, x), offset in zip(parts, offsets):
+                k_lo, w = k.tile(rows)
+                kept = w >= WEIGHT_FLOOR
+                cols = np.flatnonzero(kept.any(axis=0))
+                lo, hi, width = cols[0], cols[-1] + 1, x.shape[0]
+                used.append((np.where(kept[:, lo:hi], w[:, lo:hi], 0.0).T, x[:, rows]))
+                at.append(place[offset + (k_lo + lo) * width:offset + (k_lo + hi) * width])
+            at = np.concatenate(at)
+            if not at.size:  # Z has no columns
+                continue
+            zt, top = np.empty((at.size, used[0][0].shape[1])), 0
+            for w, x in used:  # row j * width + q of zt is w[j] * x[q]
+                out = zt[top:top + w.shape[0] * x.shape[0]].reshape(w.shape[0], *x.shape)
+                np.multiply(w[:, None], x[None], out=out)
+                top += out.shape[0] * out.shape[1]
+            yield rows, at, zt
+
+    return order, tiles()
+
+
+def _gram(design, r0: np.ndarray, with_level: bool):
+    """(order, blocks, c) for G = Z'Z and c = Z'r0, with Z and order those of
+    _design_tiles, whose tiles are read once: c = (Z'r0)[order], and each
+    block (rows, cols, array) holds G[order][:, order][rows, cols],
+    contiguous. A row's columns run from the first to the last nonzero of
+    its tiles' products. Passes over the rows merge adjacent blocks while a
+    merge stores fewer than _GRAM_CALL_ENTRIES extra entries, from blocks as
+    tall as the first passes would make them. The tile products are added
+    into the blocks in tile order, so each entry is the sum a dense G built
+    tile by tile holds.
+    """
+    order, tiles = _design_tiles(design, with_level)
+    dim = order.size
     c = np.zeros(dim)
     # a row's nonzero column span [first, last); dim, 0 for an all-zero row
-    first, last, tiles = np.full(dim, dim), np.zeros(dim, dtype=np.intp), []
-    for start in range(0, r0.size, TILE_ROWS):
-        rows = slice(start, start + TILE_ROWS)
-        used, at = [], []
-        for (k, x), offset in zip(parts, offsets):
-            k_lo, w = k.tile(rows)
-            kept = w >= WEIGHT_FLOOR
-            cols = np.flatnonzero(kept.any(axis=0))
-            lo, hi, width = cols[0], cols[-1] + 1, x.shape[0]
-            used.append((np.where(kept[:, lo:hi], w[:, lo:hi], 0.0).T, x[:, rows]))
-            at.append(place[offset + (k_lo + lo) * width:offset + (k_lo + hi) * width])
-        at = np.concatenate(at)  # the places of zt's rows
-        if not at.size:  # Z has no columns
-            continue
-        zt, top = np.empty((at.size, r0[rows].size)), 0
-        for w, x in used:  # row j * width + q of zt is w[j] * x[q]
-            out = zt[top:top + w.shape[0] * x.shape[0]].reshape(w.shape[0], *x.shape)
-            np.multiply(w[:, None], x[None], out=out)
-            top += out.shape[0] * out.shape[1]
+    first, last, products = np.full(dim, dim), np.zeros(dim, dtype=np.intp), []
+    for rows, at, zt in tiles:
         c[at] += zt @ r0[rows]
         g = zt @ zt.T
         first[at] = np.minimum(first[at], np.where(g != 0, at, dim).min(axis=1))
         last[at] = np.maximum(last[at], np.where(g != 0, at + 1, 0).max(axis=1))
-        tiles.append((at, g))
+        products.append((at, g))
 
     height = max(_GRAM_CALL_ENTRIES // (2 * max(dim, 1)), 1)
     starts = np.arange(0, dim, height)
@@ -486,7 +500,7 @@ def _gram(design, r0: np.ndarray, with_level: bool):
     # lo > hi: an all-zero block, no columns
     blocks = [(slice(start, stop), slice(lo, hi), np.zeros((stop - start, max(hi - lo, 0))))
               for start, stop, lo, hi in spans]
-    for at, g in tiles:  # g spread over its window of G, the places lo..hi
+    for at, g in products:  # g spread over its window of G, the places lo..hi
         lo, hi = at.min(), at.max() + 1
         window = np.zeros((hi - lo, hi - lo))
         window.reshape(-1)[((at - lo)[:, None] * (hi - lo) + at - lo).ravel()] = g.ravel()
@@ -520,11 +534,11 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     column one knot back, the channel's mu_reg, or mu_pool; inv holds each
     entry's 1/scale. A call gathers t[loc_of] once. Three kinds of gradient
     are written into the slices of one weight buffer: the location
-    gradients (bound for loc_of), the likelihood's Gram gradient (for the
-    knots, in _gram's order; see below) and each window's (for its knots).
-    One np.bincount per call, over one index compiled here, adds them all
-    to the gradient. The buffers belong to the returned function, so calls to one compiled
-    objective must not run concurrently; each still depends on its theta
+    gradients (bound for loc_of), the likelihood's d/dbeta (for the knots,
+    in their time order; see below) and each window's (for its knots). One
+    np.bincount per call, over one index compiled here, adds them all to
+    the gradient. The buffers belong to the returned function, so calls to
+    one compiled objective must not run concurrently; each still depends on its theta
     alone. f(theta) returns a fresh gradient array; f(theta, out=buf)
     writes the gradient into buf, every entry, and returns (value, buf).
 
@@ -538,16 +552,17 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     derivative -sigmoid(-a) = -e^(-a - logaddexp(0, -a)).
 
     The fitted values are Z beta for the linear knots beta = [b_lev, b_seas,
-    b_reg] (see _gram), the buffer's leading entries, so under Gaussian
-    noise the residual sum of squares is the quadratic s0 - 2 beta'c +
-    beta'G beta with G = Z'Z, c = Z'r0 and s0 = r0'r0 built here once; a
-    call does one G @ beta in place of the kernel products, over the
-    banded row blocks _gram builds, with beta gathered from t, and c, in
-    the knots' time order. r0 is the target less the fixed trend, or, when b_lev
-    is free, less the target's mean, which the level knots absorb exactly
-    since every level kernel row sums to 1; centering keeps s0 small, so
-    the quadratic loses few digits to cancellation. Student-t noise is not
-    quadratic in beta and goes through the kernel products.
+    b_reg] (Z of _design_tiles), the buffer's leading entries, gathered
+    from t in the knots' time order. The residuals are r0 - Z beta, for r0
+    the target less the fixed trend, or, when b_lev is free, less the
+    target's mean, which the level knots absorb exactly (beta_shift) since
+    every level kernel row sums to 1. Under Gaussian noise the residual sum
+    of squares is the quadratic s0 - 2 beta'c + beta'G beta with G = Z'Z,
+    c = Z'r0 and s0 = r0'r0 built here once; a call does one G @ beta over
+    the banded row blocks _gram builds, and centering keeps s0 small, so the
+    quadratic loses few digits to cancellation. Student-t noise is not
+    quadratic in beta: a call reads Z's tiles, kept here, for the residuals
+    and again for Z' times their d/dfit.
 
     Calibration windows are quadratic in the regression knots under either
     noise family: a channel's windows sum to h'b - b'Hb/2 plus a constant,
@@ -562,8 +577,6 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     check_dims(packing.unpack(np.zeros(packing.dim)), design)
     y = inputs.target
     n = y.size
-    k_lev, k_seas, k_reg = design.k_lev, design.k_seas, design.k_reg
-    seasonal, regressors = design.seasonal, design.regressors
     n_seas_knots, n_cols = packing.n_seas_knots, packing.n_seas_cols
     n_reg_knots, n_channels = packing.n_reg_knots, packing.n_channels
     lev_free = packing.fixed_b_lev is None
@@ -581,7 +594,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     const = 0.0
     if not lev_free:
         const += _laplace_chain(packing.fixed_b_lev, hp.init_scale_lev, hp.sigma_lev)[0]
-        trend_fixed = k_lev.product(packing.fixed_b_lev)
+        trend_fixed = design.k_lev.product(packing.fixed_b_lev)
     fixed_mu = np.zeros(0) if mu_free else packing.fixed_mu_reg
     if not mu_free and n_channels:
         if check_support and fixed_mu.min() < 0:
@@ -624,7 +637,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         by_channel.setdefault(term.channel_index, []).append(term)
     windows = []
     for channel, terms in by_channel.items():
-        tiles = [k_reg.tile(slice(term.start0, term.end0 + 1)) for term in terms]
+        tiles = [design.k_reg.tile(slice(term.start0, term.end0 + 1)) for term in terms]
         kept = np.concatenate([lo + np.flatnonzero((k >= WEIGHT_FLOOR).any(axis=0))
                                for lo, k in tiles])
         knots = slice(kept.min(), kept.max() + 1)
@@ -646,36 +659,28 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
     if not sigma_free:  # (ln sigma, sigma); __post_init__ keeps it > 0
         sigma_fixed = (math.log(packing.fixed_sigma_obs), float(packing.fixed_sigma_obs))
     nu = hp.noise_df
+    y_mean = float(y.mean()) if lev_free else 0.0
+    r0 = y - y_mean if lev_free else y - trend_fixed
     if nu is None:
         const -= 0.5 * n * LOG_2PI
-        y_mean = float(y.mean()) if lev_free else 0.0
-        r0 = y - y_mean if lev_free else y - trend_fixed
         order, gram_blocks, r0_gram = _gram(design, r0, lev_free)
-        beta_shift = np.where(order < n_lev, y_mean, 0.0)
         s0 = float(r0 @ r0)
     else:
         t_const = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
                    - 0.5 * math.log(nu * math.pi))
         const += n * t_const
-        b_seas = t[n_lev:n_chain].reshape(n_seas_knots, n_cols)
-        # each call multiplies by every kernel twice: scatter the tiles once
-        lev_tiles, seas_tiles, reg_tiles = k_lev.tiles(), k_seas.tiles(), k_reg.tiles()
-
-        def residuals():  # y less the fitted values, through the three kernel products
-            fitted = k_lev.product(t[:n_lev], tiles=lev_tiles) if lev_free else trend_fixed
-            return y - (fitted
-                        + np.einsum("tq,tq->t", seasonal, k_seas.product(b_seas, tiles=seas_tiles))
-                        + np.einsum("tp,tp->t", regressors, k_reg.product(b_reg, tiles=reg_tiles)))
+        order, tiles = _design_tiles(design, lev_free)
+        tiles = list(tiles)  # f reads every tile twice
+        resid = np.empty(n)
+    beta_shift = np.where(order < n_lev, y_mean, 0.0)
 
     # f's one np.bincount: the entries of t its weights go to, and the
-    # weights' slices, the prior's d/dloc, the Gram gradient r and each g_b
-    scatter_to = np.concatenate([loc_of] + ([order] if nu is None else [])
-                                + [at for *_, at in windows])
+    # weights' slices, the prior's d/dloc, the likelihood's d/dbeta and each g_b
+    scatter_to = np.concatenate([loc_of, order] + [at for *_, at in windows])
     weights = np.empty(scatter_to.size)
     w_prior = weights[:reg_end]
-    top = reg_end
-    if nu is None:
-        w_gram, top = weights[top:top + order.size], top + order.size
+    w_lin = weights[reg_end:reg_end + order.size]  # in time order
+    top = reg_end + order.size
     for i, (knots, channel, H, h, b, at) in enumerate(windows):
         windows[i] = (knots, channel, H, h, b, weights[top:top + at.size])
         top += at.size
@@ -728,35 +733,34 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
             ln_sigma, sigma = float(theta[-1]), float(np.exp(theta[-1]))
         else:
             ln_sigma, sigma = sigma_fixed
-        g_x = grad[n_chain:reg_end]
+        # the likelihood in the knots' time order; w_lin becomes its d/dbeta,
+        # scattered over order: beta's entries lead t and theta
+        beta = t[order]
+        beta -= beta_shift
         if nu is None:
-            # likelihood through the Gram quadratic in time order; r = Z'resid
-            beta = t[order]
-            beta -= beta_shift
+            # through the Gram quadratic; r = Z'resid
             for rows, cols, block in gram_blocks:
-                np.dot(block, beta[cols], out=w_gram[rows])
-            r = np.subtract(r0_gram, w_gram, out=w_gram)
+                np.dot(block, beta[cols], out=w_lin[rows])
+            r = np.subtract(r0_gram, w_lin, out=w_lin)
             ss = s0 - float(beta @ (r + r0_gram))
             var = sigma * sigma
             inv_var = 1.0 / var if var else math.inf
             value += -n * ln_sigma - 0.5 * ss * inv_var
             dlnsig = ss * inv_var - n
-            r *= inv_var  # scattered over order: beta's entries lead t and theta
+            r *= inv_var
         else:
-            # likelihood through the three kernel products
-            resid = residuals()
+            resid[:] = r0
+            for rows, at, zt in tiles:
+                resid[rows] -= beta[at] @ zt
             nu_var = nu * sigma * sigma
             sq = resid * resid
             denom = nu_var + sq
             value += -n * ln_sigma - 0.5 * (nu + 1.0) * float(np.log1p(sq / nu_var).sum())
             dfit = (nu + 1.0) * resid / denom
             dlnsig = (nu + 1.0) * float((sq / denom).sum()) - n
-            if lev_free:
-                grad[:n_lev] += k_lev.product(dfit, transpose=True, tiles=lev_tiles)
-            grad[n_lev:n_chain] += k_seas.product(dfit[:, None] * seasonal, transpose=True,
-                                                  tiles=seas_tiles).ravel()
-            g_x[:n_b] += k_reg.product(dfit[:, None] * regressors, transpose=True,
-                                       tiles=reg_tiles).ravel()
+            w_lin[:] = 0.0
+            for rows, at, zt in tiles:
+                w_lin[at] += zt @ dfit[rows]
 
         for *_, H, h, b, g_b in windows:
             np.subtract(h, H @ b, out=g_b)
@@ -764,6 +768,7 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         g += np.bincount(scatter_to, weights=weights, minlength=t.size)[:reg_end]
 
         if softplus_reg:
+            g_x = grad[n_chain:reg_end]
             g_x *= dx_draw
             if include_jacobian:
                 # ln sigmoid(raw), whose derivative is sigmoid(-raw) = e^-x
@@ -774,21 +779,18 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         return value, grad
 
     def constant_curvature():
-        """(diag(H) of the windows over the b_reg entries, the likelihood's
-        diag(G) in the buffer's order or its squared kernel tiles)."""
+        """(diag(H) of the windows over the b_reg entries, and under Gaussian
+        noise diag(G) in time order)."""
         window_diag = np.zeros((n_reg_knots, n_channels))
         for knots, channel, H, *_ in windows:
             window_diag[knots, channel] += np.diag(H)
         if nu is not None:
-            return window_diag.ravel(), [[(rows, lo, k * k) for rows, lo, k in tiles]
-                                         for tiles in (lev_tiles, seas_tiles, reg_tiles)]
-        gram_diag = np.zeros(order.size)  # in time order
+            return window_diag.ravel(), None
+        gram_diag = np.zeros(order.size)
         for rows, cols, block in gram_blocks:
             on = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
             gram_diag[on] = block[on - rows.start, on - cols.start]
-        likelihood = np.empty(order.size)
-        likelihood[order] = gram_diag
-        return window_diag.ravel(), likelihood
+        return window_diag.ravel(), gram_diag
 
     constant = None  # built on curvature's first call, so compiling f does no more work
 
@@ -801,8 +803,9 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         term is a second derivative in the buffer's coordinates. The
         likelihood adds diag(G) / sigma^2 under Gaussian noise, and under
         Student-t noise sum_t w_t Z_ti^2, for w_t each row's -d^2/dfit^2 at
-        its residual: the observed information, one pass of the squared
-        kernel tiles. The windows add diag(H). Each folded-normal or
+        the residual f left in its buffer: the observed information, one
+        pass of Z's squared tiles. Both are in the knots' time order, added
+        at order. The windows add diag(H). Each folded-normal or
         Gaussian term adds its -d^2/dx^2 on its entry and its -d^2/dloc^2 on
         its location slot, gathered by one np.bincount over loc_of: every
         channel's knots onto its mu_reg. A softplus entry then takes the
@@ -810,14 +813,14 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         is f's gradient less the log-Jacobian's e^-x = 1 - s, and the
         log-Jacobian's own s (1 - s). ln sigma takes 2 ss / sigma^2 under
         Gaussian noise and 2 (nu + 1) sum q / (1 + q)^2, q = r^2 / (nu
-        sigma^2), under Student-t. diag(G), the squared tiles and diag(H)
-        depend on the structure alone and are built on the first call.
+        sigma^2), under Student-t. diag(G) and diag(H) depend on the
+        structure alone and are built on the first call.
         """
         nonlocal constant
         _, grad = f(theta)
         if constant is None:
             constant = constant_curvature()
-        window_diag, likelihood = constant
+        window_diag, gram_diag = constant
         out = np.zeros(dim)
         curv = out[:reg_end]
 
@@ -836,23 +839,19 @@ def _objective(inputs, hp, packing, calibration, include_jacobian):
         curv[n_chain:n_chain + n_b] += window_diag
 
         sigma = float(np.exp(theta[-1])) if sigma_free else sigma_fixed[1]
-        if nu is None:
-            curv[:n_chain + n_b] += likelihood / (sigma * sigma)
+        if nu is None:  # diag(G) / sigma^2 in time order, added at order
+            curv[order] += gram_diag / (sigma * sigma)
             if sigma_free:  # f's d/d ln sigma is ss / sigma^2 - n
                 out[-1] = 2.0 * (grad[-1] + n)
-        else:
-            resid = residuals()
+        else:  # f left the residuals in resid
             nu_var = nu * sigma * sigma
             sq = resid * resid
             denom = nu_var + sq
             w = (nu + 1.0) * (nu_var - sq) / (denom * denom)
-            lev_sq, seas_sq, reg_sq = likelihood
-            if lev_free:
-                curv[:n_lev] += k_lev.product(w, transpose=True, tiles=lev_sq)
-            curv[n_lev:n_chain] += k_seas.product(w[:, None] * seasonal * seasonal,
-                                                  transpose=True, tiles=seas_sq).ravel()
-            curv[n_chain:n_chain + n_b] += k_reg.product(w[:, None] * regressors * regressors,
-                                                         transpose=True, tiles=reg_sq).ravel()
+            diag = np.zeros(order.size)  # sum_t w_t Z_ti^2, in time order
+            for rows, at, zt in tiles:
+                diag[at] += (zt * zt) @ w[rows]
+            curv[order] += diag
             if sigma_free:
                 out[-1] = 2.0 * (nu + 1.0) * float((sq * nu_var / (denom * denom)).sum())
 
@@ -880,16 +879,15 @@ def initial_theta(inputs: ModelInputs, hp: HyperParams,
     fixes.
     """
     K = inputs.design.k_lev
-    tiles = K.tiles()
-    colsum = K.product(np.ones(K.n_times), transpose=True, tiles=tiles)
+    colsum = K.product(np.ones(K.n_times), transpose=True)
     colsum[colsum == 0] = 1.0
-    b_lev = K.product(inputs.target, transpose=True, tiles=tiles) / colsum
+    b_lev = K.product(inputs.target, transpose=True) / colsum
     return packing.pack(ParameterSet(
         b_lev=b_lev,
         b_seas=np.zeros((packing.n_seas_knots, packing.n_seas_cols)),
         b_reg=np.full((packing.n_reg_knots, packing.n_channels), 0.1),
         mu_reg=np.full(packing.n_channels, 0.1),
-        sigma_obs=max(float(np.std(inputs.target - K.product(b_lev, tiles=tiles))), 1e-3),
+        sigma_obs=max(float(np.std(inputs.target - K.product(b_lev))), 1e-3),
     ))
 
 

@@ -132,28 +132,21 @@ class KernelMatrix:
         out.reshape(-1)[starts[:, None] + np.arange(band.shape[1])] = band
         return lo, out
 
-    def tiles(self) -> list[tuple[slice, int, np.ndarray]]:
-        """(rows, lo, K[rows, lo:hi]) for each block of TILE_ROWS rows."""
-        blocks = []
-        for start in range(0, self.n_times, TILE_ROWS):
-            rows = slice(start, start + TILE_ROWS)
-            blocks.append((rows, *self.tile(rows)))
-        return blocks
-
-    def product(self, x, transpose: bool = False,
-                tiles: list[tuple[slice, int, np.ndarray]] | None = None) -> np.ndarray:
+    def product(self, x, transpose: bool = False) -> np.ndarray:
         """K @ x, or K' @ x when transpose, for x of shape (J, ...) or (n, ...).
 
-        Each block of TILE_ROWS rows is one GEMM of its tile; K' @ x adds
-        the blocks in row order. A caller that multiplies by K many times
-        passes tiles=self.tiles(), built once.
+        Each block of TILE_ROWS rows is one GEMM of its tile, scattered from
+        the band as the block is reached; K' @ x adds the blocks in row
+        order.
         """
         x = np.asarray(x, dtype=float)
         if transpose:
             out = np.zeros((self.grid.n_knots,) + x.shape[1:])
         else:
             out = np.empty((self.n_times,) + x.shape[1:])
-        for rows, lo, k in self.tiles() if tiles is None else tiles:
+        for start in range(0, self.n_times, TILE_ROWS):
+            rows = slice(start, start + TILE_ROWS)
+            lo, k = self.tile(rows)
             if transpose:
                 out[lo:lo + k.shape[1]] += k.T @ x[rows]
             else:
@@ -238,8 +231,13 @@ def kernel_matrix(grid: KnotGrid, kind: str, *, rho: float | None = None,
     rows, knots, values = [], [], []
     for start in range(0, ts.size, TILE_ROWS):
         t = ts[start:start + TILE_ROWS, None]
-        log_w = -((t - grid.knot_times.astype(float)) ** 2) / (2.0 * rho * rho)
-        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            log_w = -((t - grid.knot_times.astype(float)) ** 2) / (2.0 * rho * rho)
+        top = log_w.max(axis=1, keepdims=True)
+        if not np.isfinite(top).all():  # 2 rho^2 underflowed or d^2 / (2 rho^2) overflowed
+            raise ValidationError(f"kernel scale rho={rho!r} is too small: "
+                                  f"a kernel row has no finite weight")
+        w = np.exp(log_w - top)
         w = w / w.sum(axis=1, keepdims=True)
         w = w / w.sum(axis=1, keepdims=True)
         r, j = np.nonzero(w >= WEIGHT_FLOOR)

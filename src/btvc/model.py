@@ -181,11 +181,13 @@ class Structure:
         name = "fourier"  # the key a failed build below names
         try:
             # kept beside the fields, so the fit document's structure block
-            # holds only the pairs; every design reads these
+            # holds only the pairs and knot times; every design reads these
             object.__setattr__(self, "fourier_specs", tuple(
                 FourierSpec(period=period, order=order) for period, order in self.fourier))
+            grids = []
             for name in ("knots_lev", "knots_seas", "knots_reg"):
-                KnotGrid(getattr(self, name), self.T)
+                grids.append(KnotGrid(getattr(self, name), self.T))
+            object.__setattr__(self, "knot_grids", tuple(grids))  # lev, seas, reg
         except ValidationError as exc:
             raise ValidationError(f"structure.{name}: {exc}") from None
 

@@ -152,15 +152,14 @@ def require_structure(structure: Structure | None, source: str = "this fit") -> 
 def _design(structure: Structure, x: np.ndarray, first: int, n: int) -> ModelDesign:
     """Design of a saved structure for rows first..first+n-1 (rows past T are
     forecast rows), given the model-scale regressors of those rows."""
-    T = structure.T
     times = range(first, first + n)
+    grid_lev, grid_seas, grid_reg = structure.knot_grids
     return ModelDesign(
         regressors=x,
-        seasonal=fourier_design(T, structure.fourier_specs, times=times).matrix,
-        k_lev=kernel_matrix(KnotGrid(structure.knots_lev, T), "level", times=times),
-        k_seas=kernel_matrix(KnotGrid(structure.knots_seas, T), "level", times=times),
-        k_reg=kernel_matrix(KnotGrid(structure.knots_reg, T), "gaussian", rho=structure.rho,
-                            times=times),
+        seasonal=fourier_design(structure.T, structure.fourier_specs, times=times).matrix,
+        k_lev=kernel_matrix(grid_lev, "level", times=times),
+        k_seas=kernel_matrix(grid_seas, "level", times=times),
+        k_reg=kernel_matrix(grid_reg, "gaussian", rho=structure.rho, times=times),
         regressor_names=structure.regressor_names,
     )
 

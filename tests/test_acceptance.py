@@ -279,16 +279,19 @@ def test_metric_identities():
 def test_byte_identical_refits(tmp_path):
     ds = simulate_multiplicative(MultiplicativeSimConfig(T=150, seed=8))
     outcomes = []
-    for mode, extra in (("map", {}), ("svi", {"svi_iterations": 300})):
+    # the Student-t fit reads Z's tiles rather than the Gram blocks
+    for name, extra in (("map", {"mode": "map"}),
+                        ("svi", {"mode": "svi", "svi_iterations": 300}),
+                        ("student_t_map", {"mode": "map", "noise_df": 4.0})):
         cfg = dataclasses.replace(
             RunConfig(), link="log", fourier="7:2", knot_distance_lev=30,
             knot_distance_reg=20, sigma_reg=0.3, rho=20.0, map_iterations=1500,
-            seed=8, mode=mode, **extra,
+            seed=8, **extra,
         )
         docs = []
         for attempt in range(2):
             fit, _ = run_fit(ds.frame, cfg)
-            path = tmp_path / f"{mode}_{attempt}.json"
+            path = tmp_path / f"{name}_{attempt}.json"
             save_fit(fit, str(path))
             docs.append(path.read_bytes())
         outcomes.append(docs[0] == docs[1])
@@ -296,7 +299,7 @@ def test_byte_identical_refits(tmp_path):
         "byte-identical refits",
         all(outcomes),
         f"same data+config+seed wrote identical fit documents: "
-        f"map={outcomes[0]}, svi={outcomes[1]}",
+        f"map={outcomes[0]}, svi={outcomes[1]}, student_t_map={outcomes[2]}",
     )
 
 

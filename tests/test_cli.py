@@ -494,6 +494,20 @@ class TestErrorPaths:
         assert out == ""
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("rho", ["1e-300", "1e-154"])
+    def test_a_rho_too_small_for_the_kernel_is_one_validation_error(self, capsys, tmp_path,
+                                                                   rho):
+        # a rho whose kernel rows have no finite log-weight used to end in an
+        # IndexError traceback, or in numpy warnings and a row-sum error
+        simulate_small(capsys, str(tmp_path / "sim"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fit", "--data", str(tmp_path / "sim" / "data.csv"),
+                                 "--out", str(tmp_path / "o"), "--set", f"rho={rho}", *FAST)
+        assert code == 1
+        assert err == (f"error: kernel scale rho={float(rho)!r} is too small: "
+                       f"a kernel row has no finite weight\n")
+
     @pytest.mark.parametrize("period", ["nan", "inf"])
     def test_non_finite_fourier_period_fails_before_reading_data(self, capsys, tmp_path, period):
         # nan used to fail at the initial point and inf to fit a constant
@@ -791,6 +805,8 @@ MALFORMED_DOCUMENTS = [
      "structure.knots_lev: knot times must lie in [1, 80], got [99]"),
     (("structure", "last_date"), "2020-02",
      "structure.last_date must be YYYY-MM-DD, got '2020-02'"),
+    (("structure", "rho"), 1e-300,
+     "kernel scale rho=1e-300 is too small: a kernel row has no finite weight"),
     (("structure", "bogus"), 1, "unknown structure keys: ['bogus']"),
     (("structure",), {},
      "structure block is empty in {path}: a library fit has no design recipe"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -247,6 +249,19 @@ def test_kernel_matrix_rejects_bad_rho_and_times():
             kernel_matrix(grid, kind, rho=1.0, times=[0.5, 3])
         with pytest.raises(ValidationError, match="nonempty"):
             kernel_matrix(grid, kind, rho=1.0, times=[])
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e-160, 1e-154])
+def test_a_rho_too_small_for_a_finite_weight_is_a_validation_error(rho):
+    # 2 rho^2 underflows to 0 (1e-300, 1e-160) or d^2 / (2 rho^2) overflows
+    # (1e-154), so some row has no finite log-weight: these used to end in an
+    # IndexError or a row-sum error after numpy's RuntimeWarnings
+    grid = build_grid(100, distance=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"rho={rho!r} is too small"):
+            kernel_matrix(grid, "gaussian", rho=rho)
+        assert kernel_matrix(grid, "gaussian", rho=1e-150).n_times == 100
 
 
 # (grid, times, rho) of each band case: uneven count spacing, both distance
