@@ -10,7 +10,6 @@ not to raw knots.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import Count, NonNegative, Positive, ValidationError, check_fields
 from .model import LOG_2PI
-from .timeframe import TimeSeriesFrame, dict_rows, parse_date
+from .timeframe import TimeSeriesFrame, read_table
 
 
 @dataclass(frozen=True)
@@ -104,37 +103,19 @@ def apply_prior_windows(windows, regressor_names, T: int) -> tuple[CalibrationTe
 
 
 def read_prior_windows_csv(path: str, frame: TimeSeriesFrame) -> list[PriorWindow]:
-    """Read channel,start_date,end_date,mean,sd rows; dates must be on the
-    frame's calendar."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"channel", "start_date", "end_date", "mean", "sd"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or ()))
-            raise ValidationError(f"prior windows file missing columns: {missing}")
-        rows = dict_rows(reader, "prior windows")
-    windows = []
-    for r, row in enumerate(rows, start=1):
-        start_date = parse_date(row["start_date"], f"in prior windows row {r}")
-        end_date = parse_date(row["end_date"], f"in prior windows row {r}")
-        try:
-            mean = float(row["mean"])
-            sd = float(row["sd"])
-        except ValueError:
-            raise ValidationError(f"unparsable number in prior windows row {r}") from None
-        start = _calendar_index(frame, start_date, r)
-        end = _calendar_index(frame, end_date, r)
-        windows.append(
-            PriorWindow(channel=row["channel"].strip(), start=start, end=end,
-                        mean=mean, sd=sd)
-        )
-    return windows
-
-
-def _calendar_index(frame: TimeSeriesFrame, date: np.datetime64, row: int) -> int:
-    i = int(np.searchsorted(frame.timestamps, date))
-    if i >= frame.n_times or frame.timestamps[i] != date:
+    """Read channel,start_date,end_date,mean,sd rows; the file follows
+    timeframe.read_table's rules, and both dates must be on the frame's
+    calendar."""
+    table = read_table(path, {"channel": "text", "start_date": "date", "end_date": "date",
+                              "mean": "number", "sd": "number"}, "prior windows row {}")
+    dates = np.stack([table["start_date"], table["end_date"]], axis=1)
+    at = np.searchsorted(frame.timestamps, dates)
+    off = frame.timestamps[np.minimum(at, frame.n_times - 1)] != dates
+    if off.any():
+        r, k = np.argwhere(off)[0]
         raise ValidationError(
-            f"date {date} in prior windows row {row} is not on the series calendar"
+            f"date {dates[r, k]} in prior windows row {r + 1} is not on the series calendar"
         )
-    return i + 1
+    start, end = (at + 1).T.tolist()
+    return [PriorWindow(*w) for w in zip(table["channel"], start, end,
+                                         table["mean"].tolist(), table["sd"].tolist())]

@@ -7,7 +7,6 @@ predict does not need the training data), and writes run artifacts.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -39,7 +38,7 @@ from .runconfig import (
     csv_schema,
     fourier_specs,
 )
-from .timeframe import TimeSeriesFrame, dict_rows, ingest_csv, model_scale, parse_date, write_table
+from .timeframe import TimeSeriesFrame, ingest_csv, model_scale, read_table, write_table
 
 
 def load_frame(path: str, cfg: RunConfig) -> TimeSeriesFrame:
@@ -243,35 +242,25 @@ def run_backtest(frame: TimeSeriesFrame, cfg: RunConfig) -> MetricReport:
 
 def read_future_csv(path: str, structure: Structure, horizon: int,
                     date_col: str = "date") -> np.ndarray:
-    """Read >= horizon rows of future regressor values, checking the dates
-    continue the training calendar."""
+    """The first horizon rows of a future regressors file, as a (horizon, P)
+    array in the fit's regressor order. The file follows timeframe.read_table's
+    rules; its dates must continue the training calendar, and rows past the
+    horizon are counted but not parsed."""
     names = structure.regressor_names
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        have = set(reader.fieldnames or ())
-        missing = [c for c in [date_col, *names] if c not in have]
-        if missing:
-            raise ValidationError(f"future regressors file missing columns: {missing}")
-        rows = dict_rows(reader, "future")
-    if len(rows) < horizon:
+    table = read_table(path, {date_col: "date", **dict.fromkeys(names, "number")},
+                       "future row {}", rows=horizon)
+    dates = table[date_col]
+    if dates.size < horizon:
         raise ValidationError(
-            f"horizon {horizon} exceeds the {len(rows)} supplied future rows"
+            f"horizon {horizon} exceeds the {dates.size} supplied future rows"
         )
     expected = forecast_dates(structure, horizon)
-    x = np.empty((horizon, len(names)))
-    for r in range(horizon):
-        date = parse_date(rows[r][date_col], f"in future row {r + 1}")
-        if date != expected[r]:
-            raise ValidationError(
-                f"future row {r + 1} has date {date}, expected {expected[r]}"
-            )
-        for j, c in enumerate(names):
-            try:
-                x[r, j] = float(rows[r][c])
-            except ValueError:
-                raise ValidationError(
-                    f"unparsable value in column {c!r}, future row {r + 1}"
-                ) from None
+    if np.any(dates != expected):
+        r = int(np.argmax(dates != expected))
+        raise ValidationError(
+            f"future row {r + 1} has date {dates[r]}, expected {expected[r]}"
+        )
+    x = np.array([table[c] for c in names], dtype=float).reshape(len(names), horizon).T.copy()
     if not np.isfinite(x).all():
         r, j = np.argwhere(~np.isfinite(x))[0]
         raise ValidationError(f"non-finite value in column {names[j]!r}, future row {r + 1}")

@@ -20,7 +20,7 @@ class CsvSchema:
     """Column mapping for series CSV files.
 
     regressor_cols=None means every column other than date/response, in
-    file order.
+    file order. Each column is named once.
     """
 
     date_col: str = "date"
@@ -30,6 +30,10 @@ class CsvSchema:
     def __post_init__(self):
         if self.regressor_cols is not None:
             object.__setattr__(self, "regressor_cols", tuple(self.regressor_cols))
+        names = [self.date_col, self.response_col, *(self.regressor_cols or ())]
+        for c in names:
+            if names.count(c) > 1:
+                raise ValidationError(f"column {c!r} is named twice in the CSV schema")
 
 
 @dataclass(frozen=True)
@@ -79,17 +83,7 @@ class TimeSeriesFrame:
             raise ValidationError(
                 f"gapped timestamps at row {i + 2}: step {diffs[i]} != {diffs[0]}"
             )
-        if not np.all(np.isfinite(y)):
-            i = int(np.argmax(~np.isfinite(y)))
-            raise ValidationError(f"non-finite response at row {i + 1}")
-        if not np.all(np.isfinite(x)):
-            i = int(np.argmax(~np.isfinite(x).any(axis=1)))
-            raise ValidationError(f"non-finite regressor at row {i + 1}")
-        if not allow_negative_regressors and x.size and x.min() < 0:
-            i, j = np.argwhere(x < 0)[0]
-            raise ValidationError(
-                f"negative regressor {names[j]!r} at row {int(i) + 1}"
-            )
+        check_values(y, x, names, allow_negative_regressors)
 
     @property
     def n_times(self) -> int:
@@ -102,6 +96,20 @@ class TimeSeriesFrame:
     @property
     def step(self) -> np.timedelta64:
         return self.timestamps[1] - self.timestamps[0]
+
+
+def check_values(response, regressors, names, allow_negative_regressors: bool) -> None:
+    """Reject a non-finite response or regressor, and a negative regressor
+    unless allowed; rows are named 1-based in the order given."""
+    if not np.all(np.isfinite(response)):
+        i = int(np.argmax(~np.isfinite(response)))
+        raise ValidationError(f"non-finite response at row {i + 1}")
+    if not np.all(np.isfinite(regressors)):
+        i = int(np.argmax(~np.isfinite(regressors).any(axis=1)))
+        raise ValidationError(f"non-finite regressor at row {i + 1}")
+    if not allow_negative_regressors and regressors.size and regressors.min() < 0:
+        i, j = np.argwhere(regressors < 0)[0]
+        raise ValidationError(f"negative regressor {names[j]!r} at row {int(i) + 1}")
 
 
 def model_scale(structure, regressors, response=None):
@@ -143,73 +151,92 @@ def parse_date(text: str, where: str) -> np.datetime64:
     return date
 
 
-def dict_rows(reader: csv.DictReader, kind: str) -> list[dict]:
-    """The rows of reader, each checked to hold one cell per header column;
-    a short row has None values, a long one its extra cells under None."""
-    rows, m = list(reader), len(reader.fieldnames)
-    for r, row in enumerate(rows, start=1):
-        n = m - list(row.values()).count(None) + len(row.get(None, ()))
-        if n != m:
-            raise ValidationError(f"{kind} row {r} has {n} cells, expected {m}")
-    return rows
+def read_table(path: str, columns: dict, where: str = "row {}", rest: str | None = None,
+               rows: int | None = None) -> dict:
+    """The columns of a CSV file, parsed: {name: values}, first those of
+    columns, then, when rest is a kind, every other header column as that kind.
 
-
-def ingest_csv(path: str, schema: CsvSchema | None = None, *,
-               allow_negative_regressors: bool = False) -> TimeSeriesFrame:
-    """Read a series CSV into a validated TimeSeriesFrame, sorted by date.
-
-    Row numbers in error messages are 1-based data rows (the header is
-    row 0).
+    columns maps each required header name to its kind: "date" (the stripped
+    cell as a day; a blank or 'NaT' cell is unparsable), "number" (float())
+    or "text" (the stripped cell, in a list; the others are arrays). Header
+    names are stripped and must be distinct, and blank lines are skipped.
+    Every data row must hold one cell per header column, but only the first
+    `rows` are parsed. A bad file raises a ValidationError for its first bad
+    cell in file order, its row named where.format(r), r the 1-based data row.
     """
-    schema = schema or CsvSchema()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"empty file: {path}") from None
-        rows = [row for row in reader if row]
+        body = [row for row in reader if row]
     header = [h.strip() for h in header]
-    for col in (schema.date_col, schema.response_col):
-        if col not in header:
-            raise ValidationError(f"missing column {col!r} in {path}")
-    if schema.regressor_cols is None:
-        reg_cols = tuple(
-            c for c in header if c not in (schema.date_col, schema.response_col)
-        )
-    else:
-        reg_cols = schema.regressor_cols
-        for col in reg_cols:
-            if col not in header:
-                raise ValidationError(f"missing column {col!r} in {path}")
-    names = (schema.date_col, schema.response_col, *reg_cols)
-    idx = [header.index(c) for c in names]
-    m = len(header)
+    for c in header:
+        if header.count(c) > 1:
+            raise ValidationError(f"duplicate column {c!r} in {path}")
+    for c in columns:
+        if c not in header:
+            raise ValidationError(f"missing column {c!r} in {path}")
+    kinds = dict(columns)
+    if rest is not None:
+        kinds.update((c, rest) for c in header if c not in kinds)
+    idx = {c: header.index(c) for c in kinds}
+    m, n = len(header), len(body) if rows is None else min(rows, len(body))
     # parsed column by column; on any failure the row pass below names the
     # first bad cell in file order
     try:
-        if any(len(row) != m for row in rows):
+        if any(len(row) != m for row in body):
             raise ValueError("a row has the wrong number of cells")
-        columns = list(zip(*rows)) or [()] * m
-        ts = np.array([s.strip() for s in columns[idx[0]]], dtype="datetime64[D]")
-        if np.isnat(ts).any():
-            raise ValueError("a blank or NaT date")
-        values = np.empty((len(rows), len(idx) - 1))
-        for j, i in enumerate(idx[1:]):
-            values[:, j] = list(map(float, columns[i]))
+        cells = list(zip(*body[:n])) or [()] * m
+        table = {}
+        for c, kind in kinds.items():
+            if kind == "date":
+                table[c] = np.array([s.strip() for s in cells[idx[c]]], dtype="datetime64[D]")
+                if np.isnat(table[c]).any():
+                    raise ValueError("a blank or NaT date")
+            elif kind == "number":
+                table[c] = np.array(list(map(float, cells[idx[c]])), dtype=float)
+            else:
+                table[c] = [s.strip() for s in cells[idx[c]]]
+        return table
     except ValueError:
-        for r, row in enumerate(rows, start=1):
+        for r, row in enumerate(body, start=1):
+            at = where.format(r)
             if len(row) != m:
-                raise ValidationError(f"row {r} has {len(row)} cells, expected {m}") from None
-            parse_date(row[idx[0]], f"at row {r}")
-            for c, i in zip(names[1:], idx[1:]):
-                try:
-                    float(row[i])
-                except ValueError:
-                    raise ValidationError(
-                        f"unparsable value {row[i]!r} in column {c!r} at row {r}") from None
+                raise ValidationError(f"{at} has {len(row)} cells, expected {m}") from None
+            if r > n:
+                continue
+            for c, kind in kinds.items():
+                cell = row[idx[c]]
+                if kind == "date":
+                    parse_date(cell, f"at {at}")
+                elif kind == "number":
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise ValidationError(
+                            f"unparsable value {cell!r} in column {c!r} at {at}") from None
         raise
 
+
+def ingest_csv(path: str, schema: CsvSchema | None = None, *,
+               allow_negative_regressors: bool = False) -> TimeSeriesFrame:
+    """Read a series CSV into a validated TimeSeriesFrame, sorted by date.
+
+    The file follows read_table's rules. Row numbers in error messages are
+    1-based data rows in file order (the header is row 0), also for the
+    value checks, which run before the sort.
+    """
+    schema = schema or CsvSchema()
+    columns = {schema.date_col: "date", schema.response_col: "number"}
+    if schema.regressor_cols is None:
+        table = read_table(path, columns, rest="number")
+    else:
+        table = read_table(path, columns | dict.fromkeys(schema.regressor_cols, "number"))
+    ts, y = table.pop(schema.date_col), table.pop(schema.response_col)
+    reg_cols = tuple(table)
+    x = np.array(list(table.values()), dtype=float).reshape(len(reg_cols), ts.size).T
     if ts.size < 2:
         raise ValidationError(f"need at least 2 data rows, got {ts.size}")
     uniq, counts = np.unique(ts, return_counts=True)
@@ -218,11 +245,12 @@ def ingest_csv(path: str, schema: CsvSchema | None = None, *,
         # report the second occurrence in file order
         r = int(np.nonzero(ts == dup)[0][1]) + 1
         raise ValidationError(f"duplicate date {dup} at row {r}")
+    check_values(y, x, reg_cols, allow_negative_regressors)
     order = np.argsort(ts, kind="stable")
     return TimeSeriesFrame(
         timestamps=ts[order],
-        response=values[order, 0],
-        regressors=values[order, 1:],
+        response=y[order],
+        regressors=x[order],
         regressor_names=reg_cols,
         allow_negative_regressors=allow_negative_regressors,
     )

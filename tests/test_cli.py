@@ -259,6 +259,41 @@ def test_fit_documents_with_retired_keys_predict_and_decompose_the_same(tmp_path
     assert outputs[0] == outputs[1]
 
 
+def test_padded_header_names_fit_and_predict_the_same(tmp_path, capsys):
+    # the windows and future files read header names stripped, as the series
+    # file always has; padded names used to be missing columns
+    sim_dir = tmp_path / "sim"
+    simulate_small(capsys, str(sim_dir))
+    data = sim_dir / "data.csv"
+    first = np.datetime64(data.read_text().splitlines()[1].split(",")[0], "D")
+    windows, future = tmp_path / "windows.csv", tmp_path / "future.csv"
+    window_rows = [["channel", "start_date", "end_date", "mean", "sd"],
+                   ["x1", str(first + 10), str(first + 30), "0.3", "0.1"]]
+    future_table = future_rows(data, 3)
+
+    def outputs(pad):
+        for path, (header, *rows) in ((windows, window_rows), (future, future_table)):
+            write_csv(path, [[f" {c} " for c in header] if pad else header, *rows])
+        code, _, err = run(
+            capsys, "fit", "--data", str(data), "--out", str(tmp_path / "fit"), *FAST,
+            "--set", "mode=svi", "--set", "svi_iterations=60", "--set", "draws=40",
+            "--set", f"prior_windows={windows}",
+        )
+        assert code == 0, err
+        code, _, err = run(
+            capsys, "predict", "--fit", str(tmp_path / "fit" / "fit.json"),
+            "--future", str(future), "--horizon", "3", "--quantiles", "0.1,0.9",
+            "--out", str(tmp_path / "fc"),
+        )
+        assert code == 0, err
+        return {p.relative_to(tmp_path): p.read_bytes()
+                for out in ("fit", "fc") for p in (tmp_path / out).iterdir()}
+
+    padded = outputs(pad=True)
+    assert len(padded) == 6
+    assert padded == outputs(pad=False)
+
+
 def test_backtest_command(tmp_path, capsys):
     sim_dir = tmp_path / "sim"
     simulate_small(capsys, str(sim_dir))

@@ -357,7 +357,7 @@ class TestFilePlumbing:
     def test_read_future_csv_errors(self, tmp_path):
         path = tmp_path / "future.csv"
         write_csv(path, [["date", "x1"], ["2024-03-01", "1.0"]])
-        with pytest.raises(ValidationError, match=r"missing columns: \['x2'\]"):
+        with pytest.raises(ValidationError, match=r"^missing column 'x2' in .*future\.csv$"):
             read_future_csv(str(path), self.future_structure(), 1)
 
         write_csv(path, [["date", "x1", "x2"], ["2024-03-01", "1.0", "2.0"]])
@@ -374,7 +374,8 @@ class TestFilePlumbing:
             read_future_csv(str(path), self.future_structure(), 2)
 
         write_csv(path, [["date", "x1", "x2"], ["2024-03-01", "1.0", "oops"]])
-        with pytest.raises(ValidationError, match="unparsable value in column 'x2', future row 1"):
+        with pytest.raises(ValidationError,
+                           match="^unparsable value 'oops' in column 'x2' at future row 1$"):
             read_future_csv(str(path), self.future_structure(), 1)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])

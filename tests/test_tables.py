@@ -2,19 +2,23 @@
 
 Every writer shares timeframe.write_table, which streams the body as joined
 strings; each must write the bytes csv.writer writes when fed one row at a
-time, as the writers did before. ingest_csv parses column by column and
-falls back to a row pass for its messages; it must accept what the
-row-by-row reader below accepts, with the same values, and reject the rest
-with the same message."""
+time, as the writers did before. Every input file is read by
+timeframe.read_table, which parses column by column and falls back to a row
+pass for its messages: ingest_csv must accept what the row-by-row reader
+below accepts, with the same values, and reject the rest with the same
+message, and the future-regressor and prior-window readers give the exact
+messages of their case tables."""
 
+import ast
 import csv
 import math
+import pathlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from btvc.calibration import read_prior_windows_csv
+from btvc.calibration import PriorWindow, read_prior_windows_csv
 from btvc.errors import ValidationError
 from btvc.evaluation import MetricReport, write_metric_report_csv
 from btvc.model import Decomposition, write_decomposition_csv
@@ -114,11 +118,15 @@ def test_write_metric_report_csv_writes_what_the_row_writer_writes(tmp_path, spl
 
 def reference_ingest(path):
     """ingest_csv with the default schema, one row at a time: each row's
-    length, then its date, response and regressors, in file order."""
+    length, then its date, response and regressors, in file order; the
+    value checks name file rows too, as they run before the sort."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
         rows = [row for row in reader if row]
+    if len(set(header)) < len(header):
+        dup = next(c for c in header if header.count(c) > 1)
+        raise ValidationError(f"duplicate column {dup!r} in {path}")
     reg_cols = tuple(c for c in header if c not in ("date", "y"))
     dates, ys, xs = [], [], []
     for r, row in enumerate(rows, start=1):
@@ -150,6 +158,16 @@ def reference_ingest(path):
         dup = uniq[np.argmax(counts > 1)]
         raise ValidationError(
             f"duplicate date {dup} at row {int(np.nonzero(ts == dup)[0][1]) + 1}")
+    for r, y in enumerate(ys, start=1):
+        if not math.isfinite(y):
+            raise ValidationError(f"non-finite response at row {r}")
+    for r, x in enumerate(xs, start=1):
+        if not all(map(math.isfinite, x)):
+            raise ValidationError(f"non-finite regressor at row {r}")
+    for r, x in enumerate(xs, start=1):
+        for c, v in zip(reg_cols, x):
+            if v < 0:
+                raise ValidationError(f"negative regressor {c!r} at row {r}")
     order = np.argsort(ts, kind="stable")
     return TimeSeriesFrame(
         timestamps=ts[order], response=np.asarray(ys)[order],
@@ -169,7 +187,8 @@ def replace(i, row):
     return body(*GOOD[:i], row, *GOOD[i + 1:])
 
 
-# (case, file text, None when accepted, else the exact message)
+# (case, file text, None when accepted, else the exact message, "{path}" the
+# file's)
 READER_CASES = [
     ("plain", body(*GOOD), None),
     ("no trailing newline", body(*GOOD).rstrip(), None),
@@ -210,6 +229,14 @@ READER_CASES = [
     ("one row", body(GOOD[0]), "need at least 2 data rows, got 1"),
     ("header only", body(), "need at least 2 data rows, got 0"),
     ("negative spend", replace(1, "2020-01-02,2.5,-1,4"), "negative regressor 'x1' at row 2"),
+    ("overflow in an unsorted file",
+     "date,y,x1\n2020-01-03,1e400,1\n2020-01-01,1,1\n2020-01-02,2,-1\n",
+     "non-finite response at row 1"),
+    ("negative spend in an unsorted file",
+     "date,y,x1\n2020-01-03,1,1\n2020-01-01,1,1\n2020-01-02,2,-1\n",
+     "negative regressor 'x1' at row 3"),
+    ("duplicate header name", "date,y,x1, x1\n2020-01-01,1,1,5\n2020-01-02,2,2,6\n",
+     "duplicate column 'x1' in {path}"),
 ]
 
 
@@ -231,7 +258,7 @@ def test_ingest_csv_matches_the_row_by_row_reader(tmp_path, case, text, message)
     if message is None:
         assert not isinstance(got, str), got
     else:
-        assert got == message
+        assert got == message.format(path=path)
 
 
 def test_ingest_csv_reads_regressorless_files_and_rejects_a_blank_date_in_a_long_file(tmp_path):
@@ -252,14 +279,14 @@ def test_read_future_csv_rejects_a_nat_date(tmp_path, cell):
     path.write_text(f"date,x1\n2020-01-01,1\n{cell},2\n")
     structure = make_structure(regressor_names=["x1"], step_days=1, last_date="2019-12-31")
     with pytest.raises(ValidationError,
-                       match=rf"^unparsable date {cell.strip()!r} in future row 2$"):
+                       match=rf"^unparsable date {cell.strip()!r} at future row 2$"):
         read_future_csv(str(path), structure, 2)
 
 
 @pytest.mark.parametrize("start, end, message", [
-    ("", "2020-01-05", "unparsable date '' in prior windows row 1"),
-    ("2020-01-02", "NaT", "unparsable date 'NaT' in prior windows row 1"),
-    ("2020-01-02", "2020-01-05x", "unparsable date '2020-01-05x' in prior windows row 1"),
+    ("", "2020-01-05", "unparsable date '' at prior windows row 1"),
+    ("2020-01-02", "NaT", "unparsable date 'NaT' at prior windows row 1"),
+    ("2020-01-02", "2020-01-05x", "unparsable date '2020-01-05x' at prior windows row 1"),
 ])
 def test_read_prior_windows_csv_rejects_a_nat_date(tmp_path, start, end, message):
     # a blank date used to parse to NaT and read as a date off the calendar
@@ -269,3 +296,137 @@ def test_read_prior_windows_csv_rejects_a_nat_date(tmp_path, start, end, message
                             regressors=np.ones((10, 1)))
     with pytest.raises(ValidationError, match=f"^{message}$"):
         read_prior_windows_csv(str(path), frame)
+
+
+def lines(*rows):
+    return "\r\n".join(rows) + "\r\n"
+
+
+FUTURE = ["date,x1,x2", "2020-01-01,1,2", "2020-01-02,3,4"]
+
+
+# (case, file text, None when accepted, else the exact message, "{path}" the
+# file's); read with horizon 2 after a fit whose last date is 2019-12-31
+FUTURE_CASES = [
+    ("plain", lines(*FUTURE), None),
+    ("spaced header names", lines(" date , x1 ,x2 ", *FUTURE[1:]), None),
+    ("quoted cells", lines('"date","x1","x2"', '"2020-01-01","1","2"', FUTURE[2]), None),
+    ("blank lines", "\r\n".join([FUTURE[0], "", FUTURE[1], "", FUTURE[2], ""]), None),
+    ("columns in another order", lines("x2,date,x1", "2,2020-01-01,1", "4,2020-01-02,3"), None),
+    ("an extra column", lines("date,x1,note,x2", "2020-01-01,1,a,2", "2020-01-02,3,b,4"),
+     None),
+    ("rows past the horizon", lines(*FUTURE, "2020-01-03,5,6", "2020-01-09,7,8"), None),
+    ("a garbage cell past the horizon", lines(*FUTURE, "2020-01-03,oops,NaT"), None),
+    ("a short row past the horizon", lines(*FUTURE, "2020-01-03,5"),
+     "future row 3 has 2 cells, expected 3"),
+    ("short row", lines(FUTURE[0], FUTURE[1], "2020-01-02,3"),
+     "future row 2 has 2 cells, expected 3"),
+    ("long row", lines(FUTURE[0], "2020-01-01,1,2,9", FUTURE[2]),
+     "future row 1 has 4 cells, expected 3"),
+    ("first bad cell in file order", lines(FUTURE[0], "2020-01-01,1,x", "2020-01-02"),
+     "unparsable value 'x' in column 'x2' at future row 1"),
+    ("date before number in one row", lines(FUTURE[0], FUTURE[1], "bad,x,4"),
+     "unparsable date 'bad' at future row 2"),
+    ("blank date", lines(FUTURE[0], ",1,2", FUTURE[2]), "unparsable date '' at future row 1"),
+    ("NaT date", lines(FUTURE[0], FUTURE[1], "NaT,3,4"), "unparsable date 'NaT' at future row 2"),
+    ("unparsable number", lines(FUTURE[0], FUTURE[1], "2020-01-02,oops,4"),
+     "unparsable value 'oops' in column 'x1' at future row 2"),
+    ("missing column", lines("date,x1", "2020-01-01,1", "2020-01-02,3"),
+     "missing column 'x2' in {path}"),
+    ("duplicate header name", lines("date,x1,x2,x1", "2020-01-01,1,2,5", "2020-01-02,3,4,6"),
+     "duplicate column 'x1' in {path}"),
+    ("empty file", "", "empty file: {path}"),
+    ("header only", lines(FUTURE[0]), "horizon 2 exceeds the 0 supplied future rows"),
+    ("too few rows", lines(*FUTURE[:2]), "horizon 2 exceeds the 1 supplied future rows"),
+    ("off the calendar", lines(FUTURE[0], FUTURE[1], "2020-01-03,3,4"),
+     "future row 2 has date 2020-01-03, expected 2020-01-02"),
+    ("non-finite value", lines(FUTURE[0], "2020-01-01,1,inf", FUTURE[2]),
+     "non-finite value in column 'x2', future row 1"),
+]
+
+
+@pytest.mark.parametrize("case, text, message", FUTURE_CASES, ids=[c[0] for c in FUTURE_CASES])
+def test_read_future_csv_cases(tmp_path, case, text, message):
+    path = tmp_path / "future.csv"
+    path.write_text(text, newline="")
+    structure = make_structure(regressor_names=["x1", "x2"], step_days=1,
+                               last_date="2019-12-31")
+    if message is None:
+        x = read_future_csv(str(path), structure, 2)
+        assert x.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    else:
+        with pytest.raises(ValidationError) as exc:
+            read_future_csv(str(path), structure, 2)
+        assert str(exc.value) == message.format(path=path)
+
+
+WINDOWS = ["channel,start_date,end_date,mean,sd", "x1,2020-01-02,2020-01-05,0.3,0.1"]
+
+
+# (case, file text, None when accepted, else the exact message, "{path}" the
+# file's); read against a daily frame from 2020-01-01 to 2020-01-10
+WINDOW_CASES = [
+    ("plain", lines(*WINDOWS), None),
+    ("spaced header names", lines(" channel , start_date ,end_date, mean , sd ", WINDOWS[1]),
+     None),
+    ("quoted cells", lines(WINDOWS[0], '"x1","2020-01-02","2020-01-05","0.3","0.1"'), None),
+    ("blank lines", "\r\n".join([WINDOWS[0], "", WINDOWS[1], "", ""]), None),
+    ("padded cells", lines(WINDOWS[0], " x1 , 2020-01-02 ,2020-01-05, 0.3 ,0.1"), None),
+    ("short row", lines(WINDOWS[0], "x1,2020-01-02,2020-01-05,0.3"),
+     "prior windows row 1 has 4 cells, expected 5"),
+    ("long row", lines(WINDOWS[0], WINDOWS[1], "x2,2020-01-02,2020-01-05,0.3,0.1,9"),
+     "prior windows row 2 has 6 cells, expected 5"),
+    ("first bad cell in file order",
+     lines(WINDOWS[0], "x1,2020-01-02,2020-01-05,high,x", "x2,2020-01-02"),
+     "unparsable value 'high' in column 'mean' at prior windows row 1"),
+    ("date before number in one row", lines(WINDOWS[0], "x1,2020-01-02,bad,high,0.1"),
+     "unparsable date 'bad' at prior windows row 1"),
+    ("blank date", lines(WINDOWS[0], WINDOWS[1], "x2,,2020-01-05,0.3,0.1"),
+     "unparsable date '' at prior windows row 2"),
+    ("NaT date", lines(WINDOWS[0], "x1,2020-01-02,NaT,0.3,0.1"),
+     "unparsable date 'NaT' at prior windows row 1"),
+    ("unparsable number", lines(WINDOWS[0], "x1,2020-01-02,2020-01-05,0.3,"),
+     "unparsable value '' in column 'sd' at prior windows row 1"),
+    ("missing column", lines("channel,start_date,mean,sd", "x1,2020-01-02,0.3,0.1"),
+     "missing column 'end_date' in {path}"),
+    ("empty file", "", "empty file: {path}"),
+    ("first date off the calendar in file order",
+     lines(WINDOWS[0], "x1,2020-01-02,2020-01-11,0.3,0.1", "x2,2019-12-31,2020-01-05,0.3,0.1"),
+     "date 2020-01-11 in prior windows row 1 is not on the series calendar"),
+]
+
+
+@pytest.mark.parametrize("case, text, message", WINDOW_CASES, ids=[c[0] for c in WINDOW_CASES])
+def test_read_prior_windows_csv_cases(tmp_path, case, text, message):
+    path = tmp_path / "windows.csv"
+    path.write_text(text, newline="")
+    frame = TimeSeriesFrame(timestamps=dates(10), response=np.ones(10),
+                            regressors=np.ones((10, 1)))
+    if message is None:
+        assert read_prior_windows_csv(str(path), frame) == [PriorWindow("x1", 2, 5, 0.3, 0.1)]
+    else:
+        with pytest.raises(ValidationError) as exc:
+            read_prior_windows_csv(str(path), frame)
+        assert str(exc.value) == message.format(path=path)
+
+
+def test_read_prior_windows_csv_reads_a_header_only_file_as_no_windows(tmp_path):
+    path = tmp_path / "windows.csv"
+    path.write_text(lines(WINDOWS[0]), newline="")
+    frame = TimeSeriesFrame(timestamps=dates(10), response=np.ones(10),
+                            regressors=np.ones((10, 1)))
+    assert read_prior_windows_csv(str(path), frame) == []
+
+
+def test_only_timeframe_imports_csv():
+    # the CSV format lives in one module: timeframe.read_table reads every
+    # input file and timeframe.write_table writes every output table
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "btvc"
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(str(n).split(".")[0] == "csv" for n in names):
+                importers.add(path.name)
+    assert importers == {"timeframe.py"}

@@ -182,6 +182,18 @@ class TestCsvIngest:
         assert f.regressor_names == ("tv", "radio")
         assert f.regressors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    @pytest.mark.parametrize("fields, name", [
+        (dict(regressor_cols=("y",)), "y"),
+        (dict(regressor_cols=("tv", "radio", "tv")), "tv"),
+        (dict(date_col="y"), "y"),
+    ])
+    def test_a_schema_naming_a_column_twice_is_rejected(self, fields, name):
+        # a repeated name used to read one column as two regressors, or the
+        # response as a regressor
+        with pytest.raises(ValidationError,
+                           match=f"^column {name!r} is named twice in the CSV schema$"):
+            CsvSchema(**fields)
+
     def test_regressor_columns_inferred(self, tmp_path):
         p = tmp_path / "s.csv"
         write_csv(p, [
