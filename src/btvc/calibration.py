@@ -104,8 +104,9 @@ def apply_prior_windows(windows, regressor_names, T: int) -> tuple[CalibrationTe
 
 def read_prior_windows_csv(path: str, frame: TimeSeriesFrame) -> list[PriorWindow]:
     """Read channel,start_date,end_date,mean,sd rows; the file follows
-    timeframe.read_table's rules, and both dates must be on the frame's
-    calendar."""
+    timeframe.read_table's rules, both dates must be on the frame's calendar,
+    and then each row, in file order, must name a frame channel and make a
+    valid PriorWindow. Every error names its 1-based prior windows row."""
     table = read_table(path, {"channel": "text", "start_date": "date", "end_date": "date",
                               "mean": "number", "sd": "number"}, "prior windows row {}")
     dates = np.stack([table["start_date"], table["end_date"]], axis=1)
@@ -117,5 +118,13 @@ def read_prior_windows_csv(path: str, frame: TimeSeriesFrame) -> list[PriorWindo
             f"date {dates[r, k]} in prior windows row {r + 1} is not on the series calendar"
         )
     start, end = (at + 1).T.tolist()
-    return [PriorWindow(*w) for w in zip(table["channel"], start, end,
-                                         table["mean"].tolist(), table["sd"].tolist())]
+    windows = []
+    rows = zip(table["channel"], start, end, table["mean"].tolist(), table["sd"].tolist())
+    for r, row in enumerate(rows, start=1):
+        try:
+            if row[0] not in frame.regressor_names:
+                raise ValidationError(f"unknown channel {row[0]!r}")
+            windows.append(PriorWindow(*row))
+        except ValidationError as err:
+            raise ValidationError(f"{err} at prior windows row {r}") from None
+    return windows

@@ -38,7 +38,8 @@ from .runconfig import (
     csv_schema,
     fourier_specs,
 )
-from .timeframe import TimeSeriesFrame, ingest_csv, model_scale, read_table, write_table
+from .timeframe import (TimeSeriesFrame, check_regressors, ingest_csv, model_scale, read_table,
+                        write_table)
 
 
 def load_frame(path: str, cfg: RunConfig) -> TimeSeriesFrame:
@@ -264,6 +265,7 @@ def read_future_csv(path: str, structure: Structure, horizon: int,
     if not np.isfinite(x).all():
         r, j = np.argwhere(~np.isfinite(x))[0]
         raise ValidationError(f"non-finite value in column {names[j]!r}, future row {r + 1}")
+    check_regressors(x, names, structure.link != "log", where="future row {}")
     return x
 
 

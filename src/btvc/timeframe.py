@@ -99,30 +99,39 @@ class TimeSeriesFrame:
 
 
 def check_values(response, regressors, names, allow_negative_regressors: bool) -> None:
-    """Reject a non-finite response or regressor, and a negative regressor
-    unless allowed; rows are named 1-based in the order given."""
+    """Reject a non-finite response, then check_regressors; rows are named
+    1-based in the order given."""
     if not np.all(np.isfinite(response)):
         i = int(np.argmax(~np.isfinite(response)))
         raise ValidationError(f"non-finite response at row {i + 1}")
+    check_regressors(regressors, names, allow_negative_regressors)
+
+
+def check_regressors(regressors, names, allow_negative_regressors: bool,
+                     where: str = "row {}") -> None:
+    """Reject a non-finite regressor, and a negative one unless allowed; the
+    first bad row is named where.format(r), r 1-based in the order given."""
     if not np.all(np.isfinite(regressors)):
-        i = int(np.argmax(~np.isfinite(regressors).any(axis=1)))
-        raise ValidationError(f"non-finite regressor at row {i + 1}")
+        i = int(np.argmax((~np.isfinite(regressors)).any(axis=1)))
+        raise ValidationError(f"non-finite regressor at {where.format(i + 1)}")
     if not allow_negative_regressors and regressors.size and regressors.min() < 0:
         i, j = np.argwhere(regressors < 0)[0]
-        raise ValidationError(f"negative regressor {names[j]!r} at row {int(i) + 1}")
+        raise ValidationError(f"negative regressor {names[j]!r} at {where.format(int(i) + 1)}")
 
 
 def model_scale(structure, regressors, response=None):
     """Raw regressors, and the response when given, mapped to the scale a
     fit structure is fit on; returns (regressors, response or None).
 
-    The structure's link, zero_policy and floor_epsilon decide the map. Under
-    link=log the response is logged and must be strictly positive, and the
-    nonnegative regressors go through ln(x+1) (shift1, so zero spend lands
-    exactly at 0) or ln(max(x, floor_epsilon)) (floor). Other links copy both.
+    The regressors must pass check_regressors, negatives allowed unless
+    link=log. The structure's link, zero_policy and floor_epsilon decide the
+    map. Under link=log the response is logged and must be strictly positive,
+    and the regressors go through ln(x+1) (shift1, so zero spend lands exactly
+    at 0) or ln(max(x, floor_epsilon)) (floor). Other links copy both.
     """
     x = np.array(regressors, dtype=float)
     y = None if response is None else np.array(response, dtype=float)
+    check_regressors(x, structure.regressor_names, structure.link != "log")
     if structure.link != "log":
         return x, y
     if y is not None:
@@ -130,10 +139,6 @@ def model_scale(structure, regressors, response=None):
             i = int(np.argmax(y <= 0))
             raise ValidationError(f"nonpositive response at row {i + 1}: {y[i]}")
         y = np.log(y)
-    if x.size and x.min() < 0:
-        i, j = np.argwhere(x < 0)[0]
-        name = structure.regressor_names[j]
-        raise ValidationError(f"negative regressor {name!r} at row {int(i) + 1}")
     if structure.zero_policy == "shift1":
         return np.log1p(x), y
     return np.log(np.maximum(x, structure.floor_epsilon)), y

@@ -681,7 +681,7 @@ class TestErrorPaths:
             "--future", str(future), "--horizon", "3", "--out", str(tmp_path / "fc"),
         )
         assert code == 1
-        assert err == "error: negative regressor 'x1' at row 3\n"
+        assert err == "error: negative regressor 'x1' at future row 3\n"
         assert out == ""
 
     def test_a_short_prior_windows_row_names_its_cells(self, capsys, tmp_path):

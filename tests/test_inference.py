@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import btvc.inference as inference
+import btvc.objective as objective
 from btvc.calibration import PriorWindow, apply_prior_windows
 from btvc.errors import DivergenceError, ValidationError
 from btvc.fourier import FourierSpec
@@ -276,7 +279,7 @@ def test_underflowing_sigma_is_non_finite_in_reference_and_compiled(noise_df):
     hp = HyperParams(noise_df=noise_df)
     packing = dataclasses.replace(default_packing(inputs), fixed_sigma_obs=1e-200)
     theta = initial_theta(inputs, hp, packing)
-    f = inference._objective(inputs, hp, packing, (), include_jacobian=False)
+    f = objective.Objective(inputs, hp, packing, (), include_jacobian=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         reference = log_posterior(packing.unpack(theta), inputs, hp)
         compiled, _ = f(theta)
@@ -317,7 +320,7 @@ def test_divergence_aborts_with_trace(monkeypatch):
             return -1.0, np.zeros(packing_.dim)
         return f
 
-    monkeypatch.setattr(inference, "_objective", exploding)
+    monkeypatch.setattr(inference, "Objective", exploding)
     with pytest.raises(DivergenceError) as exc:
         fit_map(inputs, hp, MapConfig(iterations=50))
     assert exc.value.iteration >= 0
@@ -333,7 +336,7 @@ def test_map_in_place_adam_equals_the_allocating_update():
     fit = fit_map(inputs, hp, config, calibration=terms)
 
     packing = default_packing(inputs)
-    f = inference._objective(inputs, hp, packing, terms, include_jacobian=False)
+    f = objective.Objective(inputs, hp, packing, terms, include_jacobian=False)
     theta = initial_theta(inputs, hp, packing)
     m = v = np.zeros(packing.dim)
     lr = config.learning_rate
@@ -392,7 +395,7 @@ def test_svi_deterministic_and_ascending():
     # The run starts near its optimum, so its one-draw ELBO trace is flat
     # in the tail and its slope is noise. Ascent is scored on fixed draws
     # instead: the returned moments beat the start and a half-budget run.
-    f = inference._objective(inputs, hp, a.packing, (), include_jacobian=True)
+    f = objective.Objective(inputs, hp, a.packing, (), include_jacobian=True)
     eps = np.random.default_rng(0).standard_normal((2000, a.packing.dim))
     half = fit_svi(inputs, hp, dataclasses.replace(sc, iterations=300), map_config=mc)
     start = inference._start_log_sd(f.curvature(a.theta), sc.init_log_sd)
@@ -417,7 +420,7 @@ def test_svi_in_place_step_equals_the_allocating_update(iterations):
 
     packing = init.packing
     dim = packing.dim
-    f = inference._objective(inputs, hp, packing, terms, include_jacobian=True)
+    f = objective.Objective(inputs, hp, packing, terms, include_jacobian=True)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     mean = init.theta
     log_sd = inference._start_log_sd(f.curvature(init.theta), config.init_log_sd)
@@ -446,7 +449,7 @@ def test_svi_start_is_the_capped_hessian_diagonal():
     # the conjugate target is exactly Gaussian, so the diagonal gives the
     # posterior sd at any theta
     inputs, hp, packing, _, post_mean, post_sd = conjugate_problem(0)
-    f = inference._objective(inputs, hp, packing, (), include_jacobian=True)
+    f = objective.Objective(inputs, hp, packing, (), include_jacobian=True)
     cap = SviConfig().init_log_sd
     assert np.log(post_sd) < cap
     for theta in (post_mean, post_mean + 3.0):
@@ -461,7 +464,7 @@ def test_svi_start_is_the_capped_hessian_diagonal():
     # byte-equal on repeated calls
     inputs, hp = small_problem(seed=27)
     packing = default_packing(inputs)
-    f = inference._objective(inputs, hp, packing, window_terms(inputs, 1), include_jacobian=True)
+    f = objective.Objective(inputs, hp, packing, window_terms(inputs, 1), include_jacobian=True)
     theta = initial_theta(inputs, hp, packing)
     first = inference._start_log_sd(f.curvature(theta), cap)
     assert first.tobytes() == inference._start_log_sd(f.curvature(theta), cap).tobytes()
@@ -492,7 +495,7 @@ def test_default_svi_budget_reaches_the_long_run_elbo(seed, monkeypatch):
                         lambda curvature, cap: np.full(curvature.size, -3.0))
     flat = fit_svi(inputs, hp, SviConfig(iterations=5000, seed=seed), calibration=terms,
                    init=init)
-    f = inference._objective(inputs, hp, init.packing, terms, include_jacobian=True)
+    f = objective.Objective(inputs, hp, init.packing, terms, include_jacobian=True)
     eps = np.random.default_rng(seed).standard_normal((2000, init.packing.dim))
     shortfall = (fixed_draw_elbo(f, flat.variational_mean, flat.variational_log_sd, eps)
                  - fixed_draw_elbo(f, fit.variational_mean, fit.variational_log_sd, eps))
@@ -722,7 +725,7 @@ def subnormal_kernel_problem():
 
 def dense_gram(design, r0, with_level):
     """(G, c): the dense G = Z'Z and c = Z'r0 over theta's knot order, the
-    reference inference._gram's blocks are checked against bit for bit.
+    reference objective._gram's blocks are checked against bit for bit.
 
     Z' is built TILE_ROWS time rows at a time with weights below
     WEIGHT_FLOOR left out, as _gram builds it; each tile's product is
@@ -772,7 +775,7 @@ def multi_block_problem():
                          k_seas=d.k_seas,
                          k_reg=kernel_matrix(build_grid(T, distance=2), "gaussian", rho=1.0))
     inputs = ModelInputs(design=design, target=inputs.target)
-    assert len(inference._gram(design, inputs.target, True)[1]) >= 3
+    assert len(objective._gram(design, inputs.target, True)[1]) >= 3
     assert not np.all(dense_gram(design, inputs.target, True)[0].any(axis=1))
     return inputs
 
@@ -867,7 +870,7 @@ def jittered_theta(theta0, packing, nonnegative_reg, rng):
 @pytest.mark.parametrize("variant", COMPILED_VARIANTS)
 def test_compiled_objective_matches_reference(variant, include_jacobian):
     inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
-    compiled = inference._objective(inputs, hp, packing, terms, include_jacobian)
+    compiled = objective.Objective(inputs, hp, packing, terms, include_jacobian)
     reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
     rng = np.random.default_rng(len(variant))
@@ -887,7 +890,7 @@ def test_compiled_objective_keeps_no_state_between_calls(variant, include_jacobi
     # is through later calls (fit_map keeps best_grad without a copy); a
     # call given out= writes the same gradient there (fit_svi's path)
     inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
-    f = inference._objective(inputs, hp, packing, terms, include_jacobian)
+    f = objective.Objective(inputs, hp, packing, terms, include_jacobian)
     rng = np.random.default_rng(len(variant))
     theta0 = initial_theta(inputs, hp, packing)
     a, b = (jittered_theta(theta0, packing, nonnegative_reg, rng) for _ in range(2))
@@ -929,7 +932,7 @@ def test_curvature_is_the_hessian_diagonal(variant, include_jacobian):
     # jittered points sit far from every Laplace kink, where the diagonal
     # is smooth and central differences of the gradient read it to ~1e-9
     inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
-    f = inference._objective(inputs, hp, packing, terms, include_jacobian)
+    f = objective.Objective(inputs, hp, packing, terms, include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
     rng = np.random.default_rng(len(variant))
     for _ in range(3):
@@ -944,7 +947,7 @@ def test_curvature_reads_no_kink():
     # exact diagonal keeps the value it has just off the kink
     inputs, hp = small_problem(seed=27)
     packing = default_packing(inputs)
-    f = inference._objective(inputs, hp, packing, (), include_jacobian=True)
+    f = objective.Objective(inputs, hp, packing, (), include_jacobian=True)
     theta = jittered_theta(initial_theta(inputs, hp, packing), packing, False,
                            np.random.default_rng(5))
     theta[1] = theta[0]
@@ -964,7 +967,7 @@ def test_compiled_objective_at_extreme_arguments(variant, include_jacobian):
     # sees arguments from 0 to very negative. (a < 0 cannot occur: x and
     # loc are kept >= 0 by softplus or by the support check.)
     inputs, hp, packing, terms, _ = compiled_variant(variant)
-    compiled = inference._objective(inputs, hp, packing, terms, include_jacobian)
+    compiled = objective.Objective(inputs, hp, packing, terms, include_jacobian)
     reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
     reg = slice(packing.slices()["b_reg"].start, packing.slices()["mu_reg"].stop)
@@ -1031,7 +1034,7 @@ def test_gram_likelihood_matches_reference_near_the_optimum(T, windowed):
     inputs, hp, packing, terms, theta_map = fitted_structure(T, windowed)
     rng = np.random.default_rng(T)
     thetas = [theta_map] + [theta_map + rng.normal(0, 0.01, packing.dim) for _ in range(10)]
-    compiled = inference._objective(inputs, hp, packing, terms, windowed)
+    compiled = objective.Objective(inputs, hp, packing, terms, windowed)
     reference = reference_objective(inputs, hp, packing, terms, windowed)
     value_err, grad_err = max_relative_errors(compiled, reference, thetas)
     assert value_err <= 1e-13
@@ -1072,7 +1075,7 @@ def test_gram_blocks_hold_g_exactly(case):
     # blocks' product is G @ beta up to rounding
     design, r0, with_level = gram_case(case)
     G, c = dense_gram(design, r0, with_level)
-    order, blocks, c_time = inference._gram(design, r0, with_level)
+    order, blocks, c_time = objective._gram(design, r0, with_level)
     assert sorted(order) == list(range(G.shape[0]))
     assert np.array_equal(c_time, c[order])
     permuted, product = np.zeros_like(G), np.empty(G.shape[0])
@@ -1102,7 +1105,7 @@ def test_gram_blocks_of_small_default_structures_are_one_block(T):
     _, inputs, _ = default_structure(T)
     design, y = inputs.design, inputs.target
     G, _ = dense_gram(design, y - y.mean(), True)
-    _, blocks, _ = inference._gram(design, y - y.mean(), True)
+    _, blocks, _ = objective._gram(design, y - y.mean(), True)
     assert len(blocks) == 1
     assert blocks[0][2].shape == G.shape
 
@@ -1118,13 +1121,13 @@ def test_compile_allocates_no_dense_gram():
     dim = packing.slices()["b_reg"].stop
     tracemalloc.start()
     try:
-        inference._objective(inputs, hp, packing, (), include_jacobian=False)
+        objective.Objective(inputs, hp, packing, (), include_jacobian=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * dim * dim
     y = inputs.target
-    _, blocks, _ = inference._gram(inputs.design, y - y.mean(), True)
+    _, blocks, _ = objective._gram(inputs.design, y - y.mean(), True)
     assert sum(block.size for _, _, block in blocks) < 500_000
 
 
@@ -1153,8 +1156,8 @@ def test_banded_kernels_give_the_objective_of_the_dense_reference(case):
     thetas = [theta0] + [theta0 + rng.normal(0, 0.1, packing.dim) for _ in range(10)]
     for include_jacobian in (False, True):
         value_err, grad_err = max_relative_errors(
-            inference._objective(inputs, hp, packing, terms, include_jacobian),
-            inference._objective(dense, hp, packing, terms, include_jacobian), thetas)
+            objective.Objective(inputs, hp, packing, terms, include_jacobian),
+            objective.Objective(dense, hp, packing, terms, include_jacobian), thetas)
         assert value_err <= 1e-12 and grad_err <= 1e-12
         value_err, grad_err = max_relative_errors(
             reference_objective(inputs, hp, packing, terms, include_jacobian),
@@ -1163,7 +1166,7 @@ def test_banded_kernels_give_the_objective_of_the_dense_reference(case):
     if case == "windows":
         r0 = inputs.target - inputs.target.mean()
         (order, blocks, c), (order_d, blocks_d, c_d) = (
-            inference._gram(x.design, r0, True) for x in (inputs, dense))
+            objective._gram(x.design, r0, True) for x in (inputs, dense))
         assert np.array_equal(order, order_d) and np.array_equal(c, c_d)
         assert len(blocks) == len(blocks_d)
         for (rows, cols, block), (rows_d, cols_d, block_d) in zip(blocks, blocks_d):
@@ -1180,7 +1183,7 @@ def test_student_t_objective_through_design_tiles_matches_reference():
     rng = np.random.default_rng(5)
     thetas = [theta_map] + [theta_map + rng.normal(0, 0.01, packing.dim) for _ in range(10)]
     for include_jacobian in (False, True):
-        compiled = inference._objective(inputs, hp, packing, terms, include_jacobian)
+        compiled = objective.Objective(inputs, hp, packing, terms, include_jacobian)
         reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
         value_err, grad_err = max_relative_errors(compiled, reference, thetas)
         assert value_err <= 1e-12 and grad_err <= 1e-12
@@ -1190,7 +1193,7 @@ def test_compiled_objective_error_paths():
     inputs, hp = small_problem(seed=73)
     packing = default_packing(inputs)
     theta = initial_theta(inputs, hp, packing)
-    f = inference._objective(inputs, hp, packing, (), include_jacobian=False)
+    f = objective.Objective(inputs, hp, packing, (), include_jacobian=False)
     with pytest.raises(ValidationError, match="packing dim"):
         f(theta[:-1])
     # exp(1000) overflows, but the value is taken from ln sigma itself: the
@@ -1206,7 +1209,7 @@ def test_compiled_objective_error_paths():
 
     identity = dataclasses.replace(packing, reg_transform="identity")
     sl = identity.slices()
-    g = inference._objective(inputs, hp, identity, (), include_jacobian=False)
+    g = objective.Objective(inputs, hp, identity, (), include_jacobian=False)
     positive = np.abs(theta)
     for block, message in (("b_reg", "b_reg outside"), ("mu_reg", "mu_reg outside")):
         bad = positive.copy()
@@ -1217,7 +1220,38 @@ def test_compiled_objective_error_paths():
             reference_objective(inputs, hp, identity, (), False)(bad)
     negative_mu = dataclasses.replace(identity, fixed_mu_reg=np.array([0.2, -0.1]))
     with pytest.raises(ValidationError, match="mu_reg outside"):
-        inference._objective(inputs, hp, negative_mu, (), include_jacobian=False)
+        objective.Objective(inputs, hp, negative_mu, (), include_jacobian=False)
+
+
+def test_objective_imports_nothing_from_the_fit_layers():
+    # the dependency runs one way: inference, pipeline and cli build
+    # Objectives, and objective.py knows none of them
+    path = pathlib.Path(objective.__file__)
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(a.name for a in node.names)
+    assert imported & {"inference", "pipeline", "cli"} == set()
+
+
+def test_fit_svi_warm_starts_through_the_module_fit_map(monkeypatch):
+    # perfbench's tracer rebinds inference.fit_map and averages the spans it
+    # records, so an SVI fit without init must fit its MAP through that
+    # name, once
+    inputs, hp = small_problem(seed=74)
+    calls = []
+    map_fit = inference.fit_map
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return map_fit(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_map", counting)
+    fit_svi(inputs, hp, SviConfig(iterations=5), map_config=MapConfig(iterations=20))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("config", [MapConfig, SviConfig])

@@ -311,6 +311,18 @@ class TestFitAndForecast:
         with pytest.raises(ValidationError, match="n_draws must be >= 1"):
             forecast_quantiles(q, np.full((3, 2), 2.0), 3, [0.5], n_draws=0)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    @pytest.mark.parametrize("link", ["log", "identity"])
+    def test_forecasts_reject_non_finite_future_spend(self, link, cell):
+        # predict_from_fit used to return a nan (or inf) forecast at that row
+        fit, _ = run_fit(small_frame(), small_cfg(link=link))
+        future = np.full((3, 2), 2.0)
+        future[1, 0] = cell
+        with pytest.raises(ValidationError, match="^non-finite regressor at row 2$"):
+            predict_from_fit(fit, future, 3)
+        with pytest.raises(ValidationError, match="^non-finite regressor at row 2$"):
+            forecast_quantiles(with_moments(fit, "default"), future, 3, [0.5], n_draws=10)
+
     def test_run_backtest_equals_manual_assembly(self):
         frame = small_frame(T=70)
         cfg = small_cfg(

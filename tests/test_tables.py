@@ -229,6 +229,7 @@ READER_CASES = [
     ("one row", body(GOOD[0]), "need at least 2 data rows, got 1"),
     ("header only", body(), "need at least 2 data rows, got 0"),
     ("negative spend", replace(1, "2020-01-02,2.5,-1,4"), "negative regressor 'x1' at row 2"),
+    ("overflowing spend", replace(1, "2020-01-02,2.5,1e400,4"), "non-finite regressor at row 2"),
     ("overflow in an unsorted file",
      "date,y,x1\n2020-01-03,1e400,1\n2020-01-01,1,1\n2020-01-02,2,-1\n",
      "non-finite response at row 1"),
@@ -342,6 +343,8 @@ FUTURE_CASES = [
      "future row 2 has date 2020-01-03, expected 2020-01-02"),
     ("non-finite value", lines(FUTURE[0], "2020-01-01,1,inf", FUTURE[2]),
      "non-finite value in column 'x2', future row 1"),
+    ("negative spend", lines(FUTURE[0], FUTURE[1], "2020-01-02,-3,4"),
+     "negative regressor 'x1' at future row 2"),
 ]
 
 
@@ -393,6 +396,14 @@ WINDOW_CASES = [
     ("first date off the calendar in file order",
      lines(WINDOWS[0], "x1,2020-01-02,2020-01-11,0.3,0.1", "x2,2019-12-31,2020-01-05,0.3,0.1"),
      "date 2020-01-11 in prior windows row 1 is not on the series calendar"),
+    ("sd 0", lines(WINDOWS[0], WINDOWS[1], "x1,2020-01-07,2020-01-08,0.3,0"),
+     "window sd must be > 0, got 0.0 at prior windows row 2"),
+    ("negative mean", lines(WINDOWS[0], "x1,2020-01-02,2020-01-05,-0.1,0.1"),
+     "window mean must be >= 0, got -0.1 at prior windows row 1"),
+    ("end before start", lines(WINDOWS[0], "x1,2020-01-05,2020-01-02,0.3,0.1"),
+     "window [5, 2] is not a valid 1-based range at prior windows row 1"),
+    ("unknown channel", lines(WINDOWS[0], WINDOWS[1], "x9,2020-01-02,2020-01-05,0.3,0.1"),
+     "unknown channel 'x9' at prior windows row 2"),
 ]
 
 
