@@ -274,11 +274,12 @@ def cmd_backtest(args) -> int:
     if not cfg.data:
         raise ValidationError("backtest needs --data (or the data config key)")
     frame = load_frame(cfg.data, cfg)
-    report = run_backtest(frame, cfg)
+    report, splits = run_backtest(frame, cfg)
     out = _outdir(cfg.out)
     write_metric_report_csv(report, os.path.join(out, "backtest.csv"))
-    write_manifest(run_manifest(cfg, "backtest", cfg.data),
-                   os.path.join(out, "manifest.json"))
+    manifest = run_manifest(cfg, "backtest", cfg.data)
+    manifest["splits"] = splits
+    write_manifest(manifest, os.path.join(out, "manifest.json"))
     print(format_metric_report(report))
     return 0
 

@@ -21,12 +21,16 @@ class ValidationError(BtvcError):
 
 
 class DivergenceError(BtvcError):
-    """Optimizer produced a non-finite objective; carries the trace so far."""
+    """Optimizer produced a non-finite objective; carries the trace so far,
+    and for one of several runs fitted together (inference.fit_maps) the
+    0-based index of that run."""
 
-    def __init__(self, message: str, trace=None, iteration: int | None = None):
+    def __init__(self, message: str, trace=None, iteration: int | None = None,
+                 index: int | None = None):
         super().__init__(message)
         self.trace = [] if trace is None else list(trace)
         self.iteration = iteration
+        self.index = index
 
 
 class Bound(typing.NamedTuple):

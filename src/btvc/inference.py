@@ -13,7 +13,8 @@ documented block order:
 The MAP objective is log_posterior composed with unpack, with no change of
 variables correction. The SVI objective adds the softplus log-Jacobian so
 the variational Gaussian approximates the posterior over theta. Both are
-compiled once per fit by objective.Objective.
+compiled once per fit by objective.Objective; fit_maps fits several
+structures at once on one stacked objective.
 
 MAP and SVI both ascend through one in-place Adam stepper, _adam: moments
 0.9 and 0.999, eps 1e-8, and an exponentially decaying step size.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field, fields
 from typing import Literal
 
@@ -60,6 +62,7 @@ __all__ = [
     "default_packing",
     "initial_theta",
     "fit_map",
+    "fit_maps",
     "fit_svi",
     "draw_posterior",
     "check_variational",
@@ -429,6 +432,8 @@ def _adam(x: np.ndarray, config):
     as one call over both rows; every element still goes through the plain
     expression's operations in its order, bit for bit. 1 - 0.9 and 1 - 0.999
     (one ulp off 0.1 and 0.001) keep MAP fits as before.
+    ascend.keep(entries) drops every other entry of x and of the moments
+    and returns the new x, whose entries step on as they would have.
     """
     moments, work = np.zeros((2, x.size)), np.empty((2, x.size))
     # full rows, where a (2, 1) column would do: numpy takes about twice as
@@ -458,6 +463,14 @@ def _adam(x: np.ndarray, config):
         x += step
         lr *= decay
 
+    def keep(entries):
+        nonlocal x, moments, beta, work, step, root
+        x, moments, beta = x[entries], moments[:, entries], beta[:, entries]
+        work = np.empty_like(moments)
+        step, root = work
+        return x
+
+    ascend.keep = keep
     return ascend
 
 
@@ -468,56 +481,105 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
 
     A non-finite log posterior at initial_theta raises ValidationError (the
     inputs are unusable); a non-finite value or gradient later raises
-    DivergenceError.
+    DivergenceError. This is fit_maps of one run.
     """
-    config = config or MapConfig()
-    packing = packing or default_packing(inputs)
-    f = Objective(inputs, hp, packing, calibration, include_jacobian=False)
-    theta = initial_theta(inputs, hp, packing)
-    best_theta = theta.copy()
+    return fit_maps([(inputs, hp, config, packing, calibration)])[0]
+
+
+def fit_maps(runs) -> list[FitResult]:
+    """fit_map of each run (inputs, hp, config, packing, calibration), all
+    in one loop; config and packing may be None, as in fit_map. The runs'
+    configs must share one step-size schedule: learning_rate,
+    final_learning_rate and iterations.
+
+    Their objectives are compiled into one stack (Objective.stack), and one
+    Adam steps the stacked theta. Each run keeps its own best point, trace,
+    plateau stop and divergence check; when a run stops, its result is
+    fixed and the stack goes on without it. Every entry's Adam update and
+    every run's objective has the bits it has in a fit of that run alone,
+    so each result equals fit_map of its run. A DivergenceError gives the
+    0-based index of the run it is about: the one that became non-finite
+    at the earliest iteration (the first in the runs' order, if several
+    did at once).
+    """
+    runs = [(inputs, hp, config or MapConfig(), packing or default_packing(inputs), calibration)
+            for inputs, hp, config, packing, calibration in runs]
+    config = runs[0][2]
+    schedule = (config.learning_rate, config.final_learning_rate, config.iterations)
+    if any((c.learning_rate, c.final_learning_rate, c.iterations) != schedule
+           for _, _, c, _, _ in runs):
+        raise ValidationError("stacked MAP runs must share learning_rate, "
+                              "final_learning_rate and iterations")
+    f = Objective.stack([(inputs, hp, packing, calibration)
+                         for inputs, hp, _, packing, calibration in runs], include_jacobian=False)
+    theta = np.empty(f.dim)
+    for at, (inputs, hp, _, packing, _) in zip(f.theta_of, runs):
+        theta[at] = initial_theta(inputs, hp, packing)
+    # per run in the stack, in its order: its index, its best value, and
+    # (trace_every, rel_tol, tol_window, trace, best value per iteration)
+    live = list(range(len(runs)))
+    best = [-math.inf] * len(runs)
+    state = [(c.trace_every, c.rel_tol, c.tol_window, [], []) for _, _, c, _, _ in runs]
+    best_theta, best_grad = theta.copy(), None
+    results: list[FitResult] = [None] * len(runs)
     ascend = _adam(theta, config)
-    best_value, best_grad = -np.inf, None
-    trace: list[float] = []
-    window: list[float] = []
-    stop_reason, n_iterations = "max_iter", config.iterations
-    for t in range(config.iterations):
-        value, grad = f(theta)
-        if t == 0 and not math.isfinite(value):
-            raise ValidationError("log posterior non-finite at the initial point")
-        if not (math.isfinite(value) and np.isfinite(grad).all()):
-            raise DivergenceError(
-                f"objective became non-finite at iteration {t}",
-                trace=trace, iteration=t,
-            )
-        # grad is a fresh array each call, so keeping a reference needs no copy
-        if value > best_value:
-            best_value, best_grad = value, grad
+
+    def finish(place, stop_reason, n_iterations):
+        k, (trace_every, _, _, trace, _) = live[place], state[place]
+        _, hp, config, packing, _ = runs[k]
+        # The trace ends at the returned point even when the last iteration
+        # fell between two recorded ones.
+        if (n_iterations - 1) % trace_every != 0:
+            trace.append(best[place])
+        at = f.theta_of[place]
+        theta_k = best_theta[at]
+        results[k] = FitResult(
+            params=packing.unpack(theta_k), theta=theta_k, packing=packing, hyper=hp,
+            trace=trace, seed=config.seed, mode="map", stop_reason=stop_reason,
+            n_iterations=n_iterations, grad_norm=float(np.linalg.norm(best_grad[at])))
+
+    for t in range(schedule[2]):
+        _, grad = f(theta)
+        values = f.values
+        if not (all(map(math.isfinite, values)) and np.isfinite(grad).all()):
+            if t == 0 and not all(map(math.isfinite, values)):
+                raise ValidationError("log posterior non-finite at the initial point")
+            place = next(place for place, (value, at) in enumerate(zip(values, f.theta_of))
+                         if not (math.isfinite(value) and np.isfinite(grad[at]).all()))
+            raise DivergenceError(f"objective became non-finite at iteration {t}",
+                                  trace=state[place][3], iteration=t, index=live[place])
+        improved = list(map(operator.gt, values, best))
+        if all(improved):
+            # grad is a fresh array each call, so keeping a reference needs no copy
+            best, best_grad = values, grad
             best_theta[:] = theta
-        if t % config.trace_every == 0:
-            trace.append(best_value)
-        window.append(best_value)
-        if config.rel_tol > 0 and len(window) > config.tol_window:
-            old = window[-config.tol_window - 1]
-            if abs(best_value - old) <= config.rel_tol * max(1.0, abs(best_value)):
-                stop_reason, n_iterations = "rel_change", t + 1
-                break
+        elif any(improved):
+            better = np.array(improved)[f.owner]
+            best_grad = np.where(better, grad, best_grad)
+            np.copyto(best_theta, theta, where=better)
+            best = list(map(max, best, values))  # an equal value keeps the old
+        keep = []
+        for place, (value, (trace_every, rel_tol, tol_window, trace, window)) \
+                in enumerate(zip(best, state)):
+            if t % trace_every == 0:
+                trace.append(value)
+            window.append(value)
+            if (rel_tol > 0 and len(window) > tol_window
+                    and abs(value - window[-tol_window - 1]) <= rel_tol * max(1.0, abs(value))):
+                finish(place, "rel_change", t + 1)
+            else:
+                keep.append(place)
+        if len(keep) < len(live):  # the stopped runs leave the stack
+            if not keep:
+                return results
+            live, best, state = ([items[place] for place in keep] for items in (live, best, state))
+            f, entries = f.subset(keep)
+            theta = ascend.keep(entries)
+            best_theta, best_grad, grad = best_theta[entries], best_grad[entries], grad[entries]
         ascend(grad)
-    # The trace ends at the returned point even when the last iteration
-    # fell between two recorded ones.
-    if (n_iterations - 1) % config.trace_every != 0:
-        trace.append(best_value)
-    return FitResult(
-        params=packing.unpack(best_theta),
-        theta=best_theta,
-        packing=packing,
-        hyper=hp,
-        trace=trace,
-        seed=config.seed,
-        mode="map",
-        stop_reason=stop_reason,
-        n_iterations=n_iterations,
-        grad_norm=float(np.linalg.norm(best_grad)),
-    )
+    for place in range(len(live)):
+        finish(place, "max_iter", schedule[2])
+    return results
 
 
 def _start_log_sd(curvature: np.ndarray, cap: float) -> np.ndarray:

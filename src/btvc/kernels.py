@@ -228,30 +228,47 @@ def kernel_matrix(grid: KnotGrid, kind: str, *, rho: float | None = None,
         raise ValidationError("gaussian kernel requires rho")
     if rho <= 0:
         raise ValidationError(f"kernel scale rho must be > 0, got {rho}")
-    rows, knots, values = [], [], []
+    J = grid.n_knots
+    los, tiles = [], []
     for start in range(0, ts.size, TILE_ROWS):
-        t = ts[start:start + TILE_ROWS, None]
+        # w = -(t - t_j)^2 / (2 rho^2), then its normalized exp, in place
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            log_w = -((t - grid.knot_times.astype(float)) ** 2) / (2.0 * rho * rho)
-        top = log_w.max(axis=1, keepdims=True)
+            w = ts[start:start + TILE_ROWS, None] - grid.knot_times.astype(float)
+            w *= w
+            np.negative(w, out=w)
+            w /= 2.0 * rho * rho
+        top = w.max(axis=1, keepdims=True)
         if not np.isfinite(top).all():  # 2 rho^2 underflowed or d^2 / (2 rho^2) overflowed
             raise ValidationError(f"kernel scale rho={rho!r} is too small: "
                                   f"a kernel row has no finite weight")
-        w = np.exp(log_w - top)
-        w = w / w.sum(axis=1, keepdims=True)
-        w = w / w.sum(axis=1, keepdims=True)
-        r, j = np.nonzero(w >= WEIGHT_FLOOR)
-        rows.append(start + r)
-        knots.append(j)
-        values.append(w[r, j])
-    rows, knots, values = (np.concatenate(a) for a in (rows, knots, values))
-    # every row keeps its largest weight, at least 1/J; entries are row-major
-    at = np.searchsorted(rows, np.arange(ts.size))
-    lo, hi = knots[at], np.maximum.reduceat(knots, at) + 1
-    width = int((hi - lo).max())
-    first = np.minimum(lo, grid.n_knots - width)
+        w -= top
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        w /= w.sum(axis=1, keepdims=True)
+        # a row's kept weights run from its first kept knot lo to its last;
+        # every row keeps its largest weight, at least 1/J
+        kept = w >= WEIGHT_FLOOR
+        w *= kept
+        lo = kept.argmax(axis=1)
+        tile_width = int((J - kept[:, ::-1].argmax(axis=1) - lo).max())
+        # the tile's band: tile_width knots from min(lo, J - tile_width),
+        # holding the kept range of every row
+        at = (np.minimum(lo, J - tile_width)[:, None] + np.arange(tile_width)
+              + J * np.arange(lo.size)[:, None])
+        los.append(lo)
+        tiles.append(w.ravel()[at])
+    lo = np.concatenate(los)
+    width = max(tile.shape[1] for tile in tiles)
+    first = np.minimum(lo, J - width)
     band = np.zeros((ts.size, width))
-    band[rows, knots - first[rows]] = values
+    for start, tile in zip(range(0, ts.size, TILE_ROWS), tiles):
+        n, tile_width = tile.shape
+        if tile_width == width:
+            band[start:start + n] = tile
+        else:  # its rows start np.minimum(lo, J - tile_width) - first columns in
+            shift = np.minimum(lo[start:start + n], J - tile_width) - first[start:start + n]
+            at = (start + np.arange(n)[:, None]) * width + shift[:, None] + np.arange(tile_width)
+            band.reshape(-1)[at] = tile
     return KernelMatrix(band=band, first=first, grid=grid)
 
 

@@ -1,5 +1,5 @@
-"""The fit objective of one structure, compiled once per fit (Objective), and
-the design map and Gram blocks it is built from."""
+"""The fit objective of one structure or of a stack of several, compiled once
+per fit (Objective), and the design map and Gram blocks it is built from."""
 
 from __future__ import annotations
 
@@ -125,66 +125,17 @@ def _gram(design, r0: np.ndarray, with_level: bool):
     return order, blocks, c
 
 
-class Objective:
-    """The fit objective of one structure, compiled: theta -> (value, gradient).
-
-    The value is log_posterior_and_grad at packing.unpack(theta), its
-    gradient chained to theta as packing.chain_grad does, plus the softplus
-    log-Jacobian when include_jacobian; that composition stays the readable
-    reference this one is tested against. Everything that depends only on
-    the structure is done once in __init__, so a call builds no ParameterSet
-    or ParamGradient and runs no dimension checks.
-
-    Every prior term is a density of one entry around a location. A call
-    writes the entries into one buffer t = [chain knots | x | location
-    slots]: the chain knots [b_lev, b_seas] are copied from theta, x =
-    softplus(raw) of the [b_reg, mu_reg] block is written in place (x = raw
-    under the identity transform), and the constant slots, written once in
-    __init__, hold 0 (the location of each chain's first knot), mu_pool, and
-    the fixed mu_reg when packing fixes it. One index loc_of gives each
-    entry its location slot: the previous trend knot, the same seasonal
-    column one knot back, the channel's mu_reg, or mu_pool; inv holds each
-    entry's 1/scale. A call gathers t[loc_of] once. Three kinds of gradient
-    are written into the slices of one weight buffer: the location
-    gradients (bound for loc_of), the likelihood's d/dbeta (for the knots,
-    in their time order; see below) and each window's (for its knots). One
-    np.bincount per call, over one index scatter_to, adds them all to the
-    gradient. The buffers belong to the object, so calls to one compiled
-    objective must not run concurrently; each still depends on its theta
-    alone. obj(theta) returns a fresh gradient array; obj(theta, out=buf)
-    writes the gradient into buf, every entry, and returns (value, buf).
-
-    The chain knots take Laplace terms |t - loc| inv. The x entries take
-    folded-normal terms: writing z = (x - loc) inv and a = 2 x loc inv^2,
-    each is the Gaussian -z^2/2 plus the mirror image's log(1 + e^-a); the
-    Gaussian test prior on b_reg is the same term without the mirror. Both
-    the softplus and the mirror term come from np.logaddexp, and their
-    derivatives from one exp each: x = logaddexp(0, raw) has derivative
-    sigmoid(raw) = e^(raw - x), and the mirror term logaddexp(0, -a) has
-    derivative -sigmoid(-a) = -e^(-a - logaddexp(0, -a)).
-
-    The fitted values are Z beta for the linear knots beta = [b_lev, b_seas,
-    b_reg] (Z of _design_tiles), the buffer's leading entries, gathered
-    from t in the knots' time order. The residuals are r0 - Z beta, for r0
-    the target less the fixed trend, or, when b_lev is free, less the
-    target's mean, which the level knots absorb exactly (beta_shift) since
-    every level kernel row sums to 1. Under Gaussian noise the residual sum
-    of squares is the quadratic s0 - 2 beta'c + beta'G beta with G = Z'Z,
-    c = Z'r0 and s0 = r0'r0 built once; a call does one G @ beta over the
-    banded row blocks _gram builds, and centering keeps s0 small, so the
-    quadratic loses few digits to cancellation. Student-t noise is not
-    quadratic in beta: a call reads Z's tiles (kept in tiles) for the
-    residuals (left in resid) and again for Z' times their d/dfit.
-
-    Calibration windows are quadratic in the regression knots under either
-    noise family: a channel's windows sum to h'b - b'Hb/2 plus a constant,
-    over the knots b their kernel rows reach. Each entry of windows holds
-    its H and h, so a call does one H @ b per windowed channel in place of two
-    products with each window's kernel rows. curvature(theta) is the
-    diagonal of the negated Hessian, read from the same parts.
+class _Structure:
+    """One structure's share of an Objective, compiled in its own
+    coordinates: its theta is [chain | x | ln sigma] as its packing lays it
+    out (the chain knots [b_lev, b_seas] and x = [b_reg, mu_reg], each
+    block only when free), and its buffer is [chain | x | 0 | mu_pool |
+    fixed mu_reg]. loc_of, order, the windows' places and the Gram blocks
+    index that buffer and the knots' time order; Objective moves them onto
+    the stack's slices.
     """
 
-    def __init__(self, inputs, hp, packing, calibration, include_jacobian):
+    def __init__(self, inputs, hp, packing, calibration):
         design = inputs.design
         check_dims(packing.unpack(np.zeros(packing.dim)), design)
         y = inputs.target
@@ -193,16 +144,15 @@ class Objective:
         n_reg_knots, n_channels = packing.n_reg_knots, packing.n_channels
         lev_free = packing.fixed_b_lev is None
         mu_free = packing.fixed_mu_reg is None
-        self.sigma_free = packing.fixed_sigma_obs is None
         self.softplus_reg = packing.reg_transform == "softplus"
-        self.check_support = not self.softplus_reg and not hp.gaussian_reg_prior
-        self.include_jacobian = include_jacobian
-        self.dim = packing.dim
+        self.gaussian_reg_prior = hp.gaussian_reg_prior
+        self.nu = nu = hp.noise_df
         n_lev = packing.n_lev if lev_free else 0
         self.n_chain = n_chain = n_lev + n_seas_knots * n_cols
+        self.reg_shape = (n_reg_knots, n_channels)
         self.n_b = n_b = n_reg_knots * n_channels
-        self.n_mu = n_mu = n_channels if mu_free else 0
-        self.reg_end = reg_end = n_chain + n_b + n_mu
+        self.n_x = n_b + (n_channels if mu_free else 0)
+        self.reg_end = reg_end = n_chain + self.n_x
 
         const = 0.0
         if not lev_free:
@@ -210,36 +160,30 @@ class Objective:
             trend_fixed = design.k_lev.product(packing.fixed_b_lev)
         fixed_mu = np.zeros(0) if mu_free else packing.fixed_mu_reg
         if not mu_free and n_channels:
-            if self.check_support and fixed_mu.min() < 0:
+            if not self.softplus_reg and not hp.gaussian_reg_prior and fixed_mu.min() < 0:
                 raise ValidationError("mu_reg outside folded-normal support")
             const += float(_folded_normal_terms(
                 fixed_mu, np.full(n_channels, hp.mu_pool), hp.sigma_pool)[0].sum())
+        self.slots = np.concatenate(([hp.mu_pool], fixed_mu))
 
-        # the buffer and its views; t[reg_end:] holds 0, mu_pool, then fixed mu_reg
-        self.t = t = np.concatenate((np.zeros(reg_end + 1), [hp.mu_pool], fixed_mu))
-        self.t_prior, self.t_chain, self.t_x = t[:reg_end], t[:n_chain], t[n_chain:reg_end]
-        self.b_reg = b_reg = t[n_chain:n_chain + n_b].reshape(n_reg_knots, n_channels)
         # a knot's predecessor is 1 place back in the trend, n_cols in the
         # seasonal block; one that falls before its block's start is a chain
         # head, located at the 0 slot
         loc_chain = np.arange(n_chain) - np.repeat([1, n_cols], [n_lev, n_chain - n_lev])
         loc_chain[loc_chain < np.repeat([0, n_lev], [n_lev, n_chain - n_lev])] = reg_end
         mu_slot = n_chain + n_b if mu_free else reg_end + 2
-        self.loc_of = loc_of = np.concatenate((
+        self.loc_of = np.concatenate((
             loc_chain, mu_slot + np.tile(np.arange(n_channels), n_reg_knots),
-            np.full(n_mu, reg_end + 1))).astype(np.intp)
+            np.full(self.n_x - n_b, reg_end + 1))).astype(np.intp)
         scale = np.repeat([hp.sigma_lev, hp.sigma_seas, hp.sigma_reg, hp.sigma_pool],
-                          [n_lev, n_chain - n_lev, n_b, n_mu])
+                          [n_lev, n_chain - n_lev, n_b, self.n_x - n_b])
         if lev_free:
             scale[0] = hp.init_scale_lev
         const -= float(np.log(2.0 * scale[:n_chain]).sum())
         const -= float(np.sum(np.log(scale[n_chain:]) + 0.5 * LOG_2PI))
-        self.inv = inv = 1.0 / scale
-        self.inv_chain, self.inv_x = inv[:n_chain], inv[n_chain:]
-        # entries from `folded` on take the mirror term
-        self.folded = folded = n_chain + (n_b if hp.gaussian_reg_prior else 0)
-        self.t_folded = t[folded:reg_end]
-        self.neg_two_inv2 = -2.0 * inv[folded:] * inv[folded:]
+        self.inv = 1.0 / scale
+        # x entries from `fold` on take the mirror term
+        self.fold = n_b if hp.gaussian_reg_prior else 0
 
         # A window with weight w adds -(w / 2 sd^2) |K_rows b - mean|^2, so
         # H = (w / sd^2) K_rows'K_rows and h = (w mean / sd^2) K_rows'1, summed
@@ -249,7 +193,7 @@ class Objective:
         by_channel: dict[int, list] = {}
         for term in calibration:
             by_channel.setdefault(term.channel_index, []).append(term)
-        windows = []
+        self.windows = []
         for channel, terms in by_channel.items():
             tiles = [design.k_reg.tile(slice(term.start0, term.end0 + 1)) for term in terms]
             kept = np.concatenate([lo + np.flatnonzero((k >= WEIGHT_FLOOR).any(axis=0))
@@ -266,13 +210,12 @@ class Objective:
                 h = h + w * term.mean * k_rows.sum(axis=0)
                 const -= k_rows.shape[0] * (term.weight * (math.log(term.sd) + 0.5 * LOG_2PI)
                                             + 0.5 * w * term.mean * term.mean)
-            # b is a view of the buffer's knots, at these places of t
-            windows.append((knots, channel, H, h, b_reg[knots, channel],
-                            n_chain + np.arange(knots.start, knots.stop) * n_channels + channel))
+            # b's places in the buffer: b_reg[knots, channel]
+            at = n_chain + np.arange(knots.start, knots.stop) * n_channels + channel
+            self.windows.append((knots, channel, H, h, at))
 
         sigma = packing.fixed_sigma_obs  # a float > 0, or None when free
         self.sigma_fixed = None if sigma is None else (math.log(sigma), sigma)
-        self.nu = nu = hp.noise_df
         y_mean = float(y.mean()) if lev_free else 0.0
         self.r0 = r0 = y - y_mean if lev_free else y - trend_fixed
         if nu is None:
@@ -285,19 +228,214 @@ class Objective:
             const += n * t_const
             self.order, tiles = _design_tiles(design, lev_free)
             self.tiles = list(tiles)  # a call reads every tile twice
-            self.resid = np.empty(n)
-        self.const, order = const, self.order
-        self.beta_shift = np.where(order < n_lev, y_mean, 0.0)
+            self.s0 = None
+        self.const = const
+        self.beta_shift = np.where(self.order < n_lev, y_mean, 0.0)
+
+
+class Objective:
+    """The fit objective of one structure, or of a stack of several,
+    compiled: theta -> (value, gradient).
+
+    For one structure the value is log_posterior_and_grad at
+    packing.unpack(theta), its gradient chained to theta as
+    packing.chain_grad does, plus the softplus log-Jacobian when
+    include_jacobian; that composition stays the readable reference this
+    one is tested against. Objective.stack compiles several structures into
+    one set of buffers, the structures independent: the value is the sum of
+    theirs, and after each call obj.values lists them, one float per
+    structure. A structure's entries of a stacked theta are
+    obj.theta_of[k], in its own packing's order (obj.owner[i] is the
+    structure of entry i), and every value and
+    gradient entry of a stack has the bits it has when that structure is
+    compiled alone: each one's reductions run over its own segment, and
+    everything else is elementwise. One structure is the stack of one.
+    Everything that depends only on the structures is done once in
+    __init__, so a call builds no ParameterSet or ParamGradient and runs no
+    dimension checks.
+
+    A stacked theta is [chain knots | x | ln sigma_obs], each block the
+    structures' blocks in turn: the chain knots [b_lev, b_seas], x = [b_reg,
+    mu_reg], and ln sigma_obs where it is free (fixed blocks are left out).
+    Every prior term is a density of one entry around a location. A call
+    writes the entries into one buffer t = [chain knots | x | location
+    slots]: the chain knots are copied from theta, x = softplus(raw) is
+    written in place (x = raw under the identity transform), and the
+    constant slots, written once in __init__, hold 0 (the location of every
+    chain's first knot) and each structure's mu_pool and its fixed mu_reg
+    when its packing fixes it. One index loc_of gives each entry its
+    location slot: the previous trend knot, the same seasonal column one
+    knot back, the channel's mu_reg, or mu_pool; inv holds each entry's
+    1/scale. A call gathers t[loc_of] once. Three kinds of gradient are
+    written into the slices of one weight buffer: the location gradients
+    (bound for loc_of), the likelihood's d/dbeta (for the knots, in their
+    time order; see below) and each window's (for its knots). One
+    np.bincount per call, over one index scatter_to, adds them all to the
+    gradient. The buffers belong to the object, so calls to one compiled
+    objective must not run concurrently; each still depends on its theta
+    alone. obj(theta) returns a fresh gradient array; obj(theta, out=buf)
+    writes the gradient into buf, every entry, and returns (value, buf).
+
+    The chain knots take Laplace terms |t - loc| inv. The x entries take
+    folded-normal terms: writing z = (x - loc) inv and a = 2 x loc inv^2,
+    each is the Gaussian -z^2/2 plus the mirror image's log(1 + e^-a); the
+    Gaussian test prior on b_reg is the same term without the mirror, which
+    its weight neg_two_inv2 = 0 turns off. Both the softplus and the mirror
+    term come from np.logaddexp, and their derivatives from one exp each:
+    x = logaddexp(0, raw) has derivative sigmoid(raw) = e^(raw - x), and the
+    mirror term logaddexp(0, -a) has derivative -sigmoid(-a) = -e^(-a -
+    logaddexp(0, -a)).
+
+    The fitted values are Z beta for the linear knots beta = [b_lev, b_seas,
+    b_reg] (Z of _design_tiles), gathered from t in each structure's knot
+    time order. The residuals are r0 - Z beta, for r0 the target less the
+    fixed trend, or, when b_lev is free, less the target's mean, which the
+    level knots absorb exactly (beta_shift) since every level kernel row
+    sums to 1. Under Gaussian noise the residual sum of squares is the
+    quadratic s0 - 2 beta'c + beta'G beta with G = Z'Z, c = Z'r0 and s0 =
+    r0'r0 built once; a call does one G @ beta over the banded row blocks
+    _gram builds, and centering keeps s0 small, so the quadratic loses few
+    digits to cancellation. Student-t noise is not quadratic in beta: a
+    call reads Z's tiles (kept in tiles) for the residuals (left in resid)
+    and again for Z' times their d/dfit.
+
+    Calibration windows are quadratic in the regression knots under either
+    noise family: a channel's windows sum to h'b - b'Hb/2 plus a constant,
+    over the knots b their kernel rows reach. Each entry of windows holds
+    its H and h, so a call does one H @ b per windowed channel in place of
+    two products with each window's kernel rows. curvature(theta) is the
+    diagonal of the negated Hessian, read from the same parts.
+    """
+
+    def __init__(self, inputs, hp, packing, calibration, include_jacobian):
+        self._assemble([_Structure(inputs, hp, packing, calibration)], include_jacobian)
+
+    @classmethod
+    def stack(cls, problems, include_jacobian):
+        """The objective of the structures (inputs, hp, packing,
+        calibration) in problems, stacked in that order. They must share
+        the regression transform and prior and the noise family."""
+        obj = cls.__new__(cls)
+        obj._assemble([_Structure(*problem) for problem in problems], include_jacobian)
+        return obj
+
+    def subset(self, keep):
+        """(the stack of the structures at the places keep, in that order,
+        and where the entries of its theta sit in this one's theta), built
+        from this stack's compiled parts."""
+        sub = Objective.__new__(Objective)
+        sub._assemble([self.parts[k] for k in keep], self.include_jacobian)
+        blocks = zip(*(self.blocks_of[k] for k in keep))  # each kind of block in turn
+        return sub, np.concatenate([np.concatenate(block) for block in blocks])
+
+    def _assemble(self, parts, include_jacobian):
+        first = parts[0]
+        shared = (first.softplus_reg, first.gaussian_reg_prior, first.nu)
+        if any((p.softplus_reg, p.gaussian_reg_prior, p.nu) != shared for p in parts):
+            raise ValidationError("stacked structures must share the regression transform "
+                                  "and prior and the noise family")
+        self.parts, self.include_jacobian = parts, include_jacobian
+        self.softplus_reg, self.nu = first.softplus_reg, first.nu
+        self.check_support = not first.softplus_reg and not first.gaussian_reg_prior
+        sizes = np.array([(p.n_chain, p.n_x, p.sigma_fixed is None, p.slots.size, p.order.size,
+                           p.n) for p in parts]).reshape(len(parts), 6)
+        offsets = np.vstack([np.zeros(6, dtype=int), np.cumsum(sizes, axis=0)])
+        self.n_chain = n_chain = int(offsets[-1, 0])
+        self.reg_end = reg_end = n_chain + int(offsets[-1, 1])
+        self.dim = reg_end + int(offsets[-1, 2])
+        self.lin_counts, self.row_counts = sizes[:, 4], sizes[:, 5]
+
+        # t = [chain knots | x | 0 | each structure's mu_pool and fixed mu_reg]
+        self.t = t = np.zeros(reg_end + 1 + int(offsets[-1, 3]))
+        self.t_prior, self.t_chain, self.t_x = t[:reg_end], t[:n_chain], t[n_chain:reg_end]
+        self.loc_of = loc_of = np.empty(reg_end, dtype=np.intp)
+        self.inv = inv = np.empty(reg_end)
+        self.inv_chain, self.inv_x = inv[:n_chain], inv[n_chain:]
+        self.neg_two_inv2 = np.zeros(reg_end - n_chain)
+        self.beta_shift = np.concatenate([p.beta_shift for p in parts])
+        # work buffers: each structure's reductions read its slices of them
+        self.dist, self.mirror_log = np.empty(n_chain), np.empty(reg_end - n_chain)
+        self.log_sig = np.empty(reg_end - n_chain)
+        orders, windows, self.gram_blocks, self.tiles = [], [], [], []
+        self.places, self.blocks_of, self.theta_of, self.support = [], [], [], []
+        for k, (p, (ch, xo, so, slot, lin, row)) in enumerate(zip(parts, offsets[:-1].tolist())):
+            chain, x = slice(ch, ch + p.n_chain), slice(xo, xo + p.n_x)
+            slot += reg_end + 1
+            t[slot:slot + p.slots.size] = p.slots
+
+            def place(local, p=p, ch=ch, xo=xo, slot=slot):
+                """The stack's buffer entries of these entries of p's."""
+                return np.select([local < p.n_chain, local < p.reg_end, local == p.reg_end],
+                                 [ch + local, n_chain + xo + local - p.n_chain, reg_end],
+                                 slot + local - p.reg_end - 1)
+
+            at = place(p.loc_of)
+            loc_of[chain], loc_of[n_chain + xo:n_chain + x.stop] = at[:p.n_chain], at[p.n_chain:]
+            inv[chain], self.inv_x[x] = p.inv[:p.n_chain], p.inv[p.n_chain:]
+            inv_f = p.inv[p.n_chain + p.fold:]
+            self.neg_two_inv2[xo + p.fold:x.stop] = -2.0 * inv_f * inv_f
+            b_end = n_chain + xo + p.n_b
+            self.support.append((t[n_chain + xo:b_end], t[b_end:n_chain + x.stop]))
+            b_reg = t[n_chain + xo:b_end].reshape(p.reg_shape)
+            orders.append(place(p.order))
+            if p.nu is None:
+                self.gram_blocks += [(slice(r.start + lin, r.stop + lin),
+                                      slice(c.start + lin, c.stop + lin), block)
+                                     for r, c, block in p.gram_blocks]
+            else:
+                self.tiles += [(slice(r.start + row, min(r.stop, p.n) + row), a + lin, zt)
+                               for r, a, zt in p.tiles]
+            # b is a view of the buffer's knots, at these places of t
+            windows += [(k, knots, channel, H, h, b_reg[knots, channel], place(w_at))
+                        for knots, channel, H, h, w_at in p.windows]
+            sigma = reg_end + so if p.sigma_fixed is None else None
+            self.places.append((chain, x, slice(lin, lin + p.order.size), slice(row, row + p.n),
+                                sigma))
+            blocks = (np.arange(ch, chain.stop), n_chain + np.arange(xo, x.stop),
+                      np.arange(reg_end + so, reg_end + so + (sigma is not None)))
+            self.blocks_of.append(blocks)
+            self.theta_of.append(np.concatenate(blocks))
+        self.order = np.concatenate(orders)
+        self.owner = np.empty(self.dim, dtype=np.intp)  # the structure of each theta entry
+        for k, at in enumerate(self.theta_of):
+            self.owner[at] = k
 
         # the call's one np.bincount: the entries of t its weights go to, and
         # the weights' slices, the prior's d/dloc, the likelihood's d/dbeta
         # and each g_b
-        self.scatter_to = np.concatenate([loc_of, order] + [at for *_, at in windows])
+        self.scatter_to = np.concatenate([loc_of, self.order] + [w[-1] for w in windows])
         self.weights = weights = np.empty(self.scatter_to.size)
         self.w_prior = weights[:reg_end]
-        self.w_lin = weights[reg_end:reg_end + order.size]  # in time order
-        g_bs = np.split(weights[reg_end + order.size:], np.cumsum([w[-1].size for w in windows]))
+        self.w_lin = weights[reg_end:reg_end + self.order.size]  # in time order
+        g_bs = np.split(weights[reg_end + self.order.size:],
+                        np.cumsum([w[-1].size for w in windows]))
         self.windows = [(*w[:-1], g_b) for w, g_b in zip(windows, g_bs)]
+
+        # each structure's views of the buffers its reductions read
+        z = self.w_prior[n_chain:]
+        self.prior_terms = [
+            (p.const, self.dist[chain], inv[chain], self.mirror_log[x.start + p.fold:x.stop], z[x])
+            for p, (chain, x, *_) in zip(parts, self.places)]
+        self.jacobian_terms = [self.log_sig[x] for _, x, *_ in self.places]
+        self.sigma_of = [(at, p.sigma_fixed) for p, (*_, at) in zip(parts, self.places)]
+        if first.nu is None:
+            self.c = np.concatenate([p.c for p in parts])
+            self.r_c = np.empty(self.c.size)
+            self.fit_terms = [(p.n, p.s0, lin, self.r_c[lin], self.w_lin[lin], at, p.sigma_fixed)
+                              for p, (_, _, lin, _, at) in zip(parts, self.places)]
+        else:
+            self.r0 = np.concatenate([p.r0 for p in parts])
+            self.resid, self.log_terms, self.shares = (np.empty(self.r0.size) for _ in range(3))
+            self.fit_terms = [(p.n, self.log_terms[rows], self.shares[rows], at)
+                              for p, (_, _, _, rows, at) in zip(parts, self.places)]
+        self.values = []
+
+    def _sigmas(self, theta):
+        """Each structure's (ln sigma_obs, sigma_obs) at theta. A sigma that
+        underflows (or whose square does) gives a non-finite value, not an
+        error."""
+        return [fixed or (float(theta[at]), float(np.exp(theta[at])))
+                for at, fixed in self.sigma_of]
 
     def __call__(self, theta, out=None):
         theta = np.asarray(theta, dtype=float)
@@ -310,28 +448,33 @@ class Objective:
         if self.softplus_reg:
             self.t_chain[:] = theta[:n_chain]
             np.logaddexp(0.0, raw, out=t_x)  # softplus, as unpack computes it
-            log_sig = raw - t_x  # ln sigmoid(raw)
+            log_sig = np.subtract(raw, t_x, out=self.log_sig)  # ln sigmoid(raw)
             dx_draw = np.exp(log_sig)
         else:
             self.t_prior[:] = theta[:reg_end]
             if self.check_support:
-                if self.n_b and t_x[:self.n_b].min() < 0:
-                    raise ValidationError("b_reg outside folded-normal support")
-                if self.n_mu and t_x[self.n_b:].min() < 0:
-                    raise ValidationError("mu_reg outside folded-normal support")
+                for b_reg, mu_reg in self.support:
+                    if b_reg.size and b_reg.min() < 0:
+                        raise ValidationError("b_reg outside folded-normal support")
+                    if mu_reg.size and mu_reg.min() < 0:
+                        raise ValidationError("mu_reg outside folded-normal support")
 
         # every prior entry against its location
-        folded, t_folded, neg_two_inv2 = self.folded, self.t_folded, self.neg_two_inv2
+        neg_two_inv2 = self.neg_two_inv2
         loc = self.t[self.loc_of]
         diff = np.subtract(self.t_prior, loc, out=self.w_prior)
-        value = self.const - float(np.abs(diff[:n_chain]) @ self.inv_chain)
+        np.abs(diff[:n_chain], out=self.dist)
         np.sign(diff[:n_chain], out=diff[:n_chain])
         z = diff[n_chain:]
         z *= self.inv_x
-        neg_a = loc[folded:] * t_folded
+        neg_a = loc[n_chain:] * t_x
         neg_a *= neg_two_inv2
-        mirror_log = np.logaddexp(0.0, neg_a)  # log(1 + e^-a)
-        value += float(mirror_log.sum() - 0.5 * (z @ z))
+        mirror_log = np.logaddexp(0.0, neg_a, out=self.mirror_log)  # log(1 + e^-a)
+        # np.add.reduce is ndarray.sum, the same reduction, without its
+        # Python-level wrapper
+        total = np.add.reduce
+        values = [const - float(dist @ inv) + float(total(mirror) - 0.5 * (z_x @ z_x))
+                  for const, dist, inv, mirror, z_x in self.prior_terms]
         # the mirror term's d/dx is c loc and its d/dloc is c x, for
         # c = -2 inv^2 sigmoid(-a) = -2 inv^2 e^(-a - log(1 + e^-a))
         c = np.exp(neg_a - mirror_log)
@@ -340,49 +483,53 @@ class Objective:
         diff *= self.inv
         g = grad[:reg_end]
         np.negative(diff, out=g)
-        g[folded:] += c * loc[folded:]
-        diff[folded:] += c * t_folded
+        g[n_chain:] += c * loc[n_chain:]
+        diff[n_chain:] += c * t_x
 
-        # a sigma that underflows (or whose square does) gives a non-finite
-        # value, not an error
-        if self.sigma_free:
-            ln_sigma, sigma = float(theta[-1]), float(np.exp(theta[-1]))
-        else:
-            ln_sigma, sigma = self.sigma_fixed
         # the likelihood in the knots' time order; w_lin becomes its d/dbeta,
-        # scattered over order: beta's entries lead t and theta
-        n, nu, w_lin = self.n, self.nu, self.w_lin
+        # scattered over order
+        nu, w_lin = self.nu, self.w_lin
         beta = self.t[self.order]
         beta -= self.beta_shift
         if nu is None:
             # through the Gram quadratic; r = Z'resid
             for rows, cols, block in self.gram_blocks:
                 np.dot(block, beta[cols], out=w_lin[rows])
-            r = np.subtract(self.c, w_lin, out=w_lin)
-            ss = self.s0 - float(beta @ (r + self.c))
-            var = sigma * sigma
-            inv_var = 1.0 / var if var else math.inf
-            value += -n * ln_sigma - 0.5 * ss * inv_var
-            dlnsig = ss * inv_var - n
-            r *= inv_var
+            np.subtract(self.c, w_lin, out=w_lin)
+            np.add(w_lin, self.c, out=self.r_c)
+            for k, (n, s0, lin, r_c, r, at, fixed) in enumerate(self.fit_terms):
+                # as _sigmas gives it
+                ln_sigma, sigma = fixed or (float(theta[at]), float(np.exp(theta[at])))
+                ss = s0 - float(beta[lin] @ r_c)
+                var = sigma * sigma
+                inv_var = 1.0 / var if var else math.inf
+                values[k] += -n * ln_sigma - 0.5 * ss * inv_var
+                if at is not None:
+                    grad[at] = ss * inv_var - n
+                r *= inv_var
         else:
+            sigmas = self._sigmas(theta)
             resid = self.resid
             resid[:] = self.r0
             for rows, at, zt in self.tiles:
                 resid[rows] -= beta[at] @ zt
-            nu_var = nu * sigma * sigma
+            nu_var = np.repeat([nu * sigma * sigma for _, sigma in sigmas], self.row_counts)
             sq = resid * resid
             denom = nu_var + sq
-            value += -n * ln_sigma - 0.5 * (nu + 1.0) * float(np.log1p(sq / nu_var).sum())
+            np.log1p(np.divide(sq, nu_var, out=self.log_terms), out=self.log_terms)
+            np.divide(sq, denom, out=self.shares)
+            for k, (n, log_terms, shares, at) in enumerate(self.fit_terms):
+                values[k] += -n * sigmas[k][0] - 0.5 * (nu + 1.0) * float(total(log_terms))
+                if at is not None:
+                    grad[at] = (nu + 1.0) * float(total(shares)) - n
             dfit = (nu + 1.0) * resid / denom
-            dlnsig = (nu + 1.0) * float((sq / denom).sum()) - n
             w_lin[:] = 0.0
             for rows, at, zt in self.tiles:
                 w_lin[at] += zt @ dfit[rows]
 
-        for *_, H, h, b, g_b in self.windows:
+        for k, _, _, H, h, b, g_b in self.windows:
             np.subtract(h, H @ b, out=g_b)
-            value += 0.5 * float(b @ (h + g_b))  # h'b - b'Hb/2
+            values[k] += 0.5 * float(b @ (h + g_b))  # h'b - b'Hb/2
         g += np.bincount(self.scatter_to, weights=self.weights, minlength=self.t.size)[:reg_end]
 
         if self.softplus_reg:
@@ -390,28 +537,29 @@ class Objective:
             g_x *= dx_draw
             if self.include_jacobian:
                 # ln sigmoid(raw), whose derivative is sigmoid(-raw) = e^-x
-                value += float(log_sig.sum())
+                for k, log_sig_x in enumerate(self.jacobian_terms):
+                    values[k] += float(total(log_sig_x))
                 g_x += np.exp(-t_x)
-        if self.sigma_free:
-            grad[-1] = dlnsig
-        return value, grad
+        self.values = values
+        return sum(values), grad
 
     @functools.cached_property
     def constant_curvature(self):
-        """(diag(H) of the windows over the b_reg entries, and under Gaussian
+        """(diag(H) of the windows over the x entries, and under Gaussian
         noise diag(G) in time order, else None). They depend on the
-        structure alone, so they are built on curvature's first call: a MAP
+        structures alone, so they are built on curvature's first call: a MAP
         fit never asks for them."""
-        window_diag = np.zeros_like(self.b_reg)
-        for knots, channel, H, *_ in self.windows:
-            window_diag[knots, channel] += np.diag(H)
+        window_diag = np.zeros(self.reg_end - self.n_chain)
+        for k, knots, channel, H, *_ in self.windows:
+            p, x = self.parts[k], self.places[k][1]
+            window_diag[x.start:x.start + p.n_b].reshape(p.reg_shape)[knots, channel] += np.diag(H)
         if self.nu is not None:
-            return window_diag.ravel(), None
+            return window_diag, None
         gram_diag = np.zeros(self.order.size)
         for rows, cols, block in self.gram_blocks:
             on = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
             gram_diag[on] = block[on - rows.start, on - cols.start]
-        return window_diag.ravel(), gram_diag
+        return window_diag, gram_diag
 
     def curvature(self, theta):
         """The diagonal of -H, for H the Hessian of the objective at theta,
@@ -437,8 +585,8 @@ class Objective:
         """
         _, grad = self(theta)
         window_diag, gram_diag = self.constant_curvature
-        n, nu, n_chain, reg_end = self.n, self.nu, self.n_chain, self.reg_end
-        folded, t_folded, neg_two_inv2 = self.folded, self.t_folded, self.neg_two_inv2
+        nu, n_chain, reg_end, t_x = self.nu, self.n_chain, self.reg_end, self.t_x
+        neg_two_inv2 = self.neg_two_inv2
         out = np.zeros(self.dim)
         curv = out[:reg_end]
 
@@ -448,21 +596,22 @@ class Objective:
         # the mirror log(1 + e^-a) has d^2/dx^2 = (2 inv^2 loc)^2 p (1 - p)
         # for p = sigmoid(-a) = e^(-a - log(1 + e^-a)) and 1 - p =
         # e^-log(1 + e^-a); its d^2/dloc^2 has x in place of loc
-        neg_a = loc[folded - n_chain:] * t_folded * neg_two_inv2
+        neg_a = loc * t_x * neg_two_inv2
         mirror = np.exp(neg_a - 2.0 * np.logaddexp(0.0, neg_a)) * neg_two_inv2 * neg_two_inv2
-        d2_x[folded - n_chain:] -= mirror * loc[folded - n_chain:] ** 2
-        d2_loc[folded - n_chain:] -= mirror * t_folded * t_folded
+        d2_x -= mirror * loc ** 2
+        d2_loc -= mirror * t_x * t_x
         curv[n_chain:] = d2_x
         curv += np.bincount(self.loc_of[n_chain:], weights=d2_loc, minlength=self.t.size)[:reg_end]
-        curv[n_chain:n_chain + self.n_b] += window_diag
+        curv[n_chain:] += window_diag
 
-        sigma = float(np.exp(theta[-1])) if self.sigma_free else self.sigma_fixed[1]
+        sigmas = self._sigmas(theta)
         if nu is None:  # diag(G) / sigma^2 in time order, added at order
-            curv[self.order] += gram_diag / (sigma * sigma)
-            if self.sigma_free:  # the call's d/d ln sigma is ss / sigma^2 - n
-                out[-1] = 2.0 * (grad[-1] + n)
+            curv[self.order] += gram_diag / np.repeat([s * s for _, s in sigmas], self.lin_counts)
+            for p, (*_, at) in zip(self.parts, self.places):
+                if at is not None:  # the call's d/d ln sigma is ss / sigma^2 - n
+                    out[at] = 2.0 * (grad[at] + p.n)
         else:  # the call left the residuals in resid
-            nu_var = nu * sigma * sigma
+            nu_var = np.repeat([nu * s * s for _, s in sigmas], self.row_counts)
             sq = self.resid * self.resid
             denom = nu_var + sq
             w = (nu + 1.0) * (nu_var - sq) / (denom * denom)
@@ -470,12 +619,14 @@ class Objective:
             for rows, at, zt in self.tiles:
                 diag[at] += (zt * zt) @ w[rows]
             curv[self.order] += diag
-            if self.sigma_free:
-                out[-1] = 2.0 * (nu + 1.0) * float((sq * nu_var / (denom * denom)).sum())
+            shares = sq * nu_var / (denom * denom)
+            for *_, rows, at in self.places:
+                if at is not None:
+                    out[at] = 2.0 * (nu + 1.0) * float(shares[rows].sum())
 
         if self.softplus_reg:
-            s = np.exp(theta[n_chain:reg_end] - self.t_x)  # sigmoid(raw), as the call's dx_draw
-            e = np.exp(-self.t_x)  # 1 - s
+            s = np.exp(theta[n_chain:reg_end] - t_x)  # sigmoid(raw), as the call's dx_draw
+            e = np.exp(-t_x)  # 1 - s
             s_grad = grad[n_chain:reg_end] - e if self.include_jacobian else grad[n_chain:reg_end]
             curv[n_chain:] *= s * s
             curv[n_chain:] -= e * s_grad

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import __version__
 from .calibration import apply_prior_windows, read_prior_windows_csv
-from .errors import ValidationError
-from .evaluation import BacktestPlan, MetricReport, backtest
+from .errors import DivergenceError, ValidationError
+from .evaluation import (BacktestPlan, MetricReport, _slice_frame, backtest, seed_for_split,
+                         split_bounds)
 from .fourier import fourier_design
 from .inference import (
     FitResult,
@@ -26,6 +27,7 @@ from .inference import (
     check_variational,
     draw_quantiles,
     fit_map,
+    fit_maps,
     fit_svi,
     variational_draws,
 )
@@ -214,7 +216,9 @@ def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: i
 
 
 def forecaster_from_config(cfg: RunConfig):
-    """Expanding-window forecaster: refits per split with the split seed."""
+    """Expanding-window forecaster: refits per split with the split seed,
+    one split at a time. run_backtest scores the same fits, fitted
+    together; tests compare the two."""
 
     def forecaster(train: TimeSeriesFrame, horizon: int,
                    future_regressors: np.ndarray, seed: int) -> np.ndarray:
@@ -234,9 +238,55 @@ def backtest_plan_from(cfg: RunConfig) -> BacktestPlan:
     )
 
 
-def run_backtest(frame: TimeSeriesFrame, cfg: RunConfig) -> MetricReport:
-    return backtest(frame, forecaster_from_config(cfg), backtest_plan_from(cfg),
-                    root_seed=cfg.seed)
+def _split_error(exc: DivergenceError, index: int) -> DivergenceError:
+    return DivergenceError(f"split {index + 1}: {exc}", trace=exc.trace,
+                           iteration=exc.iteration, index=index)
+
+
+def run_backtest(frame: TimeSeriesFrame, cfg: RunConfig) -> tuple[MetricReport, list[dict]]:
+    """(the expanding-window backtest of forecaster_from_config(cfg), one
+    summary dict per split); each split's fit is the one that forecaster
+    makes, bit for bit.
+
+    The prior windows file is read once, against the whole series, and each
+    split keeps the windows that end on or before its last training row.
+    All splits' MAP fits run at once (fit_maps); under mode=svi each split's
+    SVI then starts from its MAP point. evaluation.backtest scores the
+    forecasts, which its forecaster looks up by the split's training rows.
+    """
+    plan = backtest_plan_from(cfg)
+    terms = calibration_terms(frame, cfg)
+    bounds = split_bounds(frame.n_times, plan)
+    splits = []
+    for i, (train_end, _, _) in enumerate(bounds):
+        split_cfg = dataclasses.replace(cfg, seed=seed_for_split(cfg.seed, i))
+        inputs, hp, structure = build_structure(_slice_frame(frame, train_end), split_cfg)
+        kept = tuple(term for term in terms if term.end0 < train_end)
+        splits.append((split_cfg, inputs, hp, structure, kept))
+    try:
+        fits = fit_maps([(inputs, hp, map_config_from(split_cfg), None, kept)
+                         for split_cfg, inputs, hp, _, kept in splits])
+    except DivergenceError as exc:
+        raise _split_error(exc, exc.index) from None
+    forecasts, summary = {}, []
+    for i, ((train_end, test_start, test_end), fit, (split_cfg, inputs, hp, structure, kept)) \
+            in enumerate(zip(bounds, fits, splits)):
+        if cfg.mode == "svi":
+            try:
+                fit = fit_svi(inputs, hp, svi_config_from(split_cfg), calibration=kept, init=fit)
+            except DivergenceError as exc:
+                raise _split_error(exc, i) from None
+        fit.structure = structure
+        forecasts[train_end] = predict_from_fit(
+            fit, frame.regressors[test_start - 1:test_end], plan.horizon)
+        summary.append({"split": i + 1, "train_rows": train_end, "seed": split_cfg.seed,
+                        "iterations": fit.n_iterations, "stop_reason": fit.stop_reason,
+                        "objective": fit.trace[-1], "grad_norm": fit.grad_norm})
+
+    def forecaster(train, horizon, future_regressors, seed):
+        return forecasts[train.n_times]
+
+    return backtest(frame, forecaster, plan, root_seed=cfg.seed), summary
 
 
 # -- file plumbing ------------------------------------------------------------

@@ -313,7 +313,7 @@ def test_backtest_beats_seasonal_naive():
             knot_distance_lev=30, knot_distance_reg=20, sigma_reg=0.3, rho=20.0,
             map_iterations=10000, backtest_horizon=28, backtest_splits=6,
         )
-        model = run_backtest(ds.frame, cfg).mean
+        model = run_backtest(ds.frame, cfg)[0].mean
         naive = backtest(
             ds.frame, seasonal_naive_forecaster(7), backtest_plan_from(cfg),
             root_seed=seed,

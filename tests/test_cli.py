@@ -11,11 +11,17 @@ import pytest
 
 from btvc.cli import main
 from btvc.errors import DivergenceError
+from btvc.evaluation import backtest, seed_for_split, write_metric_report_csv
 from btvc.inference import load_fit
+from btvc.objective import Objective
 from btvc.pipeline import (
+    backtest_plan_from,
     forecast_quantiles,
+    forecaster_from_config,
+    load_frame,
     predict_from_fit,
     read_future_csv,
+    run_fit,
     write_forecast_csv,
 )
 from btvc.model import HyperParams, Structure
@@ -309,6 +315,68 @@ def test_backtest_command(tmp_path, capsys):
     lines = (bt_dir / "backtest.csv").read_text().strip().splitlines()
     assert lines[0] == "split,smape"
     assert len(lines) == 5  # 2 splits + mean + sd
+
+
+def split_frame(frame, n):
+    """The first n rows of a frame: a backtest split's training rows."""
+    return dataclasses.replace(frame, timestamps=frame.timestamps[:n],
+                               response=frame.response[:n], regressors=frame.regressors[:n])
+
+
+def test_backtest_manifest_lists_each_split_fit(tmp_path, capsys):
+    sim_dir = tmp_path / "sim"
+    simulate_small(capsys, str(sim_dir))
+    data = str(sim_dir / "data.csv")
+    settings = {"backtest_horizon": "5", "backtest_splits": "2", "backtest_min_train": "40",
+                "map_iterations": "40", "fourier": "7:1", "seed": "9"}
+    flags = [f for key, value in settings.items() for f in ("--set", f"{key}={value}")]
+    code, _, err = run(capsys, "backtest", "--data", data, "--out", str(tmp_path / "bt"), *flags)
+    assert code == 0 and err == ""
+    splits = json.loads((tmp_path / "bt" / "manifest.json").read_text())["splits"]
+    assert [sorted(split) for split in splits] == [
+        ["grad_norm", "iterations", "objective", "seed", "split", "stop_reason", "train_rows"]] * 2
+    assert [(split["split"], split["train_rows"]) for split in splits] == [(1, 70), (2, 75)]
+
+    # split 1 as a fit of its own training rows with its seed
+    cfg = dataclasses.replace(RunConfig(), **{k: parse_value(k, v) for k, v in settings.items()})
+    frame = load_frame(data, cfg)
+    assert splits[0]["seed"] == seed_for_split(9, 0)
+    alone, _ = run_fit(split_frame(frame, 70), dataclasses.replace(cfg, seed=splits[0]["seed"]))
+    assert (splits[0]["iterations"], splits[0]["stop_reason"], splits[0]["objective"],
+            splits[0]["grad_norm"]) == (alone.n_iterations, alone.stop_reason, alone.trace[-1],
+                                        alone.grad_norm)
+
+    # backtest.csv is what refitting split by split writes
+    write_metric_report_csv(backtest(frame, forecaster_from_config(cfg), backtest_plan_from(cfg),
+                                     root_seed=cfg.seed), str(tmp_path / "refit.csv"))
+    assert (tmp_path / "bt" / "backtest.csv").read_bytes() == (tmp_path / "refit.csv").read_bytes()
+
+
+def test_backtest_keeps_the_prior_windows_each_split_has_seen(tmp_path, capsys):
+    # 400 daily rows from 2020-01-01; the default plan's splits train on 232,
+    # 260, ..., 372 rows. The x1 window (rows 376-400) ends after every
+    # split's last training row, so every split drops it; the x2 window
+    # (rows 245-264) is kept by the splits of 288 rows on.
+    sim_dir = tmp_path / "sim"
+    assert simulate_small(capsys, str(sim_dir), extra=("--set", "sim_length=400"))[0] == 0
+    data = str(sim_dir / "data.csv")
+    late, early = "x1,2021-01-10,2021-02-03,0.25,0.02\n", "x2,2020-09-01,2020-09-20,0.3,0.05\n"
+    header = "channel,start_date,end_date,mean,sd\n"
+    (tmp_path / "both.csv").write_text(header + late + early)
+    (tmp_path / "early.csv").write_text(header + early)
+    both = ("--set", f"prior_windows={tmp_path / 'both.csv'}", "--set", "map_iterations=300")
+    assert run(capsys, "fit", "--data", data, "--out", str(tmp_path / "fit"), *both)[0] == 0
+    code, out, err = run(capsys, "backtest", "--data", data, "--out", str(tmp_path / "bt"), *both)
+    assert code == 0 and err == "" and "mean" in out
+    splits = json.loads((tmp_path / "bt" / "manifest.json").read_text())["splits"]
+    assert [split["train_rows"] for split in splits] == [232, 260, 288, 316, 344, 372]
+
+    cfg = dataclasses.replace(RunConfig(), map_iterations=300)
+    frame = load_frame(data, cfg)
+    for split, windows in ((splits[1], ""), (splits[2], str(tmp_path / "early.csv"))):
+        alone, _ = run_fit(split_frame(frame, split["train_rows"]),
+                           dataclasses.replace(cfg, seed=split["seed"], prior_windows=windows))
+        assert (split["objective"], split["grad_norm"]) == (alone.trace[-1], alone.grad_norm)
 
 
 def test_config_file_with_retired_knobs(tmp_path, capsys):
@@ -747,6 +815,31 @@ class TestErrorPaths:
         )
         assert code == 2
         assert err.strip() == "error: objective diverged at iteration 3"
+        assert out == ""
+
+    def test_a_diverging_split_names_itself(self, capsys, tmp_path, monkeypatch):
+        # the second split's objective turns non-finite on the 4th call of
+        # the splits' stacked objective, at iteration 3
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        real = Objective.__call__
+        calls = {"n": 0}
+
+        def exploding(self, theta, out=None):
+            value, grad = real(self, theta, out)
+            calls["n"] += 1
+            if calls["n"] > 3:
+                self.values[1] = float("nan")
+            return value, grad
+
+        monkeypatch.setattr(Objective, "__call__", exploding)
+        code, out, err = run(
+            capsys, "backtest", "--data", str(sim_dir / "data.csv"), "--out", str(tmp_path / "bt"),
+            *FAST, "--set", "backtest_horizon=5", "--set", "backtest_splits=2",
+            "--set", "backtest_min_train=40",
+        )
+        assert code == 2
+        assert err.strip() == "error: split 2: objective became non-finite at iteration 3"
         assert out == ""
 
 

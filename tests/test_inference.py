@@ -312,15 +312,12 @@ def test_divergence_aborts_with_trace(monkeypatch):
     packing = default_packing(inputs)
     calls = {"n": 0}
 
-    def exploding(inputs_, hp_, packing_, calibration, include_jacobian):
-        def f(theta):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                return np.nan, np.zeros(packing_.dim)
-            return -1.0, np.zeros(packing_.dim)
-        return f
+    def exploding(self, theta, out=None):
+        calls["n"] += 1
+        self.values = [np.nan if calls["n"] > 3 else -1.0]
+        return self.values[0], np.zeros(packing.dim)
 
-    monkeypatch.setattr(inference, "Objective", exploding)
+    monkeypatch.setattr(inference.Objective, "__call__", exploding)
     with pytest.raises(DivergenceError) as exc:
         fit_map(inputs, hp, MapConfig(iterations=50))
     assert exc.value.iteration >= 0
@@ -956,6 +953,118 @@ def test_curvature_reads_no_kink():
     exact = f.curvature(theta)
     assert abs(exact[1] - fd_curvature(f, off, 1e-5)[1]) <= 1e-6 * exact[1]
     assert fd_curvature(f, theta, 1e-4)[1] >= 10.0 * exact[1]
+
+
+# variants that may share a stack: one regression transform and prior, one
+# noise family; fixed blocks, windows and sizes differ within a stack
+STACKS = {
+    "gaussian": ("default", "one_window", "fixed_blocks", "fixed_level_only", "fixed_mu_only",
+                 "no_seasonal", "multi_block", "subnormal_kernel_windows"),
+    "student_t": ("student_t", "student_t_windows", "student_t_fixed_blocks",
+                  "student_t_no_seasonal", "student_t_multi_block"),
+    "identity_gaussian": ("identity_gaussian", "conjugate"),
+    "identity_folded": ("identity_folded", "identity_folded"),
+}
+
+
+@pytest.mark.parametrize("include_jacobian", [False, True])
+@pytest.mark.parametrize("group", STACKS)
+def test_a_stacked_objective_computes_each_structure_as_it_does_alone(group, include_jacobian):
+    variants = [compiled_variant(name) for name in STACKS[group]]
+    stack = objective.Objective.stack([v[:4] for v in variants], include_jacobian)
+    alone = [objective.Objective(*v[:4], include_jacobian) for v in variants]
+    keep = [2, 0] if len(variants) > 2 else [1]
+    sub, entries = stack.subset(keep)
+    rng = np.random.default_rng(len(group))
+    for _ in range(5):
+        thetas = [jittered_theta(initial_theta(inputs, hp, packing), packing, nonnegative, rng)
+                  for inputs, hp, packing, _, nonnegative in variants]
+        theta = np.empty(stack.dim)
+        for at, theta_k in zip(stack.theta_of, thetas):
+            theta[at] = theta_k
+        value, grad = stack(theta)
+        values = list(stack.values)
+        assert len(values) == len(variants) and value == sum(values)
+        curvature = stack.curvature(theta)
+        for k, (f, theta_k) in enumerate(zip(alone, thetas)):
+            value_k, grad_k = f(theta_k)
+            assert values[k] == value_k
+            assert grad[stack.theta_of[k]].tobytes() == grad_k.tobytes()
+            assert curvature[stack.theta_of[k]].tobytes() == f.curvature(theta_k).tobytes()
+        # the stack of some of them, built from the compiled parts
+        _, sub_grad = sub(theta[entries])
+        assert sub.values == [values[k] for k in keep]
+        assert sub_grad.tobytes() == grad[entries].tobytes()
+
+
+def test_a_stack_needs_one_noise_family():
+    with pytest.raises(ValidationError, match="stacked structures must share"):
+        objective.Objective.stack(
+            [compiled_variant(name)[:4] for name in ("default", "student_t")], False)
+
+
+def stacked_runs(case):
+    """fit_maps runs on three prefixes of one series, as backtest splits are,
+    each with its own seed and trace thinning."""
+    frame = simulate_multiplicative(MultiplicativeSimConfig(T=260, P=2, seed=31)).frame
+    cfg = dataclasses.replace(RunConfig(), fourier="7:1",
+                              noise_df=5.0 if case == "student_t" else 0.0)
+    runs = []
+    for T, trace_every in ((150, 1), (200, 3), (260, 7)):
+        train = rows(frame, T)
+        inputs, hp, _ = build_structure(train, cfg)
+        terms = ()
+        if case == "window":
+            window = PriorWindow(channel="x1", start=T - 20, end=T - 1, mean=0.3, sd=0.05)
+            terms = apply_prior_windows([window], train.regressor_names, T)
+        runs.append((inputs, hp, MapConfig(seed=T, trace_every=trace_every), None, terms))
+    return runs
+
+
+def rows(frame, n):
+    return dataclasses.replace(frame, timestamps=frame.timestamps[:n], response=frame.response[:n],
+                               regressors=frame.regressors[:n])
+
+
+@pytest.mark.parametrize("case", ["gaussian", "student_t", "window"])
+def test_each_run_of_a_stacked_fit_equals_its_fit_alone(case):
+    runs = stacked_runs(case)
+    fits = inference.fit_maps(runs)
+    for (inputs, hp, config, packing, terms), fit in zip(runs, fits):
+        alone = fit_map(inputs, hp, config, packing=packing, calibration=terms)
+        assert fit.theta.tobytes() == alone.theta.tobytes()
+        assert fit.trace == alone.trace
+        assert (fit.n_iterations, fit.stop_reason, fit.grad_norm, fit.seed) == (
+            alone.n_iterations, alone.stop_reason, alone.grad_norm, alone.seed)
+        assert fit.params.b_reg.tobytes() == alone.params.b_reg.tobytes()
+    # the runs stop at different iterations, so the stack lost runs on the way
+    assert len({fit.n_iterations for fit in fits}) == 3
+
+
+def test_stacked_runs_share_one_step_size_schedule():
+    runs = stacked_runs("gaussian")
+    runs[1] = (*runs[1][:2], MapConfig(iterations=500), *runs[1][3:])
+    with pytest.raises(ValidationError, match="must share learning_rate"):
+        inference.fit_maps(runs)
+
+
+def test_a_diverging_run_of_a_stacked_fit_names_itself(monkeypatch):
+    real = objective.Objective.__call__
+    calls = {"n": 0}
+
+    def exploding(self, theta, out=None):
+        value, grad = real(self, theta, out)
+        calls["n"] += 1
+        if calls["n"] > 3:
+            self.values[1] = np.nan
+        return value, grad
+
+    monkeypatch.setattr(objective.Objective, "__call__", exploding)
+    with pytest.raises(DivergenceError, match="^objective became non-finite at iteration 3$") \
+            as exc:
+        inference.fit_maps(stacked_runs("gaussian"))
+    # run 1 records its trace every 3 iterations: at iteration 0 of 0-2
+    assert (exc.value.index, exc.value.iteration, len(exc.value.trace)) == (1, 3, 1)
 
 
 @pytest.mark.parametrize("include_jacobian", [False, True])
