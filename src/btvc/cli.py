@@ -8,6 +8,7 @@ machine-parsable line `error: <message>` on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import statistics
 import sys
@@ -76,7 +77,10 @@ def _add_common(sub):
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The btvc parser, built on the first call; later calls return the
+    same one (parse_args leaves a parser unchanged)."""
     parser = _Parser(prog="btvc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -170,24 +170,27 @@ class ParameterPacking:
             allow_negative_reg=self.reg_transform == "identity",
         )
 
-    def unpack_stacked(self, thetas: np.ndarray):
+    def unpack_stacked(self, thetas: np.ndarray, knots=(slice(None),) * 3):
         """Blocks of S theta rows at once: b_lev (S, J_lev), b_seas
         (S, J_seas, Q), b_reg (S, J_reg, P), mu_reg (S, P) and sigma_obs (S,),
-        fixed blocks broadcast. Every row must pass ParameterSet's support
-        checks, which raise the same errors here.
+        fixed blocks broadcast. knots, the (trend, seasonal, regression)
+        knot slices to return, narrows the first three blocks, and only the
+        kept knots of b_reg are transformed. Every row must pass
+        ParameterSet's support checks, which raise the same errors here.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != self.dim:
             raise ValidationError(f"theta length {thetas.shape[1:]} != packing dim {self.dim}")
         S = thetas.shape[0]
         sl = self.slices()
+        lev, seas, reg = knots
         if "b_lev" in sl:
-            b_lev = thetas[:, sl["b_lev"]]
+            b_lev = thetas[:, sl["b_lev"]][:, lev]
         else:
-            b_lev = np.broadcast_to(self.fixed_b_lev, (S, self.n_lev))
-        b_seas = thetas[:, sl["b_seas"]].reshape(S, self.n_seas_knots, self.n_seas_cols)
+            b_lev = np.broadcast_to(self.fixed_b_lev, (S, self.n_lev))[:, lev]
+        b_seas = thetas[:, sl["b_seas"]].reshape(S, self.n_seas_knots, self.n_seas_cols)[:, seas]
         b_reg = self._reg_forward(
-            thetas[:, sl["b_reg"]].reshape(S, self.n_reg_knots, self.n_channels)
+            thetas[:, sl["b_reg"]].reshape(S, self.n_reg_knots, self.n_channels)[:, reg]
         )
         if "mu_reg" in sl:
             mu_reg = self._reg_forward(thetas[:, sl["mu_reg"]])
@@ -802,9 +805,10 @@ def fit_document(fit: FitResult) -> dict:
 
 
 def save_fit(fit: FitResult, path: str) -> None:
+    # one json.dumps string: json.dump always runs the pure-Python encoder
+    text = json.dumps(fit_document(fit), sort_keys=True, separators=(",", ":"))
     with open(path, "w") as fh:
-        json.dump(fit_document(fit), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _theta_vector(value, key: str, dim: int) -> np.ndarray:

@@ -132,12 +132,20 @@ class KernelMatrix:
         out.reshape(-1)[starts[:, None] + np.arange(band.shape[1])] = band
         return lo, out
 
-    def product(self, x, transpose: bool = False) -> np.ndarray:
+    @property
+    def reach(self) -> slice:
+        """The knots lo..hi-1 that some row's band covers; K @ x reads only
+        x[lo:hi]."""
+        return slice(int(self.first.min()), int(self.first.max()) + self.band.shape[1])
+
+    def product(self, x, transpose: bool = False, knot_offset: int = 0) -> np.ndarray:
         """K @ x, or K' @ x when transpose, for x of shape (J, ...) or (n, ...).
 
+        Without transpose, x[j] holds knot knot_offset + j, and x needs only
+        the knots of self.reach: x may be a slice of a (J, ...) array.
         Each block of TILE_ROWS rows is one GEMM of its tile, scattered from
-        the band as the block is reached; K' @ x adds the blocks in row
-        order.
+        the band as the block is reached, written straight into its rows of
+        the result; K' @ x adds the blocks in row order.
         """
         x = np.asarray(x, dtype=float)
         if transpose:
@@ -150,7 +158,8 @@ class KernelMatrix:
             if transpose:
                 out[lo:lo + k.shape[1]] += k.T @ x[rows]
             else:
-                out[rows] = k @ x[lo:lo + k.shape[1]]
+                lo -= knot_offset
+                np.matmul(k, x[lo:lo + k.shape[1]], out=out[rows])
         return out
 
 

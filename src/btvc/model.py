@@ -148,6 +148,11 @@ class ModelDesign:
     def n_channels(self) -> int:
         return int(self.regressors.shape[1])
 
+    @property
+    def reach(self) -> tuple[slice, slice, slice]:
+        """The trend, seasonal and regression knots the rows reach."""
+        return self.k_lev.reach, self.k_seas.reach, self.k_reg.reach
+
 
 @dataclass(frozen=True)
 class Structure:
@@ -254,18 +259,23 @@ class ParamGradient:
 
 
 def check_dims(params: ParameterSet, design: ModelDesign) -> None:
-    _check_knot_shapes(params.b_lev, params.b_seas, params.b_reg, design)
+    _check_knot_shapes(params.b_lev, params.b_seas, params.b_reg, design,
+                       (design.k_lev.grid.n_knots, design.k_seas.grid.n_knots,
+                        design.k_reg.grid.n_knots))
 
 
-def _check_knot_shapes(b_lev, b_seas, b_reg, design: ModelDesign) -> None:
+def _check_knot_shapes(b_lev, b_seas, b_reg, design: ModelDesign, knots) -> None:
+    """knots: the (trend, seasonal, regression) knot counts the blocks hold."""
+    n_lev, n_seas, n_reg = knots
     # trailing axes only, so a leading draw axis passes through
-    if design.k_lev.grid.n_knots != b_lev.shape[-1]:
+    if n_lev != b_lev.shape[-1]:
         raise ValidationError("b_lev length does not match trend grid")
-    if design.k_seas.grid.n_knots != b_seas.shape[-2]:
+    if n_seas != b_seas.shape[-2]:
         raise ValidationError("b_seas rows do not match seasonal grid")
     if b_seas.shape[-1] != design.seasonal.shape[1]:
         raise ValidationError("b_seas columns do not match seasonal design")
-    _check_reg_rows(b_reg, design.k_reg)
+    if n_reg != b_reg.shape[-2]:
+        raise ValidationError("b_reg rows do not match regression grid")
     if b_reg.shape[-1] != design.n_channels:
         raise ValidationError("b_reg columns do not match regressors")
 
@@ -281,11 +291,13 @@ def coefficients(params: ParameterSet, k_reg: KernelMatrix) -> np.ndarray:
     return k_reg.product(params.b_reg)
 
 
-def _stacked_product(k: KernelMatrix, b: np.ndarray) -> np.ndarray:
+def _stacked_product(k: KernelMatrix, b: np.ndarray, knot_offset: int = 0) -> np.ndarray:
     """K @ b[s] for every draw s as one product that reads K once: b
-    (S, J, C) moves to (J, S*C), and the result is laid out (n, S, C)."""
+    (S, J, C), whose b[:, j] is knot knot_offset + j, moves to (J, S*C), and
+    the result is laid out (n, S, C)."""
     S, J, C = b.shape
-    return k.product(b.transpose(1, 0, 2).reshape(J, S * C)).reshape(k.n_times, S, C)
+    return k.product(b.transpose(1, 0, 2).reshape(J, S * C),
+                     knot_offset=knot_offset).reshape(k.n_times, S, C)
 
 
 def stacked_coefficients(b_reg: np.ndarray, k_reg: KernelMatrix) -> np.ndarray:
@@ -298,16 +310,19 @@ def stacked_fitted(b_lev: np.ndarray, b_seas: np.ndarray, b_reg: np.ndarray,
                    design: ModelDesign) -> np.ndarray:
     """decompose(...).fitted for a stack of S draws, shape (S, n).
 
-    b_lev is (S, J_lev), b_seas (S, J_seas, Q) and b_reg (S, J_reg, P), as
-    ParameterPacking.unpack_stacked returns them; each kernel is read once
-    for all draws.
+    The blocks hold only the knots each kernel's rows reach
+    (design.reach): b_lev is (S, K_lev), b_seas (S, K_seas, Q) and
+    b_reg (S, K_reg, P), as ParameterPacking.unpack_stacked returns them
+    for those knots. Each kernel is read once for all draws.
     """
-    _check_knot_shapes(b_lev, b_seas, b_reg, design)
-    trend = design.k_lev.product(b_lev.T).T
+    lev, seas, reg = design.reach
+    _check_knot_shapes(b_lev, b_seas, b_reg, design,
+                       [r.stop - r.start for r in design.reach])
+    trend = design.k_lev.product(b_lev.T, knot_offset=lev.start).T
     seasonality = np.einsum("tq,tsq->st", design.seasonal,
-                            _stacked_product(design.k_seas, b_seas))
+                            _stacked_product(design.k_seas, b_seas, seas.start))
     regression = np.einsum("tp,tsp->st", design.regressors,
-                           _stacked_product(design.k_reg, b_reg))
+                           _stacked_product(design.k_reg, b_reg, reg.start))
     return trend + seasonality + regression
 
 

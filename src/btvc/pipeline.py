@@ -167,11 +167,19 @@ def _design(structure: Structure, x: np.ndarray, first: int, n: int) -> ModelDes
 
 
 def training_design(structure: Structure, frame: TimeSeriesFrame) -> ModelDesign:
-    """Rebuild the rows-1..T design of a saved fit from the original data."""
+    """Rebuild the rows-1..T design of a saved fit from the original data,
+    whose dates (in date order) must be the fit's training calendar."""
     require_structure(structure)
     if frame.n_times != structure.T:
         raise ValidationError(
             f"data has {frame.n_times} rows but the fit was trained on {structure.T}"
+        )
+    expected = _row_dates(structure, np.arange(1, structure.T + 1))
+    wrong = np.flatnonzero(frame.timestamps != expected)
+    if wrong.size:
+        r = wrong[0]
+        raise ValidationError(
+            f"data row {r + 1} has date {frame.timestamps[r]}, expected {expected[r]}"
         )
     if frame.regressor_names != structure.regressor_names:
         raise ValidationError("data regressor columns do not match the fit")
@@ -204,13 +212,14 @@ def predict_from_fit(fit: FitResult, future_regressors: np.ndarray,
 def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: int,
                        levels, n_draws: int, seed: int = 0) -> dict[float, np.ndarray]:
     """Empirical forecast quantiles from variational draws, all draws
-    evaluated in one batched pass over stacked knots."""
+    evaluated in one batched pass over stacked knots. Every draw is taken
+    and checked, but only the knots the forecast rows reach are evaluated."""
     if horizon == 0:
         check_variational(fit, n_draws)
         return {float(q): np.zeros(0) for q in levels}
     thetas = variational_draws(fit, n_draws, seed)
     design = forecast_design(fit.structure, future_regressors, horizon)
-    b_lev, b_seas, b_reg, _, _ = fit.packing.unpack_stacked(thetas)
+    b_lev, b_seas, b_reg, _, _ = fit.packing.unpack_stacked(thetas, knots=design.reach)
     fitted = stacked_fitted(b_lev, b_seas, b_reg, design)
     return draw_quantiles(np.exp(fitted) if fit.structure.link == "log" else fitted, levels)
 
@@ -320,15 +329,22 @@ def read_future_csv(path: str, structure: Structure, horizon: int,
 
 
 def forecast_dates(structure: Structure, horizon: int) -> np.ndarray:
+    return _row_dates(structure, np.arange(structure.T + 1, structure.T + horizon + 1))
+
+
+def _row_dates(structure: Structure, rows: np.ndarray) -> np.ndarray:
+    """Dates of a saved fit's 1-based rows: row T is last_date, and rows
+    are step_days apart."""
     step = np.timedelta64(structure.step_days, "D")
-    return np.datetime64(structure.last_date, "D") + step * np.arange(1, horizon + 1)
+    return np.datetime64(structure.last_date, "D") + step * (rows - structure.T)
 
 
 def write_forecast_csv(path: str, structure: Structure, point: np.ndarray,
                        quantiles: dict[float, np.ndarray] | None = None) -> None:
     quantiles = quantiles or {}
     levels = sorted(quantiles)
-    write_table(path, ["date", "forecast", *(f"q_{q:g}" for q in levels)],
+    # repr keeps every digit of a level, so distinct levels get distinct names
+    write_table(path, ["date", "forecast", *(f"q_{float(q)!r}" for q in levels)],
                 forecast_dates(structure, point.size), [point, *(quantiles[q] for q in levels)])
 
 

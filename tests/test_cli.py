@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from btvc.cli import main
+from btvc.cli import build_parser, main
 from btvc.errors import DivergenceError
 from btvc.evaluation import backtest, seed_for_split, write_metric_report_csv
 from btvc.inference import load_fit
@@ -26,6 +26,7 @@ from btvc.pipeline import (
 )
 from btvc.model import HyperParams, Structure
 from btvc.runconfig import RunConfig, config_from_dict, parse_value
+from btvc.timeframe import read_table
 
 from tests.test_timeframe import write_csv
 
@@ -1052,3 +1053,63 @@ def test_mutating_any_settings_field_or_theta_vector_never_ends_in_a_traceback(
     assert set(doc["hyperparams"]) == {f.name for f in dataclasses.fields(HyperParams)}
     assert set(doc["structure"]) == {f.name for f in dataclasses.fields(Structure)}
     assert failures == []
+
+
+def test_quantile_columns_name_every_digit_of_their_level(capsys, tmp_path, svi_fit):
+    # the levels used to be named with :g, which wrote the header
+    # date,forecast,q_0.123457,q_0.123457,q_1 and exited 0
+    fit_json, _, future = svi_fit
+    code, _, err = run(capsys, "predict", "--fit", str(fit_json), "--future", str(future),
+                       "--horizon", "3", "--quantiles", "0.1234567,0.1234568,0.9999999",
+                       "--draws", "20", "--out", str(tmp_path / "fc"))
+    assert code == 0, err
+    path = str(tmp_path / "fc" / "forecast.csv")
+    names = ["q_0.1234567", "q_0.1234568", "q_0.9999999"]
+    assert open(path).readline() == ",".join(["date", "forecast", *names]) + "\n"
+    # btvc's own reader takes the file back: the names are distinct
+    table = read_table(path, {"date": "date", "forecast": "number"}, rest="number")
+    assert list(table) == ["date", "forecast", *names]
+
+
+def test_decompose_rejects_a_series_on_another_calendar(capsys, tmp_path, svi_fit):
+    # the same series shifted by a year used to exit 0 and write a
+    # decomposition dated from 2020-12-31
+    fit_json, data, _ = svi_fit
+    header, *rows = [line.split(",") for line in data.read_text().splitlines()]
+    first = np.datetime64(rows[0][0], "D")
+    for name, dates, message in [
+        ("shifted", [first + 365 + k for k in range(len(rows))],
+         f"data row 1 has date {first + 365}, expected {first}"),
+        ("every_other_day", [first + 2 * k - (len(rows) - 1) for k in range(len(rows))],
+         f"data row 1 has date {first - (len(rows) - 1)}, expected {first}"),
+    ]:
+        moved = tmp_path / f"{name}.csv"
+        write_csv(moved, [header, *([str(d), *row[1:]] for d, row in zip(dates, rows))])
+        code, out, err = run(capsys, "decompose", "--fit", str(fit_json), "--data", str(moved),
+                             "--out", str(tmp_path / name))
+        assert (code, out, err) == (1, "", f"error: {message}\n"), name
+        assert not (tmp_path / name / "decomposition.csv").exists()
+
+
+def test_successive_calls_share_one_parser_and_no_state(capsys, tmp_path, svi_fit):
+    # main() builds its parser once per process; nothing a call parses may
+    # reach a later call
+    assert build_parser() is build_parser()
+    _, data, _ = svi_fit
+    usage = run(capsys, "fit", "--bogus")
+    assert usage[0] == 1 and usage[2].startswith("error: unrecognized arguments: --bogus")
+
+    fit = ["fit", "--data", str(data), *FAST]
+    assert run(capsys, *fit, "--out", str(tmp_path / "a"), "--set", "draws=37")[0] == 0
+    assert run(capsys, *fit, "--out", str(tmp_path / "b"))[0] == 0
+    for out, draws in (("a", 37), ("b", RunConfig().draws)):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["config"]["draws"] == draws
+        assert f"draws = {draws}\n" in (tmp_path / out / "config.txt").read_text()
+
+    assert run(capsys, "fit", "--bogus") == usage
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: btvc")
+    assert run(capsys, "fit", "--bogus") == usage

@@ -560,10 +560,12 @@ def test_draw_quantiles_ordered_and_nonnegative():
 def with_moments(fit, packing_kind):
     """fit with variational moments around its point under one packing: the
     fit's own, an identity transform (so draws of b_reg go negative), or one
-    that fixes b_lev, mu_reg and sigma_obs at the point."""
+    that fixes b_lev, mu_reg and sigma_obs at the point, or b_lev alone."""
     packing = fit.packing
     if packing_kind == "identity":
         packing = dataclasses.replace(packing, reg_transform="identity")
+    elif packing_kind == "fixed_b_lev":
+        packing = dataclasses.replace(packing, fixed_b_lev=fit.params.b_lev)
     elif packing_kind == "fixed":
         packing = dataclasses.replace(
             packing, fixed_b_lev=fit.params.b_lev, fixed_mu_reg=fit.params.mu_reg,

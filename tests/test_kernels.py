@@ -318,6 +318,41 @@ def test_products_of_a_design_longer_than_one_tile_use_every_tile():
                                km.weights.sum(axis=0), rtol=1e-12)
 
 
+def dense_tile_product(km, x):
+    """K @ x from the dense weights, each block of TILE_ROWS rows over the
+    knots its rows reach. The zero columns outside that reach are left out:
+    a BLAS product through them may group the same sum differently (with
+    OpenBLAS it does for a 1-D x and a 300-column x)."""
+    w = km.weights
+    out = np.empty((km.n_times,) + x.shape[1:])
+    for start in range(0, km.n_times, TILE_ROWS):
+        rows = slice(start, start + TILE_ROWS)
+        lo, tile = km.tile(rows)
+        hi = lo + tile.shape[1]
+        out[rows] = w[rows, lo:hi] @ x[lo:hi]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["level", "gaussian"])
+@pytest.mark.parametrize("times", [None, range(421, 422), range(421, 449), range(421, 721),
+                                   range(100, 700)],
+                         ids=["training", "h1", "h28", "h300", "straddling"])
+def test_products_equal_the_dense_weights_bit_for_bit(kind, times):
+    grid = build_grid(420, distance=30)
+    km = kernel_matrix(grid, kind, rho=15.0, times=times)
+    reach = km.reach
+    assert km.first.min() == reach.start and km.first.max() + km.band.shape[1] == reach.stop
+    rng = np.random.default_rng(7)
+    J = grid.n_knots
+    for x in (rng.normal(size=J), rng.normal(size=(J, 6)), rng.normal(size=(5, J)).T,
+              rng.normal(size=(J, 300))):
+        got = km.product(x)
+        assert got.tobytes() == dense_tile_product(km, x).tobytes()
+        # x needs only the knots of the reach, numbered from its start
+        assert km.product(x[reach], knot_offset=reach.start).tobytes() == got.tobytes()
+        np.testing.assert_allclose(got, km.weights @ x, rtol=1e-12, atol=1e-12)
+
+
 def test_kernel_matrix_rejects_a_band_outside_its_grid():
     grid = build_grid(10, distance=5)
     with pytest.raises(ValidationError, match="runs past"):

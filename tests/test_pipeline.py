@@ -10,8 +10,9 @@ import pytest
 from btvc.errors import ValidationError
 from btvc.evaluation import BacktestPlan, backtest
 from btvc.fourier import FourierSpec, fourier_design
-from btvc.inference import MapConfig, SviConfig, fit_map, fit_svi
-from btvc.kernels import KnotGrid, kernel_matrix
+from btvc.inference import (MapConfig, SviConfig, draw_quantiles, fit_map, fit_svi,
+                             variational_draws)
+from btvc.kernels import TILE_ROWS, KnotGrid, kernel_matrix
 from btvc.model import ModelDesign, predict
 from btvc.pipeline import (
     backtest_plan_from,
@@ -53,6 +54,23 @@ def small_frame(T=60, P=2, seed=0):
     x = rng.uniform(1.0, 4.0, size=(T, P))
     y = np.exp(1.5 + 0.2 * x[:, :1].sum(axis=1) + rng.normal(0, 0.05, T))
     return make_frame(T=T, P=P, x=x, y=y)
+
+
+def full_block_quantiles(fit, future, horizon, levels, n_draws, seed):
+    """forecast_quantiles composed over every knot: each draw unpacked in
+    full, then every block multiplied through its kernel."""
+    design = forecast_design(fit.structure, future, horizon)
+    thetas = variational_draws(fit, n_draws, seed)
+    b_lev, b_seas, b_reg, _, _ = fit.packing.unpack_stacked(thetas)
+
+    def stacked(k, b):
+        S, J, C = b.shape
+        return k.product(b.transpose(1, 0, 2).reshape(J, S * C)).reshape(k.n_times, S, C)
+
+    fitted = (design.k_lev.product(b_lev.T).T
+              + np.einsum("tq,tsq->st", design.seasonal, stacked(design.k_seas, b_seas))
+              + np.einsum("tp,tsp->st", design.regressors, stacked(design.k_reg, b_reg)))
+    return draw_quantiles(np.exp(fitted) if fit.structure.link == "log" else fitted, levels)
 
 
 def per_draw_quantiles(fit, future, horizon, levels, n_draws, seed):
@@ -285,29 +303,40 @@ class TestFitAndForecast:
         assert q[0.5].shape == (3,)
         assert np.all(q[0.1] <= q[0.5]) and np.all(q[0.5] <= q[0.9])
 
-    @pytest.mark.parametrize("P, fourier", [(2, "7:1"), (2, ""), (0, "7:1")],
-                             ids=["seasonal", "no-seasonal", "no-regressors"])
-    @pytest.mark.parametrize("packing_kind", ["default", "identity", "fixed"])
+    @pytest.mark.parametrize("P, fourier, noise_df", [(2, "7:1", 0.0), (2, "", 0.0),
+                                                      (0, "7:1", 0.0), (2, "7:1", 5.0)],
+                             ids=["seasonal", "no-seasonal", "no-regressors", "student-t"])
+    @pytest.mark.parametrize("packing_kind", ["default", "identity", "fixed", "fixed_b_lev"])
     @pytest.mark.parametrize("link", ["log", "identity"])
-    def test_forecast_quantiles_match_per_draw_reference(self, link, packing_kind, P, fourier):
-        fit, _ = run_fit(small_frame(P=P), small_cfg(link=link, fourier=fourier))
+    def test_forecast_quantiles_match_per_draw_reference(self, link, packing_kind, P, fourier,
+                                                         noise_df):
+        # 7 level and regression knots 30 rows apart: forecast rows reach
+        # only the last few, and 300 rows take two tiles
+        fit, _ = run_fit(small_frame(T=200, P=P),
+                         small_cfg(link=link, fourier=fourier, noise_df=noise_df))
         q = with_moments(fit, packing_kind)
-        future = np.full((5, P), 2.5)
         levels = (0.05, 0.5, 0.95)
-        got = forecast_quantiles(q, future, 5, levels, n_draws=200, seed=8)
-        ref = per_draw_quantiles(q, future, 5, levels, n_draws=200, seed=8)
-        assert list(got) == list(ref)
-        for level in levels:
-            assert np.all(np.abs(got[level] - ref[level])
-                          <= 1e-12 * np.maximum(1.0, np.abs(ref[level])))
-        assert np.all(got[0.05] < got[0.95])
+        for horizon in (1, 5, 40, TILE_ROWS + 44):
+            future = np.full((horizon, P), 2.5)
+            design = forecast_design(q.structure, future, horizon)
+            assert design.k_reg.reach.stop - design.k_reg.reach.start < len(q.structure.knots_reg)
+            got = forecast_quantiles(q, future, horizon, levels, n_draws=200, seed=8)
+            full = full_block_quantiles(q, future, horizon, levels, n_draws=200, seed=8)
+            ref = per_draw_quantiles(q, future, horizon, levels, n_draws=200, seed=8)
+            assert list(got) == list(full) == list(ref)
+            for level in levels:
+                assert got[level].tobytes() == full[level].tobytes(), (horizon, level)
+                assert np.all(np.abs(got[level] - ref[level])
+                              <= 1e-12 * np.maximum(1.0, np.abs(ref[level])))
+            assert np.all(got[0.05] < got[0.95])
 
     def test_forecast_quantiles_reject_an_underflowing_sigma_draw(self):
         fit, _ = run_fit(small_frame(), small_cfg())
         q = with_moments(fit, "default")
         q.variational_mean[-1] = -800.0  # ln sigma_obs: exp underflows to 0
-        with pytest.raises(ValidationError, match="sigma_obs must be > 0"):
-            forecast_quantiles(q, np.full((3, 2), 2.0), 3, [0.5], n_draws=10)
+        for horizon in (1, 3, TILE_ROWS + 1):  # ln sigma_obs is no knot, but is checked
+            with pytest.raises(ValidationError, match="sigma_obs must be > 0"):
+                forecast_quantiles(q, np.full((horizon, 2), 2.0), horizon, [0.5], n_draws=10)
         with pytest.raises(ValidationError, match="sigma_obs must be > 0"):
             q.packing.unpack(q.variational_mean)
         with pytest.raises(ValidationError, match="n_draws must be >= 1"):

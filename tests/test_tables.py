@@ -93,17 +93,27 @@ def test_write_decomposition_csv_writes_what_the_row_writer_writes(tmp_path, T):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-@pytest.mark.parametrize("levels", [(), (0.1, 0.5, 0.9)])
+@pytest.mark.parametrize("levels", [(), (0.1, 0.5, 0.9), (0.1234567, 0.1234568, 0.9999999)])
 @pytest.mark.parametrize("T", [0, 1, 11])
 def test_write_forecast_csv_writes_what_the_row_writer_writes(tmp_path, T, levels):
     values = columns(T, 1 + len(levels), shift=2)
     structure = make_structure(step_days=7, last_date="2019-12-25")
-    quantiles = {q: values[:, 1 + j] for j, q in enumerate(levels)}
+    quantiles = {np.float64(q): values[:, 1 + j] for j, q in enumerate(levels)}
     write_forecast_csv(str(tmp_path / "a.csv"), structure, values[:, 0], quantiles or None)
     days = np.datetime64("2020-01-01", "D") + 7 * np.arange(T)
-    reference_csv(tmp_path / "b.csv", ["date", "forecast", *(f"q_{q:g}" for q in levels)],
+    # a level's column is named by its shortest round-tripping repr
+    reference_csv(tmp_path / "b.csv", ["date", "forecast", *(f"q_{q!r}" for q in levels)],
                   [(d, *row) for d, row in zip(days, values)])
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_forecast_columns_keep_the_names_g_printed_exactly(tmp_path):
+    levels = (1e-05, 0.025, 0.05, 0.5, 0.95, 0.975)
+    structure = make_structure(step_days=7, last_date="2019-12-25")
+    write_forecast_csv(str(tmp_path / "a.csv"), structure, np.zeros(0),
+                       {q: np.zeros(0) for q in levels})
+    header = (tmp_path / "a.csv").read_text().strip()
+    assert header == ",".join(["date", "forecast", *(f"q_{q:g}" for q in levels)])
 
 
 @pytest.mark.parametrize("splits", [VALUES[:1], VALUES, VALUES[3:]])
