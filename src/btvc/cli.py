@@ -41,6 +41,7 @@ from .runconfig import (
     merge_config,
     quantile_levels,
     save_config,
+    settings,
     sparsity_fields,
 )
 from .simulation import (
@@ -141,36 +142,18 @@ def cmd_simulate(args) -> int:
         raise ValidationError(
             f"sim_sparsity needs sim_kind=sparse, got sim_kind={cfg.sim_kind}"
         )
-    init = coef_init_values(cfg)
+    given = dict(T=cfg.sim_length, P=cfg.sim_channels, coef_init=coef_init_values(cfg),
+                 seed=cfg.seed)
     if cfg.sim_kind == "multiplicative":
-        dataset = simulate_multiplicative(MultiplicativeSimConfig(
-            T=cfg.sim_length, P=cfg.sim_channels,
-            base_level=cfg.sim_base_level,
-            trend_step_sd=cfg.sim_trend_step_sd,
-            coef_step_sd=cfg.sim_coef_step_sd,
-            coef_init=init,
-            seasonal_cos=cfg.sim_seasonal_cos, seasonal_sin=cfg.sim_seasonal_sin,
-            period=cfg.sim_period,
-            log_spend_mean=cfg.sim_log_spend_mean, log_spend_sd=cfg.sim_log_spend_sd,
-            noise_sd=cfg.sim_noise_sd, seed=cfg.seed,
-            start_date=cfg.sim_start_date,
-        ))
+        dataset = simulate_multiplicative(settings(MultiplicativeSimConfig, cfg, "sim_", **given))
     else:
         sparsity = None
         if fields is not None:
             channel, start, end, prob = fields
             sparsity = SparsitySpec(channel=channel - 1, start=start, end=end,
                                     zero_prob=prob)
-        sim_config = SimConfig(
-            T=cfg.sim_length, P=cfg.sim_channels,
-            trend_step_sd=cfg.sim_trend_step_sd,
-            coef_step_sd=cfg.sim_coef_step_sd,
-            coef_init=init,
-            covariate_mean=cfg.sim_covariate_mean, covariate_sd=cfg.sim_covariate_sd,
-            noise_sd=cfg.sim_noise_sd, seed=cfg.seed,
-            reflect=cfg.sim_reflect == "yes",
-            sparsity=sparsity, start_date=cfg.sim_start_date,
-        )
+        sim_config = settings(SimConfig, cfg, "sim_", reflect=cfg.sim_reflect == "yes",
+                              sparsity=sparsity, **given)
         if cfg.sim_kind == "sparse":
             if sparsity is None:
                 raise ValidationError("sim_kind=sparse needs a sim_sparsity window")

@@ -385,10 +385,14 @@ def draw_quantiles(draws: np.ndarray, levels) -> dict[float, np.ndarray]:
     np.quantile partitions around every order statistic the levels need;
     one full sort costs a fraction of that. The interpolation repeats
     np.quantile's arithmetic step for step, so the bands are equal bit for
-    bit.
+    bit. A level np.quantile rejects (nan, or outside [0, 1]) raises
+    ValidationError.
     """
     levels = list(levels)
     q = np.asarray(levels, dtype=float)
+    for level in q:
+        if not 0.0 <= level <= 1.0:  # nan fails too
+            raise ValidationError(f"quantile level {float(level)!r} is not a number in [0, 1]")
     ordered = np.sort(draws, axis=0)
     n = ordered.shape[0]
     virtual = (n - 1) * q
@@ -507,6 +511,8 @@ def fit_maps(runs) -> list[FitResult]:
     """
     runs = [(inputs, hp, config or MapConfig(), packing or default_packing(inputs), calibration)
             for inputs, hp, config, packing, calibration in runs]
+    if not runs:
+        raise ValidationError("fit_maps needs at least one run")
     config = runs[0][2]
     schedule = (config.learning_rate, config.final_learning_rate, config.iterations)
     if any((c.learning_rate, c.final_learning_rate, c.iterations) != schedule
@@ -604,26 +610,21 @@ _DRAW_BLOCK = 64
 
 
 def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = None,
-            packing: ParameterPacking | None = None, calibration=(),
-            init: FitResult | None = None, map_config: MapConfig | None = None) -> FitResult:
+            packing: ParameterPacking | None = None, calibration=(), *,
+            init: FitResult) -> FitResult:
     """Fit a diagonal Gaussian over theta by reparameterized gradient ascent.
 
-    The mean starts at the MAP point (fit here unless `init` is supplied)
-    and the log-sds at _start_log_sd of the objective's exact Hessian
-    diagonal there (Objective.curvature, about one objective call), capped at
-    config.init_log_sd; the objective is E_q[log_posterior + log-Jacobian]
-    + entropy(q). Each step takes one standard-normal draw of dim entries
-    from SeedSequence(config.seed); they are drawn _DRAW_BLOCK steps at a
-    time, which numpy's Generator fills in order, so the stream is the one
-    a draw per step would give.
+    The mean starts at init.theta, the point of a fit_map of the same
+    problem, and the log-sds at _start_log_sd of the objective's exact
+    Hessian diagonal there (Objective.curvature, about one objective call),
+    capped at config.init_log_sd; the objective is
+    E_q[log_posterior + log-Jacobian] + entropy(q). Each step takes one
+    standard-normal draw of dim entries from SeedSequence(config.seed); they
+    are drawn _DRAW_BLOCK steps at a time, which numpy's Generator fills in
+    order, so the stream is the one a draw per step would give.
     """
     config = config or SviConfig()
     packing = packing or default_packing(inputs)
-    if init is None:  # this module's fit_map, the name perfbench's tracer rebinds
-        init = fit_map(
-            inputs, hp, map_config or MapConfig(seed=config.seed),
-            packing=packing, calibration=calibration,
-        )
     f = Objective(inputs, hp, packing, calibration, include_jacobian=True)
     dim = packing.dim
     # The step loop works in place on preallocated buffers, each op the one

@@ -329,6 +329,8 @@ class Objective:
         return sub, np.concatenate([np.concatenate(block) for block in blocks])
 
     def _assemble(self, parts, include_jacobian):
+        if not parts:
+            raise ValidationError("an objective stack needs at least one structure")
         first = parts[0]
         shared = (first.softplus_reg, first.gaussian_reg_prior, first.nu)
         if any((p.softplus_reg, p.gaussian_reg_prior, p.nu) != shared for p in parts):

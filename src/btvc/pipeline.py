@@ -39,6 +39,7 @@ from .runconfig import (
     config_to_dict,
     csv_schema,
     fourier_specs,
+    settings,
 )
 from .timeframe import (TimeSeriesFrame, check_regressors, ingest_csv, model_scale, read_table,
                         write_table)
@@ -86,18 +87,9 @@ def build_structure(frame: TimeSeriesFrame, cfg: RunConfig):
     )
     x, target = model_scale(structure, frame.regressors, frame.response)
     inputs = ModelInputs(design=_design(structure, x, 1, T), target=target)
-    init_scale = cfg.init_scale_lev
-    if init_scale <= 0:
-        init_scale = 10.0 * max(float(np.std(target)), 1e-3)
-    hp = HyperParams(
-        sigma_lev=cfg.sigma_lev,
-        sigma_seas=cfg.sigma_seas,
-        mu_pool=cfg.mu_pool,
-        sigma_pool=cfg.sigma_pool,
-        sigma_reg=cfg.sigma_reg,
-        init_scale_lev=init_scale,
-        noise_df=cfg.noise_df if cfg.noise_df > 0 else None,
-    )
+    hp = settings(HyperParams, cfg,
+                  init_scale_lev=cfg.init_scale_lev or 10.0 * max(float(np.std(target)), 1e-3),
+                  noise_df=cfg.noise_df or None)
     return inputs, hp, structure
 
 
@@ -109,34 +101,21 @@ def calibration_terms(frame: TimeSeriesFrame, cfg: RunConfig):
 
 
 def map_config_from(cfg: RunConfig) -> MapConfig:
-    return MapConfig(
-        learning_rate=cfg.map_learning_rate,
-        final_learning_rate=cfg.map_final_learning_rate,
-        iterations=cfg.map_iterations,
-        rel_tol=cfg.map_rel_tol,
-        tol_window=cfg.map_tol_window,
-        seed=cfg.seed,
-    )
+    return settings(MapConfig, cfg, "map_", seed=cfg.seed)
 
 
 def svi_config_from(cfg: RunConfig) -> SviConfig:
-    return SviConfig(
-        iterations=cfg.svi_iterations,
-        learning_rate=cfg.svi_learning_rate,
-        final_learning_rate=cfg.svi_final_learning_rate,
-        init_log_sd=cfg.svi_init_log_sd,
-        seed=cfg.seed,
-    )
+    return settings(SviConfig, cfg, "svi_", seed=cfg.seed)
 
 
 def run_fit(frame: TimeSeriesFrame, cfg: RunConfig) -> tuple[FitResult, ModelInputs]:
+    """The fit of cfg to frame: MAP, and under mode=svi an SVI run from that
+    MAP point, as each backtest split runs them."""
     inputs, hp, structure = build_structure(frame, cfg)
     terms = calibration_terms(frame, cfg)
+    fit = fit_map(inputs, hp, map_config_from(cfg), calibration=terms)
     if cfg.mode == "svi":
-        fit = fit_svi(inputs, hp, svi_config_from(cfg), calibration=terms,
-                      map_config=map_config_from(cfg))
-    else:
-        fit = fit_map(inputs, hp, map_config_from(cfg), calibration=terms)
+        fit = fit_svi(inputs, hp, svi_config_from(cfg), calibration=terms, init=fit)
     fit.config = config_to_dict(cfg)
     fit.structure = structure
     return fit, inputs
@@ -216,7 +195,7 @@ def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: i
     and checked, but only the knots the forecast rows reach are evaluated."""
     if horizon == 0:
         check_variational(fit, n_draws)
-        return {float(q): np.zeros(0) for q in levels}
+        return draw_quantiles(np.zeros((1, 0)), levels)  # checks the levels
     thetas = variational_draws(fit, n_draws, seed)
     design = forecast_design(fit.structure, future_regressors, horizon)
     b_lev, b_seas, b_reg, _, _ = fit.packing.unpack_stacked(thetas, knots=design.reach)
@@ -239,12 +218,7 @@ def forecaster_from_config(cfg: RunConfig):
 
 
 def backtest_plan_from(cfg: RunConfig) -> BacktestPlan:
-    return BacktestPlan(
-        horizon=cfg.backtest_horizon,
-        splits=cfg.backtest_splits,
-        min_train=cfg.backtest_min_train,
-        stride=cfg.backtest_stride if cfg.backtest_stride > 0 else None,
-    )
+    return settings(BacktestPlan, cfg, "backtest_", stride=cfg.backtest_stride or None)
 
 
 def _split_error(exc: DivergenceError, index: int) -> DivergenceError:
@@ -371,6 +345,7 @@ def run_manifest(cfg: RunConfig, command: str, data_path: str | None) -> dict:
 
 
 def write_manifest(manifest: dict, path: str) -> None:
+    # one string and one write, as save_fit does: json.dump writes each chunk
+    text = json.dumps(manifest, sort_keys=True, indent=2)
     with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

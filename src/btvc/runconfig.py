@@ -230,13 +230,22 @@ def quantile_levels(text: str) -> tuple[float, ...]:
     return levels
 
 
+def settings(cls, cfg: RunConfig, prefix: str = "", **given):
+    """The dataclass cls built from cfg: each field f not in given takes key
+    prefix + f when RunConfig has one, and keeps its default otherwise.
+    given sets the rest: fields whose key has another name, holds text to
+    parse, or reads 0 as automatic."""
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    values = {f.name: getattr(cfg, prefix + f.name) for f in dataclasses.fields(cls)
+              if f.name not in given and prefix + f.name in keys}
+    return cls(**values, **given)
+
+
 def csv_schema(cfg: RunConfig) -> CsvSchema:
     cols = None
     if cfg.regressor_cols.strip():
         cols = tuple(c.strip() for c in cfg.regressor_cols.split(","))
-    return CsvSchema(
-        date_col=cfg.date_col, response_col=cfg.response_col, regressor_cols=cols
-    )
+    return settings(CsvSchema, cfg, regressor_cols=cols)
 
 
 def coef_init_values(cfg: RunConfig) -> tuple[float, ...]:

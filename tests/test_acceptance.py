@@ -99,10 +99,8 @@ CAL_WINDOWS = [(0, 100, 129), (1, 80, 109), (1, 200, 229), (2, 150, 179)]
 
 
 def _svi_fit(inputs, hp, cfg, terms):
-    return fit_svi(
-        inputs, hp, svi_config_from(cfg),
-        calibration=terms, map_config=map_config_from(cfg),
-    )
+    init = fit_map(inputs, hp, map_config_from(cfg), calibration=terms)
+    return fit_svi(inputs, hp, svi_config_from(cfg), calibration=terms, init=init)
 
 
 def _interval_stats(fit, inputs, truth, seed):

@@ -26,7 +26,10 @@ from btvc.pipeline import (
 )
 from btvc.model import HyperParams, Structure
 from btvc.runconfig import RunConfig, config_from_dict, parse_value
-from btvc.timeframe import read_table
+from btvc.simulation import (MultiplicativeSimConfig, SimConfig, SparsitySpec,
+                             simulate_multiplicative, simulate_rw, simulate_sparse,
+                             write_truth_csv)
+from btvc.timeframe import emit_csv, read_table
 
 from tests.test_timeframe import write_csv
 
@@ -378,6 +381,34 @@ def test_backtest_keeps_the_prior_windows_each_split_has_seen(tmp_path, capsys):
         alone, _ = run_fit(split_frame(frame, split["train_rows"]),
                            dataclasses.replace(cfg, seed=split["seed"], prior_windows=windows))
         assert (split["objective"], split["grad_norm"]) == (alone.trace[-1], alone.grad_norm)
+
+
+@pytest.mark.parametrize("settings, generate, config", [
+    (["sim_length=50", "sim_channels=2", "sim_coef_init=0.4,0.6", "sim_reflect=no",
+      "sim_noise_sd=0.2"],
+     simulate_rw, SimConfig(T=50, P=2, coef_init=(0.4, 0.6), reflect=False, noise_sd=0.2,
+                            seed=7)),
+    (["sim_kind=sparse", "sim_length=50", "sim_channels=2", "sim_sparsity=2:10:30:0.5",
+      "sim_start_date=2021-03-01"],
+     simulate_sparse, SimConfig(T=50, P=2, seed=7, start_date="2021-03-01",
+                                sparsity=SparsitySpec(channel=1, start=10, end=30, zero_prob=0.5))),
+    # the multiplicative generator draws with the sim_* keys' defaults, which
+    # are the random-walk generator's, not MultiplicativeSimConfig's
+    (["sim_kind=multiplicative", "sim_length=60", "sim_channels=2", "sim_base_level=3.0"],
+     simulate_multiplicative, MultiplicativeSimConfig(
+         T=60, P=2, seed=7, base_level=3.0, trend_step_sd=0.02, coef_step_sd=0.03,
+         coef_init=0.5, noise_sd=0.3)),
+], ids=["rw", "sparse", "multiplicative"])
+def test_simulate_writes_what_the_library_generator_writes(tmp_path, capsys, settings, generate,
+                                                           config):
+    sets = [arg for setting in settings for arg in ("--set", setting)]
+    code, _, err = run(capsys, "simulate", "--out", str(tmp_path / "cli"), "--seed", "7", *sets)
+    assert code == 0, err
+    dataset = generate(config)
+    emit_csv(dataset.frame, str(tmp_path / "data.csv"))
+    write_truth_csv(dataset, str(tmp_path / "truth.csv"))
+    for name in ("data.csv", "truth.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_config_file_with_retired_knobs(tmp_path, capsys):

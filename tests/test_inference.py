@@ -364,7 +364,7 @@ def test_svi_recovers_conjugate_posterior():
     mc = MapConfig(iterations=2000, rel_tol=0.0,
                    final_learning_rate=1e-7)
     fit = fit_svi(inputs, hp, SviConfig(iterations=3000, seed=0),
-                  packing=packing, map_config=mc)
+                  packing=packing, init=fit_map(inputs, hp, mc, packing=packing))
     mean = fit.variational_mean[0]
     sd = float(np.exp(fit.variational_log_sd[0]))
     assert abs(mean - post_mean) / abs(post_mean) < 0.02
@@ -384,8 +384,8 @@ def test_svi_deterministic_and_ascending():
     inputs, hp = small_problem(seed=31)
     sc = SviConfig(iterations=600, seed=3)
     mc = MapConfig(iterations=500)
-    a = fit_svi(inputs, hp, sc, map_config=mc)
-    b = fit_svi(inputs, hp, sc, map_config=mc)
+    a = fit_svi(inputs, hp, sc, init=fit_map(inputs, hp, mc))
+    b = fit_svi(inputs, hp, sc, init=fit_map(inputs, hp, mc))
     assert a.trace == b.trace
     assert np.array_equal(a.variational_mean, b.variational_mean)
     assert np.array_equal(a.variational_log_sd, b.variational_log_sd)
@@ -394,7 +394,8 @@ def test_svi_deterministic_and_ascending():
     # instead: the returned moments beat the start and a half-budget run.
     f = objective.Objective(inputs, hp, a.packing, (), include_jacobian=True)
     eps = np.random.default_rng(0).standard_normal((2000, a.packing.dim))
-    half = fit_svi(inputs, hp, dataclasses.replace(sc, iterations=300), map_config=mc)
+    half = fit_svi(inputs, hp, dataclasses.replace(sc, iterations=300),
+                   init=fit_map(inputs, hp, mc))
     start = inference._start_log_sd(f.curvature(a.theta), sc.init_log_sd)
     end = fixed_draw_elbo(f, a.variational_mean, a.variational_log_sd, eps)
     assert end > fixed_draw_elbo(f, a.theta, start, eps)
@@ -510,7 +511,7 @@ def test_conjugate_interval_coverage():
     for rep in range(n_reps):
         inputs, hp, packing, true_b, _, _ = conjugate_problem(10_000 + rep)
         fit = fit_svi(inputs, hp, SviConfig(iterations=800, seed=rep),
-                      packing=packing, map_config=mc)
+                      packing=packing, init=fit_map(inputs, hp, mc, packing=packing))
         m = fit.variational_mean[0]
         s = float(np.exp(fit.variational_log_sd[0]))
         covered += (m - 1.959964 * s) <= true_b <= (m + 1.959964 * s)
@@ -531,7 +532,7 @@ def test_draws_require_variational_fit():
 def test_zero_sd_draws_reproduce_the_mean():
     inputs, hp = small_problem(seed=42)
     fit = fit_svi(inputs, hp, SviConfig(iterations=200, seed=0),
-                  map_config=MapConfig(iterations=300))
+                  init=fit_map(inputs, hp, MapConfig(iterations=300)))
     fit.variational_log_sd = np.full_like(fit.variational_log_sd, -745.0)
     draws = draw_posterior(fit, inputs.design.k_reg, 1, seed=9)
     assert np.allclose(draws.theta_draws[0], fit.variational_mean)
@@ -542,7 +543,7 @@ def test_zero_sd_draws_reproduce_the_mean():
 def test_draw_quantiles_ordered_and_nonnegative():
     inputs, hp = small_problem(seed=43)
     fit = fit_svi(inputs, hp, SviConfig(iterations=400, seed=0),
-                  map_config=MapConfig(iterations=500))
+                  init=fit_map(inputs, hp, MapConfig(iterations=500)))
     draws = draw_posterior(fit, inputs.design.k_reg, 200, seed=7)
     assert np.all(draws.coefficient_draws >= 0)
     q = draws.coefficient_quantiles([0.025, 0.5, 0.975])
@@ -1005,6 +1006,14 @@ def test_a_stack_needs_one_noise_family():
             [compiled_variant(name)[:4] for name in ("default", "student_t")], False)
 
 
+def test_an_empty_stack_is_a_validation_error():
+    # each used to fail in IndexError at its first element
+    with pytest.raises(ValidationError, match="^fit_maps needs at least one run$"):
+        inference.fit_maps([])
+    with pytest.raises(ValidationError, match="^an objective stack needs at least one structure$"):
+        objective.Objective.stack([], False)
+
+
 def stacked_runs(case):
     """fit_maps runs on three prefixes of one series, as backtest splits are,
     each with its own seed and trace thinning."""
@@ -1348,23 +1357,6 @@ def test_objective_imports_nothing_from_the_fit_layers():
     assert imported & {"inference", "pipeline", "cli"} == set()
 
 
-def test_fit_svi_warm_starts_through_the_module_fit_map(monkeypatch):
-    # perfbench's tracer rebinds inference.fit_map and averages the spans it
-    # records, so an SVI fit without init must fit its MAP through that
-    # name, once
-    inputs, hp = small_problem(seed=74)
-    calls = []
-    map_fit = inference.fit_map
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return map_fit(*args, **kwargs)
-
-    monkeypatch.setattr(inference, "fit_map", counting)
-    fit_svi(inputs, hp, SviConfig(iterations=5), map_config=MapConfig(iterations=20))
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("config", [MapConfig, SviConfig])
 def test_trace_every_must_be_positive(config):
     with pytest.raises(ValidationError, match="trace_every must be >= 1"):
@@ -1415,7 +1407,7 @@ def test_map_trace_ends_at_the_returned_point(trace_every, iterations, rel_tol):
 def test_svi_point_outputs_use_the_variational_mean(tmp_path):
     inputs, hp = small_problem(seed=74)
     fit = fit_svi(inputs, hp, SviConfig(iterations=200, seed=0),
-                  map_config=MapConfig(iterations=300))
+                  init=fit_map(inputs, hp, MapConfig(iterations=300)))
     mean_point = fit.packing.unpack(fit.variational_mean)
     got = decompose(fit.params, inputs.design)
     assert np.array_equal(got.fitted, decompose(mean_point, inputs.design).fitted)
@@ -1435,7 +1427,7 @@ def test_svi_point_outputs_use_the_variational_mean(tmp_path):
 def test_save_load_round_trip(tmp_path):
     inputs, hp = small_problem(seed=61)
     fit = fit_svi(inputs, hp, SviConfig(iterations=150, seed=0),
-                  map_config=MapConfig(iterations=200))
+                  init=fit_map(inputs, hp, MapConfig(iterations=200)))
     fit.structure = make_structure(T=40, knots_lev=[10, 20, 30, 40], fourier=[(7.0, 1)])
     p = tmp_path / "fit.json"
     save_fit(fit, str(p))

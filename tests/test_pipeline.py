@@ -2,18 +2,21 @@
 
 import dataclasses
 import hashlib
+import re
 import tracemalloc
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+from btvc import pipeline
 from btvc.errors import ValidationError
 from btvc.evaluation import BacktestPlan, backtest
 from btvc.fourier import FourierSpec, fourier_design
-from btvc.inference import (MapConfig, SviConfig, draw_quantiles, fit_map, fit_svi,
-                             variational_draws)
+from btvc.inference import (MapConfig, SviConfig, draw_posterior, draw_quantiles, fit_map,
+                             fit_svi, variational_draws)
 from btvc.kernels import TILE_ROWS, KnotGrid, kernel_matrix
-from btvc.model import ModelDesign, predict
+from btvc.model import HyperParams, ModelDesign, predict
 from btvc.pipeline import (
     backtest_plan_from,
     build_structure,
@@ -34,13 +37,26 @@ from btvc.pipeline import (
     write_forecast_csv,
 )
 from btvc.runconfig import RunConfig, config_from_dict, config_to_dict
-from btvc.simulation import MultiplicativeSimConfig, simulate_multiplicative
-from btvc.timeframe import model_scale
+from btvc.simulation import MultiplicativeSimConfig, SimConfig, simulate_multiplicative
+from btvc.timeframe import CsvSchema, model_scale
 
 from tests.test_inference import with_moments
 from tests.test_timeframe import make_frame, make_structure, write_csv
 
 FAST = dict(map_iterations=60)
+
+# Each settings class runconfig.settings builds from a RunConfig: its key
+# prefix, and the fields its callers give instead of the key rule (a key of
+# another name, text to parse, or 0 read as automatic).
+SETTINGS_RULES = [
+    (MapConfig, "map_", {"seed"}),
+    (SviConfig, "svi_", {"seed"}),
+    (BacktestPlan, "backtest_", {"stride"}),
+    (CsvSchema, "", {"regressor_cols"}),
+    (HyperParams, "", {"init_scale_lev", "noise_df"}),
+    (SimConfig, "sim_", {"T", "P", "seed", "coef_init", "reflect", "sparsity"}),
+    (MultiplicativeSimConfig, "sim_", {"T", "P", "seed", "coef_init"}),
+]
 
 
 def small_cfg(**kw):
@@ -165,6 +181,52 @@ class TestConfigBridges:
         assert plan.stride is None
         assert backtest_plan_from(small_cfg(backtest_stride=3)).stride == 3
 
+    @pytest.mark.parametrize("cls, prefix, given", SETTINGS_RULES,
+                             ids=[cls.__name__ for cls, _, _ in SETTINGS_RULES])
+    def test_each_key_the_rule_reads_matches_its_field(self, cls, prefix, given):
+        # a key that feeds field f carries f's range; and f's default, but
+        # for the multiplicative generator, which draws with the sim_* keys
+        # of the random-walk one
+        keys = {f.name: f for f in dataclasses.fields(RunConfig)}
+        key_hints = get_type_hints(RunConfig, include_extras=True)
+        hints = get_type_hints(cls, include_extras=True)
+        read = [f for f in dataclasses.fields(cls)
+                if f.name not in given and prefix + f.name in keys]
+        assert read
+        for f in read:
+            key = prefix + f.name
+            assert key_hints[key] == hints[f.name], key
+            if cls is not MultiplicativeSimConfig:
+                assert keys[key].default == f.default, key
+
+    @pytest.mark.parametrize("cls, prefix", [(MapConfig, "map_"), (SviConfig, "svi_"),
+                                             (BacktestPlan, "backtest_")])
+    def test_every_optimizer_and_backtest_key_feeds_a_field(self, cls, prefix):
+        fed = {prefix + f.name for f in dataclasses.fields(cls)}
+        assert {f.name for f in dataclasses.fields(RunConfig) if f.name.startswith(prefix)} <= fed
+
+    def test_an_svi_run_fit_starts_from_the_one_module_fit_map(self, monkeypatch):
+        # perfbench's tracer rebinds pipeline.fit_map and pipeline.fit_svi and
+        # reads one fit_map span per fit, so run_fit must fit the MAP start
+        # through that name, once, and hand that fit to fit_svi
+        maps, starts = [], []
+        real_map, real_svi = pipeline.fit_map, pipeline.fit_svi
+
+        def counting_map(*args, **kwargs):
+            maps.append(real_map(*args, **kwargs))
+            return maps[-1]
+
+        def counting_svi(*args, init, **kwargs):
+            starts.append(init)
+            return real_svi(*args, init=init, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_map", counting_map)
+        monkeypatch.setattr(pipeline, "fit_svi", counting_svi)
+        fit, _ = run_fit(small_frame(), small_cfg(mode="svi", svi_iterations=20))
+        assert len(maps) == 1 and len(starts) == 1
+        assert starts[0] is maps[0]
+        assert np.array_equal(fit.theta, maps[0].theta)
+
 
 class TestSavedFitDesigns:
     def test_training_design_matches_original(self):
@@ -223,7 +285,8 @@ class TestSavedFitDesigns:
         if fitter == "map":
             fit = fit_map(inputs, hp, MapConfig(iterations=60))
         else:
-            fit = fit_svi(inputs, hp, SviConfig(iterations=20), map_config=MapConfig(iterations=60))
+            fit = fit_svi(inputs, hp, SviConfig(iterations=20),
+                          init=fit_map(inputs, hp, MapConfig(iterations=60)))
         assert fit.structure is None
         future = np.full((3, 2), 2.5)
         message = "^structure block is empty in this fit: a library fit has no design recipe$"
@@ -341,6 +404,23 @@ class TestFitAndForecast:
             q.packing.unpack(q.variational_mean)
         with pytest.raises(ValidationError, match="n_draws must be >= 1"):
             forecast_quantiles(q, np.full((3, 2), 2.0), 3, [0.5], n_draws=0)
+
+    @pytest.mark.parametrize("level", [-0.1, 1.5, np.nan])
+    def test_a_level_np_quantile_rejects_is_a_validation_error(self, level):
+        # on these levels draw_quantiles used to read a wrapped index (-0.1
+        # gave a value near the 0.9 quantile), the maximum (1.5), or fail in
+        # IndexError (nan); forecasts at horizon 0 returned {level: []}
+        fit, inputs = run_fit(small_frame(), small_cfg())
+        q = with_moments(fit, "default")
+        message = f"^quantile level {re.escape(repr(level))} is not a number in \\[0, 1\\]$"
+        draws = np.random.default_rng(0).standard_normal((300, 4))
+        for call in (lambda: draw_quantiles(draws, [0.5, level]),
+                     lambda: forecast_quantiles(q, np.full((28, 2), 2.0), 28, [level], 50),
+                     lambda: forecast_quantiles(q, np.zeros((0, 2)), 0, [level], 50),
+                     lambda: draw_posterior(q, inputs.design.k_reg, 20).coefficient_quantiles(
+                         [0.5, level])):
+            with pytest.raises(ValidationError, match=message):
+                call()
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf])
     @pytest.mark.parametrize("link", ["log", "identity"])
