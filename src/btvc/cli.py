@@ -27,6 +27,7 @@ from .pipeline import (
     run_backtest,
     run_fit,
     run_manifest,
+    svi_config_from,
     training_design,
     write_forecast_csv,
     write_manifest,
@@ -55,7 +56,8 @@ from .simulation import (
 )
 from .timeframe import emit_csv
 
-# SVI steps whose ELBO estimates `btvc fit` averages for its summary line
+# the last SVI steps whose traced ELBO estimates `btvc fit` averages for its
+# summary line
 _ELBO_SUMMARY_STEPS = 250
 
 
@@ -189,10 +191,15 @@ def cmd_fit(args) -> int:
     write_manifest(manifest, os.path.join(out, "manifest.json"))
     save_config(cfg, os.path.join(out, "config.txt"))
     if fit.mode == "svi":
-        # one trace entry is a single-sample ELBO estimate; its window mean
-        # is what can be compared between fits
-        tail = fit.trace[-_ELBO_SUMMARY_STEPS:]
-        summary = f"mean ELBO of the last {len(tail)} steps {statistics.fmean(tail):.4f}"
+        # one trace entry is a single-sample ELBO estimate, of step i *
+        # trace_every for entry i; the mean over the last steps is what can
+        # be compared between fits
+        window = min(fit.n_iterations, _ELBO_SUMMARY_STEPS)
+        every = svi_config_from(cfg).trace_every
+        first = -(-(fit.n_iterations - window) // every)  # the window's first traced step
+        tail = fit.trace[first:]
+        summary = (f"mean ELBO of the last {window} steps ({len(tail)} traced) "
+                   f"{statistics.fmean(tail):.4f}")
     else:
         summary = f"objective {fit.trace[-1]:.4f}"
     print(f"wrote {fit_path} (stop: {fit.stop_reason}, {summary})")

@@ -324,7 +324,8 @@ class SviConfig:
 
     init_log_sd caps the starting log-sds, which fit_svi takes from the
     objective's exact Hessian diagonal at the MAP point, compiled beside
-    the objective (see _start_log_sd).
+    the objective (see _start_log_sd). Every step takes the gradient; only
+    the steps t with t % trace_every == 0 compute the ELBO, for the trace.
     """
 
     iterations: Count = 2000
@@ -332,7 +333,7 @@ class SviConfig:
     final_learning_rate: Positive = 1e-4
     init_log_sd: float = -2.0
     seed: int = 0
-    trace_every: Count = 1
+    trace_every: Count = 10
 
     def __post_init__(self):
         check_fields(self)
@@ -615,16 +616,24 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     """Fit a diagonal Gaussian over theta by reparameterized gradient ascent.
 
     The mean starts at init.theta, the point of a fit_map of the same
-    problem, and the log-sds at _start_log_sd of the objective's exact
-    Hessian diagonal there (Objective.curvature, about one objective call),
-    capped at config.init_log_sd; the objective is
+    problem under the same packing (by default init.packing; another one
+    raises ValidationError), and the log-sds at _start_log_sd of the
+    objective's exact Hessian diagonal there (Objective.curvature, about one
+    objective call), capped at config.init_log_sd; the objective is
     E_q[log_posterior + log-Jacobian] + entropy(q). Each step takes one
     standard-normal draw of dim entries from SeedSequence(config.seed); they
     are drawn _DRAW_BLOCK steps at a time, which numpy's Generator fills in
     order, so the stream is the one a draw per step would give.
+
+    A step needs only the objective's gradient; the single-draw ELBO is
+    computed on the steps t with t % config.trace_every == 0, which the
+    trace records. A non-finite gradient at any step, or a non-finite ELBO
+    at a traced one, raises DivergenceError with the trace so far.
     """
     config = config or SviConfig()
-    packing = packing or default_packing(inputs)
+    packing = packing or init.packing
+    if packing.describe() != init.packing.describe():
+        raise ValidationError("packing differs from the packing of init, the fit it starts from")
     f = Objective(inputs, hp, packing, calibration, include_jacobian=True)
     dim = packing.dim
     # The step loop works in place on preallocated buffers, each op the one
@@ -651,13 +660,17 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
         np.exp(log_sd, out=sd)
         np.multiply(sd, eps, out=theta)
         theta += mean
-        value, _ = f(theta, out=g_mean)
-        elbo = value + entropy_const + float(log_sd.sum())
-        if not math.isfinite(elbo):
+        f.gradient(theta, out=g_mean)
+        if not np.isfinite(g_mean).all():
             raise DivergenceError(
-                f"ELBO became non-finite at iteration {t}", trace=trace, iteration=t
+                f"gradient became non-finite at iteration {t}", trace=trace, iteration=t
             )
         if t % config.trace_every == 0:
+            elbo = f.value() + entropy_const + float(log_sd.sum())
+            if not math.isfinite(elbo):
+                raise DivergenceError(
+                    f"ELBO became non-finite at iteration {t}", trace=trace, iteration=t
+                )
             trace.append(elbo)
         # grad = [g, g * eps * sd + 1] for g the gradient at theta
         np.multiply(g_mean, eps, out=g_log_sd)

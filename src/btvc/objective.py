@@ -235,7 +235,11 @@ class _Structure:
 
 class Objective:
     """The fit objective of one structure, or of a stack of several,
-    compiled: theta -> (value, gradient).
+    compiled: theta -> (value, gradient). obj.gradient(theta) computes the
+    gradient alone, and obj.value() then reduces the value at that theta
+    from the buffers the gradient pass left; obj(theta) is the two in turn.
+    A loop that needs the value only now and then (fit_svi's trace) pays
+    for it only then.
 
     For one structure the value is log_posterior_and_grad at
     packing.unpack(theta), its gradient chained to theta as
@@ -243,7 +247,7 @@ class Objective:
     include_jacobian; that composition stays the readable reference this
     one is tested against. Objective.stack compiles several structures into
     one set of buffers, the structures independent: the value is the sum of
-    theirs, and after each call obj.values lists them, one float per
+    theirs, and after each value() obj.values lists them, one float per
     structure. A structure's entries of a stacked theta are
     obj.theta_of[k], in its own packing's order (obj.owner[i] is the
     structure of entry i), and every value and
@@ -273,8 +277,8 @@ class Objective:
     np.bincount per call, over one index scatter_to, adds them all to the
     gradient. The buffers belong to the object, so calls to one compiled
     objective must not run concurrently; each still depends on its theta
-    alone. obj(theta) returns a fresh gradient array; obj(theta, out=buf)
-    writes the gradient into buf, every entry, and returns (value, buf).
+    alone. obj(theta) and obj.gradient(theta) return a fresh gradient
+    array; given out=buf they write the gradient into buf, every entry.
 
     The chain knots take Laplace terms |t - loc| inv. The x entries take
     folded-normal terms: writing z = (x - loc) inv and a = 2 x loc inv^2,
@@ -297,7 +301,8 @@ class Objective:
     _gram builds, and centering keeps s0 small, so the quadratic loses few
     digits to cancellation. Student-t noise is not quadratic in beta: a
     call reads Z's tiles (kept in tiles) for the residuals (left in resid)
-    and again for Z' times their d/dfit.
+    and again for Z' times their d/dfit; only value() takes the rows'
+    log1p terms.
 
     Calibration windows are quadratic in the regression knots under either
     noise family: a channel's windows sum to h'b - b'Hb/2 plus a constant,
@@ -356,8 +361,9 @@ class Objective:
         self.neg_two_inv2 = np.zeros(reg_end - n_chain)
         self.beta_shift = np.concatenate([p.beta_shift for p in parts])
         # work buffers: each structure's reductions read its slices of them
-        self.dist, self.mirror_log = np.empty(n_chain), np.empty(reg_end - n_chain)
-        self.log_sig = np.empty(reg_end - n_chain)
+        self.diff, self.mirror_log = np.empty(reg_end), np.empty(reg_end - n_chain)
+        self.log_sig, self.z = np.empty(reg_end - n_chain), np.empty(reg_end - n_chain)
+        self.diff_chain, self.diff_x = self.diff[:n_chain], self.diff[n_chain:]
         orders, windows, self.gram_blocks, self.tiles = [], [], [], []
         self.places, self.blocks_of, self.theta_of, self.support = [], [], [], []
         for k, (p, (ch, xo, so, slot, lin, row)) in enumerate(zip(parts, offsets[:-1].tolist())):
@@ -408,21 +414,23 @@ class Objective:
         self.scatter_to = np.concatenate([loc_of, self.order] + [w[-1] for w in windows])
         self.weights = weights = np.empty(self.scatter_to.size)
         self.w_prior = weights[:reg_end]
+        self.w_chain, self.w_x = weights[:n_chain], weights[n_chain:reg_end]
         self.w_lin = weights[reg_end:reg_end + self.order.size]  # in time order
         g_bs = np.split(weights[reg_end + self.order.size:],
                         np.cumsum([w[-1].size for w in windows]))
         self.windows = [(*w[:-1], g_b) for w, g_b in zip(windows, g_bs)]
 
         # each structure's views of the buffers its reductions read
-        z = self.w_prior[n_chain:]
         self.prior_terms = [
-            (p.const, self.dist[chain], inv[chain], self.mirror_log[x.start + p.fold:x.stop], z[x])
+            (p.const, self.diff[chain], self.w_prior[chain],
+             self.mirror_log[x.start + p.fold:x.stop], self.z[x])
             for p, (chain, x, *_) in zip(parts, self.places)]
         self.jacobian_terms = [self.log_sig[x] for _, x, *_ in self.places]
         self.sigma_of = [(at, p.sigma_fixed) for p, (*_, at) in zip(parts, self.places)]
         if first.nu is None:
             self.c = np.concatenate([p.c for p in parts])
             self.r_c = np.empty(self.c.size)
+            self.fit_values = [0.0] * len(parts)  # each log-likelihood, set by gradient
             self.fit_terms = [(p.n, p.s0, lin, self.r_c[lin], self.w_lin[lin], at, p.sigma_fixed)
                               for p, (_, _, lin, _, at) in zip(parts, self.places)]
         else:
@@ -440,6 +448,12 @@ class Objective:
                 for at, fixed in self.sigma_of]
 
     def __call__(self, theta, out=None):
+        grad = self.gradient(theta, out)
+        return self.value(), grad
+
+    def gradient(self, theta, out=None):
+        """The gradient at theta (a fresh array, or written into out). The
+        buffers it leaves are what value() reduces."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dim,):
             raise ValidationError(f"theta length {theta.shape} != packing dim {self.dim}")
@@ -461,32 +475,27 @@ class Objective:
                     if mu_reg.size and mu_reg.min() < 0:
                         raise ValidationError("mu_reg outside folded-normal support")
 
-        # every prior entry against its location
-        neg_two_inv2 = self.neg_two_inv2
+        # every prior entry against its location: diff keeps t - loc for
+        # value(), and w_prior becomes d value / d loc, [sign | z] inv plus
+        # the mirror's, for z = (x - loc) inv
+        neg_two_inv2, w_prior, w_x = self.neg_two_inv2, self.w_prior, self.w_x
         loc = self.t[self.loc_of]
-        diff = np.subtract(self.t_prior, loc, out=self.w_prior)
-        np.abs(diff[:n_chain], out=self.dist)
-        np.sign(diff[:n_chain], out=diff[:n_chain])
-        z = diff[n_chain:]
-        z *= self.inv_x
-        neg_a = loc[n_chain:] * t_x
+        np.subtract(self.t_prior, loc, out=self.diff)
+        np.sign(self.diff_chain, out=self.w_chain)
+        np.multiply(self.diff_x, self.inv_x, out=w_x)
+        loc_x = loc[n_chain:]
+        neg_a = loc_x * t_x
         neg_a *= neg_two_inv2
         mirror_log = np.logaddexp(0.0, neg_a, out=self.mirror_log)  # log(1 + e^-a)
-        # np.add.reduce is ndarray.sum, the same reduction, without its
-        # Python-level wrapper
-        total = np.add.reduce
-        values = [const - float(dist @ inv) + float(total(mirror) - 0.5 * (z_x @ z_x))
-                  for const, dist, inv, mirror, z_x in self.prior_terms]
         # the mirror term's d/dx is c loc and its d/dloc is c x, for
         # c = -2 inv^2 sigmoid(-a) = -2 inv^2 e^(-a - log(1 + e^-a))
         c = np.exp(neg_a - mirror_log)
         c *= neg_two_inv2
-        # diff becomes d value / d loc: [sign | z] inv, plus the mirror's
-        diff *= self.inv
+        w_prior *= self.inv
         g = grad[:reg_end]
-        np.negative(diff, out=g)
-        g[n_chain:] += c * loc[n_chain:]
-        diff[n_chain:] += c * t_x
+        np.negative(w_prior, out=g)
+        g[n_chain:] += c * loc_x
+        w_x += c * t_x
 
         # the likelihood in the knots' time order; w_lin becomes its d/dbeta,
         # scattered over order
@@ -494,7 +503,8 @@ class Objective:
         beta = self.t[self.order]
         beta -= self.beta_shift
         if nu is None:
-            # through the Gram quadratic; r = Z'resid
+            # through the Gram quadratic; r = Z'resid. d/d ln sigma needs
+            # ss, so the log-likelihood is kept for value()
             for rows, cols, block in self.gram_blocks:
                 np.dot(block, beta[cols], out=w_lin[rows])
             np.subtract(self.c, w_lin, out=w_lin)
@@ -505,45 +515,67 @@ class Objective:
                 ss = s0 - float(beta[lin] @ r_c)
                 var = sigma * sigma
                 inv_var = 1.0 / var if var else math.inf
-                values[k] += -n * ln_sigma - 0.5 * ss * inv_var
+                self.fit_values[k] = -n * ln_sigma - 0.5 * ss * inv_var
                 if at is not None:
                     grad[at] = ss * inv_var - n
                 r *= inv_var
         else:
-            sigmas = self._sigmas(theta)
+            self.sigmas = sigmas = self._sigmas(theta)
             resid = self.resid
             resid[:] = self.r0
             for rows, at, zt in self.tiles:
                 resid[rows] -= beta[at] @ zt
-            nu_var = np.repeat([nu * sigma * sigma for _, sigma in sigmas], self.row_counts)
-            sq = resid * resid
+            self.nu_var = nu_var = np.repeat([nu * sigma * sigma for _, sigma in sigmas],
+                                             self.row_counts)
+            self.sq = sq = resid * resid
             denom = nu_var + sq
-            np.log1p(np.divide(sq, nu_var, out=self.log_terms), out=self.log_terms)
             np.divide(sq, denom, out=self.shares)
-            for k, (n, log_terms, shares, at) in enumerate(self.fit_terms):
-                values[k] += -n * sigmas[k][0] - 0.5 * (nu + 1.0) * float(total(log_terms))
+            for n, _, shares, at in self.fit_terms:
                 if at is not None:
-                    grad[at] = (nu + 1.0) * float(total(shares)) - n
+                    grad[at] = (nu + 1.0) * float(np.add.reduce(shares)) - n
             dfit = (nu + 1.0) * resid / denom
             w_lin[:] = 0.0
             for rows, at, zt in self.tiles:
                 w_lin[at] += zt @ dfit[rows]
 
-        for k, _, _, H, h, b, g_b in self.windows:
+        for _, _, _, H, h, b, g_b in self.windows:
             np.subtract(h, H @ b, out=g_b)
-            values[k] += 0.5 * float(b @ (h + g_b))  # h'b - b'Hb/2
         g += np.bincount(self.scatter_to, weights=self.weights, minlength=self.t.size)[:reg_end]
 
         if self.softplus_reg:
             g_x = grad[n_chain:reg_end]
             g_x *= dx_draw
             if self.include_jacobian:
-                # ln sigmoid(raw), whose derivative is sigmoid(-raw) = e^-x
-                for k, log_sig_x in enumerate(self.jacobian_terms):
-                    values[k] += float(total(log_sig_x))
-                g_x += np.exp(-t_x)
+                g_x += np.exp(-t_x)  # d/draw of ln sigmoid(raw) is sigmoid(-raw) = e^-x
+        return grad
+
+    def value(self):
+        """The value at the theta of the last gradient call, reduced from the
+        buffers it left; obj.values becomes each structure's. Each sums its
+        prior, likelihood, windows and log-Jacobian in that order."""
+        nu = self.nu
+        np.multiply(self.diff_x, self.inv_x, out=self.z)
+        # np.add.reduce is ndarray.sum, the same reduction, without its
+        # Python-level wrapper. The chain terms' sum |d| inv, d = t - loc, is
+        # d . (sign(d) inv), the chain part of w_prior: each product is
+        # |d| inv exactly, so the dot has the same bits
+        total = np.add.reduce
+        values = [const - float(d @ sign_inv) + float(total(mirror) - 0.5 * (z_x @ z_x))
+                  for const, d, sign_inv, mirror, z_x in self.prior_terms]
+        if nu is None:
+            values = [value + fit_value for value, fit_value in zip(values, self.fit_values)]
+        else:
+            np.log1p(np.divide(self.sq, self.nu_var, out=self.log_terms), out=self.log_terms)
+            for k, (n, log_terms, _, _) in enumerate(self.fit_terms):
+                values[k] += -n * self.sigmas[k][0] - 0.5 * (nu + 1.0) * float(total(log_terms))
+        for k, _, _, _, h, b, g_b in self.windows:
+            values[k] += 0.5 * float(b @ (h + g_b))  # h'b - b'Hb/2
+        if self.softplus_reg and self.include_jacobian:
+            # ln sigmoid(raw)
+            for k, log_sig_x in enumerate(self.jacobian_terms):
+                values[k] += float(total(log_sig_x))
         self.values = values
-        return sum(values), grad
+        return sum(values)
 
     @functools.cached_property
     def constant_curvature(self):
@@ -568,7 +600,7 @@ class Objective:
         exact away from the Laplace kinks: a chain term is linear on either
         side of its kink and adds 0.
 
-        One call of the objective fills the buffer and gives the gradient;
+        One gradient call fills the buffer and gives the gradient;
         every other term is a second derivative in the buffer's coordinates.
         The likelihood adds diag(G) / sigma^2 under Gaussian noise, and under
         Student-t noise sum_t w_t Z_ti^2, for w_t each row's -d^2/dfit^2 at
@@ -585,7 +617,7 @@ class Objective:
         sigma^2), under Student-t. diag(G) and diag(H) are
         constant_curvature.
         """
-        _, grad = self(theta)
+        grad = self.gradient(theta)
         window_diag, gram_diag = self.constant_curvature
         nu, n_chain, reg_end, t_x = self.nu, self.n_chain, self.reg_end, self.t_x
         neg_two_inv2 = self.neg_two_inv2

@@ -172,13 +172,15 @@ def test_svi_fit_gives_quantile_forecasts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode, iterations, label", [
-    ("svi", 300, "mean ELBO of the last 250 steps"),
-    ("svi", 60, "mean ELBO of the last 60 steps"),
+    ("svi", 300, "mean ELBO of the last 250 steps (25 traced)"),
+    ("svi", 305, "mean ELBO of the last 250 steps (25 traced)"),
+    ("svi", 60, "mean ELBO of the last 60 steps (6 traced)"),
     ("map", 60, "objective"),
 ])
 def test_fit_summary_line(tmp_path, capsys, mode, iterations, label):
-    # SVI trace entries are single-sample ELBO estimates, so the summary is
-    # their window mean; MAP prints its final (best) objective
+    # SVI trace entries are single-sample ELBO estimates, one every 10 steps
+    # by default, so the summary is the mean of those from the last 250
+    # steps; MAP prints its final (best) objective
     sim_dir = tmp_path / "sim"
     simulate_small(capsys, str(sim_dir))
     fit_dir = tmp_path / "fit"
@@ -189,8 +191,10 @@ def test_fit_summary_line(tmp_path, capsys, mode, iterations, label):
     assert code == 0
     trace = json.loads((fit_dir / "fit.json").read_text())["trace"]
     if mode == "svi":
-        assert len(trace) == iterations
-        value = float(np.mean(trace[-250:]))
+        # entry i is step 10 i
+        assert len(trace) == -(-iterations // 10)
+        value = float(np.mean([elbo for i, elbo in enumerate(trace)
+                               if 10 * i >= iterations - 250]))
     else:
         value = trace[-1]
     assert out.strip().endswith(f"{label} {value:.4f})")

@@ -404,16 +404,18 @@ def test_svi_deterministic_and_ascending():
     assert a.mode == "svi"
 
 
+# the default trace_every is 10
+@pytest.mark.parametrize("every, settings", [(1, {"trace_every": 1}), (10, {})])
 @pytest.mark.parametrize("iterations", [64, 150])
-def test_svi_in_place_step_equals_the_allocating_update(iterations):
+def test_svi_in_place_step_equals_the_allocating_update(iterations, every, settings):
     # fit_svi's step loop runs in place and draws its noise in blocks; the
     # plain expressions below, one draw per step, must give the same moments
-    # and ELBO trace, on a run ending at a draw-block boundary (64) and one
-    # ending inside a block (150)
+    # and ELBO trace (every step's, or every 10th), on a run ending at a
+    # draw-block boundary (64) and one ending inside a block (150)
     inputs, hp = small_problem(seed=27)
     terms = window_terms(inputs, 1)
     init = fit_map(inputs, hp, MapConfig(iterations=200), calibration=terms)
-    config = SviConfig(iterations=iterations, seed=4)
+    config = SviConfig(iterations=iterations, seed=4, **settings)
     fit = fit_svi(inputs, hp, config, calibration=terms, init=init)
 
     packing = init.packing
@@ -431,7 +433,8 @@ def test_svi_in_place_step_equals_the_allocating_update(iterations):
         eps = rng.standard_normal(dim)
         sd = np.exp(log_sd)
         value, grad = f(sd * eps + mean)
-        trace.append(value + entropy_const + float(log_sd.sum()))
+        if t % every == 0:
+            trace.append(value + entropy_const + float(log_sd.sum()))
         grad = np.concatenate([grad, grad * eps * sd + 1.0])
         m = 0.9 * m + (1.0 - 0.9) * grad
         v = 0.999 * v + (1.0 - 0.999) * grad * grad
@@ -441,6 +444,52 @@ def test_svi_in_place_step_equals_the_allocating_update(iterations):
     assert np.array_equal(fit.variational_mean, mean)
     assert np.array_equal(fit.variational_log_sd, log_sd)
     assert fit.trace == trace
+
+
+@pytest.mark.parametrize("bad_step", [13, 29])
+def test_svi_non_finite_gradient_on_an_untraced_step_raises_there(bad_step, monkeypatch):
+    # step 13 falls between traced steps 10 and 20; step 29 is the last of
+    # the run, after which nothing would have caught the non-finite moments
+    inputs, hp = small_problem(seed=28)
+    init = fit_map(inputs, hp, MapConfig(iterations=200))
+    config = SviConfig(iterations=30, seed=5)
+    clean = fit_svi(inputs, hp, config, init=init)
+    real = objective.Objective.gradient
+    calls = {"n": 0}
+
+    def poisoned(self, theta, out=None):
+        grad = real(self, theta, out)
+        calls["n"] += 1
+        if calls["n"] == bad_step + 2:  # call 1 is the start's curvature
+            grad[0] = np.nan
+        return grad
+
+    monkeypatch.setattr(objective.Objective, "gradient", poisoned)
+    with pytest.raises(DivergenceError,
+                       match=f"^gradient became non-finite at iteration {bad_step}$") as exc:
+        fit_svi(inputs, hp, config, init=init)
+    assert exc.value.iteration == bad_step
+    assert exc.value.trace == clean.trace[:bad_step // 10 + 1]
+
+
+def test_svi_runs_under_the_packing_of_its_start():
+    inputs, hp = small_problem(seed=29)
+    config = SviConfig(iterations=40, seed=6)
+    # a fixed sigma_obs leaves theta one entry shorter than default_packing's
+    fixed = dataclasses.replace(default_packing(inputs), fixed_sigma_obs=0.5)
+    init = fit_map(inputs, hp, MapConfig(iterations=100), packing=fixed)
+    fit = fit_svi(inputs, hp, config, init=init)
+    given = fit_svi(inputs, hp, config, packing=fixed, init=init)
+    assert fit.packing == fixed and fit.variational_mean.size == fixed.dim
+    assert np.array_equal(fit.variational_mean, given.variational_mean)
+    # an identity-transform start goes on under identity, not softplus
+    hp = HyperParams(gaussian_reg_prior=True)
+    identity = dataclasses.replace(default_packing(inputs), reg_transform="identity")
+    init = fit_map(inputs, hp, MapConfig(iterations=100), packing=identity)
+    assert fit_svi(inputs, hp, config, init=init).packing.reg_transform == "identity"
+    for packing in (default_packing(inputs), fixed):
+        with pytest.raises(ValidationError, match="^packing differs from the packing of init"):
+            fit_svi(inputs, hp, config, packing=packing, init=init)
 
 
 def test_svi_start_is_the_capped_hessian_diagonal():
@@ -913,6 +962,39 @@ def test_compiled_objective_keeps_no_state_between_calls(variant, include_jacobi
     assert value_out == value_a and buf.tobytes() == grad_a_first.tobytes()
     f(b)
     assert buf.tobytes() == grad_a_first.tobytes()
+
+
+@pytest.mark.parametrize("include_jacobian", [False, True])
+@pytest.mark.parametrize("names", [(variant,) for variant in COMPILED_VARIANTS]
+                         + [("default", "one_window", "fixed_blocks", "no_seasonal"),
+                            ("student_t_windows", "student_t_fixed_blocks")])
+def test_gradient_then_value_equals_the_call(names, include_jacobian):
+    # fit_svi takes the gradient on every step and the value on traced ones
+    # only: the two, run apart, give the call's bytes, also when another
+    # theta's gradient ran in between; a stack of several structures too
+    variants = [compiled_variant(name) for name in names]
+    f = objective.Objective.stack([v[:4] for v in variants], include_jacobian)
+    rng = np.random.default_rng(len(names[0]))
+
+    def draw():
+        theta = np.empty(f.dim)
+        for at, (inputs, hp, packing, _, nonnegative) in zip(f.theta_of, variants):
+            theta[at] = jittered_theta(initial_theta(inputs, hp, packing), packing,
+                                       nonnegative, rng)
+        return theta
+
+    for _ in range(5):
+        a, b = draw(), draw()
+        value, grad = f(a)
+        values = list(f.values)
+        f.gradient(b)
+        buf = np.full(f.dim, np.nan)
+        assert f.gradient(a, out=buf) is buf
+        assert buf.tobytes() == grad.tobytes()
+        assert np.float64(f.value()).tobytes() == np.float64(value).tobytes()
+        assert f.values == values
+        assert f.value() == value  # value() only reads the buffers
+        assert f.gradient(a).tobytes() == grad.tobytes()
 
 
 def fd_curvature(f, theta, step):
