@@ -27,7 +27,6 @@ from .pipeline import (
     run_backtest,
     run_fit,
     run_manifest,
-    svi_config_from,
     training_design,
     write_forecast_csv,
     write_manifest,
@@ -195,8 +194,8 @@ def cmd_fit(args) -> int:
         # trace_every for entry i; the mean over the last steps is what can
         # be compared between fits
         window = min(fit.n_iterations, _ELBO_SUMMARY_STEPS)
-        every = svi_config_from(cfg).trace_every
-        first = -(-(fit.n_iterations - window) // every)  # the window's first traced step
+        # the window's first traced step
+        first = -(-(fit.n_iterations - window) // fit.trace_every)
         tail = fit.trace[first:]
         summary = (f"mean ELBO of the last {window} steps ({len(tail)} traced) "
                    f"{statistics.fmean(tail):.4f}")

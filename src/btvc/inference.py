@@ -324,11 +324,14 @@ class SviConfig:
 
     init_log_sd caps the starting log-sds, which fit_svi takes from the
     objective's exact Hessian diagonal at the MAP point, compiled beside
-    the objective (see _start_log_sd). Every step takes the gradient; only
-    the steps t with t % trace_every == 0 compute the ELBO, for the trace.
+    the objective (see _start_log_sd). Every step takes the gradient, with
+    the control variate of that Hessian (see fit_svi); only the steps t
+    with t % trace_every == 0 compute the ELBO, for the trace. The default
+    budget of iterations was chosen on simulator seeds apart from the
+    tests' (see README).
     """
 
-    iterations: Count = 2000
+    iterations: Count = 1400
     learning_rate: Positive = 0.02
     final_learning_rate: Positive = 1e-4
     init_log_sd: float = -2.0
@@ -358,6 +361,9 @@ class FitResult:
     config: dict = field(default_factory=dict)
     # None for a library fit, which has no design recipe; saved as {}
     structure: Structure | None = None
+    # trace[i] is the value at step i * trace_every (and MAP's last entry
+    # that of the returned point); None for a document that predates it
+    trace_every: int | None = None
 
     @property
     def has_variational(self) -> bool:
@@ -546,7 +552,8 @@ def fit_maps(runs) -> list[FitResult]:
         results[k] = FitResult(
             params=packing.unpack(theta_k), theta=theta_k, packing=packing, hyper=hp,
             trace=trace, seed=config.seed, mode="map", stop_reason=stop_reason,
-            n_iterations=n_iterations, grad_norm=float(np.linalg.norm(best_grad[at])))
+            n_iterations=n_iterations, grad_norm=float(np.linalg.norm(best_grad[at])),
+            trace_every=trace_every)
 
     for t in range(schedule[2]):
         _, grad = f(theta)
@@ -613,38 +620,46 @@ _DRAW_BLOCK = 64
 def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = None,
             packing: ParameterPacking | None = None, calibration=(), *,
             init: FitResult) -> FitResult:
-    """Fit a diagonal Gaussian over theta by reparameterized gradient ascent.
+    """Fit a diagonal Gaussian over theta by reparameterized gradient ascent
+    with a control variate.
 
     The mean starts at init.theta, the point of a fit_map of the same
     problem under the same packing (by default init.packing; another one
-    raises ValidationError), and the log-sds at _start_log_sd of the
-    objective's exact Hessian diagonal there (Objective.curvature, about one
-    objective call), capped at config.init_log_sd; the objective is
-    E_q[log_posterior + log-Jacobian] + entropy(q). Each step takes one
-    standard-normal draw of dim entries from SeedSequence(config.seed); they
-    are drawn _DRAW_BLOCK steps at a time, which numpy's Generator fills in
-    order, so the stream is the one a draw per step would give.
+    raises ValidationError). The ELBO is E_q[f] + entropy(q) for f =
+    log_posterior + log-Jacobian; at init.theta fit_svi builds H, the
+    Hessian of f (Objective.hessian, about one objective call), and the
+    log-sds start at _start_log_sd of its diagonal, capped at
+    config.init_log_sd. Each step takes one standard-normal draw eps of dim
+    entries from SeedSequence(config.seed); they are drawn _DRAW_BLOCK
+    steps at a time, which numpy's Generator fills in order, so the stream
+    is the one a draw per step would give.
 
-    A step needs only the objective's gradient; the single-draw ELBO is
-    computed on the steps t with t % config.trace_every == 0, which the
-    trace records. A non-finite gradient at any step, or a non-finite ELBO
-    at a traced one, raises DivergenceError with the trace so far.
+    A step at theta = mean + v, v = sd eps, ascends g - Hv for the mean and
+    (g - Hv) v + diag(H) sd^2 + 1 for the log-sds, g the objective's
+    gradient at theta. Hv has mean 0 and (Hv) v has mean diag(H) sd^2 under
+    q, so for any fixed H the estimate is unbiased (Miller et al., NeurIPS
+    2017; Geffner & Domke, NeurIPS 2020); where the posterior is nearly
+    Gaussian, g - Hv hardly depends on the draw. A step needs only the
+    objective's gradient; the single-draw ELBO is computed on the steps t
+    with t % config.trace_every == 0, which the trace records. A non-finite
+    gradient at any step, or a non-finite ELBO at a traced one, raises
+    DivergenceError with the trace so far.
     """
     config = config or SviConfig()
     packing = packing or init.packing
     if packing.describe() != init.packing.describe():
         raise ValidationError("packing differs from the packing of init, the fit it starts from")
     f = Objective(inputs, hp, packing, calibration, include_jacobian=True)
+    hessian = f.hessian(init.theta)
     dim = packing.dim
     # The step loop works in place on preallocated buffers, each op the one
     # the plain expression would run, so the moments are the same bit for
     # bit: state is [mean, log_sd], grad is [d/d mean, d/d log_sd].
-    state = np.concatenate([init.theta, _start_log_sd(f.curvature(init.theta),
-                                                      config.init_log_sd)])
+    state = np.concatenate([init.theta, _start_log_sd(-hessian.diagonal, config.init_log_sd)])
     mean, log_sd = state[:dim], state[dim:]
     grad = np.empty(2 * dim)
     g_mean, g_log_sd = grad[:dim], grad[dim:]
-    sd, theta = np.empty(dim), np.empty(dim)
+    sd, v, theta, sd_term = np.empty(dim), np.empty(dim), np.empty(dim), np.empty(dim)
     block = np.empty((_DRAW_BLOCK, dim))
     draws = list(block)  # its rows, one step's eps each
     ascend = _adam(state, config)
@@ -656,11 +671,13 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
         row = t % _DRAW_BLOCK
         if not row:
             rng.standard_normal(out=block)
-        eps = draws[row]
         np.exp(log_sd, out=sd)
-        np.multiply(sd, eps, out=theta)
-        theta += mean
+        np.multiply(sd, draws[row], out=v)
+        np.add(v, mean, out=theta)
         f.gradient(theta, out=g_mean)
+        # grad = [g - Hv, (g - Hv) v + diag(H) sd^2 + 1] for g the gradient at
+        # theta = mean + v, v = sd eps
+        g_mean -= hessian.dot(v)
         if not np.isfinite(g_mean).all():
             raise DivergenceError(
                 f"gradient became non-finite at iteration {t}", trace=trace, iteration=t
@@ -672,9 +689,10 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
                     f"ELBO became non-finite at iteration {t}", trace=trace, iteration=t
                 )
             trace.append(elbo)
-        # grad = [g, g * eps * sd + 1] for g the gradient at theta
-        np.multiply(g_mean, eps, out=g_log_sd)
-        g_log_sd *= sd
+        np.multiply(g_mean, v, out=g_log_sd)
+        np.multiply(sd, sd, out=sd_term)
+        sd_term *= hessian.diagonal
+        g_log_sd += sd_term
         g_log_sd += 1.0
         ascend(grad)
     return FitResult(
@@ -690,6 +708,7 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
         grad_norm=init.grad_norm,
         variational_mean=mean,
         variational_log_sd=log_sd,
+        trace_every=config.trace_every,
     )
 
 
@@ -801,6 +820,7 @@ def fit_document(fit: FitResult) -> dict:
         "theta_map": [float(v) for v in fit.theta],
         "variational": None,
         "trace": [float(v) for v in fit.trace],
+        "trace_every": fit.trace_every,
         "stop_reason": fit.stop_reason,
         "n_iterations": fit.n_iterations,
         "grad_norm": float(fit.grad_norm),
@@ -852,10 +872,11 @@ def load_fit(path: str) -> FitResult:
         check_block(var, "variational")
         mean = _theta_vector(var.get("mean"), "variational.mean", packing.dim)
         log_sd = _theta_vector(var.get("log_sd"), "variational.log_sd", packing.dim)
-    # trace is checked as one list, not entry by entry: an SVI trace has 2000
+    # trace is checked as one list, not entry by entry: a MAP trace may have 10000
     for key, hint in (("trace", list), ("seed", int), ("mode", Literal["map", "svi"]),
                       ("stop_reason", str), ("n_iterations", int), ("grad_norm", float)):
         check_value(doc.get(key), hint, key)
+    check_value(doc.get("trace_every"), Count | None, "trace_every")
     structure = check_block(doc.get("structure"), "structure")
     return FitResult(
         params=packing.unpack(theta if mean is None else mean),
@@ -872,4 +893,5 @@ def load_fit(path: str) -> FitResult:
         variational_log_sd=log_sd,
         config=dict(check_block(doc.get("config", {}), "config")),
         structure=from_block(Structure, structure, "structure") if structure else None,
+        trace_every=doc.get("trace_every"),
     )

@@ -65,26 +65,33 @@ def _design_tiles(design, with_level: bool):
 
 def _gram(design, r0: np.ndarray, with_level: bool):
     """(order, blocks, c) for G = Z'Z and c = Z'r0, with Z and order those of
-    _design_tiles, whose tiles are read once: c = (Z'r0)[order], and each
-    block (rows, cols, array) holds G[order][:, order][rows, cols],
-    contiguous. A row's columns run from the first to the last nonzero of
-    its tiles' products. Passes over the rows merge adjacent blocks while a
-    merge stores fewer than _GRAM_CALL_ENTRIES extra entries, from blocks as
-    tall as the first passes would make them. The tile products are added
-    into the blocks in tile order, so each entry is the sum a dense G built
-    tile by tile holds.
+    _design_tiles, whose tiles are read once: c = (Z'r0)[order], and blocks
+    are _band_blocks of the tiles' products, G[order][:, order].
     """
     order, tiles = _design_tiles(design, with_level)
-    dim = order.size
-    c = np.zeros(dim)
-    # a row's nonzero column span [first, last); dim, 0 for an all-zero row
-    first, last, products = np.full(dim, dim), np.zeros(dim, dtype=np.intp), []
+    c = np.zeros(order.size)
+    products = []
     for rows, at, zt in tiles:
         c[at] += zt @ r0[rows]
-        g = zt @ zt.T
+        products.append((at, zt @ zt.T))
+    return order, _band_blocks(products, order.size), c
+
+
+def _band_blocks(products, dim: int):
+    """The row blocks (rows, cols, array) of the dim x dim sum of the
+    products (at, g), each g added at the places at (no place twice): each
+    block holds the sum's [rows, cols], contiguous. A row's columns run from
+    the first to the last nonzero of its products. Passes over the rows
+    merge adjacent blocks while a merge stores fewer than _GRAM_CALL_ENTRIES
+    extra entries, from blocks as tall as the first passes would make them.
+    The products are added into the blocks in their order, so each entry is
+    the sum a dense matrix built product by product holds.
+    """
+    # a row's nonzero column span [first, last); dim, 0 for an all-zero row
+    first, last = np.full(dim, dim), np.zeros(dim, dtype=np.intp)
+    for at, g in products:
         first[at] = np.minimum(first[at], np.where(g != 0, at, dim).min(axis=1))
         last[at] = np.maximum(last[at], np.where(g != 0, at + 1, 0).max(axis=1))
-        products.append((at, g))
 
     height = max(_GRAM_CALL_ENTRIES // (2 * max(dim, 1)), 1)
     starts = np.arange(0, dim, height)
@@ -112,7 +119,7 @@ def _gram(design, r0: np.ndarray, with_level: bool):
     # lo > hi: an all-zero block, no columns
     blocks = [(slice(start, stop), slice(lo, hi), np.zeros((stop - start, max(hi - lo, 0))))
               for start, stop, lo, hi in spans]
-    for at, g in products:  # g spread over its window of G, the places lo..hi
+    for at, g in products:  # g spread over its window of the sum, the places lo..hi
         lo, hi = at.min(), at.max() + 1
         window = np.zeros((hi - lo, hi - lo))
         window.reshape(-1)[((at - lo)[:, None] * (hi - lo) + at - lo).ravel()] = g.ravel()
@@ -122,7 +129,7 @@ def _gram(design, r0: np.ndarray, with_level: bool):
             if r_lo < r_hi and c_lo < c_hi:
                 block[r_lo - rows.start:r_hi - rows.start, c_lo - cols.start:c_hi - cols.start] \
                     += window[r_lo - lo:r_hi - lo, c_lo - lo:c_hi - lo]
-    return order, blocks, c
+    return blocks
 
 
 class _Structure:
@@ -308,8 +315,9 @@ class Objective:
     noise family: a channel's windows sum to h'b - b'Hb/2 plus a constant,
     over the knots b their kernel rows reach. Each entry of windows holds
     its H and h, so a call does one H @ b per windowed channel in place of
-    two products with each window's kernel rows. curvature(theta) is the
-    diagonal of the negated Hessian, read from the same parts.
+    two products with each window's kernel rows. hessian(theta) is the
+    Hessian as an operator built from the same parts, and curvature(theta)
+    its negated diagonal.
     """
 
     def __init__(self, inputs, hp, packing, calibration, include_jacobian):
@@ -419,6 +427,7 @@ class Objective:
         g_bs = np.split(weights[reg_end + self.order.size:],
                         np.cumsum([w[-1].size for w in windows]))
         self.windows = [(*w[:-1], g_b) for w, g_b in zip(windows, g_bs)]
+        self.window_places = [w[-1] for w in windows]
 
         # each structure's views of the buffers its reductions read
         self.prior_terms = [
@@ -577,93 +586,188 @@ class Objective:
         self.values = values
         return sum(values)
 
-    @functools.cached_property
-    def constant_curvature(self):
-        """(diag(H) of the windows over the x entries, and under Gaussian
-        noise diag(G) in time order, else None). They depend on the
-        structures alone, so they are built on curvature's first call: a MAP
-        fit never asks for them."""
-        window_diag = np.zeros(self.reg_end - self.n_chain)
-        for k, knots, channel, H, *_ in self.windows:
-            p, x = self.parts[k], self.places[k][1]
-            window_diag[x.start:x.start + p.n_b].reshape(p.reg_shape)[knots, channel] += np.diag(H)
-        if self.nu is not None:
-            return window_diag, None
-        gram_diag = np.zeros(self.order.size)
-        for rows, cols, block in self.gram_blocks:
-            on = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
-            gram_diag[on] = block[on - rows.start, on - cols.start]
-        return window_diag, gram_diag
-
-    def curvature(self, theta):
-        """The diagonal of -H, for H the Hessian of the objective at theta,
+    def hessian(self, theta):
+        """H, the Hessian of the objective at theta, as a Hessian operator,
         exact away from the Laplace kinks: a chain term is linear on either
         side of its kink and adds 0.
 
-        One gradient call fills the buffer and gives the gradient;
-        every other term is a second derivative in the buffer's coordinates.
-        The likelihood adds diag(G) / sigma^2 under Gaussian noise, and under
-        Student-t noise sum_t w_t Z_ti^2, for w_t each row's -d^2/dfit^2 at
-        the residual the call left in resid: the observed information, one
-        pass of Z's squared tiles. Both are in the knots' time order, added
-        at order. The windows add diag(H). Each folded-normal or
-        Gaussian term adds its -d^2/dx^2 on its entry and its -d^2/dloc^2 on
-        its location slot, gathered by one np.bincount over loc_of: every
-        channel's knots onto its mu_reg. A softplus entry then takes the
-        chain term -(s^2 L_xx + s (1 - s) L_x), s = sigmoid(raw), where s L_x
-        is the call's gradient less the log-Jacobian's e^-x = 1 - s, and the
-        log-Jacobian's own s (1 - s). ln sigma takes 2 ss / sigma^2 under
-        Gaussian noise and 2 (nu + 1) sum q / (1 + q)^2, q = r^2 / (nu
-        sigma^2), under Student-t. diag(G) and diag(H) are
-        constant_curvature.
+        One gradient call fills the buffer and gives the gradient; every
+        other term is a second derivative in the buffer's coordinates,
+        negated (-H, the curvature) until the end. The likelihood gives a
+        band over the knots in their time order: G / sigma^2 under Gaussian
+        noise, and under Student-t noise the observed information Z'WZ, for
+        W each row's -d^2/dfit^2 at the residual the call left in resid,
+        assembled from Z's tiles as _gram assembles G. Its column of ln
+        sigma is 2 d/dbeta of the likelihood under Gaussian noise and Z'
+        times each row's -d^2/dfit d ln sigma under Student-t; ln sigma's
+        own entry is 2 ss / sigma^2, or 2 (nu + 1) sum q / (1 + q)^2 for q =
+        r^2 / (nu sigma^2). The windows add their H. Each folded-normal or
+        Gaussian term adds its -d^2/dx^2 on its entry, its -d^2/dloc^2 on
+        its location slot (one np.bincount over loc_of: every channel's
+        knots onto its mu_reg), and, where the location is a free entry
+        (a b_reg knot's mu_reg), its -d^2/dx dloc on the pair. A softplus
+        entry then takes the chain rule: an entry (i, j) is scaled by s_i
+        s_j, s = sigmoid(raw) (1 off the x entries), and the diagonal adds
+        -s (1 - s) L_x, where s L_x is the call's gradient less the
+        log-Jacobian's e^-x = 1 - s, and the log-Jacobian's own s (1 - s).
         """
         grad = self.gradient(theta)
-        window_diag, gram_diag = self.constant_curvature
         nu, n_chain, reg_end, t_x = self.nu, self.n_chain, self.reg_end, self.t_x
-        neg_two_inv2 = self.neg_two_inv2
-        out = np.zeros(self.dim)
-        curv = out[:reg_end]
+        neg_two_inv2, order = self.neg_two_inv2, self.order
+        curv = np.zeros(self.dim)  # the diagonal of -H
+        on_u = curv[:reg_end]
+        to, frm, values = [], [], []  # -H's entries off the diagonal and the band
 
         # the x entries' terms against their locations
-        loc = self.t[self.loc_of[n_chain:]]
-        d2_x, d2_loc = self.inv_x * self.inv_x, self.inv_x * self.inv_x
+        x_at, loc_at = np.arange(n_chain, reg_end), self.loc_of[n_chain:]
+        loc = self.t[loc_at]
+        inv2 = self.inv_x * self.inv_x
         # the mirror log(1 + e^-a) has d^2/dx^2 = (2 inv^2 loc)^2 p (1 - p)
         # for p = sigmoid(-a) = e^(-a - log(1 + e^-a)) and 1 - p =
-        # e^-log(1 + e^-a); its d^2/dloc^2 has x in place of loc
+        # e^-log(1 + e^-a); its d^2/dloc^2 has x in place of loc, and its
+        # d^2/dx dloc is -2 inv^2 p + 4 inv^4 x loc p (1 - p)
         neg_a = loc * t_x * neg_two_inv2
-        mirror = np.exp(neg_a - 2.0 * np.logaddexp(0.0, neg_a)) * neg_two_inv2 * neg_two_inv2
-        d2_x -= mirror * loc ** 2
-        d2_loc -= mirror * t_x * t_x
-        curv[n_chain:] = d2_x
-        curv += np.bincount(self.loc_of[n_chain:], weights=d2_loc, minlength=self.t.size)[:reg_end]
-        curv[n_chain:] += window_diag
+        log_1p = np.logaddexp(0.0, neg_a)
+        mirror = np.exp(neg_a - 2.0 * log_1p) * neg_two_inv2 * neg_two_inv2
+        on_u[n_chain:] = inv2 - mirror * loc ** 2
+        on_u += np.bincount(loc_at, weights=inv2 - mirror * t_x * t_x,
+                            minlength=self.t.size)[:reg_end]
+        free = loc_at < reg_end
+        cross = -(inv2 + neg_two_inv2 * np.exp(neg_a - log_1p) + mirror * t_x * loc)[free]
+        to += [x_at[free], loc_at[free]]
+        frm += [loc_at[free], x_at[free]]
+        values += [cross, cross]
+        for (*_, H, _, _, _), at in zip(self.windows, self.window_places):
+            on_u[at] += np.diag(H)
+            off = ~np.eye(at.size, dtype=bool)
+            to.append(np.repeat(at, at.size).reshape(H.shape)[off])
+            frm.append(np.tile(at, at.size).reshape(H.shape)[off])
+            values.append(H[off])
 
         sigmas = self._sigmas(theta)
-        if nu is None:  # diag(G) / sigma^2 in time order, added at order
-            curv[self.order] += gram_diag / np.repeat([s * s for _, s in sigmas], self.lin_counts)
+        if nu is None:
+            band, band_var = self.gram_blocks, np.repeat([s * s for _, s in sigmas],
+                                                         self.lin_counts)
+            column = 2.0 * self.w_lin  # the call left d/dbeta in w_lin
             for p, (*_, at) in zip(self.parts, self.places):
                 if at is not None:  # the call's d/d ln sigma is ss / sigma^2 - n
-                    out[at] = 2.0 * (grad[at] + p.n)
+                    curv[at] = 2.0 * (grad[at] + p.n)
         else:  # the call left the residuals in resid
             nu_var = np.repeat([nu * s * s for _, s in sigmas], self.row_counts)
             sq = self.resid * self.resid
-            denom = nu_var + sq
-            w = (nu + 1.0) * (nu_var - sq) / (denom * denom)
-            diag = np.zeros(self.order.size)  # sum_t w_t Z_ti^2, in time order
+            denom2 = nu_var + sq
+            denom2 *= denom2
+            w = (nu + 1.0) * (nu_var - sq) / denom2
+            d_sigma = 2.0 * (nu + 1.0) * self.resid * nu_var / denom2
+            column, products = np.zeros(order.size), []
             for rows, at, zt in self.tiles:
-                diag[at] += (zt * zt) @ w[rows]
-            curv[self.order] += diag
-            shares = sq * nu_var / (denom * denom)
+                column[at] += zt @ d_sigma[rows]
+                products.append((at, (zt * w[rows]) @ zt.T))
+            band, band_var = _band_blocks(products, order.size), 1.0
+            shares = sq * nu_var / denom2
             for *_, rows, at in self.places:
                 if at is not None:
-                    out[at] = 2.0 * (nu + 1.0) * float(shares[rows].sum())
+                    curv[at] = 2.0 * (nu + 1.0) * float(shares[rows].sum())
+        band_diag = np.zeros(order.size)
+        for rows, cols, block in band:
+            on = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+            band_diag[on] = block[on - rows.start, on - cols.start]
+        on_u[order] += band_diag / band_var
+        lin_of = np.split(np.arange(order.size), np.cumsum(self.lin_counts)[:-1])
+        for lin, (*_, at) in zip(lin_of, self.places):
+            if at is not None:
+                to += [order[lin], np.full(lin.size, at)]
+                frm += [np.full(lin.size, at), order[lin]]
+                values += [column[lin], column[lin]]
 
+        to, frm, values = np.concatenate(to), np.concatenate(frm), np.concatenate(values)
+        scale = np.ones(self.dim)  # d buffer / d theta: s on the x entries, else 1
         if self.softplus_reg:
-            s = np.exp(theta[n_chain:reg_end] - t_x)  # sigmoid(raw), as the call's dx_draw
+            s = scale[n_chain:reg_end] = np.exp(theta[n_chain:reg_end] - t_x)  # as dx_draw
             e = np.exp(-t_x)  # 1 - s
             s_grad = grad[n_chain:reg_end] - e if self.include_jacobian else grad[n_chain:reg_end]
-            curv[n_chain:] *= s * s
-            curv[n_chain:] -= e * s_grad
+            on_u[n_chain:] *= s * s
+            on_u[n_chain:] -= e * s_grad
             if self.include_jacobian:
-                curv[n_chain:] += s * e
-        return out
+                on_u[n_chain:] += s * e
+            values *= scale[to] * scale[frm]
+        # H's band is -f_i f_j band_ij, for f = s / sigma under Gaussian
+        # noise and f = s under Student-t
+        f = scale[order] / np.sqrt(band_var)
+        return Hessian(-curv, order, band, f, band_diag, to, frm, -values)
+
+    def curvature(self, theta):
+        """The diagonal of -H, for H the Hessian of the objective at theta:
+        -hessian(theta).diagonal, so second derivatives have one source."""
+        return -self.hessian(theta).diagonal
+
+
+def _dense_is_faster(dim: int, entries: int, calls: int) -> bool:
+    """Whether one np.dot with a dense dim x dim matrix beats calls numpy
+    calls over entries stored entries: while the dense matrix stores fewer
+    extra entries than _GRAM_CALL_ENTRIES for each call it saves."""
+    return dim * dim - entries < _GRAM_CALL_ENTRIES * (calls - 1)
+
+
+class Hessian:
+    """The Hessian H of an objective at one theta (Objective.hessian), as an
+    operator: diagonal is diag(H), and dot(v) is H v, a fresh array.
+
+    H is a band over the knots in their time order, -f_i f_j band_ij (the
+    likelihood's: row blocks as _gram lays them out, read in place, so
+    under Gaussian noise a product streams the Gram blocks the gradient
+    has just read), plus the entries (to, frm, values) of the rest: the
+    diagonal less the band's, the windows', the folded-normal pairs of a
+    b_reg knot and its mu_reg, and the ln sigma rows and columns. dot
+    gathers the v entries both parts read in one call, writes the terms
+    into the slices of one weight buffer and adds them up by one
+    np.bincount, as Objective.gradient does, so a product is a few numpy
+    calls however many parts H has. Where _dense_is_faster, the parts are
+    summed once into matrix, dense, with diagonal on its diagonal, and dot
+    is one product with it. The buffers belong to the object, so calls to
+    one Hessian must not run concurrently.
+    """
+
+    def __init__(self, diagonal, order, band, f, band_diag, to, frm, values):
+        self.diagonal, self.band, self.dim = diagonal, band, diagonal.size
+        self.f, self.neg_f = f, -f
+        on = np.arange(self.dim)
+        rest = diagonal.copy()
+        rest[order] += f * f * band_diag
+        self.values = np.concatenate([rest, values])
+        self.n_entries = self.values.size
+        self.gather = np.concatenate([on, frm, order])
+        self.scatter_to = np.concatenate([on, to, order])
+        self.weights = np.empty(self.scatter_to.size)
+        self.w_entries, self.w_band = self.weights[:self.n_entries], self.weights[self.n_entries:]
+        self.order = order
+
+    @functools.cached_property
+    def matrix(self):
+        """H, dense, where _dense_is_faster, else None; built on the first
+        product, so curvature, which reads only the diagonal, never builds
+        it."""
+        # a product over the parts is a gather, a multiply, two scalings, a
+        # bincount and one np.dot per band block
+        if not _dense_is_faster(self.dim, self.n_entries + sum(b.size for *_, b in self.band),
+                                len(self.band) + 5):
+            return None
+        matrix, n, order = np.zeros((self.dim, self.dim)), self.n_entries, self.order
+        np.add.at(matrix, (self.scatter_to[:n], self.gather[:n]), self.values)
+        for rows, cols, block in self.band:
+            matrix[np.ix_(order[rows], order[cols])] += block * self.neg_f[rows, None] * self.f[cols]
+        np.fill_diagonal(matrix, self.diagonal)
+        return matrix
+
+    def dot(self, v):
+        matrix = self.matrix
+        if matrix is not None:
+            return matrix @ v
+        gathered = v[self.gather]
+        np.multiply(self.values, gathered[:self.n_entries], out=self.w_entries)
+        v_band = gathered[self.n_entries:]
+        v_band *= self.f
+        for rows, cols, block in self.band:
+            np.dot(block, v_band[cols], out=self.w_band[rows])
+        self.w_band *= self.neg_f
+        return np.bincount(self.scatter_to, weights=self.weights, minlength=self.dim)

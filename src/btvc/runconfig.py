@@ -63,7 +63,7 @@ class RunConfig:
     map_iterations: Count = 10000
     map_rel_tol: NonNegative = 1e-8
     map_tol_window: Count = 50
-    svi_iterations: Count = 2000
+    svi_iterations: Count = 1400
     svi_learning_rate: Positive = 0.02
     svi_final_learning_rate: Positive = 1e-4
     svi_init_log_sd: float = -2.0          # cap on the start from the exact Hessian diagonal

@@ -189,7 +189,9 @@ def test_fit_summary_line(tmp_path, capsys, mode, iterations, label):
         "--set", f"mode={mode}", "--set", f"svi_iterations={iterations}",
     )
     assert code == 0
-    trace = json.loads((fit_dir / "fit.json").read_text())["trace"]
+    doc = json.loads((fit_dir / "fit.json").read_text())
+    trace = doc["trace"]
+    assert doc["trace_every"] == (10 if mode == "svi" else 1)
     if mode == "svi":
         # entry i is step 10 i
         assert len(trace) == -(-iterations // 10)
@@ -1011,13 +1013,15 @@ def test_a_missing_packing_key_names_the_block_and_key(capsys, tmp_path, svi_fit
 
 
 @pytest.mark.parametrize("key, hint", [("seed", "int"), ("n_iterations", "int"),
-                                       ("grad_norm", "float"), ("trace", "list")])
+                                       ("grad_norm", "float"), ("trace", "list"),
+                                       ("trace_every", "int")])
 @pytest.mark.parametrize("value", [None, "x", [], True])
 def test_a_malformed_top_level_field_names_the_key(capsys, tmp_path, svi_fit, key, hint, value):
     # each used to end in a traceback from int(), float() or list()
     for code, out, err in read_with_a_mutated_document(capsys, tmp_path, svi_fit,
                                                        _set((key,), value)):
-        if key == "trace" and value == []:  # an empty trace is a list
+        # an empty trace is a list; a document without trace_every predates it
+        if (key, value) in (("trace", []), ("trace_every", None)):
             assert code == 0
             continue
         assert code == 1
@@ -1043,11 +1047,11 @@ MISSING_KEYS = {
 def test_a_missing_top_level_key_names_it(capsys, tmp_path, svi_fit):
     # mode, stop_reason and structure used to end in KeyError tracebacks
     keys = json.loads(svi_fit[0].read_text())
-    assert set(MISSING_KEYS) | {"config", "variational"} == set(keys)
+    assert set(MISSING_KEYS) | {"config", "variational", "trace_every"} == set(keys)
     for key in keys:
         runs = read_with_a_mutated_document(capsys, tmp_path, svi_fit,
                                             lambda doc: doc.pop(key))
-        if key == "config":  # a document may omit its run settings
+        if key in ("config", "trace_every"):  # a document may omit these
             assert [code for code, _, _ in runs] == [0, 0]
         elif key == "variational":  # a MAP document: it decomposes, but has no draws
             assert [code for code, _, _ in runs] == [0, 1]
