@@ -627,7 +627,7 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     problem under the same packing (by default init.packing; another one
     raises ValidationError). The ELBO is E_q[f] + entropy(q) for f =
     log_posterior + log-Jacobian; at init.theta fit_svi builds H, the
-    Hessian of f (Objective.hessian, about one objective call), and the
+    Hessian of f (Objective.hessian, once per fit), and the
     log-sds start at _start_log_sd of its diagonal, capped at
     config.init_log_sd. Each step takes one standard-normal draw eps of dim
     entries from SeedSequence(config.seed); they are drawn _DRAW_BLOCK

@@ -3,7 +3,6 @@ per fit (Objective), and the design map and Gram blocks it is built from."""
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -702,13 +701,6 @@ class Objective:
         return -self.hessian(theta).diagonal
 
 
-def _dense_is_faster(dim: int, entries: int, calls: int) -> bool:
-    """Whether one np.dot with a dense dim x dim matrix beats calls numpy
-    calls over entries stored entries: while the dense matrix stores fewer
-    extra entries than _GRAM_CALL_ENTRIES for each call it saves."""
-    return dim * dim - entries < _GRAM_CALL_ENTRIES * (calls - 1)
-
-
 class Hessian:
     """The Hessian H of an objective at one theta (Objective.hessian), as an
     operator: diagonal is diag(H), and dot(v) is H v, a fresh array.
@@ -722,10 +714,8 @@ class Hessian:
     gathers the v entries both parts read in one call, writes the terms
     into the slices of one weight buffer and adds them up by one
     np.bincount, as Objective.gradient does, so a product is a few numpy
-    calls however many parts H has. Where _dense_is_faster, the parts are
-    summed once into matrix, dense, with diagonal on its diagonal, and dot
-    is one product with it. The buffers belong to the object, so calls to
-    one Hessian must not run concurrently.
+    calls however many parts H has. The buffers belong to the object, so
+    calls to one Hessian must not run concurrently.
     """
 
     def __init__(self, diagonal, order, band, f, band_diag, to, frm, values):
@@ -740,29 +730,8 @@ class Hessian:
         self.scatter_to = np.concatenate([on, to, order])
         self.weights = np.empty(self.scatter_to.size)
         self.w_entries, self.w_band = self.weights[:self.n_entries], self.weights[self.n_entries:]
-        self.order = order
-
-    @functools.cached_property
-    def matrix(self):
-        """H, dense, where _dense_is_faster, else None; built on the first
-        product, so curvature, which reads only the diagonal, never builds
-        it."""
-        # a product over the parts is a gather, a multiply, two scalings, a
-        # bincount and one np.dot per band block
-        if not _dense_is_faster(self.dim, self.n_entries + sum(b.size for *_, b in self.band),
-                                len(self.band) + 5):
-            return None
-        matrix, n, order = np.zeros((self.dim, self.dim)), self.n_entries, self.order
-        np.add.at(matrix, (self.scatter_to[:n], self.gather[:n]), self.values)
-        for rows, cols, block in self.band:
-            matrix[np.ix_(order[rows], order[cols])] += block * self.neg_f[rows, None] * self.f[cols]
-        np.fill_diagonal(matrix, self.diagonal)
-        return matrix
 
     def dot(self, v):
-        matrix = self.matrix
-        if matrix is not None:
-            return matrix @ v
         gathered = v[self.gather]
         np.multiply(self.values, gathered[:self.n_entries], out=self.w_entries)
         v_band = gathered[self.n_entries:]
