@@ -21,9 +21,8 @@ class ValidationError(BtvcError):
 
 
 class DivergenceError(BtvcError):
-    """Optimizer produced a non-finite objective; carries the trace so far,
-    and for one of several runs fitted together (inference.fit_maps) the
-    0-based index of that run."""
+    """Optimizer produced a non-finite objective; carries the trace so far and the
+    0-based index of its run among those fitted together (inference.fit_maps, fit_svis)."""
 
     def __init__(self, message: str, trace=None, iteration: int | None = None,
                  index: int | None = None):

@@ -13,8 +13,8 @@ documented block order:
 The MAP objective is log_posterior composed with unpack, with no change of
 variables correction. The SVI objective adds the softplus log-Jacobian so
 the variational Gaussian approximates the posterior over theta. Both are
-compiled once per fit by objective.Objective; fit_maps fits several
-structures at once on one stacked objective.
+compiled once per fit by objective.Objective; fit_maps and fit_svis fit
+several runs on one stacked objective, and fit_map and fit_svi one run.
 
 MAP and SVI both ascend through one in-place Adam stepper, _adam: moments
 0.9 and 0.999, eps 1e-8, and an exponentially decaying step size.
@@ -64,6 +64,7 @@ __all__ = [
     "fit_map",
     "fit_maps",
     "fit_svi",
+    "fit_svis",
     "draw_posterior",
     "check_variational",
     "variational_draws",
@@ -500,6 +501,37 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
     return fit_maps([(inputs, hp, config, packing, calibration)])[0]
 
 
+def _prepare(kind: str, runs):
+    """(the runs (inputs, hp, config, packing, calibration, init) with the defaults
+    of fit_maps, kind "MAP", whose inits are None, or of fit_svis, kind "SVI"; the
+    first run's config, whose schedule all share; their stack; its start theta)."""
+    if not runs:
+        raise ValidationError(f"fit_{kind.lower()}s needs at least one run")
+    filled = [(inputs, hp, config or (MapConfig() if init is None else SviConfig()),
+               packing or (default_packing(inputs) if init is None else init.packing),
+               calibration, init) for inputs, hp, config, packing, calibration, init in runs]
+    if any(init is not None and packing.describe() != init.packing.describe()
+           for _, _, _, packing, _, init in filled):
+        raise ValidationError("packing differs from the packing of init, the fit it starts from")
+    schedule = operator.attrgetter("learning_rate", "final_learning_rate", "iterations")
+    if len({schedule(c) for _, _, c, *_ in filled}) > 1:
+        raise ValidationError(f"stacked {kind} runs must share learning_rate, "
+                              "final_learning_rate and iterations")
+    f = Objective.stack([(inputs, hp, packing, cal) for inputs, hp, _, packing, cal, _ in filled],
+                        include_jacobian=kind == "SVI")
+    theta = np.empty(f.dim)
+    for at, (inputs, hp, _, packing, _, init) in zip(f.theta_of, filled):
+        theta[at] = initial_theta(inputs, hp, packing) if init is None else init.theta
+    return filled, filled[0][2], f, theta
+
+
+def _divergence(what: str, t: int, place: int, traces, index) -> DivergenceError:
+    """The DivergenceError of a stacked fit whose run at place, the first in
+    the stack to do so, became non-finite at iteration t; index[place] is its run."""
+    return DivergenceError(f"{what} became non-finite at iteration {t}", trace=traces[place],
+                           iteration=t, index=index[place])
+
+
 def fit_maps(runs) -> list[FitResult]:
     """fit_map of each run (inputs, hp, config, packing, calibration), all
     in one loop; config and packing may be None, as in fit_map. The runs'
@@ -512,37 +544,22 @@ def fit_maps(runs) -> list[FitResult]:
     fixed and the stack goes on without it. Every entry's Adam update and
     every run's objective has the bits it has in a fit of that run alone,
     so each result equals fit_map of its run. A DivergenceError gives the
-    0-based index of the run it is about: the one that became non-finite
-    at the earliest iteration (the first in the runs' order, if several
-    did at once).
+    0-based index of the run that became non-finite at the earliest
+    iteration (the first in the runs' order, if several did at once).
     """
-    runs = [(inputs, hp, config or MapConfig(), packing or default_packing(inputs), calibration)
-            for inputs, hp, config, packing, calibration in runs]
-    if not runs:
-        raise ValidationError("fit_maps needs at least one run")
-    config = runs[0][2]
-    schedule = (config.learning_rate, config.final_learning_rate, config.iterations)
-    if any((c.learning_rate, c.final_learning_rate, c.iterations) != schedule
-           for _, _, c, _, _ in runs):
-        raise ValidationError("stacked MAP runs must share learning_rate, "
-                              "final_learning_rate and iterations")
-    f = Objective.stack([(inputs, hp, packing, calibration)
-                         for inputs, hp, _, packing, calibration in runs], include_jacobian=False)
-    theta = np.empty(f.dim)
-    for at, (inputs, hp, _, packing, _) in zip(f.theta_of, runs):
-        theta[at] = initial_theta(inputs, hp, packing)
+    runs, config, f, theta = _prepare("MAP", [(*run, None) for run in runs])
     # per run in the stack, in its order: its index, its best value, and
     # (trace_every, rel_tol, tol_window, trace, best value per iteration)
     live = list(range(len(runs)))
     best = [-math.inf] * len(runs)
-    state = [(c.trace_every, c.rel_tol, c.tol_window, [], []) for _, _, c, _, _ in runs]
+    state = [(c.trace_every, c.rel_tol, c.tol_window, [], []) for _, _, c, *_ in runs]
     best_theta, best_grad = theta.copy(), None
     results: list[FitResult] = [None] * len(runs)
     ascend = _adam(theta, config)
 
     def finish(place, stop_reason, n_iterations):
         k, (trace_every, _, _, trace, _) = live[place], state[place]
-        _, hp, config, packing, _ = runs[k]
+        _, hp, config, packing, _, _ = runs[k]
         # The trace ends at the returned point even when the last iteration
         # fell between two recorded ones.
         if (n_iterations - 1) % trace_every != 0:
@@ -555,7 +572,7 @@ def fit_maps(runs) -> list[FitResult]:
             n_iterations=n_iterations, grad_norm=float(np.linalg.norm(best_grad[at])),
             trace_every=trace_every)
 
-    for t in range(schedule[2]):
+    for t in range(config.iterations):
         _, grad = f(theta)
         values = f.values
         if not (all(map(math.isfinite, values)) and np.isfinite(grad).all()):
@@ -563,8 +580,7 @@ def fit_maps(runs) -> list[FitResult]:
                 raise ValidationError("log posterior non-finite at the initial point")
             place = next(place for place, (value, at) in enumerate(zip(values, f.theta_of))
                          if not (math.isfinite(value) and np.isfinite(grad[at]).all()))
-            raise DivergenceError(f"objective became non-finite at iteration {t}",
-                                  trace=state[place][3], iteration=t, index=live[place])
+            raise _divergence("objective", t, place, [trace for *_, trace, _ in state], live)
         improved = list(map(operator.gt, values, best))
         if all(improved):
             # grad is a fresh array each call, so keeping a reference needs no copy
@@ -595,7 +611,7 @@ def fit_maps(runs) -> list[FitResult]:
             best_theta, best_grad, grad = best_theta[entries], best_grad[entries], grad[entries]
         ascend(grad)
     for place in range(len(live)):
-        finish(place, "max_iter", schedule[2])
+        finish(place, "max_iter", config.iterations)
     return results
 
 
@@ -627,12 +643,11 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     problem under the same packing (by default init.packing; another one
     raises ValidationError). The ELBO is E_q[f] + entropy(q) for f =
     log_posterior + log-Jacobian; at init.theta fit_svi builds H, the
-    Hessian of f (Objective.hessian, once per fit), and the
-    log-sds start at _start_log_sd of its diagonal, capped at
-    config.init_log_sd. Each step takes one standard-normal draw eps of dim
-    entries from SeedSequence(config.seed); they are drawn _DRAW_BLOCK
-    steps at a time, which numpy's Generator fills in order, so the stream
-    is the one a draw per step would give.
+    Hessian of f (Objective.hessian, once per fit), and the log-sds start
+    at _start_log_sd of its diagonal, capped at config.init_log_sd. Each
+    step takes one standard-normal draw eps of dim entries from
+    SeedSequence(config.seed), drawn _DRAW_BLOCK steps at a time, which
+    numpy's Generator fills in order: the stream a draw per step gives.
 
     A step at theta = mean + v, v = sd eps, ascends g - Hv for the mean and
     (g - Hv) v + diag(H) sd^2 + 1 for the log-sds, g the objective's
@@ -643,34 +658,43 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     objective's gradient; the single-draw ELBO is computed on the steps t
     with t % config.trace_every == 0, which the trace records. A non-finite
     gradient at any step, or a non-finite ELBO at a traced one, raises
-    DivergenceError with the trace so far.
+    DivergenceError with the trace so far. This is fit_svis of one run.
     """
-    config = config or SviConfig()
-    packing = packing or init.packing
-    if packing.describe() != init.packing.describe():
-        raise ValidationError("packing differs from the packing of init, the fit it starts from")
-    f = Objective(inputs, hp, packing, calibration, include_jacobian=True)
-    hessian = f.hessian(init.theta)
-    dim = packing.dim
+    return fit_svis([(inputs, hp, config, packing, calibration, init)])[0]
+
+
+def fit_svis(runs) -> list[FitResult]:
+    """fit_svi of each run (inputs, hp, config, packing, calibration, init),
+    all in one loop on one stack with one Adam and one H, as fit_maps runs
+    fit_map's. Each run keeps its start, cap, noise stream, trace_every and
+    trace, so each result equals fit_svi of its run bit for bit. A step
+    checks the runs' gradients before their ELBOs."""
+    runs, config, f, start = _prepare("SVI", list(runs))
+    hessian = f.hessian(start)
+    dim, index = f.dim, range(len(runs))
     # The step loop works in place on preallocated buffers, each op the one
     # the plain expression would run, so the moments are the same bit for
     # bit: state is [mean, log_sd], grad is [d/d mean, d/d log_sd].
-    state = np.concatenate([init.theta, _start_log_sd(-hessian.diagonal, config.init_log_sd)])
+    state = np.concatenate([start, np.empty(dim)])
     mean, log_sd = state[:dim], state[dim:]
     grad = np.empty(2 * dim)
     g_mean, g_log_sd = grad[:dim], grad[dim:]
     sd, v, theta, sd_term = np.empty(dim), np.empty(dim), np.empty(dim), np.empty(dim)
     block = np.empty((_DRAW_BLOCK, dim))
     draws = list(block)  # its rows, one step's eps each
+    per_run = []  # (place, entries, noise stream, trace_every, the entropy's constant)
+    for place, (at, (_, _, c, *_)) in enumerate(zip(f.theta_of, runs)):
+        log_sd[at] = _start_log_sd(-hessian.diagonal[at], c.init_log_sd)
+        per_run.append((place, at, np.random.default_rng(np.random.SeedSequence(c.seed)),
+                        c.trace_every, 0.5 * at.size * (1.0 + math.log(2.0 * math.pi))))
+    traces = [[] for _ in runs]
+    every = math.gcd(*(c.trace_every for _, _, c, *_ in runs))  # the steps some run traces
     ascend = _adam(state, config)
-
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    trace: list[float] = []
-    entropy_const = 0.5 * dim * (1.0 + math.log(2.0 * math.pi))
     for t in range(config.iterations):
         row = t % _DRAW_BLOCK
         if not row:
-            rng.standard_normal(out=block)
+            for _, at, rng, _, _ in per_run:
+                block[:, at] = rng.standard_normal((_DRAW_BLOCK, at.size))
         np.exp(log_sd, out=sd)
         np.multiply(sd, draws[row], out=v)
         np.add(v, mean, out=theta)
@@ -679,37 +703,27 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
         # theta = mean + v, v = sd eps
         g_mean -= hessian.dot(v)
         if not np.isfinite(g_mean).all():
-            raise DivergenceError(
-                f"gradient became non-finite at iteration {t}", trace=trace, iteration=t
-            )
-        if t % config.trace_every == 0:
-            elbo = f.value() + entropy_const + float(log_sd.sum())
-            if not math.isfinite(elbo):
-                raise DivergenceError(
-                    f"ELBO became non-finite at iteration {t}", trace=trace, iteration=t
-                )
-            trace.append(elbo)
+            place = next(k for k, at in enumerate(f.theta_of) if not np.isfinite(g_mean[at]).all())
+            raise _divergence("gradient", t, place, traces, index)
+        if t % every == 0:
+            f.value()
+            for place, at, _, trace_every, const in per_run:
+                if t % trace_every == 0:
+                    elbo = f.values[place] + const + float(np.add.reduce(log_sd[at]))
+                    if not math.isfinite(elbo):
+                        raise _divergence("ELBO", t, place, traces, index)
+                    traces[place].append(elbo)
         np.multiply(g_mean, v, out=g_log_sd)
         np.multiply(sd, sd, out=sd_term)
         sd_term *= hessian.diagonal
         g_log_sd += sd_term
         g_log_sd += 1.0
         ascend(grad)
-    return FitResult(
-        params=packing.unpack(mean),
-        theta=init.theta,
-        packing=packing,
-        hyper=hp,
-        trace=trace,
-        seed=config.seed,
-        mode="svi",
-        stop_reason="max_iter",
-        n_iterations=config.iterations,
-        grad_norm=init.grad_norm,
-        variational_mean=mean,
-        variational_log_sd=log_sd,
-        trace_every=config.trace_every,
-    )
+    return [FitResult(params=packing.unpack(mean[at]), theta=init.theta, packing=packing, hyper=hp,
+                      trace=trace, trace_every=c.trace_every, seed=c.seed, mode="svi",
+                      stop_reason="max_iter", n_iterations=c.iterations, grad_norm=init.grad_norm,
+                      variational_mean=mean[at], variational_log_sd=log_sd[at])
+            for at, trace, (_, hp, c, packing, _, init) in zip(f.theta_of, traces, runs)]
 
 
 def check_variational(fit: FitResult, n_draws: int) -> None:

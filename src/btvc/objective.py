@@ -131,6 +131,12 @@ def _band_blocks(products, dim: int):
     return blocks
 
 
+def _offset(blocks, by: int):
+    """_band_blocks' row blocks (rows, cols, array) moved by places, into a stack."""
+    return [(slice(r.start + by, r.stop + by), slice(c.start + by, c.stop + by), block)
+            for r, c, block in blocks]
+
+
 class _Structure:
     """One structure's share of an Objective, compiled in its own
     coordinates: its theta is [chain | x | ln sigma] as its packing lays it
@@ -244,7 +250,7 @@ class Objective:
     compiled: theta -> (value, gradient). obj.gradient(theta) computes the
     gradient alone, and obj.value() then reduces the value at that theta
     from the buffers the gradient pass left; obj(theta) is the two in turn.
-    A loop that needs the value only now and then (fit_svi's trace) pays
+    A loop that needs the value only now and then (fit_svis' trace) pays
     for it only then.
 
     For one structure the value is log_posterior_and_grad at
@@ -394,9 +400,7 @@ class Objective:
             b_reg = t[n_chain + xo:b_end].reshape(p.reg_shape)
             orders.append(place(p.order))
             if p.nu is None:
-                self.gram_blocks += [(slice(r.start + lin, r.stop + lin),
-                                      slice(c.start + lin, c.stop + lin), block)
-                                     for r, c, block in p.gram_blocks]
+                self.gram_blocks += _offset(p.gram_blocks, lin)
             else:
                 self.tiles += [(slice(r.start + row, min(r.stop, p.n) + row), a + lin, zt)
                                for r, a, zt in p.tiles]
@@ -596,7 +600,7 @@ class Objective:
         band over the knots in their time order: G / sigma^2 under Gaussian
         noise, and under Student-t noise the observed information Z'WZ, for
         W each row's -d^2/dfit^2 at the residual the call left in resid,
-        assembled from Z's tiles as _gram assembles G. Its column of ln
+        assembled from Z's tiles per structure, as _gram does G. Its column of ln
         sigma is 2 d/dbeta of the likelihood under Gaussian noise and Z'
         times each row's -d^2/dfit d ln sigma under Student-t; ln sigma's
         own entry is 2 ss / sigma^2, or 2 (nu + 1) sum q / (1 + q)^2 for q =
@@ -658,13 +662,15 @@ class Objective:
             denom2 *= denom2
             w = (nu + 1.0) * (nu_var - sq) / denom2
             d_sigma = 2.0 * (nu + 1.0) * self.resid * nu_var / denom2
-            column, products = np.zeros(order.size), []
-            for rows, at, zt in self.tiles:
-                column[at] += zt @ d_sigma[rows]
-                products.append((at, (zt * w[rows]) @ zt.T))
-            band, band_var = _band_blocks(products, order.size), 1.0
             shares = sq * nu_var / denom2
-            for *_, rows, at in self.places:
+            column, band, band_var = np.zeros(order.size), [], 1.0
+            for p, (_, _, lin, rows, at) in zip(self.parts, self.places):
+                w_p, d_p, products = w[rows], d_sigma[rows], []
+                for tile_rows, knots, zt in p.tiles:
+                    column[knots + lin.start] += zt @ d_p[tile_rows]
+                    products.append((knots, (zt * w_p[tile_rows]) @ zt.T))
+                # its own band, so a product has the bits of its Hessian alone
+                band += _offset(_band_blocks(products, p.order.size), lin.start)
                 if at is not None:
                     curv[at] = 2.0 * (nu + 1.0) * float(shares[rows].sum())
         band_diag = np.zeros(order.size)
@@ -672,11 +678,10 @@ class Objective:
             on = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
             band_diag[on] = block[on - rows.start, on - cols.start]
         on_u[order] += band_diag / band_var
-        lin_of = np.split(np.arange(order.size), np.cumsum(self.lin_counts)[:-1])
-        for lin, (*_, at) in zip(lin_of, self.places):
+        for _, _, lin, _, at in self.places:
             if at is not None:
-                to += [order[lin], np.full(lin.size, at)]
-                frm += [np.full(lin.size, at), order[lin]]
+                to += [order[lin], np.full_like(order[lin], at)]
+                frm += [np.full_like(order[lin], at), order[lin]]
                 values += [column[lin], column[lin]]
 
         to, frm, values = np.concatenate(to), np.concatenate(frm), np.concatenate(values)

@@ -29,6 +29,7 @@ from .inference import (
     fit_map,
     fit_maps,
     fit_svi,
+    fit_svis,
     variational_draws,
 )
 from .kernels import KnotGrid, build_grid, kernel_matrix
@@ -203,39 +204,21 @@ def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: i
     return draw_quantiles(np.exp(fitted) if fit.structure.link == "log" else fitted, levels)
 
 
-def forecaster_from_config(cfg: RunConfig):
-    """Expanding-window forecaster: refits per split with the split seed,
-    one split at a time. run_backtest scores the same fits, fitted
-    together; tests compare the two."""
-
-    def forecaster(train: TimeSeriesFrame, horizon: int,
-                   future_regressors: np.ndarray, seed: int) -> np.ndarray:
-        split_cfg = dataclasses.replace(cfg, seed=seed)
-        fit, _ = run_fit(train, split_cfg)
-        return predict_from_fit(fit, future_regressors, horizon)
-
-    return forecaster
-
-
 def backtest_plan_from(cfg: RunConfig) -> BacktestPlan:
     return settings(BacktestPlan, cfg, "backtest_", stride=cfg.backtest_stride or None)
 
 
-def _split_error(exc: DivergenceError, index: int) -> DivergenceError:
-    return DivergenceError(f"split {index + 1}: {exc}", trace=exc.trace,
-                           iteration=exc.iteration, index=index)
-
-
 def run_backtest(frame: TimeSeriesFrame, cfg: RunConfig) -> tuple[MetricReport, list[dict]]:
-    """(the expanding-window backtest of forecaster_from_config(cfg), one
-    summary dict per split); each split's fit is the one that forecaster
-    makes, bit for bit.
+    """(the expanding-window backtest of cfg, one summary dict per split);
+    each split's fit is, bit for bit, run_fit of its training rows under
+    cfg with the split's seed (evaluation.seed_for_split).
 
     The prior windows file is read once, against the whole series, and each
     split keeps the windows that end on or before its last training row.
-    All splits' MAP fits run at once (fit_maps); under mode=svi each split's
-    SVI then starts from its MAP point. evaluation.backtest scores the
-    forecasts, which its forecaster looks up by the split's training rows.
+    All splits' MAP fits run at once (fit_maps); under mode=svi all splits'
+    SVI fits then run at once (fit_svis), each from its split's MAP point. A
+    divergence names its split. evaluation.backtest scores the forecasts,
+    which its forecaster looks up by the split's training rows.
     """
     plan = backtest_plan_from(cfg)
     terms = calibration_terms(frame, cfg)
@@ -249,16 +232,15 @@ def run_backtest(frame: TimeSeriesFrame, cfg: RunConfig) -> tuple[MetricReport, 
     try:
         fits = fit_maps([(inputs, hp, map_config_from(split_cfg), None, kept)
                          for split_cfg, inputs, hp, _, kept in splits])
-    except DivergenceError as exc:
-        raise _split_error(exc, exc.index) from None
-    forecasts, summary = {}, []
-    for i, ((train_end, test_start, test_end), fit, (split_cfg, inputs, hp, structure, kept)) \
-            in enumerate(zip(bounds, fits, splits)):
         if cfg.mode == "svi":
-            try:
-                fit = fit_svi(inputs, hp, svi_config_from(split_cfg), calibration=kept, init=fit)
-            except DivergenceError as exc:
-                raise _split_error(exc, i) from None
+            fits = fit_svis([(inputs, hp, svi_config_from(split_cfg), None, kept, fit)
+                             for fit, (split_cfg, inputs, hp, _, kept) in zip(fits, splits)])
+    except DivergenceError as exc:
+        raise DivergenceError(f"split {exc.index + 1}: {exc}", trace=exc.trace,
+                              iteration=exc.iteration, index=exc.index) from None
+    forecasts, summary = {}, []
+    for i, ((train_end, test_start, test_end), fit, (split_cfg, _, _, structure, _)) \
+            in enumerate(zip(bounds, fits, splits)):
         fit.structure = structure
         forecasts[train_end] = predict_from_fit(
             fit, frame.regressors[test_start - 1:test_end], plan.horizon)

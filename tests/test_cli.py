@@ -17,7 +17,6 @@ from btvc.objective import Objective
 from btvc.pipeline import (
     backtest_plan_from,
     forecast_quantiles,
-    forecaster_from_config,
     load_frame,
     predict_from_fit,
     read_future_csv,
@@ -31,6 +30,7 @@ from btvc.simulation import (MultiplicativeSimConfig, SimConfig, SparsitySpec,
                              write_truth_csv)
 from btvc.timeframe import emit_csv, read_table
 
+from tests.test_pipeline import forecaster_from_config
 from tests.test_timeframe import write_csv
 
 FAST = ["--set", "map_iterations=50", "--set", "fourier=7:1"]
@@ -878,6 +878,32 @@ class TestErrorPaths:
         )
         assert code == 2
         assert err.strip() == "error: split 2: objective became non-finite at iteration 3"
+        assert out == ""
+
+    def test_a_diverging_svi_split_names_itself(self, capsys, tmp_path, monkeypatch):
+        # the second split's gradient turns non-finite at step 4 of the
+        # splits' stacked SVI objective, whose first gradient call builds H
+        sim_dir = tmp_path / "sim"
+        simulate_small(capsys, str(sim_dir))
+        real = Objective.gradient
+        calls = {"n": 0}
+
+        def poisoned(self, theta, out=None):
+            grad = real(self, theta, out)
+            if self.include_jacobian:  # the SVI objective, not the MAP one
+                calls["n"] += 1
+                if calls["n"] == 4 + 2:
+                    grad[self.theta_of[1][0]] = float("nan")
+            return grad
+
+        monkeypatch.setattr(Objective, "gradient", poisoned)
+        code, out, err = run(
+            capsys, "backtest", "--data", str(sim_dir / "data.csv"), "--out", str(tmp_path / "bt"),
+            *FAST, "--set", "backtest_horizon=5", "--set", "backtest_splits=2",
+            "--set", "backtest_min_train=40", "--set", "mode=svi", "--set", "svi_iterations=20",
+        )
+        assert code == 2
+        assert err.strip() == "error: split 2: gradient became non-finite at iteration 4"
         assert out == ""
 
 

@@ -548,7 +548,8 @@ def test_default_svi_budget_reaches_the_long_run_elbo(seed, monkeypatch):
     flat = fit_svi(inputs, hp, SviConfig(iterations=5000, seed=seed), calibration=terms,
                    init=init)
     f = objective.Objective(inputs, hp, init.packing, terms, include_jacobian=True)
-    eps = np.random.default_rng(seed).standard_normal((2000, init.packing.dim))
+    # the scoring draws come from a stream apart from the fits' steps
+    eps = np.random.default_rng([seed, 1]).standard_normal((2000, init.packing.dim))
     shortfall = (fixed_draw_elbo(f, flat.variational_mean, flat.variational_log_sd, eps)
                  - fixed_draw_elbo(f, fit.variational_mean, fit.variational_log_sd, eps))
     assert fit.n_iterations == 1400
@@ -659,15 +660,19 @@ def test_control_variate_keeps_the_gradient_mean_and_lowers_its_variance():
 
 def test_conjugate_interval_coverage():
     # calibrated-Bayes check: truth drawn from the prior, 95% interval
-    # should cover it in about 95% of replications
+    # should cover it in about 95% of replications; the replicas are fitted
+    # as one stack of MAP runs and one of SVI runs
     covered = 0
     n_reps = 200
     mc = MapConfig(iterations=250, rel_tol=0.0,
                    final_learning_rate=1e-4)
-    for rep in range(n_reps):
-        inputs, hp, packing, true_b, _, _ = conjugate_problem(10_000 + rep)
-        fit = fit_svi(inputs, hp, SviConfig(iterations=800, seed=rep),
-                      packing=packing, init=fit_map(inputs, hp, mc, packing=packing))
+    problems = [conjugate_problem(10_000 + rep) for rep in range(n_reps)]
+    inits = inference.fit_maps([(inputs, hp, mc, packing, ())
+                                for inputs, hp, packing, *_ in problems])
+    fits = inference.fit_svis([(inputs, hp, SviConfig(iterations=800, seed=rep), packing, (), init)
+                               for rep, ((inputs, hp, packing, *_), init)
+                               in enumerate(zip(problems, inits))])
+    for (_, _, _, true_b, _, _), fit in zip(problems, fits):
         m = fit.variational_mean[0]
         s = float(np.exp(fit.variational_log_sd[0]))
         covered += (m - 1.959964 * s) <= true_b <= (m + 1.959964 * s)
@@ -1246,6 +1251,8 @@ def test_an_empty_stack_is_a_validation_error():
     # each used to fail in IndexError at its first element
     with pytest.raises(ValidationError, match="^fit_maps needs at least one run$"):
         inference.fit_maps([])
+    with pytest.raises(ValidationError, match="^fit_svis needs at least one run$"):
+        inference.fit_svis([])
     with pytest.raises(ValidationError, match="^an objective stack needs at least one structure$"):
         objective.Objective.stack([], False)
 
@@ -1286,13 +1293,84 @@ def test_each_run_of_a_stacked_fit_equals_its_fit_alone(case):
         assert fit.params.b_reg.tobytes() == alone.params.b_reg.tobytes()
     # the runs stop at different iterations, so the stack lost runs on the way
     assert len({fit.n_iterations for fit in fits}) == 3
+    # the SVI objective's Hessian of the stack at the fitted points: each
+    # structure's part has the bits of its own Hessian
+    problems = [(inputs, hp, fit.packing, terms)
+                for (inputs, hp, _, _, terms), fit in zip(runs, fits)]
+    stack = objective.Objective.stack(problems, include_jacobian=True)
+    theta = np.empty(stack.dim)
+    for at, fit in zip(stack.theta_of, fits):
+        theta[at] = fit.theta
+    v = np.random.default_rng(0).standard_normal(stack.dim)
+    hessian = stack.hessian(theta)
+    product = hessian.dot(v)
+    for problem, fit, at in zip(problems, fits, stack.theta_of):
+        alone = objective.Objective(*problem, include_jacobian=True).hessian(fit.theta)
+        assert hessian.diagonal[at].tobytes() == alone.diagonal.tobytes()
+        assert product[at].tobytes() == alone.dot(v[at]).tobytes()
+
+
+def stacked_svi_runs(case):
+    """fit_svis runs from the stacked MAP fits of stacked_runs(case), each
+    with its own seed, trace thinning and log-sd cap."""
+    runs = stacked_runs(case)
+    return [(inputs, hp, SviConfig(iterations=150, seed=config.seed + 1, trace_every=every,
+                                   init_log_sd=cap), packing, terms, init)
+            for (inputs, hp, config, packing, terms), init, every, cap
+            in zip(runs, inference.fit_maps(runs), (10, 3, 7), (-2.0, -1.0, -3.0))]
+
+
+@pytest.mark.parametrize("case", ["gaussian", "student_t", "window"])
+def test_each_run_of_a_stacked_svi_fit_equals_its_fit_alone(case):
+    # 150 steps end inside a draw block
+    runs = stacked_svi_runs(case)
+    fits = inference.fit_svis(runs)
+    for (inputs, hp, config, packing, terms, init), fit in zip(runs, fits):
+        alone = fit_svi(inputs, hp, config, packing=packing, calibration=terms, init=init)
+        assert fit.variational_mean.tobytes() == alone.variational_mean.tobytes()
+        assert fit.variational_log_sd.tobytes() == alone.variational_log_sd.tobytes()
+        assert fit.trace == alone.trace
+        assert (fit.n_iterations, fit.stop_reason, fit.seed, fit.trace_every) == (
+            alone.n_iterations, alone.stop_reason, alone.seed, alone.trace_every)
+    assert [len(fit.trace) for fit in fits] == [15, 50, 22]
+    # each run's cap binds on some entries of its start
+    for inputs, hp, config, packing, terms, init in runs:
+        f = objective.Objective(inputs, hp, init.packing, terms, include_jacobian=True)
+        assert np.any(inference._start_log_sd(f.curvature(init.theta), np.inf)
+                      > config.init_log_sd)
+
+
+def test_a_diverging_run_of_a_stacked_svi_fit_names_itself(monkeypatch):
+    runs = stacked_svi_runs("gaussian")
+    clean = fit_svi(*runs[2][:5], init=runs[2][5])
+    real = objective.Objective.gradient
+    calls = {"n": 0}
+
+    def poisoned(self, theta, out=None):
+        grad = real(self, theta, out)
+        calls["n"] += 1
+        if calls["n"] == 13 + 2:  # call 1 is the start's Hessian
+            grad[self.theta_of[2][0]] = np.nan
+        return grad
+
+    monkeypatch.setattr(objective.Objective, "gradient", poisoned)
+    with pytest.raises(DivergenceError, match="^gradient became non-finite at iteration 13$") \
+            as exc:
+        inference.fit_svis(runs)
+    # run 2 records its ELBO every 7 steps: at steps 0 and 7 of 0-12
+    assert (exc.value.index, exc.value.iteration) == (2, 13)
+    assert exc.value.trace == clean.trace[:2]
 
 
 def test_stacked_runs_share_one_step_size_schedule():
     runs = stacked_runs("gaussian")
     runs[1] = (*runs[1][:2], MapConfig(iterations=500), *runs[1][3:])
-    with pytest.raises(ValidationError, match="must share learning_rate"):
+    with pytest.raises(ValidationError, match="^stacked MAP runs must share learning_rate"):
         inference.fit_maps(runs)
+    runs = stacked_svi_runs("gaussian")
+    runs[1] = (*runs[1][:2], SviConfig(final_learning_rate=1e-3), *runs[1][3:])
+    with pytest.raises(ValidationError, match="^stacked SVI runs must share learning_rate"):
+        inference.fit_svis(runs)
 
 
 def test_a_diverging_run_of_a_stacked_fit_names_itself(monkeypatch):

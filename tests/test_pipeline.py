@@ -23,7 +23,6 @@ from btvc.pipeline import (
     forecast_dates,
     forecast_design,
     forecast_quantiles,
-    forecaster_from_config,
     input_digest,
     load_frame,
     map_config_from,
@@ -63,6 +62,18 @@ def small_cfg(**kw):
     values = dict(FAST, fourier="7:1", seed=2)
     values.update(kw)
     return dataclasses.replace(RunConfig(), **values)
+
+
+def forecaster_from_config(cfg: RunConfig):
+    """Expanding-window forecaster that refits one split at a time, each
+    with run_fit under its split seed: the reference that run_backtest's
+    stacked fits are compared against."""
+
+    def forecaster(train, horizon, future_regressors, seed):
+        fit, _ = run_fit(train, dataclasses.replace(cfg, seed=seed))
+        return predict_from_fit(fit, future_regressors, horizon)
+
+    return forecaster
 
 
 def small_frame(T=60, P=2, seed=0):
@@ -435,17 +446,19 @@ class TestFitAndForecast:
             forecast_quantiles(with_moments(fit, "default"), future, 3, [0.5], n_draws=10)
 
     def test_run_backtest_equals_manual_assembly(self):
+        # the splits' fits, stacked, against one run_fit per split
         frame = small_frame(T=70)
-        cfg = small_cfg(
-            backtest_horizon=5, backtest_splits=2, backtest_min_train=40,
-            map_iterations=40,
-        )
-        report, _ = run_backtest(frame, cfg)
-        manual = backtest(
-            frame, forecaster_from_config(cfg), backtest_plan_from(cfg),
-            root_seed=cfg.seed,
-        )
-        assert report.per_split == manual.per_split
+        for mode in ("map", "svi"):
+            cfg = small_cfg(
+                backtest_horizon=5, backtest_splits=2, backtest_min_train=40,
+                map_iterations=40, mode=mode, svi_iterations=30,
+            )
+            report, _ = run_backtest(frame, cfg)
+            manual = backtest(
+                frame, forecaster_from_config(cfg), backtest_plan_from(cfg),
+                root_seed=cfg.seed,
+            )
+            assert report.per_split == manual.per_split
 
 
 class TestFilePlumbing:
