@@ -5,8 +5,9 @@ documented block order:
 
     1. b_lev            (identity; omitted when packing fixes it)
     2. b_seas raveled   (identity)
-    3. b_reg raveled    (softplus by default, identity in the Gaussian
-                         conjugate test hook)
+    3. b_reg raveled    (softplus by default, under the folded-normal
+                         prior; identity for signed b_reg under a plain
+                         Normal prior, the conjugate test case)
     4. mu_reg           (same transform as b_reg; omitted when fixed)
     5. ln(sigma_obs)    (omitted when fixed)
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Literal
 
 import numpy as np
@@ -103,9 +104,12 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 class ParameterPacking:
     """Layout of the unconstrained vector for one model structure.
 
-    fixed_* blocks are held constant and excluded from theta; the conjugate
-    ridge check fixes the trend, mu_reg, and sigma_obs so only b_reg is
-    optimized, under an identity transform.
+    reg_transform picks the regression prior as well as the map: softplus
+    keeps b_reg and mu_reg nonnegative under the folded-normal prior, and
+    identity leaves them signed, b_reg under a plain Normal prior (see
+    ParameterSet). fixed_* blocks are held constant and excluded from theta;
+    the conjugate ridge check fixes the trend, mu_reg, and sigma_obs so only
+    b_reg is optimized, under the identity transform.
     """
 
     n_lev: int
@@ -504,7 +508,8 @@ def fit_map(inputs: ModelInputs, hp: HyperParams, config: MapConfig | None = Non
 def _prepare(kind: str, runs):
     """(the runs (inputs, hp, config, packing, calibration, init) with the defaults
     of fit_maps, kind "MAP", whose inits are None, or of fit_svis, kind "SVI"; the
-    first run's config, whose schedule all share; their stack; its start theta)."""
+    first run's config, which every run's equals but for its seed; their stack; its
+    start theta)."""
     if not runs:
         raise ValidationError(f"fit_{kind.lower()}s needs at least one run")
     filled = [(inputs, hp, config or (MapConfig() if init is None else SviConfig()),
@@ -513,10 +518,8 @@ def _prepare(kind: str, runs):
     if any(init is not None and packing.describe() != init.packing.describe()
            for _, _, _, packing, _, init in filled):
         raise ValidationError("packing differs from the packing of init, the fit it starts from")
-    schedule = operator.attrgetter("learning_rate", "final_learning_rate", "iterations")
-    if len({schedule(c) for _, _, c, *_ in filled}) > 1:
-        raise ValidationError(f"stacked {kind} runs must share learning_rate, "
-                              "final_learning_rate and iterations")
+    if len({replace(c, seed=0) for _, _, c, *_ in filled}) > 1:
+        raise ValidationError(f"stacked {kind} runs must share every setting but the seed")
     f = Objective.stack([(inputs, hp, packing, cal) for inputs, hp, _, packing, cal, _ in filled],
                         include_jacobian=kind == "SVI")
     theta = np.empty(f.dim)
@@ -535,8 +538,7 @@ def _divergence(what: str, t: int, place: int, traces, index) -> DivergenceError
 def fit_maps(runs) -> list[FitResult]:
     """fit_map of each run (inputs, hp, config, packing, calibration), all
     in one loop; config and packing may be None, as in fit_map. The runs'
-    configs must share one step-size schedule: learning_rate,
-    final_learning_rate and iterations.
+    configs must be equal but for their seeds.
 
     Their objectives are compiled into one stack (Objective.stack), and one
     Adam steps the stacked theta. Each run keeps its own best point, trace,
@@ -548,18 +550,19 @@ def fit_maps(runs) -> list[FitResult]:
     iteration (the first in the runs' order, if several did at once).
     """
     runs, config, f, theta = _prepare("MAP", [(*run, None) for run in runs])
+    trace_every, rel_tol, tol_window = config.trace_every, config.rel_tol, config.tol_window
     # per run in the stack, in its order: its index, its best value, and
-    # (trace_every, rel_tol, tol_window, trace, best value per iteration)
+    # (trace, best value per iteration)
     live = list(range(len(runs)))
     best = [-math.inf] * len(runs)
-    state = [(c.trace_every, c.rel_tol, c.tol_window, [], []) for _, _, c, *_ in runs]
+    state = [([], []) for _ in runs]
     best_theta, best_grad = theta.copy(), None
     results: list[FitResult] = [None] * len(runs)
     ascend = _adam(theta, config)
 
     def finish(place, stop_reason, n_iterations):
-        k, (trace_every, _, _, trace, _) = live[place], state[place]
-        _, hp, config, packing, _, _ = runs[k]
+        k, (trace, _) = live[place], state[place]
+        _, hp, run_config, packing, _, _ = runs[k]
         # The trace ends at the returned point even when the last iteration
         # fell between two recorded ones.
         if (n_iterations - 1) % trace_every != 0:
@@ -568,7 +571,7 @@ def fit_maps(runs) -> list[FitResult]:
         theta_k = best_theta[at]
         results[k] = FitResult(
             params=packing.unpack(theta_k), theta=theta_k, packing=packing, hyper=hp,
-            trace=trace, seed=config.seed, mode="map", stop_reason=stop_reason,
+            trace=trace, seed=run_config.seed, mode="map", stop_reason=stop_reason,
             n_iterations=n_iterations, grad_norm=float(np.linalg.norm(best_grad[at])),
             trace_every=trace_every)
 
@@ -580,7 +583,7 @@ def fit_maps(runs) -> list[FitResult]:
                 raise ValidationError("log posterior non-finite at the initial point")
             place = next(place for place, (value, at) in enumerate(zip(values, f.theta_of))
                          if not (math.isfinite(value) and np.isfinite(grad[at]).all()))
-            raise _divergence("objective", t, place, [trace for *_, trace, _ in state], live)
+            raise _divergence("objective", t, place, [trace for trace, _ in state], live)
         improved = list(map(operator.gt, values, best))
         if all(improved):
             # grad is a fresh array each call, so keeping a reference needs no copy
@@ -591,10 +594,9 @@ def fit_maps(runs) -> list[FitResult]:
             best_grad = np.where(better, grad, best_grad)
             np.copyto(best_theta, theta, where=better)
             best = list(map(max, best, values))  # an equal value keeps the old
-        keep = []
-        for place, (value, (trace_every, rel_tol, tol_window, trace, window)) \
-                in enumerate(zip(best, state)):
-            if t % trace_every == 0:
+        keep, traced = [], t % trace_every == 0
+        for place, (value, (trace, window)) in enumerate(zip(best, state)):
+            if traced:
                 trace.append(value)
             window.append(value)
             if (rel_tol > 0 and len(window) > tol_window
@@ -666,9 +668,10 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
 def fit_svis(runs) -> list[FitResult]:
     """fit_svi of each run (inputs, hp, config, packing, calibration, init),
     all in one loop on one stack with one Adam and one H, as fit_maps runs
-    fit_map's. Each run keeps its start, cap, noise stream, trace_every and
-    trace, so each result equals fit_svi of its run bit for bit. A step
-    checks the runs' gradients before their ELBOs."""
+    fit_map's. The runs' configs must be equal but for their seeds. Each run
+    keeps its start, noise stream and trace, so each result equals fit_svi
+    of its run bit for bit. A step checks the runs' gradients before their
+    ELBOs."""
     runs, config, f, start = _prepare("SVI", list(runs))
     hessian = f.hessian(start)
     dim, index = f.dim, range(len(runs))
@@ -682,18 +685,17 @@ def fit_svis(runs) -> list[FitResult]:
     sd, v, theta, sd_term = np.empty(dim), np.empty(dim), np.empty(dim), np.empty(dim)
     block = np.empty((_DRAW_BLOCK, dim))
     draws = list(block)  # its rows, one step's eps each
-    per_run = []  # (place, entries, noise stream, trace_every, the entropy's constant)
+    per_run = []  # (place, entries, noise stream, the entropy's constant)
     for place, (at, (_, _, c, *_)) in enumerate(zip(f.theta_of, runs)):
-        log_sd[at] = _start_log_sd(-hessian.diagonal[at], c.init_log_sd)
+        log_sd[at] = _start_log_sd(-hessian.diagonal[at], config.init_log_sd)
         per_run.append((place, at, np.random.default_rng(np.random.SeedSequence(c.seed)),
-                        c.trace_every, 0.5 * at.size * (1.0 + math.log(2.0 * math.pi))))
+                        0.5 * at.size * (1.0 + math.log(2.0 * math.pi))))
     traces = [[] for _ in runs]
-    every = math.gcd(*(c.trace_every for _, _, c, *_ in runs))  # the steps some run traces
     ascend = _adam(state, config)
     for t in range(config.iterations):
         row = t % _DRAW_BLOCK
         if not row:
-            for _, at, rng, _, _ in per_run:
+            for _, at, rng, _ in per_run:
                 block[:, at] = rng.standard_normal((_DRAW_BLOCK, at.size))
         np.exp(log_sd, out=sd)
         np.multiply(sd, draws[row], out=v)
@@ -705,14 +707,13 @@ def fit_svis(runs) -> list[FitResult]:
         if not np.isfinite(g_mean).all():
             place = next(k for k, at in enumerate(f.theta_of) if not np.isfinite(g_mean[at]).all())
             raise _divergence("gradient", t, place, traces, index)
-        if t % every == 0:
+        if t % config.trace_every == 0:
             f.value()
-            for place, at, _, trace_every, const in per_run:
-                if t % trace_every == 0:
-                    elbo = f.values[place] + const + float(np.add.reduce(log_sd[at]))
-                    if not math.isfinite(elbo):
-                        raise _divergence("ELBO", t, place, traces, index)
-                    traces[place].append(elbo)
+            for place, at, _, const in per_run:
+                elbo = f.values[place] + const + float(np.add.reduce(log_sd[at]))
+                if not math.isfinite(elbo):
+                    raise _divergence("ELBO", t, place, traces, index)
+                traces[place].append(elbo)
         np.multiply(g_mean, v, out=g_log_sd)
         np.multiply(sd, sd, out=sd_term)
         sd_term *= hessian.diagonal
@@ -720,9 +721,10 @@ def fit_svis(runs) -> list[FitResult]:
         g_log_sd += 1.0
         ascend(grad)
     return [FitResult(params=packing.unpack(mean[at]), theta=init.theta, packing=packing, hyper=hp,
-                      trace=trace, trace_every=c.trace_every, seed=c.seed, mode="svi",
-                      stop_reason="max_iter", n_iterations=c.iterations, grad_norm=init.grad_norm,
-                      variational_mean=mean[at], variational_log_sd=log_sd[at])
+                      trace=trace, trace_every=config.trace_every, seed=c.seed, mode="svi",
+                      stop_reason="max_iter", n_iterations=config.iterations,
+                      grad_norm=init.grad_norm, variational_mean=mean[at],
+                      variational_log_sd=log_sd[at])
             for at, trace, (_, hp, c, packing, _, init) in zip(f.theta_of, traces, runs)]
 
 
@@ -875,10 +877,11 @@ def load_fit(path: str) -> FitResult:
     if not isinstance(doc, dict) or doc.get("format") != "btvc-fit-v1":
         raise ValidationError(f"not a fit document: {path}")
     packing = ParameterPacking.from_description(doc.get("packing"))
-    # older documents carry the retired laplace_smoothing; predict and
-    # decompose read only the parameters, and a document is never refit
+    # older documents carry the retired laplace_smoothing and
+    # gaussian_reg_prior (the packing's transform picks the regression prior);
+    # predict and decompose read only the parameters, and a document is never refit
     hp = from_block(HyperParams, doc.get("hyperparams"), "hyperparams",
-                    dropped=("laplace_smoothing",))
+                    dropped=("laplace_smoothing", "gaussian_reg_prior"))
     theta = _theta_vector(doc.get("theta_map"), "theta_map", packing.dim)
     var = doc.get("variational")
     mean = log_sd = None

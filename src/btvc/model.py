@@ -10,7 +10,9 @@ coefficients are K_seas @ b_seas applied to the Fourier design, and the
 regression coefficients are K_reg @ b_reg applied to the regressor matrix.
 Adjacent trend and seasonality knots are tied by Laplace densities;
 regression knots are nonnegative with a two-layer folded-normal hierarchy
-pooled per channel. Noise is Gaussian, or Student-t when noise_df is set.
+pooled per channel (a parameter set that allows negative knots holds them
+signed under a plain Normal prior instead). Noise is Gaussian, or Student-t
+when noise_df is set.
 
 Everything here is pure: value and gradient functions take parameters and
 immutable inputs and return floats/arrays without touching shared state.
@@ -19,7 +21,7 @@ immutable inputs and return floats/arrays without touching shared state.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -38,9 +40,8 @@ class HyperParams:
 
     init_scale_lev is the scale of the mean-0 Laplace density on the first
     trend knot; callers typically widen it to 10x the sd of the log
-    response. noise_df=None means Gaussian noise. gaussian_reg_prior swaps
-    the folded-normal regression prior for a plain Normal (a test hook that
-    makes the posterior conjugate; see inference).
+    response. noise_df=None means Gaussian noise. Which regression prior
+    applies is the parameter set's (see ParameterSet), not a setting here.
     """
 
     sigma_lev: Positive = 0.1
@@ -50,7 +51,6 @@ class HyperParams:
     sigma_reg: Positive = 0.5
     init_scale_lev: Positive = 1.0
     noise_df: Positive | None = None
-    gaussian_reg_prior: bool = False
 
     def __post_init__(self):
         check_fields(self)
@@ -72,8 +72,10 @@ def check_support(b_reg, mu_reg, sigma_obs, allow_negative_reg: bool) -> None:
 class ParameterSet:
     """All latent parameters of one model instance.
 
-    b_reg and mu_reg live on [0, inf) under the folded-normal prior; the
-    Gaussian-prior test hook constructs sets with allow_negative_reg=True.
+    b_reg and mu_reg live on [0, inf) under the folded-normal prior. A set
+    with allow_negative_reg, which unpack makes under the identity transform,
+    holds signed b_reg under a plain Normal(mu_reg, sigma_reg^2) prior
+    instead: the posterior is then conjugate (a test case; see inference).
     """
 
     b_lev: np.ndarray
@@ -81,9 +83,9 @@ class ParameterSet:
     b_reg: np.ndarray
     mu_reg: np.ndarray
     sigma_obs: float
-    allow_negative_reg: InitVar[bool] = False
+    allow_negative_reg: bool = False
 
-    def __post_init__(self, allow_negative_reg):
+    def __post_init__(self):
         b_lev = np.asarray(self.b_lev, dtype=float)
         b_seas = np.asarray(self.b_seas, dtype=float)
         b_reg = np.asarray(self.b_reg, dtype=float)
@@ -103,7 +105,7 @@ class ParameterSet:
             raise ValidationError(
                 f"mu_reg length {mu_reg.shape} does not match {b_reg.shape[1]} channels"
             )
-        check_support(b_reg, mu_reg, self.sigma_obs, allow_negative_reg)
+        check_support(b_reg, mu_reg, self.sigma_obs, self.allow_negative_reg)
 
     @property
     def n_channels(self) -> int:
@@ -404,8 +406,8 @@ def _log_prior_and_grad(params: ParameterSet, hp: HyperParams):
         grad.b_seas += seas_g
 
     if params.mu_reg.size:
-        if hp.gaussian_reg_prior:
-            # conjugate test hook: plain Normal(mu_reg[p], sigma_reg^2)
+        if params.allow_negative_reg:
+            # signed knots: plain Normal(mu_reg[p], sigma_reg^2)
             z = (params.b_reg - params.mu_reg) / hp.sigma_reg
             value += float(
                 np.sum(-0.5 * z * z - math.log(hp.sigma_reg) - 0.5 * LOG_2PI)
@@ -413,10 +415,6 @@ def _log_prior_and_grad(params: ParameterSet, hp: HyperParams):
             grad.b_reg += -z / hp.sigma_reg
             grad.mu_reg += (z / hp.sigma_reg).sum(axis=0)
         else:
-            if params.b_reg.size and params.b_reg.min() < 0:
-                raise ValidationError("b_reg outside folded-normal support")
-            if params.mu_reg.min() < 0:
-                raise ValidationError("mu_reg outside folded-normal support")
             lp_b, dx_b, dmu_b = _folded_normal_terms(
                 params.b_reg, params.mu_reg, hp.sigma_reg
             )

@@ -157,7 +157,6 @@ class _Structure:
         lev_free = packing.fixed_b_lev is None
         mu_free = packing.fixed_mu_reg is None
         self.softplus_reg = packing.reg_transform == "softplus"
-        self.gaussian_reg_prior = hp.gaussian_reg_prior
         self.nu = nu = hp.noise_df
         n_lev = packing.n_lev if lev_free else 0
         self.n_chain = n_chain = n_lev + n_seas_knots * n_cols
@@ -172,8 +171,6 @@ class _Structure:
             trend_fixed = design.k_lev.product(packing.fixed_b_lev)
         fixed_mu = np.zeros(0) if mu_free else packing.fixed_mu_reg
         if not mu_free and n_channels:
-            if not self.softplus_reg and not hp.gaussian_reg_prior and fixed_mu.min() < 0:
-                raise ValidationError("mu_reg outside folded-normal support")
             const += float(_folded_normal_terms(
                 fixed_mu, np.full(n_channels, hp.mu_pool), hp.sigma_pool)[0].sum())
         self.slots = np.concatenate(([hp.mu_pool], fixed_mu))
@@ -194,8 +191,9 @@ class _Structure:
         const -= float(np.log(2.0 * scale[:n_chain]).sum())
         const -= float(np.sum(np.log(scale[n_chain:]) + 0.5 * LOG_2PI))
         self.inv = 1.0 / scale
-        # x entries from `fold` on take the mirror term
-        self.fold = n_b if hp.gaussian_reg_prior else 0
+        # x entries from `fold` on take the mirror term: under the identity
+        # transform b_reg is signed, its prior a plain Normal
+        self.fold = 0 if self.softplus_reg else n_b
 
         # A window with weight w adds -(w / 2 sd^2) |K_rows b - mean|^2, so
         # H = (w / sd^2) K_rows'K_rows and h = (w mean / sd^2) K_rows'1, summed
@@ -295,12 +293,13 @@ class Objective:
     The chain knots take Laplace terms |t - loc| inv. The x entries take
     folded-normal terms: writing z = (x - loc) inv and a = 2 x loc inv^2,
     each is the Gaussian -z^2/2 plus the mirror image's log(1 + e^-a); the
-    Gaussian test prior on b_reg is the same term without the mirror, which
-    its weight neg_two_inv2 = 0 turns off. Both the softplus and the mirror
-    term come from np.logaddexp, and their derivatives from one exp each:
-    x = logaddexp(0, raw) has derivative sigmoid(raw) = e^(raw - x), and the
-    mirror term logaddexp(0, -a) has derivative -sigmoid(-a) = -e^(-a -
-    logaddexp(0, -a)).
+    plain Normal prior on a signed b_reg (the identity transform) is the
+    same term without the mirror, which its weight neg_two_inv2 = 0 turns
+    off. Both the softplus and the mirror term come from np.logaddexp, and
+    their derivatives from one exp each: x = logaddexp(0, raw) has
+    derivative sigmoid(raw) = e^(raw - x), and the mirror term
+    logaddexp(0, -a) has derivative -sigmoid(-a) = -e^(-a - logaddexp(0,
+    -a)).
 
     The fitted values are Z beta for the linear knots beta = [b_lev, b_seas,
     b_reg] (Z of _design_tiles), gathered from t in each structure's knot
@@ -332,31 +331,28 @@ class Objective:
     def stack(cls, problems, include_jacobian):
         """The objective of the structures (inputs, hp, packing,
         calibration) in problems, stacked in that order. They must share
-        the regression transform and prior and the noise family."""
+        the regression transform and the noise family."""
         obj = cls.__new__(cls)
         obj._assemble([_Structure(*problem) for problem in problems], include_jacobian)
         return obj
 
     def subset(self, keep):
-        """(the stack of the structures at the places keep, in that order,
-        and where the entries of its theta sit in this one's theta), built
-        from this stack's compiled parts."""
+        """(the stack of the structures at the increasing places keep, and
+        where the entries of its theta sit in this one's theta), built from
+        this stack's compiled parts."""
         sub = Objective.__new__(Objective)
         sub._assemble([self.parts[k] for k in keep], self.include_jacobian)
-        blocks = zip(*(self.blocks_of[k] for k in keep))  # each kind of block in turn
-        return sub, np.concatenate([np.concatenate(block) for block in blocks])
+        return sub, np.flatnonzero(np.isin(self.owner, keep))
 
     def _assemble(self, parts, include_jacobian):
         if not parts:
             raise ValidationError("an objective stack needs at least one structure")
         first = parts[0]
-        shared = (first.softplus_reg, first.gaussian_reg_prior, first.nu)
-        if any((p.softplus_reg, p.gaussian_reg_prior, p.nu) != shared for p in parts):
+        if any((p.softplus_reg, p.nu) != (first.softplus_reg, first.nu) for p in parts):
             raise ValidationError("stacked structures must share the regression transform "
-                                  "and prior and the noise family")
+                                  "and the noise family")
         self.parts, self.include_jacobian = parts, include_jacobian
         self.softplus_reg, self.nu = first.softplus_reg, first.nu
-        self.check_support = not first.softplus_reg and not first.gaussian_reg_prior
         sizes = np.array([(p.n_chain, p.n_x, p.sigma_fixed is None, p.slots.size, p.order.size,
                            p.n) for p in parts]).reshape(len(parts), 6)
         offsets = np.vstack([np.zeros(6, dtype=int), np.cumsum(sizes, axis=0)])
@@ -378,7 +374,7 @@ class Objective:
         self.log_sig, self.z = np.empty(reg_end - n_chain), np.empty(reg_end - n_chain)
         self.diff_chain, self.diff_x = self.diff[:n_chain], self.diff[n_chain:]
         orders, windows, self.gram_blocks, self.tiles = [], [], [], []
-        self.places, self.blocks_of, self.theta_of, self.support = [], [], [], []
+        self.places, self.theta_of = [], []
         for k, (p, (ch, xo, so, slot, lin, row)) in enumerate(zip(parts, offsets[:-1].tolist())):
             chain, x = slice(ch, ch + p.n_chain), slice(xo, xo + p.n_x)
             slot += reg_end + 1
@@ -395,9 +391,7 @@ class Objective:
             inv[chain], self.inv_x[x] = p.inv[:p.n_chain], p.inv[p.n_chain:]
             inv_f = p.inv[p.n_chain + p.fold:]
             self.neg_two_inv2[xo + p.fold:x.stop] = -2.0 * inv_f * inv_f
-            b_end = n_chain + xo + p.n_b
-            self.support.append((t[n_chain + xo:b_end], t[b_end:n_chain + x.stop]))
-            b_reg = t[n_chain + xo:b_end].reshape(p.reg_shape)
+            b_reg = t[n_chain + xo:n_chain + xo + p.n_b].reshape(p.reg_shape)
             orders.append(place(p.order))
             if p.nu is None:
                 self.gram_blocks += _offset(p.gram_blocks, lin)
@@ -410,10 +404,9 @@ class Objective:
             sigma = reg_end + so if p.sigma_fixed is None else None
             self.places.append((chain, x, slice(lin, lin + p.order.size), slice(row, row + p.n),
                                 sigma))
-            blocks = (np.arange(ch, chain.stop), n_chain + np.arange(xo, x.stop),
-                      np.arange(reg_end + so, reg_end + so + (sigma is not None)))
-            self.blocks_of.append(blocks)
-            self.theta_of.append(np.concatenate(blocks))
+            self.theta_of.append(np.concatenate((
+                np.arange(ch, chain.stop), n_chain + np.arange(xo, x.stop),
+                np.arange(reg_end + so, reg_end + so + (sigma is not None)))))
         self.order = np.concatenate(orders)
         self.owner = np.empty(self.dim, dtype=np.intp)  # the structure of each theta entry
         for k, at in enumerate(self.theta_of):
@@ -480,12 +473,6 @@ class Objective:
             dx_draw = np.exp(log_sig)
         else:
             self.t_prior[:] = theta[:reg_end]
-            if self.check_support:
-                for b_reg, mu_reg in self.support:
-                    if b_reg.size and b_reg.min() < 0:
-                        raise ValidationError("b_reg outside folded-normal support")
-                    if mu_reg.size and mu_reg.min() < 0:
-                        raise ValidationError("mu_reg outside folded-normal support")
 
         # every prior entry against its location: diff keeps t - loc for
         # value(), and w_prior becomes d value / d loc, [sign | z] inv plus

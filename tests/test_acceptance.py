@@ -204,7 +204,7 @@ def test_conjugate_ridge_oracle():
             k_reg=kernel_matrix(grid, "gaussian", rho=1.0),
         )
         inputs = ModelInputs(design=design, target=y)
-        hp = HyperParams(gaussian_reg_prior=True, sigma_reg=sigma_reg)
+        hp = HyperParams(sigma_reg=sigma_reg)
         packing = ParameterPacking(
             n_lev=1, n_seas_knots=1, n_seas_cols=0, n_reg_knots=1, n_channels=P,
             reg_transform="identity", fixed_b_lev=np.zeros(1), fixed_mu_reg=mu,

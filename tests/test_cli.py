@@ -240,7 +240,9 @@ def test_predict_quantiles_equal_the_library_and_draws_follow_the_fit_config(tmp
 
 def test_fit_documents_with_retired_keys_predict_and_decompose_the_same(tmp_path, capsys):
     # fit documents written before the MAP restarts were removed carry
-    # map_restarts and map_restart_scale in their config
+    # map_restarts and map_restart_scale in their config, and those written
+    # before the packing's transform picked the regression prior carry
+    # gaussian_reg_prior in their hyperparams
     sim_dir = tmp_path / "sim"
     simulate_small(capsys, str(sim_dir))
     data = sim_dir / "data.csv"
@@ -252,7 +254,9 @@ def test_fit_documents_with_retired_keys_predict_and_decompose_the_same(tmp_path
     assert code == 0, err
     doc = json.loads((fit_dir / "fit.json").read_text())
     assert "map_restarts" not in doc["config"]
+    assert "gaussian_reg_prior" not in doc["hyperparams"]
     doc["config"].update(map_restarts=3, map_restart_scale=0.3)
+    doc["hyperparams"]["gaussian_reg_prior"] = False
     old_fit = tmp_path / "old_fit.json"
     old_fit.write_text(json.dumps(doc))
     future = tmp_path / "future.csv"

@@ -63,7 +63,7 @@ def conjugate_problem(seed, T=40, sigma=0.8, sigma_reg=1.2, mu0=0.4):
         k_lev=k, k_seas=k, k_reg=kernel_matrix(grid, "gaussian", rho=1.0),
     )
     inputs = ModelInputs(design=design, target=y)
-    hp = HyperParams(gaussian_reg_prior=True, sigma_reg=sigma_reg)
+    hp = HyperParams(sigma_reg=sigma_reg)
     packing = ParameterPacking(
         n_lev=1, n_seas_knots=1, n_seas_cols=0, n_reg_knots=1, n_channels=1,
         reg_transform="identity", fixed_b_lev=np.zeros(1),
@@ -488,7 +488,6 @@ def test_svi_runs_under_the_packing_of_its_start():
     assert fit.packing == fixed and fit.variational_mean.size == fixed.dim
     assert np.array_equal(fit.variational_mean, given.variational_mean)
     # an identity-transform start goes on under identity, not softplus
-    hp = HyperParams(gaussian_reg_prior=True)
     identity = dataclasses.replace(default_packing(inputs), reg_transform="identity")
     init = fit_map(inputs, hp, MapConfig(iterations=100), packing=identity)
     assert fit_svi(inputs, hp, config, init=init).packing.reg_transform == "identity"
@@ -949,13 +948,14 @@ def window_terms(inputs, n):
 
 
 def compiled_variant(name):
-    """(inputs, hp, packing, calibration, nonnegative_reg) for one variant."""
-    if name in ("student_t_fixed_blocks", "student_t_no_seasonal", "student_t_multi_block"):
+    """(inputs, hp, packing, calibration) for one variant."""
+    if name in ("student_t_fixed_blocks", "student_t_no_seasonal", "student_t_multi_block",
+                "student_t_identity_gaussian"):
         # Student-t noise through Z's layouts: no level columns (r0 is the
         # target less the fixed trend), no seasonal columns, several tiles
-        # with an all-zero channel stretch
-        inputs, hp, packing, terms, nonnegative_reg = compiled_variant(name[len("student_t_"):])
-        return inputs, dataclasses.replace(hp, noise_df=4.0), packing, terms, nonnegative_reg
+        # with an all-zero channel stretch; and under signed b_reg
+        inputs, hp, packing, terms = compiled_variant(name[len("student_t_"):])
+        return inputs, dataclasses.replace(hp, noise_df=4.0), packing, terms
     inputs, hp = small_problem(seed=70)
     packing = default_packing(inputs)
     terms = ()
@@ -985,9 +985,6 @@ def compiled_variant(name):
             # each window's rows reach only a few of the 12 knots
             terms = window_terms(inputs, 2)
     elif name == "identity_gaussian":
-        hp = HyperParams(gaussian_reg_prior=True)
-        packing = dataclasses.replace(packing, reg_transform="identity")
-    elif name == "identity_folded":
         packing = dataclasses.replace(packing, reg_transform="identity")
     elif name == "fixed_blocks":
         packing = dataclasses.replace(
@@ -1008,35 +1005,31 @@ def compiled_variant(name):
         inputs = multi_block_problem()
         packing = default_packing(inputs)
         terms = window_terms(inputs, 2)
-    return inputs, hp, packing, terms, name == "identity_folded"
+    return inputs, hp, packing, terms
 
 
 COMPILED_VARIANTS = ("default", "one_window", "two_windows", "one_channel_windows", "student_t",
                      "student_t_windows", "no_seasonal", "subnormal_kernel",
-                     "subnormal_kernel_windows", "identity_gaussian", "identity_folded",
-                     "fixed_blocks", "fixed_level_only", "fixed_mu_only", "conjugate",
-                     "multi_block", "student_t_fixed_blocks", "student_t_no_seasonal",
-                     "student_t_multi_block")
+                     "subnormal_kernel_windows", "identity_gaussian", "fixed_blocks",
+                     "fixed_level_only", "fixed_mu_only", "conjugate", "multi_block",
+                     "student_t_fixed_blocks", "student_t_no_seasonal", "student_t_multi_block",
+                     "student_t_identity_gaussian")
 
 
-def jittered_theta(theta0, packing, nonnegative_reg, rng):
-    theta = theta0 + rng.normal(0, 1.0, packing.dim)
-    if nonnegative_reg:
-        reg = slice(packing.slices()["b_reg"].start, packing.dim - 1)
-        theta[reg] = np.abs(theta[reg])
-    return theta
+def jittered_theta(theta0, packing, rng):
+    return theta0 + rng.normal(0, 1.0, packing.dim)
 
 
 @pytest.mark.parametrize("include_jacobian", [False, True])
 @pytest.mark.parametrize("variant", COMPILED_VARIANTS)
 def test_compiled_objective_matches_reference(variant, include_jacobian):
-    inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
+    inputs, hp, packing, terms = compiled_variant(variant)
     compiled = objective.Objective(inputs, hp, packing, terms, include_jacobian)
     reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
     rng = np.random.default_rng(len(variant))
     for _ in range(30):
-        theta = jittered_theta(theta0, packing, nonnegative_reg, rng)
+        theta = jittered_theta(theta0, packing, rng)
         value, grad = compiled(theta)
         ref_value, ref_grad = reference(theta)
         assert abs(value - ref_value) <= 1e-12 * max(1.0, abs(ref_value))
@@ -1050,11 +1043,11 @@ def test_compiled_objective_keeps_no_state_between_calls(variant, include_jacobi
     # depend on its theta alone, and the gradient it returns must stay as it
     # is through later calls (fit_map keeps best_grad without a copy); a
     # call given out= writes the same gradient there (fit_svi's path)
-    inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
+    inputs, hp, packing, terms = compiled_variant(variant)
     f = objective.Objective(inputs, hp, packing, terms, include_jacobian)
     rng = np.random.default_rng(len(variant))
     theta0 = initial_theta(inputs, hp, packing)
-    a, b = (jittered_theta(theta0, packing, nonnegative_reg, rng) for _ in range(2))
+    a, b = (jittered_theta(theta0, packing, rng) for _ in range(2))
     a_given = a.copy()
     value_a, grad_a = f(a)
     grad_a_first = grad_a.copy()
@@ -1085,14 +1078,13 @@ def test_gradient_then_value_equals_the_call(names, include_jacobian):
     # only: the two, run apart, give the call's bytes, also when another
     # theta's gradient ran in between; a stack of several structures too
     variants = [compiled_variant(name) for name in names]
-    f = objective.Objective.stack([v[:4] for v in variants], include_jacobian)
+    f = objective.Objective.stack(variants, include_jacobian)
     rng = np.random.default_rng(len(names[0]))
 
     def draw():
         theta = np.empty(f.dim)
-        for at, (inputs, hp, packing, _, nonnegative) in zip(f.theta_of, variants):
-            theta[at] = jittered_theta(initial_theta(inputs, hp, packing), packing,
-                                       nonnegative, rng)
+        for at, (inputs, hp, packing, _) in zip(f.theta_of, variants):
+            theta[at] = jittered_theta(initial_theta(inputs, hp, packing), packing, rng)
         return theta
 
     for _ in range(5):
@@ -1125,12 +1117,12 @@ def fd_curvature(f, theta, step):
 def test_curvature_is_the_hessian_diagonal(variant, include_jacobian):
     # jittered points sit far from every Laplace kink, where the diagonal
     # is smooth and central differences of the gradient read it to ~1e-9
-    inputs, hp, packing, terms, nonnegative_reg = compiled_variant(variant)
+    inputs, hp, packing, terms = compiled_variant(variant)
     f = objective.Objective(inputs, hp, packing, terms, include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
     rng = np.random.default_rng(len(variant))
     for _ in range(3):
-        theta = jittered_theta(theta0, packing, nonnegative_reg, rng)
+        theta = jittered_theta(theta0, packing, rng)
         exact, oracle = f.curvature(theta), fd_curvature(f, theta, 1e-5)
         assert np.all(np.abs(exact - oracle) <= 1e-6 * np.maximum(1.0, np.abs(oracle)))
 
@@ -1142,7 +1134,7 @@ def test_curvature_reads_no_kink():
     inputs, hp = small_problem(seed=27)
     packing = default_packing(inputs)
     f = objective.Objective(inputs, hp, packing, (), include_jacobian=True)
-    theta = jittered_theta(initial_theta(inputs, hp, packing), packing, False,
+    theta = jittered_theta(initial_theta(inputs, hp, packing), packing,
                            np.random.default_rng(5))
     theta[1] = theta[0]
     off = theta.copy()
@@ -1163,13 +1155,13 @@ def fd_hessian(f, theta, step):
     return out
 
 
-# Gaussian and Student-t noise, softplus and the identity transform under
-# the Gaussian-prior hook, fixed b_lev, mu_reg and sigma, prior windows,
+# Gaussian and Student-t noise, softplus and the identity transform (signed
+# b_reg under a plain Normal prior), fixed b_lev, mu_reg and sigma, prior windows,
 # several Gram row blocks, and stacks of two structures
 HESSIAN_CASES = (("default",), ("one_window",), ("student_t_windows",), ("identity_gaussian",),
                  ("fixed_blocks",), ("fixed_level_only",), ("fixed_mu_only",),
                  ("student_t_fixed_blocks",), ("multi_block",), ("student_t_multi_block",),
-                 ("conjugate",), ("one_window", "fixed_blocks"),
+                 ("conjugate",), ("student_t_identity_gaussian",), ("one_window", "fixed_blocks"),
                  ("student_t_windows", "student_t_no_seasonal"))
 
 
@@ -1182,13 +1174,12 @@ def test_hessian_is_the_central_difference_of_the_gradient(names, include_jacobi
     # the band's diagonal out of one entry and adds it back in another, so
     # up to rounding) and curvature its negation
     variants = [compiled_variant(name) for name in names]
-    f = objective.Objective.stack([v[:4] for v in variants], include_jacobian)
+    f = objective.Objective.stack(variants, include_jacobian)
     rng = np.random.default_rng(len(names[0]))
     for _ in range(2):
         theta = np.empty(f.dim)
-        for at, (inputs, hp, packing, _, nonnegative) in zip(f.theta_of, variants):
-            theta[at] = jittered_theta(initial_theta(inputs, hp, packing), packing,
-                                       nonnegative, rng)
+        for at, (inputs, hp, packing, _) in zip(f.theta_of, variants):
+            theta[at] = jittered_theta(initial_theta(inputs, hp, packing), packing, rng)
         hessian = f.hessian(theta)
         columns = np.stack([hessian.dot(e) for e in np.eye(f.dim)], axis=1)
         oracle = fd_hessian(f, theta, 1e-5)
@@ -1199,15 +1190,14 @@ def test_hessian_is_the_central_difference_of_the_gradient(names, include_jacobi
         assert np.allclose(hessian.dot(v), columns @ v, rtol=1e-12, atol=1e-12)
 
 
-# variants that may share a stack: one regression transform and prior, one
-# noise family; fixed blocks, windows and sizes differ within a stack
+# variants that may share a stack: one regression transform, one noise
+# family; fixed blocks, windows and sizes differ within a stack
 STACKS = {
     "gaussian": ("default", "one_window", "fixed_blocks", "fixed_level_only", "fixed_mu_only",
                  "no_seasonal", "multi_block", "subnormal_kernel_windows"),
     "student_t": ("student_t", "student_t_windows", "student_t_fixed_blocks",
                   "student_t_no_seasonal", "student_t_multi_block"),
     "identity_gaussian": ("identity_gaussian", "conjugate"),
-    "identity_folded": ("identity_folded", "identity_folded"),
 }
 
 
@@ -1215,14 +1205,14 @@ STACKS = {
 @pytest.mark.parametrize("group", STACKS)
 def test_a_stacked_objective_computes_each_structure_as_it_does_alone(group, include_jacobian):
     variants = [compiled_variant(name) for name in STACKS[group]]
-    stack = objective.Objective.stack([v[:4] for v in variants], include_jacobian)
-    alone = [objective.Objective(*v[:4], include_jacobian) for v in variants]
-    keep = [2, 0] if len(variants) > 2 else [1]
+    stack = objective.Objective.stack(variants, include_jacobian)
+    alone = [objective.Objective(*v, include_jacobian) for v in variants]
+    keep = [0, 2] if len(variants) > 2 else [1]
     sub, entries = stack.subset(keep)
     rng = np.random.default_rng(len(group))
     for _ in range(5):
-        thetas = [jittered_theta(initial_theta(inputs, hp, packing), packing, nonnegative, rng)
-                  for inputs, hp, packing, _, nonnegative in variants]
+        thetas = [jittered_theta(initial_theta(inputs, hp, packing), packing, rng)
+                  for inputs, hp, packing, _ in variants]
         theta = np.empty(stack.dim)
         for at, theta_k in zip(stack.theta_of, thetas):
             theta[at] = theta_k
@@ -1244,7 +1234,7 @@ def test_a_stacked_objective_computes_each_structure_as_it_does_alone(group, inc
 def test_a_stack_needs_one_noise_family():
     with pytest.raises(ValidationError, match="stacked structures must share"):
         objective.Objective.stack(
-            [compiled_variant(name)[:4] for name in ("default", "student_t")], False)
+            [compiled_variant(name) for name in ("default", "student_t")], False)
 
 
 def test_an_empty_stack_is_a_validation_error():
@@ -1259,19 +1249,19 @@ def test_an_empty_stack_is_a_validation_error():
 
 def stacked_runs(case):
     """fit_maps runs on three prefixes of one series, as backtest splits are,
-    each with its own seed and trace thinning."""
+    each with its own seed."""
     frame = simulate_multiplicative(MultiplicativeSimConfig(T=260, P=2, seed=31)).frame
     cfg = dataclasses.replace(RunConfig(), fourier="7:1",
                               noise_df=5.0 if case == "student_t" else 0.0)
     runs = []
-    for T, trace_every in ((150, 1), (200, 3), (260, 7)):
+    for T in (150, 200, 260):
         train = rows(frame, T)
         inputs, hp, _ = build_structure(train, cfg)
         terms = ()
         if case == "window":
             window = PriorWindow(channel="x1", start=T - 20, end=T - 1, mean=0.3, sd=0.05)
             terms = apply_prior_windows([window], train.regressor_names, T)
-        runs.append((inputs, hp, MapConfig(seed=T, trace_every=trace_every), None, terms))
+        runs.append((inputs, hp, MapConfig(seed=T, trace_every=3), None, terms))
     return runs
 
 
@@ -1312,12 +1302,11 @@ def test_each_run_of_a_stacked_fit_equals_its_fit_alone(case):
 
 def stacked_svi_runs(case):
     """fit_svis runs from the stacked MAP fits of stacked_runs(case), each
-    with its own seed, trace thinning and log-sd cap."""
+    with its own seed."""
     runs = stacked_runs(case)
-    return [(inputs, hp, SviConfig(iterations=150, seed=config.seed + 1, trace_every=every,
-                                   init_log_sd=cap), packing, terms, init)
-            for (inputs, hp, config, packing, terms), init, every, cap
-            in zip(runs, inference.fit_maps(runs), (10, 3, 7), (-2.0, -1.0, -3.0))]
+    return [(inputs, hp, SviConfig(iterations=150, seed=config.seed + 1, trace_every=7,
+                                   init_log_sd=-2.0), packing, terms, init)
+            for (inputs, hp, config, packing, terms), init in zip(runs, inference.fit_maps(runs))]
 
 
 @pytest.mark.parametrize("case", ["gaussian", "student_t", "window"])
@@ -1332,7 +1321,7 @@ def test_each_run_of_a_stacked_svi_fit_equals_its_fit_alone(case):
         assert fit.trace == alone.trace
         assert (fit.n_iterations, fit.stop_reason, fit.seed, fit.trace_every) == (
             alone.n_iterations, alone.stop_reason, alone.seed, alone.trace_every)
-    assert [len(fit.trace) for fit in fits] == [15, 50, 22]
+    assert [len(fit.trace) for fit in fits] == [22, 22, 22]
     # each run's cap binds on some entries of its start
     for inputs, hp, config, packing, terms, init in runs:
         f = objective.Objective(inputs, hp, init.packing, terms, include_jacobian=True)
@@ -1357,20 +1346,27 @@ def test_a_diverging_run_of_a_stacked_svi_fit_names_itself(monkeypatch):
     with pytest.raises(DivergenceError, match="^gradient became non-finite at iteration 13$") \
             as exc:
         inference.fit_svis(runs)
-    # run 2 records its ELBO every 7 steps: at steps 0 and 7 of 0-12
+    # the runs record their ELBOs every 7 steps: at steps 0 and 7 of 0-12
     assert (exc.value.index, exc.value.iteration) == (2, 13)
     assert exc.value.trace == clean.trace[:2]
 
 
 def test_stacked_runs_share_one_step_size_schedule():
+    # the step-size schedule, and every other setting but the seed
     runs = stacked_runs("gaussian")
-    runs[1] = (*runs[1][:2], MapConfig(iterations=500), *runs[1][3:])
-    with pytest.raises(ValidationError, match="^stacked MAP runs must share learning_rate"):
-        inference.fit_maps(runs)
+    for change in ({"iterations": 500}, {"trace_every": 1}):
+        changed = runs.copy()
+        changed[1] = (*runs[1][:2], dataclasses.replace(runs[1][2], **change), *runs[1][3:])
+        with pytest.raises(ValidationError,
+                           match="^stacked MAP runs must share every setting but the seed$"):
+            inference.fit_maps(changed)
     runs = stacked_svi_runs("gaussian")
-    runs[1] = (*runs[1][:2], SviConfig(final_learning_rate=1e-3), *runs[1][3:])
-    with pytest.raises(ValidationError, match="^stacked SVI runs must share learning_rate"):
-        inference.fit_svis(runs)
+    for change in ({"final_learning_rate": 1e-3}, {"init_log_sd": -1.0}):
+        changed = runs.copy()
+        changed[1] = (*runs[1][:2], dataclasses.replace(runs[1][2], **change), *runs[1][3:])
+        with pytest.raises(ValidationError,
+                           match="^stacked SVI runs must share every setting but the seed$"):
+            inference.fit_svis(changed)
 
 
 def test_a_diverging_run_of_a_stacked_fit_names_itself(monkeypatch):
@@ -1388,7 +1384,7 @@ def test_a_diverging_run_of_a_stacked_fit_names_itself(monkeypatch):
     with pytest.raises(DivergenceError, match="^objective became non-finite at iteration 3$") \
             as exc:
         inference.fit_maps(stacked_runs("gaussian"))
-    # run 1 records its trace every 3 iterations: at iteration 0 of 0-2
+    # the runs record their traces every 3 iterations: at iteration 0 of 0-2
     assert (exc.value.index, exc.value.iteration, len(exc.value.trace)) == (1, 3, 1)
 
 
@@ -1398,9 +1394,9 @@ def test_compiled_objective_at_extreme_arguments(variant, include_jacobian):
     # raw b_reg and mu_reg from where softplus underflows to a subnormal to
     # where it is the identity; the folded-normal mirror argument
     # a = 2 x loc / sigma^2 then runs from 0 to about 4e6, so log(1 + e^-a)
-    # sees arguments from 0 to very negative. (a < 0 cannot occur: x and
-    # loc are kept >= 0 by softplus or by the support check.)
-    inputs, hp, packing, terms, _ = compiled_variant(variant)
+    # sees arguments from 0 to very negative. (a < 0 cannot occur: softplus
+    # keeps x and loc >= 0.)
+    inputs, hp, packing, terms = compiled_variant(variant)
     compiled = objective.Objective(inputs, hp, packing, terms, include_jacobian)
     reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
@@ -1641,20 +1637,18 @@ def test_compiled_objective_error_paths():
             value, _ = f(np.concatenate([theta[:-1], [ln_sigma]]))
             assert not np.isfinite(value)
 
-    identity = dataclasses.replace(packing, reg_transform="identity")
-    sl = identity.slices()
-    g = objective.Objective(inputs, hp, identity, (), include_jacobian=False)
-    positive = np.abs(theta)
-    for block, message in (("b_reg", "b_reg outside"), ("mu_reg", "mu_reg outside")):
-        bad = positive.copy()
-        bad[sl[block].start] = -0.1
-        with pytest.raises(ValidationError, match=message):
-            g(bad)
-        with pytest.raises(ValidationError, match=message):
-            reference_objective(inputs, hp, identity, (), False)(bad)
-    negative_mu = dataclasses.replace(identity, fixed_mu_reg=np.array([0.2, -0.1]))
-    with pytest.raises(ValidationError, match="mu_reg outside"):
-        objective.Objective(inputs, hp, negative_mu, (), include_jacobian=False)
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_identity_transform_fits_signed_knots_under_the_default_prior(seed):
+    # reg_transform="identity" alone brings the Normal prior on b_reg: with
+    # the default HyperParams a fit leaves the folded normal's support, as
+    # the knots of an unconstrained fit may, and still ends at a finite point
+    frame = simulate_multiplicative(MultiplicativeSimConfig(T=200, seed=seed)).frame
+    inputs, _, _ = build_structure(frame, RunConfig())
+    identity = dataclasses.replace(default_packing(inputs), reg_transform="identity")
+    fit = fit_map(inputs, HyperParams(), MapConfig(iterations=300), packing=identity)
+    assert np.isfinite(fit.theta).all() and fit.params.allow_negative_reg
+    assert fit.params.b_reg.min() < 0
 
 
 def test_objective_imports_nothing_from_the_fit_layers():
@@ -1772,8 +1766,7 @@ def test_save_load_round_trip(tmp_path):
 def test_fit_document_keeps_every_hyperparameter_and_packing_field(tmp_path):
     inputs, _ = small_problem(seed=63)
     hp = HyperParams(sigma_lev=0.2, sigma_seas=0.07, mu_pool=0.3, sigma_pool=1.7,
-                     sigma_reg=1.2, init_scale_lev=3.5, noise_df=5.0,
-                     gaussian_reg_prior=True)
+                     sigma_reg=1.2, init_scale_lev=3.5, noise_df=5.0)
     base = default_packing(inputs)
     packing = dataclasses.replace(
         base, reg_transform="identity", fixed_b_lev=np.linspace(1.5, 2.5, base.n_lev),

@@ -194,14 +194,25 @@ def test_hyperparams_reject_non_finite_settings(name, value):
         HyperParams(**{name: value})
 
 
-def test_negative_reg_knot_rejected_by_prior():
+def test_negative_reg_knot_takes_the_normal_prior():
+    # a set allowing negative knots (unpack's under the identity transform)
+    # holds b_reg under a plain Normal(mu_reg, sigma_reg^2); mu_reg keeps its
+    # folded normal around mu_pool
+    b_reg, mu, sigma_reg = np.array([-0.1, 0.4]), 0.2, 0.5
     params = ParameterSet(
         b_lev=np.zeros(1), b_seas=np.zeros((1, 0)),
-        b_reg=np.array([[-0.1]]), mu_reg=np.array([0.2]), sigma_obs=1.0,
+        b_reg=b_reg[:, None], mu_reg=np.array([mu]), sigma_obs=1.0,
         allow_negative_reg=True,
     )
-    with pytest.raises(ValidationError, match="folded-normal support"):
-        log_prior(params, HyperParams())
+    hp = HyperParams(mu_pool=0.3, sigma_reg=sigma_reg)
+    z = (b_reg - mu) / sigma_reg
+    normal = float(np.sum(-0.5 * z * z - math.log(sigma_reg) - 0.5 * math.log(2.0 * math.pi)))
+    expected = (normal + stats.laplace.logpdf(0.0, 0.0, hp.init_scale_lev)
+                + stats.foldnorm.logpdf(mu, c=hp.mu_pool / hp.sigma_pool, scale=hp.sigma_pool))
+    assert log_prior(params, hp) == pytest.approx(expected, rel=1e-12)
+    with pytest.raises(ValidationError, match="^b_reg entries must be >= 0$"):
+        ParameterSet(b_lev=np.zeros(1), b_seas=np.zeros((1, 0)), b_reg=b_reg[:, None],
+                     mu_reg=np.array([mu]), sigma_obs=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,12 @@ class TestConfigBridges:
         assert sc.iterations == 123
         assert sc.seed == 9
 
+    def test_every_hyperparameter_is_a_config_key(self):
+        # every fit document records the hyperparams block, so each of its
+        # settings is one a run can set; a test-only switch belongs elsewhere
+        keys = {f.name for f in dataclasses.fields(RunConfig)}
+        assert {f.name for f in dataclasses.fields(HyperParams)} <= keys
+
     @pytest.mark.parametrize("mode", ["map", "svi"])
     def test_run_fit_records_the_config(self, mode):
         # fit_map and fit_svi know nothing of the run; run_fit records it
