@@ -18,15 +18,13 @@ from .evaluation import (
     smape,
     split_bounds,
 )
-from .fourier import FourierSpec, SeasonalDesign, fourier_design
+from .fourier import FourierSpec, fourier_design
 from .inference import (
     FitResult,
-    GradientReport,
     MapConfig,
     ParameterPacking,
     PosteriorDraws,
     SviConfig,
-    check_gradient,
     default_packing,
     draw_posterior,
     fit_map,
@@ -56,7 +54,6 @@ from .simulation import (
     SparsitySpec,
     simulate_multiplicative,
     simulate_rw,
-    simulate_sparse,
 )
 from .timeframe import CsvSchema, TimeSeriesFrame, ingest_csv
 
@@ -64,17 +61,16 @@ __all__ = [
     "__version__",
     "BtvcError", "ValidationError", "DivergenceError",
     "KnotGrid", "KernelMatrix", "build_grid", "kernel_matrix",
-    "FourierSpec", "SeasonalDesign", "fourier_design",
+    "FourierSpec", "fourier_design",
     "CsvSchema", "TimeSeriesFrame", "ingest_csv",
     "HyperParams", "ParameterSet", "ModelDesign", "ModelInputs", "Decomposition",
     "coefficients", "decompose", "log_prior", "log_likelihood", "log_posterior",
     "predict",
     "ParameterPacking", "MapConfig", "SviConfig", "FitResult", "PosteriorDraws",
-    "GradientReport", "default_packing", "fit_map", "fit_svi", "draw_posterior",
-    "check_gradient", "save_fit", "load_fit",
+    "default_packing", "fit_map", "fit_svi", "draw_posterior", "save_fit", "load_fit",
     "PriorWindow", "CalibrationTerm", "apply_prior_windows",
     "SimConfig", "SparsitySpec", "SimDataset", "MultiplicativeSimConfig",
-    "simulate_rw", "simulate_sparse", "simulate_multiplicative",
+    "simulate_rw", "simulate_multiplicative",
     "smape", "pinball", "coef_mse", "BacktestPlan", "MetricReport", "split_bounds",
     "backtest", "seasonal_naive_forecaster",
     "RunConfig", "load_config", "merge_config", "save_config",

@@ -50,7 +50,6 @@ from .simulation import (
     SparsitySpec,
     simulate_multiplicative,
     simulate_rw,
-    simulate_sparse,
     write_truth_csv,
 )
 from .timeframe import emit_csv
@@ -155,12 +154,9 @@ def cmd_simulate(args) -> int:
                                     zero_prob=prob)
         sim_config = settings(SimConfig, cfg, "sim_", reflect=cfg.sim_reflect == "yes",
                               sparsity=sparsity, **given)
-        if cfg.sim_kind == "sparse":
-            if sparsity is None:
-                raise ValidationError("sim_kind=sparse needs a sim_sparsity window")
-            dataset = simulate_sparse(sim_config)
-        else:
-            dataset = simulate_rw(sim_config)
+        if cfg.sim_kind == "sparse" and sparsity is None:
+            raise ValidationError("sim_kind=sparse needs a sim_sparsity window")
+        dataset = simulate_rw(sim_config)
     out = _outdir(cfg.out)
     data_path = os.path.join(out, "data.csv")
     emit_csv(dataset.frame, data_path, csv_schema(cfg))

@@ -166,15 +166,14 @@ def seasonal_naive_forecaster(period: int = 7):
     return forecaster
 
 
-def write_metric_report_csv(report: MetricReport, path: str,
-                            metric_name: str = "smape") -> None:
+def write_metric_report_csv(report: MetricReport, path: str) -> None:
     labels = [*range(1, len(report.per_split) + 1), "mean", "sd"]
-    write_table(path, ["split", metric_name], labels,
+    write_table(path, ["split", "smape"], labels,
                 [[*report.per_split, report.mean, report.sd]])
 
 
-def format_metric_report(report: MetricReport, metric_name: str = "smape") -> str:
-    lines = [f"split  {metric_name}"]
+def format_metric_report(report: MetricReport) -> str:
+    lines = ["split  smape"]
     for i, v in enumerate(report.per_split, start=1):
         lines.append(f"{i:>5}  {v:.6f}")
     lines.append(f" mean  {report.mean:.6f}")

@@ -1,9 +1,10 @@
-"""Fourier seasonality design matrices.
+"""Fourier seasonality covariates.
 
 For a period S and order k the pair cos(2*k*pi*t/S), sin(2*k*pi*t/S) is
 generated per time step; stacking orders 1..k_max for each period gives the
-seasonal covariate matrix. t is the 1-based integer time index, so columns
-are periodic in t rather than phase-aligned to the calendar.
+seasonal covariate matrix, a plain float array whose entries lie in
+[-1, 1]. t is the 1-based integer time index, so columns are periodic in t
+rather than phase-aligned to the calendar.
 """
 
 from __future__ import annotations
@@ -35,37 +36,10 @@ class FourierSpec:
             )
 
 
-@dataclass(frozen=True)
-class SeasonalDesign:
-    """T x (2 * sum of orders) matrix of bounded seasonal covariates."""
-
-    matrix: np.ndarray
-    specs: tuple[FourierSpec, ...]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "specs", tuple(self.specs))
-        expected = 2 * sum(s.order for s in self.specs)
-        if m.ndim != 2 or m.shape[1] != expected:
-            raise ValidationError(f"design shape {m.shape} does not match specs ({expected} cols)")
-        if m.size and np.max(np.abs(m)) > 1.0 + 1e-12:
-            raise ValidationError("seasonal design entries must lie in [-1, 1]")
-
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        names = []
-        for s in self.specs:
-            for k in range(1, s.order + 1):
-                names.append(f"cos_{s.period:g}_{k}")
-                names.append(f"sin_{s.period:g}_{k}")
-        return tuple(names)
-
-
 def fourier_design(T: int, specs: list[FourierSpec] | tuple[FourierSpec, ...], *,
-                   times=None) -> SeasonalDesign:
-    """Build the seasonal covariate matrix for the (1-based) ``times``,
-    default t = 1..T.
+                   times=None) -> np.ndarray:
+    """The n x (2 * sum of orders) seasonal covariate matrix for the
+    (1-based) ``times``, default t = 1..T.
 
     Times beyond T give forecast rows, e.g. ``times=range(T + 1, T + h + 1)``;
     each row depends only on its own t, so any range of rows equals the
@@ -75,7 +49,6 @@ def fourier_design(T: int, specs: list[FourierSpec] | tuple[FourierSpec, ...], *
     """
     if T < 1:
         raise ValidationError(f"T must be >= 1, got {T}")
-    specs = tuple(specs)
     t = np.arange(1, T + 1, dtype=float) if times is None else np.fromiter(times, dtype=float)
     cols = []
     for s in specs:
@@ -83,5 +56,4 @@ def fourier_design(T: int, specs: list[FourierSpec] | tuple[FourierSpec, ...], *
             arg = 2.0 * k * np.pi * t / s.period
             cols.append(np.cos(arg))
             cols.append(np.sin(arg))
-    matrix = np.column_stack(cols) if cols else np.zeros((t.size, 0))
-    return SeasonalDesign(matrix=matrix, specs=specs)
+    return np.column_stack(cols) if cols else np.zeros((t.size, 0))

@@ -59,7 +59,6 @@ __all__ = [
     "SviConfig",
     "FitResult",
     "PosteriorDraws",
-    "GradientReport",
     "default_packing",
     "initial_theta",
     "fit_map",
@@ -70,7 +69,6 @@ __all__ = [
     "check_variational",
     "variational_draws",
     "draw_quantiles",
-    "check_gradient",
     "fit_document",
     "save_fit",
     "load_fit",
@@ -383,9 +381,6 @@ class PosteriorDraws:
     coefficient_draws: np.ndarray
     packing: ParameterPacking
 
-    def parameter_set(self, i: int) -> ParameterSet:
-        return self.packing.unpack(self.theta_draws[i])
-
     def coefficient_quantiles(self, levels) -> dict[float, np.ndarray]:
         return draw_quantiles(self.coefficient_draws, levels)
 
@@ -618,9 +613,9 @@ def fit_maps(runs) -> list[FitResult]:
 
 
 def _start_log_sd(curvature: np.ndarray, cap: float) -> np.ndarray:
-    """SVI's starting log-sds from the objective's curvature -H_ii (see
-    Objective.curvature): min(-ln(-H_ii) / 2, cap), and cap wherever
-    -H_ii <= 0 or is nan.
+    """SVI's starting log-sds from the objective's curvature -H_ii, the
+    negated diagonal of Objective.hessian: min(-ln(-H_ii) / 2, cap), and cap
+    wherever -H_ii <= 0 or is nan.
 
     For a Gaussian target the mean-field optimum has variances 1 / -H_ii
     exactly (Bishop, PRML 10.1.2), so the run starts near where it ends.
@@ -752,75 +747,6 @@ def draw_posterior(fit: FitResult, k_reg, n_draws: int, seed: int = 0) -> Poster
     coef_draws = stacked_coefficients(b_reg, k_reg)
     return PosteriorDraws(
         theta_draws=theta_draws, coefficient_draws=coef_draws, packing=fit.packing
-    )
-
-
-@dataclass
-class GradientReport:
-    max_rel_error: float
-    per_point: list[float]
-    kink_perturbed: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= 1e-4
-
-
-def _near_kink(packing: ParameterPacking, theta: np.ndarray, gap: float) -> bool:
-    params = packing.unpack(theta)
-    chains = [np.concatenate([[params.b_lev[0]], np.diff(params.b_lev)])]
-    if params.b_seas.size:
-        first = params.b_seas[:1]
-        diffs = np.vstack([first, np.diff(params.b_seas, axis=0)])
-        chains.append(diffs.ravel())
-    return any(np.min(np.abs(c)) < gap for c in chains if c.size)
-
-
-def check_gradient(inputs: ModelInputs, hp: HyperParams,
-                   packing: ParameterPacking | None = None,
-                   theta0: np.ndarray | None = None, n_points: int = 20,
-                   seed: int = 0, fd_step: float = 1e-5, kink_gap: float = 1e-6,
-                   calibration=(), include_jacobian: bool = False) -> GradientReport:
-    """Compare the analytic gradient with central finite differences.
-
-    Points are sampled around theta0 and nudged away from Laplace kinks so
-    the subgradient convention is never what is being measured.
-    """
-    packing = packing or default_packing(inputs)
-    if theta0 is None:
-        theta0 = initial_theta(inputs, hp, packing)
-    f = Objective(inputs, hp, packing, calibration, include_jacobian)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    per_point = []
-    perturbed = 0
-    for point in range(n_points):
-        # the supplied point itself is always checked; the rest are jittered
-        if point == 0:
-            theta = theta0.copy()
-        else:
-            theta = theta0 + 0.5 * rng.standard_normal(packing.dim)
-        tries = 0
-        while _near_kink(packing, theta, kink_gap) and tries < 100:
-            theta = theta + 1e-3 * rng.standard_normal(packing.dim)
-            tries += 1
-        if tries:
-            perturbed += 1
-        _, analytic = f(theta)
-        worst = 0.0
-        for i in range(packing.dim):
-            h = fd_step * max(1.0, abs(theta[i]))
-            up = theta.copy()
-            up[i] += h
-            dn = theta.copy()
-            dn[i] -= h
-            fd = (f(up)[0] - f(dn)[0]) / (2.0 * h)
-            err = abs(analytic[i] - fd) / max(1.0, abs(analytic[i]), abs(fd))
-            worst = max(worst, err)
-        per_point.append(worst)
-    return GradientReport(
-        max_rel_error=max(per_point) if per_point else 0.0,
-        per_point=per_point,
-        kink_perturbed=perturbed,
     )
 
 

@@ -107,10 +107,6 @@ class ParameterSet:
             )
         check_support(b_reg, mu_reg, self.sigma_obs, self.allow_negative_reg)
 
-    @property
-    def n_channels(self) -> int:
-        return int(self.b_reg.shape[1])
-
 
 @dataclass(frozen=True)
 class ModelDesign:
@@ -439,8 +435,6 @@ def log_likelihood(params: ParameterSet, inputs: ModelInputs, hp: HyperParams) -
 def _log_likelihood_and_grads(params: ParameterSet, inputs: ModelInputs,
                               hp: HyperParams):
     """Returns (value, d/dfit vector, d/dln_sigma)."""
-    if params.sigma_obs <= 0:
-        raise ValidationError("sigma_obs must be > 0")
     decomp = decompose(params, inputs.design)
     resid = inputs.target - decomp.fitted
     sigma = params.sigma_obs

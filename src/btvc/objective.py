@@ -1,5 +1,6 @@
 """The fit objective of one structure or of a stack of several, compiled once
-per fit (Objective), and the design map and Gram blocks it is built from."""
+per fit (Objective), its Hessian at a point as an operator (Hessian), and
+the design map and Gram blocks they are built from."""
 
 from __future__ import annotations
 
@@ -320,8 +321,7 @@ class Objective:
     over the knots b their kernel rows reach. Each entry of windows holds
     its H and h, so a call does one H @ b per windowed channel in place of
     two products with each window's kernel rows. hessian(theta) is the
-    Hessian as an operator built from the same parts, and curvature(theta)
-    its negated diagonal.
+    Hessian as an operator built from the same parts.
     """
 
     def __init__(self, inputs, hp, packing, calibration, include_jacobian):
@@ -686,11 +686,6 @@ class Objective:
         # noise and f = s under Student-t
         f = scale[order] / np.sqrt(band_var)
         return Hessian(-curv, order, band, f, band_diag, to, frm, -values)
-
-    def curvature(self, theta):
-        """The diagonal of -H, for H the Hessian of the objective at theta:
-        -hessian(theta).diagonal, so second derivatives have one source."""
-        return -self.hessian(theta).diagonal
 
 
 class Hessian:

@@ -138,7 +138,7 @@ def _design(structure: Structure, x: np.ndarray, first: int, n: int) -> ModelDes
     grid_lev, grid_seas, grid_reg = structure.knot_grids
     return ModelDesign(
         regressors=x,
-        seasonal=fourier_design(structure.T, structure.fourier_specs, times=times).matrix,
+        seasonal=fourier_design(structure.T, structure.fourier_specs, times=times),
         k_lev=kernel_matrix(grid_lev, "level", times=times),
         k_seas=kernel_matrix(grid_seas, "level", times=times),
         k_reg=kernel_matrix(grid_reg, "gaussian", rho=structure.rho, times=times),

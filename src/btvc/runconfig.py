@@ -170,8 +170,13 @@ def _check_retired(key: str, raw: str) -> None:
 
 
 def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    with open(path) as fh:
-        text = fh.read()
+    """The config file at path (UTF-8 text, with or without a byte-order
+    mark) merged over base, by default RunConfig()."""
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ValidationError(f"not UTF-8 text: {path}") from None
     return merge_config(base or RunConfig(), parse_config_text(text))
 
 

@@ -3,10 +3,10 @@
 simulate_rw reproduces the additive random-walk study design: trend and
 per-channel coefficients follow Gaussian walks, covariates are i.i.d.
 normal, and y_t = trend_t + sum_p beta_{t,p} x_{t,p} + noise_t on the raw
-scale (no log link). simulate_sparse zeroes one channel's spend over a
-window. simulate_multiplicative generates from the multiplicative form the
-model actually fits (exp of trend + seasonality + elasticity-weighted log
-spends) for end-to-end forecast checks.
+scale (no log link); a config with a sparsity spec also zeroes one
+channel's spend over a window. simulate_multiplicative generates from the
+multiplicative form the model actually fits (exp of trend + seasonality +
+elasticity-weighted log spends) for end-to-end forecast checks.
 
 Draw order per generator is fixed and documented on the function; the
 sparsity mask uses a separately spawned stream so a zero-probability mask
@@ -118,8 +118,11 @@ def _check_generated(y: np.ndarray, x: np.ndarray) -> None:
         )
 
 
-def _simulate_additive(config: SimConfig, sparsity: SparsitySpec | None) -> SimDataset:
-    # draw order: trend steps, coefficient steps, covariates, noise
+def simulate_rw(config: SimConfig) -> SimDataset:
+    """Additive random-walk dataset; see the module docstring for the form.
+
+    Draw order: trend steps, coefficient steps, covariates, noise.
+    """
     root = np.random.SeedSequence(config.seed)
     rng = np.random.default_rng(root)
     T, P = config.T, config.P
@@ -130,6 +133,7 @@ def _simulate_additive(config: SimConfig, sparsity: SparsitySpec | None) -> SimD
         )
         x = rng.normal(config.covariate_mean, config.covariate_sd, (T, P))
         noise = rng.normal(0.0, config.noise_sd, T)
+        sparsity = config.sparsity
         if sparsity is not None:
             mask_rng = np.random.default_rng(root.spawn(1)[0])
             rows = np.arange(sparsity.start - 1, sparsity.end)
@@ -145,20 +149,6 @@ def _simulate_additive(config: SimConfig, sparsity: SparsitySpec | None) -> SimD
         allow_negative_regressors=True,
     )
     return SimDataset(frame=frame, true_trend=trend, true_coefficients=coef)
-
-
-def simulate_rw(config: SimConfig) -> SimDataset:
-    """Additive random-walk dataset; see the module docstring for the form."""
-    if config.sparsity is not None:
-        raise ValidationError("config has a sparsity spec; use simulate_sparse")
-    return _simulate_additive(config, None)
-
-
-def simulate_sparse(config: SimConfig) -> SimDataset:
-    """simulate_rw plus a zeroed spend window on one channel."""
-    if config.sparsity is None:
-        raise ValidationError("simulate_sparse needs config.sparsity")
-    return _simulate_additive(config, config.sparsity)
 
 
 @dataclass(frozen=True)

@@ -168,14 +168,17 @@ def read_table(path: str, columns: dict, where: str = "row {}", rest: str | None
     Every data row must hold one cell per header column, but only the first
     `rows` are parsed. A bad file raises a ValidationError for its first bad
     cell in file order, its row named where.format(r), r the 1-based data row.
+    The file is UTF-8 text, with or without a byte-order mark.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            body = [row for row in reader if row]
         except StopIteration:
             raise ValidationError(f"empty file: {path}") from None
-        body = [row for row in reader if row]
+        except UnicodeDecodeError:
+            raise ValidationError(f"not UTF-8 text: {path}") from None
     header = [h.strip() for h in header]
     for c in header:
         if header.count(c) > 1:

@@ -24,7 +24,6 @@ from btvc.evaluation import (
 from btvc.inference import (
     MapConfig,
     ParameterPacking,
-    check_gradient,
     draw_posterior,
     fit_map,
     fit_maps,
@@ -48,9 +47,9 @@ from btvc.simulation import (
     SparsitySpec,
     simulate_multiplicative,
     simulate_rw,
-    simulate_sparse,
 )
 
+from tests.oracle import check_gradient
 from tests.test_evaluation import enumerate_bounds
 from tests.test_inference import conjugate_problem
 
@@ -151,7 +150,7 @@ def test_zero_spend_shrinkage():
     wins = 0
     for seed in EVAL_SEEDS:
         spec = SparsitySpec(channel=1, start=150, end=249, zero_prob=1.0)
-        ds = simulate_sparse(SimConfig(seed=seed, sparsity=spec))
+        ds = simulate_rw(SimConfig(seed=seed, sparsity=spec))
         fit, inputs = run_fit(ds.frame, recovery_cfg(seed))
         beta = decompose(fit.params, inputs.design).coefficients
         beta_win = float(beta[149:249, 1].mean())

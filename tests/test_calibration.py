@@ -137,6 +137,15 @@ def test_read_prior_windows_csv(tmp_path):
     assert wins == [PriorWindow("x2", 3, 5, 0.4, 0.05)]
 
 
+def test_read_prior_windows_csv_with_a_byte_order_mark(tmp_path):
+    # the BOM used to become part of the first header name: missing column 'channel'
+    frame = make_frame(T=10, P=2, start="2024-03-01")
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text("channel,start_date,end_date,mean,sd\nx2,2024-03-03,2024-03-05,0.4,0.05\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_prior_windows_csv(str(bom), frame) == read_prior_windows_csv(str(plain), frame)
+
+
 def test_read_prior_windows_csv_errors(tmp_path):
     frame = make_frame(T=10, P=1, start="2024-03-01")
     missing = tmp_path / "m.csv"

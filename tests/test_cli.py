@@ -26,8 +26,7 @@ from btvc.pipeline import (
 from btvc.model import HyperParams, Structure
 from btvc.runconfig import RunConfig, config_from_dict, parse_value
 from btvc.simulation import (MultiplicativeSimConfig, SimConfig, SparsitySpec,
-                             simulate_multiplicative, simulate_rw, simulate_sparse,
-                             write_truth_csv)
+                             simulate_multiplicative, simulate_rw, write_truth_csv)
 from btvc.timeframe import emit_csv, read_table
 
 from tests.test_pipeline import forecaster_from_config
@@ -400,8 +399,8 @@ def test_backtest_keeps_the_prior_windows_each_split_has_seen(tmp_path, capsys):
                             seed=7)),
     (["sim_kind=sparse", "sim_length=50", "sim_channels=2", "sim_sparsity=2:10:30:0.5",
       "sim_start_date=2021-03-01"],
-     simulate_sparse, SimConfig(T=50, P=2, seed=7, start_date="2021-03-01",
-                                sparsity=SparsitySpec(channel=1, start=10, end=30, zero_prob=0.5))),
+     simulate_rw, SimConfig(T=50, P=2, seed=7, start_date="2021-03-01",
+                            sparsity=SparsitySpec(channel=1, start=10, end=30, zero_prob=0.5))),
     # the multiplicative generator draws with the sim_* keys' defaults, which
     # are the random-walk generator's, not MultiplicativeSimConfig's
     (["sim_kind=multiplicative", "sim_length=60", "sim_channels=2", "sim_base_level=3.0"],
@@ -460,6 +459,20 @@ class TestErrorPaths:
         code, out, err = run(capsys, "fit", "--out", str(tmp_path / "o"))
         assert code == 1
         assert err.strip() == "error: fit needs --data (or the data config key)"
+
+    def test_backtest_without_data(self, capsys, tmp_path):
+        code, out, err = run(capsys, "backtest", "--out", str(tmp_path / "o"))
+        assert (code, out, err) == (
+            1, "", "error: backtest needs --data (or the data config key)\n")
+
+    def test_a_knot_count_above_the_series_length(self, capsys, tmp_path):
+        sim_dir = tmp_path / "sim"
+        assert simulate_small(capsys, str(sim_dir), extra=("--set", "sim_length=120"))[0] == 0
+        code, out, err = run(
+            capsys, "fit", "--data", str(sim_dir / "data.csv"), "--out", str(tmp_path / "o"),
+            *FAST, "--set", "knot_count_reg=500",
+        )
+        assert (code, out, err) == (1, "", "error: knot count 500 exceeds series length 120\n")
 
     def test_nonexistent_data_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -1158,6 +1171,33 @@ def test_decompose_rejects_a_series_on_another_calendar(capsys, tmp_path, svi_fi
                              "--out", str(tmp_path / name))
         assert (code, out, err) == (1, "", f"error: {message}\n"), name
         assert not (tmp_path / name / "decomposition.csv").exists()
+
+
+def test_predict_without_future_on_a_fit_with_regressors(capsys, tmp_path, svi_fit):
+    fit_json, _, _ = svi_fit
+    code, out, err = run(capsys, "predict", "--fit", str(fit_json), "--horizon", "3",
+                         "--out", str(tmp_path / "fc"))
+    assert (code, out, err) == (
+        1, "", "error: predict needs --future when the fit has regressors\n")
+    assert not (tmp_path / "fc" / "forecast.csv").exists()
+
+
+@pytest.mark.parametrize("role", ["data", "config", "future", "prior_windows"])
+def test_a_text_input_that_is_not_utf8_is_one_error_line(capsys, tmp_path, svi_fit, role):
+    # a Latin-1 series or config file used to end in a UnicodeDecodeError
+    # traceback
+    fit_json, data, _ = svi_fit
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("date,caf\xe9\n2020-01-01,1\n".encode("latin-1"))
+    argv = {
+        "data": ["fit", "--data", str(latin1), *FAST],
+        "config": ["fit", "--data", str(data), "--config", str(latin1), *FAST],
+        "future": ["predict", "--fit", str(fit_json), "--future", str(latin1), "--horizon", "3"],
+        "prior_windows": ["fit", "--data", str(data), *FAST,
+                          "--set", f"prior_windows={latin1}"],
+    }[role]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert (code, out, err) == (1, "", f"error: not UTF-8 text: {latin1}\n")
 
 
 def test_successive_calls_share_one_parser_and_no_state(capsys, tmp_path, svi_fit):

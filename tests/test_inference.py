@@ -27,7 +27,6 @@ from btvc.inference import (
     MapConfig,
     ParameterPacking,
     SviConfig,
-    check_gradient,
     default_packing,
     draw_posterior,
     fit_map,
@@ -41,6 +40,7 @@ from btvc.inference import (
 from btvc.pipeline import build_structure, map_config_from, svi_config_from
 from btvc.runconfig import RunConfig
 from btvc.simulation import MultiplicativeSimConfig, simulate_multiplicative
+from tests.oracle import check_gradient
 from tests.test_kernels import dense_kernel, reference_rows
 from tests.test_model import toy
 from tests.test_timeframe import make_structure
@@ -396,7 +396,7 @@ def test_svi_deterministic_and_ascending():
     eps = np.random.default_rng(0).standard_normal((2000, a.packing.dim))
     half = fit_svi(inputs, hp, dataclasses.replace(sc, iterations=300),
                    init=fit_map(inputs, hp, mc))
-    start = inference._start_log_sd(f.curvature(a.theta), sc.init_log_sd)
+    start = inference._start_log_sd(-f.hessian(a.theta).diagonal, sc.init_log_sd)
     end = fixed_draw_elbo(f, a.variational_mean, a.variational_log_sd, eps)
     assert end > fixed_draw_elbo(f, a.theta, start, eps)
     assert end > fixed_draw_elbo(f, half.variational_mean, half.variational_log_sd, eps)
@@ -425,7 +425,7 @@ def test_svi_in_place_step_equals_the_allocating_update(iterations, every, setti
     hessian = f.hessian(init.theta)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     mean = init.theta
-    log_sd = inference._start_log_sd(f.curvature(init.theta), config.init_log_sd)
+    log_sd = inference._start_log_sd(-f.hessian(init.theta).diagonal, config.init_log_sd)
     m = v = np.zeros(2 * dim)
     lr = config.learning_rate
     decay = (config.final_learning_rate / config.learning_rate) ** (1.0 / (config.iterations - 1))
@@ -504,7 +504,7 @@ def test_svi_start_is_the_capped_hessian_diagonal():
     cap = SviConfig().init_log_sd
     assert np.log(post_sd) < cap
     for theta in (post_mean, post_mean + 3.0):
-        start = inference._start_log_sd(f.curvature(np.array([theta])), cap)
+        start = inference._start_log_sd(-f.hessian(np.array([theta])).diagonal, cap)
         assert abs(start[0] - np.log(post_sd)) < 1e-6
     # the curvature -H = diag(d) of a quadratic: d <= 0 (H_ii >= 0), nan, and
     # -ln(d)/2 above the cap all give the cap
@@ -517,8 +517,8 @@ def test_svi_start_is_the_capped_hessian_diagonal():
     packing = default_packing(inputs)
     f = objective.Objective(inputs, hp, packing, window_terms(inputs, 1), include_jacobian=True)
     theta = initial_theta(inputs, hp, packing)
-    first = inference._start_log_sd(f.curvature(theta), cap)
-    assert first.tobytes() == inference._start_log_sd(f.curvature(theta), cap).tobytes()
+    first = inference._start_log_sd(-f.hessian(theta).diagonal, cap)
+    assert first.tobytes() == inference._start_log_sd(-f.hessian(theta).diagonal, cap).tobytes()
     assert np.all(first <= cap)
 
 
@@ -560,7 +560,7 @@ def plain_svi(f, init, config):
     per step, gradient [g, g eps sd + 1] for g the gradient at mean + sd
     eps, from the capped Hessian-diagonal start."""
     dim = init.theta.size
-    state = np.concatenate([init.theta, inference._start_log_sd(f.curvature(init.theta),
+    state = np.concatenate([init.theta, inference._start_log_sd(-f.hessian(init.theta).diagonal,
                                                                 config.init_log_sd)])
     mean, log_sd = state[:dim], state[dim:]
     ascend = inference._adam(state, config)
@@ -696,7 +696,7 @@ def test_zero_sd_draws_reproduce_the_mean():
     fit.variational_log_sd = np.full_like(fit.variational_log_sd, -745.0)
     draws = draw_posterior(fit, inputs.design.k_reg, 1, seed=9)
     assert np.allclose(draws.theta_draws[0], fit.variational_mean)
-    ps = draws.parameter_set(0)
+    ps = draws.packing.unpack(draws.theta_draws[0])
     assert np.allclose(ps.b_reg, fit.packing.unpack(fit.variational_mean).b_reg)
 
 
@@ -711,7 +711,7 @@ def test_draw_quantiles_ordered_and_nonnegative():
     assert np.all(q[0.5] <= q[0.975] + 1e-12)
     # convex-hull bound per draw: each curve stays inside its knot range
     for i in range(0, 200, 50):
-        ps = draws.parameter_set(i)
+        ps = draws.packing.unpack(draws.theta_draws[i])
         beta = draws.coefficient_draws[i]
         for p in range(beta.shape[1]):
             assert beta[:, p].min() >= ps.b_reg[:, p].min() - 1e-12
@@ -1052,12 +1052,12 @@ def test_compiled_objective_keeps_no_state_between_calls(variant, include_jacobi
     value_a, grad_a = f(a)
     grad_a_first = grad_a.copy()
     value_b, grad_b = f(b)
-    curv_a = f.curvature(a)
+    curv_a = -f.hessian(a).diagonal
     value_again, grad_again = f(a)
-    f.curvature(b)
+    f.hessian(b)
     assert value_b != value_a
     assert value_again == value_a and np.array_equal(grad_again, grad_a_first)
-    assert np.array_equal(f.curvature(a), curv_a)
+    assert np.array_equal(-f.hessian(a).diagonal, curv_a)
     assert np.array_equal(grad_a, grad_a_first)
     assert not np.shares_memory(grad_a, grad_b) and not np.shares_memory(grad_a, grad_again)
     assert np.array_equal(a, a_given)
@@ -1103,7 +1103,8 @@ def test_gradient_then_value_equals_the_call(names, include_jacobian):
 
 def fd_curvature(f, theta, step):
     """-H_ii by central differences of f's compiled gradient, 2 dim calls:
-    the oracle for f.curvature, trustworthy only away from Laplace kinks."""
+    the oracle for -f.hessian(theta).diagonal, trustworthy only away from
+    Laplace kinks."""
     out = np.empty(theta.size)
     for i, x in enumerate(theta):
         up, down = theta.copy(), theta.copy()
@@ -1123,7 +1124,7 @@ def test_curvature_is_the_hessian_diagonal(variant, include_jacobian):
     rng = np.random.default_rng(len(variant))
     for _ in range(3):
         theta = jittered_theta(theta0, packing, rng)
-        exact, oracle = f.curvature(theta), fd_curvature(f, theta, 1e-5)
+        exact, oracle = -f.hessian(theta).diagonal, fd_curvature(f, theta, 1e-5)
         assert np.all(np.abs(exact - oracle) <= 1e-6 * np.maximum(1.0, np.abs(oracle)))
 
 
@@ -1139,7 +1140,7 @@ def test_curvature_reads_no_kink():
     theta[1] = theta[0]
     off = theta.copy()
     off[1] += 0.01
-    exact = f.curvature(theta)
+    exact = -f.hessian(theta).diagonal
     assert abs(exact[1] - fd_curvature(f, off, 1e-5)[1]) <= 1e-6 * exact[1]
     assert fd_curvature(f, theta, 1e-4)[1] >= 10.0 * exact[1]
 
@@ -1172,7 +1173,7 @@ def test_hessian_is_the_central_difference_of_the_gradient(names, include_jacobi
     # differences of the compiled gradient at jittered points far from the
     # Laplace kinks; diagonal is the product's diagonal (the product takes
     # the band's diagonal out of one entry and adds it back in another, so
-    # up to rounding) and curvature its negation
+    # up to rounding), and a second call gives it bit for bit
     variants = [compiled_variant(name) for name in names]
     f = objective.Objective.stack(variants, include_jacobian)
     rng = np.random.default_rng(len(names[0]))
@@ -1185,7 +1186,7 @@ def test_hessian_is_the_central_difference_of_the_gradient(names, include_jacobi
         oracle = fd_hessian(f, theta, 1e-5)
         assert np.all(np.abs(columns - oracle) <= 1e-6 * np.maximum(1.0, np.abs(oracle)))
         assert np.allclose(np.diag(columns), hessian.diagonal, rtol=1e-13, atol=0.0)
-        assert f.curvature(theta).tobytes() == (-hessian.diagonal).tobytes()
+        assert f.hessian(theta).diagonal.tobytes() == hessian.diagonal.tobytes()
         v = rng.standard_normal(f.dim)
         assert np.allclose(hessian.dot(v), columns @ v, rtol=1e-12, atol=1e-12)
 
@@ -1219,12 +1220,13 @@ def test_a_stacked_objective_computes_each_structure_as_it_does_alone(group, inc
         value, grad = stack(theta)
         values = list(stack.values)
         assert len(values) == len(variants) and value == sum(values)
-        curvature = stack.curvature(theta)
+        curvature = -stack.hessian(theta).diagonal
         for k, (f, theta_k) in enumerate(zip(alone, thetas)):
             value_k, grad_k = f(theta_k)
             assert values[k] == value_k
             assert grad[stack.theta_of[k]].tobytes() == grad_k.tobytes()
-            assert curvature[stack.theta_of[k]].tobytes() == f.curvature(theta_k).tobytes()
+            assert (curvature[stack.theta_of[k]].tobytes()
+                    == (-f.hessian(theta_k).diagonal).tobytes())
         # the stack of some of them, built from the compiled parts
         _, sub_grad = sub(theta[entries])
         assert sub.values == [values[k] for k in keep]
@@ -1325,7 +1327,7 @@ def test_each_run_of_a_stacked_svi_fit_equals_its_fit_alone(case):
     # each run's cap binds on some entries of its start
     for inputs, hp, config, packing, terms, init in runs:
         f = objective.Objective(inputs, hp, init.packing, terms, include_jacobian=True)
-        assert np.any(inference._start_log_sd(f.curvature(init.theta), np.inf)
+        assert np.any(inference._start_log_sd(-f.hessian(init.theta).diagonal, np.inf)
                       > config.init_log_sd)
 
 
@@ -1651,10 +1653,9 @@ def test_identity_transform_fits_signed_knots_under_the_default_prior(seed):
     assert fit.params.b_reg.min() < 0
 
 
-def test_objective_imports_nothing_from_the_fit_layers():
-    # the dependency runs one way: inference, pipeline and cli build
-    # Objectives, and objective.py knows none of them
-    path = pathlib.Path(objective.__file__)
+def imported_names(path):
+    """Every dotted part of every module a source file imports, and the
+    names it imports from them."""
     imported = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -1662,7 +1663,23 @@ def test_objective_imports_nothing_from_the_fit_layers():
         elif isinstance(node, ast.ImportFrom):
             imported.update((node.module or "").split("."))
             imported.update(a.name for a in node.names)
+    return imported
+
+
+def test_objective_imports_nothing_from_the_fit_layers():
+    # the dependency runs one way: inference, pipeline and cli build
+    # Objectives, and objective.py knows none of them
+    imported = imported_names(pathlib.Path(objective.__file__))
     assert imported & {"inference", "pipeline", "cli"} == set()
+
+
+def test_the_library_imports_nothing_from_the_tests():
+    # the gradient checker lives in tests/oracle.py; no library module may
+    # lean on it, or on anything else under tests/
+    modules = sorted(pathlib.Path(objective.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        assert imported_names(path) & {"tests", "oracle"} == set(), path.name
 
 
 @pytest.mark.parametrize("config", [MapConfig, SviConfig])

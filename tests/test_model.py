@@ -28,7 +28,7 @@ def toy(T=30, P=2, seed=0, n_lev=3, n_seas=2, n_reg=3, fourier=(FourierSpec(7.0,
     grid_lev = build_grid(T, count=n_lev)
     grid_seas = build_grid(T, count=n_seas)
     grid_reg = build_grid(T, count=n_reg)
-    seas = fourier_design(T, fourier).matrix
+    seas = fourier_design(T, fourier)
     design = ModelDesign(
         regressors=rng.gamma(2.0, 1.5, (T, P)),
         seasonal=seas,
@@ -85,7 +85,7 @@ def test_level_kernel_coefficients_interpolate():
 def test_coefficients_bounded_by_knot_range():
     params, inputs = toy(seed=3)
     beta = coefficients(params, inputs.design.k_reg)
-    for p in range(params.n_channels):
+    for p in range(params.b_reg.shape[1]):
         assert np.all(beta[:, p] >= params.b_reg[:, p].min() - 1e-12)
         assert np.all(beta[:, p] <= params.b_reg[:, p].max() + 1e-12)
 

@@ -277,7 +277,7 @@ class TestSavedFitDesigns:
         fc = forecast_design(structure, future, h)
         specs = (FourierSpec(7.0, 1),)
         np.testing.assert_array_equal(
-            fc.seasonal, fourier_design(T + h, specs).matrix[T:]
+            fc.seasonal, fourier_design(T + h, specs)[T:]
         )
         grid = KnotGrid(structure.knots_reg, T)
         full = kernel_matrix(grid, "gaussian", rho=structure.rho, times=range(1, T + h + 1))
@@ -349,7 +349,7 @@ class TestFitAndForecast:
         specs = (FourierSpec(7.0, 1),)
         full = ModelDesign(
             regressors=model_scale(structure, np.vstack([frame.regressors, future]))[0],
-            seasonal=fourier_design(T + h, specs).matrix,
+            seasonal=fourier_design(T + h, specs),
             k_lev=kernel_matrix(KnotGrid(structure.knots_lev, T), "level",
                                 times=range(1, T + h + 1)),
             k_seas=kernel_matrix(KnotGrid(structure.knots_seas, T), "level",

@@ -104,6 +104,15 @@ def test_flag_beats_file_beats_default(tmp_path):
     assert final.seed == 5
 
 
+def test_a_config_file_with_a_byte_order_mark_reads_as_its_twin(tmp_path):
+    # the BOM used to become part of the first key: unknown config key '\ufeffseed'
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text("seed = 5\nsigma_reg = 0.7\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(str(bom)) == load_config(str(plain))
+    assert load_config(str(plain)) == merge_config(RunConfig(), {"seed": "5", "sigma_reg": "0.7"})
+
+
 def test_save_load_round_trip_is_bit_exact(tmp_path):
     cfg = merge_config(
         RunConfig(),

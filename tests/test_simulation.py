@@ -9,7 +9,6 @@ from btvc.simulation import (
     SparsitySpec,
     simulate_multiplicative,
     simulate_rw,
-    simulate_sparse,
     write_truth_csv,
 )
 
@@ -80,21 +79,21 @@ def test_covariates_independent_of_noise():
 class TestSparse:
     def test_full_zero_window(self):
         sp = SparsitySpec(channel=1, start=100, end=200, zero_prob=1.0)
-        ds = simulate_sparse(SimConfig(seed=3, sparsity=sp))
+        ds = simulate_rw(SimConfig(seed=3, sparsity=sp))
         assert np.all(ds.frame.regressors[99:200, 1] == 0.0)
         assert np.all(ds.frame.regressors[:99, 1] != 0.0)
         assert np.all(ds.frame.regressors[200:, 1] != 0.0)
 
     def test_zero_prob_zero_matches_plain_simulation(self):
         sp = SparsitySpec(channel=0, start=50, end=80, zero_prob=0.0)
-        a = simulate_sparse(SimConfig(seed=5, sparsity=sp))
+        a = simulate_rw(SimConfig(seed=5, sparsity=sp))
         b = simulate_rw(SimConfig(seed=5))
         assert np.array_equal(a.frame.regressors, b.frame.regressors)
         assert np.array_equal(a.frame.response, b.frame.response)
 
     def test_partial_probability_zeroes_a_fraction(self):
         sp = SparsitySpec(channel=2, start=1, end=300, zero_prob=0.4)
-        ds = simulate_sparse(SimConfig(seed=6, sparsity=sp))
+        ds = simulate_rw(SimConfig(seed=6, sparsity=sp))
         frac = np.mean(ds.frame.regressors[:, 2] == 0.0)
         assert 0.25 < frac < 0.55
 
@@ -105,10 +104,6 @@ class TestSparse:
             SimConfig(sparsity=SparsitySpec(channel=0, start=1, end=400))
         with pytest.raises(ValidationError):
             SimConfig(sparsity=SparsitySpec(channel=5, start=1, end=10))
-        with pytest.raises(ValidationError, match="simulate_sparse"):
-            simulate_rw(SimConfig(sparsity=SparsitySpec(channel=0, start=1, end=10)))
-        with pytest.raises(ValidationError, match="sparsity"):
-            simulate_sparse(SimConfig())
         # these ended in a numpy TypeError, a SeedSequence ValueError, or passed
         with pytest.raises(ValidationError, match=r"^T expects int, got 300\.0$"):
             SimConfig(T=300.0)

@@ -119,8 +119,8 @@ def test_forecast_columns_keep_the_names_g_printed_exactly(tmp_path):
 @pytest.mark.parametrize("splits", [VALUES[:1], VALUES, VALUES[3:]])
 def test_write_metric_report_csv_writes_what_the_row_writer_writes(tmp_path, splits):
     report = MetricReport(splits)
-    write_metric_report_csv(report, str(tmp_path / "a.csv"), metric_name="smape, %")
-    reference_csv(tmp_path / "b.csv", ["split", "smape, %"],
+    write_metric_report_csv(report, str(tmp_path / "a.csv"))
+    reference_csv(tmp_path / "b.csv", ["split", "smape"],
                   [*enumerate(report.per_split, start=1),
                    ("mean", report.mean), ("sd", report.sd)])
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

@@ -194,6 +194,18 @@ class TestCsvIngest:
                            match=f"^column {name!r} is named twice in the CSV schema$"):
             CsvSchema(**fields)
 
+    def test_a_byte_order_mark_reads_as_its_twin(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM, which used to
+        # become part of the first header name: missing column 'date'
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(plain, [["date", "y", "tv"], ["2024-01-01", "10", "1"],
+                          ["2024-01-02", "11", "3"]])
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        f, g = ingest_csv(str(plain)), ingest_csv(str(bom))
+        assert g.regressor_names == f.regressor_names == ("tv",)
+        for name in ("timestamps", "response", "regressors"):
+            assert getattr(g, name).tobytes() == getattr(f, name).tobytes()
+
     def test_regressor_columns_inferred(self, tmp_path):
         p = tmp_path / "s.csv"
         write_csv(p, [
