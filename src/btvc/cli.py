@@ -213,7 +213,6 @@ def cmd_predict(args) -> int:
     check_value(args.draws, Count | None, "--draws")
     check_value(args.seed, NonNegativeInt | None, "--seed")
     fit, cfg = _load_fit_with_structure(args.fit)
-    out = _outdir(args.out if args.out is not None else cfg.out)
     horizon = args.horizon
     P = len(fit.structure.regressor_names)
     if horizon > 0 and P > 0:
@@ -235,6 +234,7 @@ def cmd_predict(args) -> int:
         draws = args.draws if args.draws is not None else cfg.draws
         quantiles = forecast_quantiles(fit, future, horizon, levels,
                                        n_draws=draws, seed=seed)
+    out = _outdir(args.out if args.out is not None else cfg.out)
     path = os.path.join(out, "forecast.csv")
     write_forecast_csv(path, fit.structure, point, quantiles)
     manifest = run_manifest(cfg, "predict", args.fit)

@@ -530,6 +530,12 @@ def _divergence(what: str, t: int, place: int, traces, index) -> DivergenceError
                            iteration=t, index=index[place])
 
 
+# a fit checks each value and gradient it steps on, so an overflow (a prior
+# scale or a learning rate near 1e308) is that error, not a RuntimeWarning
+_FIT_ERRSTATE = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_FIT_ERRSTATE
 def fit_maps(runs) -> list[FitResult]:
     """fit_map of each run (inputs, hp, config, packing, calibration), all
     in one loop; config and packing may be None, as in fit_map. The runs'
@@ -660,6 +666,7 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     return fit_svis([(inputs, hp, config, packing, calibration, init)])[0]
 
 
+@_FIT_ERRSTATE
 def fit_svis(runs) -> list[FitResult]:
     """fit_svi of each run (inputs, hp, config, packing, calibration, init),
     all in one loop on one stack with one Adam and one H, as fit_maps runs

@@ -432,6 +432,21 @@ def log_likelihood(params: ParameterSet, inputs: ModelInputs, hp: HyperParams) -
     return value
 
 
+# the largest noise_df a row's terms are computed at: above it they are the
+# Gaussian's to rounding, and nu sigma^2 and its square stay finite
+T_LIMIT_DF = 1e30
+
+
+def student_t_const(nu: float) -> float:
+    """lgamma((nu + 1)/2) - lgamma(nu/2) - ln(nu pi)/2, the log normaliser of
+    a unit Student-t. Above nu = 100, where the lgamma difference cancels and
+    later overflows, its asymptotic series, off by under 1e-18 there."""
+    if nu <= 100.0:
+        return math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0) - 0.5 * math.log(nu * math.pi)
+    inv2 = 1.0 / (nu * nu)  # -ln(2 pi)/2 - 1/4nu + 1/24nu^3 - 1/20nu^5 + 17/112nu^7
+    return -0.5 * LOG_2PI + (-0.25 + inv2 * (1 / 24 + inv2 * (-0.05 + inv2 * 17 / 112))) / nu
+
+
 def _log_likelihood_and_grads(params: ParameterSet, inputs: ModelInputs,
                               hp: HyperParams):
     """Returns (value, d/dfit vector, d/dln_sigma)."""
@@ -447,17 +462,10 @@ def _log_likelihood_and_grads(params: ParameterSet, inputs: ModelInputs,
         dfit = resid * inv_var
         dlnsig = -n + ss * inv_var
     else:
-        nu = hp.noise_df
+        nu = min(hp.noise_df, T_LIMIT_DF)
         denom = nu * sigma * sigma + resid * resid
-        const = (
-            math.lgamma((nu + 1.0) / 2.0)
-            - math.lgamma(nu / 2.0)
-            - 0.5 * math.log(nu * math.pi)
-            - math.log(sigma)
-        )
-        value = float(
-            n * const - 0.5 * (nu + 1.0) * np.sum(np.log1p(resid * resid / (nu * sigma * sigma)))
-        )
+        value = float(n * (student_t_const(nu) - math.log(sigma))
+                      - 0.5 * (nu + 1.0) * np.sum(np.log1p(resid * resid / (nu * sigma * sigma))))
         dfit = (nu + 1.0) * resid / denom
         dlnsig = float(np.sum(-1.0 + (nu + 1.0) * resid * resid / denom))
     return value, dfit, float(dlnsig)

@@ -10,7 +10,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .kernels import TILE_ROWS, WEIGHT_FLOOR
-from .model import LOG_2PI, _folded_normal_terms, _laplace_chain, check_dims
+from .model import (LOG_2PI, T_LIMIT_DF, _folded_normal_terms, _laplace_chain, check_dims,
+                    student_t_const)
 
 # G entries one np.dot streams in about the time of its fixed cost per call:
 # a merge of two row blocks storing fewer extra entries than this saves time
@@ -63,18 +64,18 @@ def _design_tiles(design, with_level: bool):
     return order, tiles()
 
 
-def _gram(design, r0: np.ndarray, with_level: bool):
-    """(order, blocks, c) for G = Z'Z and c = Z'r0, with Z and order those of
-    _design_tiles, whose tiles are read once: c = (Z'r0)[order], and blocks
-    are _band_blocks of the tiles' products, G[order][:, order].
+def _gram(tiles, dim: int, u: np.ndarray, w: np.ndarray | None = None):
+    """(blocks, c) for Z'WZ and c = Z'u, W = diag(w) (the identity when w is
+    None), from the tiles (rows, at, zt) of _design_tiles over dim knots,
+    each read once: c = (Z'u)[order], and blocks are _band_blocks of the
+    tiles' products, (Z'WZ)[order][:, order].
     """
-    order, tiles = _design_tiles(design, with_level)
-    c = np.zeros(order.size)
+    c = np.zeros(dim)
     products = []
     for rows, at, zt in tiles:
-        c[at] += zt @ r0[rows]
-        products.append((at, zt @ zt.T))
-    return order, _band_blocks(products, order.size), c
+        c[at] += zt @ u[rows]
+        products.append((at, zt @ zt.T if w is None else (zt * w[rows]) @ zt.T))
+    return _band_blocks(products, dim), c
 
 
 def _band_blocks(products, dim: int):
@@ -158,7 +159,7 @@ class _Structure:
         lev_free = packing.fixed_b_lev is None
         mu_free = packing.fixed_mu_reg is None
         self.softplus_reg = packing.reg_transform == "softplus"
-        self.nu = nu = hp.noise_df
+        self.nu = nu = None if hp.noise_df is None else min(hp.noise_df, T_LIMIT_DF)
         n_lev = packing.n_lev if lev_free else 0
         self.n_chain = n_chain = n_lev + n_seas_knots * n_cols
         self.reg_shape = (n_reg_knots, n_channels)
@@ -199,8 +200,8 @@ class _Structure:
         # A window with weight w adds -(w / 2 sd^2) |K_rows b - mean|^2, so
         # H = (w / sd^2) K_rows'K_rows and h = (w mean / sd^2) K_rows'1, summed
         # per channel over the knots its windows reach: weights below
-        # WEIGHT_FLOOR are left out as in _gram, so H grows with the reach, not
-        # with J_reg.
+        # WEIGHT_FLOOR are left out as in _design_tiles, so H grows with the
+        # reach, not with J_reg.
         by_channel: dict[int, list] = {}
         for term in calibration:
             by_channel.setdefault(term.channel_index, []).append(term)
@@ -229,17 +230,14 @@ class _Structure:
         self.sigma_fixed = None if sigma is None else (math.log(sigma), sigma)
         y_mean = float(y.mean()) if lev_free else 0.0
         self.r0 = r0 = y - y_mean if lev_free else y - trend_fixed
+        self.order, tiles = _design_tiles(design, lev_free)
         if nu is None:
             const -= 0.5 * n * LOG_2PI
-            self.order, self.gram_blocks, self.c = _gram(design, r0, lev_free)
+            self.gram_blocks, self.c = _gram(tiles, self.order.size, r0)
             self.s0 = float(r0 @ r0)
         else:
-            t_const = (math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
-                       - 0.5 * math.log(nu * math.pi))
-            const += n * t_const
-            self.order, tiles = _design_tiles(design, lev_free)
+            const += n * student_t_const(nu)
             self.tiles = list(tiles)  # a call reads every tile twice
-            self.s0 = None
         self.const = const
         self.beta_shift = np.where(self.order < n_lev, y_mean, 0.0)
 
@@ -256,18 +254,17 @@ class Objective:
     packing.unpack(theta), its gradient chained to theta as
     packing.chain_grad does, plus the softplus log-Jacobian when
     include_jacobian; that composition stays the readable reference this
-    one is tested against. Objective.stack compiles several structures into
-    one set of buffers, the structures independent: the value is the sum of
-    theirs, and after each value() obj.values lists them, one float per
-    structure. A structure's entries of a stacked theta are
-    obj.theta_of[k], in its own packing's order (obj.owner[i] is the
-    structure of entry i), and every value and
-    gradient entry of a stack has the bits it has when that structure is
-    compiled alone: each one's reductions run over its own segment, and
-    everything else is elementwise. One structure is the stack of one.
-    Everything that depends only on the structures is done once in
-    __init__, so a call builds no ParameterSet or ParamGradient and runs no
-    dimension checks.
+    one is tested against. Objective(parts, include_jacobian) stacks the
+    compiled structures parts (_Structure, as Objective.stack compiles them)
+    into one set of buffers, the structures independent: the value is the
+    sum of theirs, and after each value() obj.values lists them. A
+    structure's entries of theta are obj.theta_of[k], in its packing's order
+    (obj.owner[i] is the structure of entry i), and every value and gradient
+    entry has the bits it has in the stack of that structure alone: each
+    one's reductions run over its own segment, and everything else is
+    elementwise. Everything that depends only on the structures is done once
+    in __init__, so a call builds no ParameterSet or ParamGradient and runs
+    no dimension checks.
 
     A stacked theta is [chain knots | x | ln sigma_obs], each block the
     structures' blocks in turn: the chain knots [b_lev, b_seas], x = [b_reg,
@@ -324,27 +321,7 @@ class Objective:
     Hessian as an operator built from the same parts.
     """
 
-    def __init__(self, inputs, hp, packing, calibration, include_jacobian):
-        self._assemble([_Structure(inputs, hp, packing, calibration)], include_jacobian)
-
-    @classmethod
-    def stack(cls, problems, include_jacobian):
-        """The objective of the structures (inputs, hp, packing,
-        calibration) in problems, stacked in that order. They must share
-        the regression transform and the noise family."""
-        obj = cls.__new__(cls)
-        obj._assemble([_Structure(*problem) for problem in problems], include_jacobian)
-        return obj
-
-    def subset(self, keep):
-        """(the stack of the structures at the increasing places keep, and
-        where the entries of its theta sit in this one's theta), built from
-        this stack's compiled parts."""
-        sub = Objective.__new__(Objective)
-        sub._assemble([self.parts[k] for k in keep], self.include_jacobian)
-        return sub, np.flatnonzero(np.isin(self.owner, keep))
-
-    def _assemble(self, parts, include_jacobian):
+    def __init__(self, parts, include_jacobian):
         if not parts:
             raise ValidationError("an objective stack needs at least one structure")
         first = parts[0]
@@ -366,7 +343,7 @@ class Objective:
         self.t_prior, self.t_chain, self.t_x = t[:reg_end], t[:n_chain], t[n_chain:reg_end]
         self.loc_of = loc_of = np.empty(reg_end, dtype=np.intp)
         self.inv = inv = np.empty(reg_end)
-        self.inv_chain, self.inv_x = inv[:n_chain], inv[n_chain:]
+        self.inv_x = inv[n_chain:]
         self.neg_two_inv2 = np.zeros(reg_end - n_chain)
         self.beta_shift = np.concatenate([p.beta_shift for p in parts])
         # work buffers: each structure's reductions read its slices of them
@@ -444,6 +421,20 @@ class Objective:
             self.fit_terms = [(p.n, self.log_terms[rows], self.shares[rows], at)
                               for p, (_, _, _, rows, at) in zip(parts, self.places)]
         self.values = []
+
+    @classmethod
+    def stack(cls, problems, include_jacobian):
+        """The objective of the structures (inputs, hp, packing,
+        calibration) in problems, stacked in that order. They must share
+        the regression transform and the noise family."""
+        return cls([_Structure(*problem) for problem in problems], include_jacobian)
+
+    def subset(self, keep):
+        """(the stack of the structures at the increasing places keep, and
+        where the entries of its theta sit in this one's theta), built from
+        this stack's compiled parts."""
+        return (Objective([self.parts[k] for k in keep], self.include_jacobian),
+                np.flatnonzero(np.isin(self.owner, keep)))
 
     def _sigmas(self, theta):
         """Each structure's (ln sigma_obs, sigma_obs) at theta. A sigma that
@@ -587,9 +578,10 @@ class Objective:
         band over the knots in their time order: G / sigma^2 under Gaussian
         noise, and under Student-t noise the observed information Z'WZ, for
         W each row's -d^2/dfit^2 at the residual the call left in resid,
-        assembled from Z's tiles per structure, as _gram does G. Its column of ln
-        sigma is 2 d/dbeta of the likelihood under Gaussian noise and Z'
-        times each row's -d^2/dfit d ln sigma under Student-t; ln sigma's
+        which _gram builds from Z's tiles per structure, as it builds G. Its
+        column of ln sigma is 2 d/dbeta of the likelihood under Gaussian noise
+        and Z' times each row's -d^2/dfit d ln sigma under Student-t (the c
+        _gram returns with Z'WZ); ln sigma's
         own entry is 2 ss / sigma^2, or 2 (nu + 1) sum q / (1 + q)^2 for q =
         r^2 / (nu sigma^2). The windows add their H. Each folded-normal or
         Gaussian term adds its -d^2/dx^2 on its entry, its -d^2/dloc^2 on
@@ -650,14 +642,11 @@ class Objective:
             w = (nu + 1.0) * (nu_var - sq) / denom2
             d_sigma = 2.0 * (nu + 1.0) * self.resid * nu_var / denom2
             shares = sq * nu_var / denom2
-            column, band, band_var = np.zeros(order.size), [], 1.0
+            column, band, band_var = np.empty(order.size), [], 1.0
             for p, (_, _, lin, rows, at) in zip(self.parts, self.places):
-                w_p, d_p, products = w[rows], d_sigma[rows], []
-                for tile_rows, knots, zt in p.tiles:
-                    column[knots + lin.start] += zt @ d_p[tile_rows]
-                    products.append((knots, (zt * w_p[tile_rows]) @ zt.T))
                 # its own band, so a product has the bits of its Hessian alone
-                band += _offset(_band_blocks(products, p.order.size), lin.start)
+                blocks, column[lin] = _gram(p.tiles, p.order.size, d_sigma[rows], w[rows])
+                band += _offset(blocks, lin.start)
                 if at is not None:
                     curv[at] = 2.0 * (nu + 1.0) * float(shares[rows].sum())
         band_diag = np.zeros(order.size)

@@ -18,7 +18,7 @@ from .errors import (Count, NonNegative, NonNegativeInt, Positive, ValidationErr
                      check_fields, check_value, from_block)
 from .fourier import FourierSpec, Period
 from .simulation import Length, Probability
-from .timeframe import CsvSchema
+from .timeframe import CsvSchema, parse_date
 
 
 # A key where 0 means automatic or off (rho, init_scale_lev, noise_df, the
@@ -130,6 +130,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     fourier_specs(cfg)
     coef_init_values(cfg)
     sparsity_fields(cfg)
+    parse_date(cfg.sim_start_date, "in config key 'sim_start_date'")
     return cfg
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import Bound, Count, NonNegative, NonNegativeInt, ValidationError, check_fields
 from .fourier import Period
-from .timeframe import TimeSeriesFrame, write_table
+from .timeframe import TimeSeriesFrame, parse_date, write_table
 
 
 Probability = Annotated[float, Bound(">=", 0), Bound("<=", 1)]
@@ -104,11 +104,6 @@ def _walk_coefficients(init, steps, reflect):
     return coef
 
 
-def _calendar(start_date: str, T: int) -> np.ndarray:
-    start = np.datetime64(start_date, "D")
-    return start + np.arange(T)
-
-
 def _check_generated(y: np.ndarray, x: np.ndarray) -> None:
     """The generators run under np.errstate, so settings too large for
     floats surface here, once, instead of as warnings and a data error."""
@@ -142,7 +137,7 @@ def simulate_rw(config: SimConfig) -> SimDataset:
         y = trend + (coef * x).sum(axis=1) + noise
     _check_generated(y, x)
     frame = TimeSeriesFrame(
-        timestamps=_calendar(config.start_date, T),
+        timestamps=parse_date(config.start_date, "in start_date") + np.arange(T),
         response=y,
         regressors=x,
         regressor_names=tuple(f"x{p + 1}" for p in range(P)),
@@ -200,7 +195,7 @@ def simulate_multiplicative(config: MultiplicativeSimConfig) -> SimDataset:
         y, x = np.exp(log_y), np.exp(log_x)
     _check_generated(y, x)
     frame = TimeSeriesFrame(
-        timestamps=_calendar(config.start_date, T),
+        timestamps=parse_date(config.start_date, "in start_date") + np.arange(T),
         response=y,
         regressors=x,
         regressor_names=tuple(f"x{p + 1}" for p in range(P)),

@@ -8,6 +8,7 @@ arrays the rest of the package consumes.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -144,14 +145,19 @@ def model_scale(structure, regressors, response=None):
     return np.log(np.maximum(x, structure.floor_epsilon)), y
 
 
+# a date starts with a four-digit year ('+' allowed), alone or before '-':
+# numpy also reads 'today', 'now' and years of any length ('20200101')
+_DATE_START = re.compile(r"\s*\+?[0-9]{4}(?:-|\s*$)")
+
+
 def parse_date(text: str, where: str) -> np.datetime64:
-    """text, stripped, as a day; a blank or 'NaT' cell is unparsable too."""
+    """text, stripped, as a day of a four-digit year; blank or 'NaT' is unparsable."""
     text = text.strip()
     try:
         date = np.datetime64(text, "D")
     except ValueError:
         date = np.datetime64("NaT")
-    if np.isnat(date):
+    if np.isnat(date) or not _DATE_START.match(text):
         raise ValidationError(f"unparsable date {text!r} {where}") from None
     return date
 
@@ -162,7 +168,7 @@ def read_table(path: str, columns: dict, where: str = "row {}", rest: str | None
     columns, then, when rest is a kind, every other header column as that kind.
 
     columns maps each required header name to its kind: "date" (the stripped
-    cell as a day; a blank or 'NaT' cell is unparsable), "number" (float())
+    cell as parse_date reads it), "number" (float())
     or "text" (the stripped cell, in a list; the others are arrays). Header
     names are stripped and must be distinct, and blank lines are skipped.
     Every data row must hold one cell per header column, but only the first
@@ -201,8 +207,8 @@ def read_table(path: str, columns: dict, where: str = "row {}", rest: str | None
         for c, kind in kinds.items():
             if kind == "date":
                 table[c] = np.array([s.strip() for s in cells[idx[c]]], dtype="datetime64[D]")
-                if np.isnat(table[c]).any():
-                    raise ValueError("a blank or NaT date")
+                if np.isnat(table[c]).any() or not all(map(_DATE_START.match, cells[idx[c]])):
+                    raise ValueError("a blank or NaT date, or not a four-digit year")
             elif kind == "number":
                 table[c] = np.array(list(map(float, cells[idx[c]])), dtype=float)
             else:

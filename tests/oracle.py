@@ -50,7 +50,7 @@ def check_gradient(inputs: ModelInputs, hp: HyperParams,
     packing = packing or default_packing(inputs)
     if theta0 is None:
         theta0 = initial_theta(inputs, hp, packing)
-    f = Objective(inputs, hp, packing, calibration, include_jacobian)
+    f = Objective.stack([(inputs, hp, packing, calibration)], include_jacobian)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     per_point = []
     perturbed = 0

@@ -1222,3 +1222,79 @@ def test_successive_calls_share_one_parser_and_no_state(capsys, tmp_path, svi_fi
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: btvc")
     assert run(capsys, "fit", "--bogus") == usage
+
+
+@pytest.fixture(scope="module")
+def map_fit(svi_fit):
+    """A MAP fit of svi_fit's series: fit.json."""
+    _, data, _ = svi_fit
+    out = data.parent.parent / "map_fit"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", "--data", str(data), "--out", str(out), *FAST]) == 0
+    return out / "fit.json"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("no future", "predict needs --future when the fit has regressors"),
+    ("missing future", "[Errno 2] No such file or directory: '{missing}'"),
+    ("short future", "horizon 5 exceeds the 3 supplied future rows"),
+    ("unparsable quantiles", "unparsable quantiles 'x'"),
+    ("quantile out of range", "quantile levels must lie in (0, 1)"),
+    ("quantiles of a MAP fit", "quantile forecasts need an SVI fit; refit with mode=svi"),
+])
+def test_a_rejected_predict_leaves_no_out_directory(capsys, tmp_path, svi_fit, map_fit, case,
+                                                     message):
+    # predict used to make --out before it checked --future, the future
+    # file and --quantiles, so each of these left an empty directory
+    fit_json, _, future = svi_fit
+    missing = tmp_path / "missing.csv"
+    argv = {
+        "no future": ["--fit", str(fit_json), "--horizon", "3"],
+        "missing future": ["--fit", str(fit_json), "--horizon", "3", "--future", str(missing)],
+        "short future": ["--fit", str(fit_json), "--horizon", "5", "--future", str(future)],
+        "unparsable quantiles": ["--fit", str(fit_json), "--horizon", "3", "--future",
+                                 str(future), "--quantiles", "x"],
+        "quantile out of range": ["--fit", str(fit_json), "--horizon", "3", "--future",
+                                  str(future), "--quantiles", "0.5,1.5"],
+        "quantiles of a MAP fit": ["--fit", str(map_fit), "--horizon", "0", "--quantiles", "0.5"],
+    }[case]
+    code, out, err = run(capsys, "predict", *argv, "--out", str(tmp_path / "fc"))
+    assert (code, out, err) == (1, "", f"error: {message.format(missing=missing)}\n")
+    assert not (tmp_path / "fc").exists()
+
+
+def test_a_noise_df_beyond_every_float_fits_as_gaussian_noise(capsys, tmp_path, svi_fit):
+    # noise_df=1e308 used to end in OverflowError: math range error; its
+    # rows are now those of the Gaussian, to rounding
+    _, data, _ = svi_fit
+    summaries = []
+    for name, extra in (("t", ["--set", "noise_df=1e308"]), ("gauss", [])):
+        code, out, err = run(capsys, "fit", "--data", str(data), "--out", str(tmp_path / name),
+                             *FAST, *extra)
+        assert (code, err) == (0, "")
+        summaries.append(out.split("objective ")[1])
+    assert summaries[0] == summaries[1]
+
+
+def out_of_domain_values(kind):
+    """The out-of-domain text for a RunConfig key of this kind."""
+    return {str: ["garbage"], int: ["-1"], float: ["nan", "inf", "-inf", "1e308", "-1e308"]}[kind]
+
+
+def test_no_setting_ends_in_a_traceback(capsys, tmp_path, monkeypatch):
+    # each key in turn, through --set: simulate for the sim_ keys, a short
+    # MAP fit of 30 rows for the others. Counts so large that numpy refuses
+    # the allocation (sim_length=999999999999 ends in MemoryError) are left
+    # untested. sim_start_date=garbage used to end in a ValueError traceback
+    # and noise_df=1e308 in an OverflowError
+    monkeypatch.chdir(tmp_path)  # out=garbage writes there
+    assert simulate_small(capsys, "sim", extra=("--set", "sim_length=30"))[0] == 0
+    fit = ["fit", "--data", "sim/data.csv", "--out", "o", "--set", "map_iterations=5"]
+    for f in dataclasses.fields(RunConfig):
+        argv = ["simulate", "--out", "o"] if f.name.startswith("sim_") else fit
+        for value in out_of_domain_values(type(f.default)):
+            code, out, err = run(capsys, *argv, "--set", f"{f.name}={value}")
+            assert code in (0, 1, 2), (f.name, value)
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, (f.name, value, err)
+                assert out == "", (f.name, value)

@@ -44,6 +44,20 @@ def test_smape_range_and_length_check():
         smape(np.array([1.0, 2.0]), np.array([1.0]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: smape(np.zeros(0), np.zeros(0)), "smape needs at least one point"),
+    (lambda: pinball(np.ones(3), np.ones(2), 0.5), "pinball shapes disagree: (3,) vs (2,)"),
+    (lambda: pinball(np.ones((2, 2)), np.ones((2, 2)), 0.5),
+     "pinball shapes disagree: (2, 2) vs (2, 2)"),
+    (lambda: seasonal_naive_forecaster(7)(make_frame(T=6, P=1), 3, None, 0),
+     "training window shorter than the naive period"),
+])
+def test_metric_and_naive_forecaster_errors_name_their_problem(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 @settings(deadline=None)
 @given(st.lists(scale_safe_floats, min_size=1, max_size=30).map(np.array),
        st.data())

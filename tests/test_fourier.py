@@ -22,6 +22,11 @@ def test_empty_specs_gives_zero_columns():
     assert design.shape == (8, 0)
 
 
+def test_design_needs_a_row():
+    with pytest.raises(ValidationError, match="^T must be >= 1, got 0$"):
+        fourier_design(0, (FourierSpec(7.0, 1),))
+
+
 def test_entries_bounded_by_one():
     design = fourier_design(500, (FourierSpec(7.0, 3), FourierSpec(30.5, 4)))
     assert np.max(np.abs(design)) <= 1.0 + 1e-12

@@ -78,6 +78,13 @@ def conjugate_problem(seed, T=40, sigma=0.8, sigma_reg=1.2, mu0=0.4):
 # packing
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("x", [0.0, -1.0, -np.inf])
+def test_softplus_inverse_rejects_a_non_positive_input(x):
+    with pytest.raises(ValidationError,
+                       match="^softplus inverse needs strictly positive inputs$"):
+        softplus_inv(np.array([1.0, x]))
+
+
 def test_softplus_inverse_round_trip():
     t = np.linspace(-20, 20, 101)
     assert np.allclose(softplus_inv(softplus(t)), t, atol=1e-9)
@@ -279,7 +286,7 @@ def test_underflowing_sigma_is_non_finite_in_reference_and_compiled(noise_df):
     hp = HyperParams(noise_df=noise_df)
     packing = dataclasses.replace(default_packing(inputs), fixed_sigma_obs=1e-200)
     theta = initial_theta(inputs, hp, packing)
-    f = objective.Objective(inputs, hp, packing, (), include_jacobian=False)
+    f = objective.Objective.stack([(inputs, hp, packing, ())], include_jacobian=False)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         reference = log_posterior(packing.unpack(theta), inputs, hp)
         compiled, _ = f(theta)
@@ -333,7 +340,7 @@ def test_map_in_place_adam_equals_the_allocating_update():
     fit = fit_map(inputs, hp, config, calibration=terms)
 
     packing = default_packing(inputs)
-    f = objective.Objective(inputs, hp, packing, terms, include_jacobian=False)
+    f = objective.Objective.stack([(inputs, hp, packing, terms)], include_jacobian=False)
     theta = initial_theta(inputs, hp, packing)
     m = v = np.zeros(packing.dim)
     lr = config.learning_rate
@@ -392,7 +399,7 @@ def test_svi_deterministic_and_ascending():
     # The run starts near its optimum, so its one-draw ELBO trace is flat
     # in the tail and its slope is noise. Ascent is scored on fixed draws
     # instead: the returned moments beat the start and a half-budget run.
-    f = objective.Objective(inputs, hp, a.packing, (), include_jacobian=True)
+    f = objective.Objective.stack([(inputs, hp, a.packing, ())], include_jacobian=True)
     eps = np.random.default_rng(0).standard_normal((2000, a.packing.dim))
     half = fit_svi(inputs, hp, dataclasses.replace(sc, iterations=300),
                    init=fit_map(inputs, hp, mc))
@@ -421,7 +428,7 @@ def test_svi_in_place_step_equals_the_allocating_update(iterations, every, setti
 
     packing = init.packing
     dim = packing.dim
-    f = objective.Objective(inputs, hp, packing, terms, include_jacobian=True)
+    f = objective.Objective.stack([(inputs, hp, packing, terms)], include_jacobian=True)
     hessian = f.hessian(init.theta)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     mean = init.theta
@@ -477,6 +484,30 @@ def test_svi_non_finite_gradient_on_an_untraced_step_raises_there(bad_step, monk
     assert exc.value.trace == clean.trace[:bad_step // 10 + 1]
 
 
+def test_svi_non_finite_elbo_on_a_traced_step_raises_there(monkeypatch):
+    # the gradient stays finite, so only the ELBO check of traced step 20 can
+    # stop the fit; the trace holds steps 0 and 10
+    inputs, hp = small_problem(seed=28)
+    init = fit_map(inputs, hp, MapConfig(iterations=200))
+    config = SviConfig(iterations=30, seed=5)
+    clean = fit_svi(inputs, hp, config, init=init)
+    real = objective.Objective.value
+    calls = {"n": 0}
+
+    def poisoned(self):
+        total = real(self)
+        calls["n"] += 1
+        if calls["n"] == 3:
+            self.values = [np.inf]
+        return total
+
+    monkeypatch.setattr(objective.Objective, "value", poisoned)
+    with pytest.raises(DivergenceError, match="^ELBO became non-finite at iteration 20$") as exc:
+        fit_svi(inputs, hp, config, init=init)
+    assert exc.value.iteration == 20
+    assert exc.value.trace == clean.trace[:2]
+
+
 def test_svi_runs_under_the_packing_of_its_start():
     inputs, hp = small_problem(seed=29)
     config = SviConfig(iterations=40, seed=6)
@@ -500,7 +531,7 @@ def test_svi_start_is_the_capped_hessian_diagonal():
     # the conjugate target is exactly Gaussian, so the diagonal gives the
     # posterior sd at any theta
     inputs, hp, packing, _, post_mean, post_sd = conjugate_problem(0)
-    f = objective.Objective(inputs, hp, packing, (), include_jacobian=True)
+    f = objective.Objective.stack([(inputs, hp, packing, ())], include_jacobian=True)
     cap = SviConfig().init_log_sd
     assert np.log(post_sd) < cap
     for theta in (post_mean, post_mean + 3.0):
@@ -515,7 +546,8 @@ def test_svi_start_is_the_capped_hessian_diagonal():
     # byte-equal on repeated calls
     inputs, hp = small_problem(seed=27)
     packing = default_packing(inputs)
-    f = objective.Objective(inputs, hp, packing, window_terms(inputs, 1), include_jacobian=True)
+    f = objective.Objective.stack([(inputs, hp, packing, window_terms(inputs, 1))],
+                                  include_jacobian=True)
     theta = initial_theta(inputs, hp, packing)
     first = inference._start_log_sd(-f.hessian(theta).diagonal, cap)
     assert first.tobytes() == inference._start_log_sd(-f.hessian(theta).diagonal, cap).tobytes()
@@ -546,7 +578,7 @@ def test_default_svi_budget_reaches_the_long_run_elbo(seed, monkeypatch):
                         lambda curvature, cap: np.full(curvature.size, -3.0))
     flat = fit_svi(inputs, hp, SviConfig(iterations=5000, seed=seed), calibration=terms,
                    init=init)
-    f = objective.Objective(inputs, hp, init.packing, terms, include_jacobian=True)
+    f = objective.Objective.stack([(inputs, hp, init.packing, terms)], include_jacobian=True)
     # the scoring draws come from a stream apart from the fits' steps
     eps = np.random.default_rng([seed, 1]).standard_normal((2000, init.packing.dim))
     shortfall = (fixed_draw_elbo(f, flat.variational_mean, flat.variational_log_sd, eps)
@@ -585,7 +617,7 @@ def test_default_svi_ends_above_the_plain_2000_step_loop(seed):
     inputs, hp, cfg, terms = svi_calibrated_replica(seed)
     init = fit_map(inputs, hp, map_config_from(cfg), calibration=terms)
     fit = fit_svi(inputs, hp, svi_config_from(cfg), calibration=terms, init=init)
-    f = objective.Objective(inputs, hp, init.packing, terms, include_jacobian=True)
+    f = objective.Objective.stack([(inputs, hp, init.packing, terms)], include_jacobian=True)
     plain = plain_svi(f, init, dataclasses.replace(svi_config_from(cfg), iterations=2000))
     eps = np.random.default_rng([seed, 1]).standard_normal((2000, init.packing.dim))
     gain = (fixed_draw_elbo(f, fit.variational_mean, fit.variational_log_sd, eps)
@@ -617,7 +649,7 @@ def test_svi_gradient_on_a_gaussian_target_does_not_depend_on_the_draw(monkeypat
     # posterior sd, where diag(H) sd^2 + 1 = 0. The plain estimator's mean
     # part, g(mean) + Hv, spreads by |H| sd, about 8 here.
     inputs, hp, packing, _, post_mean, _ = conjugate_problem(0)
-    f = objective.Objective(inputs, hp, packing, (), include_jacobian=True)
+    f = objective.Objective.stack([(inputs, hp, packing, ())], include_jacobian=True)
     map_fit = fit_map(inputs, hp, MapConfig(iterations=50), packing=packing)
     for mean in (post_mean, post_mean + 0.3):
         theta = np.array([mean])
@@ -639,7 +671,7 @@ def test_control_variate_keeps_the_gradient_mean_and_lowers_its_variance():
     inputs, hp, cfg, terms = svi_calibrated_replica(703)
     init = fit_map(inputs, hp, map_config_from(cfg), calibration=terms)
     fit = fit_svi(inputs, hp, svi_config_from(cfg), calibration=terms, init=init)
-    f = objective.Objective(inputs, hp, init.packing, terms, include_jacobian=True)
+    f = objective.Objective.stack([(inputs, hp, init.packing, terms)], include_jacobian=True)
     hessian = f.hessian(init.theta)
     mean, sd = fit.variational_mean, np.exp(fit.variational_log_sd)
     plain, controlled = [], []
@@ -883,13 +915,20 @@ def subnormal_kernel_problem():
     return ModelInputs(design=design, target=inputs.target)
 
 
-def dense_gram(design, r0, with_level):
-    """(G, c): the dense G = Z'Z and c = Z'r0 over theta's knot order, the
-    reference objective._gram's blocks are checked against bit for bit.
+def gram(design, r0, with_level, w=None):
+    """(order, blocks, c): objective._gram over the design's tiles."""
+    order, tiles = objective._design_tiles(design, with_level)
+    return (order, *objective._gram(tiles, order.size, r0, w))
+
+
+def dense_gram(design, r0, with_level, row_w=None):
+    """(G, c): the dense G = Z'WZ (W = diag(row_w), or the identity) and c = Z'r0
+    over theta's knot order, the reference objective._gram's blocks are
+    checked against bit for bit.
 
     Z' is built TILE_ROWS time rows at a time with weights below
-    WEIGHT_FLOOR left out, as _gram builds it; each tile's product is
-    added into G in tile order, so every entry is the sum _gram's blocks
+    WEIGHT_FLOOR left out, as _design_tiles builds it; each tile's product
+    is added into G in tile order, so every entry is the sum _gram's blocks
     must hold.
     """
     parts = [(design.k_seas.weights, np.ascontiguousarray(design.seasonal.T)),
@@ -914,7 +953,8 @@ def dense_gram(design, r0, with_level):
                           slice(height, height + blocks[-1].shape[0])))
             height += blocks[-1].shape[0]
         zt = np.vstack(blocks)
-        g_block, c_block = zt @ zt.T, zt @ r0[rows]
+        g_block = zt @ zt.T if row_w is None else (zt * row_w[rows]) @ zt.T
+        c_block = zt @ r0[rows]
         for into, local in spans:
             c[into] += c_block[local]
             for into_col, local_col in spans:
@@ -935,7 +975,7 @@ def multi_block_problem():
                          k_seas=d.k_seas,
                          k_reg=kernel_matrix(build_grid(T, distance=2), "gaussian", rho=1.0))
     inputs = ModelInputs(design=design, target=inputs.target)
-    assert len(objective._gram(design, inputs.target, True)[1]) >= 3
+    assert len(gram(design, inputs.target, True)[1]) >= 3
     assert not np.all(dense_gram(design, inputs.target, True)[0].any(axis=1))
     return inputs
 
@@ -1024,7 +1064,7 @@ def jittered_theta(theta0, packing, rng):
 @pytest.mark.parametrize("variant", COMPILED_VARIANTS)
 def test_compiled_objective_matches_reference(variant, include_jacobian):
     inputs, hp, packing, terms = compiled_variant(variant)
-    compiled = objective.Objective(inputs, hp, packing, terms, include_jacobian)
+    compiled = objective.Objective.stack([(inputs, hp, packing, terms)], include_jacobian)
     reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
     rng = np.random.default_rng(len(variant))
@@ -1044,7 +1084,7 @@ def test_compiled_objective_keeps_no_state_between_calls(variant, include_jacobi
     # is through later calls (fit_map keeps best_grad without a copy); a
     # call given out= writes the same gradient there (fit_svi's path)
     inputs, hp, packing, terms = compiled_variant(variant)
-    f = objective.Objective(inputs, hp, packing, terms, include_jacobian)
+    f = objective.Objective.stack([(inputs, hp, packing, terms)], include_jacobian)
     rng = np.random.default_rng(len(variant))
     theta0 = initial_theta(inputs, hp, packing)
     a, b = (jittered_theta(theta0, packing, rng) for _ in range(2))
@@ -1119,7 +1159,7 @@ def test_curvature_is_the_hessian_diagonal(variant, include_jacobian):
     # jittered points sit far from every Laplace kink, where the diagonal
     # is smooth and central differences of the gradient read it to ~1e-9
     inputs, hp, packing, terms = compiled_variant(variant)
-    f = objective.Objective(inputs, hp, packing, terms, include_jacobian)
+    f = objective.Objective.stack([(inputs, hp, packing, terms)], include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
     rng = np.random.default_rng(len(variant))
     for _ in range(3):
@@ -1134,7 +1174,7 @@ def test_curvature_reads_no_kink():
     # exact diagonal keeps the value it has just off the kink
     inputs, hp = small_problem(seed=27)
     packing = default_packing(inputs)
-    f = objective.Objective(inputs, hp, packing, (), include_jacobian=True)
+    f = objective.Objective.stack([(inputs, hp, packing, ())], include_jacobian=True)
     theta = jittered_theta(initial_theta(inputs, hp, packing), packing,
                            np.random.default_rng(5))
     theta[1] = theta[0]
@@ -1207,7 +1247,7 @@ STACKS = {
 def test_a_stacked_objective_computes_each_structure_as_it_does_alone(group, include_jacobian):
     variants = [compiled_variant(name) for name in STACKS[group]]
     stack = objective.Objective.stack(variants, include_jacobian)
-    alone = [objective.Objective(*v, include_jacobian) for v in variants]
+    alone = [objective.Objective.stack([v], include_jacobian) for v in variants]
     keep = [0, 2] if len(variants) > 2 else [1]
     sub, entries = stack.subset(keep)
     rng = np.random.default_rng(len(group))
@@ -1297,7 +1337,7 @@ def test_each_run_of_a_stacked_fit_equals_its_fit_alone(case):
     hessian = stack.hessian(theta)
     product = hessian.dot(v)
     for problem, fit, at in zip(problems, fits, stack.theta_of):
-        alone = objective.Objective(*problem, include_jacobian=True).hessian(fit.theta)
+        alone = objective.Objective.stack([problem], include_jacobian=True).hessian(fit.theta)
         assert hessian.diagonal[at].tobytes() == alone.diagonal.tobytes()
         assert product[at].tobytes() == alone.dot(v[at]).tobytes()
 
@@ -1326,7 +1366,7 @@ def test_each_run_of_a_stacked_svi_fit_equals_its_fit_alone(case):
     assert [len(fit.trace) for fit in fits] == [22, 22, 22]
     # each run's cap binds on some entries of its start
     for inputs, hp, config, packing, terms, init in runs:
-        f = objective.Objective(inputs, hp, init.packing, terms, include_jacobian=True)
+        f = objective.Objective.stack([(inputs, hp, init.packing, terms)], include_jacobian=True)
         assert np.any(inference._start_log_sd(-f.hessian(init.theta).diagonal, np.inf)
                       > config.init_log_sd)
 
@@ -1399,7 +1439,7 @@ def test_compiled_objective_at_extreme_arguments(variant, include_jacobian):
     # sees arguments from 0 to very negative. (a < 0 cannot occur: softplus
     # keeps x and loc >= 0.)
     inputs, hp, packing, terms = compiled_variant(variant)
-    compiled = objective.Objective(inputs, hp, packing, terms, include_jacobian)
+    compiled = objective.Objective.stack([(inputs, hp, packing, terms)], include_jacobian)
     reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
     theta0 = initial_theta(inputs, hp, packing)
     reg = slice(packing.slices()["b_reg"].start, packing.slices()["mu_reg"].stop)
@@ -1466,7 +1506,7 @@ def test_gram_likelihood_matches_reference_near_the_optimum(T, windowed):
     inputs, hp, packing, terms, theta_map = fitted_structure(T, windowed)
     rng = np.random.default_rng(T)
     thetas = [theta_map] + [theta_map + rng.normal(0, 0.01, packing.dim) for _ in range(10)]
-    compiled = objective.Objective(inputs, hp, packing, terms, windowed)
+    compiled = objective.Objective.stack([(inputs, hp, packing, terms)], windowed)
     reference = reference_objective(inputs, hp, packing, terms, windowed)
     value_err, grad_err = max_relative_errors(compiled, reference, thetas)
     assert value_err <= 1e-13
@@ -1500,14 +1540,18 @@ def gram_case(case):
 
 
 @pytest.mark.parametrize("case", ["default_3000", "multi_block", "fixed_trend", "no_fourier",
-                                  "no_regressors", "one_tile", "no_knots"])
+                                  "no_regressors", "one_tile", "no_knots",
+                                  "multi_block_weighted", "fixed_trend_weighted"])
 def test_gram_blocks_hold_g_exactly(case):
     # the blocks, put back in theta's order, are the dense reference G bit
     # for bit, so no nonzero is dropped, and c is its c in time order; the
-    # blocks' product is G @ beta up to rounding
+    # blocks' product is G @ beta up to rounding. Weighted, G is Z'WZ, as
+    # Objective.hessian builds it under Student-t noise
+    case, weighted = case.removesuffix("_weighted"), case.endswith("_weighted")
     design, r0, with_level = gram_case(case)
-    G, c = dense_gram(design, r0, with_level)
-    order, blocks, c_time = objective._gram(design, r0, with_level)
+    w = np.random.default_rng(4).uniform(-0.5, 2.0, r0.size) if weighted else None
+    G, c = dense_gram(design, r0, with_level, w)
+    order, blocks, c_time = gram(design, r0, with_level, w)
     assert sorted(order) == list(range(G.shape[0]))
     assert np.array_equal(c_time, c[order])
     permuted, product = np.zeros_like(G), np.empty(G.shape[0])
@@ -1537,7 +1581,7 @@ def test_gram_blocks_of_small_default_structures_are_one_block(T):
     _, inputs, _ = default_structure(T)
     design, y = inputs.design, inputs.target
     G, _ = dense_gram(design, y - y.mean(), True)
-    _, blocks, _ = objective._gram(design, y - y.mean(), True)
+    _, blocks, _ = gram(design, y - y.mean(), True)
     assert len(blocks) == 1
     assert blocks[0][2].shape == G.shape
 
@@ -1553,13 +1597,13 @@ def test_compile_allocates_no_dense_gram():
     dim = packing.slices()["b_reg"].stop
     tracemalloc.start()
     try:
-        objective.Objective(inputs, hp, packing, (), include_jacobian=False)
+        objective.Objective.stack([(inputs, hp, packing, ())], include_jacobian=False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * dim * dim
     y = inputs.target
-    _, blocks, _ = objective._gram(inputs.design, y - y.mean(), True)
+    _, blocks, _ = gram(inputs.design, y - y.mean(), True)
     assert sum(block.size for _, _, block in blocks) < 500_000
 
 
@@ -1588,8 +1632,8 @@ def test_banded_kernels_give_the_objective_of_the_dense_reference(case):
     thetas = [theta0] + [theta0 + rng.normal(0, 0.1, packing.dim) for _ in range(10)]
     for include_jacobian in (False, True):
         value_err, grad_err = max_relative_errors(
-            objective.Objective(inputs, hp, packing, terms, include_jacobian),
-            objective.Objective(dense, hp, packing, terms, include_jacobian), thetas)
+            objective.Objective.stack([(inputs, hp, packing, terms)], include_jacobian),
+            objective.Objective.stack([(dense, hp, packing, terms)], include_jacobian), thetas)
         assert value_err <= 1e-12 and grad_err <= 1e-12
         value_err, grad_err = max_relative_errors(
             reference_objective(inputs, hp, packing, terms, include_jacobian),
@@ -1598,7 +1642,7 @@ def test_banded_kernels_give_the_objective_of_the_dense_reference(case):
     if case == "windows":
         r0 = inputs.target - inputs.target.mean()
         (order, blocks, c), (order_d, blocks_d, c_d) = (
-            objective._gram(x.design, r0, True) for x in (inputs, dense))
+            gram(x.design, r0, True) for x in (inputs, dense))
         assert np.array_equal(order, order_d) and np.array_equal(c, c_d)
         assert len(blocks) == len(blocks_d)
         for (rows, cols, block), (rows_d, cols_d, block_d) in zip(blocks, blocks_d):
@@ -1615,7 +1659,7 @@ def test_student_t_objective_through_design_tiles_matches_reference():
     rng = np.random.default_rng(5)
     thetas = [theta_map] + [theta_map + rng.normal(0, 0.01, packing.dim) for _ in range(10)]
     for include_jacobian in (False, True):
-        compiled = objective.Objective(inputs, hp, packing, terms, include_jacobian)
+        compiled = objective.Objective.stack([(inputs, hp, packing, terms)], include_jacobian)
         reference = reference_objective(inputs, hp, packing, terms, include_jacobian)
         value_err, grad_err = max_relative_errors(compiled, reference, thetas)
         assert value_err <= 1e-12 and grad_err <= 1e-12
@@ -1625,7 +1669,7 @@ def test_compiled_objective_error_paths():
     inputs, hp = small_problem(seed=73)
     packing = default_packing(inputs)
     theta = initial_theta(inputs, hp, packing)
-    f = objective.Objective(inputs, hp, packing, (), include_jacobian=False)
+    f = objective.Objective.stack([(inputs, hp, packing, ())], include_jacobian=False)
     with pytest.raises(ValidationError, match="packing dim"):
         f(theta[:-1])
     # exp(1000) overflows, but the value is taken from ln sigma itself: the

@@ -51,6 +51,24 @@ def test_build_grid_rejects_both_or_neither():
         build_grid(10)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_grid(10, distance=3, anchor="middle"),
+     "anchor must be 'end' or 'start', got 'middle'"),
+    (lambda: build_grid(10, distance=11), "knot distance 11 exceeds series length 10"),
+    (lambda: KnotGrid(knot_times=[1], T=0), "series length must be >= 1, got 0"),
+    (lambda: KernelMatrix(band=np.array([[1.5, -0.5]]), first=[0],
+                          grid=build_grid(10, distance=5)),
+     "kernel weights must be nonnegative"),
+    (lambda: kernel_matrix(build_grid(10, distance=5), "level", times=[1.0, np.nan]),
+     "times must be finite"),
+    (lambda: kernel_matrix(build_grid(10, distance=5), "cubic"), "unknown kernel kind 'cubic'"),
+])
+def test_grid_and_kernel_errors_name_their_problem(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_grid_rejects_out_of_range_times():
     with pytest.raises(ValidationError):
         KnotGrid(knot_times=[0, 5], T=10)

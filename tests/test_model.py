@@ -12,6 +12,8 @@ from btvc.model import (
     ModelDesign,
     ModelInputs,
     ParameterSet,
+    T_LIMIT_DF,
+    _log_likelihood_and_grads,
     coefficients,
     decompose,
     log_likelihood,
@@ -19,6 +21,7 @@ from btvc.model import (
     log_posterior_and_grad,
     log_prior,
     predict,
+    student_t_const,
 )
 
 
@@ -194,6 +197,62 @@ def test_hyperparams_reject_non_finite_settings(name, value):
         HyperParams(**{name: value})
 
 
+def shape_error(case):
+    """The call of a shape case of test_a_misshapen_input_names_its_problem."""
+    params, inputs = toy()
+    design = inputs.design
+    fields = dict(b_lev=params.b_lev, b_seas=params.b_seas, b_reg=params.b_reg,
+                  mu_reg=params.mu_reg, sigma_obs=params.sigma_obs)
+    parts = dict(regressors=design.regressors, seasonal=design.seasonal, k_lev=design.k_lev,
+                 k_seas=design.k_seas, k_reg=design.k_reg)
+    short = kernel_matrix(build_grid(29, count=3), "level")
+    return {
+        "empty b_lev": lambda: ParameterSet(**fields | dict(b_lev=np.zeros(0))),
+        "b_lev matrix": lambda: ParameterSet(**fields | dict(b_lev=np.zeros((3, 1)))),
+        "b_seas vector": lambda: ParameterSet(**fields | dict(b_seas=np.zeros(2))),
+        "b_reg vector": lambda: ParameterSet(**fields | dict(b_reg=np.ones(3))),
+        "mu_reg length": lambda: ParameterSet(**fields | dict(mu_reg=np.ones(3))),
+        "regressor rows": lambda: ModelDesign(**parts | dict(regressors=np.ones((29, 2)))),
+        "seasonal vector": lambda: ModelDesign(**parts | dict(seasonal=np.ones(30))),
+        "kernel rows": lambda: ModelDesign(**parts | dict(k_seas=short)),
+        "regressor names": lambda: ModelDesign(**parts, regressor_names=("tv",)),
+        "target shape": lambda: ModelInputs(design=design, target=np.ones(29)),
+        "non-finite target": lambda: ModelInputs(design=design,
+                                                 target=np.r_[np.ones(29), np.nan]),
+        "b_lev length": lambda: log_posterior(
+            ParameterSet(**fields | dict(b_lev=np.zeros(4))), inputs, HyperParams()),
+        "b_seas rows": lambda: log_posterior(
+            ParameterSet(**fields | dict(b_seas=np.zeros((3, 2)))), inputs, HyperParams()),
+        "b_reg rows": lambda: log_posterior(
+            ParameterSet(**fields | dict(b_reg=np.ones((2, 2)))), inputs, HyperParams()),
+        "coefficient knots": lambda: coefficients(
+            ParameterSet(**fields | dict(b_reg=np.ones((4, 2)))), design.k_reg),
+    }[case]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("empty b_lev", "b_lev must be a nonempty vector"),
+    ("b_lev matrix", "b_lev must be a nonempty vector"),
+    ("b_seas vector", "b_seas must be a matrix"),
+    ("b_reg vector", "b_reg must be a matrix"),
+    ("mu_reg length", "mu_reg length (3,) does not match 2 channels"),
+    ("regressor rows", "regressors shape (29, 2) does not match n=30"),
+    ("seasonal vector", "seasonal shape (30,) does not match n=30"),
+    ("kernel rows", "kernel matrices disagree on row count"),
+    ("regressor names", "regressor_names length mismatch"),
+    ("target shape", "target shape (29,) does not match design rows 30"),
+    ("non-finite target", "target contains non-finite values"),
+    ("b_lev length", "b_lev length does not match trend grid"),
+    ("b_seas rows", "b_seas rows do not match seasonal grid"),
+    ("b_reg rows", "b_reg rows do not match regression grid"),
+    ("coefficient knots", "b_reg rows do not match regression grid"),
+])
+def test_a_misshapen_input_names_its_problem(case, message):
+    with pytest.raises(ValidationError) as info:
+        shape_error(case)()
+    assert str(info.value) == message
+
+
 def test_negative_reg_knot_takes_the_normal_prior():
     # a set allowing negative knots (unpack's under the identity transform)
     # holds b_reg under a plain Normal(mu_reg, sigma_reg^2); mu_reg keeps its
@@ -270,6 +329,32 @@ def test_student_t_approaches_gaussian_at_huge_df():
     g = log_likelihood(params, inputs, HyperParams())
     t = log_likelihood(params, inputs, HyperParams(noise_df=1e6))
     assert abs(g - t) < 1e-3
+
+
+@pytest.mark.parametrize("nu", [1.0, 4.0, 1e6, 1e12, 1e16, 1e308])
+def test_student_t_constant_matches_a_high_precision_reference(nu):
+    # lgamma((nu + 1)/2) - lgamma(nu/2) used to cancel (2e-4 off at 1e12, 0
+    # from 1e16 on) and to overflow at 1e308; the reference carries enough
+    # digits for lgamma(5e307)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(340):
+        df = mpmath.mpf(nu)
+        reference = float(mpmath.loggamma((df + 1) / 2) - mpmath.loggamma(df / 2)
+                          - mpmath.log(df * mpmath.pi) / 2)
+    assert student_t_const(nu) == pytest.approx(reference, rel=1e-15, abs=0)
+
+
+def test_a_noise_df_beyond_every_float_gives_the_gaussian_likelihood():
+    # the rows are computed at T_LIMIT_DF, where they are the Gaussian's to
+    # rounding, and the constant tends to the Gaussian's
+    params, inputs = toy(seed=9)
+    g = log_likelihood(params, inputs, HyperParams())
+    for nu in (T_LIMIT_DF, 1e100, 1e308):
+        value, dfit, dlnsig = _log_likelihood_and_grads(params, inputs, HyperParams(noise_df=nu))
+        _, dfit_g, dlnsig_g = _log_likelihood_and_grads(params, inputs, HyperParams())
+        assert value == pytest.approx(g, rel=1e-14)
+        np.testing.assert_allclose(dfit, dfit_g, rtol=1e-14)
+        assert dlnsig == pytest.approx(dlnsig_g, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,18 @@ def test_validate_config_runs_all_derived_views():
         validate_config(bad)
 
 
+@pytest.mark.parametrize("value", ["today", "now", "20200101", "garbage", ""])
+def test_sim_start_date_is_a_day_of_a_four_digit_year(value):
+    # 'today' and 'now' used to simulate a calendar that moved with the run
+    # date, '20200101' one in the year 20200101, and 'garbage' ended in a
+    # ValueError traceback from the simulator
+    with pytest.raises(ValidationError, match=(
+            f"^unparsable date {value!r} in config key 'sim_start_date'$")):
+        merge_config(RunConfig(), {"sim_start_date": value})
+    for day in ("2021-03-04", "2021-03", "2021"):
+        assert merge_config(RunConfig(), {"sim_start_date": day}).sim_start_date == day
+
+
 @pytest.mark.parametrize("component", ["lev", "seas", "reg"])
 def test_knot_distance_is_checked_only_without_a_knot_count(component):
     # a count overrides the distance, so a config or fit document that

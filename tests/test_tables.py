@@ -13,6 +13,7 @@ import ast
 import csv
 import math
 import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -147,7 +148,9 @@ def reference_ingest(path):
             date = np.datetime64(raw, "D")
         except ValueError:
             date = np.datetime64("NaT")
-        if np.isnat(date):  # a blank or 'NaT' cell parses to NaT
+        # a blank or 'NaT' cell parses to NaT; numpy's 'today', 'now' and
+        # years of other than four digits are not dates of a series
+        if np.isnat(date) or not re.match(r"\+?[0-9]{4}(-|$)", raw):
             raise ValidationError(f"unparsable date {raw!r} at row {r}")
         dates.append(date)
         values = []
@@ -219,6 +222,14 @@ READER_CASES = [
     ("signed year", replace(1, "+2020-01-02,2.5,0,4"), None),
     ("padded date", replace(1, " 2020-01-02 ,2.5,0,4"), None),
     ("day-first date", replace(1, "02/01/2020,2.5,0,4"), "unparsable date '02/01/2020' at row 2"),
+    ("run date", replace(1, "today,2.5,0,4"), "unparsable date 'today' at row 2"),
+    ("run time", replace(2, "now,3.5,1,5"), "unparsable date 'now' at row 3"),
+    ("eight-digit dates", body("20200101,1.5,2,3", "20200102,2.5,0,4", "20200103,3.5,1,5"),
+     "unparsable date '20200101' at row 1"),
+    ("two-digit year", replace(1, "20-01-02,2.5,0,4"), "unparsable date '20-01-02' at row 2"),
+    ("five-digit year", replace(2, "12020-01-03,3.5,1,5"),
+     "unparsable date '12020-01-03' at row 3"),
+    ("negative year", replace(0, "-2020-01-01,1.5,2,3"), "unparsable date '-2020-01-01' at row 1"),
     ("blank date", replace(0, ",1.5,2,3"), "unparsable date '' at row 1"),
     ("NaT date", replace(2, "NaT,3.5,1,5"), "unparsable date 'NaT' at row 3"),
     ("duplicate date", replace(2, "2020-01-01,3.5,1,5"), "duplicate date 2020-01-01 at row 3"),
@@ -284,7 +295,7 @@ def test_ingest_csv_reads_regressorless_files_and_rejects_a_blank_date_in_a_long
         ingest_csv(str(path))
 
 
-@pytest.mark.parametrize("cell", ["", " ", "NaT", "nat"])
+@pytest.mark.parametrize("cell", ["", " ", "NaT", "nat", "today", "now", "20200102", "020-01-02"])
 def test_read_future_csv_rejects_a_nat_date(tmp_path, cell):
     path = tmp_path / "future.csv"
     path.write_text(f"date,x1\n2020-01-01,1\n{cell},2\n")
@@ -298,6 +309,8 @@ def test_read_future_csv_rejects_a_nat_date(tmp_path, cell):
     ("", "2020-01-05", "unparsable date '' at prior windows row 1"),
     ("2020-01-02", "NaT", "unparsable date 'NaT' at prior windows row 1"),
     ("2020-01-02", "2020-01-05x", "unparsable date '2020-01-05x' at prior windows row 1"),
+    ("today", "2020-01-05", "unparsable date 'today' at prior windows row 1"),
+    ("2020-01-02", "20200105", "unparsable date '20200105' at prior windows row 1"),
 ])
 def test_read_prior_windows_csv_rejects_a_nat_date(tmp_path, start, end, message):
     # a blank date used to parse to NaT and read as a date off the calendar

@@ -58,6 +58,22 @@ class TestFrameValidation:
         with pytest.raises(ValidationError, match="row 3"):
             TimeSeriesFrame(timestamps=ts, response=np.ones(3), regressors=np.ones((3, 1)))
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(response=np.ones(4)), "response shape (4,) does not match T=3"),
+        (dict(regressors=np.ones(3)), "regressors shape (3,) does not match T=3"),
+        (dict(regressors=np.ones((2, 1))), "regressors shape (2, 1) does not match T=3"),
+        (dict(regressor_names=("tv", "radio")), "1 regressor columns but 2 names"),
+        (dict(timestamps=np.array(["2024-01-03", "2024-01-02", "2024-01-01"],
+                                  dtype="datetime64[D]")),
+         "timestamps not strictly increasing at row 2"),
+    ])
+    def test_rejects_misshapen_or_unordered_fields(self, fields, message):
+        base = dict(timestamps=np.datetime64("2024-01-01", "D") + np.arange(3),
+                    response=np.ones(3), regressors=np.ones((3, 1)))
+        with pytest.raises(ValidationError) as info:
+            TimeSeriesFrame(**base | fields)
+        assert str(info.value) == message
+
     def test_rejects_negative_regressors_by_default(self):
         x = np.array([[1.0], [-0.5], [2.0]])
         with pytest.raises(ValidationError, match="row 2"):
@@ -130,6 +146,13 @@ class TestCsvIngest:
         assert np.array_equal(f.response, g.response)
         assert np.array_equal(f.regressors, g.regressors)
         assert np.array_equal(f.timestamps, g.timestamps)
+
+    def test_emit_rejects_a_schema_of_other_regressors(self, tmp_path):
+        schema = CsvSchema(regressor_cols=("tv",))
+        with pytest.raises(ValidationError,
+                           match="^schema regressor columns do not match frame$"):
+            emit_csv(make_frame(P=2), str(tmp_path / "s.csv"), schema)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_rows_sorted_by_date(self, tmp_path):
         p = tmp_path / "s.csv"
