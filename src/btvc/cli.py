@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import statistics
 import sys
 
 import numpy as np
@@ -54,9 +53,6 @@ from .simulation import (
 )
 from .timeframe import emit_csv
 
-# the last SVI steps whose traced ELBO estimates `btvc fit` averages for its
-# summary line
-_ELBO_SUMMARY_STEPS = 250
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,15 +182,9 @@ def cmd_fit(args) -> int:
     write_manifest(manifest, os.path.join(out, "manifest.json"))
     save_config(cfg, os.path.join(out, "config.txt"))
     if fit.mode == "svi":
-        # one trace entry is a single-sample ELBO estimate, of step i *
-        # trace_every for entry i; the mean over the last steps is what can
-        # be compared between fits
-        window = min(fit.n_iterations, _ELBO_SUMMARY_STEPS)
-        # the window's first traced step
-        first = -(-(fit.n_iterations - window) // fit.trace_every)
-        tail = fit.trace[first:]
-        summary = (f"mean ELBO of the last {window} steps ({len(tail)} traced) "
-                   f"{statistics.fmean(tail):.4f}")
+        # the last trace entry is the ELBO of the returned q, estimated on its
+        # step's draws
+        summary = f"ELBO of the last step {fit.trace[-1]:.4f}"
     else:
         summary = f"objective {fit.trace[-1]:.4f}"
     print(f"wrote {fit_path} (stop: {fit.stop_reason}, {summary})")

@@ -45,6 +45,13 @@ Positive = typing.Annotated[float, Bound(">", 0)]
 NonNegative = typing.Annotated[float, Bound(">=", 0)]
 Count = typing.Annotated[int, Bound(">=", 1)]
 NonNegativeInt = typing.Annotated[int, Bound(">=", 0)]
+# a prior's scale, and a location (0 may mean automatic): up to 1e100, so
+# that log(2 scale), a term's square and its mirror's products stay finite
+PriorScale = typing.Annotated[float, Bound(">", 0), Bound("<=", 1e100)]
+PriorLocation = typing.Annotated[float, Bound(">=", 0), Bound("<=", 1e100)]
+# a cap on SVI's starting log-sds, whose pivot floor exp(-2 cap) stays a
+# normal float
+LogSdCap = typing.Annotated[float, Bound(">=", -300), Bound("<=", 300)]
 
 # the types a declared int or float admits (isinstance with numbers.Real is far slower)
 _NUMBERS = {int: (int, np.integer), float: (int, np.integer, float, np.floating)}
@@ -81,7 +88,20 @@ def _rule(hint):
         return lambda v: None if any(rule(v) is None for rule in rules) else (
             sequence if isinstance(v, _SEQUENCES) else rules[0])(v)
     if hint is np.ndarray:
-        return _rule(tuple[float, ...])
+        entries = _rule(tuple[float, ...])
+
+        def vector(v):
+            # one type check and one finiteness pass; the rule per entry only
+            # words the problem (and takes the rest: tuples, huge ints)
+            try:
+                if ((isinstance(v, list) and {float, int} >= set(map(type, v))
+                     or isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype.kind in "fiu")
+                        and np.isfinite(np.asarray(v, dtype=float)).all()):
+                    return None
+            except OverflowError:
+                pass
+            return entries(v)
+        return vector
     if origin is tuple:
         if args[1:] == (Ellipsis,):
             entry = _rule(args[0])

@@ -17,8 +17,10 @@ the variational Gaussian approximates the posterior over theta. Both are
 compiled once per fit by objective.Objective; fit_maps and fit_svis fit
 several runs on one stacked objective, and fit_map and fit_svi one run.
 
-MAP and SVI both ascend through one in-place Adam stepper, _adam: moments
-0.9 and 0.999, eps 1e-8, and an exponentially decaying step size.
+MAP ascends through an in-place Adam stepper, _adam: moments 0.9 and
+0.999, eps 1e-8, and an exponentially decaying step size. SVI takes
+natural-gradient steps on a Gaussian whose precision has the Hessian's
+band-plus-border pattern (objective.BandFactor).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 
 from .errors import (
     Count,
+    LogSdCap,
     DivergenceError,
     NonNegative,
     Positive,
@@ -51,7 +54,7 @@ from .model import (
     log_posterior_and_grad,  # not called here; kept for perfbench's tracer to rebind
     stacked_coefficients,
 )
-from .objective import Objective
+from .objective import BandFactor, Objective, Precision
 
 __all__ = [
     "ParameterPacking",
@@ -296,7 +299,7 @@ def default_packing(inputs: ModelInputs) -> ParameterPacking:
 class MapConfig:
     """Optimizer settings for MAP: one Adam run from initial_theta.
 
-    The run steps through _adam, shared with SVI: moments 0.9 and 0.999,
+    The run steps through _adam: moments 0.9 and 0.999,
     eps 1e-8, and a step size decaying exponentially from learning_rate to
     final_learning_rate over the iteration budget. The run stops early when
     the best value has risen by at most rel_tol (relative) over the last
@@ -323,23 +326,20 @@ class MapConfig:
 
 @dataclass(frozen=True)
 class SviConfig:
-    """Settings for diagonal-Gaussian stochastic variational inference.
+    """Settings for stochastic variational inference (fit_svi).
 
-    init_log_sd caps the starting log-sds, which fit_svi takes from the
-    objective's exact Hessian diagonal at the MAP point, compiled beside
-    the objective (see _start_log_sd). Every step takes the gradient, with
-    the control variate of that Hessian (see fit_svi); only the steps t
-    with t % trace_every == 0 compute the ELBO, for the trace. The default
-    budget of iterations was chosen on simulator seeds apart from the
-    tests' (see README).
+    iterations caps the natural-gradient steps of a run that has not
+    converged. init_log_sd caps the start's conditional log-sds: fit_svi
+    starts the precision at -H at the MAP point with every pivot of its
+    factor at least exp(-2 init_log_sd). The steps t with t % trace_every
+    == 0 go in the trace. The step schedule and the stop rule were chosen
+    on simulator seeds apart from the tests' (see README).
     """
 
-    iterations: Count = 1400
-    learning_rate: Positive = 0.02
-    final_learning_rate: Positive = 1e-4
-    init_log_sd: float = -2.0
+    iterations: Count = 50
+    init_log_sd: LogSdCap = 0.0
     seed: int = 0
-    trace_every: Count = 10
+    trace_every: Count = 1
 
     def __post_init__(self):
         check_fields(self)
@@ -360,7 +360,10 @@ class FitResult:
     n_iterations: int
     grad_norm: float
     variational_mean: np.ndarray | None = None
+    # the marginal log-sds of q; q's precision is variational_factor's, or
+    # diagonal, exp(-2 log_sd), for a fit whose document holds no factor
     variational_log_sd: np.ndarray | None = None
+    variational_factor: BandFactor | None = None
     config: dict = field(default_factory=dict)
     # None for a library fit, which has no design recipe; saved as {}
     structure: Structure | None = None
@@ -618,116 +621,217 @@ def fit_maps(runs) -> list[FitResult]:
     return results
 
 
-def _start_log_sd(curvature: np.ndarray, cap: float) -> np.ndarray:
-    """SVI's starting log-sds from the objective's curvature -H_ii, the
-    negated diagonal of Objective.hessian: min(-ln(-H_ii) / 2, cap), and cap
-    wherever -H_ii <= 0 or is nan.
-
-    For a Gaussian target the mean-field optimum has variances 1 / -H_ii
-    exactly (Bishop, PRML 10.1.2), so the run starts near where it ends.
-    """
-    log_sd = np.full(curvature.size, float(cap))
-    ok = curvature > 0
-    log_sd[ok] = np.minimum(-0.5 * np.log(curvature[ok]), cap)
-    return log_sd
-
-
-# SVI steps whose noise one call draws
-_DRAW_BLOCK = 64
+# The natural-gradient steps of fit_svis: each takes _DRAW_PAIRS antithetic
+# pairs of draws; its step size is _FIRST_STEP * _STEP_DECAY^t, halved for
+# each step the run has rejected; a run has converged once _CALM_STEPS
+# steps in a row each moved q by a KL divergence under _KL_TOL nats.
+_DRAW_PAIRS = 2
+_FIRST_STEP = 0.5
+_STEP_DECAY = 0.92
+_KL_TOL = 0.03
+_CALM_STEPS = 2
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = None,
             packing: ParameterPacking | None = None, calibration=(), *,
             init: FitResult) -> FitResult:
-    """Fit a diagonal Gaussian over theta by reparameterized gradient ascent
-    with a control variate.
+    """Fit a Gaussian q = N(m, P^-1) over theta whose precision P has the
+    band-plus-border pattern of the objective's Hessian H (Tan & Nott,
+    Stat. Comput. 2018), by natural-gradient steps (Khan & Rue, JMLR 2023).
 
     The mean starts at init.theta, the point of a fit_map of the same
     problem under the same packing (by default init.packing; another one
-    raises ValidationError). The ELBO is E_q[f] + entropy(q) for f =
-    log_posterior + log-Jacobian; at init.theta fit_svi builds H, the
-    Hessian of f (Objective.hessian, once per fit), and the log-sds start
-    at _start_log_sd of its diagonal, capped at config.init_log_sd. Each
-    step takes one standard-normal draw eps of dim entries from
-    SeedSequence(config.seed), drawn _DRAW_BLOCK steps at a time, which
-    numpy's Generator fills in order: the stream a draw per step gives.
-
-    A step at theta = mean + v, v = sd eps, ascends g - Hv for the mean and
-    (g - Hv) v + diag(H) sd^2 + 1 for the log-sds, g the objective's
-    gradient at theta. Hv has mean 0 and (Hv) v has mean diag(H) sd^2 under
-    q, so for any fixed H the estimate is unbiased (Miller et al., NeurIPS
-    2017; Geffner & Domke, NeurIPS 2020); where the posterior is nearly
-    Gaussian, g - Hv hardly depends on the draw. A step needs only the
-    objective's gradient; the single-draw ELBO is computed on the steps t
-    with t % config.trace_every == 0, which the trace records. A non-finite
-    gradient at any step, or a non-finite ELBO at a traced one, raises
-    DivergenceError with the trace so far. This is fit_svis of one run.
+    raises ValidationError), and P at -H there, each pivot of its factor
+    lifted to at least exp(-2 config.init_log_sd). The ELBO is E_q[f] +
+    entropy(q) for f = log_posterior + log-Jacobian. Step t draws
+    _DRAW_PAIRS antithetic pairs m +- L'^-1 eps (P = L L', eps standard
+    normal from SeedSequence(config.seed)) and moves P <- (1 - b) P + b
+    E_q[-H] and then m <- m + b P^-1 E_q[g], g the gradient, the
+    expectations taken over the draws for all but the Laplace chains,
+    whose expectations are in closed form (see _chain_terms). The step is
+    kept only when the new q's P factors and its ELBO on the same draws is
+    no lower; a rejected step halves b for the rest of the run. The run
+    stops as converged when _CALM_STEPS steps in a row each moved q by
+    KL(q_new || q_old) < _KL_TOL, whose mean part is half the step's Newton
+    decrement b^2 g'P^-1 g, and otherwise after config.iterations steps.
+    trace[i] is the ELBO estimate of step i * trace_every, on its draws. A
+    non-finite gradient or ELBO at a step's draws raises DivergenceError
+    with the trace so far. This is fit_svis of one run.
     """
     return fit_svis([(inputs, hp, config, packing, calibration, init)])[0]
+
+
+def _chain_terms(pattern, mean, inverse, n_chain: int):
+    """(E_q of the Laplace chain terms' gradient, their curvature weights
+    and their places in the pattern's flat values) at mean, for inverse
+    the selected inverse of P. Each term is -|d| inv for a knot difference
+    d = a'theta ~ N(mu, s^2) under q: E|d| = 2 s phi(mu / s) + mu erf(mu /
+    (s sqrt 2)), whose mu-derivative is erf(mu / (s sqrt 2)) and second
+    derivative 2 phi(mu / s) / s. The curvature falls on a a', inside the
+    band."""
+    knot, loc, inv = pattern.chain
+    linked = loc < n_chain
+    prev, places = loc[linked], pattern.chain_places
+    var = inverse[places[0]]
+    var[linked] += inverse[places[1]] - 2.0 * inverse[places[2]]
+    s = np.sqrt(var)
+    mu = mean[knot]
+    mu[linked] -= mean[prev]
+    u = mu / s
+    slope = inv * _erf(u * (1.0 / math.sqrt(2.0))).astype(float)
+    curvature = inv * 2.0 * np.exp(-0.5 * u * u) / (math.sqrt(2.0 * math.pi) * s)
+    grad = np.bincount(prev, slope[linked], minlength=mean.size)
+    grad -= np.bincount(knot, slope, minlength=mean.size)
+    return grad, np.concatenate([curvature, curvature[linked], -curvature[linked],
+                                 -curvature[linked]])
+
+
+def _chain_subgradient(pattern, thetas, n_chain: int):
+    """The mean over the rows of thetas of the Laplace chain terms'
+    gradient, the subgradient 0 at a kink, as the objective takes it."""
+    knot, loc, inv = pattern.chain
+    linked = loc < n_chain
+    d = thetas[:, knot]
+    d[:, linked] -= thetas[:, loc[linked]]
+    w = (np.sign(d) * inv).mean(axis=0)
+    return np.bincount(loc[linked], w[linked], minlength=thetas.shape[1]) - np.bincount(
+        knot, w, minlength=thetas.shape[1])
 
 
 @_FIT_ERRSTATE
 def fit_svis(runs) -> list[FitResult]:
     """fit_svi of each run (inputs, hp, config, packing, calibration, init),
-    all in one loop on one stack with one Adam and one H, as fit_maps runs
-    fit_map's. The runs' configs must be equal but for their seeds. Each run
-    keeps its start, noise stream and trace, so each result equals fit_svi
-    of its run bit for bit. A step checks the runs' gradients before their
-    ELBOs."""
-    runs, config, f, start = _prepare("SVI", list(runs))
-    hessian = f.hessian(start)
-    dim, index = f.dim, range(len(runs))
-    # The step loop works in place on preallocated buffers, each op the one
-    # the plain expression would run, so the moments are the same bit for
-    # bit: state is [mean, log_sd], grad is [d/d mean, d/d log_sd].
-    state = np.concatenate([start, np.empty(dim)])
-    mean, log_sd = state[:dim], state[dim:]
-    grad = np.empty(2 * dim)
-    g_mean, g_log_sd = grad[:dim], grad[dim:]
-    sd, v, theta, sd_term = np.empty(dim), np.empty(dim), np.empty(dim), np.empty(dim)
-    block = np.empty((_DRAW_BLOCK, dim))
-    draws = list(block)  # its rows, one step's eps each
-    per_run = []  # (place, entries, noise stream, the entropy's constant)
-    for place, (at, (_, _, c, *_)) in enumerate(zip(f.theta_of, runs)):
-        log_sd[at] = _start_log_sd(-hessian.diagonal[at], config.init_log_sd)
-        per_run.append((place, at, np.random.default_rng(np.random.SeedSequence(c.seed)),
-                        0.5 * at.size * (1.0 + math.log(2.0 * math.pi))))
+    all in one loop on one stack, as fit_maps runs fit_map's. The runs'
+    configs must be equal but for their seeds. Each run keeps its start,
+    noise stream, step size, factor and trace, and leaves the stack when it
+    stops, so each result equals fit_svi of its run bit for bit. A step
+    checks the runs' gradients before their ELBOs."""
+    runs, config, f, mean = _prepare("SVI", list(runs))
+    floor = math.exp(-2.0 * config.init_log_sd)
+    pattern = Precision(f)
+    start = f.hessian(mean)
+    minus_h = pattern.minus_hessian([start])
+    index = list(range(len(runs)))
     traces = [[] for _ in runs]
-    ascend = _adam(state, config)
+    results: list[FitResult] = [None] * len(runs)
+    # per run in the stack, in its order: [mean, P's flat values, factor,
+    # selected inverse, halvings, calm steps, noise stream, entropy constant]
+    state = []
+    for at, layout, values, (_, _, c, *_) in zip(f.theta_of, pattern.layouts, pattern.slices,
+                                                   runs):
+        p = minus_h[values].copy()
+        if not np.isfinite(p).all():
+            raise ValidationError("the objective's Hessian is non-finite at the MAP point")
+        factor = BandFactor(layout, p, floor)
+        diagonal = layout.flat(np.arange(at.size), np.arange(at.size))
+        p[diagonal] += factor.shift[layout.order]
+        state.append([mean[at].copy(), p, factor, factor.selected_inverse(), 0, 0,
+                      np.random.default_rng(np.random.SeedSequence(c.seed)),
+                      0.5 * at.size * (1.0 + math.log(2.0 * math.pi))])
+
+    def finish(place, stop_reason, n_iterations):
+        k = index[place]
+        m, _, factor, inverse, *_ = state[place]
+        _, hp, run_config, packing, _, init = runs[k]
+        results[k] = FitResult(
+            params=packing.unpack(m), theta=init.theta, packing=packing, hyper=hp,
+            trace=traces[k], trace_every=config.trace_every, seed=run_config.seed, mode="svi",
+            stop_reason=stop_reason, n_iterations=n_iterations, grad_norm=init.grad_norm,
+            variational_mean=m,
+            variational_log_sd=0.5 * np.log(factor.marginal_variance(inverse)),
+            variational_factor=factor)
+
+    n_draws = 2 * _DRAW_PAIRS
     for t in range(config.iterations):
-        row = t % _DRAW_BLOCK
-        if not row:
-            for _, at, rng, _ in per_run:
-                block[:, at] = rng.standard_normal((_DRAW_BLOCK, at.size))
-        np.exp(log_sd, out=sd)
-        np.multiply(sd, draws[row], out=v)
-        np.add(v, mean, out=theta)
-        f.gradient(theta, out=g_mean)
-        # grad = [g - Hv, (g - Hv) v + diag(H) sd^2 + 1] for g the gradient at
-        # theta = mean + v, v = sd eps
-        g_mean -= hessian.dot(v)
-        if not np.isfinite(g_mean).all():
-            place = next(k for k, at in enumerate(f.theta_of) if not np.isfinite(g_mean[at]).all())
-            raise _divergence("gradient", t, place, traces, index)
-        if t % config.trace_every == 0:
+        thetas, eps = np.empty((n_draws, f.dim)), []
+        for at, (m, _, factor, _, _, _, rng, _) in zip(f.theta_of, state):
+            eps.append(rng.standard_normal((_DRAW_PAIRS, at.size)))
+            offsets = factor.draws(eps[-1])
+            thetas[0::2, at], thetas[1::2, at] = m + offsets, m - offsets
+        hessians, values = [], []
+        for theta in thetas:
+            hessians.append(f.hessian(theta))
             f.value()
-            for place, at, _, const in per_run:
-                elbo = f.values[place] + const + float(np.add.reduce(log_sd[at]))
-                if not math.isfinite(elbo):
-                    raise _divergence("ELBO", t, place, traces, index)
-                traces[place].append(elbo)
-        np.multiply(g_mean, v, out=g_log_sd)
-        np.multiply(sd, sd, out=sd_term)
-        sd_term *= hessian.diagonal
-        g_log_sd += sd_term
-        g_log_sd += 1.0
-        ascend(grad)
-    return [FitResult(params=packing.unpack(mean[at]), theta=init.theta, packing=packing, hyper=hp,
-                      trace=trace, trace_every=config.trace_every, seed=c.seed, mode="svi",
-                      stop_reason="max_iter", n_iterations=config.iterations,
-                      grad_norm=init.grad_norm, variational_mean=mean[at],
-                      variational_log_sd=log_sd[at])
-            for at, trace, (_, hp, c, packing, _, init) in zip(f.theta_of, traces, runs)]
+            values.append(f.values)
+        for what, bad in (("gradient", [~np.isfinite(h.gradient) for h in hessians]),
+                          ("ELBO", [~np.isfinite(v)[f.owner] for v in values])):
+            bad = np.any(bad, axis=0)
+            if bad.any():
+                place = next(k for k, at in enumerate(f.theta_of) if bad[at].any())
+                raise _divergence(what, t, place, [traces[k] for k in index], index)
+        stack_mean = np.empty(f.dim)
+        for at, run in zip(f.theta_of, state):
+            stack_mean[at] = run[0]
+        chain_grad, curvature = _chain_terms(pattern, stack_mean,
+                                             np.concatenate([run[3] for run in state]), f.n_chain)
+        grad = np.mean([h.gradient for h in hessians], axis=0)
+        grad -= _chain_subgradient(pattern, thetas, f.n_chain)
+        grad += chain_grad
+        target = pattern.minus_hessian(hessians)
+        target += np.bincount(pattern.chain_places[3], curvature, minlength=pattern.size)
+
+        scores = np.mean(values, axis=0)
+        candidates = thetas.copy()
+        steps = []
+        for place, (at, layout, flat, run) in enumerate(zip(f.theta_of, pattern.layouts,
+                                                            pattern.slices, state)):
+            m, p, factor, _, halvings, _, _, const = run
+            b = _FIRST_STEP * _STEP_DECAY ** t * 0.5 ** halvings
+            p_new = (1.0 - b) * p + b * target[flat]
+            try:
+                new = BandFactor(layout, p_new)
+            except np.linalg.LinAlgError:
+                steps.append(None)
+                continue
+            step = new.solve(grad[at])
+            m_new = m + b * step
+            offsets = new.draws(eps[place])
+            candidates[0::2, at], candidates[1::2, at] = m_new + offsets, m_new - offsets
+            steps.append((m_new, p_new, new, b * b * float(grad[at] @ step)))
+        new_values = []
+        for theta in candidates:
+            f.gradient(theta)
+            f.value()
+            new_values.append(f.values)
+        new_scores = np.mean(new_values, axis=0)
+
+        keep = []
+        for place, (run, step, score, new_score) in enumerate(zip(state, steps, scores,
+                                                                   new_scores)):
+            k, const = index[place], run[7]
+            score += const - 0.5 * run[2].logdet
+            if step is not None:
+                new_score += const - 0.5 * step[2].logdet
+            if step is not None and new_score >= score:
+                m_new, p_new, new, newton = step
+                new_inverse = new.selected_inverse()
+                # KL(q_new || q_old), its mean part by the new precision
+                kl = 0.5 * (float(np.sum(run[1] * new_inverse * pattern.layouts[place].weights))
+                            - m_new.size + new.logdet - run[2].logdet + newton)
+                run[:4] = m_new, p_new, new, new_inverse
+                run[5] = run[5] + 1 if kl < _KL_TOL else 0
+                score = new_score
+            else:
+                run[4] += 1
+                run[5] = 0
+            if t % config.trace_every == 0:
+                traces[k].append(score)
+            if run[5] >= _CALM_STEPS:
+                if (t % config.trace_every) != 0:
+                    traces[k].append(score)
+                finish(place, "converged", t + 1)
+            else:
+                keep.append(place)
+        if len(keep) < len(state):  # the stopped runs leave the stack
+            if not keep:
+                return results
+            index, state = [index[place] for place in keep], [state[place] for place in keep]
+            f, _ = f.subset(keep)
+            pattern = Precision(f)
+    for place in range(len(state)):
+        finish(place, "max_iter", config.iterations)
+    return results
 
 
 def check_variational(fit: FitResult, n_draws: int) -> None:
@@ -737,13 +841,19 @@ def check_variational(fit: FitResult, n_draws: int) -> None:
     check_value(n_draws, Count, "n_draws")
 
 
-def variational_draws(fit: FitResult, n_draws: int, seed: int = 0) -> np.ndarray:
-    """(n_draws, dim) theta draws mean + sd * z from an SVI fit, z one
-    standard-normal block from SeedSequence(seed)."""
+def variational_draws(fit: FitResult, n_draws: int, seed: int = 0, entries=None) -> np.ndarray:
+    """(n_draws, dim) theta draws mean + L'^-1 z from an SVI fit, for P = L
+    L' its precision's factor and z one standard-normal block from
+    SeedSequence(seed); mean + sd * z for a fit with no factor. Given the
+    theta entries the caller reads, only the factor's blocks that hold them
+    are solved (BandFactor.draws): those entries have the bits of the full
+    draws, and the entries before the first such block are the mean."""
     check_variational(fit, n_draws)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sd = np.exp(fit.variational_log_sd)
-    return fit.variational_mean + sd * rng.standard_normal((n_draws, fit.packing.dim))
+    z = rng.standard_normal((n_draws, fit.packing.dim))
+    if fit.variational_factor is None:
+        return fit.variational_mean + np.exp(fit.variational_log_sd) * z
+    return fit.variational_mean + fit.variational_factor.draws(z, entries)
 
 
 def draw_posterior(fit: FitResult, k_reg, n_draws: int, seed: int = 0) -> PosteriorDraws:
@@ -784,6 +894,8 @@ def fit_document(fit: FitResult) -> dict:
             "mean": [float(v) for v in fit.variational_mean],
             "log_sd": [float(v) for v in fit.variational_log_sd],
         }
+        if fit.variational_factor is not None:
+            doc["variational"]["factor"] = fit.variational_factor.document()
     return doc
 
 
@@ -817,11 +929,14 @@ def load_fit(path: str) -> FitResult:
                     dropped=("laplace_smoothing", "gaussian_reg_prior"))
     theta = _theta_vector(doc.get("theta_map"), "theta_map", packing.dim)
     var = doc.get("variational")
-    mean = log_sd = None
+    mean = log_sd = factor = None
     if var is not None:
         check_block(var, "variational")
         mean = _theta_vector(var.get("mean"), "variational.mean", packing.dim)
         log_sd = _theta_vector(var.get("log_sd"), "variational.log_sd", packing.dim)
+        # a document from before the factor draws from the diagonal precision
+        if "factor" in var:
+            factor = BandFactor.from_document(var["factor"], packing.dim)
     # trace is checked as one list, not entry by entry: a MAP trace may have 10000
     for key, hint in (("trace", list), ("seed", int), ("mode", Literal["map", "svi"]),
                       ("stop_reason", str), ("n_iterations", int), ("grad_norm", float)):
@@ -841,6 +956,7 @@ def load_fit(path: str) -> FitResult:
         grad_norm=doc["grad_norm"],
         variational_mean=mean,
         variational_log_sd=log_sd,
+        variational_factor=factor,
         config=dict(check_block(doc.get("config", {}), "config")),
         structure=from_block(Structure, structure, "structure") if structure else None,
         trace_every=doc.get("trace_every"),

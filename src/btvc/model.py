@@ -26,7 +26,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import Count, NonNegative, Positive, ValidationError, check_fields
+from .errors import (Count, NonNegative, Positive, PriorLocation, PriorScale, ValidationError,
+                     check_fields)
 from .fourier import FourierSpec
 from .kernels import KernelMatrix, KnotGrid
 from .timeframe import parse_date, write_table
@@ -44,12 +45,12 @@ class HyperParams:
     applies is the parameter set's (see ParameterSet), not a setting here.
     """
 
-    sigma_lev: Positive = 0.1
-    sigma_seas: Positive = 0.05
-    mu_pool: NonNegative = 0.0
-    sigma_pool: Positive = 1.0
-    sigma_reg: Positive = 0.5
-    init_scale_lev: Positive = 1.0
+    sigma_lev: PriorScale = 0.1
+    sigma_seas: PriorScale = 0.05
+    mu_pool: PriorLocation = 0.0
+    sigma_pool: PriorScale = 1.0
+    sigma_reg: PriorScale = 0.5
+    init_scale_lev: PriorScale = 1.0
     noise_df: Positive | None = None
 
     def __post_init__(self):

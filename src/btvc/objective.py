@@ -4,11 +4,13 @@ the design map and Gram blocks they are built from."""
 
 from __future__ import annotations
 
+import base64
+import functools
 import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Count, NonNegativeInt, ValidationError, check_block, check_value
 from .kernels import TILE_ROWS, WEIGHT_FLOOR
 from .model import (LOG_2PI, T_LIMIT_DF, _folded_normal_terms, _laplace_chain, check_dims,
                     student_t_const)
@@ -421,6 +423,7 @@ class Objective:
             self.fit_terms = [(p.n, self.log_terms[rows], self.shares[rows], at)
                               for p, (_, _, _, rows, at) in zip(parts, self.places)]
         self.values = []
+        self.hessian_entries = None  # hessian's entries' places, on its first call
 
     @classmethod
     def stack(cls, problems, include_jacobian):
@@ -596,12 +599,14 @@ class Objective:
         grad = self.gradient(theta)
         nu, n_chain, reg_end, t_x = self.nu, self.n_chain, self.reg_end, self.t_x
         neg_two_inv2, order = self.neg_two_inv2, self.order
+        if self.hessian_entries is None:
+            self.hessian_entries = self._hessian_entries()
+        free, window_diag, window_values, gather, scatter_to = self.hessian_entries
         curv = np.zeros(self.dim)  # the diagonal of -H
         on_u = curv[:reg_end]
-        to, frm, values = [], [], []  # -H's entries off the diagonal and the band
 
         # the x entries' terms against their locations
-        x_at, loc_at = np.arange(n_chain, reg_end), self.loc_of[n_chain:]
+        loc_at = self.loc_of[n_chain:]
         loc = self.t[loc_at]
         inv2 = self.inv_x * self.inv_x
         # the mirror log(1 + e^-a) has d^2/dx^2 = (2 inv^2 loc)^2 p (1 - p)
@@ -614,17 +619,9 @@ class Objective:
         on_u[n_chain:] = inv2 - mirror * loc ** 2
         on_u += np.bincount(loc_at, weights=inv2 - mirror * t_x * t_x,
                             minlength=self.t.size)[:reg_end]
-        free = loc_at < reg_end
         cross = -(inv2 + neg_two_inv2 * np.exp(neg_a - log_1p) + mirror * t_x * loc)[free]
-        to += [x_at[free], loc_at[free]]
-        frm += [loc_at[free], x_at[free]]
-        values += [cross, cross]
-        for (*_, H, _, _, _), at in zip(self.windows, self.window_places):
-            on_u[at] += np.diag(H)
-            off = ~np.eye(at.size, dtype=bool)
-            to.append(np.repeat(at, at.size).reshape(H.shape)[off])
-            frm.append(np.tile(at, at.size).reshape(H.shape)[off])
-            values.append(H[off])
+        values = [cross, cross, window_values]
+        on_u += window_diag
 
         sigmas = self._sigmas(theta)
         if nu is None:
@@ -656,11 +653,11 @@ class Objective:
         on_u[order] += band_diag / band_var
         for _, _, lin, _, at in self.places:
             if at is not None:
-                to += [order[lin], np.full_like(order[lin], at)]
-                frm += [np.full_like(order[lin], at), order[lin]]
                 values += [column[lin], column[lin]]
 
-        to, frm, values = np.concatenate(to), np.concatenate(frm), np.concatenate(values)
+        values = np.concatenate(values)
+        n_entries = self.dim + values.size
+        to, frm = scatter_to[self.dim:n_entries], gather[self.dim:n_entries]
         scale = np.ones(self.dim)  # d buffer / d theta: s on the x entries, else 1
         if self.softplus_reg:
             s = scale[n_chain:reg_end] = np.exp(theta[n_chain:reg_end] - t_x)  # as dx_draw
@@ -674,12 +671,39 @@ class Objective:
         # H's band is -f_i f_j band_ij, for f = s / sigma under Gaussian
         # noise and f = s under Student-t
         f = scale[order] / np.sqrt(band_var)
-        return Hessian(-curv, order, band, f, band_diag, to, frm, -values)
+        return Hessian(-curv, order, band, f, band_diag, -values, grad, gather, scatter_to)
+
+    def _hessian_entries(self):
+        """The parts of hessian's entries that depend on the structures
+        alone: which x entries' locations are free entries (a b_reg knot's
+        mu_reg), the windows' diagonal and their values off it, and the
+        places (gather, scatter_to) that Hessian reads the entries from and
+        adds them to: the diagonal, then the folded-normal pairs, each
+        window's pairs and the ln sigma rows and columns, then the band."""
+        n_chain, reg_end = self.n_chain, self.reg_end
+        x_at, loc_at = np.arange(n_chain, reg_end), self.loc_of[n_chain:]
+        free = loc_at < reg_end
+        to, frm = [x_at[free], loc_at[free]], [loc_at[free], x_at[free]]
+        window_diag, values = np.zeros(reg_end), [np.zeros(0)]
+        for (*_, H, _, _, _), at in zip(self.windows, self.window_places):
+            window_diag[at] += np.diag(H)
+            off = ~np.eye(at.size, dtype=bool)
+            to.append(np.repeat(at, at.size).reshape(H.shape)[off])
+            frm.append(np.tile(at, at.size).reshape(H.shape)[off])
+            values.append(H[off])
+        for _, _, lin, _, at in self.places:
+            if at is not None:
+                to += [self.order[lin], np.full_like(self.order[lin], at)]
+                frm += [np.full_like(self.order[lin], at), self.order[lin]]
+        on = np.arange(self.dim)
+        return (free, window_diag, np.concatenate(values),
+                np.concatenate([on] + frm + [self.order]), np.concatenate([on] + to + [self.order]))
 
 
 class Hessian:
     """The Hessian H of an objective at one theta (Objective.hessian), as an
-    operator: diagonal is diag(H), and dot(v) is H v, a fresh array.
+    operator: diagonal is diag(H), and dot(v) is H v, a fresh array;
+    gradient is the objective's gradient at that theta.
 
     H is a band over the knots in their time order, -f_i f_j band_ij (the
     likelihood's: row blocks as _gram lays them out, read in place, so
@@ -694,16 +718,14 @@ class Hessian:
     calls to one Hessian must not run concurrently.
     """
 
-    def __init__(self, diagonal, order, band, f, band_diag, to, frm, values):
-        self.diagonal, self.band, self.dim = diagonal, band, diagonal.size
+    def __init__(self, diagonal, order, band, f, band_diag, values, gradient, gather, scatter_to):
+        self.diagonal, self.band, self.dim, self.gradient = diagonal, band, diagonal.size, gradient
         self.f, self.neg_f = f, -f
-        on = np.arange(self.dim)
         rest = diagonal.copy()
         rest[order] += f * f * band_diag
         self.values = np.concatenate([rest, values])
         self.n_entries = self.values.size
-        self.gather = np.concatenate([on, frm, order])
-        self.scatter_to = np.concatenate([on, to, order])
+        self.gather, self.scatter_to = gather, scatter_to
         self.weights = np.empty(self.scatter_to.size)
         self.w_entries, self.w_band = self.weights[:self.n_entries], self.weights[self.n_entries:]
 
@@ -716,3 +738,464 @@ class Hessian:
             np.dot(block, v_band[cols], out=self.w_band[rows])
         self.w_band *= self.neg_f
         return np.bincount(self.scatter_to, weights=self.weights, minlength=self.dim)
+
+
+class BandLayout:
+    """Where a symmetric matrix of -H's pattern over one structure's theta
+    keeps its entries. order lists theta's entries: the n band entries (the
+    knots in time order) first, then the k border entries (mu_reg and ln
+    sigma_obs where free). The band is cut into blocks of `block` places,
+    no entry farther than `block` places from the diagonal, so the matrix
+    is block tridiagonal over them with a border; the last block is padded
+    to full size. Its values are one flat array of `size` floats: the
+    diagonal blocks D (full), the blocks E below them (E[i] is block (i +
+    1, i)), the border's rows B (n_pad, k) and its corner C (k, k), then
+    one slot that flat() sends the entries it drops to.
+    """
+
+    def __init__(self, order, n: int, block: int):
+        self.order, self.n, self.block = order, n, block
+        self.k = order.size - n
+        self.n_blocks = -(-n // block)
+        self.n_pad = self.n_blocks * block
+        d_size = self.n_blocks * block * block
+        e_size = max(self.n_blocks - 1, 0) * block * block
+        self.offsets = np.cumsum([0, d_size, e_size, self.n_pad * self.k, self.k * self.k])
+        self.size = int(self.offsets[-1]) + 1
+        # each place of order in the padded order: the band, the padding, the border
+        self.padded = np.concatenate([np.arange(n), self.n_pad + np.arange(self.k)])
+        # how often each stored entry stands in the matrix: E's and B's twice
+        self.weights = np.ones(self.size)
+        self.weights[self.offsets[1]:self.offsets[3]] = 2.0
+        self.weights[-1] = 0.0
+
+    def views(self, values):
+        """(D, E, B, C) of the flat values, as views."""
+        block, k = self.block, self.k
+        d, e, b, c, end = self.offsets
+        return (values[d:e].reshape(self.n_blocks, block, block),
+                values[e:b].reshape(-1, block, block), values[b:c].reshape(self.n_pad, k),
+                values[c:end].reshape(k, k))
+
+    def flat(self, i, j, mirror: bool = False):
+        """The flat places of the entries (i, j), for i and j places in
+        order. An entry whose mirror (j, i) is kept instead, one above the
+        blocks E or in the border's columns, goes to the mirror's place when
+        mirror, and to the dropped slot otherwise (a sum over both halves of
+        a symmetric matrix adds each kept entry once). An entry outside the
+        pattern raises ValueError."""
+        i, j = np.asarray(i), np.asarray(j)
+        n, k, block = self.n, self.k, self.block
+        # the mirrors of the kept entries: above the blocks E, or a border row
+        up = (i < n) & (j < n) & (i // block < j // block) | (i >= n) & (j < n)
+        if not mirror:
+            out = self.flat(i, j, mirror=True)
+            out[up] = self.size - 1
+            return out
+        i, j = np.where(up, j, i), np.where(up, i, j)
+        rows, cols = i // block, j // block
+        if np.any((i < n) & (j < n) & (rows - cols > 1)):
+            raise ValueError("an entry lies outside the band-plus-border pattern")
+        d, e, b, c, _ = self.offsets
+        return np.select(
+            [i >= n, j >= n, rows == cols],
+            [c + (i - n) * k + j - n, b + i * k + j - n,
+             d + (rows * block + i % block) * block + j % block],
+            e + (cols * block + i % block) * block + j % block)
+
+    def add_band(self, values, band, f, start: int, scale: float = 1.0):
+        """Add scale f_i f_j band_ij to values, for band _band_blocks' row
+        blocks (rows, cols, array) over the places start.. of a stack's
+        knot time order, those of this layout's band entries 0.., and f over
+        the same places. Each row block is cut along the layout's blocks;
+        its pieces above the blocks E are left out (their mirrors are in
+        other row blocks)."""
+        D, E, _, _ = self.views(values)
+        block = self.block
+        for rows, cols, array in band:
+            r0, r1, c0, c1 = rows.start - start, rows.stop - start, cols.start - start, cols.stop - start
+            if not (0 <= r0 < self.n and r1 <= self.n and c1 > c0):
+                continue
+            for i in range(r0 // block, (r1 - 1) // block + 1):
+                lo, hi = max(r0, i * block), min(r1, (i + 1) * block)
+                f_rows = f[start + lo:start + hi, None] * scale
+                for j in (i - 1, i):
+                    c_lo, c_hi = max(c0, j * block), min(c1, (j + 1) * block)
+                    if j < 0 or c_lo >= c_hi:
+                        continue
+                    into = D[i] if j == i else E[j]
+                    into[lo - i * block:hi - i * block, c_lo - j * block:c_hi - j * block] += (
+                        f_rows * array[lo - r0:hi - r0, c_lo - c0:c_hi - c0]
+                        * f[start + c_lo:start + c_hi])
+
+
+def _cholesky(a, floor):
+    """(L, pivots, shift): the Cholesky factor of a + diag(shift), its
+    pivots before any lift, and shift the least that lifts each pivot p to
+    max(|p|, floor, t^2 / b^2), for t the largest entry below it in its
+    column of L times its root and b^2 the largest of a's diagonal, its
+    largest off-diagonal over sqrt(n^2 - 1) and the machine epsilon, which
+    bounds every entry of L by b (Gill, Murray & Wright, Practical
+    Optimization, 1981, 4.4.2.2); shift is 0 where a pivot is kept. floor
+    None lifts none and lets a non-positive pivot raise
+    np.linalg.LinAlgError. np.linalg.cholesky runs first; only a block
+    that needs a lift runs column by column, and a definite block whose
+    pivots are all at least floor needs none."""
+    try:
+        L = np.linalg.cholesky(a)
+        pivots = np.diagonal(L) ** 2
+        if not np.isfinite(pivots).all():
+            raise np.linalg.LinAlgError("non-finite pivot")
+        if floor is None or pivots.min(initial=np.inf) >= floor:
+            return L, pivots, np.zeros(a.shape[0])
+    except np.linalg.LinAlgError:
+        if floor is None:
+            raise
+    n = a.shape[0]
+    off = np.abs(a - np.diag(np.diagonal(a)))
+    bound = max(np.abs(np.diagonal(a)).max(), off.max() / math.sqrt(max(n * n - 1, 1)),
+                np.finfo(float).eps)
+    L, pivots, shift = np.zeros((n, n)), np.empty(n), np.zeros(n)
+    for j in range(n):
+        v = a[j:, j] - L[j:, :j] @ L[j, :j]
+        pivots[j] = v[0]
+        lifted = max(abs(v[0]), floor, float(np.max(v[1:] ** 2, initial=0.0)) / bound)
+        if not v[0] >= lifted:  # nan is lifted too
+            shift[j] = lifted - v[0]
+            v[0] = lifted
+        L[j, j] = math.sqrt(v[0])
+        L[j + 1:, j] = v[1:] / L[j, j]
+    return L, pivots, shift
+
+
+@functools.cache
+def _triangle(n: int, lower: bool):
+    """The flat places of an n x n array's lower (or upper) triangle."""
+    rows, cols = np.tril_indices(n) if lower else np.triu_indices(n)
+    return rows * n + cols
+
+
+class BandFactor:
+    """The Cholesky factor L of a symmetric positive definite matrix P =
+    L L' laid out by a BandLayout: block by block along the band, the border
+    eliminated last by its Schur complement, so the factor has the band's
+    pattern and no fill-in.
+
+    BandFactor(layout, values, floor) factors the matrix whose flat values
+    are given; with a floor, each pivot below it is lifted to it (the
+    factor is then that of P + diag(shift), shift in theta's order), and
+    without one a non-positive pivot raises np.linalg.LinAlgError. pivots
+    (theta's order) are the pivots before any lift; logdet is log det of
+    the factored matrix. Every vector in and out is in theta's order:
+    solve(b) is P^-1 b, draws(eps) is L'^-1 eps (an (S, dim) block of
+    standard normals gives draws of N(0, P^-1)), and selected_inverse() is
+    P^-1 on the pattern, in the layout's flat values. Each product runs
+    over whole blocks, so numpy's inverse of each diagonal block of L
+    stands in for a triangular solve, which numpy lacks.
+    """
+
+    def __init__(self, layout: BandLayout, values, floor: float | None = None):
+        self.layout = lay = layout
+        n, k, block, n_blocks = lay.n, lay.k, lay.block, lay.n_blocks
+        D, E, B, C = lay.views(values)
+        pad = 1.0 if floor is None else max(1.0, floor)  # the padding factors as itself
+        self.diag, self.sub = [], []
+        self.inv = []  # the cached property, filled as the blocks are factored
+        self.border = np.zeros((k, lay.n_pad))  # the border's rows of L, over the band
+        pivots, shift = np.empty(n + k), np.zeros(n + k)
+        for i in range(n_blocks):
+            a = D[i].copy()
+            at = slice(i * block, (i + 1) * block)
+            if i == n_blocks - 1:
+                pads = np.arange(n - i * block, block)
+                a[pads, pads] = pad
+            if i:
+                a -= self.sub[-1] @ self.sub[-1].T
+            L, p, s = _cholesky(a, floor)
+            inv = np.tril(np.linalg.inv(L))
+            real = slice(i * block, min(n, (i + 1) * block))
+            pivots[real], shift[real] = p[:real.stop - real.start], s[:real.stop - real.start]
+            border = B[at].T.copy()
+            if i:
+                border -= self.border[:, at.start - block:at.start] @ self.sub[-1].T
+            self.border[:, at] = border @ inv.T
+            self.diag.append(L)
+            self.inv.append(inv)
+            if i < n_blocks - 1:
+                # E[i] is upper triangular, as L_ii^-T is, since block >= the band's width
+                self.sub.append(np.triu(E[i] @ inv.T))
+        L, pivots[n:], shift[n:] = _cholesky(C - self.border @ self.border.T, floor)
+        self.corner = L
+        self._finish(pivots, shift)
+
+    @functools.cached_property
+    def inv(self):
+        """The inverse of each diagonal block of L (the factorization sets it)."""
+        return [np.tril(np.linalg.inv(L)) for L in self.diag]
+
+    @functools.cached_property
+    def corner_inv(self):
+        return np.tril(np.linalg.inv(self.corner))
+
+    def _finish(self, pivots, shift):
+        lay = self.layout
+        self.pivots, self.shift = np.empty(lay.order.size), np.empty(lay.order.size)
+        self.pivots[lay.order], self.shift[lay.order] = pivots, shift
+        diagonal = np.concatenate([np.diagonal(L) for L in self.diag + [self.corner]])
+        self.logdet = 2.0 * float(np.log(diagonal[np.r_[:lay.n, lay.n_pad:lay.n_pad + lay.k]]).sum())
+
+    def _parts(self):
+        """The factor's entries that may be nonzero, each block's in turn."""
+        lower, upper = _triangle(self.layout.block, True), _triangle(self.layout.block, False)
+        return ([L.ravel()[lower] for L in self.diag] + [L.ravel()[upper] for L in self.sub]
+                + [self.border.ravel(), self.corner.ravel()[_triangle(self.layout.k, True)]])
+
+    def document(self) -> dict:
+        """Plain JSON of the factor: its layout, and its entries as one
+        base64 string of little-endian float64s, which is exact and loads
+        without a parse per float."""
+        lay = self.layout
+        values = np.concatenate(self._parts()).astype("<f8")
+        return {"order": lay.order.tolist(), "band": lay.n, "block": lay.block,
+                "values": base64.b64encode(values.tobytes()).decode("ascii")}
+
+    @classmethod
+    def from_document(cls, doc: dict, dim: int) -> "BandFactor":
+        """The factor document() wrote, for a theta of dim entries; its
+        pivots are diag(L)^2 and its shift 0. A document that is not one
+        raises ValidationError."""
+        check_block(doc, "variational.factor")
+        order, n, block = doc.get("order"), doc.get("band"), doc.get("block")
+        if not (isinstance(order, list) and {int} >= set(map(type, order))):
+            check_value(order, tuple[int, ...], "variational.factor.order")
+        check_value(n, NonNegativeInt, "variational.factor.band")
+        check_value(block, Count, "variational.factor.block")
+        order = np.asarray(order, dtype=np.intp)
+        if order.size != dim or not np.array_equal(np.sort(order), np.arange(dim)) or n > dim:
+            raise ValidationError("variational.factor does not lay out the packing's theta")
+        values = doc.get("values")
+        check_value(values, str, "variational.factor.values")
+        try:
+            values = np.frombuffer(base64.b64decode(values), dtype="<f8")
+        except (ValueError, TypeError):
+            raise ValidationError("variational.factor.values is not base64 float64 data") from None
+        self = cls.__new__(cls)
+        self.layout = lay = BandLayout(order, n, block)
+        shapes = ([(block, block)] * lay.n_blocks + [(block, block)] * max(lay.n_blocks - 1, 0)
+                  + [(lay.k, lay.n_pad), (lay.k, lay.k)])
+        sizes = ([block * (block + 1) // 2] * (2 * lay.n_blocks - 1 if lay.n_blocks else 0)
+                 + [lay.k * lay.n_pad, lay.k * (lay.k + 1) // 2])
+        if values.size != sum(sizes) or not np.isfinite(values).all():
+            raise ValidationError("variational.factor.values do not fill its layout with finite numbers")
+        parts = np.split(values.astype(float), np.cumsum(sizes)[:-1])
+        blocks = []
+        for (rows, cols), part, kind in zip(shapes, parts, [True] * lay.n_blocks
+                                            + [False] * max(lay.n_blocks - 1, 0) + [None, True]):
+            out = np.zeros(rows * cols)
+            out[slice(None) if kind is None else _triangle(rows, kind)] = part
+            blocks.append(out.reshape(rows, cols))
+        self.diag, self.sub = blocks[:lay.n_blocks], blocks[lay.n_blocks:-2]
+        self.border, self.corner = blocks[-2:]
+        if not all(np.all(np.diagonal(L) > 0) for L in self.diag + [self.corner]):
+            raise ValidationError("variational.factor has a non-positive diagonal entry")
+        diagonal = np.concatenate([np.diagonal(L) for L in self.diag + [self.corner]])
+        pivots = diagonal[np.r_[:n, lay.n_pad:lay.n_pad + lay.k]] ** 2
+        self._finish(pivots, np.zeros(pivots.size))
+        return self
+
+    def marginal_variance(self, inverse):
+        """The diagonal of P^-1 in theta's order, from its selected inverse."""
+        lay = self.layout
+        places = np.arange(lay.order.size)
+        out = np.empty(lay.order.size)
+        out[lay.order] = inverse[lay.flat(places, places)]
+        return out
+
+    def _forward(self, b):
+        """(y_band (S, n_pad), y_border (S, k)) with L y = b, for b (S, n_pad
+        + k) in the layout's padded order."""
+        lay, block = self.layout, self.layout.block
+        y = b[:, :lay.n_pad].copy()
+        for i, inv in enumerate(self.inv):
+            at = slice(i * block, (i + 1) * block)
+            if i:
+                y[:, at] -= y[:, at.start - block:at.start] @ self.sub[i - 1].T
+            y[:, at] = y[:, at] @ inv.T
+        return y, (b[:, lay.n_pad:] - y @ self.border.T) @ self.corner_inv.T
+
+    def _back(self, x, first: int = 0):
+        """Solve L' x = y in place, for x (S, n_pad + k) holding y in the
+        layout's padded order: from the border and the last block back to
+        the block of band place first (the blocks before it keep y)."""
+        lay, block = self.layout, self.layout.block
+        x_border = x[:, lay.n_pad:]
+        x_border[:] = x_border @ self.corner_inv
+        for i in range(lay.n_blocks - 1, first // block - 1, -1):
+            at = slice(i * block, (i + 1) * block)
+            r = x[:, at]
+            r -= x_border @ self.border[:, at]
+            if i < lay.n_blocks - 1:
+                r -= x[:, at.stop:at.stop + block] @ self.sub[i]
+            r[:] = r @ self.inv[i]
+        return x
+
+    def _padded(self, v):
+        """v (dim,) or (S, dim) in theta's order as an (S, n_pad + k) block in
+        the layout's padded order, 0 on the padding."""
+        lay = self.layout
+        out = np.zeros((np.atleast_2d(v).shape[0], lay.n_pad + lay.k))
+        out[:, lay.padded] = np.atleast_2d(v)[:, lay.order]
+        return out
+
+    def _unpadded(self, x, like):
+        out = np.empty((x.shape[0], self.layout.order.size))
+        out[:, self.layout.order] = x[:, self.layout.padded]
+        return out.reshape(np.shape(like))
+
+    def solve(self, b):
+        """P^-1 b for b (dim,) or (S, dim)."""
+        y = self._padded(b)
+        y[:, :self.layout.n_pad], y[:, self.layout.n_pad:] = self._forward(y)
+        return self._unpadded(self._back(y), b)
+
+    def draws(self, eps, entries=None):
+        """L'^-1 eps for an (S, dim) block eps. Given the theta entries a
+        caller reads, only the blocks from the first of them in the layout's
+        order on are solved (back-substitution ends there), each entry of
+        them with the bits it has in the whole; the others are 0."""
+        x = self._padded(eps)
+        first = 0
+        if entries is not None:
+            place = np.empty(self.layout.order.size, dtype=np.intp)
+            place[self.layout.order] = np.arange(place.size)
+            first = int(place[entries].min(initial=self.layout.n))
+        x = self._back(x, first)
+        x[:, :first // self.layout.block * self.layout.block] = 0.0
+        return self._unpadded(x, eps)
+
+    def selected_inverse(self):
+        """P^-1 on the pattern, in the layout's flat values (the recursion
+        of Takahashi, Fagan & Chen 1973, block by block from the border)."""
+        lay, block = self.layout, self.layout.block
+        out = np.zeros(lay.size)
+        D, E, B, C = lay.views(out)
+        C[:] = self.corner_inv.T @ self.corner_inv
+        for i in range(lay.n_blocks - 1, -1, -1):
+            at = slice(i * block, (i + 1) * block)
+            inv, border = self.inv[i], self.border[:, at]
+            # L'_ii Sigma_ij = [i == j] L_ii^-1 - sum over the blocks m below i
+            # of L_mi' Sigma_mj, for m the next block and the border
+            to_border = border.T @ C
+            if i < lay.n_blocks - 1:
+                below = self.sub[i].T
+                to_border += below @ B[at.stop:at.stop + block]
+                to_next = below @ D[i + 1] + border.T @ B[at.stop:at.stop + block].T
+                E[i] = -(inv.T @ to_next).T
+            B[at] = -inv.T @ to_border
+            to_self = inv - border.T @ B[at].T
+            if i < lay.n_blocks - 1:
+                to_self -= below @ E[i]
+            D[i] = inv.T @ to_self
+        return out
+
+
+class Precision:
+    """-H's band-plus-border pattern over the structures of the stacked
+    objective f (Precision(f)): one
+    BandLayout per structure, their flat values one after another
+    (values[slices[k]] are structure k's), and where each part of a Hessian
+    goes in them. A layout's order is in its structure's own theta, so its
+    factor is the one that structure alone would have.
+
+    A structure's block is the farthest any two of its band entries couple:
+    in the likelihood's band (the knots some row of Z reaches together: the
+    Gram blocks' nonzeros under Gaussian noise, and under Student-t noise,
+    whose band moves with theta, those of each tile), a window's H, or a
+    chain term's pair.
+    """
+
+    def __init__(self, f):
+        self.f, dim = f, f.dim
+        self.owner = f.owner
+        self.place = place = np.empty(dim, dtype=np.intp)  # each entry's place in its layout
+        chain, loc = np.arange(f.n_chain), f.loc_of[:f.n_chain]
+        self.chain = (chain, loc, f.inv[:f.n_chain])  # loc == f.reg_end: a chain's head
+        linked = loc < f.n_chain
+        if f.nu is None:
+            pairs = [(r.start + i, c.start + j) for r, c, block in f.gram_blocks
+                     for i, j in [np.nonzero(block)]]
+        else:
+            pairs = [(at[i], at[j]) for _, at, zt in f.tiles
+                     for nonzero in [(zt != 0).astype(float)]
+                     for i, j in [np.nonzero(nonzero @ nonzero.T)]]
+        # the pairs that couple, as places of the knots' time order: the
+        # likelihood's, each window's and each chain's
+        at_order = np.empty(dim, dtype=np.intp)
+        at_order[f.order] = np.arange(f.order.size)
+        pairs += [(at_order[np.repeat(at, at.size)], at_order[np.tile(at, at.size)])
+                  for at in f.window_places]
+        pairs.append((at_order[chain[linked]], at_order[loc[linked]]))
+        pairs = [np.concatenate(part) for part in zip(*pairs)]
+        self.layouts, self.slices, start = [], [], 0
+        for at, (_, _, lin, _, _) in zip(f.theta_of, f.places):
+            band = f.order[lin]
+            border = at[~np.isin(at, band)]
+            place[band], place[border] = np.arange(band.size), band.size + np.arange(border.size)
+            ours = (pairs[0] >= lin.start) & (pairs[0] < lin.stop)
+            width = max(np.abs(pairs[0][ours] - pairs[1][ours]).max(initial=0), 1)
+            local = np.empty(dim, dtype=np.intp)
+            local[at] = np.arange(at.size)
+            layout = BandLayout(local[np.concatenate([band, border])], band.size, int(width))
+            self.layouts.append(layout)
+            self.slices.append(slice(start, start + layout.size))
+            start += layout.size
+        self.size = start
+        # a chain term's variance reads P^-1 at its (knot, knot), (prev,
+        # prev) and (knot, prev), and its curvature goes to all four pairs
+        knot, prev = chain[linked], loc[linked]
+        self.chain_places = (
+            self.flat(chain, chain, True), self.flat(prev, prev, True), self.flat(knot, prev, True),
+            np.concatenate([self.flat(chain, chain), self.flat(prev, prev), self.flat(knot, prev),
+                            self.flat(prev, knot)]))
+        self.hessian_at = None  # the places of a Hessian's entries, from the first one
+        self.gram = None
+        if f.nu is None:
+            self.gram = np.zeros(self.size)
+            for layout, at, (_, _, lin, _, _) in zip(self.layouts, self.slices, f.places):
+                layout.add_band(self.gram[at], f.gram_blocks, np.ones(f.order.size), lin.start)
+
+    def flat(self, i, j, mirror: bool = False):
+        """BandLayout.flat of the pairs (i, j) of theta entries, each pair in
+        one structure, as places in the stack's flat values."""
+        i, j = np.asarray(i), np.asarray(j)
+        out = np.empty(i.shape, dtype=np.intp)
+        for k, (layout, at) in enumerate(zip(self.layouts, self.slices)):
+            ours = self.owner[i] == k
+            out[ours] = at.start + layout.flat(self.place[i[ours]], self.place[j[ours]], mirror)
+        return out
+
+    def minus_hessian(self, hessians):
+        """The mean of -H over the Hessians, in the flat values."""
+        scale = 1.0 / len(hessians)
+        if self.hessian_at is None:
+            n = hessians[0].n_entries
+            self.hessian_at = self.flat(hessians[0].scatter_to[:n], hessians[0].gather[:n])
+        out = np.bincount(self.hessian_at, weights=sum(h.values for h in hessians) * -scale,
+                          minlength=self.size)
+        if self.gram is None:
+            for h in hessians:
+                for layout, at, (_, _, lin, _, _) in zip(self.layouts, self.slices, self.f.places):
+                    layout.add_band(out[at], h.band, h.f, lin.start, scale)
+            return out
+        # under Gaussian noise every band is G's: its mean is G times the
+        # mean of f_i f_j
+        f = np.stack([h.f for h in hessians])
+        for layout, at, (_, _, lin, _, _) in zip(self.layouts, self.slices, self.f.places):
+            blocks = np.zeros((f.shape[0], layout.n_pad))
+            blocks[:, :layout.n] = f[:, lin]
+            blocks = blocks.reshape(f.shape[0], layout.n_blocks, layout.block).transpose(1, 2, 0)
+            D, E, _, _ = layout.views(out[at])
+            G_D, G_E, _, _ = layout.views(self.gram[at])
+            D += G_D * (blocks @ blocks.transpose(0, 2, 1)) * scale
+            E += G_E * (blocks[1:] @ blocks[:-1].transpose(0, 2, 1)) * scale
+        return out

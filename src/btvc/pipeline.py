@@ -189,6 +189,19 @@ def predict_from_fit(fit: FitResult, future_regressors: np.ndarray,
     return predict(fit.params, design, horizon, link=fit.structure.link)
 
 
+def _reached_entries(packing, reach) -> np.ndarray:
+    """The theta entries of the knots reach names (trend, seasonal and
+    regression knot slices), and mu_reg and ln sigma_obs, which a draw's
+    checks read."""
+    sl = packing.slices()
+    widths = {"b_lev": 1, "b_seas": packing.n_seas_cols, "b_reg": packing.n_channels}
+    out = [np.arange(sl[name].start, sl[name].stop)[knots.start * width:knots.stop * width]
+           for (name, width), knots in zip(widths.items(), reach) if name in sl]
+    out += [np.arange(sl[name].start, sl[name].stop) for name in ("mu_reg", "ln_sigma_obs")
+            if name in sl]
+    return np.concatenate(out)
+
+
 def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: int,
                        levels, n_draws: int, seed: int = 0) -> dict[float, np.ndarray]:
     """Empirical forecast quantiles from variational draws, all draws
@@ -197,8 +210,8 @@ def forecast_quantiles(fit: FitResult, future_regressors: np.ndarray, horizon: i
     if horizon == 0:
         check_variational(fit, n_draws)
         return draw_quantiles(np.zeros((1, 0)), levels)  # checks the levels
-    thetas = variational_draws(fit, n_draws, seed)
     design = forecast_design(fit.structure, future_regressors, horizon)
+    thetas = variational_draws(fit, n_draws, seed, _reached_entries(fit.packing, design.reach))
     b_lev, b_seas, b_reg, _, _ = fit.packing.unpack_stacked(thetas, knots=design.reach)
     fitted = stacked_fitted(b_lev, b_seas, b_reg, design)
     return draw_quantiles(np.exp(fitted) if fit.structure.link == "log" else fitted, levels)

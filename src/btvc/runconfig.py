@@ -14,8 +14,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import (Count, NonNegative, NonNegativeInt, Positive, ValidationError,
-                     check_fields, check_value, from_block)
+from .errors import (Count, LogSdCap, NonNegative, NonNegativeInt, Positive, PriorLocation,
+                     PriorScale, ValidationError, check_fields, check_value, from_block)
 from .fourier import FourierSpec, Period
 from .simulation import Length, Probability
 from .timeframe import CsvSchema, parse_date
@@ -45,12 +45,12 @@ class RunConfig:
     knot_anchor: Literal["end", "start"] = "end"
     rho: NonNegative = 0.0            # 0 = half the regression knot spacing
     # hyperparameters
-    sigma_lev: Positive = 0.1
-    sigma_seas: Positive = 0.05
-    mu_pool: NonNegative = 0.0
-    sigma_pool: Positive = 1.0
-    sigma_reg: Positive = 0.5
-    init_scale_lev: NonNegative = 0.0  # 0 = 10 * sd of the model-scale response
+    sigma_lev: PriorScale = 0.1
+    sigma_seas: PriorScale = 0.05
+    mu_pool: PriorLocation = 0.0
+    sigma_pool: PriorScale = 1.0
+    sigma_reg: PriorScale = 0.5
+    init_scale_lev: PriorLocation = 0.0  # 0 = 10 * sd of the model-scale response
     noise_df: NonNegative = 0.0       # 0 = Gaussian noise
     # inference
     mode: Literal["map", "svi"] = "map"
@@ -63,10 +63,8 @@ class RunConfig:
     map_iterations: Count = 10000
     map_rel_tol: NonNegative = 1e-8
     map_tol_window: Count = 50
-    svi_iterations: Count = 1400
-    svi_learning_rate: Positive = 0.02
-    svi_final_learning_rate: Positive = 1e-4
-    svi_init_log_sd: float = -2.0          # cap on the start from the exact Hessian diagonal
+    svi_iterations: Count = 50             # cap on the natural-gradient steps
+    svi_init_log_sd: LogSdCap = 0.0        # cap on the start's conditional log-sds
     # backtest protocol
     backtest_horizon: Count = 28
     backtest_splits: Count = 6
@@ -104,6 +102,8 @@ _RETIRED_KEYS = {
     "quantiles": None,
     "laplace_smoothing": 0.0,
     "svi_samples": 1,
+    "svi_learning_rate": None,
+    "svi_final_learning_rate": None,
 }
 
 def parse_value(key: str, raw: str):

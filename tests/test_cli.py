@@ -12,7 +12,7 @@ import pytest
 from btvc.cli import build_parser, main
 from btvc.errors import DivergenceError
 from btvc.evaluation import backtest, seed_for_split, write_metric_report_csv
-from btvc.inference import load_fit
+from btvc.inference import load_fit, save_fit
 from btvc.objective import Objective
 from btvc.pipeline import (
     backtest_plan_from,
@@ -171,15 +171,14 @@ def test_svi_fit_gives_quantile_forecasts(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode, iterations, label", [
-    ("svi", 300, "mean ELBO of the last 250 steps (25 traced)"),
-    ("svi", 305, "mean ELBO of the last 250 steps (25 traced)"),
-    ("svi", 60, "mean ELBO of the last 60 steps (6 traced)"),
+    ("svi", 60, "ELBO of the last step"),
+    ("svi", 2, "ELBO of the last step"),
     ("map", 60, "objective"),
 ])
 def test_fit_summary_line(tmp_path, capsys, mode, iterations, label):
-    # SVI trace entries are single-sample ELBO estimates, one every 10 steps
-    # by default, so the summary is the mean of those from the last 250
-    # steps; MAP prints its final (best) objective
+    # an SVI trace holds each step's ELBO estimate on its draws, so the
+    # summary is the last, that of the returned q; MAP prints its final
+    # (best) objective
     sim_dir = tmp_path / "sim"
     simulate_small(capsys, str(sim_dir))
     fit_dir = tmp_path / "fit"
@@ -190,14 +189,10 @@ def test_fit_summary_line(tmp_path, capsys, mode, iterations, label):
     assert code == 0
     doc = json.loads((fit_dir / "fit.json").read_text())
     trace = doc["trace"]
-    assert doc["trace_every"] == (10 if mode == "svi" else 1)
+    assert doc["trace_every"] == 1
     if mode == "svi":
-        # entry i is step 10 i
-        assert len(trace) == -(-iterations // 10)
-        value = float(np.mean([elbo for i, elbo in enumerate(trace)
-                               if 10 * i >= iterations - 250]))
-    else:
-        value = trace[-1]
+        assert len(trace) == doc["n_iterations"] <= iterations
+    value = trace[-1]
     assert out.strip().endswith(f"{label} {value:.4f})")
     assert ("objective" in out) == (mode == "map")
 
@@ -572,11 +567,8 @@ class TestErrorPaths:
         assert out == ""
 
     @pytest.mark.parametrize("mode, setting, message", [
-        ("svi", "svi_learning_rate=nan", "config key 'svi_learning_rate' must be finite, got nan"),
         ("svi", "svi_init_log_sd=nan", "config key 'svi_init_log_sd' must be finite, got nan"),
         ("svi", "svi_init_log_sd=inf", "config key 'svi_init_log_sd' must be finite, got inf"),
-        ("svi", "svi_final_learning_rate=inf",
-         "config key 'svi_final_learning_rate' must be finite, got inf"),
         ("map", "map_learning_rate=nan", "config key 'map_learning_rate' must be finite, got nan"),
     ])
     def test_non_finite_optimizer_setting_is_a_validation_error(
@@ -898,8 +890,9 @@ class TestErrorPaths:
         assert out == ""
 
     def test_a_diverging_svi_split_names_itself(self, capsys, tmp_path, monkeypatch):
-        # the second split's gradient turns non-finite at step 4 of the
-        # splits' stacked SVI objective, whose first gradient call builds H
+        # the second split's gradient turns non-finite at the first draw of
+        # step 1 of the splits' stacked SVI objective, whose first gradient
+        # call builds the start's H and each step then calls it 8 times
         sim_dir = tmp_path / "sim"
         simulate_small(capsys, str(sim_dir))
         real = Objective.gradient
@@ -909,7 +902,7 @@ class TestErrorPaths:
             grad = real(self, theta, out)
             if self.include_jacobian:  # the SVI objective, not the MAP one
                 calls["n"] += 1
-                if calls["n"] == 4 + 2:
+                if calls["n"] == 8 + 2:
                     grad[self.theta_of[1][0]] = float("nan")
             return grad
 
@@ -920,7 +913,7 @@ class TestErrorPaths:
             "--set", "backtest_min_train=40", "--set", "mode=svi", "--set", "svi_iterations=20",
         )
         assert code == 2
-        assert err.strip() == "error: split 2: gradient became non-finite at iteration 4"
+        assert err.strip() == "error: split 2: gradient became non-finite at iteration 1"
         assert out == ""
 
 
@@ -1114,7 +1107,9 @@ def test_mutating_any_settings_field_or_theta_vector_never_ends_in_a_traceback(
     doc = json.loads(svi_fit[0].read_text())
     blocks = ("config", "hyperparams", "packing", "structure")
     paths = [(block, key) for block in blocks for key in doc[block]]
-    paths += [("theta_map",), ("variational", "mean"), ("variational", "log_sd")]
+    paths += [("theta_map",), ("variational", "mean"), ("variational", "log_sd"),
+              ("variational", "factor")]
+    paths += [("variational", "factor", key) for key in doc["variational"]["factor"]]
     mutations = [(path, value, _set(path, value))
                  for path in paths for value in (None, "x", [], -1, 0, 1.5, [1.5])]
     mutations += [(path, "deleted", _delete(path)) for path in paths]
@@ -1135,6 +1130,29 @@ def test_mutating_any_settings_field_or_theta_vector_never_ends_in_a_traceback(
     assert set(doc["hyperparams"]) == {f.name for f in dataclasses.fields(HyperParams)}
     assert set(doc["structure"]) == {f.name for f in dataclasses.fields(Structure)}
     assert failures == []
+
+
+def test_predict_quantiles_equal_the_in_memory_forecast_bit_for_bit(capsys, tmp_path):
+    # the library's fit, saved and read back by btvc predict, forecasts the
+    # bands forecast_quantiles gives from the fit in memory
+    frame = simulate_multiplicative(MultiplicativeSimConfig(T=83, P=2, seed=8)).frame
+    train = dataclasses.replace(frame, timestamps=frame.timestamps[:80],
+                                response=frame.response[:80], regressors=frame.regressors[:80])
+    cfg = dataclasses.replace(RunConfig(), mode="svi", fourier="7:1", seed=3)
+    fit, _ = run_fit(train, cfg)
+    assert fit.variational_factor is not None
+    save_fit(fit, str(tmp_path / "fit.json"))
+    emit_csv(dataclasses.replace(frame, timestamps=frame.timestamps[80:],
+                                 response=frame.response[80:], regressors=frame.regressors[80:]),
+             str(tmp_path / "future.csv"))
+    code, _, err = run(capsys, "predict", "--fit", str(tmp_path / "fit.json"),
+                       "--future", str(tmp_path / "future.csv"), "--horizon", "3",
+                       "--quantiles", "0.05,0.5,0.95", "--draws", "50", "--out", str(tmp_path / "fc"))
+    assert code == 0, err
+    table = read_table(str(tmp_path / "fc" / "forecast.csv"), {"date": "date"}, rest="number")
+    bands = forecast_quantiles(fit, frame.regressors[80:], 3, (0.05, 0.5, 0.95), 50, seed=3)
+    for level, band in bands.items():
+        assert table[f"q_{level}"].tobytes() == band.tobytes()
 
 
 def test_quantile_columns_name_every_digit_of_their_level(capsys, tmp_path, svi_fit):
@@ -1283,15 +1301,18 @@ def out_of_domain_values(kind):
 
 def test_no_setting_ends_in_a_traceback(capsys, tmp_path, monkeypatch):
     # each key in turn, through --set: simulate for the sim_ keys, a short
-    # MAP fit of 30 rows for the others. Counts so large that numpy refuses
+    # SVI fit of 30 rows for the svi_ keys, a short MAP fit for the others. Counts so large that numpy refuses
     # the allocation (sim_length=999999999999 ends in MemoryError) are left
     # untested. sim_start_date=garbage used to end in a ValueError traceback
     # and noise_df=1e308 in an OverflowError
     monkeypatch.chdir(tmp_path)  # out=garbage writes there
     assert simulate_small(capsys, "sim", extra=("--set", "sim_length=30"))[0] == 0
     fit = ["fit", "--data", "sim/data.csv", "--out", "o", "--set", "map_iterations=5"]
+    # the svi_ keys reach fit_svis, a few steps from that MAP point
+    svi = fit + ["--set", "mode=svi", "--set", "svi_iterations=3"]
     for f in dataclasses.fields(RunConfig):
-        argv = ["simulate", "--out", "o"] if f.name.startswith("sim_") else fit
+        argv = (["simulate", "--out", "o"] if f.name.startswith("sim_")
+                else svi if f.name.startswith("svi_") else fit)
         for value in out_of_domain_values(type(f.default)):
             code, out, err = run(capsys, *argv, "--set", f"{f.name}={value}")
             assert code in (0, 1, 2), (f.name, value)

@@ -146,7 +146,8 @@ def test_retired_keys_are_dropped_from_files_and_documents(tmp_path):
     # carry them, fit the same model as no key at all
     path = tmp_path / "old.cfg"
     path.write_text("map_restarts = 3\nmap_restart_scale = 0.3\nseed = 5\nquantiles = 0.1,0.9\n"
-                    "laplace_smoothing = 0.0\nsvi_samples = 1\n")
+                    "laplace_smoothing = 0.0\nsvi_samples = 1\nsvi_learning_rate = 0.05\n"
+                    "svi_final_learning_rate = 1e-3\n")
     assert load_config(str(path)) == dataclasses.replace(RunConfig(), seed=5)
     for line in ("laplace_smoothing = 0.001", "svi_samples = 4", "svi_samples = x"):
         key, _, raw = line.partition(" = ")
@@ -156,9 +157,10 @@ def test_retired_keys_are_dropped_from_files_and_documents(tmp_path):
     # a fit document is never refit, so it drops them at any value
     doc = config_to_dict(RunConfig())
     doc.update(map_restarts=3, map_restart_scale=0.3, quantiles="0.5", laplace_smoothing=0.01,
-               svi_samples=4)
+               svi_samples=4, svi_learning_rate=0.02, svi_final_learning_rate=1e-4)
     assert config_from_dict(doc) == RunConfig()
-    for key in ("map_restarts", "quantiles", "laplace_smoothing", "svi_samples"):
+    for key in ("map_restarts", "quantiles", "laplace_smoothing", "svi_samples",
+                "svi_learning_rate", "svi_final_learning_rate"):
         with pytest.raises(ValidationError, match=f"unknown config key '{key}'"):
             merge_config(RunConfig(), {key: "3"})
 
