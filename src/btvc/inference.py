@@ -331,15 +331,14 @@ class SviConfig:
     iterations caps the natural-gradient steps of a run that has not
     converged. init_log_sd caps the start's conditional log-sds: fit_svi
     starts the precision at -H at the MAP point with every pivot of its
-    factor at least exp(-2 init_log_sd). The steps t with t % trace_every
-    == 0 go in the trace. The step schedule and the stop rule were chosen
-    on simulator seeds apart from the tests' (see README).
+    factor at least exp(-2 init_log_sd). Every step goes in the trace.
+    The step schedule and the stop rule were chosen on simulator seeds
+    apart from the tests' (see README).
     """
 
     iterations: Count = 50
     init_log_sd: LogSdCap = 0.0
     seed: int = 0
-    trace_every: Count = 1
 
     def __post_init__(self):
         check_fields(self)
@@ -368,7 +367,8 @@ class FitResult:
     # None for a library fit, which has no design recipe; saved as {}
     structure: Structure | None = None
     # trace[i] is the value at step i * trace_every (and MAP's last entry
-    # that of the returned point); None for a document that predates it
+    # that of the returned point); 1 for SVI, which traces every step, and
+    # None for a document that predates it
     trace_every: int | None = None
 
     @property
@@ -655,7 +655,7 @@ def fit_svi(inputs: ModelInputs, hp: HyperParams, config: SviConfig | None = Non
     stops as converged when _CALM_STEPS steps in a row each moved q by
     KL(q_new || q_old) < _KL_TOL, whose mean part is half the step's Newton
     decrement b^2 g'P^-1 g, and otherwise after config.iterations steps.
-    trace[i] is the ELBO estimate of step i * trace_every, on its draws. A
+    trace[i] is the ELBO estimate of step i, on its draws. A
     non-finite gradient or ELBO at a step's draws raises DivergenceError
     with the trace so far. This is fit_svis of one run.
     """
@@ -736,7 +736,7 @@ def fit_svis(runs) -> list[FitResult]:
         _, hp, run_config, packing, _, init = runs[k]
         results[k] = FitResult(
             params=packing.unpack(m), theta=init.theta, packing=packing, hyper=hp,
-            trace=traces[k], trace_every=config.trace_every, seed=run_config.seed, mode="svi",
+            trace=traces[k], trace_every=1, seed=run_config.seed, mode="svi",
             stop_reason=stop_reason, n_iterations=n_iterations, grad_norm=init.grad_norm,
             variational_mean=m,
             variational_log_sd=0.5 * np.log(factor.marginal_variance(inverse)),
@@ -815,11 +815,8 @@ def fit_svis(runs) -> list[FitResult]:
             else:
                 run[4] += 1
                 run[5] = 0
-            if t % config.trace_every == 0:
-                traces[k].append(score)
+            traces[k].append(score)
             if run[5] >= _CALM_STEPS:
-                if (t % config.trace_every) != 0:
-                    traces[k].append(score)
                 finish(place, "converged", t + 1)
             else:
                 keep.append(place)

@@ -973,20 +973,25 @@ class BandFactor:
         order = np.asarray(order, dtype=np.intp)
         if order.size != dim or not np.array_equal(np.sort(order), np.arange(dim)) or n > dim:
             raise ValidationError("variational.factor does not lay out the packing's theta")
+        # a written block is at most the band's length, so the layout is
+        # no larger than its values, and both are checked before it is built
+        if block > max(n, 1):
+            raise ValidationError("variational.factor.block is longer than its band")
         values = doc.get("values")
         check_value(values, str, "variational.factor.values")
         try:
             values = np.frombuffer(base64.b64decode(values), dtype="<f8")
         except (ValueError, TypeError):
             raise ValidationError("variational.factor.values is not base64 float64 data") from None
-        self = cls.__new__(cls)
-        self.layout = lay = BandLayout(order, n, block)
-        shapes = ([(block, block)] * lay.n_blocks + [(block, block)] * max(lay.n_blocks - 1, 0)
-                  + [(lay.k, lay.n_pad), (lay.k, lay.k)])
-        sizes = ([block * (block + 1) // 2] * (2 * lay.n_blocks - 1 if lay.n_blocks else 0)
-                 + [lay.k * lay.n_pad, lay.k * (lay.k + 1) // 2])
+        k, n_blocks = dim - n, -(-n // block)
+        shapes = ([(block, block)] * (2 * n_blocks - 1 if n_blocks else 0)
+                  + [(k, n_blocks * block), (k, k)])
+        sizes = ([block * (block + 1) // 2] * (len(shapes) - 2)
+                 + [k * n_blocks * block, k * (k + 1) // 2])
         if values.size != sum(sizes) or not np.isfinite(values).all():
             raise ValidationError("variational.factor.values do not fill its layout with finite numbers")
+        self = cls.__new__(cls)
+        self.layout = lay = BandLayout(order, n, block)
         parts = np.split(values.astype(float), np.cumsum(sizes)[:-1])
         blocks = []
         for (rows, cols), part, kind in zip(shapes, parts, [True] * lay.n_blocks
@@ -1158,11 +1163,6 @@ class Precision:
             np.concatenate([self.flat(chain, chain), self.flat(prev, prev), self.flat(knot, prev),
                             self.flat(prev, knot)]))
         self.hessian_at = None  # the places of a Hessian's entries, from the first one
-        self.gram = None
-        if f.nu is None:
-            self.gram = np.zeros(self.size)
-            for layout, at, (_, _, lin, _, _) in zip(self.layouts, self.slices, f.places):
-                layout.add_band(self.gram[at], f.gram_blocks, np.ones(f.order.size), lin.start)
 
     def flat(self, i, j, mirror: bool = False):
         """BandLayout.flat of the pairs (i, j) of theta entries, each pair in
@@ -1182,20 +1182,7 @@ class Precision:
             self.hessian_at = self.flat(hessians[0].scatter_to[:n], hessians[0].gather[:n])
         out = np.bincount(self.hessian_at, weights=sum(h.values for h in hessians) * -scale,
                           minlength=self.size)
-        if self.gram is None:
-            for h in hessians:
-                for layout, at, (_, _, lin, _, _) in zip(self.layouts, self.slices, self.f.places):
-                    layout.add_band(out[at], h.band, h.f, lin.start, scale)
-            return out
-        # under Gaussian noise every band is G's: its mean is G times the
-        # mean of f_i f_j
-        f = np.stack([h.f for h in hessians])
-        for layout, at, (_, _, lin, _, _) in zip(self.layouts, self.slices, self.f.places):
-            blocks = np.zeros((f.shape[0], layout.n_pad))
-            blocks[:, :layout.n] = f[:, lin]
-            blocks = blocks.reshape(f.shape[0], layout.n_blocks, layout.block).transpose(1, 2, 0)
-            D, E, _, _ = layout.views(out[at])
-            G_D, G_E, _, _ = layout.views(self.gram[at])
-            D += G_D * (blocks @ blocks.transpose(0, 2, 1)) * scale
-            E += G_E * (blocks[1:] @ blocks[:-1].transpose(0, 2, 1)) * scale
+        for h in hessians:
+            for layout, at, (_, _, lin, _, _) in zip(self.layouts, self.slices, self.f.places):
+                layout.add_band(out[at], h.band, h.f, lin.start, scale)
         return out

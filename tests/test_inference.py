@@ -482,12 +482,12 @@ def test_svi_first_step_is_the_dense_update():
 
 
 @pytest.mark.parametrize("bad_step", [1, 3])
-def test_svi_non_finite_gradient_on_an_untraced_step_raises_there(bad_step, monkeypatch):
-    # steps 1 and 3 fall between the steps traced every 2; the gradient at a
-    # draw of the step turns non-finite
+def test_svi_non_finite_gradient_at_a_step_raises_there(bad_step, monkeypatch):
+    # the gradient at a draw of the step turns non-finite; the trace holds
+    # the steps before it
     inputs, hp = small_problem(seed=28)
     init = fit_map(inputs, hp, MapConfig(iterations=200))
-    config = SviConfig(iterations=30, seed=5, trace_every=2)
+    config = SviConfig(iterations=30, seed=5)
     clean = fit_svi(inputs, hp, config, init=init)
     assert clean.n_iterations > bad_step
     real = objective.Objective.gradient
@@ -507,15 +507,15 @@ def test_svi_non_finite_gradient_on_an_untraced_step_raises_there(bad_step, monk
                        match=f"^gradient became non-finite at iteration {bad_step}$") as exc:
         fit_svi(inputs, hp, config, init=init)
     assert exc.value.iteration == bad_step
-    assert exc.value.trace == clean.trace[:(bad_step + 1) // 2]
+    assert exc.value.trace == clean.trace[:bad_step]
 
 
-def test_svi_non_finite_elbo_on_a_traced_step_raises_there(monkeypatch):
-    # the gradient stays finite, so only the ELBO check of traced step 2 can
-    # stop the fit; the trace holds step 0
+def test_svi_non_finite_elbo_at_a_step_raises_there(monkeypatch):
+    # the gradient stays finite, so only the ELBO check of step 2 can stop
+    # the fit; the trace holds steps 0 and 1
     inputs, hp = small_problem(seed=28)
     init = fit_map(inputs, hp, MapConfig(iterations=200))
-    config = SviConfig(iterations=30, seed=5, trace_every=2)
+    config = SviConfig(iterations=30, seed=5)
     clean = fit_svi(inputs, hp, config, init=init)
     real = objective.Objective.value
     calls = {"n": 0}
@@ -531,7 +531,7 @@ def test_svi_non_finite_elbo_on_a_traced_step_raises_there(monkeypatch):
     with pytest.raises(DivergenceError, match="^ELBO became non-finite at iteration 2$") as exc:
         fit_svi(inputs, hp, config, init=init)
     assert exc.value.iteration == 2
-    assert exc.value.trace == clean.trace[:1]
+    assert exc.value.trace == clean.trace[:2]
 
 
 def test_svi_runs_under_the_packing_of_its_start():
@@ -1402,8 +1402,7 @@ def stacked_svi_runs(case):
     """fit_svis runs from the stacked MAP fits of stacked_runs(case), each
     with its own seed."""
     runs = stacked_runs(case)
-    return [(inputs, hp, SviConfig(iterations=40, seed=config.seed + 1, trace_every=3,
-                                   init_log_sd=-2.0), packing, terms, init)
+    return [(inputs, hp, SviConfig(iterations=40, seed=config.seed + 1, init_log_sd=-2.0), packing, terms, init)
             for (inputs, hp, config, packing, terms), init in zip(runs, inference.fit_maps(runs))]
 
 
@@ -1420,11 +1419,10 @@ def test_each_run_of_a_stacked_svi_fit_equals_its_fit_alone(case):
         assert (fit.n_iterations, fit.stop_reason, fit.seed, fit.trace_every) == (
             alone.n_iterations, alone.stop_reason, alone.seed, alone.trace_every)
     # the runs converge after different numbers of steps, so the stack
-    # goes on without the first to stop; the trace ends at the last step
+    # goes on without the first to stop; the trace holds every step
     assert len({fit.n_iterations for fit in fits}) > 1
     assert all(fit.stop_reason == "converged" for fit in fits)
-    assert [len(fit.trace) for fit in fits] == [-(-fit.n_iterations // 3) + (
-        (fit.n_iterations - 1) % 3 != 0) for fit in fits]
+    assert [len(fit.trace) for fit in fits] == [fit.n_iterations for fit in fits]
     # each run's floor lifts some pivot of its start
     for inputs, hp, config, packing, terms, init in runs:
         f = objective.Objective.stack([(inputs, hp, init.packing, terms)], include_jacobian=True)
@@ -1451,9 +1449,9 @@ def test_a_diverging_run_of_a_stacked_svi_fit_names_itself(monkeypatch):
     with pytest.raises(DivergenceError, match="^gradient became non-finite at iteration 4$") \
             as exc:
         inference.fit_svis(runs)
-    # the runs record their ELBOs every 3 steps: at steps 0 and 3 of 0-3
+    # the run records its ELBO at each of steps 0-3
     assert (exc.value.index, exc.value.iteration) == (2, 4)
-    assert exc.value.trace == clean.trace[:2]
+    assert exc.value.trace == clean.trace[:4]
 
 
 def test_stacked_runs_share_one_step_size_schedule():
@@ -1789,10 +1787,9 @@ def test_the_library_imports_nothing_from_the_tests():
         assert imported_names(path) & {"tests", "oracle"} == set(), path.name
 
 
-@pytest.mark.parametrize("config", [MapConfig, SviConfig])
-def test_trace_every_must_be_positive(config):
+def test_trace_every_must_be_positive():
     with pytest.raises(ValidationError, match="trace_every must be >= 1"):
-        config(trace_every=0)
+        MapConfig(trace_every=0)
 
 
 @pytest.mark.parametrize("config, name, value", [
@@ -1949,6 +1946,8 @@ def test_a_factor_that_is_not_one_is_a_validation_error(tmp_path):
             ({"order": [0] * fit.packing.dim}, "does not lay out the packing's theta"),
             ({"band": fit.packing.dim + 1}, "does not lay out the packing's theta"),
             ({"block": 0}, "block must be >= 1"),
+            # a block this long would lay out terabytes before the values are counted
+            ({"block": 10**6}, "block is longer than its band"),
             ({"values": "***"}, "values do not fill its layout"),
             ({"values": 1.5}, "values expects str"),
             ({"values": base64.b64encode(values[:-1].tobytes()).decode()}, "do not fill"),
