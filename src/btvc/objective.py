@@ -803,13 +803,12 @@ class BandLayout:
              d + (rows * block + i % block) * block + j % block],
             e + (cols * block + i % block) * block + j % block)
 
-    def add_band(self, values, band, f, start: int, scale: float = 1.0):
-        """Add scale f_i f_j band_ij to values, for band _band_blocks' row
-        blocks (rows, cols, array) over the places start.. of a stack's
-        knot time order, those of this layout's band entries 0.., and f over
-        the same places. Each row block is cut along the layout's blocks;
-        its pieces above the blocks E are left out (their mirrors are in
-        other row blocks)."""
+    def add_band(self, values, band, start: int):
+        """Add band to values, for band _band_blocks' row blocks (rows,
+        cols, array) over the places start.. of a stack's knot time order,
+        those of this layout's band entries 0... Each row block is cut along
+        the layout's blocks; its pieces above the blocks E are left out
+        (their mirrors are in other row blocks)."""
         D, E, _, _ = self.views(values)
         block = self.block
         for rows, cols, array in band:
@@ -818,15 +817,13 @@ class BandLayout:
                 continue
             for i in range(r0 // block, (r1 - 1) // block + 1):
                 lo, hi = max(r0, i * block), min(r1, (i + 1) * block)
-                f_rows = f[start + lo:start + hi, None] * scale
                 for j in (i - 1, i):
                     c_lo, c_hi = max(c0, j * block), min(c1, (j + 1) * block)
                     if j < 0 or c_lo >= c_hi:
                         continue
                     into = D[i] if j == i else E[j]
-                    into[lo - i * block:hi - i * block, c_lo - j * block:c_hi - j * block] += (
-                        f_rows * array[lo - r0:hi - r0, c_lo - c0:c_hi - c0]
-                        * f[start + c_lo:start + c_hi])
+                    into[lo - i * block:hi - i * block, c_lo - j * block:c_hi - j * block] += \
+                        array[lo - r0:hi - r0, c_lo - c0:c_hi - c0]
 
 
 def _cholesky(a, floor):
@@ -1163,6 +1160,7 @@ class Precision:
             np.concatenate([self.flat(chain, chain), self.flat(prev, prev), self.flat(knot, prev),
                             self.flat(prev, knot)]))
         self.hessian_at = None  # the places of a Hessian's entries, from the first one
+        self.band, self.laid = None, None  # the band last laid out, and its flat values
 
     def flat(self, i, j, mirror: bool = False):
         """BandLayout.flat of the pairs (i, j) of theta entries, each pair in
@@ -1175,14 +1173,31 @@ class Precision:
         return out
 
     def minus_hessian(self, hessians):
-        """The mean of -H over the Hessians, in the flat values."""
+        """The mean of -H over the Hessians, in the flat values. Each band
+        -H holds, band_ij f_i f_j, is laid out once however many of the
+        Hessians share it (under Gaussian noise all hold the Gram blocks)
+        and scaled by their f f' block by block."""
         scale = 1.0 / len(hessians)
         if self.hessian_at is None:
             n = hessians[0].n_entries
             self.hessian_at = self.flat(hessians[0].scatter_to[:n], hessians[0].gather[:n])
         out = np.bincount(self.hessian_at, weights=sum(h.values for h in hessians) * -scale,
                           minlength=self.size)
+        shared = {}
         for h in hessians:
+            shared.setdefault(id(h.band), (h.band, []))[1].append(h.f)
+        for band, fs in shared.values():
+            if band is not self.band:
+                self.band, self.laid = band, np.zeros(self.size)
+                for layout, at, (_, _, lin, _, _) in zip(self.layouts, self.slices, self.f.places):
+                    layout.add_band(self.laid[at], band, lin.start)
+            f = np.stack(fs)
             for layout, at, (_, _, lin, _, _) in zip(self.layouts, self.slices, self.f.places):
-                layout.add_band(out[at], h.band, h.f, lin.start, scale)
+                blocks = np.zeros((f.shape[0], layout.n_pad))
+                blocks[:, :layout.n] = f[:, lin]
+                blocks = blocks.reshape(f.shape[0], layout.n_blocks, layout.block).transpose(1, 2, 0)
+                D, E, _, _ = layout.views(out[at])
+                band_D, band_E, _, _ = layout.views(self.laid[at])
+                D += band_D * (blocks @ blocks.transpose(0, 2, 1)) * scale
+                E += band_E * (blocks[1:] @ blocks[:-1].transpose(0, 2, 1)) * scale
         return out
