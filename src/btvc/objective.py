@@ -806,7 +806,7 @@ class BandLayout:
     def add_band(self, values, band, start: int):
         """Add band to values, for band _band_blocks' row blocks (rows,
         cols, array) over the places start.. of a stack's knot time order,
-        those of this layout's band entries 0... Each row block is cut along
+        those of this layout's band entries 0.. on. Each row block is cut along
         the layout's blocks; its pieces above the blocks E are left out
         (their mirrors are in other row blocks)."""
         D, E, _, _ = self.views(values)
@@ -970,8 +970,8 @@ class BandFactor:
         order = np.asarray(order, dtype=np.intp)
         if order.size != dim or not np.array_equal(np.sort(order), np.arange(dim)) or n > dim:
             raise ValidationError("variational.factor does not lay out the packing's theta")
-        # a written block is at most the band's length, so the layout is
-        # no larger than its values, and both are checked before it is built
+        # a written block is at most the band's length, so the layout holds
+        # at most about twice the values; both are checked before it is built
         if block > max(n, 1):
             raise ValidationError("variational.factor.block is longer than its band")
         values = doc.get("values")
