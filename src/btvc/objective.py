@@ -806,7 +806,7 @@ class BandLayout:
     def add_band(self, values, band, start: int):
         """Add band to values, for band _band_blocks' row blocks (rows,
         cols, array) over the places start.. of a stack's knot time order,
-        those of this layout's band entries 0.. on. Each row block is cut along
+        those of this layout's band entries from 0. Each row block is cut along
         the layout's blocks; its pieces above the blocks E are left out
         (their mirrors are in other row blocks)."""
         D, E, _, _ = self.views(values)
